@@ -13,6 +13,7 @@ than an error.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,24 @@ class ScanResult:
     saturated_upper: bool
     saturated_lower: bool
     non_unimodal: bool
+
+
+def _pool_map(fn, items, threads):
+    """``[fn(item) for item in items]``, on up to ``threads`` threads."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _checked_data(y, shape, name):
+    """Data as a float array of the given shape, rejecting non-finite values."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != shape:
+        raise DomainError(f"{name} has shape {y.shape}, expected {shape}")
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"{name} must be finite")
+    return y
 
 
 def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
@@ -200,12 +219,32 @@ def profile_sigma(nu, lambda_, design, y, scaling=None, pivot_rtol=DEFAULT_PIVOT
     return quadratic_form(post) / design.n
 
 
+def _profiled(value, n):
+    """Objective with the magnitude replaced by its closed-form estimate.
+
+    Substituting ``sigma^2 = data_term / n`` turns the data term into
+    ``n`` and adds ``n log sigma^2`` to the complexity term.
+    """
+    s2 = value.data_term / n
+    if np.any(s2 <= 0.0):
+        raise EstimationError("sigma profiling is degenerate for zero data")
+    log_s2 = np.log(s2) if isinstance(s2, np.ndarray) else math.log(s2)
+    return ObjectiveValue(data_term=float(n), complexity_term=n * log_s2 + value.complexity_term)
+
+
 class _CellEvaluator:
     """Per-sweep memo of objective values keyed by candidate smoothness.
 
     Each distinct smoothness is conditioned once; both objective totals
     are derived from that single factorization and the posterior is
     dropped immediately to keep sweeps over many cells lean.
+
+    ``y`` may also hold ``s`` data columns, shape ``(n, s)``, for example
+    the sample paths of several seeds on one design: a cell is then
+    conditioned once for all of them and its totals are ``(s,)`` arrays.
+    :meth:`columns` splits such a memo into one single-column evaluator
+    per data column, so the cells shared by every seed are not
+    conditioned again when each seed refines its own estimate.
     """
 
     def __init__(self, design, y, config):
@@ -216,32 +255,15 @@ class _CellEvaluator:
 
     def _evaluate(self, nu):
         cfg = self.config
-        if cfg.profile_sigma:
-            sigma = 1.0
-        else:
-            sigma = cfg.sigma
+        sigma = 1.0 if cfg.profile_sigma else cfg.sigma
         params = matern(nu, sigma, cfg.lambda_, d=self.design.d)
         post = condition(MaternKernel(params), self.design, self.y, cfg.pivot_rtol)
         ml = ell_ml_from(post)
         cv = ell_cv_from(post) if self.design.n >= 2 else None
         if cfg.profile_sigma:
-            n = self.design.n
-            s2_ml = ml.data_term / n
-            if s2_ml <= 0.0:
-                raise EstimationError("sigma profiling is degenerate for zero data")
-            ml = ObjectiveValue(
-                data_term=float(n),
-                complexity_term=n * math.log(s2_ml) + ml.complexity_term,
-            )
-            if cv is not None:
-                s2_cv = cv.data_term / n
-                if s2_cv <= 0.0:
-                    raise EstimationError("sigma profiling is degenerate for zero data")
-                cv = ObjectiveValue(
-                    data_term=float(n),
-                    complexity_term=n * math.log(s2_cv) + cv.complexity_term,
-                )
-        return ml, cv
+            ml = _profiled(ml, self.design.n)
+            cv = _profiled(cv, self.design.n) if cv is not None else None
+        return ml.total, (cv.total if cv is not None else None)
 
     def cell(self, nu):
         key = float(nu)
@@ -261,13 +283,26 @@ class _CellEvaluator:
         return hit
 
     def ml(self, nu):
-        return self.cell(nu)[0].total
+        return self.cell(nu)[0]
 
     def cv(self, nu):
         value = self.cell(nu)[1]
         if value is None:
             raise DomainError("cross-validation needs n >= 2")
-        return value.total
+        return value
+
+    def columns(self):
+        """One evaluator per data column, each memo holding this one's cells."""
+        split = []
+        for j in range(self.y.shape[1]):
+            evaluator = _CellEvaluator(self.design, self.y[:, j], self.config)
+            for key, hit in self.cache.items():
+                if not isinstance(hit, ConditioningError):
+                    ml, cv = hit
+                    hit = (float(ml[j]), None if cv is None else float(cv[j]))
+                evaluator.cache[key] = hit
+            split.append(evaluator)
+        return split
 
 
 def _estimate_from_scan(scan, config):
@@ -286,13 +321,14 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     """Smoothness estimate minimising the configured objective.
 
     Requires ``n >= 1`` for maximum likelihood and ``n >= 2`` for
-    cross-validation.  Raises :class:`EstimationError` when no grid cell
-    can be conditioned.
+    cross-validation, and finite data of shape ``(n,)``.  Raises
+    :class:`EstimationError` when no grid cell can be conditioned.
     """
     if design.n < 1 or (config.objective == "cv" and design.n < 2):
         raise DomainError(
             f"objective {config.objective!r} needs more data than n={design.n}"
         )
+    y = _checked_data(y, (design.n,), "y")
     evaluator = _CellEvaluator(design, y, config)
     fn = evaluator.ml if config.objective == "ml" else evaluator.cv
     scan = bracketed_minimize(fn, config.nu_min, config.nu_max,
@@ -336,79 +372,115 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     the generating smoothness ``nu0`` is supplied, each record carries the
     worst-case leave-one-out variance ratio between ``nu0`` and the ML
     estimate as an undersmoothing diagnostic.  Per-prefix failures are
-    recorded in the ``notes`` field and do not abort the sweep.
+    recorded in the ``notes`` field and do not abort the sweep.  Data
+    must be finite.
+
+    Several data vectors on the same design (the sample paths of several
+    seeds) are swept together by the multi-column form behind this
+    function, which conditions each coarse cell once for all of them.
+    """
+    y_full = _checked_data(y_full, (design.n,), "y_full")
+    return _sweep_columns(design, y_full[:, None], n_schedule, config, nu0=nu0,
+                          experiment=experiment, seeds=(seed,),
+                          probe_resolution=probe_resolution)[0]
+
+
+def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
+                   experiment="", seeds=(None,), probe_resolution=None, threads=1):
+    """Prefix sweeps of ``s`` data columns ``y_full[:, j]`` labelled ``seeds[j]``.
+
+    Returns one list of :class:`SweepRecord` per column, each equal to
+    what :func:`sweep_prefixes` gives for that column alone.  Per prefix,
+    every cell of the coarse scan is conditioned once for all columns, and
+    the fill distance and the leave-one-out variances at ``nu0`` are
+    computed once; only the golden-section refinement runs per column,
+    split across up to ``threads`` threads.
     """
     schedule = [int(n) for n in n_schedule]
     if schedule != sorted(schedule):
         raise DomainError("schedule must be ascending")
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
-    y_full = np.asarray(y_full, dtype=float)
-    if y_full.shape != (design.n,):
-        raise DomainError("y_full must match the design size")
+    y_full = _checked_data(y_full, (design.n, len(seeds)), "y_full")
 
-    records = []
+    records = [[] for _ in seeds]
     for n in schedule:
         prefix = design.prefix(n)
-        y = y_full[:n]
-        evaluator = _CellEvaluator(prefix, y, config)
-        notes = []
-        nan = math.nan
-
-        try:
-            scan_ml = bracketed_minimize(evaluator.ml, config.nu_min, config.nu_max,
-                                         config.coarse_grid, config.refine_tol)
-            est_ml = _estimate_from_scan(scan_ml, config)
-            if est_ml.failures:
-                notes.append(f"ml_failures={len(est_ml.failures)}")
-            if est_ml.non_unimodal:
-                notes.append("ml_non_unimodal")
-        except (EstimationError, DomainError) as err:
-            est_ml = None
-            notes.append(f"ml_error={err}")
-
-        if n >= 2:
+        shared = _CellEvaluator(prefix, y_full[:n], config)
+        # Exactly the cells the coarse scan of bracketed_minimize looks up.
+        for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
             try:
-                scan_cv = bracketed_minimize(evaluator.cv, config.nu_min, config.nu_max,
-                                             config.coarse_grid, config.refine_tol)
-                est_cv = _estimate_from_scan(scan_cv, config)
-                if est_cv.failures:
-                    notes.append(f"cv_failures={len(est_cv.failures)}")
-                if est_cv.non_unimodal:
-                    notes.append("cv_non_unimodal")
-            except (EstimationError, DomainError) as err:
-                est_cv = None
-                notes.append(f"cv_error={err}")
-        else:
-            est_cv = None
-            notes.append("cv_undefined_n<2")
-
-        ratio = nan
-        if nu0 is not None and est_ml is not None:
+                shared.cell(nu)
+            except (ConditioningError, EstimationError):
+                pass  # failures stay in the memo; degenerate profiling is retried per column
+        v0 = None
+        if nu0 is not None:
             try:
                 k0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=prefix.d))
-                k1 = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_,
-                                         d=prefix.d))
                 v0 = _loo_variances(k0, prefix, config.pivot_rtol)
-                v1 = _loo_variances(k1, prefix, config.pivot_rtol)
-                ratio = float(np.max(v0 / v1))
             except ConditioningError as err:
-                notes.append(f"ratio_error={err}")
+                v0 = err
+        fill = fill_distance(prefix, probe_resolution)
 
-        records.append(
-            SweepRecord(
-                experiment=experiment,
-                seed=seed,
-                n=n,
-                fill=fill_distance(prefix, probe_resolution),
-                nu_hat_ml=est_ml.nu_hat if est_ml else nan,
-                nu_hat_cv=est_cv.nu_hat if est_cv else nan,
-                ell_ml_min=est_ml.objective_at_min if est_ml else nan,
-                ell_cv_min=est_cv.objective_at_min if est_cv else nan,
-                max_loo_var_ratio=ratio,
-                hit_upper_ml=bool(est_ml.hit_upper_bracket) if est_ml else False,
-                hit_upper_cv=bool(est_cv.hit_upper_bracket) if est_cv else False,
-                notes=";".join(notes),
-            )
-        )
+        def one(job):
+            seed, evaluator = job
+            return _prefix_record(evaluator, config, v0, fill, experiment, seed)
+
+        jobs = list(zip(seeds, shared.columns()))
+        for column, record in zip(records, _pool_map(one, jobs, threads)):
+            column.append(record)
     return records
+
+
+def _prefix_record(evaluator, config, v0, fill, experiment, seed):
+    """Both estimates for one data column on one prefix, as a sweep record."""
+    prefix = evaluator.design
+    n = prefix.n
+    notes = []
+    nan = math.nan
+
+    estimates = {}
+    for name, fn in (("ml", evaluator.ml), ("cv", evaluator.cv)):
+        estimates[name] = None
+        if name == "cv" and n < 2:
+            notes.append("cv_undefined_n<2")
+            continue
+        try:
+            scan = bracketed_minimize(fn, config.nu_min, config.nu_max,
+                                      config.coarse_grid, config.refine_tol)
+        except (EstimationError, DomainError) as err:
+            notes.append(f"{name}_error={err}")
+            continue
+        est = estimates[name] = _estimate_from_scan(scan, config)
+        if est.failures:
+            notes.append(f"{name}_failures={len(est.failures)}")
+        if est.non_unimodal:
+            notes.append(f"{name}_non_unimodal")
+    est_ml, est_cv = estimates["ml"], estimates["cv"]
+
+    ratio = nan
+    if isinstance(v0, ConditioningError) and est_ml is not None:
+        notes.append(f"ratio_error={v0}")
+    elif v0 is not None and est_ml is not None:
+        try:
+            k1 = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_,
+                                     d=prefix.d))
+            v1 = _loo_variances(k1, prefix, config.pivot_rtol)
+            ratio = float(np.max(v0 / v1))
+        except ConditioningError as err:
+            notes.append(f"ratio_error={err}")
+
+    return SweepRecord(
+        experiment=experiment,
+        seed=seed,
+        n=n,
+        fill=fill,
+        nu_hat_ml=est_ml.nu_hat if est_ml else nan,
+        nu_hat_cv=est_cv.nu_hat if est_cv else nan,
+        ell_ml_min=est_ml.objective_at_min if est_ml else nan,
+        ell_cv_min=est_cv.objective_at_min if est_cv else nan,
+        max_loo_var_ratio=ratio,
+        hit_upper_ml=bool(est_ml.hit_upper_bracket) if est_ml else False,
+        hit_upper_cv=bool(est_cv.hit_upper_bracket) if est_cv else False,
+        notes=";".join(notes),
+    )

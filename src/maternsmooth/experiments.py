@@ -9,7 +9,6 @@ cell never aborts a sweep; it is recorded in the row notes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +19,8 @@ from .errors import ConditioningError, DomainError, EstimationError
 from .estimators import (
     EstimatorConfig,
     SweepRecord,
+    _pool_map,
+    _sweep_columns,
     bracketed_minimize,
     sweep_prefixes,
 )
@@ -112,20 +113,12 @@ def make_design(name, d, size):
             raise DomainError("van der Corput designs are one-dimensional")
         return van_der_corput(box, size)
     if name == "uniform_grid":
-        m = max(2, int(round(size ** (1.0 / d))))
         # smallest 2^k + 1 grid per axis covering the requested size
         k = 1
         while (2**k + 1) ** d < size:
             k += 1
         return uniform_grid(box, 2**k + 1)
     raise DomainError(f"unknown design generator {name!r}")
-
-
-def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +317,10 @@ def _draw_or_evaluate(config, design):
 def run_non_undersmoothing(config):
     """Smoothness estimates on growing prefixes, per seed.
 
-    With a generating smoothness ``nu0``, the summary counts the seeds
+    All seeds share the design, so their paths are swept together as the
+    columns of one matrix: each coarse cell is conditioned once for every
+    seed, and ``threads`` splits only the per-seed refinement.  With a
+    generating smoothness ``nu0``, the summary counts the seeds
     whose tail estimates stay above ``nu0 - d/2 - 0.1`` (the sample-path
     lower bound with slack); for catalog functions the sweep is reported
     as-is, with upper-bracket saturation flags for the smooth entries.
@@ -334,17 +330,17 @@ def run_non_undersmoothing(config):
     draws = _draw_or_evaluate(config, design)
     est = replace(config.estimator, sigma=config.sigma, lambda_=config.lambda_)
 
-    def one(seed_and_y):
-        seed, y = seed_and_y
-        records = sweep_prefixes(design, y, schedule, est, nu0=config.nu0,
-                                 experiment=config.experiment or "non-undersmoothing",
-                                 seed=seed)
+    seeds = [seed for seed, _ in draws]
+    paths = np.stack([y for _, y in draws], axis=1)
+    all_records = _sweep_columns(
+        design, paths, schedule, est, nu0=config.nu0,
+        experiment=config.experiment or "non-undersmoothing", seeds=seeds,
+        threads=config.threads)
+    for j, (_, y) in enumerate(draws):
         if np.all(y == 0.0):
-            records = [replace(r, notes=(r.notes + ";degenerate_zero_data").strip(";"))
-                       for r in records]
-        return records
-
-    all_records = _pool_map(one, draws, config.threads)
+            all_records[j] = [
+                replace(r, notes=(r.notes + ";degenerate_zero_data").strip(";"))
+                for r in all_records[j]]
     rows = [r.as_row() for recs in all_records for r in recs]
 
     lines = []

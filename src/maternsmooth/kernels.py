@@ -222,29 +222,35 @@ class _DistanceDecomposition:
     """Condensed pairwise distances of a fixed point set, deduplicated.
 
     Lattice-like designs repeat the same distance many times; evaluating
-    the kernel once per distinct distance and scattering cuts the special-
-    function work by orders of magnitude.  Instances are cached on the
+    the kernel once per distinct distance and gathering cuts the special-
+    function work by orders of magnitude.  ``index`` maps every entry of
+    the full matrix to its distinct distance, with the diagonal pointing
+    one past the last distinct distance (where the zero-distance value
+    goes), so assembly is a single gather.  Instances are cached on the
     design so that sweeps over many kernel parameters reuse them.
     """
 
     def __init__(self, pts):
         n = pts.shape[0]
-        self.n = n
-        self.iu = np.triu_indices(n, k=1)
-        dist = pairwise_distances(pts)[self.iu]
+        iu = np.triu_indices(n, k=1)
+        dist = pairwise_distances(pts)[iu]
         if n > 1 and dist.size and np.min(dist) == 0.0:
             k = int(np.argmin(dist))
-            i, j = int(self.iu[0][k]), int(self.iu[1][k])
+            i, j = int(iu[0][k]), int(iu[1][k])
             raise DegenerateDesignError(f"duplicate points at indices {i} and {j}")
-        self.unique, self.inverse = np.unique(dist, return_inverse=True)
+        self.unique, inverse = np.unique(dist, return_inverse=True)
+        index = np.empty((n, n), dtype=np.int32)
+        index[iu] = inverse
+        index.T[iu] = inverse
+        np.fill_diagonal(index, self.unique.size)
+        self.index = index
 
     def matrix(self, kernel):
-        out = np.empty((self.n, self.n))
+        values = np.empty(self.unique.size + 1)
         if self.unique.size:
-            out[self.iu] = kernel(self.unique)[self.inverse]
-            out.T[self.iu] = out[self.iu]
-        np.fill_diagonal(out, kernel(0.0))
-        return out
+            values[:-1] = kernel(self.unique)
+        values[-1] = kernel(0.0)
+        return np.take(values, self.index)
 
 
 def _decomposition_for(design):

@@ -37,7 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """One objective evaluation split into data and complexity terms."""
+    """One objective evaluation split into data and complexity terms.
+
+    For a posterior with ``s`` data columns the data term, and with it the
+    total, is an ``(s,)`` array holding one value per column.
+    """
 
     data_term: float
     complexity_term: float
@@ -56,16 +60,26 @@ def _reraise_with_context(err, what, nu, n):
 
 
 def ell_ml_from(post):
-    """Maximum-likelihood objective of an already conditioned posterior."""
+    """Maximum-likelihood objective of an already conditioned posterior.
+
+    Per data column when the posterior holds several.
+    """
     return ObjectiveValue(data_term=quadratic_form(post), complexity_term=log_det(post))
 
 
 def ell_cv_from(post):
-    """Cross-validation objective of an already conditioned posterior."""
+    """Cross-validation objective of an already conditioned posterior.
+
+    Per data column when the posterior holds several; the leave-one-out
+    variances, and so the complexity term, are shared by all columns.
+    """
     if post.n < 2:
         raise DomainError("cross-validation objective needs n >= 2")
     res = loo(post)
-    data = float(np.sum(res.residuals**2 / res.variances))
+    if res.residuals.ndim == 1:
+        data = float(np.sum(res.residuals**2 / res.variances))
+    else:
+        data = np.sum(res.residuals**2 / res.variances[:, None], axis=0)
     complexity = float(np.sum(np.log(res.variances)))
     return ObjectiveValue(data_term=data, complexity_term=complexity)
 

@@ -13,6 +13,7 @@ from maternsmooth.estimators import (
     bracketed_minimize,
     estimate_nu,
     profile_sigma,
+    _sweep_columns,
     sweep_prefixes,
 )
 from maternsmooth.kernels import matern
@@ -127,6 +128,14 @@ class TestEstimateNu:
         est = estimate_nu(design, y, EstimatorConfig(objective="cv", lambda_=1.0))
         assert 1.0 < est.nu_hat < 2.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_raises(self, sample_instance, bad):
+        design, y = sample_instance
+        y = y[:32].copy()
+        y[5] = bad
+        with pytest.raises(DomainError, match="finite"):
+            estimate_nu(design.prefix(32), y, EstimatorConfig(lambda_=1.0))
+
     def test_preconditions(self):
         design = Design([[0.5]], UNIT)
         with pytest.raises(DomainError):
@@ -211,3 +220,28 @@ class TestSweeps:
             sweep_prefixes(design, y, [4096], EstimatorConfig())
         with pytest.raises(DomainError):
             sweep_prefixes(design, y[:10], [16], EstimatorConfig())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_raises(self, sample_instance, bad):
+        design, y = sample_instance
+        y = y.copy()
+        y[100] = bad  # beyond the only prefix: all of y_full must be finite
+        with pytest.raises(DomainError, match="finite"):
+            sweep_prefixes(design, y, [16], EstimatorConfig(lambda_=1.0))
+
+    def test_columns_swept_together_match_single_sweeps(self, sample_instance):
+        design, y = sample_instance
+        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        cfg = EstimatorConfig(lambda_=1.0, coarse_grid=24)
+        together = _sweep_columns(design, np.stack([y, second], axis=1), [16, 64], cfg,
+                                  nu0=1.5, seeds=(202, 7))
+        for seed, column, records in zip((202, 7), (y, second), together):
+            alone = sweep_prefixes(design, column, [16, 64], cfg, nu0=1.5, seed=seed)
+            assert [r.seed for r in records] == [seed, seed]
+            for a, b in zip(records, alone):
+                assert (a.n, a.fill, a.notes) == (b.n, b.fill, b.notes)
+                assert (a.hit_upper_ml, a.hit_upper_cv) == (b.hit_upper_ml, b.hit_upper_cv)
+                for field in ("nu_hat_ml", "nu_hat_cv"):
+                    assert abs(getattr(a, field) - getattr(b, field)) <= cfg.refine_tol
+                for field in ("ell_ml_min", "ell_cv_min", "max_loo_var_ratio"):
+                    assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)

@@ -92,7 +92,7 @@ class TestCondition:
         kernel = MaternKernel(matern(2.5, lambda_=0.5))
         with pytest.raises(ConditioningError) as exc:
             condition(kernel, design, np.ones(3))
-        assert exc.value.pivot_index >= 0
+        assert exc.value.pivot_index == 1
 
     def test_pivot_floor_rejects_rounding_noise(self):
         # very smooth kernel on a fine grid: trailing pivots are pure noise
@@ -105,6 +105,35 @@ class TestCondition:
         kernel, design, _, _ = instance
         with pytest.raises(DomainError):
             condition(kernel, design, np.zeros(5))
+        with pytest.raises(DomainError):
+            condition(kernel, design, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_raises(self, instance, bad):
+        kernel, design, y, _ = instance
+        y = y.copy()
+        y[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            condition(kernel, design, y)
+        with pytest.raises(DomainError, match="finite"):
+            condition(kernel, design, np.stack([np.zeros(16), y], axis=1))
+
+    def test_data_columns_share_one_factor(self, instance):
+        kernel, design, y, post = instance
+        Y = np.stack([y, -2.0 * y, np.zeros(16)], axis=1)
+        multi = condition(kernel, design, Y)
+        np.testing.assert_array_equal(multi.chol, post.chol)
+        assert multi.weights.shape == (16, 3)
+        np.testing.assert_allclose(multi.weights[:, 0], post.weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(multi.weights[:, 1], -2.0 * post.weights, rtol=1e-12)
+        assert np.all(multi.weights[:, 2] == 0.0)
+        qf = quadratic_form(multi)
+        assert qf.shape == (3,)
+        assert qf[0] == pytest.approx(quadratic_form(post), rel=1e-12)
+        assert qf[1] == pytest.approx(4.0 * quadratic_form(post), rel=1e-12)
+        res = loo(multi)
+        assert res.residuals.shape == (16, 3) and res.variances.shape == (16,)
+        np.testing.assert_allclose(res.residuals[:, 0], loo(post).residuals, rtol=1e-12)
 
 
 class TestPosteriorQueries:
@@ -130,6 +159,25 @@ class TestPosteriorQueries:
         kernel, design, y, post = instance
         v = posterior_var(post, design.points)
         assert np.max(np.abs(v)) <= 1e-10 * kernel.variance
+
+    def test_query_second_axis_must_be_dimension(self):
+        design = Design([[0.1, 0.2], [0.5, 0.9], [0.8, 0.3]], Box.unit(2))
+        post = condition(MaternKernel(matern(1.5, lambda_=0.5, d=2)), design, [1.0, 0.0, 2.0])
+        assert posterior_mean(post, np.full((3, 2), 0.4)).shape == (3,)
+        for bad in (np.full((2, 3), 0.4), np.full((3, 2, 1), 0.4)):
+            with pytest.raises(DomainError):
+                posterior_mean(post, bad)
+            with pytest.raises(DomainError):
+                posterior_var(post, bad)
+
+    def test_one_dimensional_row_of_points_rejected(self, instance):
+        # (1, m) is not m points in 1-d; (m,) and (m, 1) are
+        kernel, design, y, post = instance
+        probes = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(posterior_mean(post, probes[:, None]),
+                                      posterior_mean(post, probes))
+        with pytest.raises(DomainError):
+            posterior_mean(post, probes[None, :])
 
     def test_empty_design_convention(self):
         kernel = MaternKernel(matern(1.5, sigma=1.3))
