@@ -395,6 +395,14 @@ def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     the fill distance and the leave-one-out variances at ``nu0`` are
     computed once; only the golden-section refinement runs per column,
     split across up to ``threads`` threads.
+
+    A coarse cell that fails to condition on one prefix is not conditioned
+    again on the larger ones.  The kernel matrix of a prefix is the leading
+    block of every larger prefix's matrix, and the pivot floor is relative
+    to the constant diagonal, so in exact arithmetic the pivots that failed
+    stay below the floor; a larger prefix that passed would pass by
+    rounding luck.  The later prefixes record the cell as failed, with the
+    prefix size, pivot index and pivot value of the first failure.
     """
     schedule = [int(n) for n in n_schedule]
     if schedule != sorted(schedule):
@@ -404,15 +412,25 @@ def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     y_full = _checked_data(y_full, (design.n, len(seeds)), "y_full")
 
     records = [[] for _ in seeds]
+    singular = {}  # coarse cell -> (prefix size, error) of its first failure
     for n in schedule:
         prefix = design.prefix(n)
         shared = _CellEvaluator(prefix, y_full[:n], config)
+        for key, (n_first, err) in singular.items():
+            shared.cache[key] = ConditioningError(
+                f"nu={key:g}, n={n}: failed on prefix n={n_first}: "
+                f"pivot {err.pivot_index} = {err.pivot_value:.3e}",
+                pivot_index=err.pivot_index,
+                pivot_value=err.pivot_value,
+            )
         # Exactly the cells the coarse scan of bracketed_minimize looks up.
         for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
             try:
                 shared.cell(nu)
-            except (ConditioningError, EstimationError):
-                pass  # failures stay in the memo; degenerate profiling is retried per column
+            except ConditioningError as err:
+                singular.setdefault(float(nu), (n, err))
+            except EstimationError:
+                pass  # degenerate profiling is retried per column
         v0 = None
         if nu0 is not None:
             try:

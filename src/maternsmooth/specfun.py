@@ -205,9 +205,20 @@ def _log_k_series(nu, x, accuracy):
 
 
 def _log_k_fallback(nu, x, accuracy):
+    """log K_nu at the arguments ``x`` (a 1-d array) where ``kve`` overflows."""
     if nu >= _UNIFORM_ORDER_MIN:
-        return float(_log_k_uniform(nu, x))
-    return _log_k_series(nu, x, accuracy)
+        return _log_k_uniform(nu, x)
+    return np.array([_log_k_series(nu, float(xi), accuracy) for xi in x])
+
+
+def _order_and_arguments(nu, x):
+    """Validated order, arguments as a 1-d array, and whether ``x`` is scalar."""
+    nu = float(nu)
+    if not math.isfinite(nu) or nu < 0.0:
+        raise DomainError(f"order nu must be finite and >= 0, got {nu!r}")
+    arr = _validate_positive("x", x)
+    scalar = np.isscalar(x) or arr.ndim == 0
+    return nu, np.atleast_1d(arr), scalar
 
 
 def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
@@ -230,18 +241,12 @@ def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     -------
     float or ndarray
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError(f"order nu must be finite and >= 0, got {nu!r}")
-    arr = _validate_positive("x", x)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
+    nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.log(_special.kve(nu, arr)) - arr
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out[bad] = [_log_k_fallback(nu, float(xi), accuracy) for xi in arr[bad]]
+        out[bad] = _log_k_fallback(nu, arr[bad], accuracy)
     if scalar:
         return float(out[0])
     return out
@@ -255,23 +260,14 @@ def bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     corners of that box whose value exceeds ~1.8e308 return ``inf``.
     Use :func:`log_bessel_k` for an overflow-safe evaluation.
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError(f"order nu must be finite and >= 0, got {nu!r}")
-    arr = _validate_positive("x", x)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
-
+    nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore"):
         kve = _special.kve(nu, arr)
         out = kve * np.exp(-arr)
     bad = ~np.isfinite(out)
     if np.any(bad):
         with np.errstate(over="ignore"):
-            out[bad] = [
-                math.exp(v) if (v := _log_k_fallback(nu, float(xi), accuracy)) < 710.0 else math.inf
-                for xi in arr[bad]
-            ]
+            out[bad] = np.exp(_log_k_fallback(nu, arr[bad], accuracy))
     if scalar:
         return float(out[0])
     return out

@@ -7,6 +7,7 @@ import pytest
 
 from maternsmooth.analysis import builtin_test_functions, sample_gp_path
 from maternsmooth.designs import Box, Design, van_der_corput
+from maternsmooth import estimators
 from maternsmooth.errors import ConditioningError, DomainError, EstimationError
 from maternsmooth.estimators import (
     EstimatorConfig,
@@ -16,6 +17,7 @@ from maternsmooth.estimators import (
     _sweep_columns,
     sweep_prefixes,
 )
+from maternsmooth.gp import condition
 from maternsmooth.kernels import matern
 from maternsmooth.objectives import ell_ml
 
@@ -245,3 +247,74 @@ class TestSweeps:
                     assert abs(getattr(a, field) - getattr(b, field)) <= cfg.refine_tol
                 for field in ("ell_ml_min", "ell_cv_min", "max_loo_var_ratio"):
                     assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
+
+class TestPrefixRule:
+    """A coarse cell that fails on one prefix is not conditioned on larger ones."""
+
+    SCHEDULE = (16, 32, 64)
+
+    @pytest.fixture(scope="class")
+    def smooth_instance(self):
+        # Jittered van der Corput points on [0, 1/2]: dense enough for
+        # lambda = 0.05 that the high-order cells first fail on the prefix
+        # of 32 points, not only on the full design.
+        box = Box((0.0,), (0.5,))
+        base = van_der_corput(box, 64).points[:, 0]
+        spacing = float(np.min(np.diff(np.sort(base))))
+        rng = np.random.Generator(np.random.Philox(0))
+        points = np.clip(base + (2.0 * rng.random(64) - 1.0) * 0.25 * spacing, 0.0, 0.5)
+        y = builtin_test_functions()["gauss_bump"](points)
+        return Design(points, box), y, EstimatorConfig(nu_max=300.0, lambda_=0.05)
+
+    def test_records_equal_each_prefix_swept_alone(self, smooth_instance):
+        design, y, cfg = smooth_instance
+        records = sweep_prefixes(design, y, self.SCHEDULE, cfg)
+        assert "ml_failures=" in records[1].notes and "ml_failures=" in records[2].notes
+        for record, n in zip(records, self.SCHEDULE):
+            assert repr(record) == repr(sweep_prefixes(design, y, [n], cfg)[0])
+
+    def test_failed_coarse_cells_are_not_conditioned_again(self, smooth_instance,
+                                                           monkeypatch):
+        design, y, cfg = smooth_instance
+        calls = []
+
+        def counting(kernel, prefix, data, pivot_rtol):
+            try:
+                post = condition(kernel, prefix, data, pivot_rtol)
+            except ConditioningError:
+                calls.append((kernel.params.nu, prefix.n, True))
+                raise
+            calls.append((kernel.params.nu, prefix.n, False))
+            return post
+
+        monkeypatch.setattr(estimators, "condition", counting)
+        sweep_prefixes(design, y, self.SCHEDULE, cfg)
+        coarse = {float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)}
+        first_failure = {}
+        for nu, n, failed in calls:
+            if nu in coarse:
+                assert first_failure.get(nu, n) == n, (nu, n)
+                if failed:
+                    first_failure.setdefault(nu, n)
+        assert 32 in first_failure.values()
+
+    def test_inherited_failure_names_the_first_prefix(self, smooth_instance, monkeypatch):
+        design, y, cfg = smooth_instance
+        scans = []
+
+        def recording(fn, *args):
+            scan = bracketed_minimize(fn, *args)
+            scans.append((fn.__self__.design.n, scan))
+            return scan
+
+        monkeypatch.setattr(estimators, "bracketed_minimize", recording)
+        sweep_prefixes(design, y, self.SCHEDULE, cfg)
+        at_32 = {nu: msg for n, scan in scans if n == 32 for nu, msg in scan.failures}
+        inherited = [(nu, msg) for n, scan in scans if n == 64 for nu, msg in scan.failures
+                     if "failed on prefix" in msg]
+        assert inherited
+        for nu, msg in inherited:
+            assert msg.startswith(f"nu={nu:g}, n=64: failed on prefix n=32: pivot ")
+            pivot = msg.split("failed on prefix n=32: ")[1]
+            assert at_32[nu].startswith(f"nu={nu:g}, n=32: ") and pivot in at_32[nu]

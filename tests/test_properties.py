@@ -1,4 +1,5 @@
-"""Property-based checks of the LOO identities and the multi-column objectives.
+"""Property-based checks of the LOO identities, the multi-column objectives
+and the modified Bessel function of the second kind.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -8,12 +9,13 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, optimize
 
 from maternsmooth.experiments import _jittered_grid, _naive_loo
 from maternsmooth.gp import condition, loo
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
+from maternsmooth.specfun import bessel_k, log_bessel_k
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -65,3 +67,51 @@ def test_multi_column_objectives_equal_single_column(case, columns):
             for got, want in ((many.data_term[j], one.data_term),
                               (many.total[j], one.total)):
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _near_kve_overflow(nu, w):
+    """An argument within a factor ``exp(w)`` of where ``kve(nu, x)`` equals
+    ``exp(709)``.  ``kve`` overflows just below that argument, so offsets of
+    either sign reach both the ``kve`` path and the large-order fallback."""
+    edge = optimize.brentq(lambda x: log_bessel_k(nu, x) + x - 709.0, 1e-8, 10.0 * nu)
+    return edge * math.exp(w)
+
+
+arguments = st.floats(min_value=math.log(1e-5), max_value=math.log(500.0)).map(math.exp)
+bessel_cases = st.one_of(
+    st.tuples(st.floats(min_value=0.0, max_value=300.0), arguments),
+    st.tuples(st.floats(min_value=50.0, max_value=300.0),
+              st.floats(min_value=-0.05, max_value=0.05)).map(
+        lambda c: (c[0], _near_kve_overflow(*c))),
+)
+
+
+@PROPERTY
+@given(bessel_cases)
+def test_log_bessel_k_matches_log_of_bessel_k(case):
+    nu, x = case
+    k = bessel_k(nu, x)
+    if 1e-300 < k < math.inf:
+        assert abs(log_bessel_k(nu, x) - math.log(k)) <= 1e-9
+
+
+@PROPERTY
+@given(bessel_cases)
+def test_bessel_three_term_recurrence(case):
+    # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x), divided by K_{nu+1}(x)
+    # so that it holds in log space beyond overflow; K_{-a} = K_a.
+    nu, x = case
+    upper = log_bessel_k(nu + 1.0, x)
+    lower = log_bessel_k(abs(nu - 1.0), x)
+    middle = log_bessel_k(nu, x)
+    ratio = math.exp(lower - upper) + (2.0 * nu / x) * math.exp(middle - upper)
+    assert abs(ratio - 1.0) <= 1e-8
+
+
+@PROPERTY
+@given(st.floats(min_value=50.0, max_value=300.0),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=20))
+def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
+    xs = np.array([_near_kve_overflow(nu, w) for w in offsets])
+    vectorized = log_bessel_k(nu, xs)
+    assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]

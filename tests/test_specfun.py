@@ -147,6 +147,12 @@ class TestBesselProperties:
         assert left > interp > right
         assert math.isfinite(interp)
 
+    def test_bessel_k_is_inf_just_past_the_largest_double(self):
+        # log K_120(x) = 709.9 here: above log(max double), below 710
+        x = 0.2338078002315107
+        assert log_bessel_k(120.0, x) == pytest.approx(709.9, abs=1e-9)
+        assert bessel_k(120.0, x) == math.inf
+
     def test_vectorized_matches_scalar(self):
         xs = np.array([1e-6, 0.1, 1.0, 10.0])
         vec = log_bessel_k(3.3, xs)
