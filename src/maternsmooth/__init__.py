@@ -27,9 +27,7 @@ from .designs import (
     UniformityReport,
     fill_distance,
     load_design,
-    load_values,
     save_design,
-    save_values,
     separation_distance,
     uniform_grid,
     uniformity_report,
@@ -59,6 +57,7 @@ from .gp import (
     incremental_variances,
     log_det,
     loo,
+    loo_variances,
     posterior_mean,
     posterior_var,
     quadratic_form,
@@ -81,8 +80,8 @@ from .kernels import (
 from .objectives import (
     ObjectiveValue,
     VarianceRatioProfile,
-    ell_cv,
-    ell_ml,
+    ell_cv_from,
+    ell_ml_from,
     variance_ratio_profile,
 )
 from .specfun import BesselAccuracy, bessel_k, log_bessel_k, log_gamma

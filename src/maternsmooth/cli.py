@@ -99,6 +99,10 @@ def _build_config(args):
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
+    # The file spells the key ``lambda``; rename it before the flags apply,
+    # so that ``--lambda`` overrides it like every other key.
+    if "lambda" in values:
+        values["lambda_"] = values.pop("lambda")
     overrides = {
         "d": args.d,
         "nu0": args.nu0,
@@ -118,8 +122,6 @@ def _build_config(args):
             values[key] = value
 
     est_values = {k: values.pop(k) for k in list(values) if k in _ESTIMATOR_KEYS}
-    if "lambda" in values:
-        values["lambda_"] = values.pop("lambda")
     estimator = EstimatorConfig(**est_values) if est_values else EstimatorConfig()
     known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
     unknown = set(values) - known

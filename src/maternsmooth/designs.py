@@ -28,8 +28,6 @@ __all__ = [
     "uniformity_report",
     "save_design",
     "load_design",
-    "save_values",
-    "load_values",
 ]
 
 
@@ -267,25 +265,3 @@ def load_design(path, box=None):
         box = Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
     return Design(pts, box)
 
-
-def save_values(design, values, path):
-    """Write a design plus one observation column per point."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (design.n,):
-        raise DomainError("values must be one scalar per design point")
-    with open(path, "w") as fh:
-        fh.write(f"{design.d} {design.n}\n")
-        for row, y in zip(design.points, values):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + f" {y:.17g}\n")
-
-
-def load_values(path, box=None):
-    """Read a design-plus-values file; returns ``(design, values)``."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        d, n = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2).reshape(n, d + 1) if n else np.zeros((0, d + 1))
-    pts, values = data[:, :d], data[:, d]
-    if box is None:
-        box = Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
-    return Design(pts, box), values

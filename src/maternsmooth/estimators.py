@@ -13,16 +13,15 @@ than an error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
-from .gp import DEFAULT_PIVOT_RTOL, condition, quadratic_form
+from .gp import DEFAULT_PIVOT_RTOL, condition, loo_variances, quadratic_form
 from .kernels import MaternKernel, matern
-from .objectives import ObjectiveValue, ell_cv_from, ell_ml_from, _loo_variances
+from .objectives import ObjectiveValue, ell_cv_from, ell_ml_from
 
 __all__ = [
     "EstimatorConfig",
@@ -96,14 +95,6 @@ class ScanResult:
     saturated_upper: bool
     saturated_lower: bool
     non_unimodal: bool
-
-
-def _pool_map(fn, items, threads):
-    """``[fn(item) for item in items]``, on up to ``threads`` threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _checked_data(y, shape, name):
@@ -386,15 +377,14 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
 
 def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
-                   experiment="", seeds=(None,), probe_resolution=None, threads=1):
+                   experiment="", seeds=(None,), probe_resolution=None):
     """Prefix sweeps of ``s`` data columns ``y_full[:, j]`` labelled ``seeds[j]``.
 
     Returns one list of :class:`SweepRecord` per column, each equal to
     what :func:`sweep_prefixes` gives for that column alone.  Per prefix,
     every cell of the coarse scan is conditioned once for all columns, and
     the fill distance and the leave-one-out variances at ``nu0`` are
-    computed once; only the golden-section refinement runs per column,
-    split across up to ``threads`` threads.
+    computed once; only the golden-section refinement runs per column.
 
     A coarse cell that fails to condition on one prefix is not conditioned
     again on the larger ones.  The kernel matrix of a prefix is the leading
@@ -434,20 +424,20 @@ def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
         v0 = None
         if nu0 is not None:
             try:
-                k0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=prefix.d))
-                v0 = _loo_variances(k0, prefix, config.pivot_rtol)
+                v0 = _variances_at(nu0, prefix, config)
             except ConditioningError as err:
                 v0 = err
         fill = fill_distance(prefix, probe_resolution)
-
-        def one(job):
-            seed, evaluator = job
-            return _prefix_record(evaluator, config, v0, fill, experiment, seed)
-
-        jobs = list(zip(seeds, shared.columns()))
-        for column, record in zip(records, _pool_map(one, jobs, threads)):
-            column.append(record)
+        for column, seed, evaluator in zip(records, seeds, shared.columns()):
+            column.append(_prefix_record(evaluator, config, v0, fill, experiment, seed))
     return records
+
+
+def _variances_at(nu, design, config):
+    """Leave-one-out variances of the configured Matern kernel at smoothness ``nu``."""
+    kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=design.d))
+    post = condition(kernel, design, np.zeros(design.n), config.pivot_rtol)
+    return loo_variances(post)
 
 
 def _prefix_record(evaluator, config, v0, fill, experiment, seed):
@@ -481,10 +471,7 @@ def _prefix_record(evaluator, config, v0, fill, experiment, seed):
         notes.append(f"ratio_error={v0}")
     elif v0 is not None and est_ml is not None:
         try:
-            k1 = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_,
-                                     d=prefix.d))
-            v1 = _loo_variances(k1, prefix, config.pivot_rtol)
-            ratio = float(np.max(v0 / v1))
+            ratio = float(np.max(v0 / _variances_at(est_ml.nu_hat, prefix, config)))
         except ConditioningError as err:
             notes.append(f"ratio_error={err}")
 

@@ -9,6 +9,7 @@ cell never aborts a sweep; it is recorded in the row notes.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from .errors import ConditioningError, DomainError, EstimationError
 from .estimators import (
     EstimatorConfig,
     SweepRecord,
-    _pool_map,
     _sweep_columns,
     bracketed_minimize,
     sweep_prefixes,
@@ -29,12 +29,13 @@ from .gp import (
     incremental_variances,
     log_det,
     loo,
+    loo_variances,
     posterior_mean,
     posterior_var,
     quadratic_form,
 )
 from .kernels import GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern
-from .objectives import _loo_variances, ell_cv_from, ell_ml_from
+from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
     "ExperimentConfig",
@@ -77,7 +78,7 @@ class ExperimentConfig:
     lambda_max: float = 2.0
     f0: str = None
     probe_count: int = 256
-    threads: int = 1
+    threads: int = 1  # splits the per-seed work of run_convergence
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     output_path: str = None
 
@@ -275,9 +276,9 @@ def run_variance_decay(config):
             max_loo = math.nan
             last_seq = math.nan
             try:
-                v = _loo_variances(kernel, prefix, config.estimator.pivot_rtol)
-                max_loo = float(np.max(v))
-                last_seq = float(incremental_variances(kernel, prefix)[-1])
+                post = condition(kernel, prefix, np.zeros(n), config.estimator.pivot_rtol)
+                max_loo = float(np.max(loo_variances(post)))
+                last_seq = float(incremental_variances(post)[-1])
             except ConditioningError as err:
                 note = f"conditioning: {err}"
             cells.append((n, max_loo, last_seq, note))
@@ -314,16 +315,27 @@ def _draw_or_evaluate(config, design):
     return [(seed, sample_gp_path(params0, design, seed)) for seed in config.seeds]
 
 
+def _tail_min(values):
+    """Smallest of the tail estimates, NaN if any of them is not finite.
+
+    Python's ``min`` skips a NaN that is not first in line, which would let
+    a failed estimate pass the threshold comparison.
+    """
+    values = list(values)
+    return min(values) if all(math.isfinite(v) for v in values) else math.nan
+
+
 def run_non_undersmoothing(config):
     """Smoothness estimates on growing prefixes, per seed.
 
     All seeds share the design, so their paths are swept together as the
     columns of one matrix: each coarse cell is conditioned once for every
-    seed, and ``threads`` splits only the per-seed refinement.  With a
-    generating smoothness ``nu0``, the summary counts the seeds
-    whose tail estimates stay above ``nu0 - d/2 - 0.1`` (the sample-path
-    lower bound with slack); for catalog functions the sweep is reported
-    as-is, with upper-bracket saturation flags for the smooth entries.
+    seed.  With a generating smoothness ``nu0``, the summary counts the
+    seeds whose tail estimates stay above ``nu0 - d/2 - 0.1`` (the
+    sample-path lower bound with slack); a failed (non-finite) tail
+    estimate counts as below it.  For catalog functions the sweep is
+    reported as-is, with upper-bracket saturation flags for the smooth
+    entries.
     """
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(max(schedule), config.design_size))
@@ -334,8 +346,7 @@ def run_non_undersmoothing(config):
     paths = np.stack([y for _, y in draws], axis=1)
     all_records = _sweep_columns(
         design, paths, schedule, est, nu0=config.nu0,
-        experiment=config.experiment or "non-undersmoothing", seeds=seeds,
-        threads=config.threads)
+        experiment=config.experiment or "non-undersmoothing", seeds=seeds)
     for j, (_, y) in enumerate(draws):
         if np.all(y == 0.0):
             all_records[j] = [
@@ -351,8 +362,8 @@ def run_non_undersmoothing(config):
         passes_ml = passes_cv = 0
         for (seed, _), recs in zip(draws, all_records):
             tail = recs[-tail_k:]
-            tmin_ml = min(r.nu_hat_ml for r in tail)
-            tmin_cv = min(r.nu_hat_cv for r in tail)
+            tmin_ml = _tail_min(r.nu_hat_ml for r in tail)
+            tmin_cv = _tail_min(r.nu_hat_cv for r in tail)
             p_ml = tmin_ml >= threshold
             p_cv = tmin_cv >= threshold
             passes_ml += p_ml
@@ -442,6 +453,14 @@ def run_logdet_growth(config):
 # ----------------------------------------------------------------------
 # convergence of the conditional mean
 # ----------------------------------------------------------------------
+
+def _pool_map(fn, items, threads):
+    """``[fn(item) for item in items]``, on up to ``threads`` threads."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
 
 def _convergence_probes(count):
     """Probe points off the dyadic lattice: odd multiples of 1/1024."""

@@ -1,13 +1,15 @@
 """Exact Gaussian process conditioning through a single Cholesky factor.
 
-Everything downstream of :func:`condition` (posterior mean and variance,
-leave-one-out residuals, incremental variances, log-determinant and
-quadratic form) is derived from one factorization per (kernel, design)
-pair; refitting on subsets is kept only as an oracle in the test suite.
-One factorization also serves several data vectors at once: the data may
-be an ``(n, s)`` matrix whose columns (for example sample paths of
-different seeds) share the kernel matrix, and the data-dependent
-quantities then come out per column.
+:func:`condition` is the only place that factors a kernel matrix.
+Everything downstream of it (posterior mean and variance, leave-one-out
+residuals and variances, incremental variances, the sequential
+expansion, log-determinant, quadratic form and trace ratio) reads the
+:class:`Posterior` it returns, so one factorization per (kernel, design)
+pair serves them all; refitting on subsets is kept only as an oracle in
+the test suite.  One factorization also serves several data vectors at
+once: the data may be an ``(n, s)`` matrix whose columns (for example
+sample paths of different seeds) share the kernel matrix, and the
+data-dependent quantities then come out per column.
 
 The factor comes straight from LAPACK ``dpotrf``; when it fails, the
 index of the first non-positive pivot is read from its ``info`` code.
@@ -41,6 +43,7 @@ __all__ = [
     "posterior_var",
     "incremental_variances",
     "loo",
+    "loo_variances",
     "log_det",
     "quadratic_form",
     "sequential_expansion",
@@ -223,34 +226,28 @@ def quadratic_form(post):
     return np.array([np.dot(col, col) for col in e.T])
 
 
-def incremental_variances(kernel, design, pivot_rtol=DEFAULT_PIVOT_RTOL):
+def incremental_variances(post):
     """Variances of each point given its predecessors, in design order.
 
     Entry ``i`` equals the posterior variance at ``x_i`` of the process
     conditioned on the prefix ``x_1 .. x_{i-1}`` (the empty prefix gives
-    the prior variance).  All ``n`` values come from one factorization:
-    they are the squared Cholesky pivots.
+    the prior variance).  They are the squared Cholesky pivots.
     """
-    K = kernel_matrix(kernel, design)
-    L = _cholesky(K, pivot_rtol)
-    return np.diag(L) ** 2
+    return np.diag(post.chol) ** 2
 
 
-def sequential_expansion(kernel, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
+def sequential_expansion(post):
     """Prediction residuals and variances against growing prefixes.
 
     Returns ``(residuals, variances)`` where term ``i`` uses the posterior
     conditioned on the first ``i - 1`` points.  The sum of
     ``residual**2 / variance`` equals the quadratic form of the full
-    posterior.
+    posterior.  Needs one data vector, shape ``(n,)``.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise DomainError(f"y has shape {y.shape}, expected ({design.n},)")
-    K = kernel_matrix(kernel, design)
-    L = _cholesky(K, pivot_rtol)
-    e = _linalg.solve_triangular(L, y, lower=True, check_finite=False)
-    piv = np.diag(L)
+    if post.y.ndim != 1:
+        raise DomainError(f"sequential expansion needs one data vector, got {post.y.shape}")
+    e = _linalg.solve_triangular(post.chol, post.y, lower=True, check_finite=False)
+    piv = np.diag(post.chol)
     return piv * e, piv**2
 
 
@@ -298,12 +295,17 @@ def loo(post):
     return LooResult(residuals=residuals, variances=1.0 / diag)
 
 
-def trace_ratio(kernel0, kernel1, design, pivot_rtol=DEFAULT_PIVOT_RTOL):
-    """Normalised trace ``tr[K_0 K_1^{-1}] / n`` of two kernels on a design."""
-    if design.n == 0:
+def loo_variances(post):
+    """Leave-one-out variances, with the single-point convention V = K(x, x)."""
+    if post.n == 1:
+        return np.array([post.kernel(0.0)])
+    return loo(post).variances
+
+
+def trace_ratio(kernel0, post):
+    """Normalised trace ``tr[K_0 K_1^{-1}] / n``, ``K_1`` the posterior's kernel matrix."""
+    if post.n == 0:
         raise DomainError("trace ratio of an empty design")
-    K0 = kernel_matrix(kernel0, design)
-    K1 = kernel_matrix(kernel1, design)
-    L = _cholesky(K1, pivot_rtol)
-    M = _linalg.cho_solve((L, True), K0, check_finite=False)
-    return float(np.trace(M)) / design.n
+    K0 = kernel_matrix(kernel0, post.design)
+    M = _linalg.cho_solve((post.chol, True), K0, check_finite=False)
+    return float(np.trace(M)) / post.n

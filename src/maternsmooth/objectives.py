@@ -3,7 +3,9 @@
 Both objectives decompose into a data term plus a complexity term of the
 same shape: the quadratic form plus the log-determinant for maximum
 likelihood, and the scaled residual sum plus the summed log variances for
-leave-one-out cross-validation.
+leave-one-out cross-validation.  Both are read from the
+:class:`~maternsmooth.gp.Posterior` that :func:`~maternsmooth.gp.condition`
+returns, so the two objectives at one smoothness share one factorization.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from .gp import (
     incremental_variances,
     log_det,
     loo,
+    loo_variances,
     quadratic_form,
 )
-from .kernels import MaternKernel
+from .kernels import MaternKernel, matern
 
 __all__ = [
     "ObjectiveValue",
-    "ell_ml",
-    "ell_cv",
     "ell_ml_from",
     "ell_cv_from",
     "VarianceRatioProfile",
@@ -49,14 +50,6 @@ class ObjectiveValue:
 
     def __post_init__(self):
         object.__setattr__(self, "total", self.data_term + self.complexity_term)
-
-
-def _reraise_with_context(err, what, nu, n):
-    raise ConditioningError(
-        f"{what} failed to condition at nu={nu:g}, n={n}: {err}",
-        pivot_index=err.pivot_index,
-        pivot_value=err.pivot_value,
-    ) from err
 
 
 def ell_ml_from(post):
@@ -84,38 +77,6 @@ def ell_cv_from(post):
     return ObjectiveValue(data_term=data, complexity_term=complexity)
 
 
-def ell_ml(params, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
-    """Maximum-likelihood objective of Matern parameters on data.
-
-    ``data_term`` is the quadratic form ``y' K^{-1} y`` and
-    ``complexity_term`` the log-determinant of the kernel matrix.
-    """
-    try:
-        post = condition(MaternKernel(params), design, y, pivot_rtol)
-    except ConditioningError as err:
-        _reraise_with_context(err, "ML objective", params.nu, design.n)
-    return ell_ml_from(post)
-
-
-def ell_cv(params, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
-    """Leave-one-out cross-validation objective of Matern parameters on data."""
-    if design.n < 2:
-        raise DomainError("cross-validation objective needs n >= 2")
-    try:
-        post = condition(MaternKernel(params), design, y, pivot_rtol)
-    except ConditioningError as err:
-        _reraise_with_context(err, "CV objective", params.nu, design.n)
-    return ell_cv_from(post)
-
-
-def _loo_variances(kernel, design, pivot_rtol):
-    """Leave-one-out variances, with the single-point convention V = K(x, x)."""
-    if design.n == 1:
-        return np.array([kernel(0.0)])
-    post = condition(kernel, design, np.zeros(design.n), pivot_rtol)
-    return loo(post).variances
-
-
 @dataclass(frozen=True)
 class VarianceRatioProfile:
     """Worst-case variance ratios of a reference smoothness against a grid.
@@ -141,16 +102,10 @@ def variance_ratio_profile(nu0, nu_grid, design, probe="loo", sigma=1.0,
     if np.any(grid <= 0):
         raise DomainError("smoothness grid must be positive")
 
-    def make_kernel(nu):
-        from .kernels import matern
-
-        return MaternKernel(matern(nu, sigma, lambda_, d=design.d, scaling=scaling))
-
     def variances(nu):
-        k = make_kernel(nu)
-        if probe == "loo":
-            return _loo_variances(k, design, pivot_rtol)
-        return incremental_variances(k, design, pivot_rtol)
+        kernel = MaternKernel(matern(nu, sigma, lambda_, d=design.d, scaling=scaling))
+        post = condition(kernel, design, np.zeros(design.n), pivot_rtol)
+        return loo_variances(post) if probe == "loo" else incremental_variances(post)
 
     ref = variances(nu0)
     ratios = np.full(grid.shape, math.nan)

@@ -10,9 +10,7 @@ from maternsmooth.designs import (
     Design,
     fill_distance,
     load_design,
-    load_values,
     save_design,
-    save_values,
     separation_distance,
     uniform_grid,
     uniformity_report,
@@ -186,15 +184,6 @@ class TestSerialization:
         path = tmp_path / "design.txt"
         save_design(des, path)
         assert path.read_text().splitlines()[0] == "1 5"
-
-    def test_values_round_trip(self, tmp_path):
-        des = van_der_corput(UNIT, 9)
-        values = np.sin(np.arange(9.0))
-        path = tmp_path / "path.txt"
-        save_values(des, values, path)
-        back_design, back_values = load_values(path, box=UNIT)
-        np.testing.assert_array_equal(back_design.points, des.points)
-        np.testing.assert_array_equal(back_values, values)
 
     def test_inferred_box_covers_generated_designs(self, tmp_path):
         des = van_der_corput(Box((-1.0,), (3.0,)), 8)

@@ -18,10 +18,14 @@ from maternsmooth.estimators import (
     sweep_prefixes,
 )
 from maternsmooth.gp import condition
-from maternsmooth.kernels import matern
-from maternsmooth.objectives import ell_ml
+from maternsmooth.kernels import MaternKernel, matern
+from maternsmooth.objectives import ell_ml_from
 
 UNIT = Box.unit(1)
+
+
+def ml_objective(params, design, y):
+    return ell_ml_from(condition(MaternKernel(params), design, y))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +88,7 @@ class TestEstimateNu:
         est = estimate_nu(design.prefix(32), np.zeros(32), cfg)
         # fine-grid oracle at 10x the coarse resolution
         fine = np.geomspace(cfg.nu_min, cfg.nu_max, 10 * cfg.coarse_grid)
-        vals = [ell_ml(matern(nu, 1.0, 0.2, d=1), design.prefix(32), np.zeros(32)).total
+        vals = [ml_objective(matern(nu, 1.0, 0.2, d=1), design.prefix(32), np.zeros(32)).total
                 for nu in fine]
         assert est.objective_at_min <= min(vals) + 1e-6
 
@@ -94,7 +98,7 @@ class TestEstimateNu:
         est = estimate_nu(design, y, cfg)
         for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid):
             try:
-                value = ell_ml(matern(float(nu), 1.0, 1.0, d=1), design, y).total
+                value = ml_objective(matern(float(nu), 1.0, 1.0, d=1), design, y).total
             except ConditioningError:
                 continue
             assert est.objective_at_min <= value + 1e-9
@@ -162,10 +166,10 @@ class TestProfileSigma:
         nu, lam = 1.2, 0.8
         s2_hat = profile_sigma(nu, lam, prefix, yn)
         grid = np.geomspace(math.sqrt(s2_hat) / 3.0, math.sqrt(s2_hat) * 3.0, 4001)
-        vals = [ell_ml(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
+        vals = [ml_objective(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
         best = float(grid[int(np.argmin(vals))])
         assert best**2 == pytest.approx(s2_hat, rel=1e-3)
-        direct = ell_ml(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
+        direct = ml_objective(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
         assert direct <= min(vals) + 1e-6
 
     def test_profiled_estimation_runs(self, sample_instance):

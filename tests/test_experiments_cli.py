@@ -2,13 +2,16 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
-from maternsmooth.cli import main, parse_config_file, write_csv
+from maternsmooth import experiments
+from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
 from maternsmooth.experiments import (
     ExperimentConfig,
+    run_convergence,
     run_gaussian_scale_probe,
     run_identity_suite,
     run_logdet_growth,
@@ -72,10 +75,36 @@ class TestEngines:
         base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32),
                                 seeds=(1, 2, 3), lambda_=1.0)
         serial = run_non_undersmoothing(base)
-        from dataclasses import replace
-
         threaded = run_non_undersmoothing(replace(base, threads=3))
         assert serial.rows == threaded.rows
+
+    def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
+        # Python's min skips a NaN that is not first, so a failed estimate
+        # in the middle of a tail must not let its seed pass.
+        cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
+                               seeds=(101, 102), lambda_=1.0)
+        assert run_non_undersmoothing(cfg).ok
+        sweep = experiments._sweep_columns
+
+        def failed_middle(*args, **kwargs):
+            records = sweep(*args, **kwargs)
+            middle = records[0][1]
+            records[0][1] = replace(middle, nu_hat_ml=math.nan, notes="ml_error=injected")
+            return records
+
+        monkeypatch.setattr(experiments, "_sweep_columns", failed_middle)
+        result = run_non_undersmoothing(cfg)
+        assert not result.ok
+        assert "seed=101: tail min ml=nan" in result.summary
+        assert "ml 1/2" in result.summary
+
+    def test_convergence_threads_deterministic(self):
+        base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
+                                seeds=(1, 2, 3), probe_count=64, lambda_=1.0)
+        serial = run_convergence(base)
+        threaded = run_convergence(replace(base, threads=2))
+        assert serial.rows == threaded.rows
+        assert serial.summary == threaded.summary
 
     def test_zero_function_degenerate_flag(self):
         cfg = ExperimentConfig(experiment="x", f0="zero", schedule=(8, 16))
@@ -161,6 +190,15 @@ class TestConfigFile:
         cfg.write_text("this is not a pair\n")
         with pytest.raises(DomainError):
             parse_config_file(cfg)
+
+    def test_lambda_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 1.0\nsigma = 2.0\n")
+        args = _build_parser().parse_args(
+            ["variance-decay", "--config", str(cfg), "--lambda", "0.25"])
+        config = _build_config(args)
+        assert config.lambda_ == config.estimator.lambda_ == 0.25
+        assert config.sigma == config.estimator.sigma == 2.0
 
 
 class TestCli:

@@ -12,6 +12,7 @@ from maternsmooth.gp import (
     incremental_variances,
     log_det,
     loo,
+    loo_variances,
     posterior_mean,
     posterior_var,
     quadratic_form,
@@ -208,26 +209,26 @@ class TestPosteriorQueries:
 
 class TestFastIdentities:
     def test_incremental_first_entry_is_prior_variance(self, instance):
-        kernel, design, _, _ = instance
-        v = incremental_variances(kernel, design)
+        kernel, _, _, post = instance
+        v = incremental_variances(post)
         assert v[0] == pytest.approx(kernel.variance, rel=1e-14)
 
     def test_incremental_two_point_formula(self):
         design = Design([[0.1], [0.7]], UNIT)
         kernel = MaternKernel(matern(1.5, sigma=1.2, lambda_=0.4))
-        v = incremental_variances(kernel, design)
+        v = incremental_variances(condition(kernel, design, np.zeros(2)))
         ref = 1.2**2 - kernel(0.6) ** 2 / 1.2**2
         assert v[1] == pytest.approx(ref, rel=1e-12)
 
     def test_incremental_matches_naive_prefix_refits(self, instance):
-        kernel, design, y, _ = instance
-        fast = incremental_variances(kernel, design)
+        kernel, design, y, post = instance
+        fast = incremental_variances(post)
         _, naive = naive_sequential(kernel, design, y)
         np.testing.assert_allclose(fast, naive, rtol=1e-10)
 
     def test_log_det_is_sum_of_log_increments(self, instance):
-        kernel, design, y, post = instance
-        v = incremental_variances(kernel, design)
+        _, _, _, post = instance
+        v = incremental_variances(post)
         assert log_det(post) == pytest.approx(float(np.sum(np.log(v))), rel=1e-12)
 
     def test_log_det_small_cases(self):
@@ -249,8 +250,8 @@ class TestFastIdentities:
             4.0 / 1.3**2, rel=1e-12)
 
     def test_sequential_first_term(self, instance):
-        kernel, design, y, _ = instance
-        res, var = sequential_expansion(kernel, design, y)
+        kernel, _, y, post = instance
+        res, var = sequential_expansion(post)
         assert res[0] == pytest.approx(y[0], rel=1e-12)
         assert var[0] == pytest.approx(kernel.variance, rel=1e-12)
 
@@ -267,7 +268,7 @@ class TestFastIdentities:
         k = 4
         dist = np.sqrt(((design.points - design.points[k]) ** 2).sum(axis=1))
         y = kernel(dist)
-        res, _ = sequential_expansion(kernel, design, y)
+        res, _ = sequential_expansion(condition(kernel, design, y))
         assert np.max(np.abs(res[k + 1 :])) <= 1e-9
 
     def test_loo_matches_naive_refits(self, instance):
@@ -296,22 +297,37 @@ class TestFastIdentities:
         with pytest.raises(DomainError):
             loo(post)
 
+    def test_variance_only_loo_matches_loo(self, instance):
+        _, _, _, post = instance
+        np.testing.assert_array_equal(loo_variances(post), loo(post).variances)
+
+    def test_single_point_loo_variance_is_prior_variance(self):
+        kernel = MaternKernel(matern(1.0, sigma=1.3))
+        post = condition(kernel, Design([[0.5]], UNIT), [0.0])
+        np.testing.assert_array_equal(loo_variances(post), [kernel(0.0)])
+
+    def test_sequential_needs_one_data_vector(self, instance):
+        kernel, design, y, _ = instance
+        post = condition(kernel, design, np.stack([y, -y], axis=1))
+        with pytest.raises(DomainError):
+            sequential_expansion(post)
+
 
 class TestTraceRatio:
     def test_identity_kernel_pair(self, instance):
-        kernel, design, _, _ = instance
-        assert trace_ratio(kernel, kernel, design) == pytest.approx(1.0, abs=1e-10)
+        kernel, _, _, post = instance
+        assert trace_ratio(kernel, post) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_point(self):
         design = Design([[0.5]], UNIT)
         k0 = MaternKernel(matern(1.0, sigma=2.0))
         k1 = MaternKernel(matern(2.0, sigma=1.0))
-        assert trace_ratio(k0, k1, design) == pytest.approx(4.0, rel=1e-12)
+        assert trace_ratio(k0, condition(k1, design, [0.0])) == pytest.approx(4.0, rel=1e-12)
 
     def test_dense_oracle(self, instance):
-        kernel, design, _, _ = instance
+        kernel, design, _, post = instance
         k0 = MaternKernel(matern(2.5, sigma=1.2, lambda_=0.15))
         dense = float(
             np.trace(kernel_matrix(k0, design)
                      @ np.linalg.inv(kernel_matrix(kernel, design)))) / design.n
-        assert trace_ratio(k0, kernel, design) == pytest.approx(dense, rel=1e-9)
+        assert trace_ratio(k0, post) == pytest.approx(dense, rel=1e-9)

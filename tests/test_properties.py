@@ -1,16 +1,19 @@
-"""Property-based checks of the LOO identities, the multi-column objectives
-and the modified Bessel function of the second kind.
+"""Property-based checks of the LOO identities, the multi-column objectives,
+the modified Bessel function of the second kind and the design file format.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
 
+from maternsmooth.designs import Box, Design, load_design, save_design
 from maternsmooth.experiments import _jittered_grid, _naive_loo
 from maternsmooth.gp import condition, loo
 from maternsmooth.kernels import MaternKernel, matern
@@ -115,3 +118,25 @@ def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
     xs = np.array([_near_kve_overflow(nu, w) for w in offsets])
     vectorized = log_bessel_k(nu, xs)
     assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]
+
+
+BOX_HALF_WIDTH = 1e6
+coordinates = st.floats(min_value=-BOX_HALF_WIDTH, max_value=BOX_HALF_WIDTH)
+design_points = st.sampled_from((1, 2)).flatmap(
+    lambda d: st.lists(st.tuples(*(coordinates,) * d), max_size=30, unique=True).map(
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), d)))
+
+
+@PROPERTY
+@given(design_points)
+def test_design_file_round_trip_is_bit_identical(points):
+    d = points.shape[1]
+    box = Box((-BOX_HALF_WIDTH,) * d, (BOX_HALF_WIDTH,) * d)
+    design = Design(points, box)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.txt")
+        save_design(design, path)
+        back = load_design(path, box=box)
+    assert back.box == box
+    assert back.points.shape == design.points.shape
+    assert back.points.tobytes() == design.points.tobytes()
