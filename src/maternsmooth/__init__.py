@@ -47,7 +47,6 @@ from .estimators import (
     SweepRecord,
     bracketed_minimize,
     estimate_nu,
-    profile_sigma,
     sweep_prefixes,
 )
 from .gp import (

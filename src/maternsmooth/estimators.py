@@ -19,7 +19,7 @@ import numpy as np
 
 from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
-from .gp import DEFAULT_PIVOT_RTOL, condition, loo_variances, quadratic_form
+from .gp import DEFAULT_PIVOT_RTOL, condition, loo_variances
 from .kernels import MaternKernel, matern
 from .objectives import ObjectiveValue, ell_cv_from, ell_ml_from
 
@@ -28,10 +28,8 @@ __all__ = [
     "NuEstimate",
     "SweepRecord",
     "estimate_nu",
-    "profile_sigma",
     "sweep_prefixes",
     "bracketed_minimize",
-    "ScanResult",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -70,7 +68,7 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class NuEstimate:
-    """Result of one smoothness estimation.
+    """Result of one smoothness estimation, or of any bracketed minimisation.
 
     ``hit_upper_bracket`` is set when the estimate saturates the top of
     the bracket that was actually searchable: either ``nu_max`` itself or,
@@ -84,17 +82,6 @@ class NuEstimate:
     evaluations: int
     failures: tuple
     non_unimodal: bool = False
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    theta: float
-    value: float
-    evaluations: int
-    failures: tuple
-    saturated_upper: bool
-    saturated_lower: bool
-    non_unimodal: bool
 
 
 def _checked_data(y, shape, name):
@@ -142,72 +129,43 @@ def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
         if values[i] <= values[best]:
             best = i
     pos = ok.index(best)
-    saturated_upper = pos == len(ok) - 1
-    saturated_lower = pos == 0
-    if saturated_upper or saturated_lower:
-        return ScanResult(
-            theta=float(grid[best]),
-            value=values[best],
-            evaluations=evaluations,
-            failures=tuple(failures),
-            saturated_upper=saturated_upper,
-            saturated_lower=saturated_lower,
-            non_unimodal=False,
-        )
+    saturated = pos == len(ok) - 1
+    theta, value, non_unimodal = float(grid[best]), values[best], False
 
-    # Golden-section in log coordinates on the bracketing triple.
-    a = math.log(grid[ok[pos - 1]])
-    b = math.log(grid[ok[pos + 1]])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = safe(math.exp(x1))
-    f2 = safe(math.exp(x2))
-    while math.exp(b) - math.exp(a) > refine_tol:
+    if 0 < pos < len(ok) - 1:
+        # Golden-section in log coordinates on the bracketing triple.
+        a = math.log(grid[ok[pos - 1]])
+        b = math.log(grid[ok[pos + 1]])
+        x1 = b - _GOLDEN * (b - a)
+        x2 = a + _GOLDEN * (b - a)
+        f1 = safe(math.exp(x1))
+        f2 = safe(math.exp(x2))
+        while math.exp(b) - math.exp(a) > refine_tol:
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _GOLDEN * (b - a)
+                f1 = safe(math.exp(x1))
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _GOLDEN * (b - a)
+                f2 = safe(math.exp(x2))
         if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = safe(math.exp(x1))
+            theta_r, value_r = math.exp(x1), f1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = safe(math.exp(x2))
-    if f1 <= f2:
-        theta_r, value_r = math.exp(x1), f1
-    else:
-        theta_r, value_r = math.exp(x2), f2
-    if value_r > values[best]:
-        return ScanResult(
-            theta=float(grid[best]),
-            value=values[best],
-            evaluations=evaluations,
-            failures=tuple(failures),
-            saturated_upper=False,
-            saturated_lower=False,
-            non_unimodal=True,
-        )
-    return ScanResult(
-        theta=float(theta_r),
-        value=float(value_r),
+            theta_r, value_r = math.exp(x2), f2
+        if value_r > value:
+            non_unimodal = True
+        else:
+            theta, value = float(theta_r), float(value_r)
+
+    return NuEstimate(
+        nu_hat=theta,
+        objective_at_min=value,
+        hit_upper_bracket=saturated or theta >= hi - refine_tol,
         evaluations=evaluations,
         failures=tuple(failures),
-        saturated_upper=False,
-        saturated_lower=False,
-        non_unimodal=False,
+        non_unimodal=non_unimodal,
     )
-
-
-def profile_sigma(nu, lambda_, design, y, scaling=None, pivot_rtol=DEFAULT_PIVOT_RTOL):
-    """Closed-form magnitude estimate ``sigma^2 = y' Ktilde^{-1} y / n``.
-
-    ``Ktilde`` is the unit-magnitude kernel matrix.  Zero data yields the
-    degenerate estimate 0.
-    """
-    if design.n < 1:
-        raise DomainError("sigma profiling needs at least one point")
-    y = np.asarray(y, dtype=float)
-    params = matern(nu, 1.0, lambda_, d=design.d, scaling=scaling)
-    post = condition(MaternKernel(params), design, y, pivot_rtol)
-    return quadratic_form(post) / design.n
 
 
 def _profiled(value, n):
@@ -223,89 +181,47 @@ def _profiled(value, n):
     return ObjectiveValue(data_term=float(n), complexity_term=n * log_s2 + value.complexity_term)
 
 
-class _CellEvaluator:
-    """Per-sweep memo of objective values keyed by candidate smoothness.
+def _objectives(design, y, config, nu, names):
+    """Totals of the objectives ``names`` (``"ml"``, ``"cv"``) at smoothness ``nu``.
 
-    Each distinct smoothness is conditioned once; both objective totals
-    are derived from that single factorization and the posterior is
-    dropped immediately to keep sweeps over many cells lean.
-
-    ``y`` may also hold ``s`` data columns, shape ``(n, s)``, for example
-    the sample paths of several seeds on one design: a cell is then
-    conditioned once for all of them and its totals are ``(s,)`` arrays.
-    :meth:`columns` splits such a memo into one single-column evaluator
-    per data column, so the cells shared by every seed are not
-    conditioned again when each seed refines its own estimate.
+    Conditions once; ``(s,)`` arrays for data of shape ``(n, s)``, profiled
+    when the config asks.  Raises the annotated ``nu=..., n=...:`` error.
     """
+    sigma = 1.0 if config.profile_sigma else config.sigma
+    params = matern(nu, sigma, config.lambda_, d=design.d)
+    try:
+        post = condition(MaternKernel(params), design, y, config.pivot_rtol)
+    except ConditioningError as err:
+        raise ConditioningError(f"nu={nu:g}, n={design.n}: {err}",
+                                pivot_index=err.pivot_index,
+                                pivot_value=err.pivot_value) from None
+    totals = {}
+    for name in names:
+        value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
+        if config.profile_sigma:
+            value = _profiled(value, design.n)
+        totals[name] = value.total
+    return totals
 
-    def __init__(self, design, y, config):
-        self.design = design
-        self.y = np.asarray(y, dtype=float)
-        self.config = config
-        self.cache = {}
 
-    def _evaluate(self, nu):
-        cfg = self.config
-        sigma = 1.0 if cfg.profile_sigma else cfg.sigma
-        params = matern(nu, sigma, cfg.lambda_, d=self.design.d)
-        post = condition(MaternKernel(params), self.design, self.y, cfg.pivot_rtol)
-        ml = ell_ml_from(post)
-        cv = ell_cv_from(post) if self.design.n >= 2 else None
-        if cfg.profile_sigma:
-            ml = _profiled(ml, self.design.n)
-            cv = _profiled(cv, self.design.n) if cv is not None else None
-        return ml.total, (cv.total if cv is not None else None)
+def _memoised(memo, objectives):
+    """``objectives(nu)`` looked up in, or added to, the dict ``memo``.
 
-    def cell(self, nu):
-        key = float(nu)
-        hit = self.cache.get(key)
-        if hit is None:
+    A failure is cached as a new :class:`ConditioningError`: the raised one
+    holds the failed kernel matrix through its traceback and context.
+    """
+    def cell(nu):
+        nu = float(nu)
+        if nu not in memo:
             try:
-                hit = self._evaluate(key)
+                memo[nu] = objectives(nu)
             except ConditioningError as err:
-                hit = ConditioningError(
-                    f"nu={key:g}, n={self.design.n}: {err}",
-                    pivot_index=err.pivot_index,
-                    pivot_value=err.pivot_value,
-                )
-            self.cache[key] = hit
-        if isinstance(hit, ConditioningError):
-            raise hit
-        return hit
-
-    def ml(self, nu):
-        return self.cell(nu)[0]
-
-    def cv(self, nu):
-        value = self.cell(nu)[1]
-        if value is None:
-            raise DomainError("cross-validation needs n >= 2")
-        return value
-
-    def columns(self):
-        """One evaluator per data column, each memo holding this one's cells."""
-        split = []
-        for j in range(self.y.shape[1]):
-            evaluator = _CellEvaluator(self.design, self.y[:, j], self.config)
-            for key, hit in self.cache.items():
-                if not isinstance(hit, ConditioningError):
-                    ml, cv = hit
-                    hit = (float(ml[j]), None if cv is None else float(cv[j]))
-                evaluator.cache[key] = hit
-            split.append(evaluator)
-        return split
-
-
-def _estimate_from_scan(scan, config):
-    hit_upper = scan.saturated_upper or scan.theta >= config.nu_max - config.refine_tol
-    return NuEstimate(
-        nu_hat=scan.theta,
-        objective_at_min=scan.value,
-        hit_upper_bracket=hit_upper,
-        evaluations=scan.evaluations,
-        failures=scan.failures,
-        non_unimodal=scan.non_unimodal,
-    )
+                memo[nu] = ConditioningError(str(err), pivot_index=err.pivot_index,
+                                             pivot_value=err.pivot_value)
+        if isinstance(memo[nu], ConditioningError):
+            raise memo[nu]
+        return memo[nu]
+    return cell
 
 
 def estimate_nu(design, y, config=EstimatorConfig()):
@@ -313,18 +229,17 @@ def estimate_nu(design, y, config=EstimatorConfig()):
 
     Requires ``n >= 1`` for maximum likelihood and ``n >= 2`` for
     cross-validation, and finite data of shape ``(n,)``.  Raises
-    :class:`EstimationError` when no grid cell can be conditioned.
+    :class:`EstimationError` when no grid cell can be conditioned.  Only
+    the configured objective is computed; the search revisits no cell.
     """
     if design.n < 1 or (config.objective == "cv" and design.n < 2):
         raise DomainError(
             f"objective {config.objective!r} needs more data than n={design.n}"
         )
     y = _checked_data(y, (design.n,), "y")
-    evaluator = _CellEvaluator(design, y, config)
-    fn = evaluator.ml if config.objective == "ml" else evaluator.cv
-    scan = bracketed_minimize(fn, config.nu_min, config.nu_max,
-                              config.coarse_grid, config.refine_tol)
-    return _estimate_from_scan(scan, config)
+    name = config.objective
+    return bracketed_minimize(lambda nu: _objectives(design, y, config, float(nu), (name,))[name],
+                              config.nu_min, config.nu_max, config.coarse_grid, config.refine_tol)
 
 
 @dataclass(frozen=True)
@@ -355,36 +270,24 @@ class SweepRecord:
 
 
 def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
-                   experiment="", seed=None, probe_resolution=None):
+                   experiment="", seed=None):
     """Estimate the smoothness on growing prefixes of a design.
 
     Runs both the maximum-likelihood and the cross-validation estimate on
-    each prefix, sharing one factorization per candidate smoothness.  When
+    each prefix, from one factorization per candidate smoothness.  When
     the generating smoothness ``nu0`` is supplied, each record carries the
     worst-case leave-one-out variance ratio between ``nu0`` and the ML
     estimate as an undersmoothing diagnostic.  Per-prefix failures are
     recorded in the ``notes`` field and do not abort the sweep.  Data
     must be finite.
 
-    Several data vectors on the same design (the sample paths of several
-    seeds) are swept together by the multi-column form behind this
-    function, which conditions each coarse cell once for all of them.
-    """
-    y_full = _checked_data(y_full, (design.n,), "y_full")
-    return _sweep_columns(design, y_full[:, None], n_schedule, config, nu0=nu0,
-                          experiment=experiment, seeds=(seed,),
-                          probe_resolution=probe_resolution)[0]
-
-
-def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
-                   experiment="", seeds=(None,), probe_resolution=None):
-    """Prefix sweeps of ``s`` data columns ``y_full[:, j]`` labelled ``seeds[j]``.
-
-    Returns one list of :class:`SweepRecord` per column, each equal to
-    what :func:`sweep_prefixes` gives for that column alone.  Per prefix,
-    every cell of the coarse scan is conditioned once for all columns, and
-    the fill distance and the leave-one-out variances at ``nu0`` are
-    computed once; only the golden-section refinement runs per column.
+    ``y_full`` is one data vector ``(n,)`` labelled ``seed``, or ``s``
+    columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
+    sequence ``seed``.  The records come column after column, each in
+    schedule order and equal to the column's sweep alone.  Per prefix, the
+    coarse cells, the fill distance and the leave-one-out variances at
+    ``nu0`` are computed once for all columns; only the golden-section
+    refinement runs per column.
 
     A coarse cell that fails to condition on one prefix is not conditioned
     again on the larger ones.  The kernel matrix of a prefix is the leading
@@ -399,26 +302,34 @@ def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
         raise DomainError("schedule must be ascending")
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
-    y_full = _checked_data(y_full, (design.n, len(seeds)), "y_full")
+    y_full = np.asarray(y_full, dtype=float)
+    if y_full.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != y_full.shape[1]):
+        raise DomainError(f"{y_full.shape[1]} data columns need a sequence of as many "
+                          f"seeds, got {seed!r}")
+    seeds = list(seed) if y_full.ndim == 2 else [seed]
+    shape = (design.n, len(seeds)) if y_full.ndim == 2 else (design.n,)
+    columns = _checked_data(y_full, shape, "y_full").reshape(design.n, len(seeds))
 
     records = [[] for _ in seeds]
-    singular = {}  # coarse cell -> (prefix size, error) of its first failure
+    singular = {}  # coarse cell -> (prefix size, pivot index, pivot value) of its first failure
     for n in schedule:
         prefix = design.prefix(n)
-        shared = _CellEvaluator(prefix, y_full[:n], config)
-        for key, (n_first, err) in singular.items():
-            shared.cache[key] = ConditioningError(
-                f"nu={key:g}, n={n}: failed on prefix n={n_first}: "
-                f"pivot {err.pivot_index} = {err.pivot_value:.3e}",
-                pivot_index=err.pivot_index,
-                pivot_value=err.pivot_value,
+        names = ("ml", "cv") if n >= 2 else ("ml",)
+        table = {
+            nu: ConditioningError(
+                f"nu={nu:g}, n={n}: failed on prefix n={n_first}: pivot {index} = {value:.3e}",
+                pivot_index=index,
+                pivot_value=value,
             )
+            for nu, (n_first, index, value) in singular.items()
+        }
+        shared = _memoised(table, lambda nu: _objectives(prefix, columns[:n], config, nu, names))
         # Exactly the cells the coarse scan of bracketed_minimize looks up.
         for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
             try:
-                shared.cell(nu)
+                shared(nu)
             except ConditioningError as err:
-                singular.setdefault(float(nu), (n, err))
+                singular.setdefault(float(nu), (n, err.pivot_index, err.pivot_value))
             except EstimationError:
                 pass  # degenerate profiling is retried per column
         v0 = None
@@ -427,10 +338,14 @@ def _sweep_columns(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
                 v0 = _variances_at(nu0, prefix, config)
             except ConditioningError as err:
                 v0 = err
-        fill = fill_distance(prefix, probe_resolution)
-        for column, seed, evaluator in zip(records, seeds, shared.columns()):
-            column.append(_prefix_record(evaluator, config, v0, fill, experiment, seed))
-    return records
+        fill = fill_distance(prefix)
+        for j, (column, label) in enumerate(zip(records, seeds)):
+            memo = {nu: hit if isinstance(hit, ConditioningError)
+                    else {name: float(total[j]) for name, total in hit.items()}
+                    for nu, hit in table.items()}
+            column.append(_prefix_record(prefix, columns[:n, j], memo, names, config,
+                                         v0, fill, experiment, label))
+    return [record for column in records for record in column]
 
 
 def _variances_at(nu, design, config):
@@ -440,26 +355,28 @@ def _variances_at(nu, design, config):
     return loo_variances(post)
 
 
-def _prefix_record(evaluator, config, v0, fill, experiment, seed):
-    """Both estimates for one data column on one prefix, as a sweep record."""
-    prefix = evaluator.design
-    n = prefix.n
+def _prefix_record(prefix, y, memo, names, config, v0, fill, experiment, seed):
+    """Both estimates for one data column on one prefix, as a sweep record.
+
+    ``memo`` holds the coarse cells; a refinement cell joins it with both
+    totals, since the ML and CV searches often refine at the same cells.
+    """
     notes = []
     nan = math.nan
+    cell = _memoised(memo, lambda nu: _objectives(prefix, y, config, nu, names))
 
-    estimates = {}
-    for name, fn in (("ml", evaluator.ml), ("cv", evaluator.cv)):
-        estimates[name] = None
-        if name == "cv" and n < 2:
-            notes.append("cv_undefined_n<2")
+    estimates = {"ml": None, "cv": None}
+    for name in ("ml", "cv"):
+        if name not in names:
+            notes.append(f"{name}_undefined_n<2")
             continue
         try:
-            scan = bracketed_minimize(fn, config.nu_min, config.nu_max,
-                                      config.coarse_grid, config.refine_tol)
-        except (EstimationError, DomainError) as err:
+            est = estimates[name] = bracketed_minimize(
+                lambda nu: cell(nu)[name], config.nu_min, config.nu_max,
+                config.coarse_grid, config.refine_tol)
+        except EstimationError as err:
             notes.append(f"{name}_error={err}")
             continue
-        est = estimates[name] = _estimate_from_scan(scan, config)
         if est.failures:
             notes.append(f"{name}_failures={len(est.failures)}")
         if est.non_unimodal:
@@ -478,7 +395,7 @@ def _prefix_record(evaluator, config, v0, fill, experiment, seed):
     return SweepRecord(
         experiment=experiment,
         seed=seed,
-        n=n,
+        n=prefix.n,
         fill=fill,
         nu_hat_ml=est_ml.nu_hat if est_ml else nan,
         nu_hat_cv=est_cv.nu_hat if est_cv else nan,

@@ -20,7 +20,6 @@ from .errors import ConditioningError, DomainError, EstimationError
 from .estimators import (
     EstimatorConfig,
     SweepRecord,
-    _sweep_columns,
     bracketed_minimize,
     sweep_prefixes,
 )
@@ -93,6 +92,8 @@ class ExperimentConfig:
             raise DomainError(f"unknown test function label {self.f0!r}")
         if not (0 < self.lambda_min <= self.lambda_max):
             raise DomainError("need 0 < lambda_min <= lambda_max")
+        if not self.seeds:
+            raise DomainError("need at least one seed")
 
 
 @dataclass(frozen=True)
@@ -342,11 +343,13 @@ def run_non_undersmoothing(config):
     draws = _draw_or_evaluate(config, design)
     est = replace(config.estimator, sigma=config.sigma, lambda_=config.lambda_)
 
-    seeds = [seed for seed, _ in draws]
     paths = np.stack([y for _, y in draws], axis=1)
-    all_records = _sweep_columns(
+    records = sweep_prefixes(
         design, paths, schedule, est, nu0=config.nu0,
-        experiment=config.experiment or "non-undersmoothing", seeds=seeds)
+        experiment=config.experiment or "non-undersmoothing",
+        seed=[seed for seed, _ in draws])
+    k = len(schedule)
+    all_records = [records[j * k:(j + 1) * k] for j in range(len(draws))]
     for j, (_, y) in enumerate(draws):
         if np.all(y == 0.0):
             all_records[j] = [
@@ -408,7 +411,7 @@ def run_logdet_growth(config):
     nus = config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
-    seed = config.seeds[0] if config.seeds else 101
+    seed = config.seeds[0]
     params0 = matern(nu0, config.sigma, config.lambda_, d=config.d)
     y = sample_gp_path(params0, design, seed)
     est = replace(config.estimator, sigma=config.sigma, lambda_=config.lambda_)
@@ -462,9 +465,15 @@ def _pool_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _convergence_probes(count):
-    """Probe points off the dyadic lattice: odd multiples of 1/1024."""
-    step = 1024 // count
+def _convergence_probes(count, n):
+    """Probe points off the dyadic lattice: odd multiples of 1/1024.
+
+    The first 513 van der Corput points lie on the lattice of 1/512.
+    """
+    if not (1 <= count <= 512 and n <= 513):
+        raise DomainError(f"convergence needs 1 <= probe_count <= 512 and at most 513 "
+                          f"design points, got {count} probes and {n} points")
+    step = 2 * (512 // count)
     return (step * np.arange(count) + 1) / 1024.0
 
 
@@ -481,7 +490,7 @@ def run_convergence(config):
     models = config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0)
     schedule = config.schedule or (32, 64, 128, 256, 512)
     design = make_design("van_der_corput", 1, max(schedule))
-    probes = _convergence_probes(config.probe_count)
+    probes = _convergence_probes(config.probe_count, design.n)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)
     params0 = matern(nu0, config.sigma, config.lambda_, d=1)
     seeds = config.seeds
@@ -597,7 +606,7 @@ def run_gaussian_scale_probe(config):
                     scan = bracketed_minimize(ell, lam_lo, lam_hi,
                                               config.estimator.coarse_grid,
                                               config.estimator.refine_tol)
-                    results[objective] = scan.theta
+                    results[objective] = scan.nu_hat
                     failures = len(scan.failures)
             except (ConditioningError, EstimationError, DomainError) as err:
                 results[objective] = math.nan

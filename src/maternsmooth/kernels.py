@@ -264,17 +264,12 @@ def _decomposition_for(design):
 def kernel_matrix(kernel, design):
     """Dense kernel matrix of a design; exactly symmetric by construction.
 
-    The strict upper triangle is evaluated once (per distinct distance)
-    and mirrored.  Duplicate points make the matrix singular and raise
+    ``design`` is a :class:`~maternsmooth.designs.Design`.  The strict
+    upper triangle is evaluated once (per distinct distance) and
+    mirrored; the distance decomposition is cached on the design.
+    Duplicate points make the matrix singular and raise
     :class:`DegenerateDesignError`.
     """
-    if hasattr(design, "points"):
-        if design.n == 0:
-            return np.zeros((0, 0))
-        return _decomposition_for(design).matrix(kernel)
-    pts = np.asarray(design, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] == 0:
+    if design.n == 0:
         return np.zeros((0, 0))
-    return _DistanceDecomposition(pts).matrix(kernel)
+    return _decomposition_for(design).matrix(kernel)

@@ -13,19 +13,22 @@ from maternsmooth.estimators import (
     EstimatorConfig,
     bracketed_minimize,
     estimate_nu,
-    profile_sigma,
-    _sweep_columns,
+    _profiled,
     sweep_prefixes,
 )
 from maternsmooth.gp import condition
 from maternsmooth.kernels import MaternKernel, matern
-from maternsmooth.objectives import ell_ml_from
+from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
 
 
 def ml_objective(params, design, y):
     return ell_ml_from(condition(MaternKernel(params), design, y))
+
+
+def cv_objective(params, design, y):
+    return ell_cv_from(condition(MaternKernel(params), design, y))
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +57,13 @@ class TestBracketedMinimize:
     def test_quadratic_in_log_space(self):
         fn = lambda t: (math.log(t) - math.log(3.0)) ** 2
         scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-5)
-        assert scan.theta == pytest.approx(3.0, abs=1e-4)
-        assert not scan.saturated_upper and not scan.non_unimodal
+        assert scan.nu_hat == pytest.approx(3.0, abs=1e-4)
+        assert not scan.hit_upper_bracket and not scan.non_unimodal
 
     def test_tie_breaks_toward_larger(self):
         scan = bracketed_minimize(lambda t: 1.0, 1.0, 2.0, 9, 1e-3)
-        assert scan.theta == pytest.approx(2.0)
-        assert scan.saturated_upper
+        assert scan.nu_hat == pytest.approx(2.0)
+        assert scan.hit_upper_bracket
 
     def test_all_failures_raise(self):
         def fn(t):
@@ -76,8 +79,8 @@ class TestBracketedMinimize:
             return -t  # decreasing: minimum at the effective top
 
         scan = bracketed_minimize(fn, 0.5, 20.0, 20, 1e-3)
-        assert scan.theta <= 5.0
-        assert scan.saturated_upper
+        assert scan.nu_hat <= 5.0
+        assert scan.hit_upper_bracket
         assert len(scan.failures) > 0
 
 
@@ -151,26 +154,38 @@ class TestEstimateNu:
 
 
 class TestProfileSigma:
+    """The closed form ``_profiled`` that profiled estimates apply per cell."""
+
     def test_zero_data_degenerate(self, sample_instance):
         design, _ = sample_instance
-        assert profile_sigma(1.5, 1.0, design.prefix(16), np.zeros(16)) == 0.0
+        value = ml_objective(matern(1.5, 1.0, 1.0, d=1), design.prefix(16), np.zeros(16))
+        assert value.data_term == 0.0
+        with pytest.raises(EstimationError, match="degenerate"):
+            _profiled(value, 16)
 
     def test_single_point_unit_kernel(self):
+        # sigma^2 = y^2 for one point of unit prior variance
         design = Design([[0.5]], UNIT)
-        assert profile_sigma(1.0, 1.0, design, [1.7]) == pytest.approx(1.7**2, rel=1e-12)
+        value = _profiled(ml_objective(matern(1.0, 1.0, 1.0, d=1), design, [1.7]), 1)
+        assert value.data_term == 1.0
+        assert value.total == pytest.approx(1.0 + math.log(1.7**2), rel=1e-12)
 
     def test_matches_scalar_minimisation(self, sample_instance):
-        # the closed form minimises the objective over the magnitude
+        # the closed form minimises both objectives over the magnitude
         design, y = sample_instance
         prefix, yn = design.prefix(48), y[:48]
         nu, lam = 1.2, 0.8
-        s2_hat = profile_sigma(nu, lam, prefix, yn)
-        grid = np.geomspace(math.sqrt(s2_hat) / 3.0, math.sqrt(s2_hat) * 3.0, 4001)
-        vals = [ml_objective(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
-        best = float(grid[int(np.argmin(vals))])
-        assert best**2 == pytest.approx(s2_hat, rel=1e-3)
-        direct = ml_objective(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
-        assert direct <= min(vals) + 1e-6
+        for objective in (ml_objective, cv_objective):
+            unit = objective(matern(nu, 1.0, lam, d=1), prefix, yn)
+            s2_hat = unit.data_term / prefix.n
+            grid = np.geomspace(math.sqrt(s2_hat) / 3.0, math.sqrt(s2_hat) * 3.0, 4001)
+            vals = [objective(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
+            best = float(grid[int(np.argmin(vals))])
+            assert best**2 == pytest.approx(s2_hat, rel=1e-3)
+            profiled = _profiled(unit, prefix.n).total
+            assert profiled <= min(vals) + 1e-6
+            direct = objective(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
+            assert profiled == pytest.approx(direct, rel=1e-10)
 
     def test_profiled_estimation_runs(self, sample_instance):
         design, y = sample_instance
@@ -186,14 +201,18 @@ class TestProfileSigma:
 
 
 class TestSweeps:
-    def test_singleton_schedule_reduces_to_estimate(self, sample_instance):
+    @pytest.mark.parametrize("objective,profiled", [
+        ("ml", False), ("ml", True), ("cv", False), ("cv", True),
+    ])
+    def test_singleton_schedule_reduces_to_estimate(self, sample_instance, objective,
+                                                    profiled):
         design, y = sample_instance
-        cfg = EstimatorConfig(lambda_=1.0)
+        cfg = EstimatorConfig(lambda_=1.0, objective=objective, profile_sigma=profiled)
         records = sweep_prefixes(design, y, [48], cfg)
         est = estimate_nu(design.prefix(48), y[:48], cfg)
         assert len(records) == 1
-        assert records[0].nu_hat_ml == est.nu_hat
-        assert records[0].ell_ml_min == est.objective_at_min
+        assert getattr(records[0], f"nu_hat_{objective}") == est.nu_hat
+        assert getattr(records[0], f"ell_{objective}_min") == est.objective_at_min
 
     def test_running_tail_minimum_is_monotone(self, sample_instance):
         # liminf proxy: the running minimum over the tail never decreases
@@ -239,9 +258,11 @@ class TestSweeps:
         design, y = sample_instance
         second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
         cfg = EstimatorConfig(lambda_=1.0, coarse_grid=24)
-        together = _sweep_columns(design, np.stack([y, second], axis=1), [16, 64], cfg,
-                                  nu0=1.5, seeds=(202, 7))
-        for seed, column, records in zip((202, 7), (y, second), together):
+        together = sweep_prefixes(design, np.stack([y, second], axis=1), [16, 64], cfg,
+                                  nu0=1.5, seed=(202, 7))
+        assert len(together) == 4  # column after column, in schedule order
+        for seed, column, records in zip((202, 7), (y, second),
+                                         (together[:2], together[2:])):
             alone = sweep_prefixes(design, column, [16, 64], cfg, nu0=1.5, seed=seed)
             assert [r.seed for r in records] == [seed, seed]
             for a, b in zip(records, alone):
@@ -251,6 +272,36 @@ class TestSweeps:
                     assert abs(getattr(a, field) - getattr(b, field)) <= cfg.refine_tol
                 for field in ("ell_ml_min", "ell_cv_min", "max_loo_var_ratio"):
                     assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [None, 7, (1,), (1, 2, 3)])
+    def test_columns_need_one_label_each(self, sample_instance, seed):
+        design, y = sample_instance
+        with pytest.raises(DomainError, match="seed"):
+            sweep_prefixes(design, np.stack([y, y], axis=1), [16],
+                           EstimatorConfig(lambda_=1.0), seed=seed)
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
+        # Refinement cells are shared by the ML and CV searches of a column.
+        design, y = sample_instance
+        if columns == 1:
+            data, seed, nu0 = y, 202, 1.5
+        else:
+            second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+            data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
+        conditioned = []
+
+        def counting(kernel, prefix, values, pivot_rtol):
+            values = np.asarray(values)
+            conditioned.append((kernel.params.nu, prefix.n, values.shape, values.tobytes()))
+            return condition(kernel, prefix, values, pivot_rtol)
+
+        monkeypatch.setattr(estimators, "condition", counting)
+        cfg = EstimatorConfig(lambda_=1.0)
+        records = sweep_prefixes(design, data, [16, 32, 64], cfg, nu0=nu0, seed=seed)
+        assert len(records) == 3 * columns
+        assert len(conditioned) > 3 * cfg.coarse_grid  # refinement cells included
+        assert len(set(conditioned)) == len(conditioned)
 
 
 class TestPrefixRule:
@@ -305,15 +356,18 @@ class TestPrefixRule:
 
     def test_inherited_failure_names_the_first_prefix(self, smooth_instance, monkeypatch):
         design, y, cfg = smooth_instance
-        scans = []
+        found = []
 
         def recording(fn, *args):
             scan = bracketed_minimize(fn, *args)
-            scans.append((fn.__self__.design.n, scan))
+            found.append(scan)
             return scan
 
         monkeypatch.setattr(estimators, "bracketed_minimize", recording)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
+        # one ML and one CV search per prefix, in schedule order
+        assert len(found) == 2 * len(self.SCHEDULE)
+        scans = list(zip((n for n in self.SCHEDULE for _ in ("ml", "cv")), found))
         at_32 = {nu: msg for n, scan in scans if n == 32 for nu, msg in scan.failures}
         inherited = [(nu, msg) for n, scan in scans if n == 64 for nu, msg in scan.failures
                      if "failed on prefix" in msg]

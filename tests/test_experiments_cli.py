@@ -84,15 +84,15 @@ class TestEngines:
         cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
                                seeds=(101, 102), lambda_=1.0)
         assert run_non_undersmoothing(cfg).ok
-        sweep = experiments._sweep_columns
+        sweep = experiments.sweep_prefixes
 
         def failed_middle(*args, **kwargs):
-            records = sweep(*args, **kwargs)
-            middle = records[0][1]
-            records[0][1] = replace(middle, nu_hat_ml=math.nan, notes="ml_error=injected")
+            records = sweep(*args, **kwargs)  # seed 101's three records first
+            middle = records[1]
+            records[1] = replace(middle, nu_hat_ml=math.nan, notes="ml_error=injected")
             return records
 
-        monkeypatch.setattr(experiments, "_sweep_columns", failed_middle)
+        monkeypatch.setattr(experiments, "sweep_prefixes", failed_middle)
         result = run_non_undersmoothing(cfg)
         assert not result.ok
         assert "seed=101: tail min ml=nan" in result.summary
@@ -105,6 +105,24 @@ class TestEngines:
         threaded = run_convergence(replace(base, threads=2))
         assert serial.rows == threaded.rows
         assert serial.summary == threaded.summary
+
+    def test_convergence_probes_avoid_design_points(self):
+        # 300 probes used to step by 3/1024, landing on the design's lattice
+        cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
+                               seeds=(1,), probe_count=300, lambda_=1.0)
+        assert len(run_convergence(cfg).rows) == 9
+        for count in range(1, 513):
+            numerators = experiments._convergence_probes(count, 513) * 1024.0
+            assert len(set(numerators)) == count
+            assert all(k % 2 == 1 for k in numerators) and numerators.max() < 1024
+
+    @pytest.mark.parametrize("kwargs", [dict(probe_count=0), dict(probe_count=513),
+                                        dict(schedule=(16, 514))])
+    def test_convergence_probe_domain(self, kwargs):
+        cfg = ExperimentConfig(experiment="x", nu0=1.5, seeds=(1,), lambda_=1.0,
+                               **{"schedule": (16, 32, 64), **kwargs})
+        with pytest.raises(DomainError):
+            run_convergence(cfg)
 
     def test_zero_function_degenerate_flag(self):
         cfg = ExperimentConfig(experiment="x", f0="zero", schedule=(8, 16))
@@ -145,6 +163,8 @@ class TestEngines:
             ExperimentConfig(f0="nonexistent")
         with pytest.raises(DomainError):
             ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
+        with pytest.raises(DomainError):
+            ExperimentConfig(seeds=())
 
 
 class TestCsv:
@@ -219,6 +239,13 @@ class TestCli:
         code = main(["variance-decay", "--config", str(cfg)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_empty_seed_list_exit_two(self, tmp_path, capsys):
+        assert main(["non-undersmoothing", "--nu0", "1.5", "--seed-list", ","]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seeds =\n")
+        assert main(["convergence", "--config", str(cfg)]) == 2
+        assert "need at least one seed" in capsys.readouterr().err
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["variance-decay", "--config", "/nonexistent/run.cfg"]) == 2

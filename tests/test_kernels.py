@@ -194,7 +194,3 @@ class TestKernelMatrix:
         des.box = Box.unit(1)
         with pytest.raises(DegenerateDesignError):
             kernel_matrix(MaternKernel(matern(1.5)), des)
-
-    def test_raw_array_input(self):
-        K = kernel_matrix(MaternKernel(matern(0.5)), np.array([0.0, 1.0]))
-        assert K[0, 1] == pytest.approx(math.exp(-math.sqrt(1.0)), rel=1e-10)
