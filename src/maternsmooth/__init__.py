@@ -53,6 +53,7 @@ from .gp import (
     LooResult,
     Posterior,
     condition,
+    condition_prefixes,
     incremental_variances,
     log_det,
     loo,

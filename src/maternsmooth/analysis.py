@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .gp import DEFAULT_PIVOT_RTOL, _cholesky
-from .kernels import MaternKernel, kernel_matrix, log_c_scaling
+from .gp import DEFAULT_PIVOT_RTOL, condition
+# ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
+from .kernels import MaternKernel, kernel_matrix, log_c_scaling  # noqa: F401
 from .specfun import log_gamma
 
 __all__ = [
@@ -298,15 +299,14 @@ def sample_gp_path(params, design, seed, pivot_rtol=DEFAULT_PIVOT_RTOL):
     """Draw one zero-mean sample path at the design points.
 
     Uses the counter-based Philox generator, so draws are bit-identical
-    across platforms and thread counts, and the first ``m`` values of an
-    ``n``-point draw coincide with the ``m``-point draw for the same seed
-    (prefixes of a design see consistent data).
+    across platforms and thread counts.  The first ``m`` values of an
+    ``n``-point draw equal the ``m``-point draw for the same seed, bit for
+    bit when ``m = 16 * 2**k`` and to rounding otherwise (prefixes of a
+    design see consistent data; see :meth:`~maternsmooth.gp.Posterior.prefix`).
     """
-    kernel = MaternKernel(params)
-    K = kernel_matrix(kernel, design)
-    L = _cholesky(K, pivot_rtol)
+    post = condition(MaternKernel(params), design, np.zeros(design.n), pivot_rtol)
     z = np.random.Generator(np.random.Philox(int(seed))).standard_normal(design.n)
-    return L @ z
+    return post.chol @ z
 
 
 @dataclass(frozen=True)

@@ -92,9 +92,19 @@ class Design:
         return self.box.d
 
     def prefix(self, m):
+        """The first ``m`` points, built once per size and sharing the
+        distance table that kernel assembly caches on this design (see
+        ``kernels.kernel_panels``)."""
         if not (0 <= m <= self.n):
             raise DomainError(f"prefix size {m} outside [0, {self.n}]")
-        return Design(self.points[:m], self.box)
+        if m == self.n:
+            return self
+        prefixes = self.__dict__.setdefault("_prefixes", {})
+        if m not in prefixes:
+            prefixes[m] = Design(self.points[:m], self.box)
+        if hasattr(self, "_dist_cache"):
+            prefixes[m]._dist_cache = self._dist_cache
+        return prefixes[m]
 
     def __len__(self):
         return self.n

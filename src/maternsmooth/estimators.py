@@ -7,7 +7,8 @@ kernel matrix fails to factorize are recorded and skipped, which shrinks
 the effective bracket from above; an estimate that saturates the top of
 the effective bracket is flagged via ``hit_upper_bracket`` so that
 divergence of the estimator for very smooth data is observable rather
-than an error.
+than an error.  A prefix sweep factors each coarse cell once and reads
+every prefix from that factor.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
-from .gp import DEFAULT_PIVOT_RTOL, condition, loo_variances
-from .kernels import MaternKernel, matern
+from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
+from .kernels import MaternKernel, matern, require_positive
 from .objectives import ObjectiveValue, ell_cv_from, ell_ml_from
 
 __all__ = [
@@ -64,6 +65,9 @@ class EstimatorConfig:
             raise DomainError("refine_tol must be positive")
         if self.objective not in ("ml", "cv"):
             raise DomainError(f"objective must be 'ml' or 'cv', got {self.objective!r}")
+        require_positive(self, ("sigma", "lambda_"))
+        if not (0 <= self.pivot_rtol < 1):
+            raise DomainError(f"pivot_rtol must lie in [0, 1), got {self.pivot_rtol!r}")
 
 
 @dataclass(frozen=True)
@@ -181,43 +185,53 @@ def _profiled(value, n):
     return ObjectiveValue(data_term=float(n), complexity_term=n * log_s2 + value.complexity_term)
 
 
-def _objectives(design, y, config, nu, names):
-    """Totals of the objectives ``names`` (``"ml"``, ``"cv"``) at smoothness ``nu``.
+def _cells(design, y, config, nu, sizes, names=None):
+    """Objective totals at smoothness ``nu`` on the first ``n`` points of
+    ``design``, for each ``n`` in ``sizes``, from one factorization.
 
-    Conditions once; ``(s,)`` arrays for data of shape ``(n, s)``, profiled
-    when the config asks.  Raises the annotated ``nu=..., n=...:`` error.
+    Per size, a dict of the ``names`` objectives (default: those defined on
+    ``n`` points), profiled when the config asks; or a ``nu=..., n=...:``
+    :class:`ConditioningError`, naming the first failing size after it.
     """
     sigma = 1.0 if config.profile_sigma else config.sigma
-    params = matern(nu, sigma, config.lambda_, d=design.d)
-    try:
-        post = condition(MaternKernel(params), design, y, config.pivot_rtol)
-    except ConditioningError as err:
-        raise ConditioningError(f"nu={nu:g}, n={design.n}: {err}",
-                                pivot_index=err.pivot_index,
-                                pivot_value=err.pivot_value) from None
-    totals = {}
-    for name in names:
-        value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
-        if config.profile_sigma:
-            value = _profiled(value, design.n)
-        totals[name] = value.total
-    return totals
+    kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
+    cells, first = [], None
+    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, config.pivot_rtol)):
+        if isinstance(post, ConditioningError):
+            if first is None:
+                first, text = n, str(post)
+            else:
+                text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
+                        f"{post.pivot_value:.3e}")
+            cells.append(ConditioningError(f"nu={nu:g}, n={n}: {text}",
+                                           pivot_index=post.pivot_index,
+                                           pivot_value=post.pivot_value))
+            continue
+        totals = {}
+        try:
+            for name in names or _objective_names(n):
+                value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
+                totals[name] = (_profiled(value, n) if config.profile_sigma else value).total
+        except ConditioningError as err:
+            # A new error: the raised one holds the factor through its traceback.
+            totals = ConditioningError(str(err), pivot_index=err.pivot_index,
+                                       pivot_value=err.pivot_value)
+        cells.append(totals)
+    return cells
+
+
+def _objective_names(n):
+    """The objectives defined on ``n`` points: cross-validation needs two."""
+    return ("ml", "cv") if n >= 2 else ("ml",)
 
 
 def _memoised(memo, objectives):
-    """``objectives(nu)`` looked up in, or added to, the dict ``memo``.
-
-    A failure is cached as a new :class:`ConditioningError`: the raised one
-    holds the failed kernel matrix through its traceback and context.
-    """
+    """``objectives(nu)`` looked up in, or added to, the dict ``memo``; a
+    :class:`ConditioningError` there is raised."""
     def cell(nu):
         nu = float(nu)
         if nu not in memo:
-            try:
-                memo[nu] = objectives(nu)
-            except ConditioningError as err:
-                memo[nu] = ConditioningError(str(err), pivot_index=err.pivot_index,
-                                             pivot_value=err.pivot_value)
+            memo[nu] = objectives(nu)
         if isinstance(memo[nu], ConditioningError):
             raise memo[nu]
         return memo[nu]
@@ -238,8 +252,9 @@ def estimate_nu(design, y, config=EstimatorConfig()):
         )
     y = _checked_data(y, (design.n,), "y")
     name = config.objective
-    return bracketed_minimize(lambda nu: _objectives(design, y, config, float(nu), (name,))[name],
-                              config.nu_min, config.nu_max, config.coarse_grid, config.refine_tol)
+    cell = _memoised({}, lambda nu: _cells(design, y, config, nu, [design.n], (name,))[0])
+    return bracketed_minimize(lambda nu: cell(nu)[name], config.nu_min, config.nu_max,
+                              config.coarse_grid, config.refine_tol)
 
 
 @dataclass(frozen=True)
@@ -289,13 +304,15 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     ``nu0`` are computed once for all columns; only the golden-section
     refinement runs per column.
 
-    A coarse cell that fails to condition on one prefix is not conditioned
-    again on the larger ones.  The kernel matrix of a prefix is the leading
-    block of every larger prefix's matrix, and the pivot floor is relative
-    to the constant diagonal, so in exact arithmetic the pivots that failed
-    stay below the floor; a larger prefix that passed would pass by
-    rounding luck.  The later prefixes record the cell as failed, with the
-    prefix size, pivot index and pivot value of the first failure.
+    Each coarse cell is factored once, on the largest prefix, and every
+    prefix reads its posterior from that factor
+    (:func:`~maternsmooth.gp.condition_prefixes`).  At sizes of at most 16
+    or ``16 * 2**k`` points that posterior is bit for bit the prefix's own,
+    so a record equals the sweep of its prefix alone; at other sizes they
+    agree to rounding.  A cell whose factorization fails at some pivot
+    fails on every prefix beyond it, and the prefixes after the first one
+    record the prefix size, pivot index and pivot value of that first
+    failure.
     """
     schedule = [int(n) for n in n_schedule]
     if schedule != sorted(schedule):
@@ -310,52 +327,47 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     shape = (design.n, len(seeds)) if y_full.ndim == 2 else (design.n,)
     columns = _checked_data(y_full, shape, "y_full").reshape(design.n, len(seeds))
 
+    if not schedule:
+        return []
+    top = design.prefix(schedule[-1])
+    columns = columns[:top.n]
+    tables = [{} for _ in schedule]
+    for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
+        try:
+            for table, hit in zip(tables, _cells(top, columns, config, float(nu), schedule)):
+                table[float(nu)] = hit
+        except EstimationError:
+            pass  # degenerate profiling is retried per column
+    variances0 = [None] * len(schedule)
+    if nu0 is not None:
+        kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
+        variances0 = [_loo_variances(post) for post in condition_prefixes(
+            kernel0, top, np.zeros(top.n), schedule, config.pivot_rtol)]
+
     records = [[] for _ in seeds]
-    singular = {}  # coarse cell -> (prefix size, pivot index, pivot value) of its first failure
-    for n in schedule:
-        prefix = design.prefix(n)
-        names = ("ml", "cv") if n >= 2 else ("ml",)
-        table = {
-            nu: ConditioningError(
-                f"nu={nu:g}, n={n}: failed on prefix n={n_first}: pivot {index} = {value:.3e}",
-                pivot_index=index,
-                pivot_value=value,
-            )
-            for nu, (n_first, index, value) in singular.items()
-        }
-        shared = _memoised(table, lambda nu: _objectives(prefix, columns[:n], config, nu, names))
-        # Exactly the cells the coarse scan of bracketed_minimize looks up.
-        for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
-            try:
-                shared(nu)
-            except ConditioningError as err:
-                singular.setdefault(float(nu), (n, err.pivot_index, err.pivot_value))
-            except EstimationError:
-                pass  # degenerate profiling is retried per column
-        v0 = None
-        if nu0 is not None:
-            try:
-                v0 = _variances_at(nu0, prefix, config)
-            except ConditioningError as err:
-                v0 = err
+    for n, table, v0 in zip(schedule, tables, variances0):
+        prefix = top.prefix(n)
         fill = fill_distance(prefix)
         for j, (column, label) in enumerate(zip(records, seeds)):
             memo = {nu: hit if isinstance(hit, ConditioningError)
                     else {name: float(total[j]) for name, total in hit.items()}
                     for nu, hit in table.items()}
-            column.append(_prefix_record(prefix, columns[:n, j], memo, names, config,
-                                         v0, fill, experiment, label))
+            column.append(_prefix_record(prefix, columns[:n, j], memo, config, v0, fill,
+                                         experiment, label))
     return [record for column in records for record in column]
 
 
-def _variances_at(nu, design, config):
-    """Leave-one-out variances of the configured Matern kernel at smoothness ``nu``."""
-    kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=design.d))
-    post = condition(kernel, design, np.zeros(design.n), config.pivot_rtol)
-    return loo_variances(post)
+def _loo_variances(post):
+    """Leave-one-out variances of a posterior, or the error that prevents them."""
+    if isinstance(post, ConditioningError):
+        return post
+    try:
+        return loo_variances(post)
+    except ConditioningError as err:
+        return err
 
 
-def _prefix_record(prefix, y, memo, names, config, v0, fill, experiment, seed):
+def _prefix_record(prefix, y, memo, config, v0, fill, experiment, seed):
     """Both estimates for one data column on one prefix, as a sweep record.
 
     ``memo`` holds the coarse cells; a refinement cell joins it with both
@@ -363,7 +375,8 @@ def _prefix_record(prefix, y, memo, names, config, v0, fill, experiment, seed):
     """
     notes = []
     nan = math.nan
-    cell = _memoised(memo, lambda nu: _objectives(prefix, y, config, nu, names))
+    names = _objective_names(prefix.n)
+    cell = _memoised(memo, lambda nu: _cells(prefix, y, config, nu, [prefix.n])[0])
 
     estimates = {"ml": None, "cv": None}
     for name in ("ml", "cv"):
@@ -387,8 +400,10 @@ def _prefix_record(prefix, y, memo, names, config, v0, fill, experiment, seed):
     if isinstance(v0, ConditioningError) and est_ml is not None:
         notes.append(f"ratio_error={v0}")
     elif v0 is not None and est_ml is not None:
+        kernel = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_, d=prefix.d))
         try:
-            ratio = float(np.max(v0 / _variances_at(est_ml.nu_hat, prefix, config)))
+            post = condition(kernel, prefix, np.zeros(prefix.n), config.pivot_rtol)
+            ratio = float(np.max(v0 / loo_variances(post)))
         except ConditioningError as err:
             notes.append(f"ratio_error={err}")
 

@@ -25,6 +25,7 @@ from .estimators import (
 )
 from .gp import (
     condition,
+    condition_prefixes,
     incremental_variances,
     log_det,
     loo,
@@ -33,7 +34,8 @@ from .gp import (
     posterior_var,
     quadratic_form,
 )
-from .kernels import GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern
+from .kernels import (GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern,
+                      require_positive)
 from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
@@ -94,6 +96,7 @@ class ExperimentConfig:
             raise DomainError("need 0 < lambda_min <= lambda_max")
         if not self.seeds:
             raise DomainError("need at least one seed")
+        require_positive(self, ("sigma", "lambda_"))
 
 
 @dataclass(frozen=True)
@@ -271,13 +274,15 @@ def run_variance_decay(config):
     for nu in nus:
         kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=config.d))
         cells = []
-        for n in schedule:
-            prefix = design.prefix(n)
+        posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule,
+                                   config.estimator.pivot_rtol)
+        for n, post in zip(schedule, posts):
             note = ""
             max_loo = math.nan
             last_seq = math.nan
             try:
-                post = condition(kernel, prefix, np.zeros(n), config.estimator.pivot_rtol)
+                if isinstance(post, ConditioningError):
+                    raise post
                 max_loo = float(np.max(loo_variances(post)))
                 last_seq = float(incremental_variances(post)[-1])
             except ConditioningError as err:
@@ -423,14 +428,14 @@ def run_logdet_growth(config):
     ratio_at_max = {}
     for nu in nus:
         kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=config.d))
-        for n in schedule:
+        posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
+        for n, post in zip(schedule, posts):
             note = ""
             ld = math.nan
-            try:
-                post = condition(kernel, design.prefix(n), y[:n])
+            if isinstance(post, ConditioningError):
+                note = f"conditioning: {post}"
+            else:
                 ld = log_det(post)
-            except ConditioningError as err:
-                note = f"conditioning: {err}"
             trend = -(2.0 * nu / config.d) * n * math.log(n)
             ratio = ld / (n * math.log(n)) if n > 1 and math.isfinite(ld) else math.nan
             rows.append([nu, n, ld, trend, ratio, nu_hat.get(n, math.nan), note])
@@ -502,12 +507,14 @@ def run_convergence(config):
         out = []
         for nu_model in models:
             kernel = MaternKernel(matern(nu_model, config.sigma, config.lambda_, d=1))
-            for n in schedule:
+            posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
+            for n, post in zip(schedule, posts):
                 note = ""
                 sup_err = math.nan
                 ratio = math.nan
                 try:
-                    post = condition(kernel, design.prefix(n), y[:n])
+                    if isinstance(post, ConditioningError):
+                        raise post
                     mu = posterior_mean(post, probes)
                     var = posterior_var(post, probes)
                     err = np.abs(mu - f0_probe)

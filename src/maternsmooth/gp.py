@@ -1,18 +1,21 @@
 """Exact Gaussian process conditioning through a single Cholesky factor.
 
-:func:`condition` is the only place that factors a kernel matrix.
-Everything downstream of it (posterior mean and variance, leave-one-out
-residuals and variances, incremental variances, the sequential
-expansion, log-determinant, quadratic form and trace ratio) reads the
-:class:`Posterior` it returns, so one factorization per (kernel, design)
-pair serves them all; refitting on subsets is kept only as an oracle in
-the test suite.  One factorization also serves several data vectors at
-once: the data may be an ``(n, s)`` matrix whose columns (for example
-sample paths of different seeds) share the kernel matrix, and the
-data-dependent quantities then come out per column.
+:func:`condition_prefixes`, and :func:`condition` through it, are the only
+places that factor a kernel matrix.  Everything downstream of them
+(posterior mean and variance, leave-one-out residuals and variances,
+incremental variances, the sequential expansion, log-determinant,
+quadratic form and trace ratio) reads the :class:`Posterior` they return,
+so one factorization per (kernel, design) pair serves them all; refitting
+on subsets is kept only as an oracle in the test suite.  One factorization also serves several
+data vectors at once: the data may be an ``(n, s)`` matrix whose columns
+(for example sample paths of different seeds) share the kernel matrix,
+and the data-dependent quantities then come out per column.
 
-The factor comes straight from LAPACK ``dpotrf``; when it fails, the
-index of the first non-positive pivot is read from its ``info`` code.
+The factor is grown by row panels, each finished by LAPACK ``dpotrf``
+(whose ``info`` code gives the first non-positive pivot), so that the
+factor of a design prefix is the leading block of the full one and one
+factorization serves every prefix of a nested design
+(:meth:`Posterior.prefix`).
 Leave-one-out quantities use the triangular inverse from ``dtrtri``
 rather than a full solve against the identity.
 
@@ -30,15 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as _linalg
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from .errors import ConditioningError, DomainError
-from .kernels import kernel_matrix
+from .kernels import kernel_matrix, kernel_panels
 
 __all__ = [
     "Posterior",
     "LooResult",
     "condition",
+    "condition_prefixes",
     "posterior_mean",
     "posterior_var",
     "incremental_variances",
@@ -62,39 +67,65 @@ DEFAULT_PIVOT_RTOL = 1e-14
 _VAR_CLAMP_RTOL = 1e-12
 
 
-def _cholesky(K, pivot_rtol):
-    """Lower Cholesky factor of a kernel matrix, overwriting ``K`` with it.
+# Row panels of the factorization end at 16, 32, 64, ... points.
+_FIRST_PANEL = 16
 
-    ``K`` is exactly symmetric, so its transpose is the same matrix in
-    Fortran order and LAPACK factors it without a copy; the factor is
-    the one ``scipy.linalg.cholesky`` returns.
+
+def _panel_ends(n):
+    ends = [_FIRST_PANEL]
+    while ends[-1] < n:
+        ends.append(2 * ends[-1])
+    return [min(b, n) for b in ends] if n else []
+
+
+def _factor(kernel, design, pivot_rtol):
+    """Lower Cholesky factor of a design's kernel matrix, grown by row panels.
+
+    Each panel of rows ``a:b`` after the first is solved against the factor
+    so far (``dtrsm``) and its Schur block updated (``dsyrk``) and factored
+    (``dpotrf``).  A prefix of at most 16 or ``16 * 2**k`` points thus meets
+    the same operations on the same data as in any larger design: its factor
+    is bit for bit the leading block of theirs.  Returns the Fortran-ordered
+    factor and None, or the :class:`ConditioningError` of the first pivot
+    that is not positive or lies below ``pivot_rtol * K(0)``; the factor then
+    holds up to that pivot, and later panels are never evaluated.
     """
-    n = K.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    floor = pivot_rtol * float(np.max(np.diag(K)))
-    L, info = _lapack.dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
-    if info > 0:
-        # LAPACK leaves the failing Schur-complement pivot on the diagonal.
-        idx = info - 1
-        val = float(L[idx, idx])
-        raise ConditioningError(
-            f"kernel matrix is numerically singular: pivot {idx} = {val:.3e}",
-            pivot_index=idx,
-            pivot_value=val,
-        )
-    if info < 0:
-        raise DomainError(f"dpotrf rejected argument {-info}")
-    piv = np.diag(L) ** 2
-    small = np.nonzero(piv < floor)[0]
-    if small.size:
-        idx = int(small[0])
-        raise ConditioningError(
-            f"pivot {idx} = {piv[idx]:.3e} below relative floor {floor:.3e}",
-            pivot_index=idx,
-            pivot_value=float(piv[idx]),
-        )
-    return L
+    n = design.n
+    L = np.zeros((n, n), order="F")
+    ends = _panel_ends(n)
+    a = 0
+    for b, panel in zip(ends, kernel_panels(kernel, design, ends)):
+        if a:
+            left = _blas.dtrsm(1.0, L[:a, :a], panel[:, :a], side=1, lower=1, trans_a=1,
+                               overwrite_b=1)
+            block = _blas.dsyrk(-1.0, left, beta=1.0, c=panel[:, a:], lower=1, overwrite_c=1)
+            L[a:b, :a] = left
+        else:
+            # Fewer points than the first panel are completed to its size
+            # with K(0) on the diagonal, so that their rows see the same
+            # operations as in a larger design.
+            floor = pivot_rtol * panel[0, 0]
+            block = np.diag(np.full(max(b, _FIRST_PANEL), panel[0, 0]))
+            block[:b, :b] = panel
+        block, info = _lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
+        if info < 0:
+            raise DomainError(f"dpotrf rejected argument {-info}")
+        L[a:b, a:b] = block[:b - a, :b - a]
+        piv = np.diag(block)[:info - 1 if info else b - a] ** 2
+        small = np.nonzero(piv < floor)[0]
+        if small.size:
+            i = int(small[0])
+            return L, ConditioningError(
+                f"pivot {a + i} = {piv[i]:.3e} below relative floor {floor:.3e}",
+                pivot_index=a + i, pivot_value=float(piv[i]))
+        if info:
+            # LAPACK leaves the failing Schur-complement pivot on the diagonal.
+            val = float(block[info - 1, info - 1])
+            return L, ConditioningError(
+                f"kernel matrix is numerically singular: pivot {a + info - 1} = {val:.3e}",
+                pivot_index=a + info - 1, pivot_value=val)
+        a = b
+    return L, None
 
 
 @dataclass(frozen=True)
@@ -117,6 +148,22 @@ class Posterior:
     def n(self):
         return self.y.shape[0]
 
+    def prefix(self, n):
+        """The posterior of the first ``n`` points, from the leading block of
+        this factor: bit for bit what :func:`condition` gives on that prefix
+        when ``n`` is at most 16 or ``16 * 2**k``."""
+        return _posterior(self.kernel, self.design.prefix(n), self.y, self.chol)
+
+
+def _posterior(kernel, design, y, chol):
+    """The posterior of ``design`` from a factor whose leading block is its
+    own.  The block is copied to Fortran order, the layout :func:`condition`
+    gives LAPACK, so that both sides compute alike."""
+    n = design.n
+    L = np.asfortranarray(chol[:n, :n])
+    weights = _linalg.cho_solve((L, True), y[:n], check_finite=False) if n else y[:0].copy()
+    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L, weights=weights)
+
 
 def _as_data(design, y):
     """Data as a float array of shape ``(n,)`` or ``(n, s)``, all finite."""
@@ -138,14 +185,24 @@ def condition(kernel, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
     numerically singular.  An empty design is allowed and produces the
     unconditioned process.
     """
+    (post,) = condition_prefixes(kernel, design, y, [design.n], pivot_rtol)
+    if isinstance(post, ConditioningError):
+        raise post
+    return post
+
+
+def condition_prefixes(kernel, design, y, sizes, pivot_rtol=DEFAULT_PIVOT_RTOL):
+    """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
+
+    The factor of the largest prefix serves all (:meth:`Posterior.prefix`);
+    a size beyond a failing pivot gets that pivot's
+    :class:`ConditioningError` in place of its posterior.
+    """
     y = _as_data(design, y)
-    K = kernel_matrix(kernel, design)
-    L = _cholesky(K, pivot_rtol)
-    if design.n:
-        weights = _linalg.cho_solve((L, True), y, check_finite=False)
-    else:
-        weights = np.zeros(y.shape)
-    return Posterior(kernel=kernel, design=design, y=y.copy(), chol=L, weights=weights)
+    design = design.prefix(max(sizes, default=0))
+    L, err = _factor(kernel, design, pivot_rtol)
+    served = design.n if err is None else err.pivot_index
+    return [_posterior(kernel, design.prefix(n), y, L) if n <= served else err for n in sizes]
 
 
 def _cross_covariances(post, x):

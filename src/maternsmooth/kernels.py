@@ -3,7 +3,9 @@
 All Matern evaluation goes through log space (log scaling factor plus
 ``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that
 orders up to several hundred remain usable; direct evaluation of
-``(.)**nu * K_nu`` would overflow long before that.
+``(.)**nu * K_nu`` would overflow long before that.  Kernel matrices are
+assembled by row panels from distances numbered in design order, so a
+prefix of the design evaluates the kernel only at its own distances.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ def c_scaling(policy, nu):
     return math.exp(log_c_scaling(policy, nu))
 
 
+def require_positive(params, names):
+    """Raise :class:`DomainError` unless each named field is a positive finite number."""
+    for name in names:
+        v = getattr(params, name)
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise DomainError(f"{name} must be positive and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MaternParams:
     """Matern kernel parameters: smoothness, magnitude, and length-scale."""
@@ -90,10 +100,7 @@ class MaternParams:
     scaling: ScalingPolicy = field(default=STANDARD_SCALING)
 
     def __post_init__(self):
-        for name in ("nu", "sigma", "lambda_"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+        require_positive(self, ("nu", "sigma", "lambda_"))
 
 
 def matern(nu, sigma=1.0, lambda_=1.0, d=1, scaling=None):
@@ -111,10 +118,7 @@ class GaussParams:
     lambda_: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma", "lambda_"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+        require_positive(self, ("sigma", "lambda_"))
 
 
 def _validate_distances(r):
@@ -211,65 +215,63 @@ class GaussianKernel:
         return f"GaussianKernel(sigma={p.sigma}, lambda_={p.lambda_}, d={self.d})"
 
 
-def pairwise_distances(points):
-    """Dense symmetric distance matrix of a point array of shape (n, d)."""
-    pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+class _DistanceTable:
+    """Distinct pairwise distances of a point sequence, numbered in design order.
 
-
-class _DistanceDecomposition:
-    """Condensed pairwise distances of a fixed point set, deduplicated.
-
-    Lattice-like designs repeat the same distance many times; evaluating
-    the kernel once per distinct distance and gathering cuts the special-
-    function work by orders of magnitude.  ``index`` maps every entry of
-    the full matrix to its distinct distance, with the diagonal pointing
-    one past the last distinct distance (where the zero-distance value
-    goes), so assembly is a single gather.  Instances are cached on the
-    design so that sweeps over many kernel parameters reuse them.
+    Number 0 is the zero distance; the others are numbered where they first
+    appear among the pairs ``(i, j)``, ``j < i``, row after row.  So the first
+    ``count[m]`` numbers are the distances among the first ``m`` points, and
+    ``index[:m, :m]`` maps their kernel matrix onto them.  Lattice-like
+    designs repeat distances many times; the kernel is evaluated once each.
     """
 
     def __init__(self, pts):
         n = pts.shape[0]
-        iu = np.triu_indices(n, k=1)
-        dist = pairwise_distances(pts)[iu]
-        if n > 1 and dist.size and np.min(dist) == 0.0:
+        il = np.tril_indices(n, k=-1)
+        diff = pts[il[0]] - pts[il[1]]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        if dist.size and np.min(dist) == 0.0:
             k = int(np.argmin(dist))
-            i, j = int(iu[0][k]), int(iu[1][k])
-            raise DegenerateDesignError(f"duplicate points at indices {i} and {j}")
-        self.unique, inverse = np.unique(dist, return_inverse=True)
-        index = np.empty((n, n), dtype=np.int32)
-        index[iu] = inverse
-        index.T[iu] = inverse
-        np.fill_diagonal(index, self.unique.size)
-        self.index = index
-
-    def matrix(self, kernel):
-        values = np.empty(self.unique.size + 1)
-        if self.unique.size:
-            values[:-1] = kernel(self.unique)
-        values[-1] = kernel(0.0)
-        return np.take(values, self.index)
+            raise DegenerateDesignError(
+                f"duplicate points at indices {int(il[1][k])} and {int(il[0][k])}")
+        unique, first, inverse = np.unique(dist, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty(order.size, dtype=np.int32)
+        number[order] = np.arange(1, order.size + 1, dtype=np.int32)
+        self.distances = np.concatenate(([0.0], unique[order]))
+        self.index = np.zeros((n, n), dtype=np.int32)
+        self.index[il] = self.index.T[il] = number[inverse]
+        # Row m starts at pair m (m - 1) / 2; the zero distance comes with row 0.
+        m = np.arange(n + 1)
+        self.count = np.searchsorted(first[order], m * (m - 1) // 2) + (m > 0)
 
 
-def _decomposition_for(design):
-    cache = getattr(design, "_dist_cache", None)
-    if cache is None:
-        cache = _DistanceDecomposition(design.points)
-        design._dist_cache = cache
-    return cache
+def kernel_panels(kernel, design, ends):
+    """Row panels ``K[a:b, :b]`` of the kernel matrix, for ascending ``ends`` b.
+
+    A generator of Fortran-ordered panels, each from the previous end; each
+    evaluates the kernel only at the distances new in its rows, when it is
+    requested.  The distance table is cached on the design and its prefixes.
+    """
+    table = getattr(design, "_dist_cache", None)
+    if table is None:
+        table = design._dist_cache = _DistanceTable(design.points)
+    values = np.empty(table.count[design.n])
+    a = 0
+    for b in ends:
+        lo, hi = table.count[a], table.count[b]
+        if hi > lo:
+            values[lo:hi] = kernel(table.distances[lo:hi])
+        # The index is symmetric: its columns a:b, transposed, are the rows.
+        yield np.take(values, table.index[:b, a:b]).T
+        a = b
 
 
 def kernel_matrix(kernel, design):
     """Dense kernel matrix of a design; exactly symmetric by construction.
 
-    ``design`` is a :class:`~maternsmooth.designs.Design`.  The strict
-    upper triangle is evaluated once (per distinct distance) and
-    mirrored; the distance decomposition is cached on the design.
-    Duplicate points make the matrix singular and raise
-    :class:`DegenerateDesignError`.
+    ``design`` is a :class:`~maternsmooth.designs.Design`; the kernel is
+    evaluated once per distinct pairwise distance.  Duplicate points make
+    the matrix singular and raise :class:`DegenerateDesignError`.
     """
-    if design.n == 0:
-        return np.zeros((0, 0))
-    return _decomposition_for(design).matrix(kernel)
+    return next(kernel_panels(kernel, design, [design.n]))

@@ -176,11 +176,12 @@ class TestSamplePaths:
         assert path[0] == pytest.approx(z[0], rel=1e-12)
 
     def test_prefix_consistency(self):
-        design = van_der_corput(UNIT, 64)
+        design = van_der_corput(UNIT, 512)
         params = matern(1.5, 1.0, 1.0, d=1)
         full = sample_gp_path(params, design, seed=99)
-        short = sample_gp_path(params, design.prefix(16), seed=99)
-        np.testing.assert_allclose(full[:16], short, rtol=1e-12)
+        for n in (16, 32, 64, 128, 256):
+            short = sample_gp_path(params, Design(design.points[:n], UNIT), seed=99)
+            assert np.array_equal(full[:n], short), n
 
     def test_moments(self):
         design = Design([[0.1], [0.35], [0.8]], UNIT)

@@ -16,7 +16,7 @@ from maternsmooth.estimators import (
     _profiled,
     sweep_prefixes,
 )
-from maternsmooth.gp import condition
+from maternsmooth.gp import condition, condition_prefixes
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
@@ -47,6 +47,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(nu_min=0.0), dict(nu_min=2.0, nu_max=1.0), dict(coarse_grid=4),
         dict(refine_tol=0.0), dict(objective="map"),
+        dict(sigma=0.0), dict(sigma=math.inf), dict(lambda_=-1.0), dict(lambda_=math.nan),
+        dict(pivot_rtol=-1.0), dict(pivot_rtol=1.0), dict(pivot_rtol=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -282,26 +284,35 @@ class TestSweeps:
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
-        # Refinement cells are shared by the ML and CV searches of a column.
+        # A coarse cell is factored once for the whole sweep, on its largest
+        # prefix; a refinement cell once per prefix and column, shared by the
+        # ML and CV searches of the column.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
         else:
             second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
-        conditioned = []
+        factored = []
 
-        def counting(kernel, prefix, values, pivot_rtol):
+        def counting(kernel, prefix, values, sizes, pivot_rtol):
             values = np.asarray(values)
-            conditioned.append((kernel.params.nu, prefix.n, values.shape, values.tobytes()))
-            return condition(kernel, prefix, values, pivot_rtol)
+            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape,
+                             values.tobytes()))
+            return condition_prefixes(kernel, prefix, values, sizes, pivot_rtol)
 
-        monkeypatch.setattr(estimators, "condition", counting)
+        monkeypatch.setattr(estimators, "condition_prefixes", counting)
         cfg = EstimatorConfig(lambda_=1.0)
         records = sweep_prefixes(design, data, [16, 32, 64], cfg, nu0=nu0, seed=seed)
         assert len(records) == 3 * columns
-        assert len(conditioned) > 3 * cfg.coarse_grid  # refinement cells included
-        assert len(set(conditioned)) == len(conditioned)
+        grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
+        sizes = (16, 32, 64)
+        coarse = [f[:4] for f in factored if f[2] == sizes]
+        assert coarse == [(nu, 64, sizes, (64, columns)) for nu in grid] + (
+            [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
+        refined = [f for f in factored if f[2] != sizes]
+        assert {(n, ns) for _, n, ns, _, _ in refined} == {(n, (n,)) for n in sizes}
+        assert len(set(refined)) == len(refined)
 
 
 class TestPrefixRule:
@@ -331,28 +342,25 @@ class TestPrefixRule:
 
     def test_failed_coarse_cells_are_not_conditioned_again(self, smooth_instance,
                                                            monkeypatch):
+        # Every coarse cell is factored once, on the largest prefix, failed or
+        # not; refinement conditions no coarse cell.
         design, y, cfg = smooth_instance
-        calls = []
+        factored = []
 
-        def counting(kernel, prefix, data, pivot_rtol):
-            try:
-                post = condition(kernel, prefix, data, pivot_rtol)
-            except ConditioningError:
-                calls.append((kernel.params.nu, prefix.n, True))
-                raise
-            calls.append((kernel.params.nu, prefix.n, False))
-            return post
+        def counting(kernel, top, data, sizes, pivot_rtol):
+            posts = condition_prefixes(kernel, top, data, sizes, pivot_rtol)
+            factored.append((kernel.params.nu, top.n, tuple(sizes),
+                             [isinstance(p, ConditioningError) for p in posts]))
+            return posts
 
-        monkeypatch.setattr(estimators, "condition", counting)
+        monkeypatch.setattr(estimators, "condition_prefixes", counting)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
-        coarse = {float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)}
-        first_failure = {}
-        for nu, n, failed in calls:
-            if nu in coarse:
-                assert first_failure.get(nu, n) == n, (nu, n)
-                if failed:
-                    first_failure.setdefault(nu, n)
-        assert 32 in first_failure.values()
+        grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
+        coarse = [f for f in factored if f[2] == self.SCHEDULE]
+        assert [(nu, n) for nu, n, _, _ in coarse] == [(nu, 64) for nu in grid]
+        assert not {nu for nu, _, sizes, _ in factored if sizes != self.SCHEDULE} & set(grid)
+        assert [False, True, True] in [failed for *_, failed in coarse]
+
 
     def test_inherited_failure_names_the_first_prefix(self, smooth_instance, monkeypatch):
         design, y, cfg = smooth_instance

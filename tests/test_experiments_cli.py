@@ -9,6 +9,7 @@ import pytest
 from maternsmooth import experiments
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
+from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     ExperimentConfig,
     run_convergence,
@@ -140,6 +141,13 @@ class TestEngines:
             assert last[4] == pytest.approx(-2.0 * nu, rel=0.30)
         assert "conjecture probe" in result.summary
 
+    def test_configured_pivot_floor_applies(self):
+        cfg = ExperimentConfig(experiment="x", schedule=(16, 32, 64), seeds=(101,),
+                               estimator=EstimatorConfig(pivot_rtol=1e-4))
+        for run in (run_logdet_growth, run_convergence):
+            notes = [row[-1] for row in run(cfg).rows]
+            assert any("below relative floor 1.000e-04" in note for note in notes), run
+
     def test_gaussian_probe_records_failures(self):
         cfg = ExperimentConfig(experiment="x", f0="gauss_bump", schedule=(8, 16, 64))
         result = run_gaussian_scale_probe(cfg)
@@ -165,6 +173,9 @@ class TestEngines:
             ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
+        for bad in (dict(sigma=0.0), dict(lambda_=-1.0), dict(sigma=math.nan)):
+            with pytest.raises(DomainError):
+                ExperimentConfig(**bad)
 
 
 class TestCsv:
@@ -246,6 +257,13 @@ class TestCli:
         cfg.write_text("seeds =\n")
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "need at least one seed" in capsys.readouterr().err
+
+    def test_non_positive_scale_exit_two(self, capsys):
+        assert main(["logdet-growth", "--lambda", "-1"]) == 2
+        assert main(["non-undersmoothing", "--sigma", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: lambda_ must be positive" in err
+        assert "configuration error: sigma must be positive" in err
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["variance-decay", "--config", "/nonexistent/run.cfg"]) == 2

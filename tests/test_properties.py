@@ -1,5 +1,6 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
-the modified Bessel function of the second kind and the design file format.
+prefix consistency of the panel-grown factor, the modified Bessel function
+of the second kind and the design file format.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -13,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
 
-from maternsmooth.designs import Box, Design, load_design, save_design
+from maternsmooth.designs import (Box, Design, load_design, save_design, uniform_grid,
+                                  van_der_corput)
+from maternsmooth.errors import ConditioningError
 from maternsmooth.experiments import _jittered_grid, _naive_loo
-from maternsmooth.gp import condition, loo
-from maternsmooth.kernels import MaternKernel, matern
+from maternsmooth.gp import condition, condition_prefixes, loo
+from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import bessel_k, log_bessel_k
 
@@ -70,6 +73,97 @@ def test_multi_column_objectives_equal_single_column(case, columns):
             for got, want in ((many.data_term[j], one.data_term),
                               (many.total[j], one.total)):
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# Prefix sizes whose factor is the leading block of every larger one, bit for
+# bit: the panels of the factorization end at 16, 32, 64, ... points.
+EXACT_SIZES = tuple(range(1, 17)) + (32, 64, 128)
+# Largest relative gap, max |a - b| / max |b|, between a prefix read from a
+# larger factor and the prefix's own factor at the other sizes, for the
+# well-conditioned cells of the identity suite (rounding; measured <= 3e-14).
+PREFIX_RTOL = 1e-12
+
+prefix_cases = st.tuples(
+    st.sampled_from(("lattice", "jittered")),  # van der Corput / 2-d grid, or all distinct
+    st.sampled_from((1, 2)),                   # dimension
+    st.floats(min_value=0.5, max_value=4.0),   # smoothness
+    st.integers(min_value=17, max_value=160),  # design size
+    st.integers(min_value=0, max_value=2**31 - 1),  # seed of design and data
+)
+
+
+def _prefix_instance(kind, d, nu, n, seed, columns=1, lam=None):
+    """A nested design with data; the length-scale is tied to the spacing,
+    as in the identity suite, unless ``lam`` is given."""
+    if kind == "jittered":
+        design = _jittered_grid(d, n, seed)
+    elif d == 1:
+        design = van_der_corput(Box.unit(1), n)
+    else:
+        design = uniform_grid(Box.unit(2), 17).prefix(n)
+    lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d) if lam is None else lam
+    y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
+    return MaternKernel(matern(nu, 1.2, lam, d=d)), design, y
+
+
+def _alone(design, n):
+    """The first ``n`` points as a new design, which builds its own distance table."""
+    return Design(design.points[:n], design.box)
+
+
+@PROPERTY
+@given(prefix_cases, st.lists(st.integers(min_value=1, max_value=160), min_size=1,
+                              max_size=5))
+def test_panels_are_the_rows_of_the_prefix_matrix(case, cuts):
+    kernel, design, _ = _prefix_instance(*case)
+    ends = sorted({min(c, design.n) for c in cuts})
+    a = 0
+    for b, panel in zip(ends, kernel_panels(kernel, design, ends)):
+        assert np.array_equal(panel, kernel_matrix(kernel, _alone(design, b))[a:b])
+        a = b
+
+
+@PROPERTY
+@given(prefix_cases, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=17, max_value=160))
+def test_prefix_posterior_equals_conditioning_the_prefix(case, columns, other):
+    kernel, design, y = _prefix_instance(*case, columns=columns)
+    full = condition(kernel, design, y)
+    for n in [m for m in EXACT_SIZES if m <= design.n] + [min(other, design.n)]:
+        got = full.prefix(n)
+        want = condition(kernel, _alone(design, n), y[:n])
+        pairs = [(got.chol, want.chol), (got.weights, want.weights),
+                 (ell_ml_from(got).total, ell_ml_from(want).total)]
+        if n >= 2:
+            pairs.append((ell_cv_from(got).total, ell_cv_from(want).total))
+        for a, b in pairs:
+            if n in EXACT_SIZES:
+                assert np.array_equal(a, b), n
+            else:
+                assert np.max(np.abs(a - b)) <= PREFIX_RTOL * np.max(np.abs(b)), n
+
+
+@PROPERTY
+@given(st.sampled_from(("lattice", "jittered")), st.sampled_from((1, 2)),
+       st.floats(min_value=10.0, max_value=14.0), st.integers(min_value=0, max_value=2**31 - 1))
+def test_failing_factor_reports_one_pivot_at_every_larger_prefix(kind, d, nu, seed):
+    kernel, design, y = _prefix_instance(kind, d, nu, 128, seed, lam=1.0)
+    posts = condition_prefixes(kernel, design, y, EXACT_SIZES)
+    failed = [p for p in posts if isinstance(p, ConditioningError)]
+    assert failed  # every cell of this family fails before 128 points
+    err = failed[0]
+    assert all(p is err for p in failed)
+    for n, post in zip(EXACT_SIZES, posts):
+        if n <= err.pivot_index:  # served by the failed factor
+            assert np.array_equal(post.chol, condition(kernel, _alone(design, n), y[:n]).chol)
+            continue
+        try:
+            condition(kernel, _alone(design, n), y[:n])
+        except ConditioningError as own:
+            assert (own.pivot_index, own.pivot_value, str(own)) == (
+                err.pivot_index, err.pivot_value, str(err))
+        else:
+            raise AssertionError(f"prefix {n} factored beyond pivot {err.pivot_index}")
 
 
 def _near_kve_overflow(nu, w):
