@@ -84,6 +84,6 @@ from .objectives import (
     ell_ml_from,
     variance_ratio_profile,
 )
-from .specfun import BesselAccuracy, bessel_k, log_bessel_k, log_gamma
+from .specfun import BesselAccuracy, bessel_k, log_bessel_k, log_gamma, thread_limit
 
 __version__ = "0.1.0"

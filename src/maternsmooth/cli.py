@@ -28,6 +28,7 @@ from .experiments import (
     run_non_undersmoothing,
     run_variance_decay,
 )
+from .specfun import thread_limit
 
 __all__ = ["main", "parse_config_file", "write_csv"]
 
@@ -211,7 +212,9 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--out", help="CSV output path")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="most worker threads (default: every CPU the process "
+                            "may run on); outputs do not depend on it")
         p.add_argument("--seed-list", type=_int_list, default=None,
                        help="comma-separated seeds")
         p.add_argument("--d", type=int, choices=(1, 2), default=None)
@@ -243,7 +246,8 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](config, args)
+        with thread_limit(config.threads):
+            return _COMMANDS[args.command](config, args)
     except MaternSmoothError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

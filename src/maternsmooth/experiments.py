@@ -37,6 +37,7 @@ from .gp import (
 from .kernels import (GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern,
                       require_positive)
 from .objectives import ell_cv_from, ell_ml_from
+from .specfun import check_threads, worker_threads
 
 __all__ = [
     "ExperimentConfig",
@@ -79,7 +80,10 @@ class ExperimentConfig:
     lambda_max: float = 2.0
     f0: str = None
     probe_count: int = 256
-    threads: int = 1  # splits the per-seed work of run_convergence
+    # Caps the worker threads of every command (the CLI applies it through
+    # specfun.thread_limit); None: every CPU the process may run on.
+    # Outputs do not depend on it.
+    threads: int = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     output_path: str = None
 
@@ -97,6 +101,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise DomainError("need at least one seed")
         require_positive(self, ("sigma", "lambda_"))
+        check_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -462,8 +467,9 @@ def run_logdet_growth(config):
 # convergence of the conditional mean
 # ----------------------------------------------------------------------
 
-def _pool_map(fn, items, threads):
-    """``[fn(item) for item in items]``, on up to ``threads`` threads."""
+def _pool_map(fn, items):
+    """``[fn(item) for item in items]``, on up to :func:`worker_threads` threads."""
+    threads = worker_threads()
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -526,7 +532,7 @@ def run_convergence(config):
                 out.append([seed, nu_model, n, sup_err, ratio, note])
         return out
 
-    per_seed = _pool_map(one, list(seeds), config.threads)
+    per_seed = _pool_map(one, list(seeds))
     rows = [row for chunk in per_seed for row in chunk]
 
     lines = []

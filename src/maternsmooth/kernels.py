@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,17 @@ class MaternParams:
     def __post_init__(self):
         require_positive(self, ("nu", "sigma", "lambda_"))
 
+    @cached_property
+    def _log_scale(self):
+        """``log(sigma**2 c(nu))``, computed once per parameter set."""
+        return 2.0 * math.log(self.sigma) + log_c_scaling(self.scaling, self.nu)
+
+    @cached_property
+    def _at_zero(self):
+        """The covariance at distance 0."""
+        nu = self.nu
+        return math.exp(self._log_scale + (nu - 1.0) * math.log(2.0) + log_gamma(nu))
+
 
 def matern(nu, sigma=1.0, lambda_=1.0, d=1, scaling=None):
     """Convenience constructor; clamped scaling for dimension ``d`` by default."""
@@ -128,29 +140,31 @@ def _validate_distances(r):
     return arr
 
 
-def matern_eval(params, r):
+def matern_eval(params, r, *, checked=False):
     """Matern covariance as a function of distance ``r >= 0``.
 
     The value at ``r = 0`` is the analytic limit
     ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)`` (exactly ``sigma**2`` under
     standard scaling); evaluation near zero would otherwise hit the
-    singularity of ``K_nu``.
+    singularity of ``K_nu``.  ``checked=True`` says that ``r`` is a 1-d
+    float array of finite nonnegative distances and skips checking it.
     """
-    arr = _validate_distances(r)
-    scalar = np.isscalar(r) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    scalar = False
+    if not checked:
+        arr = _validate_distances(r)
+        scalar = np.isscalar(r) or arr.ndim == 0
+        r = np.atleast_1d(arr)
 
-    nu, sigma, lam = params.nu, params.sigma, params.lambda_
-    log_c = log_c_scaling(params.scaling, nu)
-    log_sigma2 = 2.0 * math.log(sigma)
-
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    if np.any(zero):
-        out[zero] = math.exp(log_sigma2 + log_c + (nu - 1.0) * math.log(2.0) + log_gamma(nu))
-    if np.any(~zero):
-        x = math.sqrt(2.0 * nu) / lam * arr[~zero]
-        out[~zero] = np.exp(log_sigma2 + log_c + nu * np.log(x) + log_bessel_k(nu, x))
+    nu = params.nu
+    out = np.empty_like(r)
+    zero = r == 0.0
+    positive = slice(None)
+    if zero.any():
+        out[zero] = params._at_zero
+        positive = ~zero
+    x = math.sqrt(2.0 * nu) / params.lambda_ * r[positive]
+    if x.size:
+        out[positive] = np.exp(params._log_scale + nu * np.log(x) + log_bessel_k(nu, x))
     if scalar:
         return float(out[0])
     return out
@@ -185,6 +199,11 @@ class MaternKernel:
 
     def __call__(self, r):
         return matern_eval(self.params, r)
+
+    def at_distances(self, r):
+        """Covariances at a 1-d float array of finite nonnegative distances,
+        unchecked; :func:`kernel_panels` calls it on its distance table."""
+        return matern_eval(self.params, r, checked=True)
 
     @property
     def variance(self):
@@ -256,12 +275,15 @@ def kernel_panels(kernel, design, ends):
     table = getattr(design, "_dist_cache", None)
     if table is None:
         table = design._dist_cache = _DistanceTable(design.points)
+    # The table's distances are finite and nonnegative: a kernel that can
+    # skip checking them says so with ``at_distances``.
+    evaluate = getattr(kernel, "at_distances", kernel)
     values = np.empty(table.count[design.n])
     a = 0
     for b in ends:
         lo, hi = table.count[a], table.count[b]
         if hi > lo:
-            values[lo:hi] = kernel(table.distances[lo:hi])
+            values[lo:hi] = evaluate(table.distances[lo:hi])
         # The index is symmetric: its columns a:b, transposed, are the rows.
         yield np.take(values, table.index[:b, a:b]).T
         a = b

@@ -20,11 +20,25 @@ one of two expansions:
 
 Accuracy is validated against arbitrary-precision oracle tables shipped
 with the test suite.
+
+Threads: an array of at least ``2 * _SLICE_MIN`` arguments is cut into one
+contiguous slice per worker thread, and ``kve`` (which releases the GIL)
+fills each slice of one output array; the calling thread evaluates the
+first slice itself.  ``kve`` is element-wise, so the result does not
+depend on the number of threads, bit for bit.  That number is the package's
+thread limit (:func:`thread_limit`; ``--threads N`` on the command line
+sets it for every command), capped at the CPUs the process may run on,
+which is also the default.  The workers are started on the first split and
+again in a forked child, which inherits none of its parent's threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +52,94 @@ __all__ = [
     "log_gamma",
     "bessel_k",
     "log_bessel_k",
+    "thread_limit",
+    "worker_threads",
 ]
 
 # Order threshold above which the uniform large-order expansion is used
 # when the scaled SciPy routine overflows.
 _UNIFORM_ORDER_MIN = 50.0
+
+# Fewest arguments per slice of a split ``kve`` evaluation.
+_SLICE_MIN = 8192
+
+_threads = None  # the thread limit; None: every CPU the process may run on
+_cpus = None  # CPUs in the process's affinity mask, read on first use
+_pool = None  # Bessel workers besides the calling thread
+_pool_lock = threading.Lock()
+
+
+def check_threads(threads):
+    """Raise :class:`DomainError` unless ``threads`` is None or an integer >= 1."""
+    if threads is not None and (isinstance(threads, bool)
+                                or not isinstance(threads, (int, np.integer)) or threads < 1):
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+
+
+@contextmanager
+def thread_limit(threads):
+    """Run the block with at most ``threads`` worker threads in the package
+    (None: one per CPU the process may run on).  Results do not depend on it."""
+    global _threads
+    check_threads(threads)
+    previous, _threads = _threads, threads
+    try:
+        yield
+    finally:
+        _threads = previous
+
+
+def _cpu_count():
+    global _cpus
+    if _cpus is None:
+        try:
+            _cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            _cpus = os.cpu_count() or 1
+    return _cpus
+
+
+def worker_threads():
+    """Threads the package may run work on: the thread limit, at most the CPUs."""
+    cpus = _cpu_count()
+    return cpus if _threads is None else min(_threads, cpus)
+
+
+def _worker_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_cpu_count() - 1,
+                                       thread_name_prefix="maternsmooth-kve")
+        return _pool
+
+
+def _forget_workers():
+    """In a forked child: the parent's worker threads do not exist here."""
+    global _cpus, _pool, _pool_lock
+    _cpus, _pool, _pool_lock = None, None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _kve(nu, x):
+    """``kve(nu, x)`` for a 1-d float array, split across the worker threads
+    when ``x`` is large; bit-identical to one call."""
+    slices = x.size // _SLICE_MIN
+    if slices >= 2:
+        slices = min(slices, worker_threads())
+    if slices < 2:
+        return _special.kve(nu, x)
+    out = np.empty_like(x)
+    edges = [x.size * k // slices for k in range(slices + 1)]
+    pool = _worker_pool()
+    futures = [pool.submit(_special.kve, nu, x[a:b], out=out[a:b])
+               for a, b in zip(edges[1:-1], edges[2:])]
+    _special.kve(nu, x[:edges[1]], out=out[:edges[1]])
+    for future in futures:
+        future.result()
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,7 +340,7 @@ def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     """
     nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.log(_special.kve(nu, arr)) - arr
+        out = np.log(_kve(nu, arr)) - arr
     bad = ~np.isfinite(out)
     if np.any(bad):
         out[bad] = _log_k_fallback(nu, arr[bad], accuracy)
@@ -262,8 +359,7 @@ def bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     """
     nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        kve = _special.kve(nu, arr)
-        out = kve * np.exp(-arr)
+        out = _kve(nu, arr) * np.exp(-arr)
     bad = ~np.isfinite(out)
     if np.any(bad):
         with np.errstate(over="ignore"):

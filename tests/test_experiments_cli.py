@@ -9,6 +9,7 @@ import pytest
 from maternsmooth import experiments
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
+from maternsmooth.specfun import thread_limit
 from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     ExperimentConfig,
@@ -75,8 +76,10 @@ class TestEngines:
     def test_non_undersmoothing_threads_deterministic(self):
         base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32),
                                 seeds=(1, 2, 3), lambda_=1.0)
-        serial = run_non_undersmoothing(base)
-        threaded = run_non_undersmoothing(replace(base, threads=3))
+        with thread_limit(1):
+            serial = run_non_undersmoothing(base)
+        with thread_limit(3):
+            threaded = run_non_undersmoothing(base)
         assert serial.rows == threaded.rows
 
     def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
@@ -102,8 +105,10 @@ class TestEngines:
     def test_convergence_threads_deterministic(self):
         base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
                                 seeds=(1, 2, 3), probe_count=64, lambda_=1.0)
-        serial = run_convergence(base)
-        threaded = run_convergence(replace(base, threads=2))
+        with thread_limit(1):
+            serial = run_convergence(base)
+        with thread_limit(2):
+            threaded = run_convergence(base)
         assert serial.rows == threaded.rows
         assert serial.summary == threaded.summary
 
@@ -173,9 +178,12 @@ class TestEngines:
             ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
-        for bad in (dict(sigma=0.0), dict(lambda_=-1.0), dict(sigma=math.nan)):
+        for bad in (dict(sigma=0.0), dict(lambda_=-1.0), dict(sigma=math.nan),
+                    dict(threads=0), dict(threads=-4), dict(threads=2.5),
+                    dict(threads="x"), dict(threads=True)):
             with pytest.raises(DomainError):
                 ExperimentConfig(**bad)
+        assert ExperimentConfig().threads is None
 
 
 class TestCsv:
@@ -264,6 +272,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "configuration error: lambda_ must be positive" in err
         assert "configuration error: sigma must be positive" in err
+
+    def test_bad_thread_count_exit_two(self, tmp_path, capsys):
+        assert main(["variance-decay", "--threads", "0"]) == 2
+        assert main(["gaussian-scale-probe", "--threads", "-4"]) == 2
+        assert main(["convergence", "--threads", "x"]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2.5\n")
+        assert main(["variance-decay", "--config", str(cfg)]) == 2
+        assert "configuration error: threads must be an integer >= 1" in capsys.readouterr().err
+
+    def test_c07_csv_does_not_depend_on_threads(self, tmp_path):
+        # The ten-seed C07 configuration: one thread, then every CPU.
+        argv = ["non-undersmoothing", "--nu0", "1.5", "--d", "1", "--design",
+                "van_der_corput", "--lambda", "1", "--schedule", "16,32,64,128,256,512",
+                "--check"]
+        one, every = tmp_path / "one.csv", tmp_path / "every.csv"
+        assert main(argv + ["--threads", "1", "--out", str(one)]) == 0
+        assert main(argv + ["--out", str(every)]) == 0
+        assert one.read_bytes() == every.read_bytes()
 
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["variance-decay", "--config", "/nonexistent/run.cfg"]) == 2

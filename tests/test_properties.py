@@ -5,6 +5,7 @@ of the second kind and the design file format.
 Examples are derandomized, so every run of the suite draws the same cases.
 """
 
+import contextlib
 import math
 import os
 import tempfile
@@ -21,7 +22,8 @@ from maternsmooth.experiments import _jittered_grid, _naive_loo
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
-from maternsmooth.specfun import bessel_k, log_bessel_k
+from maternsmooth import specfun
+from maternsmooth.specfun import bessel_k, log_bessel_k, thread_limit
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -212,6 +214,44 @@ def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
     xs = np.array([_near_kve_overflow(nu, w) for w in offsets])
     vectorized = log_bessel_k(nu, xs)
     assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]
+
+
+SPLIT = 2 * specfun._SLICE_MIN
+bessel_arrays = st.tuples(
+    st.floats(min_value=0.0, max_value=300.0),
+    st.one_of(st.integers(min_value=1, max_value=SPLIT - 1),
+              st.integers(min_value=SPLIT, max_value=3 * SPLIT)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+@contextlib.contextmanager
+def _workers(count):
+    """``count`` worker threads, as on a machine with that many CPUs."""
+    saved = specfun._cpus
+    specfun._cpus = count
+    try:
+        with thread_limit(count):
+            yield
+    finally:
+        specfun._cpus = saved
+
+
+@PROPERTY
+@given(bessel_arrays)
+def test_split_bessel_evaluation_is_bit_identical(case):
+    # For nu >= 50, every other argument lies within a factor exp(0.5) of
+    # where kve overflows, so both the kve path and the fallback are split.
+    nu, size, seed = case
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), size))
+    if nu >= 50.0:
+        x[::2] = _near_kve_overflow(nu, 0.0) * np.exp(rng.uniform(-0.5, 0.5, x[::2].size))
+    results = []
+    for count in (1, 2):
+        with _workers(count):
+            results.append((log_bessel_k(nu, x).tobytes(), bessel_k(nu, x).tobytes()))
+    assert results[0] == results[1]
 
 
 BOX_HALF_WIDTH = 1e6
