@@ -80,6 +80,7 @@ from .kernels import (
 from .objectives import (
     ObjectiveValue,
     VarianceRatioProfile,
+    ell_cv_columns,
     ell_cv_from,
     ell_ml_from,
     variance_ratio_profile,

@@ -8,13 +8,14 @@ the effective bracket from above; an estimate that saturates the top of
 the effective bracket is flagged via ``hit_upper_bracket`` so that
 divergence of the estimator for very smooth data is observable rather
 than an error.  A prefix sweep factors each coarse cell once and reads
-every prefix from that factor.
+every prefix from that factor; per prefix, every search shares one table
+of refinement cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
-from .objectives import ObjectiveValue, ell_cv_from, ell_ml_from
+from .objectives import ObjectiveValue, ell_cv_columns, ell_cv_from, ell_ml_from
 
 __all__ = [
     "EstimatorConfig",
@@ -57,8 +58,11 @@ class EstimatorConfig:
     pivot_rtol: float = DEFAULT_PIVOT_RTOL
 
     def __post_init__(self):
-        if not (0 < self.nu_min < self.nu_max):
-            raise DomainError("need 0 < nu_min < nu_max")
+        if not (0 < self.nu_min < self.nu_max < math.inf):
+            raise DomainError(f"need 0 < nu_min < nu_max < inf, got nu_min={self.nu_min!r}, "
+                              f"nu_max={self.nu_max!r}")
+        if not _is_integer(self.coarse_grid):
+            raise DomainError(f"coarse_grid must be an integer, got {self.coarse_grid!r}")
         if self.coarse_grid < 8:
             raise DomainError("coarse_grid must be at least 8")
         if not (self.refine_tol > 0):
@@ -86,6 +90,21 @@ class NuEstimate:
     evaluations: int
     failures: tuple
     non_unimodal: bool = False
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_schedule(schedule):
+    """A schedule of prefix sizes as a list of ints: :class:`DomainError`
+    unless each is an integer of at least 1, larger than the one before."""
+    sizes = list(schedule)
+    if (not all(_is_integer(n) and n >= 1 for n in sizes)
+            or any(b <= a for a, b in zip(sizes, sizes[1:]))):
+        raise DomainError(f"schedule {tuple(sizes)} must hold integer sizes of at least 1 "
+                          f"in strictly ascending order")
+    return [int(n) for n in sizes]
 
 
 def _checked_data(y, shape, name):
@@ -185,16 +204,25 @@ def _profiled(value, n):
     return ObjectiveValue(data_term=float(n), complexity_term=n * log_s2 + value.complexity_term)
 
 
-def _cells(design, y, config, nu, sizes, names=None):
+def _cells(design, y, config, nu, sizes, names=None, by_column=False):
     """Objective totals at smoothness ``nu`` on the first ``n`` points of
     ``design``, for each ``n`` in ``sizes``, from one factorization.
 
-    Per size, a dict of the ``names`` objectives (default: those defined on
-    ``n`` points), profiled when the config asks; or a ``nu=..., n=...:``
-    :class:`ConditioningError`, naming the first failing size after it.
+    ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
+    mapping each of the ``names`` objectives (default: those defined on
+    ``n`` points) to its ``s`` totals, profiled when the config asks, or to
+    the :class:`ConditioningError` that prevents that objective alone.  When
+    the factorization fails, both objectives map to one ``nu=..., n=...:``
+    error, which names the first failing size after it.
+
+    With ``by_column`` each total is computed as on its column alone, bit
+    for bit, and a column whose profiling is degenerate gets its
+    :class:`EstimationError` in place of its total.  Otherwise the columns
+    are computed together, and degenerate profiling raises.
     """
     sigma = 1.0 if config.profile_sigma else config.sigma
     kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
+    totals = _column_totals if by_column else _joint_totals
     cells, first = [], None
     for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, config.pivot_rtol)):
         if isinstance(post, ConditioningError):
@@ -203,21 +231,44 @@ def _cells(design, y, config, nu, sizes, names=None):
             else:
                 text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
                         f"{post.pivot_value:.3e}")
-            cells.append(ConditioningError(f"nu={nu:g}, n={n}: {text}",
-                                           pivot_index=post.pivot_index,
-                                           pivot_value=post.pivot_value))
+            cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
+                f"nu={nu:g}, n={n}: {text}", pivot_index=post.pivot_index,
+                pivot_value=post.pivot_value)))
             continue
-        totals = {}
-        try:
-            for name in names or _objective_names(n):
-                value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
-                totals[name] = (_profiled(value, n) if config.profile_sigma else value).total
-        except ConditioningError as err:
-            # A new error: the raised one holds the factor through its traceback.
-            totals = ConditioningError(str(err), pivot_index=err.pivot_index,
-                                       pivot_value=err.pivot_value)
-        cells.append(totals)
+        cell = {}
+        for name in names or _objective_names(n):
+            try:
+                cell[name] = totals(post, name, config)
+            except ConditioningError as err:
+                # Kept without its traceback, which holds the factor.
+                cell[name] = err.with_traceback(None)
+        cells.append(cell)
     return cells
+
+
+def _joint_totals(post, name, config):
+    """The totals of objective ``name``, all data columns computed together."""
+    value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
+    return (_profiled(value, post.n) if config.profile_sigma else value).total
+
+
+def _column_totals(post, name, config):
+    """The totals of objective ``name``, each computed as on its data column
+    alone; a column whose profiling is degenerate gets its error instead."""
+    if name == "ml":
+        values = [ell_ml_from(replace(post, y=y, weights=w))
+                  for y, w in zip(post.y.T, post.weights.T)]
+    else:
+        values = ell_cv_columns(post)
+    if not config.profile_sigma:
+        return [value.total for value in values]
+    totals = []
+    for value in values:
+        try:
+            totals.append(_profiled(value, post.n).total)
+        except EstimationError as err:
+            totals.append(err.with_traceback(None))
+    return totals
 
 
 def _objective_names(n):
@@ -225,17 +276,24 @@ def _objective_names(n):
     return ("ml", "cv") if n >= 2 else ("ml",)
 
 
-def _memoised(memo, objectives):
-    """``objectives(nu)`` looked up in, or added to, the dict ``memo``; a
-    :class:`ConditioningError` there is raised."""
-    def cell(nu):
+def _memoised(table, compute):
+    """The lookup ``total(nu, name, j)`` of objective ``name`` for data
+    column ``j`` at ``nu`` in the dict ``table`` of cells.  A cell that is
+    missing, or lacks ``name``, is computed by ``compute(nu, name)`` and
+    merged into ``table``; an error found there is raised."""
+    def total(nu, name, j):
         nu = float(nu)
-        if nu not in memo:
-            memo[nu] = objectives(nu)
-        if isinstance(memo[nu], ConditioningError):
-            raise memo[nu]
-        return memo[nu]
-    return cell
+        cell = table.get(nu, {})
+        if name not in cell:
+            cell = table[nu] = {**cell, **compute(nu, name)}
+        value = cell[name]
+        if isinstance(value, ConditioningError):
+            raise value
+        value = value[j]
+        if isinstance(value, EstimationError):
+            raise value
+        return float(value)
+    return total
 
 
 def estimate_nu(design, y, config=EstimatorConfig()):
@@ -250,10 +308,11 @@ def estimate_nu(design, y, config=EstimatorConfig()):
         raise DomainError(
             f"objective {config.objective!r} needs more data than n={design.n}"
         )
-    y = _checked_data(y, (design.n,), "y")
+    y = _checked_data(y, (design.n,), "y")[:, None]
     name = config.objective
-    cell = _memoised({}, lambda nu: _cells(design, y, config, nu, [design.n], (name,))[0])
-    return bracketed_minimize(lambda nu: cell(nu)[name], config.nu_min, config.nu_max,
+    total = _memoised({}, lambda nu, objective: _cells(design, y, config, nu, [design.n],
+                                                       (objective,), by_column=True)[0])
+    return bracketed_minimize(lambda nu: total(nu, name, 0), config.nu_min, config.nu_max,
                               config.coarse_grid, config.refine_tol)
 
 
@@ -301,8 +360,11 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     sequence ``seed``.  The records come column after column, each in
     schedule order and equal to the column's sweep alone.  Per prefix, the
     coarse cells, the fill distance and the leave-one-out variances at
-    ``nu0`` are computed once for all columns; only the golden-section
-    refinement runs per column.
+    ``nu0`` are computed once for all columns, and the golden-section
+    searches of every column and both objectives share one table of
+    refinement cells (:func:`_prefix_searches`): each is factored once, and
+    its leave-one-out inverse computed only if a CV search asks for it.
+    The schedule holds sizes of at least 1 in strictly ascending order.
 
     Each coarse cell is factored once, on the largest prefix, and every
     prefix reads its posterior from that factor
@@ -314,9 +376,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     record the prefix size, pivot index and pivot value of that first
     failure.
     """
-    schedule = [int(n) for n in n_schedule]
-    if schedule != sorted(schedule):
-        raise DomainError("schedule must be ascending")
+    schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
     y_full = np.asarray(y_full, dtype=float)
@@ -337,7 +397,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
             for table, hit in zip(tables, _cells(top, columns, config, float(nu), schedule)):
                 table[float(nu)] = hit
         except EstimationError:
-            pass  # degenerate profiling is retried per column
+            pass  # degenerate profiling is retried column by column
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
@@ -348,13 +408,38 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     for n, table, v0 in zip(schedule, tables, variances0):
         prefix = top.prefix(n)
         fill = fill_distance(prefix)
-        for j, (column, label) in enumerate(zip(records, seeds)):
-            memo = {nu: hit if isinstance(hit, ConditioningError)
-                    else {name: float(total[j]) for name, total in hit.items()}
-                    for nu, hit in table.items()}
-            column.append(_prefix_record(prefix, columns[:n, j], memo, config, v0, fill,
-                                         experiment, label))
+        searches = _prefix_searches(prefix, columns[:n], table, config)
+        for column, found, label in zip(records, searches, seeds):
+            column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
     return [record for column in records for record in column]
+
+
+def _prefix_searches(prefix, y, table, config):
+    """Both searches of every data column of ``y`` on one prefix.
+
+    Per column, a dict mapping each objective defined on the prefix to its
+    :class:`NuEstimate`, or to the :class:`EstimationError` that ended its
+    search.  ``table`` holds the coarse cells; every search looks its
+    cells up there, and a refinement cell joins it with the totals of every
+    column.  A cell that a CV search asks for is inverted for leave-one-out
+    once and carries the ML totals too, so the CV searches run first and
+    no cell is factored twice.
+    """
+    def compute(nu, name):
+        names = ("ml", "cv") if name == "cv" else ("ml",)
+        return _cells(prefix, y, config, nu, [prefix.n], names, by_column=True)[0]
+
+    total = _memoised(table, compute)
+    searches = [{} for _ in range(y.shape[1])]
+    for name in reversed(_objective_names(prefix.n)):  # CV first: its cells carry ML too
+        for j, found in enumerate(searches):
+            try:
+                found[name] = bracketed_minimize(
+                    lambda nu: total(nu, name, j), config.nu_min, config.nu_max,
+                    config.coarse_grid, config.refine_tol)
+            except EstimationError as err:
+                found[name] = err
+    return searches
 
 
 def _loo_variances(post):
@@ -367,34 +452,25 @@ def _loo_variances(post):
         return err
 
 
-def _prefix_record(prefix, y, memo, config, v0, fill, experiment, seed):
-    """Both estimates for one data column on one prefix, as a sweep record.
-
-    ``memo`` holds the coarse cells; a refinement cell joins it with both
-    totals, since the ML and CV searches often refine at the same cells.
-    """
+def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
+    """The record of one data column on one prefix, from its ``searches``
+    (see :func:`_prefix_searches`)."""
     notes = []
     nan = math.nan
-    names = _objective_names(prefix.n)
-    cell = _memoised(memo, lambda nu: _cells(prefix, y, config, nu, [prefix.n])[0])
-
-    estimates = {"ml": None, "cv": None}
+    estimates = {}
     for name in ("ml", "cv"):
-        if name not in names:
+        found = searches.get(name)
+        if found is None:
             notes.append(f"{name}_undefined_n<2")
-            continue
-        try:
-            est = estimates[name] = bracketed_minimize(
-                lambda nu: cell(nu)[name], config.nu_min, config.nu_max,
-                config.coarse_grid, config.refine_tol)
-        except EstimationError as err:
-            notes.append(f"{name}_error={err}")
-            continue
-        if est.failures:
-            notes.append(f"{name}_failures={len(est.failures)}")
-        if est.non_unimodal:
-            notes.append(f"{name}_non_unimodal")
-    est_ml, est_cv = estimates["ml"], estimates["cv"]
+        elif isinstance(found, EstimationError):
+            notes.append(f"{name}_error={found}")
+        else:
+            estimates[name] = found
+            if found.failures:
+                notes.append(f"{name}_failures={len(found.failures)}")
+            if found.non_unimodal:
+                notes.append(f"{name}_non_unimodal")
+    est_ml, est_cv = estimates.get("ml"), estimates.get("cv")
 
     ratio = nan
     if isinstance(v0, ConditioningError) and est_ml is not None:

@@ -21,6 +21,7 @@ from .estimators import (
     EstimatorConfig,
     SweepRecord,
     bracketed_minimize,
+    check_schedule,
     sweep_prefixes,
 )
 from .gp import (
@@ -88,8 +89,7 @@ class ExperimentConfig:
     output_path: str = None
 
     def __post_init__(self):
-        if list(self.schedule) != sorted(self.schedule):
-            raise DomainError("schedule must be ascending")
+        check_schedule(self.schedule)
         if self.d not in (1, 2):
             raise DomainError("only d in {1, 2} is supported by the experiments")
         if self.design not in ("van_der_corput", "uniform_grid"):

@@ -7,7 +7,7 @@ import pytest
 
 from maternsmooth.analysis import builtin_test_functions, sample_gp_path
 from maternsmooth.designs import Box, Design, van_der_corput
-from maternsmooth import estimators
+from maternsmooth import estimators, objectives
 from maternsmooth.errors import ConditioningError, DomainError, EstimationError
 from maternsmooth.estimators import (
     EstimatorConfig,
@@ -16,7 +16,7 @@ from maternsmooth.estimators import (
     _profiled,
     sweep_prefixes,
 )
-from maternsmooth.gp import condition, condition_prefixes
+from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import thread_limit
@@ -47,6 +47,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(nu_min=0.0), dict(nu_min=2.0, nu_max=1.0), dict(coarse_grid=4),
+        dict(nu_max=math.inf), dict(nu_min=1.0, nu_max=math.nan),
+        dict(coarse_grid=10.5), dict(coarse_grid=60.0), dict(coarse_grid=True),
+        dict(coarse_grid="60"),
         dict(refine_tol=0.0), dict(objective="map"),
         dict(sigma=0.0), dict(sigma=math.inf), dict(lambda_=-1.0), dict(lambda_=math.nan),
         dict(pivot_rtol=-1.0), dict(pivot_rtol=1.0), dict(pivot_rtol=math.nan),
@@ -242,8 +245,9 @@ class TestSweeps:
 
     def test_schedule_validation(self, sample_instance):
         design, y = sample_instance
-        with pytest.raises(DomainError):
-            sweep_prefixes(design, y, [32, 16], EstimatorConfig())
+        for schedule in ([32, 16], [0, 16], [16, 16], [16, 32.5]):
+            with pytest.raises(DomainError, match="schedule"):
+                sweep_prefixes(design, y, schedule, EstimatorConfig())
         with pytest.raises(DomainError):
             sweep_prefixes(design, y, [4096], EstimatorConfig())
         with pytest.raises(DomainError):
@@ -286,34 +290,102 @@ class TestSweeps:
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
         # A coarse cell is factored once for the whole sweep, on its largest
-        # prefix; a refinement cell once per prefix and column, shared by the
-        # ML and CV searches of the column.
+        # prefix; a refinement cell once per prefix, for every column, and
+        # shared by the ML and CV searches of all columns.  Only the cells a
+        # CV search asks for are inverted for leave-one-out.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
         else:
             second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
-        factored = []
+        factored, inverted, searches = [], [], []
 
         def counting(kernel, prefix, values, sizes, pivot_rtol):
             values = np.asarray(values)
-            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape,
-                             values.tobytes()))
+            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
             return condition_prefixes(kernel, prefix, values, sizes, pivot_rtol)
 
+        def inverting(post):
+            inverted.append((post.kernel.params.nu, post.n))
+            return loo(post)
+
+        def recording(fn, *args):
+            asked = []
+            searches.append(asked)
+            return bracketed_minimize(lambda nu: fn(asked.append(float(nu)) or nu), *args)
+
         monkeypatch.setattr(estimators, "condition_prefixes", counting)
+        monkeypatch.setattr(objectives, "loo", inverting)
+        monkeypatch.setattr(estimators, "bracketed_minimize", recording)
         cfg = EstimatorConfig(lambda_=1.0)
-        records = sweep_prefixes(design, data, [16, 32, 64], cfg, nu0=nu0, seed=seed)
+        sizes = (16, 32, 64)
+        records = sweep_prefixes(design, data, sizes, cfg, nu0=nu0, seed=seed)
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        sizes = (16, 32, 64)
-        coarse = [f[:4] for f in factored if f[2] == sizes]
+        coarse = [f for f in factored if f[2] == sizes]
         assert coarse == [(nu, 64, sizes, (64, columns)) for nu in grid] + (
             [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
-        refined = [f for f in factored if f[2] != sizes]
-        assert {(n, ns) for _, n, ns, _, _ in refined} == {(n, (n,)) for n in sizes}
+        refined = [(nu, n) for nu, n, ns, shape in factored if ns != sizes]
+        assert all(shape == (n, columns) for _, n, ns, shape in factored if ns != sizes)
+        assert {n for _, n in refined} == set(sizes)
         assert len(set(refined)) == len(refined)
+        assert len(set(inverted)) == len(inverted)
+        assert {cell for cell in inverted if cell[0] in grid} <= {
+            (nu, n) for nu in grid for n in sizes}  # the coarse cells that factor
+
+        # Per prefix, the CV searches of every column run first, then the ML
+        # searches; the refinement cells inverted are those a CV search asked for.
+        asked = {"cv": set(), "ml": set()}
+        for k, n in enumerate(sizes):
+            for i, cells in enumerate(searches[2 * columns * k:2 * columns * (k + 1)]):
+                asked["cv" if i < columns else "ml"] |= {(nu, n) for nu in cells
+                                                         if nu not in grid}
+        assert {cell for cell in inverted if cell[0] not in grid} == asked["cv"]
+        assert set(refined) == asked["cv"] | asked["ml"]
+        assert asked["ml"] - asked["cv"]  # some cells only an ML search asked for
+
+    @pytest.mark.parametrize("broken", ["coarse", "refinement"])
+    def test_loo_failure_fails_only_cv(self, sample_instance, monkeypatch, broken):
+        # A cell whose leave-one-out inverse fails is a failure of the CV
+        # search alone: the ML search still reads the cell's total.
+        design, y = sample_instance
+        cfg = EstimatorConfig(lambda_=1.0)
+        ml = estimate_nu(design.prefix(64), y[:64], cfg)
+        (intact,) = sweep_prefixes(design, y, [64], cfg)
+        grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
+        nearest = float(grid[np.argmin(np.abs(np.log(grid / ml.nu_hat)))])
+
+        def failing(post):
+            nu = post.kernel.params.nu
+            if nu == nearest if broken == "coarse" else nu not in grid:
+                raise ConditioningError(f"injected at nu={nu:g}", pivot_index=0)
+            return loo(post)
+
+        monkeypatch.setattr(objectives, "loo", failing)
+        (record,) = sweep_prefixes(design, y, [64], cfg)
+        assert (record.nu_hat_ml, record.ell_ml_min) == (ml.nu_hat, ml.objective_at_min)
+
+        def failures(record, name):
+            notes = dict(note.split("=") for note in record.notes.split(";") if "=" in note)
+            return int(notes.get(f"{name}_failures", 0))
+
+        assert failures(record, "ml") == failures(intact, "ml") == len(ml.failures)
+        assert failures(record, "cv") > failures(intact, "cv")
+
+    def test_degenerate_column_stays_in_its_column(self, sample_instance):
+        # Profiling is degenerate for all-zero data: that column's searches
+        # end in errors, and the other column's records are its sweep alone.
+        design, y = sample_instance
+        cfg = EstimatorConfig(lambda_=1.0, profile_sigma=True)
+        together = sweep_prefixes(design, np.stack([y, np.zeros_like(y)], axis=1), [16, 64],
+                                  cfg, nu0=1.5, seed=(202, 0))
+        assert repr(together[:2]) == repr(sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5,
+                                                         seed=202))
+        for record in together[2:]:
+            assert "ml_error=sigma profiling is degenerate" in record.notes
+            assert "cv_error=sigma profiling is degenerate" in record.notes
+            assert math.isnan(record.nu_hat_ml) and math.isnan(record.nu_hat_cv)
 
 
 class TestPrefixRule:

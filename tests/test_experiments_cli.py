@@ -168,8 +168,9 @@ class TestEngines:
         assert result.rows[0][1] == pytest.approx(0.8)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(schedule=(32, 16))
+        for schedule in ((32, 16), (0, 16), (-16,), (16, 16), (16, 32.5), (True, 16)):
+            with pytest.raises(DomainError, match="schedule"):
+                ExperimentConfig(schedule=schedule)
         with pytest.raises(DomainError):
             ExperimentConfig(d=3)
         with pytest.raises(DomainError):
@@ -281,6 +282,29 @@ class TestCli:
         cfg.write_text("threads = 2.5\n")
         assert main(["variance-decay", "--config", str(cfg)]) == 2
         assert "configuration error: threads must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["non-undersmoothing", "--nu0", "1.5", "--schedule", "0,16"],
+        ["logdet-growth", "--schedule", "0,16"],
+        ["non-undersmoothing", "--nu0", "1.5", "--schedule", "16,16"],
+    ])
+    def test_bad_schedule_exit_two(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        assert "configuration error: schedule (" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("nu_max = inf", "need 0 < nu_min < nu_max < inf"),
+        ("coarse_grid = 10.5", "coarse_grid must be an integer"),
+        ("coarse_grid = true", "coarse_grid must be an integer"),
+    ])
+    def test_bad_bracket_config_exit_two(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = ["non-undersmoothing", "--nu0", "1.5", "--schedule", "16",
+                "--seed-list", "101", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_c07_csv_does_not_depend_on_threads(self, tmp_path):
         # The ten-seed C07 configuration: one thread, then every CPU.
