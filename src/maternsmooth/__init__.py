@@ -80,7 +80,6 @@ from .kernels import (
 from .objectives import (
     ObjectiveValue,
     VarianceRatioProfile,
-    ell_cv_columns,
     ell_cv_from,
     ell_ml_from,
     variance_ratio_profile,

@@ -23,7 +23,7 @@ from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
-from .objectives import ObjectiveValue, ell_cv_columns, ell_cv_from, ell_ml_from
+from .objectives import ObjectiveValue, _ell_cv_columns, ell_cv_from, ell_ml_from
 
 __all__ = [
     "EstimatorConfig",
@@ -259,7 +259,7 @@ def _column_totals(post, name, config):
         values = [ell_ml_from(replace(post, y=y, weights=w))
                   for y, w in zip(post.y.T, post.weights.T)]
     else:
-        values = ell_cv_columns(post)
+        values = _ell_cv_columns(post)
     if not config.profile_sigma:
         return [value.total for value in values]
     totals = []

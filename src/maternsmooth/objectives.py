@@ -31,7 +31,6 @@ __all__ = [
     "ObjectiveValue",
     "ell_ml_from",
     "ell_cv_from",
-    "ell_cv_columns",
     "VarianceRatioProfile",
     "variance_ratio_profile",
 ]
@@ -78,7 +77,7 @@ def ell_cv_from(post):
     return ObjectiveValue(data_term=data, complexity_term=complexity)
 
 
-def ell_cv_columns(post):
+def _ell_cv_columns(post):
     """Cross-validation objective of each data column, one value per column.
 
     One leave-one-out inverse serves every column, and each data term is

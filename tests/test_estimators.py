@@ -327,8 +327,9 @@ class TestSweeps:
         assert coarse == [(nu, 64, sizes, (64, columns)) for nu in grid] + (
             [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
         refined = [(nu, n) for nu, n, ns, shape in factored if ns != sizes]
+        assert {(n, ns) for _, n, ns, _ in factored if ns != sizes} == {
+            (n, (n,)) for n in sizes}  # each refinement factor is its prefix alone
         assert all(shape == (n, columns) for _, n, ns, shape in factored if ns != sizes)
-        assert {n for _, n in refined} == set(sizes)
         assert len(set(refined)) == len(refined)
         assert len(set(inverted)) == len(inverted)
         assert {cell for cell in inverted if cell[0] in grid} <= {

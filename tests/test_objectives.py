@@ -10,7 +10,7 @@ from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import DomainError
 from maternsmooth.gp import condition, incremental_variances
 from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, kernel_matrix, matern
-from maternsmooth.objectives import (ell_cv_columns, ell_cv_from, ell_ml_from,
+from maternsmooth.objectives import (_ell_cv_columns, ell_cv_from, ell_ml_from,
                                      variance_ratio_profile)
 
 UNIT = Box.unit(1)
@@ -112,7 +112,7 @@ class TestCvObjective:
             cv_objective(matern(1.0), Design([[0.5]], UNIT), [1.0])
         post = condition(MaternKernel(matern(1.0)), Design([[0.5]], UNIT), [[1.0, 2.0]])
         with pytest.raises(DomainError):
-            ell_cv_columns(post)
+            _ell_cv_columns(post)
 
     @pytest.mark.parametrize("n", [12, 64, 100])
     def test_columns_equal_each_column_alone(self, n):
@@ -120,7 +120,7 @@ class TestCvObjective:
         design = van_der_corput(UNIT, n)
         kernel = MaternKernel(matern(1.3, sigma=1.1, lambda_=0.3))
         y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 3))
-        together = ell_cv_columns(condition(kernel, design, y))
+        together = _ell_cv_columns(condition(kernel, design, y))
         assert len(together) == 3
         for column, value in zip(y.T, together):
             alone = ell_cv_from(condition(kernel, design, column))
