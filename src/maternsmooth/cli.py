@@ -32,8 +32,7 @@ from .specfun import thread_limit
 
 __all__ = ["main", "parse_config_file", "write_csv"]
 
-_ESTIMATOR_KEYS = {"nu_min", "nu_max", "coarse_grid", "refine_tol", "objective",
-                   "profile_sigma"}
+_ESTIMATOR_KEYS = {"nu_min", "nu_max", "coarse_grid", "refine_tol", "profile_sigma"}
 _LIST_KEYS = {"schedule", "seeds", "nu_grid", "nu_model"}
 
 

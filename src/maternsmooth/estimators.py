@@ -15,7 +15,7 @@ of refinement cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .designs import fill_distance
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
-from .objectives import ObjectiveValue, _ell_cv_columns, ell_cv_from, ell_ml_from
+from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
     "EstimatorConfig",
@@ -191,20 +191,20 @@ def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
     )
 
 
-def _profiled(value, n):
-    """Objective with the magnitude replaced by its closed-form estimate.
+def _profiled(data_term, complexity_term, n):
+    """Objective total with the magnitude replaced by its closed-form
+    estimate, or the :class:`EstimationError` that makes it degenerate.
 
     Substituting ``sigma^2 = data_term / n`` turns the data term into
     ``n`` and adds ``n log sigma^2`` to the complexity term.
     """
-    s2 = value.data_term / n
-    if np.any(s2 <= 0.0):
-        raise EstimationError("sigma profiling is degenerate for zero data")
-    log_s2 = np.log(s2) if isinstance(s2, np.ndarray) else math.log(s2)
-    return ObjectiveValue(data_term=float(n), complexity_term=n * log_s2 + value.complexity_term)
+    s2 = data_term / n
+    if s2 <= 0.0:
+        return EstimationError("sigma profiling is degenerate for zero data")
+    return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, config, nu, sizes, names=None, by_column=False):
+def _cells(design, y, config, nu, sizes, names=None):
     """Objective totals at smoothness ``nu`` on the first ``n`` points of
     ``design``, for each ``n`` in ``sizes``, from one factorization.
 
@@ -215,14 +215,12 @@ def _cells(design, y, config, nu, sizes, names=None, by_column=False):
     the factorization fails, both objectives map to one ``nu=..., n=...:``
     error, which names the first failing size after it.
 
-    With ``by_column`` each total is computed as on its column alone, bit
-    for bit, and a column whose profiling is degenerate gets its
-    :class:`EstimationError` in place of its total.  Otherwise the columns
-    are computed together, and degenerate profiling raises.
+    Each total is bit for bit that of its column alone, and a column whose
+    profiling is degenerate gets its :class:`EstimationError` in place of
+    its total, so the cells of a column equal those of its sweep alone.
     """
     sigma = 1.0 if config.profile_sigma else config.sigma
     kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
-    totals = _column_totals if by_column else _joint_totals
     cells, first = [], None
     for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, config.pivot_rtol)):
         if isinstance(post, ConditioningError):
@@ -238,37 +236,15 @@ def _cells(design, y, config, nu, sizes, names=None, by_column=False):
         cell = {}
         for name in names or _objective_names(n):
             try:
-                cell[name] = totals(post, name, config)
+                value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
             except ConditioningError as err:
                 # Kept without its traceback, which holds the factor.
                 cell[name] = err.with_traceback(None)
+                continue
+            cell[name] = ([_profiled(data, value.complexity_term, n) for data in value.data_term]
+                          if config.profile_sigma else value.total)
         cells.append(cell)
     return cells
-
-
-def _joint_totals(post, name, config):
-    """The totals of objective ``name``, all data columns computed together."""
-    value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
-    return (_profiled(value, post.n) if config.profile_sigma else value).total
-
-
-def _column_totals(post, name, config):
-    """The totals of objective ``name``, each computed as on its data column
-    alone; a column whose profiling is degenerate gets its error instead."""
-    if name == "ml":
-        values = [ell_ml_from(replace(post, y=y, weights=w))
-                  for y, w in zip(post.y.T, post.weights.T)]
-    else:
-        values = _ell_cv_columns(post)
-    if not config.profile_sigma:
-        return [value.total for value in values]
-    totals = []
-    for value in values:
-        try:
-            totals.append(_profiled(value, post.n).total)
-        except EstimationError as err:
-            totals.append(err.with_traceback(None))
-    return totals
 
 
 def _objective_names(n):
@@ -311,7 +287,7 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     y = _checked_data(y, (design.n,), "y")[:, None]
     name = config.objective
     total = _memoised({}, lambda nu, objective: _cells(design, y, config, nu, [design.n],
-                                                       (objective,), by_column=True)[0])
+                                                       (objective,))[0])
     return bracketed_minimize(lambda nu: total(nu, name, 0), config.nu_min, config.nu_max,
                               config.coarse_grid, config.refine_tol)
 
@@ -393,11 +369,8 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     columns = columns[:top.n]
     tables = [{} for _ in schedule]
     for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
-        try:
-            for table, hit in zip(tables, _cells(top, columns, config, float(nu), schedule)):
-                table[float(nu)] = hit
-        except EstimationError:
-            pass  # degenerate profiling is retried column by column
+        for table, hit in zip(tables, _cells(top, columns, config, float(nu), schedule)):
+            table[float(nu)] = hit
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
@@ -427,7 +400,7 @@ def _prefix_searches(prefix, y, table, config):
     """
     def compute(nu, name):
         names = ("ml", "cv") if name == "cv" else ("ml",)
-        return _cells(prefix, y, config, nu, [prefix.n], names, by_column=True)[0]
+        return _cells(prefix, y, config, nu, [prefix.n], names)[0]
 
     total = _memoised(table, compute)
     searches = [{} for _ in range(y.shape[1])]

@@ -276,11 +276,16 @@ def quadratic_form(post):
 
     A float for one data vector, an ``(s,)`` array for ``s`` data columns.
     """
-    e = _linalg.solve_triangular(post.chol, post.y, lower=True, check_finite=False)
-    if e.ndim == 1:
-        return float(np.dot(e, e))
-    # Column by column, so each total is bit-identical to its one-column form.
-    return np.array([np.dot(col, col) for col in e.T])
+    if post.y.ndim == 2:
+        # Each column solved on its own: a multi-column triangular solve
+        # rounds differently from the one-column solve in the last bits.
+        return np.array([_quadratic_form(post.chol, col) for col in post.y.T])
+    return _quadratic_form(post.chol, post.y)
+
+
+def _quadratic_form(chol, y):
+    e = _linalg.solve_triangular(chol, y, lower=True, check_finite=False)
+    return float(np.dot(e, e))
 
 
 def incremental_variances(post):

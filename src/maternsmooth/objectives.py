@@ -55,7 +55,8 @@ class ObjectiveValue:
 def ell_ml_from(post):
     """Maximum-likelihood objective of an already conditioned posterior.
 
-    Per data column when the posterior holds several.
+    Per data column when the posterior holds several, each bit for bit the
+    value of that column conditioned alone.
     """
     return ObjectiveValue(data_term=quadratic_form(post), complexity_term=log_det(post))
 
@@ -63,8 +64,10 @@ def ell_ml_from(post):
 def ell_cv_from(post):
     """Cross-validation objective of an already conditioned posterior.
 
-    Per data column when the posterior holds several; the leave-one-out
-    variances, and so the complexity term, are shared by all columns.
+    Per data column when the posterior holds several, each bit for bit the
+    value of that column conditioned alone: one leave-one-out inverse
+    serves every column, so the complexity term is shared, and each data
+    term is summed over its own column.
     """
     if post.n < 2:
         raise DomainError("cross-validation objective needs n >= 2")
@@ -72,25 +75,9 @@ def ell_cv_from(post):
     if res.residuals.ndim == 1:
         data = float(np.sum(res.residuals**2 / res.variances))
     else:
-        data = np.sum(res.residuals**2 / res.variances[:, None], axis=0)
+        data = np.array([np.sum(r**2 / res.variances) for r in res.residuals.T])
     complexity = float(np.sum(np.log(res.variances)))
     return ObjectiveValue(data_term=data, complexity_term=complexity)
-
-
-def _ell_cv_columns(post):
-    """Cross-validation objective of each data column, one value per column.
-
-    One leave-one-out inverse serves every column, and each data term is
-    summed over its own column, so the value of a column is bit for bit
-    :func:`ell_cv_from` of that column conditioned alone.
-    """
-    if post.n < 2:
-        raise DomainError("cross-validation objective needs n >= 2")
-    res = loo(post)
-    complexity = float(np.sum(np.log(res.variances)))
-    return [ObjectiveValue(data_term=float(np.sum(r**2 / res.variances)),
-                           complexity_term=complexity)
-            for r in res.residuals.reshape(post.n, -1).T]
 
 
 @dataclass(frozen=True)

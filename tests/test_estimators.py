@@ -7,7 +7,7 @@ import pytest
 
 from maternsmooth.analysis import builtin_test_functions, sample_gp_path
 from maternsmooth.designs import Box, Design, van_der_corput
-from maternsmooth import estimators, objectives
+from maternsmooth import estimators, gp, objectives
 from maternsmooth.errors import ConditioningError, DomainError, EstimationError
 from maternsmooth.estimators import (
     EstimatorConfig,
@@ -166,15 +166,17 @@ class TestProfileSigma:
         design, _ = sample_instance
         value = ml_objective(matern(1.5, 1.0, 1.0, d=1), design.prefix(16), np.zeros(16))
         assert value.data_term == 0.0
-        with pytest.raises(EstimationError, match="degenerate"):
-            _profiled(value, 16)
+        err = _profiled(value.data_term, value.complexity_term, 16)
+        assert isinstance(err, EstimationError) and "degenerate" in str(err)
 
     def test_single_point_unit_kernel(self):
         # sigma^2 = y^2 for one point of unit prior variance
         design = Design([[0.5]], UNIT)
-        value = _profiled(ml_objective(matern(1.0, 1.0, 1.0, d=1), design, [1.7]), 1)
-        assert value.data_term == 1.0
-        assert value.total == pytest.approx(1.0 + math.log(1.7**2), rel=1e-12)
+        value = ml_objective(matern(1.0, 1.0, 1.0, d=1), design, [1.7])
+        total = _profiled(value.data_term, value.complexity_term, 1)
+        # the data term becomes n = 1, the complexity term gains n log sigma^2
+        assert total == 1.0 + (math.log(value.data_term) + value.complexity_term)
+        assert total == pytest.approx(1.0 + math.log(1.7**2), rel=1e-12)
 
     def test_matches_scalar_minimisation(self, sample_instance):
         # the closed form minimises both objectives over the magnitude
@@ -188,7 +190,7 @@ class TestProfileSigma:
             vals = [objective(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
             best = float(grid[int(np.argmin(vals))])
             assert best**2 == pytest.approx(s2_hat, rel=1e-3)
-            profiled = _profiled(unit, prefix.n).total
+            profiled = _profiled(unit.data_term, unit.complexity_term, prefix.n)
             assert profiled <= min(vals) + 1e-6
             direct = objective(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
             assert profiled == pytest.approx(direct, rel=1e-10)
@@ -387,6 +389,25 @@ class TestSweeps:
             assert "ml_error=sigma profiling is degenerate" in record.notes
             assert "cv_error=sigma profiling is degenerate" in record.notes
             assert math.isnan(record.nu_hat_ml) and math.isnan(record.nu_hat_cv)
+
+    def test_degenerate_column_costs_the_others_nothing(self, sample_instance, monkeypatch):
+        # The all-zero column fails its own totals only: the shared coarse
+        # cells still serve the healthy column, which is factored as often
+        # as when it is swept alone.
+        design, y = sample_instance
+        cfg = EstimatorConfig(lambda_=1.0, profile_sigma=True)
+        factor, calls = gp._factor, [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5, seed=202)
+        alone, calls[0] = calls[0], 0
+        sweep_prefixes(design, np.stack([y, np.zeros_like(y)], axis=1), [16, 64], cfg,
+                       nu0=1.5, seed=(202, 0))
+        assert calls[0] == alone
 
 
 class TestPrefixRule:

@@ -260,6 +260,13 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_objective_key_exit_two(self, tmp_path, capsys):
+        # Every command runs both objectives, so no command reads the key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("objective = cv\n")
+        assert main(["logdet-growth", "--config", str(cfg)]) == 2
+        assert "unknown configuration keys: ['objective']" in capsys.readouterr().err
+
     def test_empty_seed_list_exit_two(self, tmp_path, capsys):
         assert main(["non-undersmoothing", "--nu0", "1.5", "--seed-list", ","]) == 2
         cfg = tmp_path / "run.cfg"

@@ -136,6 +136,18 @@ class TestCondition:
         assert res.residuals.shape == (16, 3) and res.variances.shape == (16,)
         np.testing.assert_allclose(res.residuals[:, 0], loo(post).residuals, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [16, 100, 512])
+    def test_quadratic_form_columns_equal_each_column_alone(self, n):
+        # A multi-column triangular solve rounds differently in the last
+        # bits; each column's form is its one-column form, bit for bit.
+        design = van_der_corput(UNIT, n)
+        kernel = MaternKernel(matern(1.5, lambda_=2.0 / n))
+        Y = np.random.Generator(np.random.Philox(3)).standard_normal((n, 4))
+        together = quadratic_form(condition(kernel, design, Y))
+        assert together.shape == (4,)
+        for column, value in zip(Y.T, together):
+            assert value == quadratic_form(condition(kernel, design, column))
+
 
 class TestPosteriorQueries:
     def test_interpolation(self, instance):

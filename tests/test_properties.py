@@ -72,9 +72,7 @@ def test_multi_column_objectives_equal_single_column(case, columns):
         single = condition(kernel, design, y[:, j])
         for many, one in ((ml, ell_ml_from(single)), (cv, ell_cv_from(single))):
             assert many.complexity_term == one.complexity_term
-            for got, want in ((many.data_term[j], one.data_term),
-                              (many.total[j], one.total)):
-                assert abs(got - want) <= 1e-12 * abs(want)
+            assert (many.data_term[j], many.total[j]) == (one.data_term, one.total)
 
 
 # Prefix sizes whose factor is the leading block of every larger one, bit for

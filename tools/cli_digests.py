@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over thirteen fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twelve fixed configurations.
 
     python tools/cli_digests.py [--keep DIR]
 
@@ -36,7 +36,6 @@ CONFIGURATIONS = (
                                "--design", "uniform_grid", "--seed-list", "101,102,103"],
      None),
     ("logdet-growth-ml", ["logdet-growth"], None),
-    ("logdet-growth-cv", ["logdet-growth"], ["objective = cv"]),
     ("profile-sigma", ["non-undersmoothing", "--nu0", "1.5", "--seed-list", "101,102,103"],
      ["profile_sigma = true"]),
     ("variance-decay-d1", ["variance-decay"], None),
