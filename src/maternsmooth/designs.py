@@ -63,6 +63,11 @@ class Box:
         return bool(np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12))
 
 
+def is_integer(value):
+    """Whether ``value`` is a Python or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Design:
     """An ordered point sequence inside a box; prefixes are meaningful."""
 
@@ -91,12 +96,20 @@ class Design:
     def d(self):
         return self.box.d
 
+    def check_prefix_size(self, m):
+        """``m`` as an int: :class:`DomainError` unless it is an integer (a
+        NumPy one will do, a bool will not) in ``[0, n]``."""
+        if not is_integer(m):
+            raise DomainError(f"prefix size must be an integer, got {m!r}")
+        if not (0 <= m <= self.n):
+            raise DomainError(f"prefix size {m} outside [0, {self.n}]")
+        return int(m)
+
     def prefix(self, m):
         """The first ``m`` points, built once per size and sharing the
         distance table that kernel assembly caches on this design (see
         ``kernels.kernel_panels``)."""
-        if not (0 <= m <= self.n):
-            raise DomainError(f"prefix size {m} outside [0, {self.n}]")
+        m = self.check_prefix_size(m)
         if m == self.n:
             return self
         prefixes = self.__dict__.setdefault("_prefixes", {})

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import fill_distance
+from .designs import fill_distance, is_integer
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
@@ -61,7 +61,7 @@ class EstimatorConfig:
         if not (0 < self.nu_min < self.nu_max < math.inf):
             raise DomainError(f"need 0 < nu_min < nu_max < inf, got nu_min={self.nu_min!r}, "
                               f"nu_max={self.nu_max!r}")
-        if not _is_integer(self.coarse_grid):
+        if not is_integer(self.coarse_grid):
             raise DomainError(f"coarse_grid must be an integer, got {self.coarse_grid!r}")
         if self.coarse_grid < 8:
             raise DomainError("coarse_grid must be at least 8")
@@ -92,15 +92,11 @@ class NuEstimate:
     non_unimodal: bool = False
 
 
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_schedule(schedule):
     """A schedule of prefix sizes as a list of ints: :class:`DomainError`
     unless each is an integer of at least 1, larger than the one before."""
     sizes = list(schedule)
-    if (not all(_is_integer(n) and n >= 1 for n in sizes)
+    if (not all(is_integer(n) and n >= 1 for n in sizes)
             or any(b <= a for a, b in zip(sizes, sizes[1:]))):
         raise DomainError(f"schedule {tuple(sizes)} must hold integer sizes of at least 1 "
                           f"in strictly ascending order")
@@ -344,7 +340,8 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
     Each coarse cell is factored once, on the largest prefix, and every
     prefix reads its posterior from that factor
-    (:func:`~maternsmooth.gp.condition_prefixes`).  At sizes of at most 16
+    (:func:`~maternsmooth.gp.condition_prefixes`) and its leave-one-out
+    quantities from one inverse of it.  At sizes of at most 16
     or ``16 * 2**k`` points that posterior is bit for bit the prefix's own,
     so a record equals the sweep of its prefix alone; at other sizes they
     agree to rounding.  A cell whose factorization fails at some pivot

@@ -16,8 +16,11 @@ The factor is grown by row panels, each finished by LAPACK ``dpotrf``
 factor of a design prefix is the leading block of the full one and one
 factorization serves every prefix of a nested design
 (:meth:`Posterior.prefix`).
-Leave-one-out quantities use the triangular inverse from ``dtrtri``
-rather than a full solve against the identity.
+Leave-one-out quantities use the factor's inverse, grown by the same row
+panels (``dtrtri`` on each diagonal block, two ``dtrmm`` for the rows
+left of it), so the inverse of a prefix is the leading block of the full
+one too: it is computed once per factor, on the first leave-one-out
+request, and shared by every posterior the factor serves.
 
 There is no nugget or jitter anywhere: the model interpolates noiseless
 data, and a factorization failure is surfaced as
@@ -29,7 +32,8 @@ noise are rejected instead of producing garbage downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as _linalg
@@ -128,6 +132,66 @@ def _factor(kernel, design, pivot_rtol):
     return L, None
 
 
+def _invert(chol, m):
+    """Inverse ``W`` of the leading ``m`` by ``m`` block of a lower factor,
+    grown by the row panels of :func:`_factor`.
+
+    Panel ``a:b`` inverts its diagonal block (``dtrtri``) and forms the rows
+    left of it as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  The inverse of
+    a prefix of at most 16 or ``16 * 2**k`` points thus meets the same
+    operations on the same data as in any larger factor: it is bit for bit
+    the leading block of theirs.  Returns the Fortran-ordered inverse and
+    None, or the inverse of the panels before a zero diagonal entry and the
+    :class:`ConditioningError` naming that entry.
+    """
+    W = np.zeros((m, m), order="F")
+    a = 0
+    for b in _panel_ends(m):
+        if a:
+            block = chol[a:b, a:b]
+        else:
+            # Padded to the first panel's size, as in _factor, so that fewer
+            # points see the same operations as in a larger factor.
+            block = np.diag(np.full(max(b, _FIRST_PANEL), chol[0, 0]))
+            block[:b, :b] = chol[:b, :b]
+        inv, info = _lapack.dtrtri(block, lower=1)
+        if info < 0:
+            raise DomainError(f"dtrtri rejected argument {-info}")
+        if info:
+            p = a + info - 1
+            return W[:a, :a], ConditioningError(
+                f"triangular inversion failed: factor diagonal entry {p} is zero",
+                pivot_index=p, pivot_value=float(chol[p, p]))
+        W[a:b, a:b] = inv[:b - a, :b - a]
+        if a:
+            left = _blas.dtrmm(1.0, W[:a, :a], chol[a:b, :a], side=1, lower=1)
+            W[a:b, :a] = _blas.dtrmm(-1.0, inv, left, lower=1, overwrite_b=1)
+        a = b
+    return W, None
+
+
+class _SharedInverse:
+    """The inverse of a factor's first ``m`` rows, computed by
+    :func:`_invert` on the first request and then read by every posterior
+    the factor serves.  Safe to call from several threads."""
+
+    def __init__(self, chol, m):
+        self._chol, self._m = chol, m
+        self._lock = threading.Lock()
+        self._result = None
+
+    def leading(self, n):
+        """The inverse of the first ``n <= m`` rows of the factor."""
+        with self._lock:
+            if self._result is None:
+                self._result, self._chol = _invert(self._chol, self._m), None
+        W, err = self._result
+        if n > W.shape[0]:
+            raise ConditioningError(str(err), pivot_index=err.pivot_index,
+                                    pivot_value=err.pivot_value)
+        return W[:n, :n]
+
+
 @dataclass(frozen=True)
 class Posterior:
     """A conditioned Gaussian process: Cholesky factor plus weight vector.
@@ -135,7 +199,7 @@ class Posterior:
     ``y`` and ``weights`` have shape ``(n,)``, or ``(n, s)`` for ``s``
     data columns conditioned on the same factor.  Immutable after
     construction; safe to share across threads for concurrent
-    mean/variance queries.
+    mean/variance and leave-one-out queries.
     """
 
     kernel: object
@@ -143,6 +207,8 @@ class Posterior:
     y: np.ndarray
     chol: np.ndarray
     weights: np.ndarray
+    # The inverse shared with the other posteriors of the same factor.
+    _inverse: _SharedInverse | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self):
@@ -150,19 +216,21 @@ class Posterior:
 
     def prefix(self, n):
         """The posterior of the first ``n`` points, from the leading block of
-        this factor: bit for bit what :func:`condition` gives on that prefix
-        when ``n`` is at most 16 or ``16 * 2**k``."""
-        return _posterior(self.kernel, self.design.prefix(n), self.y, self.chol)
+        this factor (and of its inverse): bit for bit what :func:`condition`
+        gives on that prefix when ``n`` is at most 16 or ``16 * 2**k``."""
+        return _posterior(self.kernel, self.design.prefix(n), self.y, self.chol,
+                          self._inverse)
 
 
-def _posterior(kernel, design, y, chol):
+def _posterior(kernel, design, y, chol, inverse):
     """The posterior of ``design`` from a factor whose leading block is its
     own.  The block is copied to Fortran order, the layout :func:`condition`
     gives LAPACK, so that both sides compute alike."""
     n = design.n
     L = np.asfortranarray(chol[:n, :n])
     weights = _linalg.cho_solve((L, True), y[:n], check_finite=False) if n else y[:0].copy()
-    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L, weights=weights)
+    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L, weights=weights,
+                     _inverse=inverse)
 
 
 def _as_data(design, y):
@@ -194,15 +262,19 @@ def condition(kernel, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
 def condition_prefixes(kernel, design, y, sizes, pivot_rtol=DEFAULT_PIVOT_RTOL):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
-    The factor of the largest prefix serves all (:meth:`Posterior.prefix`);
-    a size beyond a failing pivot gets that pivot's
-    :class:`ConditioningError` in place of its posterior.
+    The factor of the largest prefix serves all (:meth:`Posterior.prefix`),
+    and so does its inverse, computed when :func:`loo` first asks for it and
+    only up to the largest size served; a size beyond a failing pivot gets
+    that pivot's :class:`ConditioningError` in place of its posterior.
     """
     y = _as_data(design, y)
+    sizes = [design.check_prefix_size(n) for n in sizes]
     design = design.prefix(max(sizes, default=0))
     L, err = _factor(kernel, design, pivot_rtol)
     served = design.n if err is None else err.pivot_index
-    return [_posterior(kernel, design.prefix(n), y, L) if n <= served else err for n in sizes]
+    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0))
+    return [_posterior(kernel, design.prefix(n), y, L, inverse) if n <= served else err
+            for n in sizes]
 
 
 def _cross_covariances(post, x):
@@ -332,17 +404,18 @@ def loo(post):
     ``residual_i = (K^{-1} y)_i / (K^{-1})_{ii}`` is the gap between the
     held-out value and the mean refit on the remaining points, and
     ``variance_i = 1 / (K^{-1})_{ii}`` the matching variance.  With
-    ``W = L^{-1}`` (one triangular inversion, about n^3/3 flops) the
-    inverse diagonal is the column sums of ``W**2``, since
-    ``K^{-1} = W' W``.  Every data column shares it.  Verified against
+    ``W = L^{-1}`` the inverse diagonal is the column sums of ``W**2``,
+    since ``K^{-1} = W' W``.  Every data column shares it, and ``W`` is the
+    leading block of the panel-grown inverse that every prefix of the
+    posterior's factor shares (see :func:`condition_prefixes`), so a
+    prefix's quantities are bit for bit those of the prefix conditioned
+    alone when its size is at most 16 or ``16 * 2**k``.  Verified against
     per-point refits in the test suite.
     """
     if post.n < 2:
         raise DomainError("leave-one-out needs at least 2 points")
-    W, info = _lapack.dtrtri(post.chol, lower=1)
-    if info != 0:
-        raise ConditioningError(f"triangular inversion failed (info={info})",
-                                pivot_index=max(info - 1, -1))
+    shared = _SharedInverse(post.chol, post.n) if post._inverse is None else post._inverse
+    W = shared.leading(post.n)
     diag = np.einsum("ij,ij->j", W, W)
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if np.any(bad):

@@ -169,7 +169,8 @@ DEFAULT_ACCURACY = BesselAccuracy()
 
 def _validate_positive(name, value):
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # Two reductions: a NaN fails both comparisons.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return arr
 
@@ -341,8 +342,9 @@ def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.log(_kve(nu, arr)) - arr
-    bad = ~np.isfinite(out)
-    if np.any(bad):
+        finite = math.isfinite(out.sum())  # one reduction, cheaper than the mask
+    if not finite:
+        bad = ~np.isfinite(out)
         out[bad] = _log_k_fallback(nu, arr[bad], accuracy)
     if scalar:
         return float(out[0])
@@ -360,8 +362,9 @@ def bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     nu, arr, scalar = _order_and_arguments(nu, x)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _kve(nu, arr) * np.exp(-arr)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
+        finite = math.isfinite(out.sum())  # the sum may overflow: then the mask decides
+    if not finite:
+        bad = ~np.isfinite(out)
         with np.errstate(over="ignore"):
             out[bad] = np.exp(_log_k_fallback(nu, arr[bad], accuracy))
     if scalar:

@@ -169,6 +169,21 @@ class TestDesignInvariants:
         with pytest.raises(ValueError):
             des.points[0, 0] = 0.3
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, np.bool_(True), "3", None])
+    def test_prefix_size_must_be_an_integer(self, size):
+        with pytest.raises(DomainError, match="integer"):
+            van_der_corput(UNIT, 8).prefix(size)
+
+    @pytest.mark.parametrize("size", [-1, 9, np.int64(9)])
+    def test_prefix_size_must_lie_in_the_design(self, size):
+        with pytest.raises(DomainError, match="outside"):
+            van_der_corput(UNIT, 8).prefix(size)
+
+    def test_numpy_integer_prefix_size(self):
+        des = van_der_corput(UNIT, 8)
+        assert des.prefix(np.int64(5)) is des.prefix(5)
+        assert des.prefix(np.int32(8)) is des
+
 
 class TestSerialization:
     def test_round_trip_exact(self, tmp_path):

@@ -348,6 +348,45 @@ class TestSweeps:
         assert set(refined) == asked["cv"] | asked["ml"]
         assert asked["ml"] - asked["cv"]  # some cells only an ML search asked for
 
+    @pytest.mark.parametrize("sizes", [(16, 64), (16, 24, 32, 48, 64, 96, 128)])
+    def test_each_factor_is_inverted_once(self, sample_instance, monkeypatch, sizes):
+        # A coarse cell inverts its factor once, up to the largest prefix it
+        # serves, for the leave-one-out of every prefix of the schedule; a
+        # refinement cell once if a CV search asks for it.  The variances at
+        # nu0 take one inversion, and so does each record's variance ratio.
+        design, y = sample_instance
+        cfg = EstimatorConfig(lambda_=1.0)
+        inverted, cells = [], []
+        invert, compute = gp._invert, estimators._cells
+
+        def inverting(chol, m):
+            inverted.append(m)
+            return invert(chol, m)
+
+        def counting(prefix, values, config, nu, schedule, names=None):
+            before = len(inverted)
+            out = compute(prefix, values, config, nu, schedule, names)
+            served = [n for n, cell in zip(schedule, out)
+                      if not isinstance(cell["ml"], ConditioningError)]
+            cells.append((tuple(schedule), names, served, inverted[before:]))
+            return out
+
+        monkeypatch.setattr(gp, "_invert", inverting)
+        monkeypatch.setattr(estimators, "_cells", counting)
+        records = sweep_prefixes(design, y, sizes, cfg, nu0=1.5, seed=1)
+        coarse = [cell for cell in cells if cell[0] == sizes]
+        assert len(coarse) == cfg.coarse_grid
+        for _, _, served, inversions in coarse:
+            assert inversions == served[-1:]
+        assert any(0 < len(served) < len(sizes) for _, _, served, _ in coarse)
+        refined = [cell for cell in cells if cell[0] != sizes]
+        for schedule, names, served, inversions in refined:
+            assert inversions == (served if "cv" in names else [])
+        assert any("cv" not in names for _, names, _, _ in refined)
+        ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
+        assert ratios == len(sizes)
+        assert len(inverted) == sum(len(cell[3]) for cell in cells) + 1 + ratios
+
     @pytest.mark.parametrize("broken", ["coarse", "refinement"])
     def test_loo_failure_fails_only_cv(self, sample_instance, monkeypatch, broken):
         # A cell whose leave-one-out inverse fails is a failure of the CV

@@ -1,14 +1,20 @@
 """Conditioning, posterior queries, and the fast identities vs naive refits."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from maternsmooth import gp
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
 from maternsmooth.gp import (
+    Posterior,
     condition,
+    condition_prefixes,
     incremental_variances,
     log_det,
     loo,
@@ -118,6 +124,26 @@ class TestCondition:
             condition(kernel, design, y)
         with pytest.raises(DomainError, match="finite"):
             condition(kernel, design, np.stack([np.zeros(16), y], axis=1))
+
+    @pytest.mark.parametrize("size", [2.5, True])
+    def test_prefix_size_must_be_an_integer(self, instance, size):
+        kernel, design, y, post = instance
+        with pytest.raises(DomainError, match="integer"):
+            post.prefix(size)
+        with pytest.raises(DomainError, match="integer"):
+            condition_prefixes(kernel, design, y, [size])
+        # Also when a larger size comes first, or lies past a failing pivot.
+        with pytest.raises(DomainError, match="integer"):
+            condition_prefixes(kernel, design, y, [16, size])
+        near = Design([[0.2], [0.2 + 1e-13], [0.9]], UNIT)
+        with pytest.raises(DomainError, match="integer"):
+            condition_prefixes(kernel, near, np.ones(3), [3, size])
+
+    def test_numpy_integer_prefix_sizes(self, instance):
+        kernel, design, y, post = instance
+        np.testing.assert_array_equal(post.prefix(np.int64(5)).chol, post.prefix(5).chol)
+        (got,) = condition_prefixes(kernel, design, y, [np.int32(5)])
+        assert got.n == 5 and got.design is design.prefix(5)
 
     def test_data_columns_share_one_factor(self, instance):
         kernel, design, y, post = instance
@@ -308,6 +334,62 @@ class TestFastIdentities:
         post = condition(kernel, Design([[0.5]], UNIT), [1.0])
         with pytest.raises(DomainError):
             loo(post)
+
+    def test_zero_factor_diagonal_names_its_global_index(self, instance):
+        # A factor with a zero on its diagonal, as a caller may build one:
+        # the panel of rows 16:32 finds it, and loo reports it in the
+        # posterior's coordinates.
+        kernel, _, _, _ = instance
+        design = van_der_corput(UNIT, 40)
+        post = condition(kernel, design, np.ones(40))
+        chol = post.chol.copy(order="F")
+        chol[21, 21] = 0.0
+        broken = Posterior(kernel, design, post.y, chol, post.weights)
+        with pytest.raises(ConditioningError, match="diagonal entry 21") as exc:
+            loo(broken)
+        assert (exc.value.pivot_index, exc.value.pivot_value) == (21, 0.0)
+        np.testing.assert_array_equal(loo(broken.prefix(16)).variances,
+                                      loo(post.prefix(16)).variances)
+
+    def test_concurrent_loo_inverts_the_factor_once(self, instance, monkeypatch):
+        # Eight threads on two CPUs ask for the shared inverse at once, with
+        # a short switch interval and a slow inversion to widen the race.
+        kernel, _, _, _ = instance
+        design = van_der_corput(UNIT, 64)
+        y = np.random.Generator(np.random.Philox(3)).standard_normal(64)
+        sizes = [8, 16, 32, 64] * 2
+        want = [loo(post) for post in condition_prefixes(kernel, design, y, sizes)]
+        calls, invert = [], gp._invert
+
+        def slow(chol, m):
+            calls.append(m)
+            time.sleep(0.01)
+            return invert(chol, m)
+
+        monkeypatch.setattr(gp, "_invert", slow)
+        posts = condition_prefixes(kernel, design, y, sizes)
+        got = [None] * len(posts)
+        start = threading.Barrier(len(posts))
+
+        def work(i):
+            start.wait(timeout=20)
+            got[i] = loo(posts[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(posts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [64]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.variances, b.variances)
+            np.testing.assert_array_equal(a.residuals, b.residuals)
 
     def test_variance_only_loo_matches_loo(self, instance):
         _, _, _, post = instance

@@ -1,6 +1,6 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
-prefix consistency of the panel-grown factor, the modified Bessel function
-of the second kind and the design file format.
+prefix consistency of the panel-grown factor and of its inverse, the
+modified Bessel function of the second kind and the design file format.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -9,16 +9,19 @@ import contextlib
 import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
+from scipy.linalg import blas, lapack
 
 from maternsmooth.designs import (Box, Design, load_design, save_design, uniform_grid,
                                   van_der_corput)
 from maternsmooth.errors import ConditioningError
 from maternsmooth.experiments import _jittered_grid, _naive_loo
+from maternsmooth import gp
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
@@ -136,11 +139,64 @@ def test_prefix_posterior_equals_conditioning_the_prefix(case, columns, other):
                  (ell_ml_from(got).total, ell_ml_from(want).total)]
         if n >= 2:
             pairs.append((ell_cv_from(got).total, ell_cv_from(want).total))
+            # The leave-one-out quantities read the full factor's inverse.
+            pairs += [(loo(got).residuals, loo(want).residuals),
+                      (loo(got).variances, loo(want).variances)]
         for a, b in pairs:
             if n in EXACT_SIZES:
                 assert np.array_equal(a, b), n
             else:
                 assert np.max(np.abs(a - b)) <= PREFIX_RTOL * np.max(np.abs(b)), n
+
+
+@PROPERTY
+@given(prefix_cases)
+def test_inverse_of_a_prefix_is_the_leading_block(case):
+    kernel, design, y = _prefix_instance(*case)
+    full = condition(kernel, design, y)
+    inverse, err = gp._invert(full.chol, design.n)
+    assert err is None
+    for n in [m for m in EXACT_SIZES if m <= design.n]:
+        own, err = gp._invert(condition(kernel, _alone(design, n), y[:n]).chol, n)
+        assert err is None and own.shape == (n, n)
+        assert np.array_equal(inverse[:n, :n], own), n
+        assert np.array_equal(full.prefix(n)._inverse.leading(n), own), n
+
+
+@contextlib.contextmanager
+def _recorded_inversions():
+    """Record the diagonal block (``dtrtri``) and the row panel (``dtrmm``)
+    sizes of every inversion step ``gp`` takes in the block."""
+    calls = []
+
+    def dtrtri(c, **kwargs):
+        calls.append(("dtrtri", c.shape[0]))
+        return lapack.dtrtri(c, **kwargs)
+
+    def dtrmm(alpha, a, b, **kwargs):
+        calls.append(("dtrmm", b.shape[0]))
+        return blas.dtrmm(alpha, a, b, **kwargs)
+
+    saved = gp._lapack, gp._blas
+    gp._lapack = SimpleNamespace(dpotrf=lapack.dpotrf, dtrtri=dtrtri)
+    gp._blas = SimpleNamespace(dtrsm=blas.dtrsm, dsyrk=blas.dsyrk, dtrmm=dtrmm)
+    try:
+        yield calls
+    finally:
+        gp._lapack, gp._blas = saved
+
+
+def _inversion_steps(m):
+    """The steps :func:`_recorded_inversions` sees when ``m`` rows are
+    inverted: the first diagonal block is padded to 16 rows."""
+    steps, a = [], 0
+    for b in gp._panel_ends(m):
+        if a:
+            steps += [("dtrtri", b - a), ("dtrmm", b - a), ("dtrmm", b - a)]
+        else:
+            steps.append(("dtrtri", max(b, 16)))
+        a = b
+    return steps
 
 
 @PROPERTY
@@ -153,6 +209,15 @@ def test_failing_factor_reports_one_pivot_at_every_larger_prefix(kind, d, nu, se
     assert failed  # every cell of this family fails before 128 points
     err = failed[0]
     assert all(p is err for p in failed)
+    served = [(n, p) for n, p in zip(EXACT_SIZES, posts) if 2 <= n <= err.pivot_index]
+    with _recorded_inversions() as calls:
+        got = [loo(post) for _, post in served]
+    # One inversion, of the largest prefix served and of nothing past it.
+    assert calls == _inversion_steps(max(n for n, _ in served))
+    for (n, _), res in zip(served, got):
+        want = loo(condition(kernel, _alone(design, n), y[:n]))
+        assert np.array_equal(res.residuals, want.residuals), n
+        assert np.array_equal(res.variances, want.variances), n
     for n, post in zip(EXACT_SIZES, posts):
         if n <= err.pivot_index:  # served by the failed factor
             assert np.array_equal(post.chol, condition(kernel, _alone(design, n), y[:n]).chol)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from maternsmooth import specfun
 from maternsmooth.errors import AccuracyError, DomainError
@@ -171,12 +171,27 @@ class TestBesselProperties:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("bad_x", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad_x", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan,
+                                       [1.0, math.nan], [2.0, -1.0], [[1.0], [math.inf]]])
     def test_argument_domain(self, bad_x):
-        with pytest.raises(DomainError):
+        message = f"x must be positive and finite, got {bad_x!r}"
+        with pytest.raises(DomainError) as exc:
             bessel_k(1.0, bad_x)
-        with pytest.raises(DomainError):
+        assert str(exc.value) == message
+        with pytest.raises(DomainError) as exc:
             log_bessel_k(1.0, bad_x)
+        assert str(exc.value) == message
+
+    def test_empty_arguments(self):
+        assert bessel_k(1.0, np.array([])).shape == (0,)
+        assert log_bessel_k(1.0, []).shape == (0,)
+
+    def test_values_whose_sum_overflows(self):
+        # Two values near the largest double: their sum is infinite though
+        # each is finite, and both must come back as computed alone.
+        x = optimize.brentq(lambda t: log_bessel_k(60.0, t) - 709.0, 1e-6, 100.0)
+        pair = bessel_k(60.0, np.array([x, x]))
+        assert np.all(np.isfinite(pair)) and pair.tolist() == [bessel_k(60.0, x)] * 2
 
     @pytest.mark.parametrize("bad_nu", [-0.5, math.inf, math.nan])
     def test_order_domain(self, bad_nu):

@@ -1,6 +1,6 @@
 """SHA-256 digests of the CLI's outputs over twelve fixed configurations.
 
-    python tools/cli_digests.py [--keep DIR]
+    python tools/cli_digests.py [--keep DIR] [--against DIR]
 
 Runs each configuration below as ``python -m maternsmooth.cli`` on the
 sources of the checkout this file lives in, each in its own temporary
@@ -11,12 +11,18 @@ change leaves every output byte-identical.  Digests depend on the BLAS
 build and the platform, so compare runs on one machine only.
 
 ``--keep DIR`` keeps the CSVs and summaries there, to see what differs.
+``--against DIR`` compares each CSV with the one an earlier ``--keep DIR``
+run saved: under its digest line, a configuration prints, per column that
+changed, the number of rows that differ and the largest relative change
+of its numeric cells (``|new - old| / |old|``), or ``identical``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -52,7 +58,7 @@ def _sha256(data):
 
 
 def run(name, argv, lines, keep):
-    """Run one configuration; returns its exit code and the two digests."""
+    """Run one configuration; returns its exit code, its CSV and its summary."""
     with tempfile.TemporaryDirectory() as work:
         argv = list(argv) + ["--out", "out.csv"]
         if lines is not None:
@@ -63,23 +69,64 @@ def run(name, argv, lines, keep):
         proc = subprocess.run([sys.executable, "-m", "maternsmooth.cli", *argv], cwd=work,
                               env=env, capture_output=True)
         csv_path = Path(work, "out.csv")
-        csv = csv_path.read_bytes() if csv_path.exists() else b""
+        table = csv_path.read_bytes() if csv_path.exists() else b""
         if keep:
-            if csv:
+            if table:
                 shutil.copy(csv_path, Path(keep, f"{name}.csv"))
             Path(keep, f"{name}.summary").write_bytes(proc.stdout + proc.stderr)
-    return proc.returncode, _sha256(csv), _sha256(proc.stdout + proc.stderr)
+    return proc.returncode, table, proc.stdout + proc.stderr
+
+
+def _relative_change(old, new):
+    """``|new - old| / |old|`` of two numeric cells, None if either is not a
+    number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def column_changes(old, new):
+    """Lines describing how the CSV text ``new`` differs from ``old``, column
+    by column; ``["identical"]`` when it does not."""
+    old_rows = list(csv.reader(old.decode().splitlines()))
+    new_rows = list(csv.reader(new.decode().splitlines()))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
+        return ["header differs" if old_rows and new_rows else "no CSV on one side"]
+    if len(old_rows) != len(new_rows):
+        return [f"{len(old_rows) - 1} rows before, {len(new_rows) - 1} now"]
+    lines = []
+    for j, column in enumerate(old_rows[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+        if pairs:
+            changes = [_relative_change(a, b) for a, b in pairs]
+            numeric = [c for c in changes if c is not None]
+            largest = f"largest relative change {max(numeric):.2e}" if numeric else "text"
+            lines.append(f"{column}: {len(pairs)} of {len(old_rows) - 1} rows differ, "
+                         f"{largest}")
+    return lines or ["identical"]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", default=None, help="directory for the outputs")
+    parser.add_argument("--against", default=None,
+                        help="directory of an earlier --keep run to compare the CSVs with")
     args = parser.parse_args(argv)
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
     for name, cli_args, lines in CONFIGURATIONS:
-        code, csv, summary = run(name, cli_args, lines, args.keep)
-        print(f"{name:24s} exit {code}  csv {csv}  summary {summary}", flush=True)
+        code, table, summary = run(name, cli_args, lines, args.keep)
+        print(f"{name:24s} exit {code}  csv {_sha256(table)}  summary {_sha256(summary)}",
+              flush=True)
+        if args.against:
+            saved = Path(args.against, f"{name}.csv")
+            old = saved.read_bytes() if saved.exists() else b""
+            for line in column_changes(old, table):
+                print(f"    {line}", flush=True)
 
 
 if __name__ == "__main__":
