@@ -61,8 +61,6 @@ from .gp import (
     posterior_mean,
     posterior_var,
     quadratic_form,
-    sequential_expansion,
-    trace_ratio,
 )
 from .kernels import (
     GaussParams,
@@ -79,10 +77,8 @@ from .kernels import (
 )
 from .objectives import (
     ObjectiveValue,
-    VarianceRatioProfile,
     ell_cv_from,
     ell_ml_from,
-    variance_ratio_profile,
 )
 from .specfun import BesselAccuracy, bessel_k, log_bessel_k, log_gamma, thread_limit
 

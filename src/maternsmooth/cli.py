@@ -32,7 +32,8 @@ from .specfun import thread_limit
 
 __all__ = ["main", "parse_config_file", "write_csv"]
 
-_ESTIMATOR_KEYS = {"nu_min", "nu_max", "coarse_grid", "refine_tol", "profile_sigma"}
+_ESTIMATOR_KEYS = {"nu_min", "nu_max", "coarse_grid", "refine_tol", "profile_sigma", "sigma",
+                   "lambda_"}
 _LIST_KEYS = {"schedule", "seeds", "nu_grid", "nu_model"}
 
 
@@ -127,12 +128,7 @@ def _build_config(args):
     unknown = set(values) - known
     if unknown:
         raise DomainError(f"unknown configuration keys: {sorted(unknown)}")
-    config = ExperimentConfig(estimator=estimator, **values)
-    if config.lambda_ != estimator.lambda_ or config.sigma != estimator.sigma:
-        config = replace(config,
-                         estimator=replace(estimator, lambda_=config.lambda_,
-                                           sigma=config.sigma))
-    return config
+    return ExperimentConfig(estimator=estimator, **values)
 
 
 def _emit(result, config, args):

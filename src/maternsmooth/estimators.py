@@ -41,17 +41,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class EstimatorConfig:
     """Search configuration for smoothness estimation.
 
-    ``objective`` selects maximum likelihood (``"ml"``) or leave-one-out
-    cross-validation (``"cv"``).  ``sigma`` and ``lambda_`` are held fixed
-    unless ``profile_sigma`` is set, in which case the closed-form
-    magnitude estimate is substituted per candidate smoothness.
+    ``sigma`` and ``lambda_`` are held fixed unless ``profile_sigma`` is
+    set, in which case the closed-form magnitude estimate is substituted
+    per candidate smoothness.
     """
 
     nu_min: float = 0.05
     nu_max: float = 15.0
     coarse_grid: int = 60
     refine_tol: float = 1e-3
-    objective: str = "ml"
     sigma: float = 1.0
     profile_sigma: bool = False
     lambda_: float = 1.0
@@ -67,8 +65,6 @@ class EstimatorConfig:
             raise DomainError("coarse_grid must be at least 8")
         if not (self.refine_tol > 0):
             raise DomainError("refine_tol must be positive")
-        if self.objective not in ("ml", "cv"):
-            raise DomainError(f"objective must be 'ml' or 'cv', got {self.objective!r}")
         require_positive(self, ("sigma", "lambda_"))
         if not (0 <= self.pivot_rtol < 1):
             raise DomainError(f"pivot_rtol must lie in [0, 1), got {self.pivot_rtol!r}")
@@ -248,44 +244,23 @@ def _objective_names(n):
     return ("ml", "cv") if n >= 2 else ("ml",)
 
 
-def _memoised(table, compute):
-    """The lookup ``total(nu, name, j)`` of objective ``name`` for data
-    column ``j`` at ``nu`` in the dict ``table`` of cells.  A cell that is
-    missing, or lacks ``name``, is computed by ``compute(nu, name)`` and
-    merged into ``table``; an error found there is raised."""
-    def total(nu, name, j):
-        nu = float(nu)
-        cell = table.get(nu, {})
-        if name not in cell:
-            cell = table[nu] = {**cell, **compute(nu, name)}
-        value = cell[name]
-        if isinstance(value, ConditioningError):
-            raise value
-        value = value[j]
-        if isinstance(value, EstimationError):
-            raise value
-        return float(value)
-    return total
-
-
 def estimate_nu(design, y, config=EstimatorConfig()):
-    """Smoothness estimate minimising the configured objective.
+    """Smoothness estimates on one data vector: :func:`_prefix_searches`
+    on one column and one size, so no cell is factored twice.
 
-    Requires ``n >= 1`` for maximum likelihood and ``n >= 2`` for
-    cross-validation, and finite data of shape ``(n,)``.  Raises
-    :class:`EstimationError` when no grid cell can be conditioned.  Only
-    the configured objective is computed; the search revisits no cell.
+    A dict mapping each objective defined on ``n`` points to its
+    :class:`NuEstimate`: ``"ml"``, and ``"cv"`` from ``n = 2``.  Needs
+    finite data of shape ``(n,)``, ``n >= 1``.  Raises the
+    :class:`EstimationError` that ended a search, ML's first.
     """
-    if design.n < 1 or (config.objective == "cv" and design.n < 2):
-        raise DomainError(
-            f"objective {config.objective!r} needs more data than n={design.n}"
-        )
+    if design.n < 1:
+        raise DomainError(f"objective 'ml' needs more data than n={design.n}")
     y = _checked_data(y, (design.n,), "y")[:, None]
-    name = config.objective
-    total = _memoised({}, lambda nu, objective: _cells(design, y, config, nu, [design.n],
-                                                       (objective,))[0])
-    return bracketed_minimize(lambda nu: total(nu, name, 0), config.nu_min, config.nu_max,
-                              config.coarse_grid, config.refine_tol)
+    (found,) = _prefix_searches(design, y, {}, config)
+    for name in _objective_names(design.n):
+        if isinstance(found[name], EstimationError):
+            raise found[name]
+    return found
 
 
 @dataclass(frozen=True)
@@ -348,6 +323,11 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     fails on every prefix beyond it, and the prefixes after the first one
     record the prefix size, pivot index and pivot value of that first
     failure.
+
+    The variance ratio factors the kernel at the ML estimate once more,
+    per record: the cell table keeps objective totals, not factors, and a
+    profiled cell is factored with ``sigma = 1`` while the ratio uses
+    ``config.sigma``.
     """
     schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
@@ -389,17 +369,28 @@ def _prefix_searches(prefix, y, table, config):
 
     Per column, a dict mapping each objective defined on the prefix to its
     :class:`NuEstimate`, or to the :class:`EstimationError` that ended its
-    search.  ``table`` holds the coarse cells; every search looks its
-    cells up there, and a refinement cell joins it with the totals of every
+    search.  ``table`` holds the cells found so far (a sweep's coarse
+    cells); every search looks its cells up there, and a refinement cell joins it with the totals of every
     column.  A cell that a CV search asks for is inverted for leave-one-out
     once and carries the ML totals too, so the CV searches run first and
     no cell is factored twice.
     """
-    def compute(nu, name):
-        names = ("ml", "cv") if name == "cv" else ("ml",)
-        return _cells(prefix, y, config, nu, [prefix.n], names)[0]
+    def total(nu, name, j):
+        # Objective ``name`` of column ``j`` at ``nu``; a cell that is missing,
+        # or lacks ``name``, is computed and merged into ``table``.
+        nu = float(nu)
+        cell = table.get(nu, {})
+        if name not in cell:
+            names = ("ml", "cv") if name == "cv" else ("ml",)
+            cell = table[nu] = {**cell, **_cells(prefix, y, config, nu, [prefix.n], names)[0]}
+        value = cell[name]
+        if isinstance(value, ConditioningError):
+            raise value
+        value = value[j]
+        if isinstance(value, EstimationError):
+            raise value
+        return float(value)
 
-    total = _memoised(table, compute)
     searches = [{} for _ in range(y.shape[1])]
     for name in reversed(_objective_names(prefix.n)):  # CV first: its cells carry ML too
         for j, found in enumerate(searches):

@@ -35,8 +35,7 @@ from .gp import (
     posterior_var,
     quadratic_form,
 )
-from .kernels import (GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern,
-                      require_positive)
+from .kernels import GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern
 from .objectives import ell_cv_from, ell_ml_from
 from .specfun import check_threads, worker_threads
 
@@ -63,7 +62,8 @@ class ExperimentConfig:
     """Configuration shared by the experiment commands.
 
     Unused fields are ignored by commands that do not need them; each
-    command validates the fields it consumes.
+    command validates the fields it consumes.  The magnitude ``sigma`` and
+    length-scale ``lambda_`` of every Matern kernel live in ``estimator``.
     """
 
     experiment: str = ""
@@ -75,8 +75,6 @@ class ExperimentConfig:
     nu_model: tuple = ()
     schedule: tuple = ()
     seeds: tuple = DEFAULT_SEEDS
-    sigma: float = 1.0
-    lambda_: float = 1.0
     lambda_min: float = 0.05
     lambda_max: float = 2.0
     f0: str = None
@@ -100,7 +98,6 @@ class ExperimentConfig:
             raise DomainError("need 0 < lambda_min <= lambda_max")
         if not self.seeds:
             raise DomainError("need at least one seed")
-        require_positive(self, ("sigma", "lambda_"))
         check_threads(self.threads)
 
 
@@ -113,6 +110,11 @@ class ExperimentResult:
     rows: list
     summary: str
     ok: bool = None
+
+
+def _matern(config, nu, d):
+    """Matern parameters of smoothness ``nu`` at the configured sigma and lambda."""
+    return matern(nu, config.estimator.sigma, config.estimator.lambda_, d=d)
 
 
 def make_design(name, d, size):
@@ -277,7 +279,7 @@ def run_variance_decay(config):
     rows = []
     slopes = {}
     for nu in nus:
-        kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=config.d))
+        kernel = MaternKernel(_matern(config, nu, config.d))
         cells = []
         posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule,
                                    config.estimator.pivot_rtol)
@@ -322,7 +324,7 @@ def _draw_or_evaluate(config, design):
         return [(None, np.asarray(y, dtype=float))]
     if config.nu0 is None:
         raise DomainError("need either a test-function label or nu0 for path draws")
-    params0 = matern(config.nu0, config.sigma, config.lambda_, d=design.d)
+    params0 = _matern(config, config.nu0, design.d)
     return [(seed, sample_gp_path(params0, design, seed)) for seed in config.seeds]
 
 
@@ -351,11 +353,10 @@ def run_non_undersmoothing(config):
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(max(schedule), config.design_size))
     draws = _draw_or_evaluate(config, design)
-    est = replace(config.estimator, sigma=config.sigma, lambda_=config.lambda_)
 
     paths = np.stack([y for _, y in draws], axis=1)
     records = sweep_prefixes(
-        design, paths, schedule, est, nu0=config.nu0,
+        design, paths, schedule, config.estimator, nu0=config.nu0,
         experiment=config.experiment or "non-undersmoothing",
         seed=[seed for seed, _ in draws])
     k = len(schedule)
@@ -422,17 +423,16 @@ def run_logdet_growth(config):
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
     seed = config.seeds[0]
-    params0 = matern(nu0, config.sigma, config.lambda_, d=config.d)
+    params0 = _matern(config, nu0, config.d)
     y = sample_gp_path(params0, design, seed)
-    est = replace(config.estimator, sigma=config.sigma, lambda_=config.lambda_)
-    records = sweep_prefixes(design, y, schedule, est, experiment="logdet-growth",
-                             seed=seed)
+    records = sweep_prefixes(design, y, schedule, config.estimator,
+                             experiment="logdet-growth", seed=seed)
     nu_hat = {r.n: r.nu_hat_ml for r in records}
 
     rows = []
     ratio_at_max = {}
     for nu in nus:
-        kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=config.d))
+        kernel = MaternKernel(_matern(config, nu, config.d))
         posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
         for n, post in zip(schedule, posts):
             note = ""
@@ -503,7 +503,7 @@ def run_convergence(config):
     design = make_design("van_der_corput", 1, max(schedule))
     probes = _convergence_probes(config.probe_count, design.n)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)
-    params0 = matern(nu0, config.sigma, config.lambda_, d=1)
+    params0 = _matern(config, nu0, 1)
     seeds = config.seeds
 
     def one(seed):
@@ -512,7 +512,7 @@ def run_convergence(config):
         f0_probe = path[design.n :]
         out = []
         for nu_model in models:
-            kernel = MaternKernel(matern(nu_model, config.sigma, config.lambda_, d=1))
+            kernel = MaternKernel(_matern(config, nu_model, 1))
             posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
             for n, post in zip(schedule, posts):
                 note = ""
@@ -604,7 +604,7 @@ def run_gaussian_scale_probe(config):
             failures = 0
 
             def ell(lam):
-                kernel = GaussianKernel(GaussParams(config.sigma, lam), d=1,
+                kernel = GaussianKernel(GaussParams(config.estimator.sigma, lam), d=1,
                                         unit_amplitude=True)
                 post = condition(kernel, prefix, y,
                                  pivot_rtol=config.estimator.pivot_rtol)

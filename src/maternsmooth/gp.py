@@ -3,13 +3,13 @@
 :func:`condition_prefixes`, and :func:`condition` through it, are the only
 places that factor a kernel matrix.  Everything downstream of them
 (posterior mean and variance, leave-one-out residuals and variances,
-incremental variances, the sequential expansion, log-determinant,
-quadratic form and trace ratio) reads the :class:`Posterior` they return,
-so one factorization per (kernel, design) pair serves them all; refitting
-on subsets is kept only as an oracle in the test suite.  One factorization also serves several
-data vectors at once: the data may be an ``(n, s)`` matrix whose columns
-(for example sample paths of different seeds) share the kernel matrix,
-and the data-dependent quantities then come out per column.
+incremental variances, log-determinant and quadratic form) reads the
+:class:`Posterior` they return, so one factorization per (kernel, design)
+pair serves them all; refitting on subsets is kept only as an oracle in
+the test suite.  One factorization also serves several data vectors at
+once: the data may be an ``(n, s)`` matrix whose columns (for example
+sample paths of different seeds) share the kernel matrix, and the
+data-dependent quantities then come out per column.
 
 The factor is grown by row panels, each finished by LAPACK ``dpotrf``
 (whose ``info`` code gives the first non-positive pivot), so that the
@@ -41,7 +41,8 @@ from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
 from .errors import ConditioningError, DomainError
-from .kernels import kernel_matrix, kernel_panels
+# ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
+from .kernels import kernel_matrix, kernel_panels  # noqa: F401
 
 __all__ = [
     "Posterior",
@@ -55,8 +56,6 @@ __all__ = [
     "loo_variances",
     "log_det",
     "quadratic_form",
-    "sequential_expansion",
-    "trace_ratio",
     "DEFAULT_PIVOT_RTOL",
 ]
 
@@ -370,21 +369,6 @@ def incremental_variances(post):
     return np.diag(post.chol) ** 2
 
 
-def sequential_expansion(post):
-    """Prediction residuals and variances against growing prefixes.
-
-    Returns ``(residuals, variances)`` where term ``i`` uses the posterior
-    conditioned on the first ``i - 1`` points.  The sum of
-    ``residual**2 / variance`` equals the quadratic form of the full
-    posterior.  Needs one data vector, shape ``(n,)``.
-    """
-    if post.y.ndim != 1:
-        raise DomainError(f"sequential expansion needs one data vector, got {post.y.shape}")
-    e = _linalg.solve_triangular(post.chol, post.y, lower=True, check_finite=False)
-    piv = np.diag(post.chol)
-    return piv * e, piv**2
-
-
 @dataclass(frozen=True)
 class LooResult:
     """Leave-one-out residuals and variances, one entry per design point.
@@ -435,12 +419,3 @@ def loo_variances(post):
     if post.n == 1:
         return np.array([post.kernel(0.0)])
     return loo(post).variances
-
-
-def trace_ratio(kernel0, post):
-    """Normalised trace ``tr[K_0 K_1^{-1}] / n``, ``K_1`` the posterior's kernel matrix."""
-    if post.n == 0:
-        raise DomainError("trace ratio of an empty design")
-    K0 = kernel_matrix(kernel0, post.design)
-    M = _linalg.cho_solve((post.chol, True), K0, check_finite=False)
-    return float(np.trace(M)) / post.n

@@ -11,6 +11,7 @@ prefix of the design evaluates the kernel only at its own distances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,10 +85,12 @@ def c_scaling(policy, nu):
 
 
 def require_positive(params, names):
-    """Raise :class:`DomainError` unless each named field is a positive finite number."""
+    """Raise :class:`DomainError` unless each named field is a positive finite
+    real number: Python or NumPy, and not a bool."""
     for name in names:
         v = getattr(params, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v) and v > 0):
             raise DomainError(f"{name} must be positive and finite, got {v!r}")
 
 

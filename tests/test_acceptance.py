@@ -17,6 +17,7 @@ from maternsmooth.analysis import (
     matern_rkhs_norm_sq,
 )
 from maternsmooth.designs import Box, Design, van_der_corput
+from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     ExperimentConfig,
     run_convergence,
@@ -155,8 +156,7 @@ def test_c06_variance_decay_exponents():
     ok = True
     cfg1 = ExperimentConfig(experiment="variance-decay", d=1,
                             nu_grid=(0.5, 1.0, 2.0),
-                            schedule=(16, 32, 64, 128, 256, 512, 1024),
-                            lambda_=1.0)
+                            schedule=(16, 32, 64, 128, 256, 512, 1024))
     res1 = run_variance_decay(cfg1)
     slopes = {}
     for row in res1.rows:
@@ -169,7 +169,7 @@ def test_c06_variance_decay_exponents():
 
     cfg2 = ExperimentConfig(experiment="variance-decay", d=2,
                             design="uniform_grid", nu_grid=(1.0,),
-                            schedule=(9, 25, 81, 289, 1089), lambda_=1.0)
+                            schedule=(9, 25, 81, 289, 1089))
     res2 = run_variance_decay(cfg2)
     slope2 = res2.rows[0][5]
     good2 = abs(slope2 - (-1.0)) <= 0.35
@@ -185,7 +185,7 @@ def test_c07_non_undersmoothing():
     """Tail estimates above nu0 - d/2 - 0.1 in at least 8 of 10 seeds."""
     start = time.monotonic()
     cfg = ExperimentConfig(experiment="non-undersmoothing", nu0=1.5, d=1,
-                           schedule=(16, 32, 64, 128, 256, 512), lambda_=1.0)
+                           schedule=(16, 32, 64, 128, 256, 512))
     result = run_non_undersmoothing(cfg)
     by_seed = {}
     for row in result.rows:
@@ -208,7 +208,7 @@ def test_c07_non_undersmoothing():
 def test_c08_infinite_smoothness_saturation():
     """The estimate pegs the searchable upper bracket for smooth data."""
     cfg = ExperimentConfig(experiment="non-undersmoothing", f0="gauss_bump",
-                           schedule=(16, 32, 64, 128, 256, 512), lambda_=1.0)
+                           schedule=(16, 32, 64, 128, 256, 512))
     result = run_non_undersmoothing(cfg)
     late = [row for row in result.rows if row[2] >= 256]
     ok = len(late) == 2 and all(row[9] for row in late)
@@ -255,9 +255,10 @@ def test_c10_gaussian_limit():
 def test_c11_oversmoothed_convergence():
     """Sup-error rate of the oversmoothed mean, and a bounded
     undersmoothed error-to-sd ratio."""
-    cfg = ExperimentConfig(experiment="convergence", nu0=1.5, lambda_=0.25,
+    cfg = ExperimentConfig(experiment="convergence", nu0=1.5,
                            nu_model=(3.0, 0.75), schedule=(32, 64, 128, 256, 512),
-                           seeds=(11, 12, 13, 14, 15))
+                           seeds=(11, 12, 13, 14, 15),
+                           estimator=EstimatorConfig(lambda_=0.25))
     result = run_convergence(cfg)
 
     sup_by_n = {}

@@ -11,12 +11,14 @@ from maternsmooth import estimators, gp, objectives
 from maternsmooth.errors import ConditioningError, DomainError, EstimationError
 from maternsmooth.estimators import (
     EstimatorConfig,
+    SweepRecord,
     bracketed_minimize,
     estimate_nu,
     _profiled,
     sweep_prefixes,
 )
-from maternsmooth.gp import condition, condition_prefixes, loo
+from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
+from maternsmooth.gp import condition, condition_prefixes, loo, loo_variances
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import thread_limit
@@ -32,6 +34,15 @@ def cv_objective(params, design, y):
     return ell_cv_from(condition(MaternKernel(params), design, y))
 
 
+def worst_loo_ratio(prefix, nu0, nu, config):
+    """Largest ratio of the leave-one-out variances at ``nu0`` to those at
+    ``nu``, with the configured magnitude and length-scale, on zero data."""
+    def variances(nu):
+        kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=prefix.d))
+        return loo_variances(condition(kernel, prefix, np.zeros(prefix.n)))
+    return float(np.max(variances(nu0) / variances(nu)))
+
+
 @pytest.fixture(scope="module")
 def sample_instance():
     design = van_der_corput(UNIT, 128)
@@ -43,14 +54,14 @@ class TestConfig:
     def test_defaults(self):
         cfg = EstimatorConfig()
         assert cfg.nu_min == 0.05 and cfg.nu_max == 15.0
-        assert cfg.coarse_grid == 60 and cfg.objective == "ml"
+        assert cfg.coarse_grid == 60 and cfg.sigma == cfg.lambda_ == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(nu_min=0.0), dict(nu_min=2.0, nu_max=1.0), dict(coarse_grid=4),
         dict(nu_max=math.inf), dict(nu_min=1.0, nu_max=math.nan),
         dict(coarse_grid=10.5), dict(coarse_grid=60.0), dict(coarse_grid=True),
         dict(coarse_grid="60"),
-        dict(refine_tol=0.0), dict(objective="map"),
+        dict(refine_tol=0.0), dict(sigma=True),
         dict(sigma=0.0), dict(sigma=math.inf), dict(lambda_=-1.0), dict(lambda_=math.nan),
         dict(pivot_rtol=-1.0), dict(pivot_rtol=1.0), dict(pivot_rtol=math.nan),
     ])
@@ -94,7 +105,7 @@ class TestEstimateNu:
     def test_zero_data_minimises_log_det(self, sample_instance):
         design, _ = sample_instance
         cfg = EstimatorConfig(nu_min=0.1, nu_max=1.5, coarse_grid=24, lambda_=0.2)
-        est = estimate_nu(design.prefix(32), np.zeros(32), cfg)
+        est = estimate_nu(design.prefix(32), np.zeros(32), cfg)["ml"]
         # fine-grid oracle at 10x the coarse resolution
         fine = np.geomspace(cfg.nu_min, cfg.nu_max, 10 * cfg.coarse_grid)
         vals = [ml_objective(matern(nu, 1.0, 0.2, d=1), design.prefix(32), np.zeros(32)).total
@@ -104,7 +115,7 @@ class TestEstimateNu:
     def test_refinement_beats_every_coarse_cell(self, sample_instance):
         design, y = sample_instance
         cfg = EstimatorConfig(coarse_grid=16, lambda_=1.0)
-        est = estimate_nu(design, y, cfg)
+        est = estimate_nu(design, y, cfg)["ml"]
         for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid):
             try:
                 value = ml_objective(matern(float(nu), 1.0, 1.0, d=1), design, y).total
@@ -115,19 +126,19 @@ class TestEstimateNu:
     def test_bracket_honesty(self, sample_instance):
         design, y = sample_instance
         cfg = EstimatorConfig(nu_min=0.3, nu_max=0.9, coarse_grid=12, lambda_=1.0)
-        est = estimate_nu(design, y, cfg)
+        est = estimate_nu(design, y, cfg)["ml"]
         assert 0.3 <= est.nu_hat <= 0.9
         assert est.hit_upper_bracket  # truth is above this bracket
 
     def test_interior_estimate_does_not_flag_bracket(self, sample_instance):
         design, y = sample_instance
-        est = estimate_nu(design, y, EstimatorConfig(lambda_=1.0))
+        est = estimate_nu(design, y, EstimatorConfig(lambda_=1.0))["ml"]
         assert 1.0 < est.nu_hat < 2.5
         assert not est.hit_upper_bracket
 
     def test_failures_recorded_at_large_smoothness(self, sample_instance):
         design, y = sample_instance
-        est = estimate_nu(design, y, EstimatorConfig(lambda_=1.0))
+        est = estimate_nu(design, y, EstimatorConfig(lambda_=1.0))["ml"]
         assert est.failures
         assert all(nu > est.nu_hat for nu, _ in est.failures)
 
@@ -140,8 +151,20 @@ class TestEstimateNu:
 
     def test_cv_objective(self, sample_instance):
         design, y = sample_instance
-        est = estimate_nu(design, y, EstimatorConfig(objective="cv", lambda_=1.0))
+        est = estimate_nu(design, y, EstimatorConfig(lambda_=1.0))["cv"]
         assert 1.0 < est.nu_hat < 2.5
+
+    def test_failed_cv_search_raises(self, sample_instance, monkeypatch):
+        # Every cell fails for cross-validation alone: the ML search ends
+        # well, and the CV search's error is raised.
+        design, y = sample_instance
+
+        def failing(post):
+            raise ConditioningError("injected", pivot_index=0)
+
+        monkeypatch.setattr(objectives, "loo", failing)
+        with pytest.raises(EstimationError, match="could be evaluated"):
+            estimate_nu(design.prefix(32), y[:32], EstimatorConfig(lambda_=1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_data_raises(self, sample_instance, bad):
@@ -152,9 +175,9 @@ class TestEstimateNu:
             estimate_nu(design.prefix(32), y, EstimatorConfig(lambda_=1.0))
 
     def test_preconditions(self):
+        # Cross-validation needs two points: one point gets the ML estimate alone.
         design = Design([[0.5]], UNIT)
-        with pytest.raises(DomainError):
-            estimate_nu(design, [1.0], EstimatorConfig(objective="cv"))
+        assert set(estimate_nu(design, [1.0], EstimatorConfig())) == {"ml"}
         with pytest.raises(DomainError):
             estimate_nu(Design(np.zeros((0, 1)), UNIT), [], EstimatorConfig())
 
@@ -198,7 +221,7 @@ class TestProfileSigma:
     def test_profiled_estimation_runs(self, sample_instance):
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0, profile_sigma=True)
-        est = estimate_nu(design, y, cfg)
+        est = estimate_nu(design, y, cfg)["ml"]
         assert 0.8 < est.nu_hat < 3.0
 
     def test_profiled_zero_data_raises(self, sample_instance):
@@ -215,9 +238,9 @@ class TestSweeps:
     def test_singleton_schedule_reduces_to_estimate(self, sample_instance, objective,
                                                     profiled):
         design, y = sample_instance
-        cfg = EstimatorConfig(lambda_=1.0, objective=objective, profile_sigma=profiled)
+        cfg = EstimatorConfig(lambda_=1.0, profile_sigma=profiled)
         records = sweep_prefixes(design, y, [48], cfg)
-        est = estimate_nu(design.prefix(48), y[:48], cfg)
+        est = estimate_nu(design.prefix(48), y[:48], cfg)[objective]
         assert len(records) == 1
         assert getattr(records[0], f"nu_hat_{objective}") == est.nu_hat
         assert getattr(records[0], f"ell_{objective}_min") == est.objective_at_min
@@ -237,6 +260,28 @@ class TestSweeps:
                                  nu0=1.5, seed=202)
         assert all(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert all(r.seed == 202 for r in records)
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_ratio_is_worst_loo_variance_ratio(self, sample_instance, profiled):
+        design, y = sample_instance
+        cfg = EstimatorConfig(sigma=1.3, lambda_=0.7, profile_sigma=profiled)
+        record = sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5)[1]
+        assert record.max_loo_var_ratio == worst_loo_ratio(design.prefix(64), 1.5,
+                                                           record.nu_hat_ml, cfg)
+
+    def test_experiment_sweeps_with_the_estimator_sigma_and_lambda(self):
+        # The paths are drawn, and the estimates and ratios computed, with
+        # the magnitude and length-scale of the experiment's estimator.
+        est = EstimatorConfig(sigma=1.3, lambda_=0.7)
+        cfg = ExperimentConfig(nu0=1.5, schedule=(16, 64), seeds=(101,), estimator=est)
+        design = make_design(cfg.design, cfg.d, cfg.design_size)
+        y = sample_gp_path(matern(1.5, 1.3, 0.7, d=1), design, 101)
+        for row in run_non_undersmoothing(cfg).rows:
+            record = SweepRecord(*row)
+            prefix = design.prefix(record.n)
+            assert record.nu_hat_ml == estimate_nu(prefix, y[:record.n], est)["ml"].nu_hat
+            assert record.max_loo_var_ratio == worst_loo_ratio(prefix, 1.5, record.nu_hat_ml,
+                                                               est)
 
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)
@@ -393,7 +438,7 @@ class TestSweeps:
         # search alone: the ML search still reads the cell's total.
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0)
-        ml = estimate_nu(design.prefix(64), y[:64], cfg)
+        ml = estimate_nu(design.prefix(64), y[:64], cfg)["ml"]
         (intact,) = sweep_prefixes(design, y, [64], cfg)
         grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
         nearest = float(grid[np.argmin(np.abs(np.log(grid / ml.nu_hat)))])

@@ -58,7 +58,7 @@ class TestIdentitySuite:
 class TestEngines:
     def test_variance_decay_rows_and_slope(self):
         cfg = ExperimentConfig(experiment="variance-decay", nu_grid=(1.0,),
-                               schedule=(16, 32, 64, 128), lambda_=1.0)
+                               schedule=(16, 32, 64, 128))
         result = run_variance_decay(cfg)
         assert result.header[0] == "d"
         slope = result.rows[0][5]
@@ -67,15 +67,14 @@ class TestEngines:
 
     def test_non_undersmoothing_pass_counting(self):
         cfg = ExperimentConfig(experiment="non-undersmoothing", nu0=1.5,
-                               schedule=(16, 32, 64), seeds=(101, 102),
-                               lambda_=1.0)
+                               schedule=(16, 32, 64), seeds=(101, 102))
         result = run_non_undersmoothing(cfg)
         assert result.ok is not None
         assert len(result.rows) == 6
 
     def test_non_undersmoothing_threads_deterministic(self):
         base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32),
-                                seeds=(1, 2, 3), lambda_=1.0)
+                                seeds=(1, 2, 3))
         with thread_limit(1):
             serial = run_non_undersmoothing(base)
         with thread_limit(3):
@@ -86,7 +85,7 @@ class TestEngines:
         # Python's min skips a NaN that is not first, so a failed estimate
         # in the middle of a tail must not let its seed pass.
         cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
-                               seeds=(101, 102), lambda_=1.0)
+                               seeds=(101, 102))
         assert run_non_undersmoothing(cfg).ok
         sweep = experiments.sweep_prefixes
 
@@ -104,7 +103,7 @@ class TestEngines:
 
     def test_convergence_threads_deterministic(self):
         base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
-                                seeds=(1, 2, 3), probe_count=64, lambda_=1.0)
+                                seeds=(1, 2, 3), probe_count=64)
         with thread_limit(1):
             serial = run_convergence(base)
         with thread_limit(2):
@@ -115,7 +114,7 @@ class TestEngines:
     def test_convergence_probes_avoid_design_points(self):
         # 300 probes used to step by 3/1024, landing on the design's lattice
         cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
-                               seeds=(1,), probe_count=300, lambda_=1.0)
+                               seeds=(1,), probe_count=300)
         assert len(run_convergence(cfg).rows) == 9
         for count in range(1, 513):
             numerators = experiments._convergence_probes(count, 513) * 1024.0
@@ -125,7 +124,7 @@ class TestEngines:
     @pytest.mark.parametrize("kwargs", [dict(probe_count=0), dict(probe_count=513),
                                         dict(schedule=(16, 514))])
     def test_convergence_probe_domain(self, kwargs):
-        cfg = ExperimentConfig(experiment="x", nu0=1.5, seeds=(1,), lambda_=1.0,
+        cfg = ExperimentConfig(experiment="x", nu0=1.5, seeds=(1,),
                                **{"schedule": (16, 32, 64), **kwargs})
         with pytest.raises(DomainError):
             run_convergence(cfg)
@@ -137,8 +136,7 @@ class TestEngines:
 
     def test_logdet_growth_tracks_trend(self):
         cfg = ExperimentConfig(experiment="logdet-growth", nu0=1.0,
-                               nu_grid=(0.5, 1.0), schedule=(16, 32, 64, 128, 256, 512),
-                               lambda_=1.0)
+                               nu_grid=(0.5, 1.0), schedule=(16, 32, 64, 128, 256, 512))
         result = run_logdet_growth(cfg)
         # ratio log det / (n log n) within 30% of -2 nu / d at the last size
         for nu in (0.5, 1.0):
@@ -179,8 +177,7 @@ class TestEngines:
             ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
-        for bad in (dict(sigma=0.0), dict(lambda_=-1.0), dict(sigma=math.nan),
-                    dict(threads=0), dict(threads=-4), dict(threads=2.5),
+        for bad in (dict(threads=0), dict(threads=-4), dict(threads=2.5),
                     dict(threads="x"), dict(threads=True)):
             with pytest.raises(DomainError):
                 ExperimentConfig(**bad)
@@ -237,8 +234,8 @@ class TestConfigFile:
         args = _build_parser().parse_args(
             ["variance-decay", "--config", str(cfg), "--lambda", "0.25"])
         config = _build_config(args)
-        assert config.lambda_ == config.estimator.lambda_ == 0.25
-        assert config.sigma == config.estimator.sigma == 2.0
+        assert config.estimator.lambda_ == 0.25
+        assert config.estimator.sigma == 2.0
 
 
 class TestCli:

@@ -7,6 +7,7 @@ import pytest
 
 from maternsmooth.designs import Box, Design
 from maternsmooth.errors import DegenerateDesignError, DomainError
+from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.kernels import (
     GaussParams,
     GaussianKernel,
@@ -116,6 +117,23 @@ class TestMaternEval:
         p = matern(0.3, d=2)
         assert p.scaling == ScalingPolicy.clamped(2)
         assert matern(0.3, scaling=STANDARD_SCALING).scaling is STANDARD_SCALING
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: MaternParams(1.5, v, v, STANDARD_SCALING),
+    lambda v: EstimatorConfig(sigma=v, lambda_=v),
+], ids=["MaternParams", "EstimatorConfig"])
+@pytest.mark.parametrize("value,accepted", [
+    (np.int64(2), True), (np.float32(0.5), True), (np.float64(1.5), True),
+    (True, False), (np.bool_(True), False), (np.float64(math.inf), False),
+])
+def test_positive_fields_take_numpy_reals_not_bools(make, value, accepted):
+    if accepted:
+        made = make(value)
+        assert made.sigma == made.lambda_ == value
+    else:
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            make(value)
 
 
 class TestGaussianEval:

@@ -1,4 +1,4 @@
-"""Objective decomposition, oracles, and variance-ratio diagnostics."""
+"""Objective decomposition and oracles."""
 
 import math
 
@@ -10,7 +10,7 @@ from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import DomainError
 from maternsmooth.gp import condition, incremental_variances
 from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, kernel_matrix, matern
-from maternsmooth.objectives import ell_cv_from, ell_ml_from, variance_ratio_profile
+from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
 
@@ -125,52 +125,6 @@ class TestCvObjective:
             alone = ell_cv_from(condition(kernel, design, column))
             assert (data_term, together.complexity_term) == (alone.data_term,
                                                              alone.complexity_term)
-
-
-class TestVarianceRatioProfile:
-    def test_reference_ratio_is_one(self, instance):
-        design, _ = instance
-        prof = variance_ratio_profile(1.5, [1.5], design, lambda_=0.2)
-        assert prof.ratios[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_single_point_is_prior_ratio(self):
-        design = Design([[0.5]], UNIT)
-        prof = variance_ratio_profile(1.0, [2.0], design, sigma=1.0, lambda_=0.3)
-        k0 = MaternKernel(matern(1.0, 1.0, 0.3))
-        k1 = MaternKernel(matern(2.0, 1.0, 0.3))
-        assert prof.ratios[0] == pytest.approx(k0(0.0) / k1(0.0), rel=1e-12)
-
-    def test_undersmoothed_ratio_shrinks_with_n(self):
-        nu0, nu = 1.5, 0.5
-        des = van_der_corput(UNIT, 256)
-        small = variance_ratio_profile(nu0, [nu], des.prefix(32), lambda_=1.0)
-        large = variance_ratio_profile(nu0, [nu], des.prefix(256), lambda_=1.0)
-        assert large.ratios[0] < small.ratios[0]
-
-    def test_sequential_probe(self, instance):
-        design, _ = instance
-        prof = variance_ratio_profile(1.5, [1.5, 0.7], design, probe="sequential",
-                                      lambda_=0.2)
-        assert prof.ratios[0] == pytest.approx(1.0, abs=1e-10)
-        k0 = MaternKernel(matern(1.5, lambda_=0.2))
-        k1 = MaternKernel(matern(0.7, lambda_=0.2))
-        zeros = np.zeros(design.n)
-        ref = float(np.max(incremental_variances(condition(k0, design, zeros))
-                           / incremental_variances(condition(k1, design, zeros))))
-        assert prof.ratios[1] == pytest.approx(ref, rel=1e-10)
-
-    def test_failures_recorded(self):
-        des = van_der_corput(UNIT, 64)
-        prof = variance_ratio_profile(1.0, [1.0, 12.0], des, lambda_=1.0)
-        assert math.isnan(prof.ratios[1])
-        assert len(prof.failures) == 1
-
-    def test_validation(self, instance):
-        design, _ = instance
-        with pytest.raises(DomainError):
-            variance_ratio_profile(1.0, [0.0], design)
-        with pytest.raises(DomainError):
-            variance_ratio_profile(1.0, [1.0], design, probe="emphatic")
 
 
 class TestObjectiveChainInequality:

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twelve fixed configurations.
+"""SHA-256 digests of the CLI's outputs over seventeen fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -50,6 +50,18 @@ CONFIGURATIONS = (
     ("convergence-threads-2", ["convergence", "--threads", "2"], None),
     ("gaussian-scale-probe", ["gaussian-scale-probe"], None),
     ("verify-identities", ["verify-identities"], None),
+    # Non-default magnitude and length-scale, from flags and from a file.
+    ("sigma-lambda-sweep", ["non-undersmoothing", "--nu0", "1.5", "--sigma", "1.3",
+                            "--lambda", "0.7", "--seed-list", "101,102",
+                            "--schedule", "16,32,64"], None),
+    ("sigma-lambda-file-decay", ["variance-decay", "--schedule", "16,32,64,128"],
+     ["lambda = 0.7", "sigma = 1.3"]),
+    ("sigma-gaussian-probe", ["gaussian-scale-probe", "--sigma", "2",
+                              "--schedule", "8,16,32"], None),
+    ("sigma-lambda-logdet", ["logdet-growth", "--sigma", "1.3", "--lambda", "0.7",
+                             "--schedule", "16,32,64"], None),
+    ("sigma-lambda-convergence", ["convergence", "--sigma", "1.3", "--lambda", "0.7",
+                                  "--seed-list", "1,2", "--schedule", "32,64,128"], None),
 )
 
 
