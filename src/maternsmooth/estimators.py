@@ -1,15 +1,20 @@
 """Derivative-free smoothness estimation on a bounded bracket.
 
 The search space ``(0, inf)`` cannot be scanned, so estimation runs on a
-log-spaced coarse grid over a bracket ``[nu_min, nu_max]`` followed by
-golden-section refinement around the best bracketing triple.  Cells whose
-kernel matrix fails to factorize are recorded and skipped, which shrinks
-the effective bracket from above; an estimate that saturates the top of
-the effective bracket is flagged via ``hit_upper_bracket`` so that
-divergence of the estimator for very smooth data is observable rather
-than an error.  A prefix sweep factors each coarse cell once and reads
-every prefix from that factor; per prefix, every search shares one table
-of refinement cells.
+log-spaced coarse grid over a bracket ``[nu_min, nu_max]``.  Cells whose
+kernel matrix fails to factorize are recorded and skipped; the searchable
+bracket is the contiguous run of cells that factor, from the lowest one,
+and an estimate that saturates its top is flagged via
+``hit_upper_bracket`` so that divergence of the estimator for very smooth
+data is observable rather than an error.  A minimum inside the run is
+refined on its bracketing triple by Chebyshev-Lobatto nodes in log nu:
+the objectives are analytic in log nu there, so the minimum of the
+polynomial through nine nodes stands in for a one-dimensional search.
+
+A prefix sweep factors each coarse cell once and reads every prefix from
+that factor.  The searches of every data column, objective and prefix
+that share a bracketing triple share its nodes, and each node is
+factored once, on the largest prefix that needs it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .designs import fill_distance, is_integer
 from .errors import ConditioningError, DomainError, EstimationError
@@ -34,7 +40,24 @@ __all__ = [
     "bracketed_minimize",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Refinement nodes per bracket: Chebyshev-Lobatto points on [-1, 1], in
+# ascending order, with the ends and the midpoint exact.  A bracketing
+# triple of the log-uniform coarse grid maps its cells onto -1, 0 and 1.
+_NODES = 9
+_MID = _NODES // 2
+_UNIT_NODES = np.array([math.sin(math.pi * k / (_NODES - 1)) for k in range(-_MID, _MID + 1)])
+# Chebyshev coefficients of the interpolating polynomial from its node
+# values, by discrete orthogonality on the nodes: T_j at node k is
+# (-1)^j cos(j k pi / (_NODES - 1)), and the end nodes and the first and
+# last coefficients carry half weight.
+_TO_CHEBYSHEV = np.array([
+    [2.0 / (_NODES - 1) * (-1) ** j * math.cos(math.pi * j * k / (_NODES - 1))
+     * (0.5 if j in (0, _NODES - 1) else 1.0) * (0.5 if k in (0, _NODES - 1) else 1.0)
+     for k in range(_NODES)] for j in range(_NODES)])
+# The interpolant's minimum is located on this scan of [-1, 1], then
+# polished by Newton steps, each of which squares the scan's error.
+_SCAN = np.linspace(-1.0, 1.0, 2049)
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -74,10 +97,16 @@ class EstimatorConfig:
 class NuEstimate:
     """Result of one smoothness estimation, or of any bracketed minimisation.
 
-    ``hit_upper_bracket`` is set when the estimate saturates the top of
-    the bracket that was actually searchable: either ``nu_max`` itself or,
-    when larger candidates failed to factorize, the largest smoothness
-    that conditioned successfully.
+    ``searchable_upper`` is the top of the searchable bracket: the
+    contiguous run of coarse cells that could be evaluated, from the lowest
+    one (``nu_min`` unless it fails).  ``irregular_failures`` counts the
+    cells above that run that could still be evaluated; the search ignores
+    them.  ``hit_upper_bracket`` is set when the estimate saturates
+    ``searchable_upper``.  ``evaluations`` counts the objective values the
+    search read: every coarse cell, plus the interior nodes of its bracket
+    when it was refined.  ``objective_at_min`` is the interpolating
+    polynomial's value at ``nu_hat`` after refinement, else the value of
+    the cell or node returned.
     """
 
     nu_hat: float
@@ -85,6 +114,8 @@ class NuEstimate:
     hit_upper_bracket: bool
     evaluations: int
     failures: tuple
+    searchable_upper: float
+    irregular_failures: int
     non_unimodal: bool = False
 
 
@@ -109,13 +140,89 @@ def _checked_data(y, shape, name):
     return y
 
 
+def _coarse_plan(values):
+    """Indices ``(first, best, top)`` of the coarse cells, or None when no
+    value is finite.
+
+    ``first`` is the lowest cell with a finite value and ``top`` the end of
+    the contiguous run of such cells from it: the searchable bracket.
+    ``best`` is the run's minimum, ties broken toward the larger argument.
+    """
+    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+    if not finite:
+        return None
+    first = top = finite[0]
+    while top + 1 < len(values) and math.isfinite(values[top + 1]):
+        top += 1
+    best = first
+    for i in range(first, top + 1):
+        if values[i] <= values[best]:
+            best = i
+    return first, best, top
+
+
+def _on_bracket(grid, best, t):
+    """The point ``t`` of ``[-1, 1]`` on the bracketing triple around coarse
+    cell ``best``, mapped linearly in log nu."""
+    a, b = math.log(grid[best - 1]), math.log(grid[best + 1])
+    return np.exp(0.5 * (a + b) + 0.5 * (b - a) * t)
+
+
+def _bracket_nodes(grid, best):
+    """The refinement nodes of the bracketing triple around coarse cell
+    ``best``, ascending, whose two ends and midpoint are the triple's
+    coarse cells."""
+    nodes = [float(nu) for nu in _on_bracket(grid, best, _UNIT_NODES)]
+    nodes[0], nodes[_MID], nodes[-1] = (float(nu) for nu in grid[best - 1:best + 2])
+    return nodes
+
+
+def _unimodal(values):
+    """Whether ``values`` fall to their minimum and then rise."""
+    k = int(np.argmin(values))
+    return bool(np.all(np.diff(values[:k + 1]) <= 0) and np.all(np.diff(values[k:]) >= 0))
+
+
+def _interpolant_minimum(values):
+    """The minimum ``(t, value)`` on ``[-1, 1]`` of the polynomial through
+    ``values`` at the unit nodes.
+
+    The least of its values on a uniform scan of the interval, moved by
+    Newton steps on its derivative to the root there when the scan's least
+    point is inside.  (The companion matrix's eigenvalues would give the
+    same root, but loading LAPACK's eigenvalue code costs about 1 MB of
+    resident memory.)
+    """
+    coeffs = _TO_CHEBYSHEV @ values
+    j = int(np.argmin(cheb.chebval(_SCAN, coeffs)))
+    t = float(_SCAN[j])
+    if 0 < j < _SCAN.size - 1:
+        slope, curvature = cheb.chebder(coeffs), cheb.chebder(coeffs, 2)
+        x = t
+        for _ in range(_NEWTON_STEPS):
+            c = cheb.chebval(x, curvature)
+            if not c > 0.0:
+                break
+            x -= cheb.chebval(x, slope) / c
+        if _SCAN[j - 1] < x < _SCAN[j + 1]:
+            t = float(x)
+    return t, float(cheb.chebval(t, coeffs))
+
+
 def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
-    """Log-spaced coarse scan plus golden-section refinement of ``fn``.
+    """Log-spaced coarse scan plus node refinement of ``fn``.
 
     ``fn`` maps a positive scalar to an objective value and may raise
-    :class:`ConditioningError`; failing cells are recorded and treated as
-    unevaluable.  Coarse ties are broken toward the larger argument.  If
-    refinement cannot improve on the coarse minimum the coarse minimum is
+    :class:`ConditioningError`; failing cells, and cells whose value is
+    not finite, are recorded in ``failures`` and treated as unevaluable.
+    The searchable bracket is the contiguous run of evaluable coarse cells
+    from the lowest one (see :class:`NuEstimate`); coarse ties are broken
+    toward the larger argument.  A minimum inside the run is refined on its
+    bracketing triple: ``fn`` is evaluated at the triple's interior
+    Chebyshev-Lobatto nodes in log coordinates, and the estimate is the
+    minimum of the degree-8 polynomial through the nine nodes.  When a node
+    cannot be evaluated, or the node values are not unimodal, or the
+    polynomial's minimum sits on an end of the bracket, the best node is
     returned with ``non_unimodal`` set.
     """
     grid = np.geomspace(lo, hi, n_coarse)
@@ -130,55 +237,42 @@ def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
         except ConditioningError as err:
             failures.append((float(theta), str(err)))
             return math.inf
-        return v if math.isfinite(v) else math.inf
+        if not math.isfinite(v):
+            failures.append((float(theta), f"objective value {v!r} is not finite"))
+            return math.inf
+        return v
 
     values = [safe(g) for g in grid]
-    ok = [i for i, v in enumerate(values) if math.isfinite(v)]
-    if not ok:
+    plan = _coarse_plan(values)
+    if plan is None:
         raise EstimationError(
             f"no candidate in [{lo:g}, {hi:g}] could be evaluated "
             f"({len(failures)} failures)"
         )
-    best = ok[0]
-    for i in ok:
-        if values[i] <= values[best]:
-            best = i
-    pos = ok.index(best)
-    saturated = pos == len(ok) - 1
+    first, best, top = plan
     theta, value, non_unimodal = float(grid[best]), values[best], False
 
-    if 0 < pos < len(ok) - 1:
-        # Golden-section in log coordinates on the bracketing triple.
-        a = math.log(grid[ok[pos - 1]])
-        b = math.log(grid[ok[pos + 1]])
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1 = safe(math.exp(x1))
-        f2 = safe(math.exp(x2))
-        while math.exp(b) - math.exp(a) > refine_tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _GOLDEN * (b - a)
-                f1 = safe(math.exp(x1))
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _GOLDEN * (b - a)
-                f2 = safe(math.exp(x2))
-        if f1 <= f2:
-            theta_r, value_r = math.exp(x1), f1
+    if first < best < top:
+        coarse = {0: values[best - 1], _MID: values[best], _NODES - 1: values[best + 1]}
+        nodes = _bracket_nodes(grid, best)
+        at = np.array([coarse[k] if k in coarse else safe(nu) for k, nu in enumerate(nodes)])
+        t, low = _interpolant_minimum(at) if np.all(np.isfinite(at)) else (-1.0, math.inf)
+        if abs(t) == 1.0 or not _unimodal(at):
+            # The best node, ties broken toward the larger argument.
+            k = _NODES - 1 - int(np.argmin(at[::-1]))
+            theta, value, non_unimodal = nodes[k], float(at[k]), True
         else:
-            theta_r, value_r = math.exp(x2), f2
-        if value_r > value:
-            non_unimodal = True
-        else:
-            theta, value = float(theta_r), float(value_r)
+            theta, value = float(_on_bracket(grid, best, t)), low
 
+    searchable_upper = float(grid[top])
     return NuEstimate(
         nu_hat=theta,
         objective_at_min=value,
-        hit_upper_bracket=saturated or theta >= hi - refine_tol,
+        hit_upper_bracket=best == top or theta >= searchable_upper - refine_tol,
         evaluations=evaluations,
         failures=tuple(failures),
+        searchable_upper=searchable_upper,
+        irregular_failures=sum(math.isfinite(v) for v in values[top + 1:]),
         non_unimodal=non_unimodal,
     )
 
@@ -201,8 +295,8 @@ def _cells(design, y, config, nu, sizes, names=None):
     ``design``, for each ``n`` in ``sizes``, from one factorization.
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
-    mapping each of the ``names`` objectives (default: those defined on
-    ``n`` points) to its ``s`` totals, profiled when the config asks, or to
+    mapping each objective defined on ``n`` points (of ``names``, if given)
+    to its ``s`` totals, profiled when the config asks, or to
     the :class:`ConditioningError` that prevents that objective alone.  When
     the factorization fails, both objectives map to one ``nu=..., n=...:``
     error, which names the first failing size after it.
@@ -226,7 +320,9 @@ def _cells(design, y, config, nu, sizes, names=None):
                 pivot_value=post.pivot_value)))
             continue
         cell = {}
-        for name in names or _objective_names(n):
+        for name in _objective_names(n):
+            if names is not None and name not in names:
+                continue
             try:
                 value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
             except ConditioningError as err:
@@ -245,8 +341,9 @@ def _objective_names(n):
 
 
 def estimate_nu(design, y, config=EstimatorConfig()):
-    """Smoothness estimates on one data vector: :func:`_prefix_searches`
-    on one column and one size, so no cell is factored twice.
+    """Smoothness estimates on one data vector: the prefix sweep's search
+    (:func:`_search_tables`, :func:`_prefix_searches`) on one column and
+    one size, so no cell or node is factored twice.
 
     A dict mapping each objective defined on ``n`` points to its
     :class:`NuEstimate`: ``"ml"``, and ``"cv"`` from ``n = 2``.  Needs
@@ -256,7 +353,8 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     if design.n < 1:
         raise DomainError(f"objective 'ml' needs more data than n={design.n}")
     y = _checked_data(y, (design.n,), "y")[:, None]
-    (found,) = _prefix_searches(design, y, {}, config)
+    (table,) = _search_tables(design, y, [design.n], config)
+    (found,) = _prefix_searches(design.n, 1, table, config)
     for name in _objective_names(design.n):
         if isinstance(found[name], EstimationError):
             raise found[name]
@@ -305,16 +403,19 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     ``y_full`` is one data vector ``(n,)`` labelled ``seed``, or ``s``
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
     sequence ``seed``.  The records come column after column, each in
-    schedule order and equal to the column's sweep alone.  Per prefix, the
-    coarse cells, the fill distance and the leave-one-out variances at
-    ``nu0`` are computed once for all columns, and the golden-section
-    searches of every column and both objectives share one table of
-    refinement cells (:func:`_prefix_searches`): each is factored once, and
-    its leave-one-out inverse computed only if a CV search asks for it.
-    The schedule holds sizes of at least 1 in strictly ascending order.
+    schedule order and equal to the column's sweep alone (to rounding at
+    sizes other than those named below).  The coarse cells, the fill
+    distance and the leave-one-out variances at ``nu0`` are computed once
+    for all columns.  Every search then reads its
+    refinement nodes from :func:`_search_tables`: the searches of all
+    columns, both objectives and every prefix whose coarse minimum lands
+    on one bracketing triple share its nodes, each factored once, and
+    inverted for leave-one-out only if a CV search needs it.  The
+    schedule holds sizes of at least 1 in strictly ascending order.
 
-    Each coarse cell is factored once, on the largest prefix, and every
-    prefix reads its posterior from that factor
+    Each coarse cell is factored once, on the largest prefix, and so is
+    each node, on the largest prefix that needs it; every prefix reads its
+    posterior from that factor
     (:func:`~maternsmooth.gp.condition_prefixes`) and its leave-one-out
     quantities from one inverse of it.  At sizes of at most 16
     or ``16 * 2**k`` points that posterior is bit for bit the prefix's own,
@@ -344,10 +445,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
         return []
     top = design.prefix(schedule[-1])
     columns = columns[:top.n]
-    tables = [{} for _ in schedule]
-    for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid):
-        for table, hit in zip(tables, _cells(top, columns, config, float(nu), schedule)):
-            table[float(nu)] = hit
+    tables = _search_tables(top, columns, schedule, config)
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
@@ -358,46 +456,89 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     for n, table, v0 in zip(schedule, tables, variances0):
         prefix = top.prefix(n)
         fill = fill_distance(prefix)
-        searches = _prefix_searches(prefix, columns[:n], table, config)
+        searches = _prefix_searches(n, len(seeds), table, config)
         for column, found, label in zip(records, searches, seeds):
             column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
     return [record for column in records for record in column]
 
 
-def _prefix_searches(prefix, y, table, config):
-    """Both searches of every data column of ``y`` on one prefix.
+def _search_tables(top, columns, schedule, config):
+    """Per size of the schedule, the table of cells, keyed by smoothness,
+    that the searches of that prefix of ``top`` read.
+
+    Each coarse cell is factored once, on ``top``.  Every search of every
+    data column, objective and size then takes its bracketing triple from
+    the coarse cells, as :func:`bracketed_minimize` will.  Each triple's
+    interior nodes are factored once, on the largest prefix whose searches
+    need them, and serve every size that needs them; their leave-one-out
+    inverse is computed only if a CV search needs them.
+    """
+    grid = [float(nu) for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid)]
+    tables = [{} for _ in schedule]
+    for nu in grid:
+        for table, cell in zip(tables, _cells(top, columns, config, nu, schedule)):
+            table[nu] = cell
+    needs = {}  # bracket midpoint index -> {size: objectives refined there}
+    for n, table in zip(schedule, tables):
+        for name in _objective_names(n):
+            for j in range(columns.shape[1]):
+                try:
+                    plan = _coarse_plan([_evaluable(table[nu], name, j) for nu in grid])
+                except EstimationError:
+                    continue  # the search ends with this error
+                if plan and plan[0] < plan[1] < plan[2]:
+                    needs.setdefault(plan[1], {}).setdefault(n, set()).add(name)
+    for best, by_size in sorted(needs.items()):
+        sizes = sorted(by_size)
+        names = ("ml", "cv") if any("cv" in wanted for wanted in by_size.values()) else ("ml",)
+        prefix = top.prefix(sizes[-1])
+        for k, nu in enumerate(_bracket_nodes(grid, best)):
+            if k in (0, _MID, _NODES - 1):
+                continue  # a coarse cell
+            for n, cell in zip(sizes, _cells(prefix, columns[:prefix.n], config, nu, sizes,
+                                             names)):
+                tables[schedule.index(n)][nu] = cell
+    return tables
+
+
+def _total(cell, name, j):
+    """Objective ``name`` of data column ``j`` in a cell, or raises the
+    error that prevents it."""
+    value = cell[name]
+    if isinstance(value, ConditioningError):
+        raise value
+    value = value[j]
+    if isinstance(value, EstimationError):
+        raise value
+    return float(value)
+
+
+def _evaluable(cell, name, j):
+    """:func:`_total`, or ``math.inf`` where :func:`bracketed_minimize`
+    cannot evaluate the cell."""
+    try:
+        value = _total(cell, name, j)
+    except ConditioningError:
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
+def _prefix_searches(n, s, table, config):
+    """Both searches of each of ``s`` data columns on a prefix of ``n``
+    points, reading every cell from the prefix's table (see
+    :func:`_search_tables`).
 
     Per column, a dict mapping each objective defined on the prefix to its
     :class:`NuEstimate`, or to the :class:`EstimationError` that ended its
-    search.  ``table`` holds the cells found so far (a sweep's coarse
-    cells); every search looks its cells up there, and a refinement cell joins it with the totals of every
-    column.  A cell that a CV search asks for is inverted for leave-one-out
-    once and carries the ML totals too, so the CV searches run first and
-    no cell is factored twice.
+    search.
     """
-    def total(nu, name, j):
-        # Objective ``name`` of column ``j`` at ``nu``; a cell that is missing,
-        # or lacks ``name``, is computed and merged into ``table``.
-        nu = float(nu)
-        cell = table.get(nu, {})
-        if name not in cell:
-            names = ("ml", "cv") if name == "cv" else ("ml",)
-            cell = table[nu] = {**cell, **_cells(prefix, y, config, nu, [prefix.n], names)[0]}
-        value = cell[name]
-        if isinstance(value, ConditioningError):
-            raise value
-        value = value[j]
-        if isinstance(value, EstimationError):
-            raise value
-        return float(value)
-
-    searches = [{} for _ in range(y.shape[1])]
-    for name in reversed(_objective_names(prefix.n)):  # CV first: its cells carry ML too
+    searches = [{} for _ in range(s)]
+    for name in _objective_names(n):
         for j, found in enumerate(searches):
             try:
                 found[name] = bracketed_minimize(
-                    lambda nu: total(nu, name, j), config.nu_min, config.nu_max,
-                    config.coarse_grid, config.refine_tol)
+                    lambda nu: _total(table[float(nu)], name, j), config.nu_min,
+                    config.nu_max, config.coarse_grid, config.refine_tol)
             except EstimationError as err:
                 found[name] = err
     return searches
@@ -429,6 +570,8 @@ def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
             estimates[name] = found
             if found.failures:
                 notes.append(f"{name}_failures={len(found.failures)}")
+            if found.irregular_failures:
+                notes.append(f"{name}_irregular={found.irregular_failures}")
             if found.non_unimodal:
                 notes.append(f"{name}_non_unimodal")
     est_ml, est_cv = estimates.get("ml"), estimates.get("cv")

@@ -100,6 +100,65 @@ class TestBracketedMinimize:
         assert scan.hit_upper_bracket
         assert len(scan.failures) > 0
 
+    def test_two_dips_in_the_bracket_return_the_best_node(self):
+        # Two dips either side of the coarse minimum at 2: the node values
+        # fall, rise and fall again, so no polynomial is trusted.
+        c = math.log(2.0)
+
+        def fn(t):
+            u = math.log(t) - c
+            return min((u + 0.2) ** 2, (u - 0.2) ** 2 + 1e-3) + 0.5 * u * u
+
+        asked = []
+        scan = bracketed_minimize(lambda t: fn(asked.append(t) or t), 0.5, 8.0, 9, 1e-3)
+        grid = np.geomspace(0.5, 8.0, 9)
+        inside = sorted(t for t in asked if grid[3] <= t <= grid[5])
+        assert len(asked) == scan.evaluations == 9 + 6 and len(inside) == 9
+        values = [fn(t) for t in inside]
+        assert not all(b >= a for a, b in zip(values[values.index(min(values)):], values[1:]))
+        assert scan.non_unimodal and not scan.failures
+        assert (scan.nu_hat, scan.objective_at_min) == (inside[values.index(min(values))],
+                                                        min(values))
+        assert scan.nu_hat < 2.0  # the lower dip is the deeper one
+
+    @pytest.mark.parametrize("bad", ["raise", "nan"])
+    def test_failing_node_is_not_interpolated(self, bad):
+        # The second new node of the bracket cannot be evaluated: it is
+        # recorded, and the best of the other nodes and cells is returned.
+        calls = []
+
+        def bowl(t):
+            return (math.log(t) - math.log(3.0)) ** 2
+
+        def fn(t):
+            calls.append(t)
+            if len(calls) == 30 + 2:
+                if bad == "raise":
+                    raise ConditioningError("injected", 0, -1.0)
+                return math.nan
+            return bowl(t)
+
+        scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-5)
+        assert [nu for nu, _ in scan.failures] == [calls[31]]
+        assert scan.non_unimodal and scan.evaluations == len(calls) == 36
+        best = min((t for t in calls if t != calls[31]), key=bowl)
+        assert (scan.nu_hat, scan.objective_at_min) == (best, bowl(best))
+
+    def test_searchable_bracket_is_the_run_from_below(self):
+        # Cells above the first failure that evaluate again are ignored: the
+        # estimate saturates the top of the contiguous run.
+        grid = np.geomspace(0.5, 20.0, 30)
+
+        def fn(t):
+            if grid[10] < t < grid[20] or t == grid[25]:
+                raise ConditioningError("synthetic", 0, -1.0)
+            return -math.log(t)  # decreasing: the best cell is the highest
+
+        scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-3)
+        assert scan.searchable_upper == scan.nu_hat == grid[10]
+        assert scan.hit_upper_bracket and not scan.non_unimodal
+        assert scan.irregular_failures == 30 - 11 - len(scan.failures) == 9
+
 
 class TestEstimateNu:
     def test_zero_data_minimises_log_det(self, sample_instance):
@@ -173,6 +232,21 @@ class TestEstimateNu:
         y[5] = bad
         with pytest.raises(DomainError, match="finite"):
             estimate_nu(design.prefix(32), y, EstimatorConfig(lambda_=1.0))
+
+    def test_irregular_failures_leave_the_searchable_run(self):
+        # Two points 1e-15 apart: large orders fail, but not all of them.
+        design = Design([[0.1], [0.4], [0.7], [0.7 + 1e-15]], UNIT)
+        cfg = EstimatorConfig(lambda_=1.0)
+        grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
+        found = estimate_nu(design, [1.0, -0.5, 0.3, 0.3], cfg)
+        for est in found.values():
+            failed = {nu for nu, _ in est.failures}
+            assert "".join("x" if float(nu) in failed else "." for nu in grid) == (
+                "." * 24 + "x" * 12 + "." + "x" * 3 + "." + "x" * 16 + "." + "x" * 2)
+            assert est.searchable_upper == grid[23] and est.irregular_failures == 3
+            assert est.nu_hat <= est.searchable_upper and est.hit_upper_bracket
+        (record,) = sweep_prefixes(design, [1.0, -0.5, 0.3, 0.3], [4], cfg)
+        assert record.notes == "ml_failures=33;ml_irregular=3;cv_failures=33;cv_irregular=3"
 
     def test_preconditions(self):
         # Cross-validation needs two points: one point gets the ML estimate alone.
@@ -283,6 +357,20 @@ class TestSweeps:
             assert record.max_loo_var_ratio == worst_loo_ratio(prefix, 1.5, record.nu_hat_ml,
                                                                est)
 
+    def test_ten_seed_sweep_factor_budget(self, monkeypatch):
+        # The C07 configuration: ten seeds, n up to 512.  Shared nodes
+        # keep it to 155 factorizations; 424 is half of what one search
+        # at a time needed.
+        factor, calls = gp._factor, [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        result = run_non_undersmoothing(ExperimentConfig(nu0=1.5))
+        assert len(result.rows) == 60 and calls[0] < 424
+
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)
         gb = builtin_test_functions()["gauss_bump"]
@@ -337,9 +425,10 @@ class TestSweeps:
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
         # A coarse cell is factored once for the whole sweep, on its largest
-        # prefix; a refinement cell once per prefix, for every column, and
-        # shared by the ML and CV searches of all columns.  Only the cells a
-        # CV search asks for are inverted for leave-one-out.
+        # prefix.  A refinement node is factored once for every column and
+        # objective, on the largest prefix whose searches ask for it, and
+        # serves exactly the prefixes that ask for it.  Only the nodes a CV
+        # search asks for are inverted for leave-one-out.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
@@ -370,35 +459,36 @@ class TestSweeps:
         records = sweep_prefixes(design, data, sizes, cfg, nu0=nu0, seed=seed)
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        coarse = [f for f in factored if f[2] == sizes]
+        coarse = [f for f in factored if f[0] in grid or f[0] == nu0]
         assert coarse == [(nu, 64, sizes, (64, columns)) for nu in grid] + (
             [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
-        refined = [(nu, n) for nu, n, ns, shape in factored if ns != sizes]
-        assert {(n, ns) for _, n, ns, _ in factored if ns != sizes} == {
-            (n, (n,)) for n in sizes}  # each refinement factor is its prefix alone
-        assert all(shape == (n, columns) for _, n, ns, shape in factored if ns != sizes)
-        assert len(set(refined)) == len(refined)
+        nodes = [f for f in factored if f not in coarse]
+        assert len({nu for nu, *_ in nodes}) == len(nodes)
+        assert all(n == ns[-1] and shape == (n, columns) for _, n, ns, shape in nodes)
         assert len(set(inverted)) == len(inverted)
         assert {cell for cell in inverted if cell[0] in grid} <= {
             (nu, n) for nu in grid for n in sizes}  # the coarse cells that factor
 
-        # Per prefix, the CV searches of every column run first, then the ML
-        # searches; the refinement cells inverted are those a CV search asked for.
-        asked = {"cv": set(), "ml": set()}
+        # Per prefix, the ML searches of every column run first, then the CV
+        # searches; each asks for every coarse cell and the nodes of its bracket.
+        asked = {"ml": set(), "cv": set()}
         for k, n in enumerate(sizes):
             for i, cells in enumerate(searches[2 * columns * k:2 * columns * (k + 1)]):
-                asked["cv" if i < columns else "ml"] |= {(nu, n) for nu in cells
-                                                         if nu not in grid}
-        assert {cell for cell in inverted if cell[0] not in grid} == asked["cv"]
-        assert set(refined) == asked["cv"] | asked["ml"]
-        assert asked["ml"] - asked["cv"]  # some cells only an ML search asked for
+                assert cells[:len(grid)] == grid
+                asked["ml" if i < columns else "cv"] |= {(nu, n) for nu in cells[len(grid):]}
+        served = {(nu, n) for nu, _, ns, _ in nodes for n in ns}
+        assert served == asked["ml"] | asked["cv"]
+        assert {nu for nu, n in inverted if nu not in grid} == {nu for nu, _ in asked["cv"]}
+        assert len(nodes) < len(served)  # some node serves several prefixes
+        if columns == 2:  # and some only ML searches, uninverted
+            assert {nu for nu, _ in asked["ml"]} - {nu for nu, _ in asked["cv"]}
 
     @pytest.mark.parametrize("sizes", [(16, 64), (16, 24, 32, 48, 64, 96, 128)])
     def test_each_factor_is_inverted_once(self, sample_instance, monkeypatch, sizes):
         # A coarse cell inverts its factor once, up to the largest prefix it
-        # serves, for the leave-one-out of every prefix of the schedule; a
-        # refinement cell once if a CV search asks for it.  The variances at
-        # nu0 take one inversion, and so does each record's variance ratio.
+        # serves, for the leave-one-out of every prefix of the schedule; so
+        # does a refinement node if a CV search asks for it.  The variances
+        # at nu0 take one inversion, and so does each record's variance ratio.
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0)
         inverted, cells = [], []
@@ -419,15 +509,15 @@ class TestSweeps:
         monkeypatch.setattr(gp, "_invert", inverting)
         monkeypatch.setattr(estimators, "_cells", counting)
         records = sweep_prefixes(design, y, sizes, cfg, nu0=1.5, seed=1)
-        coarse = [cell for cell in cells if cell[0] == sizes]
-        assert len(coarse) == cfg.coarse_grid
+        coarse = [cell for cell in cells if cell[1] is None]
+        assert len(coarse) == cfg.coarse_grid and all(cell[0] == sizes for cell in coarse)
         for _, _, served, inversions in coarse:
             assert inversions == served[-1:]
         assert any(0 < len(served) < len(sizes) for _, _, served, _ in coarse)
-        refined = [cell for cell in cells if cell[0] != sizes]
-        for schedule, names, served, inversions in refined:
-            assert inversions == (served if "cv" in names else [])
-        assert any("cv" not in names for _, names, _, _ in refined)
+        nodes = [cell for cell in cells if cell[1] is not None]
+        assert nodes
+        for schedule, names, served, inversions in nodes:
+            assert inversions == (served[-1:] if "cv" in names else [])
         ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert ratios == len(sizes)
         assert len(inverted) == sum(len(cell[3]) for cell in cells) + 1 + ratios

@@ -1,6 +1,7 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
 prefix consistency of the panel-grown factor and of its inverse, the
-modified Bessel function of the second kind and the design file format.
+refinement of smoothness estimates, the modified Bessel function of the
+second kind and the design file format.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -12,6 +13,7 @@ import tempfile
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
@@ -20,7 +22,9 @@ from scipy.linalg import blas, lapack
 from maternsmooth.designs import (Box, Design, load_design, save_design, uniform_grid,
                                   van_der_corput)
 from maternsmooth.errors import ConditioningError
-from maternsmooth.experiments import _jittered_grid, _naive_loo
+from maternsmooth.analysis import sample_gp_path
+from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimate_nu
+from maternsmooth.experiments import _jittered_grid, _naive_loo, make_design
 from maternsmooth import gp
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
@@ -46,6 +50,55 @@ def _instance(d, nu, n, seed, columns=1):
     kernel = MaternKernel(matern(nu, 1.2, lam, d=d))
     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
     return kernel, design, y
+
+
+@PROPERTY
+@given(st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=0.25, max_value=2.0))
+def test_node_minimum_of_an_analytic_function(c, a, b):
+    # exp(a u) - a u + b u^2 in u = log(nu) - c is convex, with its only
+    # minimum at nu = exp(c).
+    def fn(nu):
+        u = math.log(nu) - c
+        return math.exp(a * u) - a * u + b * u * u
+
+    cfg = EstimatorConfig()
+    scan = bracketed_minimize(fn, cfg.nu_min, cfg.nu_max, cfg.coarse_grid, cfg.refine_tol)
+    assert not scan.non_unimodal and not scan.hit_upper_bracket
+    assert abs(scan.nu_hat - math.exp(c)) <= cfg.refine_tol
+
+
+@pytest.fixture(scope="module")
+def c07_paths():
+    """The C07 design and a function returning the path of a seed on it."""
+    design = make_design("van_der_corput", 1, 512)
+    return design, lambda seed: sample_gp_path(matern(1.5, 1.0, 1.0, d=1), design, seed)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(min_value=101, max_value=110))
+def test_node_minimum_of_the_c07_objectives(c07_paths, n, seed):
+    # Against a tight bounded search of each objective around the estimate.
+    design, path = c07_paths
+    prefix, y = design.prefix(n), path(seed)[:n]
+    cfg = EstimatorConfig()
+    grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
+    for name, est in estimate_nu(prefix, y, cfg).items():
+        objective = ell_ml_from if name == "ml" else ell_cv_from
+
+        def total(nu):
+            return objective(condition(MaternKernel(matern(nu, 1.0, 1.0, d=1)), prefix,
+                                       y)).total
+
+        i = int(np.argmin(np.abs(np.log(grid / est.nu_hat))))
+        reference = optimize.minimize_scalar(total, bounds=(grid[i - 1], grid[i + 1]),
+                                             method="bounded", options={"xatol": 1e-8})
+        assert not est.non_unimodal and not est.hit_upper_bracket
+        assert abs(est.nu_hat - reference.x) <= cfg.refine_tol
+        # The interpolant's minimum, off the objective's by its interpolation error.
+        assert abs(est.objective_at_min - reference.fun) <= 1e-6 * abs(reference.fun)
 
 
 @PROPERTY

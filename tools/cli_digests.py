@@ -13,8 +13,11 @@ build and the platform, so compare runs on one machine only.
 ``--keep DIR`` keeps the CSVs and summaries there, to see what differs.
 ``--against DIR`` compares each CSV with the one an earlier ``--keep DIR``
 run saved: under its digest line, a configuration prints, per column that
-changed, the number of rows that differ and the largest relative change
-of its numeric cells (``|new - old| / |old|``), or ``identical``.
+changed, the number of rows that differ and the largest relative
+(``|new - old| / |old|``) and absolute (``|new - old|``) change of its
+numeric cells, or ``identical``.  A change of the refinement is accepted
+on the absolute change of the ``nu_hat_*`` columns: each estimate may
+move by at most ``refine_tol`` (1e-3 by default), whatever its size.
 """
 
 from __future__ import annotations
@@ -89,16 +92,16 @@ def run(name, argv, lines, keep):
     return proc.returncode, table, proc.stdout + proc.stderr
 
 
-def _relative_change(old, new):
-    """``|new - old| / |old|`` of two numeric cells, None if either is not a
-    number."""
+def _changes(old, new):
+    """``(|new - old| / |old|, |new - old|)`` of two numeric cells, None if
+    either is not a number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
         return None
     if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
-        return math.inf
-    return abs(b - a) / abs(a) if a else math.inf
+        return math.inf, math.inf
+    return (abs(b - a) / abs(a) if a else math.inf), abs(b - a)
 
 
 def column_changes(old, new):
@@ -114,9 +117,9 @@ def column_changes(old, new):
     for j, column in enumerate(old_rows[0]):
         pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
         if pairs:
-            changes = [_relative_change(a, b) for a, b in pairs]
-            numeric = [c for c in changes if c is not None]
-            largest = f"largest relative change {max(numeric):.2e}" if numeric else "text"
+            numeric = [c for c in (_changes(a, b) for a, b in pairs) if c is not None]
+            largest = (f"largest relative change {max(r for r, _ in numeric):.2e}, "
+                       f"absolute {max(d for _, d in numeric):.2e}") if numeric else "text"
             lines.append(f"{column}: {len(pairs)} of {len(old_rows) - 1} rows differ, "
                          f"{largest}")
     return lines or ["identical"]
