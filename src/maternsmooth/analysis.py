@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .gp import DEFAULT_PIVOT_RTOL, condition
+from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
 from .kernels import MaternKernel, kernel_matrix, log_c_scaling  # noqa: F401
 from .specfun import log_gamma
@@ -295,7 +295,7 @@ def bump_function(center, h):
     )
 
 
-def sample_gp_path(params, design, seed, pivot_rtol=DEFAULT_PIVOT_RTOL):
+def sample_gp_path(params, design, seed):
     """Draw one zero-mean sample path at the design points.
 
     Uses the counter-based Philox generator, so draws are bit-identical
@@ -304,7 +304,7 @@ def sample_gp_path(params, design, seed, pivot_rtol=DEFAULT_PIVOT_RTOL):
     bit when ``m = 16 * 2**k`` and to rounding otherwise (prefixes of a
     design see consistent data; see :meth:`~maternsmooth.gp.Posterior.prefix`).
     """
-    post = condition(MaternKernel(params), design, np.zeros(design.n), pivot_rtol)
+    post = condition(MaternKernel(params), design, np.zeros(design.n))
     z = np.random.Generator(np.random.Philox(int(seed))).standard_normal(design.n)
     return post.chol @ z
 

@@ -6,8 +6,9 @@ Subcommands mirror the experiment engines: ``verify-identities``,
 an optional flat ``key=value`` file plus command-line overrides; every
 run is deterministic given its configuration, seeds included.
 
-Exit codes: 0 on success, 1 when an asserted experiment fails its
-criterion, 2 on usage or configuration errors.
+Exit codes: 0 on success, 1 when a run raises or an asserted experiment
+fails its criterion (``verify-identities`` always asserts, the others
+under ``--check``), 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import DomainError, MaternSmoothError
 from .estimators import EstimatorConfig
@@ -32,8 +33,7 @@ from .specfun import thread_limit
 
 __all__ = ["main", "parse_config_file", "write_csv"]
 
-_ESTIMATOR_KEYS = {"nu_min", "nu_max", "coarse_grid", "refine_tol", "profile_sigma", "sigma",
-                   "lambda_"}
+_ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
 _LIST_KEYS = {"schedule", "seeds", "nu_grid", "nu_model"}
 
 
@@ -123,68 +123,31 @@ def _build_config(args):
             values[key] = value
 
     est_values = {k: values.pop(k) for k in list(values) if k in _ESTIMATOR_KEYS}
-    estimator = EstimatorConfig(**est_values) if est_values else EstimatorConfig()
-    known = {f.name for f in ExperimentConfig.__dataclass_fields__.values()}
+    estimator = EstimatorConfig(**est_values)
+    known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(values) - known
     if unknown:
         raise DomainError(f"unknown configuration keys: {sorted(unknown)}")
     return ExperimentConfig(estimator=estimator, **values)
 
 
-def _emit(result, config, args):
-    out = args.out or config.output_path
-    if out:
-        write_csv(out, result.header, result.rows)
-        print(f"wrote {len(result.rows)} rows to {out}")
+def _emit(result, config):
+    if config.output_path:
+        write_csv(config.output_path, result.header, result.rows)
+        print(f"wrote {len(result.rows)} rows to {config.output_path}")
     print(result.summary)
 
 
-def cmd_verify_identities(config, args):
-    """Exit nonzero iff any identity residual exceeds the tolerance."""
-    result = run_identity_suite()
-    _emit(result, config, args)
-    return 0 if result.ok else 1
-
-
-def cmd_variance_decay(config, args):
-    result = run_variance_decay(config)
-    _emit(result, config, args)
-    return 0
-
-
-def cmd_non_undersmoothing(config, args):
-    result = run_non_undersmoothing(config)
-    _emit(result, config, args)
-    if args.check and result.ok is not None:
-        return 0 if result.ok else 1
-    return 0
-
-
-def cmd_logdet_growth(config, args):
-    result = run_logdet_growth(config)
-    _emit(result, config, args)
-    return 0
-
-
-def cmd_convergence(config, args):
-    result = run_convergence(config)
-    _emit(result, config, args)
-    return 0
-
-
-def cmd_gaussian_scale_probe(config, args):
-    result = run_gaussian_scale_probe(config)
-    _emit(result, config, args)
-    return 0
-
-
+# The runner of each command, looked up by name when called, so that a
+# wrapper put on this module's binding of a runner (as benchmarks/tracing.py
+# does) sees its calls.
 _COMMANDS = {
-    "verify-identities": cmd_verify_identities,
-    "variance-decay": cmd_variance_decay,
-    "non-undersmoothing": cmd_non_undersmoothing,
-    "logdet-growth": cmd_logdet_growth,
-    "convergence": cmd_convergence,
-    "gaussian-scale-probe": cmd_gaussian_scale_probe,
+    "verify-identities": lambda config: run_identity_suite(),
+    "variance-decay": lambda config: run_variance_decay(config),
+    "non-undersmoothing": lambda config: run_non_undersmoothing(config),
+    "logdet-growth": lambda config: run_logdet_growth(config),
+    "convergence": lambda config: run_convergence(config),
+    "gaussian-scale-probe": lambda config: run_gaussian_scale_probe(config),
 }
 
 
@@ -242,10 +205,13 @@ def main(argv=None):
         return 2
     try:
         with thread_limit(config.threads):
-            return _COMMANDS[args.command](config, args)
+            result = _COMMANDS[args.command](config)
     except MaternSmoothError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    _emit(result, config)
+    asserted = args.check or args.command == "verify-identities"
+    return 1 if asserted and result.ok is False else 0
 
 
 if __name__ == "__main__":

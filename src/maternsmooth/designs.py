@@ -68,6 +68,17 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_schedule(schedule):
+    """A schedule of prefix sizes as a list of ints: :class:`DomainError`
+    unless each is an integer of at least 1, larger than the one before."""
+    sizes = list(schedule)
+    if (not all(is_integer(n) and n >= 1 for n in sizes)
+            or any(b <= a for a, b in zip(sizes, sizes[1:]))):
+        raise DomainError(f"schedule {tuple(sizes)} must hold integer sizes of at least 1 "
+                          f"in strictly ascending order")
+    return [int(n) for n in sizes]
+
+
 class Design:
     """An ordered point sequence inside a box; prefixes are meaningful."""
 
@@ -148,11 +159,12 @@ def uniform_grid(box, m_per_axis):
 
     Points of the two-point-per-axis corner grid come first, then each
     successive dyadic refinement level, so every prefix of the returned
-    design is itself quasi-uniform.
+    design is itself quasi-uniform.  ``m_per_axis`` is an integer of at
+    least 2.
     """
+    if not (is_integer(m_per_axis) and m_per_axis >= 2):
+        raise DomainError(f"m_per_axis must be an integer >= 2, got {m_per_axis!r}")
     m = int(m_per_axis)
-    if m < 2:
-        raise DomainError(f"m_per_axis must be >= 2, got {m_per_axis!r}")
     d = box.d
     axes = [np.linspace(box.lower[k], box.upper[k], m) for k in range(d)]
     levels_1d = _bisection_levels(m)
@@ -176,12 +188,13 @@ def _radical_inverse_base2(k):
 def van_der_corput(box, n):
     """Base-2 radical-inverse sequence on a 1-d interval, endpoints first.
 
-    Every prefix is quasi-uniform with mesh ratio at most 4.
+    Every prefix is quasi-uniform with mesh ratio at most 4.  ``n`` is an
+    integer of at least 1.
     """
     if box.d != 1:
         raise DomainError("van der Corput sequence is one-dimensional")
-    if n < 1:
-        raise DomainError(f"need n >= 1 points, got {n!r}")
+    if not (is_integer(n) and n >= 1):
+        raise DomainError(f"need an integer n >= 1 of points, got {n!r}")
     lo, hi = box.lower[0], box.upper[0]
     unit = [0.0, 1.0]
     k = 1
@@ -243,10 +256,9 @@ class UniformityReport:
 
 
 def uniformity_report(design, n_schedule, probe_resolution=None):
-    """Quasi-uniformity diagnostics along a schedule of prefix sizes."""
-    schedule = [int(n) for n in n_schedule]
-    if schedule != sorted(schedule):
-        raise DomainError("prefix schedule must be sorted ascending")
+    """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
+    :func:`check_schedule`)."""
+    schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
     reports = []

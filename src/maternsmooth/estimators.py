@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .designs import fill_distance, is_integer
+from .designs import check_schedule, fill_distance, is_integer
 from .errors import ConditioningError, DomainError, EstimationError
-from .gp import DEFAULT_PIVOT_RTOL, condition, condition_prefixes, loo_variances
+from .gp import condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
 from .objectives import ell_cv_from, ell_ml_from
 
@@ -72,11 +72,9 @@ class EstimatorConfig:
     nu_min: float = 0.05
     nu_max: float = 15.0
     coarse_grid: int = 60
-    refine_tol: float = 1e-3
     sigma: float = 1.0
     profile_sigma: bool = False
     lambda_: float = 1.0
-    pivot_rtol: float = DEFAULT_PIVOT_RTOL
 
     def __post_init__(self):
         if not (0 < self.nu_min < self.nu_max < math.inf):
@@ -86,11 +84,7 @@ class EstimatorConfig:
             raise DomainError(f"coarse_grid must be an integer, got {self.coarse_grid!r}")
         if self.coarse_grid < 8:
             raise DomainError("coarse_grid must be at least 8")
-        if not (self.refine_tol > 0):
-            raise DomainError("refine_tol must be positive")
         require_positive(self, ("sigma", "lambda_"))
-        if not (0 <= self.pivot_rtol < 1):
-            raise DomainError(f"pivot_rtol must lie in [0, 1), got {self.pivot_rtol!r}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,14 @@ class NuEstimate:
     contiguous run of coarse cells that could be evaluated, from the lowest
     one (``nu_min`` unless it fails).  ``irregular_failures`` counts the
     cells above that run that could still be evaluated; the search ignores
-    them.  ``hit_upper_bracket`` is set when the estimate saturates
-    ``searchable_upper``.  ``evaluations`` counts the objective values the
-    search read: every coarse cell, plus the interior nodes of its bracket
-    when it was refined.  ``objective_at_min`` is the interpolating
+    them.  ``hit_upper_bracket`` is set when the estimate saturates the run:
+    its coarse minimum is the run's top cell, and ``nu_hat`` is
+    ``searchable_upper``.  A minimum inside the last bracket, however close
+    to the top, is a real minimum and is not flagged; that holds for the
+    best node returned under ``non_unimodal`` too, which lies below the top
+    because the top cell's value exceeds the coarse minimum's.
+    ``evaluations`` counts the objective values the search read: every
+    coarse cell, plus the interior nodes of its bracket when it was refined.  ``objective_at_min`` is the interpolating
     polynomial's value at ``nu_hat`` after refinement, else the value of
     the cell or node returned.
     """
@@ -117,17 +115,6 @@ class NuEstimate:
     searchable_upper: float
     irregular_failures: int
     non_unimodal: bool = False
-
-
-def check_schedule(schedule):
-    """A schedule of prefix sizes as a list of ints: :class:`DomainError`
-    unless each is an integer of at least 1, larger than the one before."""
-    sizes = list(schedule)
-    if (not all(is_integer(n) and n >= 1 for n in sizes)
-            or any(b <= a for a, b in zip(sizes, sizes[1:]))):
-        raise DomainError(f"schedule {tuple(sizes)} must hold integer sizes of at least 1 "
-                          f"in strictly ascending order")
-    return [int(n) for n in sizes]
 
 
 def _checked_data(y, shape, name):
@@ -209,7 +196,7 @@ def _interpolant_minimum(values):
     return t, float(cheb.chebval(t, coeffs))
 
 
-def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
+def bracketed_minimize(fn, lo, hi, n_coarse):
     """Log-spaced coarse scan plus node refinement of ``fn``.
 
     ``fn`` maps a positive scalar to an objective value and may raise
@@ -223,7 +210,8 @@ def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
     minimum of the degree-8 polynomial through the nine nodes.  When a node
     cannot be evaluated, or the node values are not unimodal, or the
     polynomial's minimum sits on an end of the bracket, the best node is
-    returned with ``non_unimodal`` set.
+    returned with ``non_unimodal`` set.  The node count, not a tolerance,
+    fixes the precision of the estimate.
     """
     grid = np.geomspace(lo, hi, n_coarse)
     failures = []
@@ -268,7 +256,7 @@ def bracketed_minimize(fn, lo, hi, n_coarse, refine_tol):
     return NuEstimate(
         nu_hat=theta,
         objective_at_min=value,
-        hit_upper_bracket=best == top or theta >= searchable_upper - refine_tol,
+        hit_upper_bracket=best == top,
         evaluations=evaluations,
         failures=tuple(failures),
         searchable_upper=searchable_upper,
@@ -308,7 +296,7 @@ def _cells(design, y, config, nu, sizes, names=None):
     sigma = 1.0 if config.profile_sigma else config.sigma
     kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
     cells, first = [], None
-    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, config.pivot_rtol)):
+    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes)):
         if isinstance(post, ConditioningError):
             if first is None:
                 first, text = n, str(post)
@@ -450,7 +438,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
         variances0 = [_loo_variances(post) for post in condition_prefixes(
-            kernel0, top, np.zeros(top.n), schedule, config.pivot_rtol)]
+            kernel0, top, np.zeros(top.n), schedule)]
 
     records = [[] for _ in seeds]
     for n, table, v0 in zip(schedule, tables, variances0):
@@ -538,7 +526,7 @@ def _prefix_searches(n, s, table, config):
             try:
                 found[name] = bracketed_minimize(
                     lambda nu: _total(table[float(nu)], name, j), config.nu_min,
-                    config.nu_max, config.coarse_grid, config.refine_tol)
+                    config.nu_max, config.coarse_grid)
             except EstimationError as err:
                 found[name] = err
     return searches
@@ -582,7 +570,7 @@ def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
     elif v0 is not None and est_ml is not None:
         kernel = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_, d=prefix.d))
         try:
-            post = condition(kernel, prefix, np.zeros(prefix.n), config.pivot_rtol)
+            post = condition(kernel, prefix, np.zeros(prefix.n))
             ratio = float(np.max(v0 / loo_variances(post)))
         except ConditioningError as err:
             notes.append(f"ratio_error={err}")

@@ -15,15 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import builtin_test_functions, fit_rate, sample_gp_path
-from .designs import Box, Design, uniform_grid, van_der_corput
+from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
 from .errors import ConditioningError, DomainError, EstimationError
-from .estimators import (
-    EstimatorConfig,
-    SweepRecord,
-    bracketed_minimize,
-    check_schedule,
-    sweep_prefixes,
-)
+from .estimators import EstimatorConfig, SweepRecord, bracketed_minimize, sweep_prefixes
 from .gp import (
     condition,
     condition_prefixes,
@@ -69,7 +63,6 @@ class ExperimentConfig:
     experiment: str = ""
     d: int = 1
     design: str = "van_der_corput"
-    design_size: int = 512
     nu0: float = None
     nu_grid: tuple = ()
     nu_model: tuple = ()
@@ -281,8 +274,7 @@ def run_variance_decay(config):
     for nu in nus:
         kernel = MaternKernel(_matern(config, nu, config.d))
         cells = []
-        posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule,
-                                   config.estimator.pivot_rtol)
+        posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule)
         for n, post in zip(schedule, posts):
             note = ""
             max_loo = math.nan
@@ -351,7 +343,7 @@ def run_non_undersmoothing(config):
     entries.
     """
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
-    design = make_design(config.design, config.d, max(max(schedule), config.design_size))
+    design = make_design(config.design, config.d, max(schedule))
     draws = _draw_or_evaluate(config, design)
 
     paths = np.stack([y for _, y in draws], axis=1)
@@ -433,7 +425,7 @@ def run_logdet_growth(config):
     ratio_at_max = {}
     for nu in nus:
         kernel = MaternKernel(_matern(config, nu, config.d))
-        posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
+        posts = condition_prefixes(kernel, design, y, schedule)
         for n, post in zip(schedule, posts):
             note = ""
             ld = math.nan
@@ -477,15 +469,15 @@ def _pool_map(fn, items):
 
 
 def _convergence_probes(count, n):
-    """Probe points off the dyadic lattice: odd multiples of 1/1024.
+    """Probe points off the dyadic lattice: odd multiples of 1/1024, spread
+    evenly over [0, 1] for any ``count``.
 
     The first 513 van der Corput points lie on the lattice of 1/512.
     """
-    if not (1 <= count <= 512 and n <= 513):
-        raise DomainError(f"convergence needs 1 <= probe_count <= 512 and at most 513 "
-                          f"design points, got {count} probes and {n} points")
-    step = 2 * (512 // count)
-    return (step * np.arange(count) + 1) / 1024.0
+    if not (is_integer(count) and 1 <= count <= 512 and n <= 513):
+        raise DomainError(f"convergence needs an integer 1 <= probe_count <= 512 and at most "
+                          f"513 design points, got {count!r} probes and {n} points")
+    return (2 * (np.arange(count) * 512 // count) + 1) / 1024.0
 
 
 def run_convergence(config):
@@ -513,7 +505,7 @@ def run_convergence(config):
         out = []
         for nu_model in models:
             kernel = MaternKernel(_matern(config, nu_model, 1))
-            posts = condition_prefixes(kernel, design, y, schedule, config.estimator.pivot_rtol)
+            posts = condition_prefixes(kernel, design, y, schedule)
             for n, post in zip(schedule, posts):
                 note = ""
                 sup_err = math.nan
@@ -606,8 +598,7 @@ def run_gaussian_scale_probe(config):
             def ell(lam):
                 kernel = GaussianKernel(GaussParams(config.estimator.sigma, lam), d=1,
                                         unit_amplitude=True)
-                post = condition(kernel, prefix, y,
-                                 pivot_rtol=config.estimator.pivot_rtol)
+                post = condition(kernel, prefix, y)
                 value = ell_ml_from(post) if objective == "ml" else ell_cv_from(post)
                 return value.total
 
@@ -617,8 +608,7 @@ def run_gaussian_scale_probe(config):
                     results[objective] = lam_lo
                 else:
                     scan = bracketed_minimize(ell, lam_lo, lam_hi,
-                                              config.estimator.coarse_grid,
-                                              config.estimator.refine_tol)
+                                              config.estimator.coarse_grid)
                     results[objective] = scan.nu_hat
                     failures = len(scan.failures)
             except (ConditioningError, EstimationError, DomainError) as err:

@@ -25,9 +25,10 @@ request, and shared by every posterior the factor serves.
 There is no nugget or jitter anywhere: the model interpolates noiseless
 data, and a factorization failure is surfaced as
 :class:`~maternsmooth.errors.ConditioningError` rather than silently
-regularized.  Pivots are additionally checked against a small relative
-threshold so that factorizations whose trailing pivots are pure rounding
-noise are rejected instead of producing garbage downstream.
+regularized.  Pivots are additionally checked against a fixed relative
+floor, :data:`PIVOT_RTOL` = 1e-14 of the kernel's value at distance 0, so
+that factorizations whose trailing pivots are pure rounding noise are
+rejected instead of producing garbage downstream.
 """
 
 from __future__ import annotations
@@ -56,13 +57,13 @@ __all__ = [
     "loo_variances",
     "log_det",
     "quadratic_form",
-    "DEFAULT_PIVOT_RTOL",
+    "PIVOT_RTOL",
 ]
 
 # Relative pivot floor: computed pivots below this multiple of the largest
 # kernel diagonal entry are indistinguishable from accumulated rounding and
 # the factorization is rejected.
-DEFAULT_PIVOT_RTOL = 1e-14
+PIVOT_RTOL = 1e-14
 
 # Negative posterior variances within this relative window are rounding
 # artefacts at near-data probes and are clamped to zero; anything below
@@ -81,7 +82,7 @@ def _panel_ends(n):
     return [min(b, n) for b in ends] if n else []
 
 
-def _factor(kernel, design, pivot_rtol):
+def _factor(kernel, design):
     """Lower Cholesky factor of a design's kernel matrix, grown by row panels.
 
     Each panel of rows ``a:b`` after the first is solved against the factor
@@ -90,7 +91,7 @@ def _factor(kernel, design, pivot_rtol):
     the same operations on the same data as in any larger design: its factor
     is bit for bit the leading block of theirs.  Returns the Fortran-ordered
     factor and None, or the :class:`ConditioningError` of the first pivot
-    that is not positive or lies below ``pivot_rtol * K(0)``; the factor then
+    that is not positive or lies below ``PIVOT_RTOL * K(0)``; the factor then
     holds up to that pivot, and later panels are never evaluated.
     """
     n = design.n
@@ -107,7 +108,7 @@ def _factor(kernel, design, pivot_rtol):
             # Fewer points than the first panel are completed to its size
             # with K(0) on the diagonal, so that their rows see the same
             # operations as in a larger design.
-            floor = pivot_rtol * panel[0, 0]
+            floor = PIVOT_RTOL * panel[0, 0]
             block = np.diag(np.full(max(b, _FIRST_PANEL), panel[0, 0]))
             block[:b, :b] = panel
         block, info = _lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
@@ -242,7 +243,7 @@ def _as_data(design, y):
     return y
 
 
-def condition(kernel, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
+def condition(kernel, design, y):
     """Factorize the kernel matrix of a design and solve for the weights.
 
     ``y`` is one data vector of shape ``(n,)`` or ``s`` data columns of
@@ -252,13 +253,13 @@ def condition(kernel, design, y, pivot_rtol=DEFAULT_PIVOT_RTOL):
     numerically singular.  An empty design is allowed and produces the
     unconditioned process.
     """
-    (post,) = condition_prefixes(kernel, design, y, [design.n], pivot_rtol)
+    (post,) = condition_prefixes(kernel, design, y, [design.n])
     if isinstance(post, ConditioningError):
         raise post
     return post
 
 
-def condition_prefixes(kernel, design, y, sizes, pivot_rtol=DEFAULT_PIVOT_RTOL):
+def condition_prefixes(kernel, design, y, sizes):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
     The factor of the largest prefix serves all (:meth:`Posterior.prefix`),
@@ -269,7 +270,7 @@ def condition_prefixes(kernel, design, y, sizes, pivot_rtol=DEFAULT_PIVOT_RTOL):
     y = _as_data(design, y)
     sizes = [design.check_prefix_size(n) for n in sizes]
     design = design.prefix(max(sizes, default=0))
-    L, err = _factor(kernel, design, pivot_rtol)
+    L, err = _factor(kernel, design)
     served = design.n if err is None else err.pivot_index
     inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0))
     return [_posterior(kernel, design.prefix(n), y, L, inverse) if n <= served else err

@@ -118,11 +118,10 @@ class MaternParams:
         return math.exp(self._log_scale + (nu - 1.0) * math.log(2.0) + log_gamma(nu))
 
 
-def matern(nu, sigma=1.0, lambda_=1.0, d=1, scaling=None):
-    """Convenience constructor; clamped scaling for dimension ``d`` by default."""
-    if scaling is None:
-        scaling = ScalingPolicy.clamped(d)
-    return MaternParams(float(nu), float(sigma), float(lambda_), scaling)
+def matern(nu, sigma=1.0, lambda_=1.0, d=1):
+    """Convenience constructor with the clamped scaling for dimension ``d``;
+    build :class:`MaternParams` directly for another scaling."""
+    return MaternParams(float(nu), float(sigma), float(lambda_), ScalingPolicy.clamped(d))
 
 
 @dataclass(frozen=True)

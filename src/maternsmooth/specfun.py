@@ -39,7 +39,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
@@ -47,8 +46,6 @@ from scipy import special as _special
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "BesselAccuracy",
-    "DEFAULT_ACCURACY",
     "log_gamma",
     "bessel_k",
     "log_bessel_k",
@@ -59,6 +56,11 @@ __all__ = [
 # Order threshold above which the uniform large-order expansion is used
 # when the scaled SciPy routine overflows.
 _UNIFORM_ORDER_MIN = 50.0
+
+# The small-argument series stops at the first term below this fraction of
+# its running sum, and raises AccuracyError after this many terms.
+_SERIES_RTOL = 1e-13
+_SERIES_MAX_TERMS = 200
 
 # Fewest arguments per slice of a split ``kve`` evaluation.
 _SLICE_MIN = 8192
@@ -140,31 +142,6 @@ def _kve(nu, x):
     for future in futures:
         future.result()
     return out
-
-
-@dataclass(frozen=True)
-class BesselAccuracy:
-    """Accuracy budget for Bessel evaluation.
-
-    Parameters
-    ----------
-    target_relative_error : float
-        Requested relative error for series summation.
-    max_terms : int
-        Maximum number of series terms before giving up.
-    """
-
-    target_relative_error: float = 1e-10
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (self.target_relative_error > 0):
-            raise DomainError("target_relative_error must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-
-
-DEFAULT_ACCURACY = BesselAccuracy()
 
 
 def _validate_positive(name, value):
@@ -277,7 +254,7 @@ def _log_k_uniform(nu, x):
     return 0.5 * np.log(np.pi / (2.0 * nu)) - 0.5 * np.log(s) - nu * eta + np.log(series)
 
 
-def _log_k_series(nu, x, accuracy):
+def _log_k_series(nu, x):
     """log K_nu(x) from the ascending series, small-argument regime.
 
     Keeps only the dominant branch of the two-sided series; valid whenever
@@ -288,10 +265,10 @@ def _log_k_series(nu, x, accuracy):
     term = 1.0
     total = 1.0
     converged = False
-    for k in range(1, accuracy.max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term *= q / (k * (k - nu))
         total += term
-        if abs(term) <= accuracy.target_relative_error * 1e-3 * abs(total):
+        if abs(term) <= _SERIES_RTOL * abs(total):
             converged = True
             break
     if not converged:
@@ -302,11 +279,11 @@ def _log_k_series(nu, x, accuracy):
     return math.log(0.5) + float(_special.gammaln(nu)) + nu * math.log(2.0 / x) + math.log(total)
 
 
-def _log_k_fallback(nu, x, accuracy):
+def _log_k_fallback(nu, x):
     """log K_nu at the arguments ``x`` (a 1-d array) where ``kve`` overflows."""
     if nu >= _UNIFORM_ORDER_MIN:
         return _log_k_uniform(nu, x)
-    return np.array([_log_k_series(nu, float(xi), accuracy) for xi in x])
+    return np.array([_log_k_series(nu, float(xi)) for xi in x])
 
 
 def _order_and_arguments(nu, x):
@@ -319,12 +296,15 @@ def _order_and_arguments(nu, x):
     return nu, np.atleast_1d(arr), scalar
 
 
-def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
+def log_bessel_k(nu, x):
     """Natural log of the modified Bessel function of the second kind.
 
     Agrees with ``log(bessel_k(nu, x))`` wherever the latter is
     representable and remains finite far beyond that, for orders up to
-    several hundred.
+    several hundred.  Where ``kve`` overflows, the small-argument series is
+    summed to a relative term size of 1e-13, and raises
+    :class:`~maternsmooth.errors.AccuracyError` if it has not got there
+    within 200 terms.
 
     Parameters
     ----------
@@ -332,8 +312,6 @@ def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
         Order, ``nu >= 0``.
     x : float or ndarray
         Argument(s), strictly positive.
-    accuracy : BesselAccuracy, optional
-        Series accuracy budget for the overflow fallback.
 
     Returns
     -------
@@ -345,13 +323,13 @@ def log_bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
         finite = math.isfinite(out.sum())  # one reduction, cheaper than the mask
     if not finite:
         bad = ~np.isfinite(out)
-        out[bad] = _log_k_fallback(nu, arr[bad], accuracy)
+        out[bad] = _log_k_fallback(nu, arr[bad])
     if scalar:
         return float(out[0])
     return out
 
 
-def bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
+def bessel_k(nu, x):
     """Modified Bessel function of the second kind of real order ``nu``.
 
     Relative error is at most ~1e-13 for ``nu`` in [0, 50] and ``x`` in
@@ -366,7 +344,7 @@ def bessel_k(nu, x, accuracy=DEFAULT_ACCURACY):
     if not finite:
         bad = ~np.isfinite(out)
         with np.errstate(over="ignore"):
-            out[bad] = np.exp(_log_k_fallback(nu, arr[bad], accuracy))
+            out[bad] = np.exp(_log_k_fallback(nu, arr[bad]))
     if scalar:
         return float(out[0])
     return out

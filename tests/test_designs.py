@@ -50,6 +50,20 @@ class TestGenerators:
         des = van_der_corput(UNIT, 32)
         np.testing.assert_array_equal(des.prefix(7).points, des.points[:7])
 
+    @pytest.mark.parametrize("size", [3.5, 3.0, True, np.bool_(True), "3", None])
+    def test_generator_sizes_must_be_integers(self, size):
+        with pytest.raises(DomainError, match="integer"):
+            van_der_corput(UNIT, size)
+        with pytest.raises(DomainError, match="integer"):
+            uniform_grid(UNIT2, size)
+
+    @pytest.mark.parametrize("size", [np.int64(5), np.int32(5)])
+    def test_generators_take_numpy_integers(self, size):
+        np.testing.assert_array_equal(van_der_corput(UNIT, size).points,
+                                      van_der_corput(UNIT, 5).points)
+        np.testing.assert_array_equal(uniform_grid(UNIT2, size).points,
+                                      uniform_grid(UNIT2, 5).points)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DomainError):
             uniform_grid(UNIT, 1)
@@ -153,6 +167,11 @@ class TestUniformityReports:
             uniformity_report(des, [4, 2])
         with pytest.raises(DomainError):
             uniformity_report(des, [16])
+
+    @pytest.mark.parametrize("schedule", [[2.7, 9.9], [8, 8], [True], [0, 4], [4.0]])
+    def test_schedule_must_hold_ascending_integer_sizes(self, schedule):
+        with pytest.raises(DomainError, match="strictly ascending"):
+            uniformity_report(van_der_corput(UNIT, 16), schedule)
 
 
 class TestDesignInvariants:

@@ -61,9 +61,8 @@ class TestConfig:
         dict(nu_max=math.inf), dict(nu_min=1.0, nu_max=math.nan),
         dict(coarse_grid=10.5), dict(coarse_grid=60.0), dict(coarse_grid=True),
         dict(coarse_grid="60"),
-        dict(refine_tol=0.0), dict(sigma=True),
+        dict(sigma=True),
         dict(sigma=0.0), dict(sigma=math.inf), dict(lambda_=-1.0), dict(lambda_=math.nan),
-        dict(pivot_rtol=-1.0), dict(pivot_rtol=1.0), dict(pivot_rtol=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -73,12 +72,12 @@ class TestConfig:
 class TestBracketedMinimize:
     def test_quadratic_in_log_space(self):
         fn = lambda t: (math.log(t) - math.log(3.0)) ** 2
-        scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-5)
+        scan = bracketed_minimize(fn, 0.5, 20.0, 30)
         assert scan.nu_hat == pytest.approx(3.0, abs=1e-4)
         assert not scan.hit_upper_bracket and not scan.non_unimodal
 
     def test_tie_breaks_toward_larger(self):
-        scan = bracketed_minimize(lambda t: 1.0, 1.0, 2.0, 9, 1e-3)
+        scan = bracketed_minimize(lambda t: 1.0, 1.0, 2.0, 9)
         assert scan.nu_hat == pytest.approx(2.0)
         assert scan.hit_upper_bracket
 
@@ -87,7 +86,7 @@ class TestBracketedMinimize:
             raise ConditioningError("synthetic", 0, -1.0)
 
         with pytest.raises(EstimationError):
-            bracketed_minimize(fn, 0.1, 1.0, 10, 1e-3)
+            bracketed_minimize(fn, 0.1, 1.0, 10)
 
     def test_failures_shrink_effective_bracket(self):
         def fn(t):
@@ -95,7 +94,7 @@ class TestBracketedMinimize:
                 raise ConditioningError("synthetic", 0, -1.0)
             return -t  # decreasing: minimum at the effective top
 
-        scan = bracketed_minimize(fn, 0.5, 20.0, 20, 1e-3)
+        scan = bracketed_minimize(fn, 0.5, 20.0, 20)
         assert scan.nu_hat <= 5.0
         assert scan.hit_upper_bracket
         assert len(scan.failures) > 0
@@ -110,7 +109,7 @@ class TestBracketedMinimize:
             return min((u + 0.2) ** 2, (u - 0.2) ** 2 + 1e-3) + 0.5 * u * u
 
         asked = []
-        scan = bracketed_minimize(lambda t: fn(asked.append(t) or t), 0.5, 8.0, 9, 1e-3)
+        scan = bracketed_minimize(lambda t: fn(asked.append(t) or t), 0.5, 8.0, 9)
         grid = np.geomspace(0.5, 8.0, 9)
         inside = sorted(t for t in asked if grid[3] <= t <= grid[5])
         assert len(asked) == scan.evaluations == 9 + 6 and len(inside) == 9
@@ -138,7 +137,7 @@ class TestBracketedMinimize:
                 return math.nan
             return bowl(t)
 
-        scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-5)
+        scan = bracketed_minimize(fn, 0.5, 20.0, 30)
         assert [nu for nu, _ in scan.failures] == [calls[31]]
         assert scan.non_unimodal and scan.evaluations == len(calls) == 36
         best = min((t for t in calls if t != calls[31]), key=bowl)
@@ -154,10 +153,46 @@ class TestBracketedMinimize:
                 raise ConditioningError("synthetic", 0, -1.0)
             return -math.log(t)  # decreasing: the best cell is the highest
 
-        scan = bracketed_minimize(fn, 0.5, 20.0, 30, 1e-3)
+        scan = bracketed_minimize(fn, 0.5, 20.0, 30)
         assert scan.searchable_upper == scan.nu_hat == grid[10]
         assert scan.hit_upper_bracket and not scan.non_unimodal
         assert scan.irregular_failures == 30 - 11 - len(scan.failures) == 9
+
+
+    def test_refined_minimum_below_the_top_is_not_saturated(self):
+        # The minimum lies in the last bracket, less than 1e-3 below the top
+        # cell: the interpolant finds it, and it is not a saturated bracket.
+        # The objective rises steeply above its minimum, so the coarse
+        # minimum is the cell below the top.
+        grid = np.geomspace(1.0, 1.01, 9)
+        m = math.sqrt(grid[7] * grid[8])
+
+        def fn(t):
+            u = 1000.0 * math.log(t / m)
+            return math.exp(u) - u
+
+        scan = bracketed_minimize(fn, 1.0, 1.01, 9)
+        assert scan.searchable_upper == grid[8]
+        assert scan.nu_hat == pytest.approx(m, rel=1e-7)
+        assert 0 < scan.searchable_upper - scan.nu_hat < 1e-3
+        assert not scan.hit_upper_bracket and not scan.non_unimodal
+
+    def test_best_node_below_the_top_is_not_saturated(self):
+        # Node values that dip again at the highest interior node, less than
+        # 1e-3 below the top cell: that node is returned, and it is not a
+        # saturated bracket.
+        grid = np.geomspace(1.0, 1.01, 9)
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            value = (math.log(t) - math.log(grid[7])) ** 2
+            return value - 1.0 if len(calls) == 9 + 6 else value
+
+        scan = bracketed_minimize(fn, 1.0, 1.01, 9)
+        assert scan.non_unimodal and scan.nu_hat == calls[-1]
+        assert 0 < scan.searchable_upper - scan.nu_hat < 1e-3
+        assert not scan.hit_upper_bracket
 
 
 class TestEstimateNu:
@@ -348,7 +383,7 @@ class TestSweeps:
         # the magnitude and length-scale of the experiment's estimator.
         est = EstimatorConfig(sigma=1.3, lambda_=0.7)
         cfg = ExperimentConfig(nu0=1.5, schedule=(16, 64), seeds=(101,), estimator=est)
-        design = make_design(cfg.design, cfg.d, cfg.design_size)
+        design = make_design(cfg.design, cfg.d, max(cfg.schedule))
         y = sample_gp_path(matern(1.5, 1.3, 0.7, d=1), design, 101)
         for row in run_non_undersmoothing(cfg).rows:
             record = SweepRecord(*row)
@@ -411,7 +446,7 @@ class TestSweeps:
                 assert (a.n, a.fill, a.notes) == (b.n, b.fill, b.notes)
                 assert (a.hit_upper_ml, a.hit_upper_cv) == (b.hit_upper_ml, b.hit_upper_cv)
                 for field in ("nu_hat_ml", "nu_hat_cv"):
-                    assert abs(getattr(a, field) - getattr(b, field)) <= cfg.refine_tol
+                    assert abs(getattr(a, field) - getattr(b, field)) <= 1e-3
                 for field in ("ell_ml_min", "ell_cv_min", "max_loo_var_ratio"):
                     assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
 
@@ -437,10 +472,10 @@ class TestSweeps:
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
         factored, inverted, searches = [], [], []
 
-        def counting(kernel, prefix, values, sizes, pivot_rtol):
+        def counting(kernel, prefix, values, sizes):
             values = np.asarray(values)
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
-            return condition_prefixes(kernel, prefix, values, sizes, pivot_rtol)
+            return condition_prefixes(kernel, prefix, values, sizes)
 
         def inverting(post):
             inverted.append((post.kernel.params.nu, post.n))
@@ -616,8 +651,8 @@ class TestPrefixRule:
         design, y, cfg = smooth_instance
         factored = []
 
-        def counting(kernel, top, data, sizes, pivot_rtol):
-            posts = condition_prefixes(kernel, top, data, sizes, pivot_rtol)
+        def counting(kernel, top, data, sizes):
+            posts = condition_prefixes(kernel, top, data, sizes)
             factored.append((kernel.params.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts

@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from maternsmooth import experiments
+from maternsmooth import cli, experiments
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
 from maternsmooth.specfun import thread_limit
-from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     run_convergence,
     run_gaussian_scale_probe,
     run_identity_suite,
@@ -112,7 +112,9 @@ class TestEngines:
         assert serial.summary == threaded.summary
 
     def test_convergence_probes_avoid_design_points(self):
-        # 300 probes used to step by 3/1024, landing on the design's lattice
+        # Odd multiples of 1/1024 stay off the design's lattice of 1/512, and
+        # for any count they reach the top of [0, 1]: the largest probe lies
+        # less than one probe step, 2 * ceil(512 / count) / 1024, below 1.
         cfg = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
                                seeds=(1,), probe_count=300)
         assert len(run_convergence(cfg).rows) == 9
@@ -120,9 +122,11 @@ class TestEngines:
             numerators = experiments._convergence_probes(count, 513) * 1024.0
             assert len(set(numerators)) == count
             assert all(k % 2 == 1 for k in numerators) and numerators.max() < 1024
+            assert numerators.max() / 1024 > 1 - 2 * math.ceil(512 / count) / 1024, count
 
     @pytest.mark.parametrize("kwargs", [dict(probe_count=0), dict(probe_count=513),
-                                        dict(schedule=(16, 514))])
+                                        dict(schedule=(16, 514)), dict(probe_count=300.5),
+                                        dict(probe_count=True)])
     def test_convergence_probe_domain(self, kwargs):
         cfg = ExperimentConfig(experiment="x", nu0=1.5, seeds=(1,),
                                **{"schedule": (16, 32, 64), **kwargs})
@@ -143,13 +147,6 @@ class TestEngines:
             last = [r for r in result.rows if r[0] == nu][-1]
             assert last[4] == pytest.approx(-2.0 * nu, rel=0.30)
         assert "conjecture probe" in result.summary
-
-    def test_configured_pivot_floor_applies(self):
-        cfg = ExperimentConfig(experiment="x", schedule=(16, 32, 64), seeds=(101,),
-                               estimator=EstimatorConfig(pivot_rtol=1e-4))
-        for run in (run_logdet_growth, run_convergence):
-            notes = [row[-1] for row in run(cfg).rows]
-            assert any("below relative floor 1.000e-04" in note for note in notes), run
 
     def test_gaussian_probe_records_failures(self):
         cfg = ExperimentConfig(experiment="x", f0="gauss_bump", schedule=(8, 16, 64))
@@ -263,6 +260,51 @@ class TestCli:
         cfg.write_text("objective = cv\n")
         assert main(["logdet-growth", "--config", str(cfg)]) == 2
         assert "unknown configuration keys: ['objective']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["refine_tol = 1e-8", "pivot_rtol = 1e-4",
+                                      "design_size = 1024"])
+    def test_fixed_setting_keys_exit_two(self, line, tmp_path, capsys):
+        # The search precision, the pivot floor and the design size are
+        # fixed, so no configuration key sets them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["non-undersmoothing", "--nu0", "1.5", "--config", str(cfg)]) == 2
+        key = line.split(" ")[0]
+        assert f"unknown configuration keys: ['{key}']" in capsys.readouterr().err
+
+    def test_runners_are_looked_up_when_called(self, monkeypatch, capsys):
+        # A wrapper on the module's binding of a runner sees the CLI's call.
+        calls = []
+
+        def runner(config):
+            calls.append(config.experiment)
+            return ExperimentResult(header=("x",), rows=[], summary="stubbed")
+
+        monkeypatch.setattr(cli, "run_non_undersmoothing", runner)
+        assert main(["non-undersmoothing", "--nu0", "1.5"]) == 0
+        assert calls == ["non-undersmoothing"]
+        assert capsys.readouterr().out == "stubbed\n"
+
+    @pytest.mark.parametrize("command,runner,ok,check,code", [
+        ("verify-identities", "run_identity_suite", False, False, 1),
+        ("verify-identities", "run_identity_suite", True, False, 0),
+        ("verify-identities", "run_identity_suite", None, False, 0),
+        ("non-undersmoothing", "run_non_undersmoothing", False, True, 1),
+        ("non-undersmoothing", "run_non_undersmoothing", False, False, 0),
+        ("non-undersmoothing", "run_non_undersmoothing", True, True, 0),
+        ("non-undersmoothing", "run_non_undersmoothing", None, True, 0),
+        ("variance-decay", "run_variance_decay", None, True, 0),
+        ("convergence", "run_convergence", False, False, 0),
+    ])
+    def test_exit_code_rule(self, command, runner, ok, check, code, monkeypatch, tmp_path):
+        # 1 exactly when the verdict is False and the command asserts it:
+        # verify-identities always, any other command under --check.
+        result = ExperimentResult(header=("x",), rows=[[1.0]], summary="", ok=ok)
+        monkeypatch.setattr(cli, runner, lambda *args: result)
+        out = tmp_path / "out.csv"
+        argv = [command, "--out", str(out)] + (["--check"] if check else [])
+        assert main(argv) == code
+        assert out.read_text() == "x\n1\n"
 
     def test_empty_seed_list_exit_two(self, tmp_path, capsys):
         assert main(["non-undersmoothing", "--nu0", "1.5", "--seed-list", ","]) == 2

@@ -100,10 +100,12 @@ class TestCondition:
         assert exc.value.pivot_index == 1
 
     def test_pivot_floor_rejects_rounding_noise(self):
-        # very smooth kernel on a fine grid: trailing pivots are pure noise
+        # very smooth kernel on a fine grid: trailing pivots are pure noise,
+        # positive but below the fixed floor of 1e-14 times K(0) = 1
         design = van_der_corput(UNIT, 64)
         kernel = MaternKernel(matern(8.0, lambda_=1.0))
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConditioningError,
+                           match=r"^pivot 14 = 3\.775e-15 below relative floor 1\.000e-14$"):
             condition(kernel, design, np.zeros(64))
 
     def test_shape_mismatch(self, instance):

@@ -116,7 +116,6 @@ class TestMaternEval:
     def test_convenience_constructor_clamps(self):
         p = matern(0.3, d=2)
         assert p.scaling == ScalingPolicy.clamped(2)
-        assert matern(0.3, scaling=STANDARD_SCALING).scaling is STANDARD_SCALING
 
 
 @pytest.mark.parametrize("make", [

@@ -11,13 +11,16 @@ change leaves every output byte-identical.  Digests depend on the BLAS
 build and the platform, so compare runs on one machine only.
 
 ``--keep DIR`` keeps the CSVs and summaries there, to see what differs.
-``--against DIR`` compares each CSV with the one an earlier ``--keep DIR``
-run saved: under its digest line, a configuration prints, per column that
-changed, the number of rows that differ and the largest relative
-(``|new - old| / |old|``) and absolute (``|new - old|``) change of its
-numeric cells, or ``identical``.  A change of the refinement is accepted
-on the absolute change of the ``nu_hat_*`` columns: each estimate may
-move by at most ``refine_tol`` (1e-3 by default), whatever its size.
+``--against DIR`` compares each CSV and summary with the ones an earlier
+``--keep DIR`` run saved: under its digest line, a configuration prints,
+per column that changed, the number of rows that differ and the largest
+relative (``|new - old| / |old|``) and absolute (``|new - old|``) change
+of its numeric cells, or ``identical``, and then whether its summary
+differs.  The exit code is then 1 when any CSV or summary differs from
+the saved one or none was saved, so one command checks that a change
+leaves every output byte-identical.  A change of the refinement is
+accepted on the absolute change of the ``nu_hat_*`` columns: each
+estimate may move by at most 1e-3, whatever its size.
 """
 
 from __future__ import annotations
@@ -129,10 +132,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", default=None, help="directory for the outputs")
     parser.add_argument("--against", default=None,
-                        help="directory of an earlier --keep run to compare the CSVs with")
+                        help="directory of an earlier --keep run to compare the CSVs and "
+                             "summaries with; exit 1 if any differs")
     args = parser.parse_args(argv)
     if args.keep:
         os.makedirs(args.keep, exist_ok=True)
+    differs = False
     for name, cli_args, lines in CONFIGURATIONS:
         code, table, summary = run(name, cli_args, lines, args.keep)
         print(f"{name:24s} exit {code}  csv {_sha256(table)}  summary {_sha256(summary)}",
@@ -142,7 +147,15 @@ def main(argv=None):
             old = saved.read_bytes() if saved.exists() else b""
             for line in column_changes(old, table):
                 print(f"    {line}", flush=True)
+            saved_summary = Path(args.against, f"{name}.summary")
+            old_summary = saved_summary.read_bytes() if saved_summary.exists() else None
+            if old_summary is None:
+                print("    no saved summary", flush=True)
+            elif old_summary != summary:
+                print("    summary differs", flush=True)
+            differs |= not saved.exists() or old != table or old_summary != summary
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
