@@ -26,6 +26,7 @@ from .designs import (
     Design,
     UniformityReport,
     fill_distance,
+    fill_distances,
     load_design,
     save_design,
     separation_distance,

@@ -24,6 +24,7 @@ __all__ = [
     "uniform_grid",
     "van_der_corput",
     "fill_distance",
+    "fill_distances",
     "separation_distance",
     "uniformity_report",
     "save_design",
@@ -211,37 +212,91 @@ def _probe_grid(box, resolution):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+# Elements of the distance temporaries of one chunk: 1 MiB of doubles.
+_CHUNK_ELEMENTS = 1 << 17
+
+
+def _squared_distances(a, b):
+    """Squared distances between the rows of ``a`` and those of ``b``, shape
+    ``(len(a), len(b))``, by one elementwise formula for every caller."""
+    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+
+
+def fill_distances(design, sizes, probe_resolution=None):
+    """:func:`fill_distance` of the first ``n`` points for each ``n`` in
+    ``sizes`` (ascending integers in ``[1, design.n]``), in one pass.
+
+    The points are taken in design order, a chunk of them at a time, and
+    each probe keeps its least squared distance to the points so far; the
+    fill distance of a prefix is read off when the pass reaches its size.
+    The temporaries stay at about 1 MB whatever the design size, and each
+    value is bit for bit that of the prefix probed on its own.
+    """
+    sizes = check_schedule(sizes)
+    if sizes and sizes[-1] > design.n:
+        raise DomainError(f"size {sizes[-1]} exceeds the design's {design.n} points")
+    if probe_resolution is None:
+        probe_resolution = 4097 if design.d == 1 else 129
+    if not is_integer(probe_resolution):
+        raise DomainError(f"probe_resolution must be an integer, got {probe_resolution!r}")
+    if probe_resolution < 64:
+        raise DomainError("probe_resolution must be at least 64")
+    probes = _probe_grid(design.box, int(probe_resolution))
+    block = min(probes.shape[0], _CHUNK_ELEMENTS // design.d)
+    step = _CHUNK_ELEMENTS // (block * design.d)
+    best = np.full(probes.shape[0], np.inf)
+    pts = design.points
+    fills, done = [], 0
+    for n in sizes:
+        for a in range(done, n, step):
+            chunk = pts[a:min(a + step, n)]
+            for start in range(0, probes.shape[0], block):
+                near = _squared_distances(probes[start:start + block], chunk).min(axis=1)
+                np.minimum(best[start:start + block], near, out=best[start:start + block])
+        done = n
+        # The square root is monotone and correctly rounded, so this is the
+        # largest of the probes' distances.
+        fills.append(float(np.sqrt(best.max())))
+    return fills
+
+
 def fill_distance(design, probe_resolution=None):
     """Largest distance from the domain to the design, probed on a grid.
 
     Returns the maximum over a tensor probe grid of the distance to the
     nearest design point.  This is a lower bound on the true fill distance
-    that converges to it as the probe resolution grows.
+    that converges to it as the probe resolution grows.  The grid has
+    ``probe_resolution`` points per axis, an integer of at least 64
+    (default 4097 in one dimension, 129 otherwise).
     """
     if design.n == 0:
         raise DomainError("fill distance of an empty design")
-    if probe_resolution is None:
-        probe_resolution = 4097 if design.d == 1 else 129
-    if probe_resolution < 64:
-        raise DomainError("probe_resolution must be at least 64")
-    probes = _probe_grid(design.box, int(probe_resolution))
-    best = np.full(probes.shape[0], np.inf)
+    return fill_distances(design, [design.n], probe_resolution)[0]
+
+
+def _nearest_predecessors(design):
+    """Per point after the first, its least squared distance to the points
+    before it, in chunks of about 1 MB of temporaries."""
     pts = design.points
-    for start in range(0, probes.shape[0], 8192):
-        block = probes[start : start + 8192]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        best[start : start + 8192] = np.sqrt(d2.min(axis=1))
-    return float(best.max())
+    nearest = np.empty(max(design.n - 1, 0))
+    i = 1
+    while i < design.n:
+        # At most i rows, so fewer than 2 i columns.
+        rows = max(1, min(i, _CHUNK_ELEMENTS // (2 * i * design.d)))
+        j = min(design.n, i + rows)
+        d2 = _squared_distances(pts[i:j], pts[:j - 1])
+        # Row r is point i + r: only its first i + r columns precede it.
+        d2[np.arange(i, j)[:, None] <= np.arange(j - 1)[None, :]] = np.inf
+        nearest[i - 1:j - 1] = d2.min(axis=1)
+        i = j
+    return nearest
 
 
 def separation_distance(design):
     """Half the minimal pairwise distance of the design points."""
     if design.n < 2:
         raise DomainError("separation distance needs at least 2 points")
-    pts = design.points
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    iu = np.triu_indices(design.n, k=1)
-    return 0.5 * float(np.sqrt(d2[iu].min()))
+    return 0.5 * float(np.sqrt(_nearest_predecessors(design).min()))
 
 
 @dataclass(frozen=True)
@@ -257,15 +312,19 @@ class UniformityReport:
 
 def uniformity_report(design, n_schedule, probe_resolution=None):
     """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
-    :func:`check_schedule`)."""
+    :func:`check_schedule`), from one pass over the design for the fill
+    distances (:func:`fill_distances`) and one for the separations."""
     schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
+    if not schedule:
+        return []
+    fills = fill_distances(design, schedule, probe_resolution)
+    # Entry n - 2: the least squared distance among the first n points.
+    closest = np.minimum.accumulate(_nearest_predecessors(design.prefix(schedule[-1])))
     reports = []
-    for n in schedule:
-        pre = design.prefix(n)
-        fill = fill_distance(pre, probe_resolution)
-        sep = separation_distance(pre) if n >= 2 else math.nan
+    for n, fill in zip(schedule, fills):
+        sep = 0.5 * float(np.sqrt(closest[n - 2])) if n >= 2 else math.nan
         reports.append(
             UniformityReport(
                 n=n,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .designs import check_schedule, fill_distance, is_integer
+# ``fill_distance`` stays bound here for the benchmark tracer, which wraps it.
+from .designs import check_schedule, fill_distance, fill_distances, is_integer  # noqa: F401
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
@@ -278,7 +279,7 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, config, nu, sizes, names=None):
+def _cells(design, y, config, nu, sizes, names=None, workspace=None):
     """Objective totals at smoothness ``nu`` on the first ``n`` points of
     ``design``, for each ``n`` in ``sizes``, from one factorization.
 
@@ -292,11 +293,13 @@ def _cells(design, y, config, nu, sizes, names=None):
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
     its total, so the cells of a column equal those of its sweep alone.
+    ``workspace`` is handed to :func:`~maternsmooth.gp.condition_prefixes`;
+    nothing returned reads from it.
     """
     sigma = 1.0 if config.profile_sigma else config.sigma
     kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
     cells, first = [], None
-    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes)):
+    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, workspace)):
         if isinstance(post, ConditioningError):
             if first is None:
                 first, text = n, str(post)
@@ -393,13 +396,14 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     sequence ``seed``.  The records come column after column, each in
     schedule order and equal to the column's sweep alone (to rounding at
     sizes other than those named below).  The coarse cells, the fill
-    distance and the leave-one-out variances at ``nu0`` are computed once
-    for all columns.  Every search then reads its
-    refinement nodes from :func:`_search_tables`: the searches of all
-    columns, both objectives and every prefix whose coarse minimum lands
-    on one bracketing triple share its nodes, each factored once, and
-    inverted for leave-one-out only if a CV search needs it.  The
-    schedule holds sizes of at least 1 in strictly ascending order.
+    distances (one pass over the design for every prefix,
+    :func:`~maternsmooth.designs.fill_distances`) and the leave-one-out
+    variances at ``nu0`` are computed once for all columns.  Every search
+    then reads its refinement nodes from :func:`_search_tables`: the
+    searches of all columns, both objectives and every prefix whose coarse
+    minimum lands on one bracketing triple share its nodes, each factored
+    once, and inverted for leave-one-out only if a CV search needs it.
+    The schedule holds sizes of at least 1 in strictly ascending order.
 
     Each coarse cell is factored once, on the largest prefix, and so is
     each node, on the largest prefix that needs it; every prefix reads its
@@ -441,9 +445,9 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
             kernel0, top, np.zeros(top.n), schedule)]
 
     records = [[] for _ in seeds]
-    for n, table, v0 in zip(schedule, tables, variances0):
+    fills = fill_distances(top, schedule)
+    for n, table, v0, fill in zip(schedule, tables, variances0, fills):
         prefix = top.prefix(n)
-        fill = fill_distance(prefix)
         searches = _prefix_searches(n, len(seeds), table, config)
         for column, found, label in zip(records, searches, seeds):
             column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
@@ -459,12 +463,15 @@ def _search_tables(top, columns, schedule, config):
     the coarse cells, as :func:`bracketed_minimize` will.  Each triple's
     interior nodes are factored once, on the largest prefix whose searches
     need them, and serve every size that needs them; their leave-one-out
-    inverse is computed only if a CV search needs them.
+    inverse is computed only if a CV search needs them.  Every cell writes
+    its factor and inverse into one pair of buffers of ``top``'s size.
     """
     grid = [float(nu) for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid)]
     tables = [{} for _ in schedule]
+    workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
     for nu in grid:
-        for table, cell in zip(tables, _cells(top, columns, config, nu, schedule)):
+        for table, cell in zip(tables, _cells(top, columns, config, nu, schedule,
+                                              workspace=workspace)):
             table[nu] = cell
     needs = {}  # bracket midpoint index -> {size: objectives refined there}
     for n, table in zip(schedule, tables):
@@ -484,7 +491,7 @@ def _search_tables(top, columns, schedule, config):
             if k in (0, _MID, _NODES - 1):
                 continue  # a coarse cell
             for n, cell in zip(sizes, _cells(prefix, columns[:prefix.n], config, nu, sizes,
-                                             names)):
+                                             names, workspace)):
                 tables[schedule.index(n)][nu] = cell
     return tables
 

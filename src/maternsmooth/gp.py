@@ -82,7 +82,18 @@ def _panel_ends(n):
     return [min(b, n) for b in ends] if n else []
 
 
-def _factor(kernel, design):
+def _square(buffer, n):
+    """An ``(n, n)`` Fortran-ordered array of zeros: fresh when ``buffer`` is
+    None, else a view of the leading ``n * n`` elements of that flat
+    array, zero-filled."""
+    if buffer is None:
+        return np.zeros((n, n), order="F")
+    out = buffer[:n * n].reshape((n, n), order="F")
+    out.fill(0.0)
+    return out
+
+
+def _factor(kernel, design, buffer=None):
     """Lower Cholesky factor of a design's kernel matrix, grown by row panels.
 
     Each panel of rows ``a:b`` after the first is solved against the factor
@@ -92,10 +103,11 @@ def _factor(kernel, design):
     is bit for bit the leading block of theirs.  Returns the Fortran-ordered
     factor and None, or the :class:`ConditioningError` of the first pivot
     that is not positive or lies below ``PIVOT_RTOL * K(0)``; the factor then
-    holds up to that pivot, and later panels are never evaluated.
+    holds up to that pivot, and later panels are never evaluated.  The
+    factor is written into ``buffer`` when one is given (see :func:`_square`).
     """
     n = design.n
-    L = np.zeros((n, n), order="F")
+    L = _square(buffer, n)
     ends = _panel_ends(n)
     a = 0
     for b, panel in zip(ends, kernel_panels(kernel, design, ends)):
@@ -132,7 +144,7 @@ def _factor(kernel, design):
     return L, None
 
 
-def _invert(chol, m):
+def _invert(chol, m, buffer=None):
     """Inverse ``W`` of the leading ``m`` by ``m`` block of a lower factor,
     grown by the row panels of :func:`_factor`.
 
@@ -142,9 +154,10 @@ def _invert(chol, m):
     operations on the same data as in any larger factor: it is bit for bit
     the leading block of theirs.  Returns the Fortran-ordered inverse and
     None, or the inverse of the panels before a zero diagonal entry and the
-    :class:`ConditioningError` naming that entry.
+    :class:`ConditioningError` naming that entry.  The inverse is written
+    into ``buffer`` when one is given (see :func:`_square`).
     """
-    W = np.zeros((m, m), order="F")
+    W = _square(buffer, m)
     a = 0
     for b in _panel_ends(m):
         if a:
@@ -173,10 +186,11 @@ def _invert(chol, m):
 class _SharedInverse:
     """The inverse of a factor's first ``m`` rows, computed by
     :func:`_invert` on the first request and then read by every posterior
-    the factor serves.  Safe to call from several threads."""
+    the factor serves, written into ``buffer`` if one is given.  Safe to
+    call from several threads."""
 
-    def __init__(self, chol, m):
-        self._chol, self._m = chol, m
+    def __init__(self, chol, m, buffer=None):
+        self._chol, self._m, self._buffer = chol, m, buffer
         self._lock = threading.Lock()
         self._result = None
 
@@ -184,7 +198,8 @@ class _SharedInverse:
         """The inverse of the first ``n <= m`` rows of the factor."""
         with self._lock:
             if self._result is None:
-                self._result, self._chol = _invert(self._chol, self._m), None
+                self._result = _invert(self._chol, self._m, self._buffer)
+                self._chol = self._buffer = None
         W, err = self._result
         if n > W.shape[0]:
             raise ConditioningError(str(err), pivot_index=err.pivot_index,
@@ -259,20 +274,27 @@ def condition(kernel, design, y):
     return post
 
 
-def condition_prefixes(kernel, design, y, sizes):
+def condition_prefixes(kernel, design, y, sizes, workspace=None):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
     The factor of the largest prefix serves all (:meth:`Posterior.prefix`),
     and so does its inverse, computed when :func:`loo` first asks for it and
     only up to the largest size served; a size beyond a failing pivot gets
     that pivot's :class:`ConditioningError` in place of its posterior.
+
+    ``workspace``, a pair of flat float arrays of at least ``m * m``
+    elements for the largest size ``m``, takes the factor and the inverse
+    in place of fresh arrays, with the same values.  The posteriors then
+    read from it and hold only until it is next used.
     """
     y = _as_data(design, y)
     sizes = [design.check_prefix_size(n) for n in sizes]
     design = design.prefix(max(sizes, default=0))
-    L, err = _factor(kernel, design)
+    factor_buffer, inverse_buffer = workspace or (None, None)
+    L, err = _factor(kernel, design, factor_buffer)
     served = design.n if err is None else err.pivot_index
-    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0))
+    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0),
+                             inverse_buffer)
     return [_posterior(kernel, design.prefix(n), y, L, inverse) if n <= served else err
             for n in sizes]
 

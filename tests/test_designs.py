@@ -1,6 +1,7 @@
 """Design generators, quasi-uniformity diagnostics, and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from maternsmooth.designs import (
     Box,
     Design,
     fill_distance,
+    fill_distances,
     load_design,
     save_design,
     separation_distance,
@@ -118,6 +120,68 @@ class TestDiagnostics:
             fill_distance(van_der_corput(UNIT, 4), probe_resolution=32)
         with pytest.raises(DomainError):
             separation_distance(Design([[0.5]], UNIT))
+
+
+def dense_fill(design, resolution):
+    """The fill distance from one array of every probe-to-point distance."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in zip(design.box.lower,
+                                                               design.box.upper)]
+    probes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    d2 = np.sum((probes[:, None, :] - design.points[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(d2.min(axis=1)).max())
+
+
+def dense_separation(design):
+    """Half the least distance of the strict upper triangle of every pair."""
+    pts = design.points
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    return 0.5 * float(np.sqrt(d2[np.triu_indices(design.n, k=1)].min()))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("d, n, resolution", [(1, 200, 4097), (1, 40, 64), (2, 60, 129),
+                                                  (2, 36, 70)])
+    def test_equals_the_dense_formulas(self, d, n, resolution):
+        rng = np.random.default_rng(n)
+        des = Design(rng.random((n, d)), Box.unit(d))
+        sizes = [1, 2, 3, 17, n // 2, n]
+        assert fill_distances(des, sizes, resolution) == [
+            dense_fill(des.prefix(m), resolution) for m in sizes]
+        reports = uniformity_report(des, sizes[1:], resolution)
+        assert [r.separation for r in reports] == [dense_separation(des.prefix(m))
+                                                   for m in sizes[1:]]
+        assert separation_distance(des) == dense_separation(des)
+
+    def test_fill_pass_memory_is_bounded(self):
+        # A dense pass over 1024 points and 129**2 probes holds about 260 MB.
+        des = Design(uniform_grid(UNIT2, 33).points[:1024], UNIT2)
+        tracemalloc.start()
+        try:
+            fill_distances(des, [16, 64, 256, 1024])
+            separation_distance(des)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("sizes", [[4, 2], [0, 4], [2.5], [True], [17]])
+    def test_sizes_are_checked(self, sizes):
+        with pytest.raises(DomainError):
+            fill_distances(van_der_corput(UNIT, 16), sizes)
+
+    @pytest.mark.parametrize("resolution", [64.9, 64.0, "80", True, np.bool_(True), 63])
+    def test_probe_resolution_must_be_an_integer_of_at_least_64(self, resolution):
+        des = van_der_corput(UNIT, 8)
+        with pytest.raises(DomainError, match="probe_resolution"):
+            fill_distance(des, resolution)
+        with pytest.raises(DomainError, match="probe_resolution"):
+            fill_distances(des, [2, 8], resolution)
+        with pytest.raises(DomainError, match="probe_resolution"):
+            uniformity_report(des, [2, 8], resolution)
+
+    def test_numpy_integer_probe_resolution(self):
+        des = van_der_corput(UNIT, 8)
+        assert fill_distance(des, np.int64(65)) == fill_distance(des, 65)
 
 
 class TestUniformityReports:

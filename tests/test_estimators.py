@@ -472,10 +472,10 @@ class TestSweeps:
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
         factored, inverted, searches = [], [], []
 
-        def counting(kernel, prefix, values, sizes):
+        def counting(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
-            return condition_prefixes(kernel, prefix, values, sizes)
+            return condition_prefixes(kernel, prefix, values, sizes, workspace)
 
         def inverting(post):
             inverted.append((post.kernel.params.nu, post.n))
@@ -529,13 +529,13 @@ class TestSweeps:
         inverted, cells = [], []
         invert, compute = gp._invert, estimators._cells
 
-        def inverting(chol, m):
+        def inverting(chol, m, buffer=None):
             inverted.append(m)
-            return invert(chol, m)
+            return invert(chol, m, buffer)
 
-        def counting(prefix, values, config, nu, schedule, names=None):
+        def counting(prefix, values, config, nu, schedule, names=None, workspace=None):
             before = len(inverted)
-            out = compute(prefix, values, config, nu, schedule, names)
+            out = compute(prefix, values, config, nu, schedule, names, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
             cells.append((tuple(schedule), names, served, inverted[before:]))
@@ -584,6 +584,40 @@ class TestSweeps:
 
         assert failures(record, "ml") == failures(intact, "ml") == len(ml.failures)
         assert failures(record, "cv") > failures(intact, "cv")
+
+    def test_shared_workspace_changes_no_cell(self, sample_instance, monkeypatch):
+        # Every cell of the search tables writes its factor and inverse into
+        # one pair of buffers.  A node factored on a smaller prefix after the
+        # top-size cells, and a failing cell after a conditioned one, read as
+        # cells on fresh arrays, and nothing in the tables views the buffers.
+        design, y = sample_instance
+        design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
+        calls, compute = [], estimators._cells
+
+        def recording(prefix, values, config, nu, sizes, names=None, workspace=None):
+            out = compute(prefix, values, config, nu, sizes, names, workspace)
+            calls.append((prefix.n, nu, sizes, names, workspace, out))
+            return out
+
+        def exact(cell):
+            return {name: str(v) if isinstance(v, Exception) else np.asarray(v).tobytes()
+                    for name, v in cell.items()}
+
+        monkeypatch.setattr(estimators, "_cells", recording)
+        tables = estimators._search_tables(design, columns, [16, 32, 64], cfg)
+        workspace = calls[0][4]
+        assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
+        failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
+        assert any(b and not a for a, b in zip(failed, failed[1:]))
+        assert any(call[0] < design.n for call in calls[cfg.coarse_grid:])
+        for n, nu, sizes, names, _, out in calls:
+            fresh = compute(design.prefix(n), columns[:n], cfg, nu, sizes, names)
+            assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
+        values = [v for table in tables for cell in table.values() for v in cell.values()]
+        assert any(isinstance(v, ConditioningError) for v in values)
+        for value in values:
+            assert not any(np.shares_memory(value, buffer) for buffer in workspace
+                           if isinstance(value, np.ndarray))
 
     def test_degenerate_column_stays_in_its_column(self, sample_instance):
         # Profiling is degenerate for all-zero data: that column's searches
@@ -651,8 +685,8 @@ class TestPrefixRule:
         design, y, cfg = smooth_instance
         factored = []
 
-        def counting(kernel, top, data, sizes):
-            posts = condition_prefixes(kernel, top, data, sizes)
+        def counting(kernel, top, data, sizes, workspace=None):
+            posts = condition_prefixes(kernel, top, data, sizes, workspace)
             factored.append((kernel.params.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts

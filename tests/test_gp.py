@@ -108,6 +108,33 @@ class TestCondition:
                            match=r"^pivot 14 = 3\.775e-15 below relative floor 1\.000e-14$"):
             condition(kernel, design, np.zeros(64))
 
+    @pytest.mark.parametrize("nu, lambda_", [(1.5, 0.15), (8.0, 1.0)])
+    def test_workspace_holds_what_fresh_arrays_hold(self, nu, lambda_):
+        # A workspace full of NaN, as a larger or a failed cell may leave it:
+        # the factor, its inverse and every posterior read from them equal
+        # those on fresh arrays bit for bit, upper triangle and rows past a
+        # failing pivot included.  (nu = 8 fails at pivot 14 of 64.)
+        design = van_der_corput(UNIT, 64)
+        kernel = MaternKernel(matern(nu, lambda_=lambda_))
+        y = np.random.Generator(np.random.Philox(5)).standard_normal((64, 2))
+        workspace = (np.full(80 * 80, np.nan), np.full(80 * 80, np.nan))
+        sizes = [8, 16, 32, 64]
+        fresh = condition_prefixes(kernel, design, y, sizes)
+        reused = condition_prefixes(kernel, design, y, sizes, workspace)
+        assert [str(p) for p in reused if isinstance(p, ConditioningError)] == [
+            str(p) for p in fresh if isinstance(p, ConditioningError)]
+        for a, b in zip(fresh, reused):
+            if isinstance(a, Posterior):
+                assert a.chol.tobytes() == b.chol.tobytes()
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert loo(a).residuals.tobytes() == loo(b).residuals.tobytes()
+        L, err = gp._factor(kernel, design, workspace[0])
+        assert np.shares_memory(L, workspace[0])
+        assert L.tobytes() == gp._factor(kernel, design)[0].tobytes()
+        W, err = gp._invert(L, 64, workspace[1])
+        W0, err0 = gp._invert(L.copy(order="F"), 64)
+        assert W.tobytes() == W0.tobytes() and str(err) == str(err0)
+
     def test_shape_mismatch(self, instance):
         kernel, design, _, _ = instance
         with pytest.raises(DomainError):
@@ -355,10 +382,10 @@ class TestFastIdentities:
         want = [loo(post) for post in condition_prefixes(kernel, design, y, sizes)]
         calls, invert = [], gp._invert
 
-        def slow(chol, m):
+        def slow(chol, m, buffer=None):
             calls.append(m)
             time.sleep(0.01)
-            return invert(chol, m)
+            return invert(chol, m, buffer)
 
         monkeypatch.setattr(gp, "_invert", slow)
         posts = condition_prefixes(kernel, design, y, sizes)

@@ -1,7 +1,8 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
 prefix consistency of the panel-grown factor and of its inverse, the
 refinement of smoothness estimates, the modified Bessel function of the
-second kind and the design file format.
+second kind, the design file format and the one-pass fill and separation
+distances.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from scipy import linalg, optimize
 from scipy.linalg import blas, lapack
 
-from maternsmooth.designs import (Box, Design, load_design, save_design, uniform_grid,
-                                  van_der_corput)
+from maternsmooth.designs import (Box, Design, fill_distance, fill_distances, load_design,
+                                  save_design, separation_distance, uniform_grid,
+                                  uniformity_report, van_der_corput)
 from maternsmooth.errors import ConditioningError
 from maternsmooth.analysis import sample_gp_path
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimate_nu
@@ -390,3 +392,21 @@ def test_design_file_round_trip_is_bit_identical(points):
     assert back.box == box
     assert back.points.shape == design.points.shape
     assert back.points.tobytes() == design.points.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from((1, 2)), st.integers(min_value=1, max_value=200),
+       st.integers(min_value=0, max_value=2**31 - 1),
+       st.one_of(st.none(), st.integers(min_value=64, max_value=100)))
+def test_one_pass_equals_each_prefix_alone(d, n, seed, resolution):
+    # The running minima of one pass over the points give each prefix's fill
+    # and separation distance bit for bit.
+    rng = np.random.Generator(np.random.Philox(seed))
+    design = Design(rng.random((n, d)), Box.unit(d))
+    count = int(rng.integers(1, min(n, 8) + 1))
+    sizes = sorted(int(m) for m in rng.choice(np.arange(1, n + 1), count, replace=False))
+    assert fill_distances(design, sizes, resolution) == [
+        fill_distance(design.prefix(m), resolution) for m in sizes]
+    reports = uniformity_report(design, sizes, resolution)
+    assert [r.separation for r in reports if r.n >= 2] == [
+        separation_distance(design.prefix(m)) for m in sizes if m >= 2]

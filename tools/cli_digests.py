@@ -8,7 +8,10 @@ directory, and prints one line per configuration: its name, exit code and
 the digests of the CSV it wrote and of the summary it printed (stdout and
 stderr).  Run it at two commits and diff the output to see whether a
 change leaves every output byte-identical.  Digests depend on the BLAS
-build and the platform, so compare runs on one machine only.
+build and the platform, so compare runs on one machine only.  Under each
+digest line, an indented line gives the child's wall time and peak
+resident memory (``ru_maxrss`` from ``os.wait4``); these vary from run to
+run, so leave them out of a diff (``grep -v '^    wall'``).
 
 ``--keep DIR`` keeps the CSVs and summaries there, to see what differs.
 ``--against DIR`` compares each CSV and summary with the ones an earlier
@@ -34,6 +37,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,7 +80,8 @@ def _sha256(data):
 
 
 def run(name, argv, lines, keep):
-    """Run one configuration; returns its exit code, its CSV and its summary."""
+    """Run one configuration; returns its exit code, its CSV, its summary,
+    and its wall time (s) and peak resident memory (MB)."""
     with tempfile.TemporaryDirectory() as work:
         argv = list(argv) + ["--out", "out.csv"]
         if lines is not None:
@@ -84,15 +89,25 @@ def run(name, argv, lines, keep):
                 fh.write("\n".join(lines) + "\n")
             argv += ["--config", "config.txt"]
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        proc = subprocess.run([sys.executable, "-m", "maternsmooth.cli", *argv], cwd=work,
-                              env=env, capture_output=True)
+        # Output goes to files, not pipes, so that nothing needs reading while
+        # the child runs and wait4 can reap it and report its resource usage.
+        out_path, err_path = Path(work, "stdout"), Path(work, "stderr")
+        with open(out_path, "wb") as out, open(err_path, "wb") as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "maternsmooth.cli", *argv],
+                                    cwd=work, env=env, stdout=out, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        summary = out_path.read_bytes() + err_path.read_bytes()
         csv_path = Path(work, "out.csv")
         table = csv_path.read_bytes() if csv_path.exists() else b""
         if keep:
             if table:
                 shutil.copy(csv_path, Path(keep, f"{name}.csv"))
-            Path(keep, f"{name}.summary").write_bytes(proc.stdout + proc.stderr)
-    return proc.returncode, table, proc.stdout + proc.stderr
+            Path(keep, f"{name}.summary").write_bytes(summary)
+    # ru_maxrss is in kilobytes on Linux.
+    return code, table, summary, wall, usage.ru_maxrss / 1024.0
 
 
 def _changes(old, new):
@@ -139,9 +154,10 @@ def main(argv=None):
         os.makedirs(args.keep, exist_ok=True)
     differs = False
     for name, cli_args, lines in CONFIGURATIONS:
-        code, table, summary = run(name, cli_args, lines, args.keep)
+        code, table, summary, wall, peak = run(name, cli_args, lines, args.keep)
         print(f"{name:24s} exit {code}  csv {_sha256(table)}  summary {_sha256(summary)}",
               flush=True)
+        print(f"    wall {wall:.2f} s  peak RSS {peak:.1f} MB", flush=True)
         if args.against:
             saved = Path(args.against, f"{name}.csv")
             old = saved.read_bytes() if saved.exists() else b""
