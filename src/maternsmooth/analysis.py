@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import is_integer
 from .errors import AccuracyError, DomainError
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
@@ -295,8 +296,22 @@ def bump_function(center, h):
     )
 
 
+def check_seed(seed):
+    """A seed as an int: :class:`DomainError` unless it is a non-negative
+    integer (a bool or a float is not)."""
+    if not (is_integer(seed) and seed >= 0):
+        raise DomainError(f"seed {seed!r} must be a non-negative integer")
+    return int(seed)
+
+
 def sample_gp_path(params, design, seed):
-    """Draw one zero-mean sample path at the design points.
+    """Draw a zero-mean sample path at the design points.
+
+    ``seed`` is one seed, giving an ``(n,)`` path, or a sequence of seeds,
+    giving the ``(n, s)`` array of their paths as columns; the kernel
+    matrix is factored once for all of them, and each column is bit for bit
+    that seed's single draw (repeated seeds give equal columns).  Seeds
+    are non-negative integers; anything else raises :class:`DomainError`.
 
     Uses the counter-based Philox generator, so draws are bit-identical
     across platforms and thread counts.  The first ``m`` values of an
@@ -304,9 +319,15 @@ def sample_gp_path(params, design, seed):
     bit when ``m = 16 * 2**k`` and to rounding otherwise (prefixes of a
     design see consistent data; see :meth:`~maternsmooth.gp.Posterior.prefix`).
     """
-    post = condition(MaternKernel(params), design, np.zeros(design.n))
-    z = np.random.Generator(np.random.Philox(int(seed))).standard_normal(design.n)
-    return post.chol @ z
+    single = np.ndim(seed) == 0
+    seeds = [check_seed(s) for s in ([seed] if single else seed)]
+    if not seeds:
+        raise DomainError("need at least one seed")
+    chol = condition(MaternKernel(params), design, np.zeros(design.n)).chol
+    # One contiguous product per seed: a single ``chol @ Z`` rounds differently.
+    paths = [chol @ np.random.Generator(np.random.Philox(s)).standard_normal(design.n)
+             for s in seeds]
+    return paths[0] if single else np.stack(paths, axis=1)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ cell never aborts a sweep; it is recorded in the row notes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import builtin_test_functions, fit_rate, sample_gp_path
+from .analysis import builtin_test_functions, check_seed, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
 from .errors import ConditioningError, DomainError, EstimationError
 from .estimators import EstimatorConfig, SweepRecord, bracketed_minimize, sweep_prefixes
@@ -29,9 +28,10 @@ from .gp import (
     posterior_var,
     quadratic_form,
 )
-from .kernels import GaussianKernel, GaussParams, MaternKernel, kernel_matrix, matern
+from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive, kernel_matrix,
+                      matern)
 from .objectives import ell_cv_from, ell_ml_from
-from .specfun import check_threads, worker_threads
+from .specfun import check_threads
 
 __all__ = [
     "ExperimentConfig",
@@ -55,8 +55,9 @@ DEFAULT_SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 class ExperimentConfig:
     """Configuration shared by the experiment commands.
 
-    Unused fields are ignored by commands that do not need them; each
-    command validates the fields it consumes.  The magnitude ``sigma`` and
+    Every field is checked when the configuration is built, except
+    ``probe_count``, which ``convergence`` checks against its design;
+    commands ignore the fields they do not use.  The magnitude ``sigma`` and
     length-scale ``lambda_`` of every Matern kernel live in ``estimator``.
     """
 
@@ -72,25 +73,34 @@ class ExperimentConfig:
     lambda_max: float = 2.0
     f0: str = None
     probe_count: int = 256
-    # Caps the worker threads of every command (the CLI applies it through
-    # specfun.thread_limit); None: every CPU the process may run on.
-    # Outputs do not depend on it.
+    # Caps the threads that large Bessel evaluations are split across (the
+    # CLI applies it through specfun.thread_limit); None: every CPU the
+    # process may run on.  Outputs do not depend on it.
     threads: int = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     output_path: str = None
 
     def __post_init__(self):
         check_schedule(self.schedule)
-        if self.d not in (1, 2):
-            raise DomainError("only d in {1, 2} is supported by the experiments")
+        if not (is_integer(self.d) and self.d in (1, 2)):
+            raise DomainError(f"only d in {{1, 2}} is supported by the experiments, "
+                              f"got {self.d!r}")
+        if self.nu0 is not None:
+            check_positive("nu0", self.nu0)
+        for name in ("nu_grid", "nu_model"):
+            for nu in getattr(self, name):
+                check_positive(f"each entry of {name}", nu)
         if self.design not in ("van_der_corput", "uniform_grid"):
             raise DomainError(f"unknown design generator {self.design!r}")
         if self.f0 is not None and self.f0 not in builtin_test_functions():
             raise DomainError(f"unknown test function label {self.f0!r}")
-        if not (0 < self.lambda_min <= self.lambda_max):
-            raise DomainError("need 0 < lambda_min <= lambda_max")
+        if not (0 < self.lambda_min <= self.lambda_max < math.inf):
+            raise DomainError(f"need 0 < lambda_min <= lambda_max < inf, got "
+                              f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
         if not self.seeds:
             raise DomainError("need at least one seed")
+        for seed in self.seeds:
+            check_seed(seed)
         check_threads(self.threads)
 
 
@@ -309,15 +319,17 @@ def run_variance_decay(config):
 # ----------------------------------------------------------------------
 
 def _draw_or_evaluate(config, design):
-    """Observation vectors: catalog evaluations or per-seed path draws."""
+    """Column labels and the ``(n, s)`` data: the catalog function's values
+    under the label None, or one path per seed, all drawn from one
+    factorization."""
     if config.f0 is not None:
         f0 = builtin_test_functions()[config.f0]
         y = f0(design.points[:, 0]) if design.d == 1 else f0(design.points)
-        return [(None, np.asarray(y, dtype=float))]
+        return [None], np.asarray(y, dtype=float)[:, None]
     if config.nu0 is None:
         raise DomainError("need either a test-function label or nu0 for path draws")
-    params0 = _matern(config, config.nu0, design.d)
-    return [(seed, sample_gp_path(params0, design, seed)) for seed in config.seeds]
+    paths = sample_gp_path(_matern(config, config.nu0, design.d), design, config.seeds)
+    return list(config.seeds), paths
 
 
 def _tail_min(values):
@@ -333,28 +345,25 @@ def _tail_min(values):
 def run_non_undersmoothing(config):
     """Smoothness estimates on growing prefixes, per seed.
 
-    All seeds share the design, so their paths are swept together as the
-    columns of one matrix: each coarse cell is conditioned once for every
-    seed.  With a generating smoothness ``nu0``, the summary counts the
-    seeds whose tail estimates stay above ``nu0 - d/2 - 0.1`` (the
-    sample-path lower bound with slack); a failed (non-finite) tail
-    estimate counts as below it.  For catalog functions the sweep is
-    reported as-is, with upper-bracket saturation flags for the smooth
-    entries.
+    All seeds share the design, so their paths are drawn from one
+    factorization and swept together as the columns of one matrix: each
+    coarse cell is conditioned once for every seed.  With a generating
+    smoothness ``nu0``, the summary counts the seeds whose tail estimates
+    stay above ``nu0 - d/2 - 0.1`` (the sample-path lower bound with
+    slack); a failed (non-finite) tail estimate counts as below it.  For
+    catalog functions the sweep is reported as-is, with upper-bracket
+    saturation flags for the smooth entries.
     """
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
-    draws = _draw_or_evaluate(config, design)
-
-    paths = np.stack([y for _, y in draws], axis=1)
+    seeds, paths = _draw_or_evaluate(config, design)
     records = sweep_prefixes(
         design, paths, schedule, config.estimator, nu0=config.nu0,
-        experiment=config.experiment or "non-undersmoothing",
-        seed=[seed for seed, _ in draws])
+        experiment=config.experiment or "non-undersmoothing", seed=seeds)
     k = len(schedule)
-    all_records = [records[j * k:(j + 1) * k] for j in range(len(draws))]
-    for j, (_, y) in enumerate(draws):
-        if np.all(y == 0.0):
+    all_records = [records[j * k:(j + 1) * k] for j in range(len(seeds))]
+    for j in range(len(seeds)):
+        if np.all(paths[:, j] == 0.0):
             all_records[j] = [
                 replace(r, notes=(r.notes + ";degenerate_zero_data").strip(";"))
                 for r in all_records[j]]
@@ -366,7 +375,7 @@ def run_non_undersmoothing(config):
     if config.nu0 is not None:
         threshold = config.nu0 - config.d / 2.0 - 0.1
         passes_ml = passes_cv = 0
-        for (seed, _), recs in zip(draws, all_records):
+        for seed, recs in zip(seeds, all_records):
             tail = recs[-tail_k:]
             tmin_ml = _tail_min(r.nu_hat_ml for r in tail)
             tmin_cv = _tail_min(r.nu_hat_cv for r in tail)
@@ -379,11 +388,11 @@ def run_non_undersmoothing(config):
                 f"(threshold {threshold:.3f}) "
                 f"{'ok' if p_ml and p_cv else 'below'}"
             )
-        need = math.ceil(0.8 * len(draws))
+        need = math.ceil(0.8 * len(seeds))
         ok = passes_ml >= need and passes_cv >= need
         lines.append(
-            f"tail >= {threshold:.3f}: ml {passes_ml}/{len(draws)}, "
-            f"cv {passes_cv}/{len(draws)} (need {need}) -> {'PASS' if ok else 'FAIL'}"
+            f"tail >= {threshold:.3f}: ml {passes_ml}/{len(seeds)}, "
+            f"cv {passes_cv}/{len(seeds)} (need {need}) -> {'PASS' if ok else 'FAIL'}"
         )
     else:
         for recs in all_records:
@@ -459,15 +468,6 @@ def run_logdet_growth(config):
 # convergence of the conditional mean
 # ----------------------------------------------------------------------
 
-def _pool_map(fn, items):
-    """``[fn(item) for item in items]``, on up to :func:`worker_threads` threads."""
-    threads = worker_threads()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _convergence_probes(count, n):
     """Probe points off the dyadic lattice: odd multiples of 1/1024, spread
     evenly over [0, 1] for any ``count``.
@@ -486,6 +486,13 @@ def run_convergence(config):
     Oversmoothed models are fitted for their error rate; the undersmoothed
     model is tracked through the ratio of the sup error to the posterior
     standard deviation, which should stay bounded.
+
+    Every seed shares the design and the probes, so the seeds' joint paths
+    (design points, then probes) are drawn from one factorization, and each
+    model is factored once for all of them, with the seeds' data as the
+    columns of one array; each prefix's mean and variance at the probes are
+    evaluated once.  A seed's rows are those of that seed run alone, bit for
+    bit.  Rows run seed by seed, then model, then prefix size.
     """
     if config.d != 1:
         raise DomainError("the convergence experiment is one-dimensional")
@@ -495,37 +502,28 @@ def run_convergence(config):
     design = make_design("van_der_corput", 1, max(schedule))
     probes = _convergence_probes(config.probe_count, design.n)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)
-    params0 = _matern(config, nu0, 1)
     seeds = config.seeds
-
-    def one(seed):
-        path = sample_gp_path(params0, joint, seed)
-        y = path[: design.n]
-        f0_probe = path[design.n :]
-        out = []
-        for nu_model in models:
-            kernel = MaternKernel(_matern(config, nu_model, 1))
-            posts = condition_prefixes(kernel, design, y, schedule)
-            for n, post in zip(schedule, posts):
-                note = ""
-                sup_err = math.nan
-                ratio = math.nan
-                try:
-                    if isinstance(post, ConditioningError):
-                        raise post
-                    mu = posterior_mean(post, probes)
-                    var = posterior_var(post, probes)
-                    err = np.abs(mu - f0_probe)
-                    sup_err = float(np.max(err))
-                    positive = var > 0.0
-                    ratio = float(np.max(err[positive] / np.sqrt(var[positive])))
-                except ConditioningError as exc:
-                    note = f"conditioning: {exc}"
-                out.append([seed, nu_model, n, sup_err, ratio, note])
-        return out
-
-    per_seed = _pool_map(one, list(seeds))
-    rows = [row for chunk in per_seed for row in chunk]
+    paths = sample_gp_path(_matern(config, nu0, 1), joint, seeds)
+    y, f0_probe = paths[:design.n], paths[design.n:]
+    cells = {}  # (model, n) -> per-seed (sup error, error / sd ratio, note)
+    for nu_model in models:
+        kernel = MaternKernel(_matern(config, nu_model, 1))
+        posts = condition_prefixes(kernel, design, y, schedule)
+        for n, post in zip(schedule, posts):
+            try:
+                if isinstance(post, ConditioningError):
+                    raise post
+                err = np.abs(posterior_mean(post, probes) - f0_probe)
+                var = posterior_var(post, probes)
+            except ConditioningError as exc:
+                cells[nu_model, n] = [(math.nan, math.nan, f"conditioning: {exc}")] * len(seeds)
+                continue
+            positive = var > 0.0
+            cells[nu_model, n] = [
+                (float(np.max(e)), float(np.max(e[positive] / np.sqrt(var[positive]))), "")
+                for e in err.T]
+    rows = [[seed, nu_model, n, *cells[nu_model, n][j]]
+            for j, seed in enumerate(seeds) for nu_model in models for n in schedule]
 
     lines = []
     slopes = {}

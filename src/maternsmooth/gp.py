@@ -325,14 +325,24 @@ def _as_query(post, x):
 
 
 def posterior_mean(post, x):
-    """Conditional mean at one query point or an (m, d) array of them."""
+    """Conditional mean at one query point or an (m, d) array of them.
+
+    For ``s`` data columns the means come out as ``(m, s)`` (``(s,)`` at
+    one point), each column computed on its own: bit for bit the mean of
+    that column conditioned alone, which one ``k' W`` product is not.
+    """
     q, scalar = _as_query(post, x)
     if post.n == 0:
-        out = np.zeros(q.shape[0])
-        return float(out[0]) if scalar else out
-    k = _cross_covariances(post, q)
-    out = k.T @ post.weights
-    return float(out[0]) if scalar else out
+        out = np.zeros((q.shape[0],) + post.y.shape[1:])
+    else:
+        kt = _cross_covariances(post, q).T
+        if post.weights.ndim == 2:
+            out = np.stack([kt @ np.ascontiguousarray(w) for w in post.weights.T], axis=1)
+        else:
+            out = kt @ post.weights
+    if scalar:
+        return out[0] if out.ndim == 2 else float(out[0])
+    return out
 
 
 def posterior_var(post, x):

@@ -84,14 +84,18 @@ def c_scaling(policy, nu):
     return math.exp(log_c_scaling(policy, nu))
 
 
+def check_positive(name, value):
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a
+    positive finite real number: Python or NumPy, and not a bool."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def require_positive(params, names):
-    """Raise :class:`DomainError` unless each named field is a positive finite
-    real number: Python or NumPy, and not a bool."""
+    """:func:`check_positive` on each named field of ``params``."""
     for name in names:
-        v = getattr(params, name)
-        if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be positive and finite, got {v!r}")
+        check_positive(name, getattr(params, name))
 
 
 @dataclass(frozen=True)

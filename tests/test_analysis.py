@@ -183,10 +183,32 @@ class TestSamplePaths:
             short = sample_gp_path(params, Design(design.points[:n], UNIT), seed=99)
             assert np.array_equal(full[:n], short), n
 
+    @pytest.mark.parametrize("n", [4, 100, 512])
+    def test_seed_list_columns_equal_single_draws(self, n):
+        # One factorization for every seed; each column is that seed's own
+        # draw, bit for bit, a repeated seed included.
+        design = van_der_corput(UNIT, n)
+        params = matern(1.5, 1.0, 4.0 / n, d=1)
+        seeds = [7, 0, np.int64(2**40), 7, 3]
+        paths = sample_gp_path(params, design, seeds)
+        assert paths.shape == (n, len(seeds))
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(paths[:, j], sample_gp_path(params, design, seed)), (n, j)
+        assert np.array_equal(sample_gp_path(params, design, (7,)),
+                              sample_gp_path(params, design, 7)[:, None])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.bool_(False), "3", None,
+                                      [1, -2], [1, 2.5], [[1]], []])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        design = van_der_corput(UNIT, 4)
+        with pytest.raises(DomainError, match="seed"):
+            sample_gp_path(matern(1.5, 1.0, 1.0, d=1), design, seed)
+
     def test_moments(self):
         design = Design([[0.1], [0.35], [0.8]], UNIT)
         params = matern(1.5, sigma=1.3, lambda_=0.7, d=1)
-        draws = np.stack([sample_gp_path(params, design, seed=s) for s in range(10_000)])
+        # Every column equals that seed's single draw (see above).
+        draws = sample_gp_path(params, design, range(10_000)).T
         var1 = float(np.var(draws[:, 0]))
         assert var1 == pytest.approx(1.3**2, rel=0.05)
         cov12 = float(np.mean(draws[:, 0] * draws[:, 1]))

@@ -4,9 +4,10 @@ import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from maternsmooth import cli, experiments
+from maternsmooth import analysis, cli, experiments
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
 from maternsmooth.specfun import thread_limit
@@ -111,6 +112,40 @@ class TestEngines:
         assert serial.rows == threaded.rows
         assert serial.summary == threaded.summary
 
+    def test_convergence_rows_do_not_depend_on_other_seeds(self):
+        base = ExperimentConfig(experiment="x", nu0=1.5, nu_model=(3.0, 0.75),
+                                schedule=(32, 64, 128, 256, 512), seeds=(11, 12, 13))
+        together = run_convergence(base).rows
+        alone = run_convergence(replace(base, seeds=(12,))).rows
+        assert len(together) == 30 and len(alone) == 10
+        assert [row for row in together if row[0] == 12] == alone
+        # seed, then model, then prefix size
+        assert [row[:3] for row in together[:10]] == [
+            [11, nu, n] for nu in (3.0, 0.75) for n in (32, 64, 128, 256, 512)]
+
+    def test_one_factorization_serves_every_seed(self, monkeypatch):
+        # The default convergence run factors the joint kernel once for its
+        # ten seeds' paths and each of its three models once; the C07 sweep
+        # draws its ten paths from one factorization.
+        calls = {"joint": 0, "models": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "condition", counting("joint", analysis.condition))
+        monkeypatch.setattr(experiments, "condition_prefixes",
+                            counting("models", experiments.condition_prefixes))
+        result = run_convergence(ExperimentConfig(experiment="convergence"))
+        assert len(result.rows) == 10 * 3 * 5
+        assert calls == {"joint": 1, "models": 3}
+        calls.update(joint=0, models=0)
+        c07 = ExperimentConfig(experiment="non-undersmoothing", nu0=1.5, schedule=(16, 32))
+        assert len(run_non_undersmoothing(c07).rows) == 10 * 2
+        assert calls == {"joint": 1, "models": 0}
+
     def test_convergence_probes_avoid_design_points(self):
         # Odd multiples of 1/1024 stay off the design's lattice of 1/512, and
         # for any count they reach the top of [0, 1]: the largest probe lies
@@ -179,6 +214,24 @@ class TestEngines:
             with pytest.raises(DomainError):
                 ExperimentConfig(**bad)
         assert ExperimentConfig().threads is None
+        for seeds in ((1.5, 2.5), (True,), (101, -1), (np.bool_(True),), (2.0,), ("3",)):
+            with pytest.raises(DomainError, match="must be a non-negative integer"):
+                ExperimentConfig(seeds=seeds)
+        assert ExperimentConfig(seeds=(0, np.int64(7))).seeds == (0, 7)
+        for bad in (dict(nu0=-1.0), dict(nu0=0.0), dict(nu0=math.inf), dict(nu0=math.nan),
+                    dict(nu0=True), dict(nu0="1.5"), dict(nu_grid=(0.5, -1.0)),
+                    dict(nu_grid=(math.nan,)), dict(nu_model=(3.0, 0.0)),
+                    dict(nu_model=(math.inf,)), dict(nu_model=(False,))):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                ExperimentConfig(**bad)
+        for bad in (dict(lambda_max=math.inf), dict(lambda_min=math.inf, lambda_max=math.inf),
+                    dict(lambda_max=math.nan)):
+            with pytest.raises(DomainError, match="lambda_max < inf"):
+                ExperimentConfig(**bad)
+        for d in (True, 1.0, 2.0, "1"):
+            with pytest.raises(DomainError, match="only d in"):
+                ExperimentConfig(d=d)
+        assert ExperimentConfig(d=np.int64(2)).d == 2
 
 
 class TestCsv:
@@ -312,13 +365,22 @@ class TestCli:
         cfg.write_text("seeds =\n")
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "need at least one seed" in capsys.readouterr().err
+        assert main(["convergence", "--seed-list", "-1"]) == 2
+        assert "configuration error: seed -1 must be a non-negative integer" in (
+            capsys.readouterr().err)
 
     def test_non_positive_scale_exit_two(self, capsys):
         assert main(["logdet-growth", "--lambda", "-1"]) == 2
         assert main(["non-undersmoothing", "--sigma", "0"]) == 2
+        assert main(["non-undersmoothing", "--nu0", "-1"]) == 2
+        assert main(["logdet-growth", "--nu-grid", "0.5,inf"]) == 2
+        assert main(["convergence", "--nu-model", "3,0"]) == 2
         err = capsys.readouterr().err
         assert "configuration error: lambda_ must be positive" in err
         assert "configuration error: sigma must be positive" in err
+        assert "configuration error: nu0 must be positive and finite, got -1.0" in err
+        assert "configuration error: each entry of nu_grid must be positive and finite" in err
+        assert "configuration error: each entry of nu_model must be positive and finite" in err
 
     def test_bad_thread_count_exit_two(self, tmp_path, capsys):
         assert main(["variance-decay", "--threads", "0"]) == 2
@@ -343,12 +405,18 @@ class TestCli:
         ("nu_max = inf", "need 0 < nu_min < nu_max < inf"),
         ("coarse_grid = 10.5", "coarse_grid must be an integer"),
         ("coarse_grid = true", "coarse_grid must be an integer"),
+        ("lambda_max = inf", "need 0 < lambda_min <= lambda_max < inf"),
+        ("seeds = 1.5, 2.5", "seed 1.5 must be a non-negative integer"),
+        ("seeds = true", "seed True must be a non-negative integer"),
+        ("nu0 = nan", "nu0 must be positive and finite"),
+        ("d = true", "only d in {1, 2} is supported by the experiments, got True"),
     ])
     def test_bad_bracket_config_exit_two(self, line, message, tmp_path, capsys):
+        # Every setting in the file is checked when the configuration is
+        # built, the brackets of nu and lambda among them.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
-        argv = ["non-undersmoothing", "--nu0", "1.5", "--schedule", "16",
-                "--seed-list", "101", "--config", str(cfg)]
+        argv = ["non-undersmoothing", "--schedule", "16", "--config", str(cfg)]
         assert main(argv) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
 

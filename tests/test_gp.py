@@ -201,6 +201,32 @@ class TestCondition:
         for column, value in zip(Y.T, together):
             assert value == quadratic_form(condition(kernel, design, column))
 
+    @pytest.mark.parametrize("n", [16, 100, 512])
+    def test_posterior_mean_columns_equal_each_column_alone(self, n):
+        # One k' W product rounds differently from k' w in the last bits;
+        # each column's mean is its one-column mean, bit for bit, on every
+        # prefix the factor serves.
+        design = van_der_corput(UNIT, n)
+        kernel = MaternKernel(matern(1.5, lambda_=2.0 / n))
+        Y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 4))
+        probes = (2 * np.arange(200) + 1) / 400.0
+        sizes = sorted({min(16, n), n // 2, n})
+        alone = [condition_prefixes(kernel, design, column, sizes) for column in Y.T]
+        for i, post in enumerate(condition_prefixes(kernel, design, Y, sizes)):
+            together = posterior_mean(post, probes)
+            assert together.shape == (200, 4)
+            for j in range(4):
+                assert np.array_equal(together[:, j], posterior_mean(alone[j][i], probes)), (n, j)
+            at_one = posterior_mean(post, 0.3)
+            assert at_one.shape == (4,)
+            assert np.array_equal(at_one, posterior_mean(post, [0.3])[0])
+
+    def test_posterior_mean_of_columns_on_empty_design(self):
+        kernel = MaternKernel(matern(1.5))
+        post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros((0, 3)))
+        assert posterior_mean(post, [0.2, 0.4]).shape == (2, 3)
+        assert posterior_mean(post, 0.2).shape == (3,)
+
 
 class TestPosteriorQueries:
     def test_interpolation(self, instance):
