@@ -18,6 +18,7 @@ from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_
 from .errors import ConditioningError, DomainError, EstimationError
 from .estimators import EstimatorConfig, SweepRecord, bracketed_minimize, sweep_prefixes
 from .gp import (
+    _moments,
     condition,
     condition_prefixes,
     incremental_variances,
@@ -491,8 +492,9 @@ def run_convergence(config):
     (design points, then probes) are drawn from one factorization, and each
     model is factored once for all of them, with the seeds' data as the
     columns of one array; each prefix's mean and variance at the probes are
-    evaluated once.  A seed's rows are those of that seed run alone, bit for
-    bit.  Rows run seed by seed, then model, then prefix size.
+    evaluated once, from one cross-covariance build.  A seed's rows are
+    those of that seed run alone, bit for bit.  Rows run seed by seed, then
+    model, then prefix size.
     """
     if config.d != 1:
         raise DomainError("the convergence experiment is one-dimensional")
@@ -513,8 +515,8 @@ def run_convergence(config):
             try:
                 if isinstance(post, ConditioningError):
                     raise post
-                err = np.abs(posterior_mean(post, probes) - f0_probe)
-                var = posterior_var(post, probes)
+                mean, var, _ = _moments(post, probes)
+                err = np.abs(mean - f0_probe)
             except ConditioningError as exc:
                 cells[nu_model, n] = [(math.nan, math.nan, f"conditioning: {exc}")] * len(seeds)
                 continue

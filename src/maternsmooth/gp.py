@@ -324,6 +324,38 @@ def _as_query(post, x):
     raise DomainError(f"query shape {arr.shape} is not (m, {d})")
 
 
+def _moments(post, x, mean=True, var=True):
+    """Conditional mean and variance at one query point or an (m, d) array
+    of them, from one build of the cross-covariances that both read: the
+    pair ``(mean, var)``, None in place of one not asked for, and whether
+    ``x`` is one point.  See :func:`posterior_mean` and
+    :func:`posterior_var`."""
+    q, scalar = _as_query(post, x)
+    if post.n == 0:
+        mu = np.zeros((q.shape[0],) + post.y.shape[1:]) if mean else None
+        v = np.full(q.shape[0], post.kernel(0.0)) if var else None
+        return mu, v, scalar
+    k = _cross_covariances(post, q)
+    mu = v = None
+    if mean:
+        kt = k.T
+        if post.weights.ndim == 2:
+            mu = np.stack([kt @ np.ascontiguousarray(w) for w in post.weights.T], axis=1)
+        else:
+            mu = kt @ post.weights
+    if var:
+        prior = post.kernel(0.0)
+        c = _linalg.solve_triangular(post.chol, k, lower=True, check_finite=False)
+        v = prior - np.sum(c * c, axis=0)
+        if np.any(v < -_VAR_CLAMP_RTOL * prior):
+            worst = float(v.min())
+            raise ConditioningError(
+                f"posterior variance {worst:.3e} below clamp window", pivot_value=worst
+            )
+        v[v < 0.0] = 0.0
+    return mu, v, scalar
+
+
 def posterior_mean(post, x):
     """Conditional mean at one query point or an (m, d) array of them.
 
@@ -331,15 +363,7 @@ def posterior_mean(post, x):
     one point), each column computed on its own: bit for bit the mean of
     that column conditioned alone, which one ``k' W`` product is not.
     """
-    q, scalar = _as_query(post, x)
-    if post.n == 0:
-        out = np.zeros((q.shape[0],) + post.y.shape[1:])
-    else:
-        kt = _cross_covariances(post, q).T
-        if post.weights.ndim == 2:
-            out = np.stack([kt @ np.ascontiguousarray(w) for w in post.weights.T], axis=1)
-        else:
-            out = kt @ post.weights
+    out, _, scalar = _moments(post, x, var=False)
     if scalar:
         return out[0] if out.ndim == 2 else float(out[0])
     return out
@@ -352,21 +376,7 @@ def posterior_var(post, x):
     clamped to zero; negativity beyond the clamp window raises
     :class:`ConditioningError`.
     """
-    q, scalar = _as_query(post, x)
-    prior = post.kernel(0.0)
-    if post.n == 0:
-        out = np.full(q.shape[0], prior)
-        return float(out[0]) if scalar else out
-    k = _cross_covariances(post, q)
-    c = _linalg.solve_triangular(post.chol, k, lower=True, check_finite=False)
-    out = prior - np.sum(c * c, axis=0)
-    negative = out < 0.0
-    if np.any(out < -_VAR_CLAMP_RTOL * prior):
-        worst = float(out.min())
-        raise ConditioningError(
-            f"posterior variance {worst:.3e} below clamp window", pivot_value=worst
-        )
-    out[negative] = 0.0
+    _, out, scalar = _moments(post, x, mean=False)
     return float(out[0]) if scalar else out
 
 

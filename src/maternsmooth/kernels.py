@@ -162,15 +162,28 @@ def matern_eval(params, r, *, checked=False):
         r = np.atleast_1d(arr)
 
     nu = params.nu
-    out = np.empty_like(r)
     zero = r == 0.0
-    positive = slice(None)
-    if zero.any():
-        out[zero] = params._at_zero
-        positive = ~zero
-    x = math.sqrt(2.0 * nu) / params.lambda_ * r[positive]
+    some_zero = bool(zero.any())
+    # x: the scaled distances, a new array that becomes the covariances in
+    # place; the caller's ``r`` is never written.
+    if some_zero:
+        x = r[~zero]
+        x *= math.sqrt(2.0 * nu) / params.lambda_
+    else:
+        x = math.sqrt(2.0 * nu) / params.lambda_ * r
     if x.size:
-        out[positive] = np.exp(params._log_scale + nu * np.log(x) + log_bessel_k(nu, x))
+        log_k = log_bessel_k(nu, x)
+        np.log(x, out=x)
+        x *= nu
+        x += params._log_scale
+        x += log_k
+        np.exp(x, out=x)
+    if some_zero:
+        out = np.empty_like(r)
+        out[zero] = params._at_zero
+        out[~zero] = x
+    else:
+        out = x
     if scalar:
         return float(out[0])
     return out

@@ -13,6 +13,7 @@ import json
 import pathlib
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -28,6 +29,17 @@ LARGE_ARGS = [0.01, 0.5, 1.0, 5.0, 20.0, 50.0, 100.0]
 NEAR_INTEGER_ORDERS = [0.9999999, 1.0000001, 2.9999999, 3.0000001, 43.9999999,
                        44.0000001]
 NEAR_INTEGER_ARGS = [1e-6, 1e-3, 0.1, 1.0, 10.0]
+
+# Where the trapezoidal rule evaluates K_nu (orders up to 16, arguments
+# 1 to 128): a geometric grid, plus every bucket edge 2**k and the floats
+# next to it inside [1, 128].  Past 1 and 128 SciPy's kve serves, whose own
+# error is up to 2e-14 just below x = 1.
+QUADRATURE_ORDERS = np.geomspace(0.05, 16.0, 24).tolist()
+QUADRATURE_EDGES = [2.0**k for k in range(8)]
+QUADRATURE_ARGS = sorted(
+    {float(x) for x in np.geomspace(1.0, 128.0, 24)}
+    | {float(x) for e in QUADRATURE_EDGES
+       for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)) if 1.0 <= x <= 128.0})
 
 LGAMMA_ARGS = [1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 7.5, 10.0, 100.0,
                1000.0, 1e4]
@@ -49,14 +61,19 @@ def main():
 
     lgamma = [[x, fmt(mp.log(mp.gamma(mp.mpf(x))))] for x in LGAMMA_ARGS]
 
+    quadrature = [[nu, x, fmt(mp.besselk(nu, mp.mpf(x)))]
+                  for nu in QUADRATURE_ORDERS for x in QUADRATURE_ARGS]
+
     table = {
         "_provenance": "mpmath 1.3, mp.dps=40; see generate_oracle_tables.py",
         "log_bessel_k": log_k,
         "log_gamma": lgamma,
+        "bessel_k_quadrature": quadrature,
     }
     out = HERE / "specfun_oracle.json"
     out.write_text(json.dumps(table, indent=1))
-    print(f"wrote {out} ({len(log_k)} Bessel entries, {len(lgamma)} log-gamma entries)")
+    print(f"wrote {out} ({len(log_k)} log Bessel entries, {len(lgamma)} log-gamma "
+          f"entries, {len(quadrature)} Bessel entries of the trapezoidal rule)")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maternsmooth import analysis, cli, experiments
+from maternsmooth import analysis, cli, experiments, gp
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.errors import DomainError
 from maternsmooth.specfun import thread_limit
@@ -125,9 +125,10 @@ class TestEngines:
 
     def test_one_factorization_serves_every_seed(self, monkeypatch):
         # The default convergence run factors the joint kernel once for its
-        # ten seeds' paths and each of its three models once; the C07 sweep
-        # draws its ten paths from one factorization.
-        calls = {"joint": 0, "models": 0}
+        # ten seeds' paths and each of its three models once, and builds the
+        # probes' cross-covariances once per conditioned (model, prefix); the
+        # C07 sweep draws its ten paths from one factorization.
+        calls = {"joint": 0, "models": 0, "cross": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -138,13 +139,16 @@ class TestEngines:
         monkeypatch.setattr(analysis, "condition", counting("joint", analysis.condition))
         monkeypatch.setattr(experiments, "condition_prefixes",
                             counting("models", experiments.condition_prefixes))
+        monkeypatch.setattr(gp, "_cross_covariances", counting("cross", gp._cross_covariances))
         result = run_convergence(ExperimentConfig(experiment="convergence"))
         assert len(result.rows) == 10 * 3 * 5
-        assert calls == {"joint": 1, "models": 3}
-        calls.update(joint=0, models=0)
+        conditioned = {(row[1], row[2]) for row in result.rows if not row[5]}
+        assert len(conditioned) >= 12
+        assert calls == {"joint": 1, "models": 3, "cross": len(conditioned)}
+        calls.update(joint=0, models=0, cross=0)
         c07 = ExperimentConfig(experiment="non-undersmoothing", nu0=1.5, schedule=(16, 32))
         assert len(run_non_undersmoothing(c07).rows) == 10 * 2
-        assert calls == {"joint": 1, "models": 0}
+        assert calls == {"joint": 1, "models": 0, "cross": 0}
 
     def test_convergence_probes_avoid_design_points(self):
         # Odd multiples of 1/1024 stay off the design's lattice of 1/512, and

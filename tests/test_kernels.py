@@ -21,6 +21,7 @@ from maternsmooth.kernels import (
     matern,
     matern_eval,
 )
+from maternsmooth.specfun import log_bessel_k
 
 SQRT2 = math.sqrt(2.0)
 
@@ -102,6 +103,24 @@ class TestMaternEval:
             sups.append(float(np.max(np.abs(matern_eval(p, r) - target))))
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] <= 0.01
+
+    @pytest.mark.parametrize("nu", [0.7, 3.3, 16.0, 120.0])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_log_space_formula_and_caller_array(self, nu, zeros):
+        # Bit for bit exp(log c + nu log x + log K_nu(x)), in that order, and
+        # the caller's distances are never written, checked or not.
+        p = MaternParams(nu, 1.3, 0.05, STANDARD_SCALING)
+        r = np.geomspace(1e-4, 2.0, 300)
+        if zeros:
+            r[::7] = 0.0
+        kept = r.copy()
+        x = math.sqrt(2.0 * nu) / p.lambda_ * r[r > 0.0]
+        want = np.full(r.shape, p._at_zero)
+        want[r > 0.0] = np.exp(p._log_scale + nu * np.log(x) + log_bessel_k(nu, x))
+        for got in (matern_eval(p, r), matern_eval(p, r, checked=True),
+                    matern_eval(p, r.reshape(20, 15)).reshape(-1)):
+            assert got.tobytes() == want.tobytes()
+            assert r.tobytes() == kept.tobytes()
 
     def test_domain_errors(self):
         p = MaternParams(1.0, 1.0, 1.0, STANDARD_SCALING)

@@ -372,6 +372,79 @@ def test_split_bessel_evaluation_is_bit_identical(case):
     assert results[0] == results[1]
 
 
+def _next_to(values):
+    """Each value and the floats on either side of it."""
+    return sorted({v for x in values for v in (math.nextafter(x, 0.0), x,
+                                               math.nextafter(x, math.inf))})
+
+
+# Arguments of all four paths and of the edges between them: the trapezoidal
+# rule (orders up to 16, arguments 1 to 128, buckets split at powers of
+# two), SciPy's kve around it, and where kve overflows, the uniform
+# expansion (orders from 50) and the series (below 50, tiny arguments).
+path_cases = st.one_of(
+    st.tuples(st.floats(min_value=0.0, max_value=16.0),
+              st.floats(min_value=0.0, max_value=math.log(128.0)).map(math.exp)),
+    st.tuples(st.floats(min_value=0.0, max_value=16.0),
+              st.sampled_from(_next_to([2.0**k for k in range(8)]))),
+    st.tuples(st.sampled_from(_next_to([16.0])), arguments),
+    st.tuples(st.floats(min_value=0.0, max_value=300.0), arguments),
+    st.tuples(st.floats(min_value=50.0, max_value=300.0),
+              st.floats(min_value=-0.05, max_value=0.05)).map(
+        lambda c: (c[0], _near_kve_overflow(*c))),
+    st.tuples(st.floats(min_value=5.0, max_value=45.0),
+              st.floats(min_value=0.0, max_value=10.0)).map(
+        lambda c: (c[0], math.exp(-720.0 / c[0] - c[1]))),
+)
+
+
+@PROPERTY
+@given(path_cases, st.one_of(st.integers(min_value=1, max_value=64),
+                             st.integers(min_value=SPLIT // 2, max_value=SPLIT + 64)),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_a_bessel_value_depends_only_on_its_argument(case, half, seed):
+    # Alone or at any place of a longer array, flat or in two dimensions,
+    # on one or two threads: the same bits.
+    nu, x = case
+    alone = (log_bessel_k(nu, x), bessel_k(nu, x))
+    rng = np.random.Generator(np.random.Philox(seed))
+    around = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 2 * half))
+    around[rng.integers(2 * half)] = x
+    places = np.flatnonzero(around == x)
+    for count in (1, 2):
+        with _workers(count):
+            for shape in ((2 * half,), (2, half), (half, 2)):
+                arr = around.reshape(shape)
+                for fn, want in zip((log_bessel_k, bessel_k), alone):
+                    got = fn(nu, arr)
+                    assert got.shape == shape
+                    assert got.reshape(-1)[places].tobytes() == np.full(places.size, want).tobytes()
+
+
+@PROPERTY
+@given(path_cases, st.integers(min_value=0, max_value=2**31 - 1))
+def test_kernel_entries_depend_only_on_their_distance(case, seed):
+    # A 1-d design of the point 0 and points at the drawn distance and at
+    # others from it; with lambda = sqrt(2 nu) the Bessel argument is the
+    # distance itself.  The panels, each prefix's own matrix and the kernel
+    # alone agree on every entry.
+    nu, x = case
+    nu = max(nu, 0.05)
+    kernel = MaternKernel(matern(nu, 1.0, math.sqrt(2.0 * nu)))
+    rng = np.random.Generator(np.random.Philox(seed))
+    others = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 40))
+    points = np.concatenate(([0.0, x], others[others != x]))
+    rng.shuffle(points[1:])
+    design = Design(points, Box((0.0,), (600.0,)))
+    ends = sorted({int(e) for e in rng.integers(1, design.n + 1, 3)} | {design.n})
+    a = 0
+    for b, panel in zip(ends, kernel_panels(kernel, design, ends)):
+        assert np.array_equal(panel, kernel_matrix(kernel, _alone(design, b))[a:b])
+        a = b
+    full = kernel_matrix(kernel, design)
+    assert full[0, 1:].tolist() == [kernel(r) for r in points[1:]]
+
+
 BOX_HALF_WIDTH = 1e6
 coordinates = st.floats(min_value=-BOX_HALF_WIDTH, max_value=BOX_HALF_WIDTH)
 design_points = st.sampled_from((1, 2)).flatmap(

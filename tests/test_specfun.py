@@ -13,7 +13,7 @@ import signal
 import sys
 import threading
 import time
-from types import SimpleNamespace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -115,6 +115,39 @@ class TestBesselClosedForms:
         assert log_bessel_k(200.0, 1.0) == pytest.approx(995.8687024798649, rel=1e-12)
         assert log_bessel_k(1.0, 50.0) == pytest.approx(-51.722793870183626, abs=1e-9)
         assert math.isfinite(log_bessel_k(500.0, 0.01))
+
+
+class TestTrapezoidalRule:
+    """``kve`` by the trapezoidal rule at orders up to 16 and arguments from
+    1 to 128."""
+
+    def test_bessel_k_table(self):
+        # Relative error in decimal arithmetic, so that rounding the
+        # reference to a double adds nothing.
+        for nu, x, ref in ORACLE["bessel_k_quadrature"]:
+            ref = Decimal(ref)
+            error = abs((Decimal(bessel_k(nu, x)) - ref) / ref)
+            assert error <= Decimal("2.5e-15"), (nu, x, float(error))
+
+    @pytest.mark.parametrize("nu, x", [(3.3, math.nextafter(1.0, 0.0)),
+                                       (3.3, math.nextafter(128.0, math.inf)),
+                                       (math.nextafter(16.0, math.inf), 10.0),
+                                       (0.0, 0.5), (200.0, 60.0)])
+    def test_scipy_serves_outside_the_rule(self, nu, x):
+        assert specfun._kve(nu, np.array([x]))[0] == special.kve(nu, x)
+
+    def test_every_bucket_and_order_band_has_its_rule(self):
+        # A step below pi / 2 and 10 to 45 nodes, fewer for larger
+        # arguments; the rules of one band serve every order in it.
+        for bucket in range(specfun._QUAD_BUCKETS):
+            counts = []
+            for order in np.arange(0.5, 16.5, 0.5):
+                step, t, c = specfun._nodes(float(order), bucket)
+                assert 0.0 < step < math.pi / 2 and 10 <= t.size <= 45
+                assert c.shape == (t.size, 1) and not c.flags.writeable
+                counts.append(t.size)
+            assert counts == sorted(counts)
+        assert specfun._trapezoid_rule(0.3, 2)[0] is specfun._trapezoid_rule(0.5, 2)[0]
 
 
 class TestBesselProperties:
@@ -229,24 +262,43 @@ class TestThreads:
             with thread_limit(bad):
                 pass
 
-    def test_caller_evaluates_the_first_slice(self, two_cpus, monkeypatch):
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """Record each slice evaluation: whether the calling (main) thread
+        made it, its size and whether it wrote into a given output."""
         calls = []
+        evaluate = specfun._kve_slice
 
-        def kve(nu, x, out=None):
+        def recording(nu, x, out=None):
             calls.append((threading.current_thread() is threading.main_thread(),
                           x.size, out is not None))
-            return special.kve(nu, x, out=out)
+            return evaluate(nu, x, out)
 
-        monkeypatch.setattr(specfun, "_special", SimpleNamespace(kve=kve))
+        monkeypatch.setattr(specfun, "_kve_slice", recording)
+        return calls
+
+    def test_caller_evaluates_the_first_slice(self, two_cpus, slices):
         x = np.linspace(0.1, 30.0, self.SPLIT + 1)
         with thread_limit(2):
             split = log_bessel_k(3.3, x)
             whole = log_bessel_k(3.3, x[:-2])
         half = self.SPLIT // 2
-        assert sorted(calls[:2]) == [(False, half + 1, True), (True, half, True)]
-        assert calls[2:] == [(True, self.SPLIT - 1, False)]
-        assert split.tobytes() == (np.log(special.kve(3.3, x)) - x).tobytes()
+        assert sorted(slices[:2]) == [(False, half + 1, True), (True, half, True)]
+        assert slices[2:] == [(True, self.SPLIT - 1, False)]
+        with thread_limit(1):
+            assert split.tobytes() == log_bessel_k(3.3, x).tobytes()
         assert whole.tobytes() == split[:-2].tobytes()
+
+    def test_arrays_of_two_dimensions_are_split_flat(self, two_cpus, slices):
+        # A (512, 40) cross-covariance: both threads get half of its
+        # elements, not slices of its rows.
+        x = np.geomspace(0.5, 200.0, 512 * 40).reshape(512, 40)
+        with thread_limit(2):
+            split = log_bessel_k(3.3, x)
+        assert sorted(slices) == [(False, 512 * 20, True), (True, 512 * 20, True)]
+        with thread_limit(1):
+            serial = log_bessel_k(3.3, x)
+        assert split.shape == x.shape and split.tobytes() == serial.tobytes()
 
     def test_one_worker_starts_no_thread(self, two_cpus, monkeypatch):
         monkeypatch.setattr(specfun, "_pool", None)
@@ -271,7 +323,8 @@ class TestThreads:
         monkeypatch.setattr(specfun, "_pool", None)
         before = set(threading.enumerate())
         x = np.linspace(0.1, 30.0, 2 * self.SPLIT)
-        want = special.kve(3.3, x).tobytes()
+        with thread_limit(1):
+            want = specfun._kve(3.3, x).tobytes()
         results = []
         start = threading.Barrier(4)
 
