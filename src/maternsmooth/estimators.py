@@ -1,26 +1,26 @@
-"""Derivative-free smoothness estimation on a bounded bracket.
+"""Derivative-free estimation of a kernel parameter theta on a bounded bracket.
 
-The search space ``(0, inf)`` cannot be scanned, so estimation runs on a
-log-spaced coarse grid over a bracket ``[nu_min, nu_max]``.  Cells whose
-kernel matrix fails to factorize are recorded and skipped; the searchable
-bracket is the contiguous run of cells that factor, from the lowest one,
-and an estimate that saturates its top is flagged via
-``hit_upper_bracket`` so that divergence of the estimator for very smooth
-data is observable rather than an error.  A minimum inside the run is
-refined on its bracketing triple by Chebyshev-Lobatto nodes in log nu:
-the objectives are analytic in log nu there, so the minimum of the
+The engine scans theta through a kernel factory (:class:`_Scan`); its main
+use is the Matern smoothness nu, and the Gaussian length-scale probe is the
+other.  Estimation runs on a log-spaced coarse grid over a bracket
+``[lo, hi]``.  Cells whose kernel matrix fails to factorize are recorded
+and skipped; the searchable bracket is the contiguous run of cells that
+factor, from the lowest one, and an estimate that saturates its top is
+flagged via ``hit_upper_bracket``.  A minimum inside the run is refined on
+its bracketing triple by Chebyshev-Lobatto nodes in log theta: the
+objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
 
-A prefix sweep factors each coarse cell once and reads every prefix from
-that factor.  The searches of every data column, objective and prefix
-that share a bracketing triple share its nodes, and each node is
-factored once, on the largest prefix that needs it.
+A prefix sweep factors each distinct coarse cell once and reads every
+prefix and both objectives from that factor.  The searches that share a
+bracketing triple share its nodes, each factored once, on the largest
+prefix that needs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -86,6 +86,27 @@ class EstimatorConfig:
         if self.coarse_grid < 8:
             raise DomainError("coarse_grid must be at least 8")
         require_positive(self, ("sigma", "lambda_"))
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """A kernel parameter theta, called ``name``, to search on ``count`` log-spaced
+    cells of ``[lo, hi]``, with kernels ``kernel_at(theta)``; ``profile``
+    asks for totals with the closed-form magnitude."""
+
+    name: str
+    kernel_at: object
+    lo: float
+    hi: float
+    count: int
+    profile: bool = False
+
+
+def _matern_scan(config, d):
+    """The search of the Matern smoothness that ``config`` sets, in dimension ``d``."""
+    sigma = 1.0 if config.profile_sigma else config.sigma
+    return _Scan("nu", lambda nu: MaternKernel(matern(nu, sigma, config.lambda_, d=d)),
+                config.nu_min, config.nu_max, config.coarse_grid, config.profile_sigma)
 
 
 @dataclass(frozen=True)
@@ -253,14 +274,13 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
         else:
             theta, value = float(_on_bracket(grid, best, t)), low
 
-    searchable_upper = float(grid[top])
     return NuEstimate(
         nu_hat=theta,
         objective_at_min=value,
         hit_upper_bracket=best == top,
         evaluations=evaluations,
         failures=tuple(failures),
-        searchable_upper=searchable_upper,
+        searchable_upper=float(grid[top]),
         irregular_failures=sum(math.isfinite(v) for v in values[top + 1:]),
         non_unimodal=non_unimodal,
     )
@@ -279,13 +299,13 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, config, nu, sizes, names=None, workspace=None):
-    """Objective totals at smoothness ``nu`` on the first ``n`` points of
-    ``design``, for each ``n`` in ``sizes``, from one factorization.
+def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
+    """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
+    points of ``design``, for each ``n`` in ``sizes``, from one factorization.
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
     mapping each objective defined on ``n`` points (of ``names``, if given)
-    to its ``s`` totals, profiled when the config asks, or to
+    to its ``s`` totals, profiled when the scan asks, or to
     the :class:`ConditioningError` that prevents that objective alone.  When
     the factorization fails, both objectives map to one ``nu=..., n=...:``
     error, which names the first failing size after it.
@@ -296,10 +316,9 @@ def _cells(design, y, config, nu, sizes, names=None, workspace=None):
     ``workspace`` is handed to :func:`~maternsmooth.gp.condition_prefixes`;
     nothing returned reads from it.
     """
-    sigma = 1.0 if config.profile_sigma else config.sigma
-    kernel = MaternKernel(matern(nu, sigma, config.lambda_, d=design.d))
     cells, first = [], None
-    for n, post in zip(sizes, condition_prefixes(kernel, design, y, sizes, workspace)):
+    for n, post in zip(sizes, condition_prefixes(scan.kernel_at(theta), design, y, sizes,
+                                                 workspace)):
         if isinstance(post, ConditioningError):
             if first is None:
                 first, text = n, str(post)
@@ -307,7 +326,7 @@ def _cells(design, y, config, nu, sizes, names=None, workspace=None):
                 text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
                         f"{post.pivot_value:.3e}")
             cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
-                f"nu={nu:g}, n={n}: {text}", pivot_index=post.pivot_index,
+                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=post.pivot_index,
                 pivot_value=post.pivot_value)))
             continue
         cell = {}
@@ -321,7 +340,7 @@ def _cells(design, y, config, nu, sizes, names=None, workspace=None):
                 cell[name] = err.with_traceback(None)
                 continue
             cell[name] = ([_profiled(data, value.complexity_term, n) for data in value.data_term]
-                          if config.profile_sigma else value.total)
+                          if scan.profile else value.total)
         cells.append(cell)
     return cells
 
@@ -344,8 +363,9 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     if design.n < 1:
         raise DomainError(f"objective 'ml' needs more data than n={design.n}")
     y = _checked_data(y, (design.n,), "y")[:, None]
-    (table,) = _search_tables(design, y, [design.n], config)
-    (found,) = _prefix_searches(design.n, 1, table, config)
+    scan = _matern_scan(config, design.d)
+    (table,) = _search_tables(design, y, [design.n], scan)
+    (found,) = _prefix_searches(design.n, 1, table, scan)
     for name in _objective_names(design.n):
         if isinstance(found[name], EstimationError):
             raise found[name]
@@ -369,14 +389,11 @@ class SweepRecord:
     hit_upper_cv: bool
     notes: str
 
-    FIELDS = (
-        "experiment", "seed", "n", "fill", "nu_hat_ml", "nu_hat_cv",
-        "ell_ml_min", "ell_cv_min", "max_loo_var_ratio",
-        "hit_upper_ml", "hit_upper_cv", "notes",
-    )
-
     def as_row(self):
         return [getattr(self, f) for f in self.FIELDS]
+
+
+SweepRecord.FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
@@ -436,8 +453,8 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     if not schedule:
         return []
     top = design.prefix(schedule[-1])
-    columns = columns[:top.n]
-    tables = _search_tables(top, columns, schedule, config)
+    scan = _matern_scan(config, design.d)
+    tables = _search_tables(top, columns[:top.n], schedule, scan)
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
@@ -448,37 +465,37 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     fills = fill_distances(top, schedule)
     for n, table, v0, fill in zip(schedule, tables, variances0, fills):
         prefix = top.prefix(n)
-        searches = _prefix_searches(n, len(seeds), table, config)
+        searches = _prefix_searches(n, len(seeds), table, scan)
         for column, found, label in zip(records, searches, seeds):
             column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
     return [record for column in records for record in column]
 
 
-def _search_tables(top, columns, schedule, config):
-    """Per size of the schedule, the table of cells, keyed by smoothness,
-    that the searches of that prefix of ``top`` read.
+def _search_tables(top, columns, schedule, scan):
+    """Per size of the schedule, the table of cells, keyed by theta, that the
+    searches of the :class:`_Scan` on that prefix of ``top`` read.
 
-    Each coarse cell is factored once, on ``top``.  Every search of every
-    data column, objective and size then takes its bracketing triple from
-    the coarse cells, as :func:`bracketed_minimize` will.  Each triple's
+    Each distinct coarse cell is factored once, on ``top``.  Every search of
+    every data column, objective and size then takes its bracketing triple
+    from the coarse cells, as :func:`bracketed_minimize` will.  Each triple's
     interior nodes are factored once, on the largest prefix whose searches
     need them, and serve every size that needs them; their leave-one-out
     inverse is computed only if a CV search needs them.  Every cell writes
     its factor and inverse into one pair of buffers of ``top``'s size.
     """
-    grid = [float(nu) for nu in np.geomspace(config.nu_min, config.nu_max, config.coarse_grid)]
+    grid = [float(theta) for theta in np.geomspace(scan.lo, scan.hi, scan.count)]
     tables = [{} for _ in schedule]
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
-    for nu in grid:
-        for table, cell in zip(tables, _cells(top, columns, config, nu, schedule,
+    for theta in dict.fromkeys(grid):
+        for table, cell in zip(tables, _cells(top, columns, scan, theta, schedule,
                                               workspace=workspace)):
-            table[nu] = cell
+            table[theta] = cell
     needs = {}  # bracket midpoint index -> {size: objectives refined there}
     for n, table in zip(schedule, tables):
         for name in _objective_names(n):
             for j in range(columns.shape[1]):
                 try:
-                    plan = _coarse_plan([_evaluable(table[nu], name, j) for nu in grid])
+                    plan = _coarse_plan([_evaluable(table[theta], name, j) for theta in grid])
                 except EstimationError:
                     continue  # the search ends with this error
                 if plan and plan[0] < plan[1] < plan[2]:
@@ -487,12 +504,12 @@ def _search_tables(top, columns, schedule, config):
         sizes = sorted(by_size)
         names = ("ml", "cv") if any("cv" in wanted for wanted in by_size.values()) else ("ml",)
         prefix = top.prefix(sizes[-1])
-        for k, nu in enumerate(_bracket_nodes(grid, best)):
+        for k, theta in enumerate(_bracket_nodes(grid, best)):
             if k in (0, _MID, _NODES - 1):
                 continue  # a coarse cell
-            for n, cell in zip(sizes, _cells(prefix, columns[:prefix.n], config, nu, sizes,
+            for n, cell in zip(sizes, _cells(prefix, columns[:prefix.n], scan, theta, sizes,
                                              names, workspace)):
-                tables[schedule.index(n)][nu] = cell
+                tables[schedule.index(n)][theta] = cell
     return tables
 
 
@@ -509,19 +526,18 @@ def _total(cell, name, j):
 
 
 def _evaluable(cell, name, j):
-    """:func:`_total`, or ``math.inf`` where :func:`bracketed_minimize`
-    cannot evaluate the cell."""
+    """:func:`_total`, or ``math.inf`` where the cell cannot be conditioned;
+    :func:`_coarse_plan` treats every value that is not finite alike."""
     try:
-        value = _total(cell, name, j)
+        return _total(cell, name, j)
     except ConditioningError:
         return math.inf
-    return value if math.isfinite(value) else math.inf
 
 
-def _prefix_searches(n, s, table, config):
-    """Both searches of each of ``s`` data columns on a prefix of ``n``
-    points, reading every cell from the prefix's table (see
-    :func:`_search_tables`).
+def _prefix_searches(n, s, table, scan):
+    """Both searches of the :class:`_Scan` for each of ``s`` data columns on
+    a prefix of ``n`` points, reading every cell from the prefix's table
+    (see :func:`_search_tables`).
 
     Per column, a dict mapping each objective defined on the prefix to its
     :class:`NuEstimate`, or to the :class:`EstimationError` that ended its
@@ -532,8 +548,8 @@ def _prefix_searches(n, s, table, config):
         for j, found in enumerate(searches):
             try:
                 found[name] = bracketed_minimize(
-                    lambda nu: _total(table[float(nu)], name, j), config.nu_min,
-                    config.nu_max, config.coarse_grid)
+                    lambda theta: _total(table[float(theta)], name, j), scan.lo, scan.hi,
+                    scan.count)
             except EstimationError as err:
                 found[name] = err
     return searches
@@ -549,12 +565,9 @@ def _loo_variances(post):
         return err
 
 
-def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
-    """The record of one data column on one prefix, from its ``searches``
-    (see :func:`_prefix_searches`)."""
-    notes = []
-    nan = math.nan
-    estimates = {}
+def _search_notes(searches):
+    """The notes and the estimates of one column's :func:`_prefix_searches`."""
+    notes, estimates = [], {}
     for name in ("ml", "cv"):
         found = searches.get(name)
         if found is None:
@@ -569,6 +582,14 @@ def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
                 notes.append(f"{name}_irregular={found.irregular_failures}")
             if found.non_unimodal:
                 notes.append(f"{name}_non_unimodal")
+    return notes, estimates
+
+
+def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
+    """The record of one data column on one prefix, from its ``searches``
+    (see :func:`_prefix_searches`)."""
+    nan = math.nan
+    notes, estimates = _search_notes(searches)
     est_ml, est_cv = estimates.get("ml"), estimates.get("cv")
 
     ratio = nan

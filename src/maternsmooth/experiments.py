@@ -15,8 +15,9 @@ import numpy as np
 
 from .analysis import builtin_test_functions, check_seed, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
-from .errors import ConditioningError, DomainError, EstimationError
-from .estimators import EstimatorConfig, SweepRecord, bracketed_minimize, sweep_prefixes
+from .errors import ConditioningError, DomainError
+from .estimators import (EstimatorConfig, SweepRecord, _prefix_searches, _Scan, _search_notes,
+                         _search_tables, sweep_prefixes)
 from .gp import (
     _moments,
     condition,
@@ -31,7 +32,8 @@ from .gp import (
 )
 from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive, kernel_matrix,
                       matern)
-from .objectives import ell_cv_from, ell_ml_from
+# ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
+from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 from .specfun import check_threads
 
 __all__ = [
@@ -568,60 +570,36 @@ def run_convergence(config):
 def run_gaussian_scale_probe(config):
     """Length-scale estimation for the Gaussian kernel (exploratory only).
 
-    Gaussian kernel matrices are severely ill-conditioned, so conditioning
-    failures are expected, recorded, and shrink the searchable bracket;
-    no assertion is attached to the output.
+    The estimator's search on lambda: one factor per lambda cell serves every
+    prefix and both objectives.  Gaussian kernel matrices are severely
+    ill-conditioned, so conditioning failures are expected, recorded, and
+    shrink the searchable bracket; no assertion is attached to the output.
     """
     if config.d != 1:
         raise DomainError("the scale probe is one-dimensional")
-    label = config.f0 or "gauss_bump"
-    f0 = builtin_test_functions()[label]
+    f0 = builtin_test_functions()[config.f0 or "gauss_bump"]
     schedule = config.schedule or (8, 16, 32, 64, 128)
     design = make_design("van_der_corput", 1, max(schedule))
-    y_full = np.asarray(f0(design.points[:, 0]), dtype=float)
-    lam_lo, lam_hi = config.lambda_min, config.lambda_max
+    y = np.asarray(f0(design.points[:, 0]), dtype=float)
     if config.nu_grid:
         raise DomainError("the scale probe searches lambda, not a nu grid")
-    degenerate = bool(np.all(y_full == 0.0))
+    scan = _Scan("lambda", lambda lam: GaussianKernel(GaussParams(config.estimator.sigma, lam),
+                                                      d=1, unit_amplitude=True),
+                 config.lambda_min, config.lambda_max, config.estimator.coarse_grid)
+    degenerate = ["degenerate_zero_data"] if np.all(y == 0.0) else []
 
-    rows = []
-    for n in schedule:
-        prefix = design.prefix(n)
-        y = y_full[:n]
-        notes = []
-        if degenerate:
-            notes.append("degenerate_zero_data")
-        results = {}
-        for objective in ("ml", "cv"):
-            failures = 0
-
-            def ell(lam):
-                kernel = GaussianKernel(GaussParams(config.estimator.sigma, lam), d=1,
-                                        unit_amplitude=True)
-                post = condition(kernel, prefix, y)
-                value = ell_ml_from(post) if objective == "ml" else ell_cv_from(post)
-                return value.total
-
-            try:
-                if lam_lo == lam_hi:
-                    ell(lam_lo)  # conditionability check only
-                    results[objective] = lam_lo
-                else:
-                    scan = bracketed_minimize(ell, lam_lo, lam_hi,
-                                              config.estimator.coarse_grid)
-                    results[objective] = scan.nu_hat
-                    failures = len(scan.failures)
-            except (ConditioningError, EstimationError, DomainError) as err:
-                results[objective] = math.nan
-                notes.append(f"{objective}_error={err}")
-            notes.append(f"{objective}_failures={failures}")
-        rows.append([n, results.get("ml", math.nan), results.get("cv", math.nan),
-                     ";".join(notes)])
-
-    lines = [
-        f"n={row[0]}: lambda_hat_ml={row[1]:.4f} lambda_hat_cv={row[2]:.4f} ({row[3]})"
-        for row in rows
-    ]
+    rows, lines = [], []
+    for n, table in zip(schedule, _search_tables(design, y[:, None], schedule, scan)):
+        (searches,) = _prefix_searches(n, 1, table, scan)
+        notes, found = _search_notes(searches)
+        notes = ";".join(degenerate + notes)
+        lam = {name: found[name].nu_hat if name in found else math.nan for name in ("ml", "cv")}
+        hit = {name: name in found and found[name].hit_upper_bracket for name in ("ml", "cv")}
+        rows.append([n, lam["ml"], lam["cv"], hit["ml"], hit["cv"], notes])
+        lines.append(f"n={n}: " + " ".join(
+            f"lambda_hat_{name}={lam[name]:.4f}"
+            + (" (saturates the searchable bracket)" if hit[name] else "")
+            for name in ("ml", "cv")) + (f" ({notes})" if notes else ""))
     lines.append("exploratory probe: no assertion attached")
-    header = ("n", "lambda_hat_ml", "lambda_hat_cv", "notes")
+    header = ("n", "lambda_hat_ml", "lambda_hat_cv", "hit_upper_ml", "hit_upper_cv", "notes")
     return ExperimentResult(header=header, rows=rows, summary="\n".join(lines))

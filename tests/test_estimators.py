@@ -533,9 +533,9 @@ class TestSweeps:
             inverted.append(m)
             return invert(chol, m, buffer)
 
-        def counting(prefix, values, config, nu, schedule, names=None, workspace=None):
+        def counting(prefix, values, scan, nu, schedule, names=None, workspace=None):
             before = len(inverted)
-            out = compute(prefix, values, config, nu, schedule, names, workspace)
+            out = compute(prefix, values, scan, nu, schedule, names, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
             cells.append((tuple(schedule), names, served, inverted[before:]))
@@ -592,10 +592,11 @@ class TestSweeps:
         # cells on fresh arrays, and nothing in the tables views the buffers.
         design, y = sample_instance
         design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
+        scan = estimators._matern_scan(cfg, design.d)
         calls, compute = [], estimators._cells
 
-        def recording(prefix, values, config, nu, sizes, names=None, workspace=None):
-            out = compute(prefix, values, config, nu, sizes, names, workspace)
+        def recording(prefix, values, scan, nu, sizes, names=None, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, names, workspace)
             calls.append((prefix.n, nu, sizes, names, workspace, out))
             return out
 
@@ -604,14 +605,14 @@ class TestSweeps:
                     for name, v in cell.items()}
 
         monkeypatch.setattr(estimators, "_cells", recording)
-        tables = estimators._search_tables(design, columns, [16, 32, 64], cfg)
+        tables = estimators._search_tables(design, columns, [16, 32, 64], scan)
         workspace = calls[0][4]
         assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
         failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
         assert any(call[0] < design.n for call in calls[cfg.coarse_grid:])
         for n, nu, sizes, names, _, out in calls:
-            fresh = compute(design.prefix(n), columns[:n], cfg, nu, sizes, names)
+            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, names)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
         values = [v for table in tables for cell in table.values() for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)

@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from maternsmooth import analysis, cli, experiments, gp
+from maternsmooth.analysis import builtin_test_functions
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
-from maternsmooth.errors import DomainError
+from maternsmooth.errors import DomainError, EstimationError
+from maternsmooth.estimators import EstimatorConfig, bracketed_minimize
+from maternsmooth.gp import condition
+from maternsmooth.kernels import GaussianKernel, GaussParams
+from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import thread_limit
 from maternsmooth.experiments import (
     ExperimentConfig,
@@ -236,6 +241,104 @@ class TestEngines:
             with pytest.raises(DomainError, match="only d in"):
                 ExperimentConfig(d=d)
         assert ExperimentConfig(d=np.int64(2)).d == 2
+
+
+def _reference_probe(config):
+    """The Gaussian scale probe's searches as they ran on their own: per
+    prefix and objective, :func:`bracketed_minimize` over a closure that
+    conditions the prefix anew at each length-scale.  A dict mapping
+    ``(n, objective)`` to the :class:`NuEstimate` or the
+    :class:`EstimationError` that ended the search."""
+    schedule = config.schedule or (8, 16, 32, 64, 128)
+    design = experiments.make_design("van_der_corput", 1, max(schedule))
+    y = builtin_test_functions()["gauss_bump"](design.points[:, 0])
+    found = {}
+    for n in schedule:
+        prefix = design.prefix(n)
+        for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from)):
+            def fn(lam):
+                kernel = GaussianKernel(GaussParams(config.estimator.sigma, lam), d=1,
+                                        unit_amplitude=True)
+                return ell(condition(kernel, prefix, y[:n])).total
+
+            try:
+                found[n, name] = bracketed_minimize(fn, config.lambda_min, config.lambda_max,
+                                                    config.estimator.coarse_grid)
+            except EstimationError as err:
+                found[n, name] = err
+    return found
+
+
+def _probe_failures(notes, name):
+    """The failing cells a probe row's notes give for one objective: the
+    count of its ``*_failures=`` note or of its error, else 0."""
+    for note in notes.split(";"):
+        if note.startswith(f"{name}_failures="):
+            return int(note.split("=")[1])
+        if note.startswith(f"{name}_error="):
+            return int(note.rsplit("(", 1)[1].split()[0])
+    return 0
+
+
+class TestGaussianScaleProbe:
+    """The probe runs the estimator's search on the length-scale."""
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(experiment="x"),
+        ExperimentConfig(experiment="x", schedule=(8, 16, 32),
+                         estimator=EstimatorConfig(sigma=2.0)),
+    ])
+    def test_estimates_equal_the_searches_on_their_own(self, config):
+        result = run_gaussian_scale_probe(config)
+        reference = _reference_probe(config)
+        assert [row[0] for row in result.rows] == sorted({n for n, _ in reference})
+        for n, lam_ml, lam_cv, _, _, notes in result.rows:
+            for name, lam in (("ml", lam_ml), ("cv", lam_cv)):
+                ref = reference[n, name]
+                if isinstance(ref, EstimationError):
+                    assert math.isnan(lam) and f"{name}_error={ref}" in notes
+                    failures = int(str(ref).rsplit("(", 1)[1].split()[0])
+                else:
+                    assert lam == ref.nu_hat
+                    failures = len(ref.failures)
+                assert _probe_failures(notes, name) == failures
+
+    def test_error_row_reports_its_failures_once(self):
+        result = run_gaussian_scale_probe(ExperimentConfig(experiment="x"))
+        (notes,) = [row[-1] for row in result.rows if row[0] == 64]
+        assert notes.split(";") == [
+            f"{name}_error=no candidate in [0.05, 2] could be evaluated (60 failures)"
+            for name in ("ml", "cv")]
+
+    def test_saturated_estimates_are_flagged(self):
+        config = ExperimentConfig(experiment="x")
+        result = run_gaussian_scale_probe(config)
+        reference = _reference_probe(config)
+        assert result.header[3:] == ("hit_upper_ml", "hit_upper_cv", "notes")
+        saturated = [row for row in result.rows if row[0] in (8, 16, 32)]
+        assert len(saturated) == 3
+        for n, lam_ml, lam_cv, hit_ml, hit_cv, _ in saturated:
+            assert hit_ml is True and hit_cv is True
+            assert lam_ml == reference[n, "ml"].searchable_upper
+            assert lam_cv == reference[n, "cv"].searchable_upper
+            assert (f"n={n}: lambda_hat_ml={lam_ml:.4f} (saturates the searchable bracket) "
+                    f"lambda_hat_cv={lam_cv:.4f} (saturates the searchable bracket)"
+                    in result.summary)
+
+    @pytest.mark.parametrize("bracket, factorizations", [((0.05, 2.0), 60), ((0.8, 0.8), 1)])
+    def test_one_factorization_per_distinct_cell(self, monkeypatch, bracket, factorizations):
+        # Every prefix and both objectives read one factor per lambda cell,
+        # on the largest prefix; the default run refines no search.
+        factor, calls = gp._factor, [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        lo, hi = bracket
+        run_gaussian_scale_probe(ExperimentConfig(experiment="x", lambda_min=lo, lambda_max=hi))
+        assert calls[0] == factorizations
 
 
 class TestCsv:

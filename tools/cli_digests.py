@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over seventeen fixed configurations.
+"""SHA-256 digests of the CLI's outputs over eighteen fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -21,9 +21,13 @@ relative (``|new - old| / |old|``) and absolute (``|new - old|``) change
 of its numeric cells, or ``identical``, and then whether its summary
 differs.  The exit code is then 1 when any CSV or summary differs from
 the saved one or none was saved, so one command checks that a change
-leaves every output byte-identical.  A change of the refinement is
+leaves every output byte-identical.  When a change adds or removes
+columns, the columns both CSVs share are compared by name, and the
+others are listed as added or removed.  A change of the refinement is
 accepted on the absolute change of the ``nu_hat_*`` columns: each
-estimate may move by at most 1e-3, whatever its size.
+estimate may move by at most 1e-3, whatever its size.  The
+``lambda_hat_*`` columns of the Gaussian scale probes must stay
+identical: their search reads the same totals whatever the refinement.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ CONFIGURATIONS = (
      ["lambda = 0.7", "sigma = 1.3"]),
     ("sigma-gaussian-probe", ["gaussian-scale-probe", "--sigma", "2",
                               "--schedule", "8,16,32"], None),
+    # A bracket of one length-scale.
+    ("gaussian-probe-degenerate-bracket", ["gaussian-scale-probe", "--schedule", "8,16"],
+     ["lambda_min = 0.8", "lambda_max = 0.8"]),
     ("sigma-lambda-logdet", ["logdet-growth", "--sigma", "1.3", "--lambda", "0.7",
                              "--schedule", "16,32,64"], None),
     ("sigma-lambda-convergence", ["convergence", "--sigma", "1.3", "--lambda", "0.7",
@@ -127,13 +134,18 @@ def column_changes(old, new):
     by column; ``["identical"]`` when it does not."""
     old_rows = list(csv.reader(old.decode().splitlines()))
     new_rows = list(csv.reader(new.decode().splitlines()))
-    if not old_rows or not new_rows or old_rows[0] != new_rows[0]:
-        return ["header differs" if old_rows and new_rows else "no CSV on one side"]
+    if not old_rows or not new_rows:
+        return ["no CSV on one side"]
     if len(old_rows) != len(new_rows):
         return [f"{len(old_rows) - 1} rows before, {len(new_rows) - 1} now"]
-    lines = []
+    lines = [f"{column}: {change}" for columns, others, change in
+             ((new_rows[0], old_rows[0], "added"), (old_rows[0], new_rows[0], "removed"))
+             for column in columns if column not in others]
     for j, column in enumerate(old_rows[0]):
-        pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[j]]
+        if column not in new_rows[0]:
+            continue
+        k = new_rows[0].index(column)
+        pairs = [(a[j], b[k]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[k]]
         if pairs:
             numeric = [c for c in (_changes(a, b) for a, b in pairs) if c is not None]
             largest = (f"largest relative change {max(r for r, _ in numeric):.2e}, "
@@ -155,7 +167,7 @@ def main(argv=None):
     differs = False
     for name, cli_args, lines in CONFIGURATIONS:
         code, table, summary, wall, peak = run(name, cli_args, lines, args.keep)
-        print(f"{name:24s} exit {code}  csv {_sha256(table)}  summary {_sha256(summary)}",
+        print(f"{name:34s} exit {code}  csv {_sha256(table)}  summary {_sha256(summary)}",
               flush=True)
         print(f"    wall {wall:.2f} s  peak RSS {peak:.1f} MB", flush=True)
         if args.against:
