@@ -80,6 +80,7 @@ from .objectives import (
     ObjectiveValue,
     ell_cv_from,
     ell_ml_from,
+    prefix_objectives,
 )
 from .specfun import bessel_k, log_bessel_k, log_gamma, thread_limit
 

@@ -30,7 +30,9 @@ from .designs import check_schedule, fill_distance, fill_distances, is_integer  
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, matern, require_positive
-from .objectives import ell_cv_from, ell_ml_from
+# ``ell_ml_from`` and ``ell_cv_from`` stay bound here for the benchmark
+# tracer, which wraps them.
+from .objectives import ell_cv_from, ell_ml_from, prefix_objectives  # noqa: F401
 
 __all__ = [
     "EstimatorConfig",
@@ -124,9 +126,10 @@ class NuEstimate:
     best node returned under ``non_unimodal`` too, which lies below the top
     because the top cell's value exceeds the coarse minimum's.
     ``evaluations`` counts the objective values the search read: every
-    coarse cell, plus the interior nodes of its bracket when it was refined.  ``objective_at_min`` is the interpolating
-    polynomial's value at ``nu_hat`` after refinement, else the value of
-    the cell or node returned.
+    distinct coarse cell, plus the interior nodes of its bracket when it was
+    refined.  ``objective_at_min`` is the interpolating polynomial's value
+    at ``nu_hat`` after refinement, else the value of the cell or node
+    returned.
     """
 
     nu_hat: float
@@ -252,7 +255,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
             return math.inf
         return v
 
-    values = [safe(g) for g in grid]
+    # A bracket of one value (lo == hi) has one distinct cell, read once.
+    cells = {theta: safe(theta) for theta in dict.fromkeys(grid)}
+    values = [cells[theta] for theta in grid]
     plan = _coarse_plan(values)
     if plan is None:
         raise EstimationError(
@@ -301,7 +306,8 @@ def _profiled(data_term, complexity_term, n):
 
 def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
     """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
-    points of ``design``, for each ``n`` in ``sizes``, from one factorization.
+    points of ``design``, for each ``n`` in ``sizes``, from one pass over one
+    factorization (:func:`~maternsmooth.objectives.prefix_objectives`).
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
     mapping each objective defined on ``n`` points (of ``names``, if given)
@@ -313,34 +319,29 @@ def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
     its total, so the cells of a column equal those of its sweep alone.
-    ``workspace`` is handed to :func:`~maternsmooth.gp.condition_prefixes`;
-    nothing returned reads from it.
+    ``workspace`` is handed to
+    :func:`~maternsmooth.objectives.prefix_objectives`; nothing returned
+    reads from it.
     """
     cells, first = [], None
-    for n, post in zip(sizes, condition_prefixes(scan.kernel_at(theta), design, y, sizes,
-                                                 workspace)):
-        if isinstance(post, ConditioningError):
+    for n, values in zip(sizes, prefix_objectives(scan.kernel_at(theta), design, y, sizes,
+                                                  names or ("ml", "cv"), workspace)):
+        if isinstance(values, ConditioningError):
             if first is None:
-                first, text = n, str(post)
+                first, text = n, str(values)
             else:
-                text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
-                        f"{post.pivot_value:.3e}")
+                text = (f"failed on prefix n={first}: pivot {values.pivot_index} = "
+                        f"{values.pivot_value:.3e}")
             cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
-                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=post.pivot_index,
-                pivot_value=post.pivot_value)))
+                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=values.pivot_index,
+                pivot_value=values.pivot_value)))
             continue
         cell = {}
-        for name in _objective_names(n):
-            if names is not None and name not in names:
-                continue
-            try:
-                value = ell_ml_from(post) if name == "ml" else ell_cv_from(post)
-            except ConditioningError as err:
-                # Kept without its traceback, which holds the factor.
-                cell[name] = err.with_traceback(None)
-                continue
-            cell[name] = ([_profiled(data, value.complexity_term, n) for data in value.data_term]
-                          if scan.profile else value.total)
+        for name, value in values.items():
+            if not isinstance(value, ConditioningError):
+                value = ([_profiled(data, value.complexity_term, n) for data in value.data_term]
+                         if scan.profile else value.total)
+            cell[name] = value
         cells.append(cell)
     return cells
 
@@ -424,12 +425,12 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
     Each coarse cell is factored once, on the largest prefix, and so is
     each node, on the largest prefix that needs it; every prefix reads its
-    posterior from that factor
-    (:func:`~maternsmooth.gp.condition_prefixes`) and its leave-one-out
+    objectives from that factor in one pass
+    (:func:`~maternsmooth.objectives.prefix_objectives`), its leave-one-out
     quantities from one inverse of it.  At sizes of at most 16
-    or ``16 * 2**k`` points that posterior is bit for bit the prefix's own,
-    so a record equals the sweep of its prefix alone; at other sizes they
-    agree to rounding.  A cell whose factorization fails at some pivot
+    or ``16 * 2**k`` points those are bit for bit the prefix's own, so a
+    record equals the sweep of its prefix alone; at other sizes they agree
+    to rounding.  A cell whose factorization fails at some pivot
     fails on every prefix beyond it, and the prefixes after the first one
     record the prefix size, pivot index and pivot value of that first
     failure.

@@ -1,26 +1,40 @@
 """Exact Gaussian process conditioning through a single Cholesky factor.
 
-:func:`condition_prefixes`, and :func:`condition` through it, are the only
-places that factor a kernel matrix.  Everything downstream of them
-(posterior mean and variance, leave-one-out residuals and variances,
-incremental variances, log-determinant and quadratic form) reads the
+:func:`_factor_prefixes` is the only place that factors a kernel matrix.
+:func:`condition_prefixes`, and :func:`condition` through it, read
+posteriors from its factor, and everything downstream of them (posterior
+mean and variance, leave-one-out residuals and variances, incremental
+variances, log-determinant and quadratic form) reads the
 :class:`Posterior` they return, so one factorization per (kernel, design)
-pair serves them all; refitting on subsets is kept only as an oracle in
+pair serves them all; :func:`~maternsmooth.objectives.prefix_objectives`
+reads the objectives of every prefix from the same factor without a
+posterior per prefix.  Refitting on subsets is kept only as an oracle in
 the test suite.  One factorization also serves several data vectors at
 once: the data may be an ``(n, s)`` matrix whose columns (for example
 sample paths of different seeds) share the kernel matrix, and the
 data-dependent quantities then come out per column.
 
-The factor is grown by row panels, each finished by LAPACK ``dpotrf``
-(whose ``info`` code gives the first non-positive pivot), so that the
-factor of a design prefix is the leading block of the full one and one
-factorization serves every prefix of a nested design
-(:meth:`Posterior.prefix`).
+The factor is grown by row panels ending at 16, 32, 64, ... points, each
+finished by factoring its diagonal block, so that the factor of a design
+prefix is the leading block of the full one and one factorization serves
+every prefix of a nested design (:meth:`Posterior.prefix`).
 Leave-one-out quantities use the factor's inverse, grown by the same row
-panels (``dtrtri`` on each diagonal block, two ``dtrmm`` for the rows
+panels (the inverse of each diagonal block, two ``dtrmm`` for the rows
 left of it), so the inverse of a prefix is the leading block of the full
 one too: it is computed once per factor, on the first leave-one-out
 request, and shared by every posterior the factor serves.
+
+A diagonal block wider than 64 rows is itself factored and inverted by
+sub-panels of 64 rows (:data:`_SUB`): LAPACK ``dpotrf`` (whose ``info``
+code gives the first non-positive pivot) and ``dtrtri`` see at most 64
+rows, and ``dtrsm``, ``dsyrk`` and ``dtrmm`` do the rest.  On a 2-core
+AMD EPYC with one OpenBLAS thread, ``dpotrf`` and ``dtrtri`` run at 5 to
+9 GFMA/s on blocks of 128 and 256 rows where ``dtrmm`` runs at 40 to 47,
+and sub-panels cut the time of a 256-row block by about half; sub-panels
+of 32 or 128 rows are slower (``tools/lapack_rates.py`` measures all
+three).  The split depends only on
+the panel, so a prefix of at most 16 or ``16 * 2**k`` points still meets
+the same operations as in any larger design.
 
 There is no nugget or jitter anywhere: the model interpolates noiseless
 data, and a factorization failure is surfaced as
@@ -74,6 +88,10 @@ _VAR_CLAMP_RTOL = 1e-12
 # Row panels of the factorization end at 16, 32, 64, ... points.
 _FIRST_PANEL = 16
 
+# The diagonal block of a row panel is factored and inverted by sub-panels
+# of at most this many rows (see the module docstring).
+_SUB = 64
+
 
 def _panel_ends(n):
     ends = [_FIRST_PANEL]
@@ -98,13 +116,15 @@ def _factor(kernel, design, buffer=None):
 
     Each panel of rows ``a:b`` after the first is solved against the factor
     so far (``dtrsm``) and its Schur block updated (``dsyrk``) and factored
-    (``dpotrf``).  A prefix of at most 16 or ``16 * 2**k`` points thus meets
-    the same operations on the same data as in any larger design: its factor
-    is bit for bit the leading block of theirs.  Returns the Fortran-ordered
-    factor and None, or the :class:`ConditioningError` of the first pivot
-    that is not positive or lies below ``PIVOT_RTOL * K(0)``; the factor then
-    holds up to that pivot, and later panels are never evaluated.  The
-    factor is written into ``buffer`` when one is given (see :func:`_square`).
+    by :func:`_factor_block`, in sub-panels of 64 rows when it is wider.  A
+    prefix of at most 16 or ``16 * 2**k`` points thus meets the same
+    operations on the same data as in any larger design: its factor is bit
+    for bit the leading block of theirs.  Returns
+    the Fortran-ordered factor and None, or the :class:`ConditioningError`
+    of the first pivot that is not positive or lies below
+    ``PIVOT_RTOL * K(0)``; the factor then holds up to that pivot, and later
+    panels are never evaluated.  The factor is written into ``buffer`` when
+    one is given (see :func:`_square`).
     """
     n = design.n
     L = _square(buffer, n)
@@ -123,39 +143,69 @@ def _factor(kernel, design, buffer=None):
             floor = PIVOT_RTOL * panel[0, 0]
             block = np.diag(np.full(max(b, _FIRST_PANEL), panel[0, 0]))
             block[:b, :b] = panel
-        block, info = _lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
+        err = _factor_block(block, floor, a)
+        L[a:b, a:b] = block[:b - a, :b - a]
+        if err is not None:
+            return L, err
+        a = b
+    return L, None
+
+
+def _factor_block(block, floor, offset):
+    """Factor a Schur block in place by sub-panels of at most ``_SUB`` rows.
+
+    Each sub-panel's diagonal block is factored by ``dpotrf`` (whose
+    ``info`` code gives the first non-positive pivot), the rows below it
+    solved against that factor (``dtrsm``) and the trailing block updated
+    (``dsyrk``), so that most of the work runs through level-3 BLAS.
+    Returns None, or the :class:`ConditioningError` of the first pivot,
+    numbered from ``offset``, that is not positive or lies below ``floor``;
+    the rows before it hold their factor, and zeros right of it.  Only the
+    lower triangle is read.
+    """
+    w = block.shape[0]
+    for c in range(0, w, _SUB):
+        e = min(c + _SUB, w)
+        sub, info = _lapack.dpotrf(block[c:e, c:e], lower=1, clean=1, overwrite_a=1)
         if info < 0:
             raise DomainError(f"dpotrf rejected argument {-info}")
-        L[a:b, a:b] = block[:b - a, :b - a]
-        piv = np.diag(block)[:info - 1 if info else b - a] ** 2
+        block[c:e, c:e] = sub
+        block[c:e, e:] = 0.0
+        start = offset + c
+        piv = np.diag(sub)[:info - 1 if info else e - c] ** 2
         small = np.nonzero(piv < floor)[0]
         if small.size:
             i = int(small[0])
-            return L, ConditioningError(
-                f"pivot {a + i} = {piv[i]:.3e} below relative floor {floor:.3e}",
-                pivot_index=a + i, pivot_value=float(piv[i]))
+            return ConditioningError(
+                f"pivot {start + i} = {piv[i]:.3e} below relative floor {floor:.3e}",
+                pivot_index=start + i, pivot_value=float(piv[i]))
         if info:
             # LAPACK leaves the failing Schur-complement pivot on the diagonal.
-            val = float(block[info - 1, info - 1])
-            return L, ConditioningError(
-                f"kernel matrix is numerically singular: pivot {a + info - 1} = {val:.3e}",
-                pivot_index=a + info - 1, pivot_value=val)
-        a = b
-    return L, None
+            val = float(sub[info - 1, info - 1])
+            return ConditioningError(
+                f"kernel matrix is numerically singular: pivot {start + info - 1} = {val:.3e}",
+                pivot_index=start + info - 1, pivot_value=val)
+        if e < w:
+            below = _blas.dtrsm(1.0, sub, block[e:, c:e], side=1, lower=1, trans_a=1)
+            block[e:, c:e] = below
+            block[e:, e:] = _blas.dsyrk(-1.0, below, beta=1.0, c=block[e:, e:], lower=1)
+    return None
 
 
 def _invert(chol, m, buffer=None):
     """Inverse ``W`` of the leading ``m`` by ``m`` block of a lower factor,
     grown by the row panels of :func:`_factor`.
 
-    Panel ``a:b`` inverts its diagonal block (``dtrtri``) and forms the rows
-    left of it as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  The inverse of
-    a prefix of at most 16 or ``16 * 2**k`` points thus meets the same
-    operations on the same data as in any larger factor: it is bit for bit
-    the leading block of theirs.  Returns the Fortran-ordered inverse and
-    None, or the inverse of the panels before a zero diagonal entry and the
-    :class:`ConditioningError` naming that entry.  The inverse is written
-    into ``buffer`` when one is given (see :func:`_square`).
+    Panel ``a:b`` inverts its diagonal block (:func:`_invert_block`, in
+    sub-panels of 64 rows when it is wider) and forms the rows left of it
+    as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).
+    The inverse of a prefix of at most 16 or ``16 * 2**k`` points thus
+    meets the same operations on the same data as in any larger factor: it
+    is bit for bit the leading block of theirs.  Returns the
+    Fortran-ordered inverse and None, or the inverse of the panels before a
+    zero diagonal entry and the :class:`ConditioningError` naming that
+    entry.  The inverse is written into ``buffer`` when one is given (see
+    :func:`_square`).
     """
     W = _square(buffer, m)
     a = 0
@@ -167,9 +217,7 @@ def _invert(chol, m, buffer=None):
             # points see the same operations as in a larger factor.
             block = np.diag(np.full(max(b, _FIRST_PANEL), chol[0, 0]))
             block[:b, :b] = chol[:b, :b]
-        inv, info = _lapack.dtrtri(block, lower=1)
-        if info < 0:
-            raise DomainError(f"dtrtri rejected argument {-info}")
+        inv, info = _invert_block(block)
         if info:
             p = a + info - 1
             return W[:a, :a], ConditioningError(
@@ -181,6 +229,32 @@ def _invert(chol, m, buffer=None):
             W[a:b, :a] = _blas.dtrmm(-1.0, inv, left, lower=1, overwrite_b=1)
         a = b
     return W, None
+
+
+def _invert_block(block):
+    """Inverse of a lower triangular block by sub-panels of at most ``_SUB``
+    rows, and LAPACK's ``info``: 0, or one more than the index of the first
+    zero diagonal entry.
+
+    The sub-panels are the row panels of :func:`_invert` on a smaller
+    scale: each inverts its diagonal block (``dtrtri``) and forms the rows
+    left of it by two ``dtrmm``.  A block of at most ``_SUB`` rows is one
+    ``dtrtri`` call.
+    """
+    w = block.shape[0]
+    inv = np.zeros((w, w), order="F") if w > _SUB else None
+    for c in range(0, w, _SUB):
+        e = min(c + _SUB, w)
+        sub, info = _lapack.dtrtri(block[c:e, c:e], lower=1)
+        if info < 0:
+            raise DomainError(f"dtrtri rejected argument {-info}")
+        if info or inv is None:
+            return sub, c + info
+        inv[c:e, c:e] = sub
+        if c:
+            left = _blas.dtrmm(1.0, inv[:c, :c], block[c:e, :c], side=1, lower=1)
+            inv[c:e, :c] = _blas.dtrmm(-1.0, sub, left, lower=1, overwrite_b=1)
+    return inv, 0
 
 
 class _SharedInverse:
@@ -236,6 +310,13 @@ class Posterior:
         return _posterior(self.kernel, self.design.prefix(n), self.y, self.chol,
                           self._inverse)
 
+    def _factorization(self):
+        """This posterior's factor, and the inverse it shares, as a
+        :class:`_Factorization` of its own design."""
+        inverse = _SharedInverse(self.chol, self.n) if self._inverse is None else self._inverse
+        return _Factorization(self.kernel, self.design, self.y, self.chol, self.n, None,
+                              inverse)
+
 
 def _posterior(kernel, design, y, chol, inverse):
     """The posterior of ``design`` from a factor whose leading block is its
@@ -243,9 +324,60 @@ def _posterior(kernel, design, y, chol, inverse):
     gives LAPACK, so that both sides compute alike."""
     n = design.n
     L = np.asfortranarray(chol[:n, :n])
-    weights = _linalg.cho_solve((L, True), y[:n], check_finite=False) if n else y[:0].copy()
-    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L, weights=weights,
-                     _inverse=inverse)
+    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L,
+                     weights=_solve(L, y[:n]), _inverse=inverse)
+
+
+def _solve(chol, y):
+    """``K^{-1} y`` from the lower factor of ``K`` (LAPACK ``dpotrs``)."""
+    if not y.shape[0]:
+        return y.copy()
+    x, info = _lapack.dpotrs(chol, y, lower=1)
+    if info < 0:
+        raise DomainError(f"dpotrs rejected argument {-info}")
+    return x
+
+
+@dataclass(frozen=True)
+class _Factorization:
+    """One factorization of a design's kernel matrix and the data it serves.
+
+    ``chol`` is the factor of ``design``, whose leading blocks serve its
+    first ``served`` points: all of them, or those before the pivot of
+    ``error``.  ``inverse`` is the inverse its prefixes share (see
+    :class:`_SharedInverse`).  ``y`` holds the data, shape ``(n,)`` or
+    ``(n, s)``.
+    """
+
+    kernel: object
+    design: object
+    y: np.ndarray
+    chol: np.ndarray
+    served: int
+    error: ConditioningError | None
+    inverse: _SharedInverse = field(repr=False)
+
+    def weights(self, n):
+        """``K_n^{-1} y_n`` of the first ``n <= served`` points, as
+        :class:`Posterior` holds them."""
+        return _solve(self.chol[:n, :n], self.y[:n])
+
+
+def _factor_prefixes(kernel, design, y, sizes, workspace=None):
+    """The :class:`_Factorization` that serves the first ``n`` points of
+    ``design`` for each ``n`` in ``sizes``, with the checks and the
+    ``workspace`` of :func:`condition_prefixes`: the factor of the largest
+    prefix, and its inverse up to the largest size served, computed on the
+    first request."""
+    y = _as_data(design, y)
+    sizes = [design.check_prefix_size(n) for n in sizes]
+    design = design.prefix(max(sizes, default=0))
+    factor_buffer, inverse_buffer = workspace or (None, None)
+    L, err = _factor(kernel, design, factor_buffer)
+    served = design.n if err is None else err.pivot_index
+    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0),
+                             inverse_buffer)
+    return _Factorization(kernel, design, y, L, served, err, inverse)
 
 
 def _as_data(design, y):
@@ -287,16 +419,9 @@ def condition_prefixes(kernel, design, y, sizes, workspace=None):
     in place of fresh arrays, with the same values.  The posteriors then
     read from it and hold only until it is next used.
     """
-    y = _as_data(design, y)
-    sizes = [design.check_prefix_size(n) for n in sizes]
-    design = design.prefix(max(sizes, default=0))
-    factor_buffer, inverse_buffer = workspace or (None, None)
-    L, err = _factor(kernel, design, factor_buffer)
-    served = design.n if err is None else err.pivot_index
-    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0),
-                             inverse_buffer)
-    return [_posterior(kernel, design.prefix(n), y, L, inverse) if n <= served else err
-            for n in sizes]
+    fact = _factor_prefixes(kernel, design, y, sizes, workspace)
+    return [_posterior(kernel, fact.design.prefix(n), fact.y, fact.chol, fact.inverse)
+            if n <= fact.served else fact.error for n in sizes]
 
 
 def _cross_covariances(post, x):
@@ -441,8 +566,13 @@ def loo(post):
     """
     if post.n < 2:
         raise DomainError("leave-one-out needs at least 2 points")
-    shared = _SharedInverse(post.chol, post.n) if post._inverse is None else post._inverse
-    W = shared.leading(post.n)
+    return _prefix_loo(post._factorization(), post.n, post.weights)
+
+
+def _prefix_loo(fact, n, weights):
+    """:func:`loo` of the first ``n`` points of a :class:`_Factorization`,
+    whose weights are ``weights``: from the leading block of its inverse."""
+    W = fact.inverse.leading(n)
     diag = np.einsum("ij,ij->j", W, W)
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if np.any(bad):
@@ -452,7 +582,6 @@ def loo(post):
             pivot_index=idx,
             pivot_value=float(diag[idx]),
         )
-    weights = post.weights
     residuals = weights / (diag if weights.ndim == 1 else diag[:, None])
     return LooResult(residuals=residuals, variances=1.0 / diag)
 

@@ -289,7 +289,9 @@ def kernel_panels(kernel, design, ends):
 
     A generator of Fortran-ordered panels, each from the previous end; each
     evaluates the kernel only at the distances new in its rows, when it is
-    requested.  The distance table is cached on the design and its prefixes.
+    requested, unless the design has at most ``n`` distinct nonzero
+    distances: those are all evaluated in one call before the first panel.
+    The distance table is cached on the design and its prefixes.
     """
     table = getattr(design, "_dist_cache", None)
     if table is None:
@@ -298,9 +300,14 @@ def kernel_panels(kernel, design, ends):
     # skip checking them says so with ``at_distances``.
     evaluate = getattr(kernel, "at_distances", kernel)
     values = np.empty(table.count[design.n])
+    # A lattice-like design has the zero distance and at most n others: one
+    # call evaluates them all, for less than the fixed cost of one per panel.
+    ready = values.size if values.size <= design.n + 1 else 0
+    if ready:
+        values[:] = evaluate(table.distances[:ready])
     a = 0
     for b in ends:
-        lo, hi = table.count[a], table.count[b]
+        lo, hi = max(table.count[a], ready), table.count[b]
         if hi > lo:
             values[lo:hi] = evaluate(table.distances[lo:hi])
         # The index is symmetric: its columns a:b, transposed, are the rows.

@@ -18,9 +18,9 @@ from maternsmooth.estimators import (
     sweep_prefixes,
 )
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
-from maternsmooth.gp import condition, condition_prefixes, loo, loo_variances
+from maternsmooth.gp import condition, condition_prefixes, loo_variances
 from maternsmooth.kernels import MaternKernel, matern
-from maternsmooth.objectives import ell_cv_from, ell_ml_from
+from maternsmooth.objectives import ell_cv_from, ell_ml_from, prefix_objectives
 from maternsmooth.specfun import thread_limit
 
 UNIT = Box.unit(1)
@@ -87,6 +87,29 @@ class TestBracketedMinimize:
 
         with pytest.raises(EstimationError):
             bracketed_minimize(fn, 0.1, 1.0, 10)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_one_value_bracket_reads_its_cell_once(self, fails):
+        # lo == hi: every coarse cell is the same value, read once.  The
+        # estimate, its flags and its searchable bracket are those of the
+        # full scan, which ties toward its top cell.
+        asked = []
+
+        def fn(t):
+            asked.append(t)
+            if fails:
+                raise ConditioningError("synthetic", 0, -1.0)
+            return 1.0
+
+        if fails:
+            with pytest.raises(EstimationError, match=r"could be evaluated \(1 failures\)$"):
+                bracketed_minimize(fn, 0.8, 0.8, 60)
+        else:
+            scan = bracketed_minimize(fn, 0.8, 0.8, 60)
+            assert (scan.nu_hat, scan.searchable_upper, scan.hit_upper_bracket) == (0.8, 0.8,
+                                                                                   True)
+            assert (scan.evaluations, scan.failures, scan.irregular_failures) == (1, (), 0)
+        assert asked == [0.8]
 
     def test_failures_shrink_effective_bracket(self):
         def fn(t):
@@ -253,10 +276,10 @@ class TestEstimateNu:
         # well, and the CV search's error is raised.
         design, y = sample_instance
 
-        def failing(post):
+        def failing(fact, n, weights):
             raise ConditioningError("injected", pivot_index=0)
 
-        monkeypatch.setattr(objectives, "loo", failing)
+        monkeypatch.setattr(objectives, "_prefix_loo", failing)
         with pytest.raises(EstimationError, match="could be evaluated"):
             estimate_nu(design.prefix(32), y[:32], EstimatorConfig(lambda_=1.0))
 
@@ -472,22 +495,28 @@ class TestSweeps:
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
         factored, inverted, searches = [], [], []
 
-        def counting(kernel, prefix, values, sizes, workspace=None):
+        def conditioning(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
             return condition_prefixes(kernel, prefix, values, sizes, workspace)
 
-        def inverting(post):
-            inverted.append((post.kernel.params.nu, post.n))
-            return loo(post)
+        def counting(kernel, prefix, values, sizes, names, workspace=None):
+            values = np.asarray(values)
+            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
+            return prefix_objectives(kernel, prefix, values, sizes, names, workspace)
+
+        def inverting(fact, n, weights):
+            inverted.append((fact.kernel.params.nu, n))
+            return gp._prefix_loo(fact, n, weights)
 
         def recording(fn, *args):
             asked = []
             searches.append(asked)
             return bracketed_minimize(lambda nu: fn(asked.append(float(nu)) or nu), *args)
 
-        monkeypatch.setattr(estimators, "condition_prefixes", counting)
-        monkeypatch.setattr(objectives, "loo", inverting)
+        monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
+        monkeypatch.setattr(estimators, "prefix_objectives", counting)
+        monkeypatch.setattr(objectives, "_prefix_loo", inverting)
         monkeypatch.setattr(estimators, "bracketed_minimize", recording)
         cfg = EstimatorConfig(lambda_=1.0)
         sizes = (16, 32, 64)
@@ -568,13 +597,13 @@ class TestSweeps:
         grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
         nearest = float(grid[np.argmin(np.abs(np.log(grid / ml.nu_hat)))])
 
-        def failing(post):
-            nu = post.kernel.params.nu
+        def failing(fact, n, weights):
+            nu = fact.kernel.params.nu
             if nu == nearest if broken == "coarse" else nu not in grid:
                 raise ConditioningError(f"injected at nu={nu:g}", pivot_index=0)
-            return loo(post)
+            return gp._prefix_loo(fact, n, weights)
 
-        monkeypatch.setattr(objectives, "loo", failing)
+        monkeypatch.setattr(objectives, "_prefix_loo", failing)
         (record,) = sweep_prefixes(design, y, [64], cfg)
         assert (record.nu_hat_ml, record.ell_ml_min) == (ml.nu_hat, ml.objective_at_min)
 
@@ -686,13 +715,13 @@ class TestPrefixRule:
         design, y, cfg = smooth_instance
         factored = []
 
-        def counting(kernel, top, data, sizes, workspace=None):
-            posts = condition_prefixes(kernel, top, data, sizes, workspace)
+        def counting(kernel, top, data, sizes, names, workspace=None):
+            posts = prefix_objectives(kernel, top, data, sizes, names, workspace)
             factored.append((kernel.params.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts
 
-        monkeypatch.setattr(estimators, "condition_prefixes", counting)
+        monkeypatch.setattr(estimators, "prefix_objectives", counting)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[2] == self.SCHEDULE]

@@ -1,9 +1,11 @@
 """Conditioning, posterior queries, and the fast identities vs naive refits."""
 
 import math
+import re
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,6 +322,64 @@ class TestPosteriorQueries:
             if previous is not None:
                 assert np.all(v <= previous + 1e-9)
             previous = v
+
+
+def _dependent_row(p, pivot, n=512):
+    """A well-conditioned SPD matrix whose row ``p`` repeats row ``p - 1``
+    except on the diagonal, so that its Schur pivot ``p`` is ``pivot`` to
+    rounding.  ``K[0, 0]`` is 1000 more, which sets the relative floor."""
+    A = np.random.Generator(np.random.Philox(p)).standard_normal((n, n))
+    K = A @ A.T / n + np.eye(n)
+    K[0, 0] += 1000.0
+    K[p, :], K[:, p] = K[p - 1, :], K[:, p - 1]
+    K[p, p] = K[p - 1, p - 1] + pivot
+    return K
+
+
+def _factor_of(K, monkeypatch):
+    """``gp._factor`` on the matrix ``K``, served by fresh row panels."""
+    def panels(kernel, design, ends):
+        a = 0
+        for b in ends:
+            yield np.array(K[a:b, :b], order="F")
+            a = b
+
+    monkeypatch.setattr(gp, "kernel_panels", panels)
+    return gp._factor(None, SimpleNamespace(n=K.shape[0]))
+
+
+class TestSubPanels:
+    """The diagonal blocks of the row panels are factored and inverted by
+    sub-panels of 64 rows; a failure inside one is reported as a failure
+    of the whole block was."""
+
+    @pytest.mark.parametrize("p", [70, 130, 300])
+    @pytest.mark.parametrize("pivot, form", [
+        (-1e-3, r"kernel matrix is numerically singular: pivot {p} = -1\.000e-03"),
+        (1e-12, r"pivot {p} = \d\.\d{{3}}e-1[23] below relative floor 1\.00\de-11"),
+    ])
+    def test_failing_pivot_inside_a_sub_panel(self, monkeypatch, p, pivot, form):
+        K = _dependent_row(p, pivot)
+        L, err = _factor_of(K, monkeypatch)
+        assert isinstance(err, ConditioningError)
+        assert err.pivot_index == p and re.fullmatch(form.format(p=p), str(err))
+        assert err.pivot_value == pytest.approx(pivot, rel=1e-2)
+        # The rows before the pivot hold their factor, and zeros right of it.
+        lead = L[:p, :p]
+        np.testing.assert_allclose(lead @ lead.T, K[:p, :p], rtol=0, atol=1e-12 * 1001.0)
+        assert not np.any(np.triu(L[:p], 1))
+
+    @pytest.mark.parametrize("p, start", [(70, 64), (130, 128), (300, 256)])
+    def test_zero_diagonal_inside_a_sub_panel(self, monkeypatch, p, start):
+        L, err = _factor_of(_dependent_row(p, 1.0), monkeypatch)
+        assert err is None
+        chol = L.copy(order="F")
+        chol[p, p] = 0.0
+        W, err = gp._invert(chol, 512)
+        assert str(err) == f"triangular inversion failed: factor diagonal entry {p} is zero"
+        assert (err.pivot_index, err.pivot_value) == (p, 0.0)
+        # The inverse of the panels before the one that failed.
+        assert np.array_equal(W, gp._invert(chol[:start, :start].copy(order="F"), start)[0])
 
 
 class TestFastIdentities:

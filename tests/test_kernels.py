@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maternsmooth.designs import Box, Design
+from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import DegenerateDesignError, DomainError
 from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.kernels import (
@@ -18,6 +18,7 @@ from maternsmooth.kernels import (
     c_scaling,
     gaussian_eval,
     kernel_matrix,
+    kernel_panels,
     matern,
     matern_eval,
 )
@@ -230,3 +231,42 @@ class TestKernelMatrix:
         des.box = Box.unit(1)
         with pytest.raises(DegenerateDesignError):
             kernel_matrix(MaternKernel(matern(1.5)), des)
+
+
+class _Counting(MaternKernel):
+    """A Matern kernel that records the size of every distance array it evaluates."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.calls = []
+
+    def at_distances(self, r):
+        self.calls.append(r.size)
+        return super().at_distances(r)
+
+
+class TestKernelPanels:
+    def test_lattice_distances_take_one_call(self):
+        # At most 64 distinct nonzero distances among 64 points: one call
+        # before the first panel, whatever the panels.
+        design = van_der_corput(Box.unit(1), 64)
+        kernel = _Counting(matern(1.5, lambda_=0.3))
+        panels = list(kernel_panels(kernel, design, [16, 32, 64]))
+        assert kernel.calls == [design._dist_cache.distances.size]
+        assert kernel.calls[0] <= 64 + 1
+        K = kernel_matrix(MaternKernel(kernel.params), Design(design.points, design.box))
+        for (a, b), panel in zip([(0, 16), (16, 32), (32, 64)], panels):
+            assert np.array_equal(panel, K[a:b, :b])
+
+    def test_distinct_distances_are_evaluated_per_panel(self):
+        # All distances distinct: each panel evaluates its own, when it is
+        # requested, so a factorization that stops early evaluates no more.
+        rng = np.random.default_rng(3)
+        design = Design(rng.random((64, 2)), Box.unit(2))
+        kernel = _Counting(matern(1.5, lambda_=0.3, d=2))
+        panels = kernel_panels(kernel, design, [16, 32, 64])
+        next(panels)
+        assert kernel.calls == [1 + 16 * 15 // 2]
+        list(panels)
+        assert kernel.calls == [1 + 16 * 15 // 2, (32 * 31 - 16 * 15) // 2,
+                                (64 * 63 - 32 * 31) // 2]

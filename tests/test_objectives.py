@@ -7,10 +7,10 @@ import pytest
 
 from maternsmooth.analysis import builtin_test_functions, matern_rkhs_norm_sq
 from maternsmooth.designs import Box, Design, van_der_corput
-from maternsmooth.errors import DomainError
-from maternsmooth.gp import condition, incremental_variances
+from maternsmooth.errors import ConditioningError, DomainError
+from maternsmooth.gp import condition, condition_prefixes, incremental_variances
 from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, kernel_matrix, matern
-from maternsmooth.objectives import ell_cv_from, ell_ml_from
+from maternsmooth.objectives import ell_cv_from, ell_ml_from, prefix_objectives
 
 UNIT = Box.unit(1)
 
@@ -125,6 +125,61 @@ class TestCvObjective:
             alone = ell_cv_from(condition(kernel, design, column))
             assert (data_term, together.complexity_term) == (alone.data_term,
                                                              alone.complexity_term)
+
+
+class TestPrefixObjectives:
+    """One pass over one factor gives the objectives of every prefix."""
+
+    SIZES = (5, 16, 32, 64, 128, 256, 512)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_each_prefix_equals_the_prefix_conditioned_alone(self, columns):
+        # The C07 kernel on 512 points, whose diagonal blocks of 128 and 256
+        # rows are factored and inverted by sub-panels.
+        design = van_der_corput(UNIT, 512)
+        kernel = MaternKernel(matern(1.5, lambda_=1.0))
+        y = np.random.Generator(np.random.Philox(columns)).standard_normal((512, columns))
+        for n, values in zip(self.SIZES, prefix_objectives(kernel, design, y, self.SIZES)):
+            post = condition(kernel, Design(design.points[:n], UNIT), y[:n])
+            for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from)):
+                got, want = values[name], ell(post)
+                assert np.array_equal(got.data_term, want.data_term), (name, n)
+                assert got.complexity_term == want.complexity_term, (name, n)
+
+    def test_one_vector_and_one_size_is_the_posterior_objective(self, instance):
+        design, y = instance
+        kernel = MaternKernel(matern(1.5, lambda_=0.3))
+        (values,) = prefix_objectives(kernel, design, y, [design.n], ("ml", "cv"))
+        post = condition(kernel, design, y)
+        assert values == {"ml": ell_ml_from(post), "cv": ell_cv_from(post)}
+        assert isinstance(values["ml"].data_term, float)
+
+    def test_names_and_two_points_for_cross_validation(self, instance):
+        design, y = instance
+        kernel = MaternKernel(matern(1.5, lambda_=0.3))
+        ml, cv = (prefix_objectives(kernel, design, y, [1, 2, 12], names)
+                  for names in (("ml",), ("cv",)))
+        assert [sorted(v) for v in ml] == [["ml"], ["ml"], ["ml"]]
+        assert [sorted(v) for v in cv] == [[], ["cv"], ["cv"]]
+
+    def test_sizes_past_a_failing_pivot_get_its_error(self):
+        # Two points 1e-13 apart: the factor fails at pivot 17, and the
+        # posteriors' errors are the pass's.
+        points = van_der_corput(UNIT, 20).points[:, 0].copy()
+        points[17] = points[3] + 1e-13
+        design = Design(points, UNIT)
+        kernel = MaternKernel(matern(2.5, lambda_=0.5))
+        y = np.ones(design.n)
+        sizes = [16, 17, 18, 20]
+        got = prefix_objectives(kernel, design, y, sizes)
+        posts = condition_prefixes(kernel, design, y, sizes)
+        for n, values, post in zip(sizes, got, posts):
+            if isinstance(post, ConditioningError):
+                assert (str(values), values.pivot_index, values.pivot_value) == (
+                    str(post), post.pivot_index, post.pivot_value)
+            else:
+                assert values == {"ml": ell_ml_from(post), "cv": ell_cv_from(post)}
+        assert isinstance(got[-1], ConditioningError) and got[-1].pivot_index == 17
 
 
 class TestObjectiveChainInequality:

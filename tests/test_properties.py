@@ -25,6 +25,7 @@ from maternsmooth.designs import (Box, Design, fill_distance, fill_distances, lo
                                   uniformity_report, van_der_corput)
 from maternsmooth.errors import ConditioningError
 from maternsmooth.analysis import sample_gp_path
+from maternsmooth import estimators
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimate_nu
 from maternsmooth.experiments import _jittered_grid, _naive_loo, make_design
 from maternsmooth import gp
@@ -216,6 +217,90 @@ def test_inverse_of_a_prefix_is_the_leading_block(case):
         assert err is None and own.shape == (n, n)
         assert np.array_equal(inverse[:n, :n], own), n
         assert np.array_equal(full.prefix(n)._inverse.leading(n), own), n
+
+
+@PROPERTY
+@given(prefix_cases, st.integers(min_value=1, max_value=3), st.booleans(),
+       st.integers(min_value=17, max_value=160))
+def test_prefix_cells_equal_each_prefix_conditioned_alone(case, columns, profile, other):
+    # The one-pass totals of a cell: bit for bit those of each prefix
+    # conditioned alone at the exact sizes, and to rounding at others.
+    kernel, design, y = _prefix_instance(*case, columns=columns)
+    nu = kernel.params.nu
+    scan = estimators._Scan("nu", lambda _: kernel, nu, nu, 8, profile)
+    sizes = sorted({m for m in EXACT_SIZES if m <= design.n} | {min(other, design.n)})
+    for n, cell in zip(sizes, estimators._cells(design, y, scan, nu, sizes)):
+        post = condition(kernel, _alone(design, n), y[:n])
+        assert sorted(cell) == (["cv", "ml"] if n >= 2 else ["ml"])
+        for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from))[:len(cell)]:
+            value = ell(post)
+            want = np.asarray([estimators._profiled(data, value.complexity_term, n)
+                               for data in value.data_term] if profile else value.total)
+            got = np.asarray(cell[name])
+            if n in EXACT_SIZES:
+                assert got.tobytes() == want.tobytes(), (name, n)
+            else:
+                assert np.max(np.abs(got - want)) <= PREFIX_RTOL * np.max(np.abs(want)), n
+
+
+# Sizes on either side of the edges of the 64-row sub-panels that factor and
+# invert the diagonal blocks of the row panels.
+SUB_PANEL_SIZES = (65, 100, 128, 129, 200, 256, 300, 512)
+
+
+@contextlib.contextmanager
+def _serving(K, rows):
+    """``gp`` factors the matrix ``K`` whatever kernel it is given, and the
+    row count of every ``dpotrf`` and ``dtrtri`` call goes to ``rows``."""
+    def panels(kernel, design, ends):
+        a = 0
+        for b in ends:
+            yield np.array(K[a:b, :b], order="F")  # a fresh array, as kernel_panels gives
+            a = b
+
+    def recorded(fn):
+        def call(c, **kwargs):
+            rows.append(c.shape[0])
+            return fn(c, **kwargs)
+        return call
+
+    saved = gp.kernel_panels, gp._lapack
+    gp.kernel_panels = panels
+    gp._lapack = SimpleNamespace(dpotrf=recorded(lapack.dpotrf), dtrtri=recorded(lapack.dtrtri))
+    try:
+        yield
+    finally:
+        gp.kernel_panels, gp._lapack = saved
+
+
+@PROPERTY
+@given(st.sampled_from(("spd", "matern")), st.sampled_from(SUB_PANEL_SIZES),
+       st.floats(min_value=0.5, max_value=3.0), st.integers(min_value=0, max_value=2**31 - 1))
+def test_sub_panels_keep_every_prefix_and_the_single_call_values(kind, n, nu, seed):
+    if kind == "spd":
+        A = np.random.Generator(np.random.Philox(seed)).standard_normal((n, n))
+        K = A @ A.T / n + np.eye(n)
+    else:
+        kernel, design, _ = _prefix_instance("jittered", 1, nu, n, seed)
+        K = kernel_matrix(kernel, design)
+    rows = []
+    with _serving(K, rows):
+        L, err = gp._factor(None, SimpleNamespace(n=n))
+        assert err is None
+        W, err = gp._invert(L, n)
+        assert err is None
+        for m in (16, 32, 64, 128, 256):
+            if m < n:
+                own, _ = gp._factor(None, SimpleNamespace(n=m))
+                assert np.array_equal(own, L[:m, :m]), m
+                assert np.array_equal(gp._invert(own, m)[0], W[:m, :m]), m
+    assert max(rows) <= gp._SUB
+    assert not np.any(np.triu(L, 1)) and not np.any(np.triu(W, 1))
+    # Well conditioned (cond(K) < 1e3): rounding apart, one LAPACK call each.
+    single = lapack.dpotrf(K, lower=1, clean=1)[0]
+    assert np.max(np.abs(L - single)) <= 1e-12 * np.max(np.abs(single))
+    single = lapack.dtrtri(L, lower=1)[0]
+    assert np.max(np.abs(W - single)) <= 1e-12 * np.max(np.abs(single))
 
 
 @contextlib.contextmanager
