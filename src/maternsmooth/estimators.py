@@ -306,7 +306,7 @@ def _profiled(data_term, complexity_term, n):
 
 def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
     """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
-    points of ``design``, for each ``n`` in ``sizes``, from one pass over one
+    points of ``design``, for each ``n`` in ``sizes``, from one
     factorization (:func:`~maternsmooth.objectives.prefix_objectives`).
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
@@ -425,7 +425,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
     Each coarse cell is factored once, on the largest prefix, and so is
     each node, on the largest prefix that needs it; every prefix reads its
-    objectives from that factor in one pass
+    objectives from that factor
     (:func:`~maternsmooth.objectives.prefix_objectives`), its leave-one-out
     quantities from one inverse of it.  At sizes of at most 16
     or ``16 * 2**k`` points those are bit for bit the prefix's own, so a
@@ -516,13 +516,15 @@ def _search_tables(top, columns, schedule, scan):
 
 def _total(cell, name, j):
     """Objective ``name`` of data column ``j`` in a cell, or raises the
-    error that prevents it."""
+    error that prevents it.  A cell's error is raised with a fresh
+    traceback, which would otherwise grow by the reader's frames with each
+    read."""
     value = cell[name]
     if isinstance(value, ConditioningError):
-        raise value
+        raise value.with_traceback(None)
     value = value[j]
     if isinstance(value, EstimationError):
-        raise value
+        raise value.with_traceback(None)
     return float(value)
 
 

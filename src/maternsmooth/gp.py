@@ -1,17 +1,17 @@
 """Exact Gaussian process conditioning through a single Cholesky factor.
 
-:func:`_factor_prefixes` is the only place that factors a kernel matrix.
-:func:`condition_prefixes`, and :func:`condition` through it, read
-posteriors from its factor, and everything downstream of them (posterior
-mean and variance, leave-one-out residuals and variances, incremental
-variances, log-determinant and quadratic form) reads the
-:class:`Posterior` they return, so one factorization per (kernel, design)
-pair serves them all; :func:`~maternsmooth.objectives.prefix_objectives`
-reads the objectives of every prefix from the same factor without a
-posterior per prefix.  Refitting on subsets is kept only as an oracle in
-the test suite.  One factorization also serves several data vectors at
-once: the data may be an ``(n, s)`` matrix whose columns (for example
-sample paths of different seeds) share the kernel matrix, and the
+:func:`_factor` is the only place that factors a kernel matrix.
+:func:`condition_prefixes`, and :func:`condition` through it, wrap its
+factor in one :class:`_Factorization`, and a :class:`Posterior` is a view
+of that factorization's first ``n`` points.  Everything downstream
+(posterior mean and variance, leave-one-out residuals and variances,
+incremental variances, log-determinant and quadratic form) reads a
+posterior, so one factorization per (kernel, design) pair serves every
+prefix; :func:`~maternsmooth.objectives.prefix_objectives` computes the
+objectives on those views.  Refitting on subsets is kept only as an
+oracle in the test suite.  One factorization also serves several data
+vectors at once: the data may be an ``(n, s)`` matrix whose columns (for
+example sample paths of different seeds) share the kernel matrix, and the
 data-dependent quantities then come out per column.
 
 The factor is grown by row panels ending at 16, 32, 64, ... points, each
@@ -21,8 +21,9 @@ every prefix of a nested design (:meth:`Posterior.prefix`).
 Leave-one-out quantities use the factor's inverse, grown by the same row
 panels (the inverse of each diagonal block, two ``dtrmm`` for the rows
 left of it), so the inverse of a prefix is the leading block of the full
-one too: it is computed once per factor, on the first leave-one-out
-request, and shared by every posterior the factor serves.
+one too.  The factorization computes it once, on the first leave-one-out
+request, and so the forward solve ``L^{-1} y`` on the first quadratic
+form; every posterior it serves reads their leading parts.
 
 A diagonal block wider than 64 rows is itself factored and inverted by
 sub-panels of 64 rows (:data:`_SUB`): LAPACK ``dpotrf`` (whose ``info``
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as _linalg
@@ -257,136 +259,115 @@ def _invert_block(block):
     return inv, 0
 
 
-class _SharedInverse:
-    """The inverse of a factor's first ``m`` rows, computed by
-    :func:`_invert` on the first request and then read by every posterior
-    the factor serves, written into ``buffer`` if one is given.  Safe to
-    call from several threads."""
+class _Factorization:
+    """One factorization of a design's kernel matrix, and what the
+    posteriors of its prefixes share.
 
-    def __init__(self, chol, m, buffer=None):
-        self._chol, self._m, self._buffer = chol, m, buffer
+    ``chol`` is the factor of ``design``, up to its first failing pivot
+    if it has one, and ``y`` a copy of the data, shape ``(n,)`` or
+    ``(n, s)``.  ``top`` is the largest size a posterior is read at: the
+    inverse of the factor's first ``top`` rows (written into ``buffer`` if
+    one is given) and the forward solve ``L^{-1} y`` of their data are
+    each computed once, on the first request, and then read by every
+    posterior (:meth:`posterior`).  Safe to call from several threads.
+    """
+
+    def __init__(self, kernel, design, y, chol, top, buffer=None):
+        self.kernel, self.design, self.y, self.chol, self.top = kernel, design, y, chol, top
+        self._buffer = buffer
         self._lock = threading.Lock()
-        self._result = None
+        self._inverse = self._forward = None
 
-    def leading(self, n):
-        """The inverse of the first ``n <= m`` rows of the factor."""
+    def posterior(self, n):
+        """The :class:`Posterior` of the first ``n <= top`` points."""
+        return Posterior(self, n)
+
+    def inverse(self, n):
+        """The inverse of the first ``n <= top`` rows of the factor; raises
+        the :class:`ConditioningError` of :func:`_invert` if it fails before."""
         with self._lock:
-            if self._result is None:
-                self._result = _invert(self._chol, self._m, self._buffer)
-                self._chol = self._buffer = None
-        W, err = self._result
+            if self._inverse is None:
+                self._inverse = _invert(self.chol, self.top, self._buffer)
+        W, err = self._inverse
         if n > W.shape[0]:
             raise ConditioningError(str(err), pivot_index=err.pivot_index,
                                     pivot_value=err.pivot_value)
         return W[:n, :n]
 
+    def forward(self):
+        """``L^{-1} y`` of the first ``top`` points, one array per data
+        column, each solved on its own (a multi-column triangular solve
+        rounds differently in the last bits); a prefix's quadratic form
+        reads its leading part."""
+        with self._lock:
+            if self._forward is None:
+                chol = np.asfortranarray(self.chol[:self.top, :self.top])
+                self._forward = [_linalg.solve_triangular(chol, col, lower=True, check_finite=False)
+                                 for col in np.atleast_2d(self.y[:self.top].T)]
+        return self._forward
+
 
 @dataclass(frozen=True)
 class Posterior:
-    """A conditioned Gaussian process: Cholesky factor plus weight vector.
+    """A conditioned Gaussian process: the first ``n`` points of a
+    :class:`_Factorization`.
 
-    ``y`` and ``weights`` have shape ``(n,)``, or ``(n, s)`` for ``s``
-    data columns conditioned on the same factor.  Immutable after
-    construction; safe to share across threads for concurrent
-    mean/variance and leave-one-out queries.
+    ``chol`` is the leading block of the factor and ``weights`` solve it
+    against the data ``y``, which has shape ``(n,)``, or ``(n, s)`` for
+    ``s`` data columns conditioned on the same factor; each is computed on
+    first use.  The inverse and the forward solve come from the
+    factorization, shared with the other posteriors it serves.
+    Immutable after construction; safe to share across threads for
+    concurrent mean/variance and leave-one-out queries.
     """
 
-    kernel: object
-    design: object
-    y: np.ndarray
-    chol: np.ndarray
-    weights: np.ndarray
-    # The inverse shared with the other posteriors of the same factor.
-    _inverse: _SharedInverse | None = field(default=None, repr=False, compare=False)
+    factorization: _Factorization = field(repr=False)
+    n: int
 
     @property
-    def n(self):
-        return self.y.shape[0]
+    def kernel(self):
+        return self.factorization.kernel
+
+    @cached_property
+    def design(self):
+        return self.factorization.design.prefix(self.n)
+
+    @property
+    def y(self):
+        return self.factorization.y[:self.n]
+
+    @cached_property
+    def chol(self):
+        """The leading block of the factor in Fortran order, the layout
+        :func:`condition` gives LAPACK, so that both sides compute alike."""
+        return np.asfortranarray(self.factorization.chol[:self.n, :self.n])
+
+    @cached_property
+    def weights(self):
+        """``K^{-1} y`` (LAPACK ``dpotrs``)."""
+        if not self.n:
+            return self.y.copy()
+        x, info = _lapack.dpotrs(self.factorization.chol[:self.n, :self.n], self.y, lower=1)
+        if info < 0:
+            raise DomainError(f"dpotrs rejected argument {-info}")
+        return x
 
     def prefix(self, n):
         """The posterior of the first ``n`` points, from the leading block of
         this factor (and of its inverse): bit for bit what :func:`condition`
         gives on that prefix when ``n`` is at most 16 or ``16 * 2**k``."""
-        return _posterior(self.kernel, self.design.prefix(n), self.y, self.chol,
-                          self._inverse)
-
-    def _factorization(self):
-        """This posterior's factor, and the inverse it shares, as a
-        :class:`_Factorization` of its own design."""
-        inverse = _SharedInverse(self.chol, self.n) if self._inverse is None else self._inverse
-        return _Factorization(self.kernel, self.design, self.y, self.chol, self.n, None,
-                              inverse)
-
-
-def _posterior(kernel, design, y, chol, inverse):
-    """The posterior of ``design`` from a factor whose leading block is its
-    own.  The block is copied to Fortran order, the layout :func:`condition`
-    gives LAPACK, so that both sides compute alike."""
-    n = design.n
-    L = np.asfortranarray(chol[:n, :n])
-    return Posterior(kernel=kernel, design=design, y=y[:n].copy(), chol=L,
-                     weights=_solve(L, y[:n]), _inverse=inverse)
-
-
-def _solve(chol, y):
-    """``K^{-1} y`` from the lower factor of ``K`` (LAPACK ``dpotrs``)."""
-    if not y.shape[0]:
-        return y.copy()
-    x, info = _lapack.dpotrs(chol, y, lower=1)
-    if info < 0:
-        raise DomainError(f"dpotrs rejected argument {-info}")
-    return x
-
-
-@dataclass(frozen=True)
-class _Factorization:
-    """One factorization of a design's kernel matrix and the data it serves.
-
-    ``chol`` is the factor of ``design``, whose leading blocks serve its
-    first ``served`` points: all of them, or those before the pivot of
-    ``error``.  ``inverse`` is the inverse its prefixes share (see
-    :class:`_SharedInverse`).  ``y`` holds the data, shape ``(n,)`` or
-    ``(n, s)``.
-    """
-
-    kernel: object
-    design: object
-    y: np.ndarray
-    chol: np.ndarray
-    served: int
-    error: ConditioningError | None
-    inverse: _SharedInverse = field(repr=False)
-
-    def weights(self, n):
-        """``K_n^{-1} y_n`` of the first ``n <= served`` points, as
-        :class:`Posterior` holds them."""
-        return _solve(self.chol[:n, :n], self.y[:n])
-
-
-def _factor_prefixes(kernel, design, y, sizes, workspace=None):
-    """The :class:`_Factorization` that serves the first ``n`` points of
-    ``design`` for each ``n`` in ``sizes``, with the checks and the
-    ``workspace`` of :func:`condition_prefixes`: the factor of the largest
-    prefix, and its inverse up to the largest size served, computed on the
-    first request."""
-    y = _as_data(design, y)
-    sizes = [design.check_prefix_size(n) for n in sizes]
-    design = design.prefix(max(sizes, default=0))
-    factor_buffer, inverse_buffer = workspace or (None, None)
-    L, err = _factor(kernel, design, factor_buffer)
-    served = design.n if err is None else err.pivot_index
-    inverse = _SharedInverse(L, max((n for n in sizes if n <= served), default=0),
-                             inverse_buffer)
-    return _Factorization(kernel, design, y, L, served, err, inverse)
+        return Posterior(self.factorization, self.design.check_prefix_size(n))
 
 
 def _as_data(design, y):
-    """Data as a float array of shape ``(n,)`` or ``(n, s)``, all finite."""
-    y = np.asarray(y, dtype=float)
+    """A copy of the data as a read-only float array of shape ``(n,)`` or
+    ``(n, s)``, all finite, so that no posterior aliases the caller's."""
+    y = np.array(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != design.n:
         raise DomainError(f"y has shape {y.shape}, expected ({design.n},) or ({design.n}, s)")
     if not np.all(np.isfinite(y)):
         raise DomainError("y must be finite")
+    y.flags.writeable = False
     return y
 
 
@@ -409,8 +390,9 @@ def condition(kernel, design, y):
 def condition_prefixes(kernel, design, y, sizes, workspace=None):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
-    The factor of the largest prefix serves all (:meth:`Posterior.prefix`),
-    and so does its inverse, computed when :func:`loo` first asks for it and
+    One :class:`_Factorization`, of the largest prefix, serves all: each
+    posterior is a view of its first ``n`` points (:meth:`Posterior.prefix`),
+    and the inverse and forward solve are computed when first asked for and
     only up to the largest size served; a size beyond a failing pivot gets
     that pivot's :class:`ConditioningError` in place of its posterior.
 
@@ -419,9 +401,15 @@ def condition_prefixes(kernel, design, y, sizes, workspace=None):
     in place of fresh arrays, with the same values.  The posteriors then
     read from it and hold only until it is next used.
     """
-    fact = _factor_prefixes(kernel, design, y, sizes, workspace)
-    return [_posterior(kernel, fact.design.prefix(n), fact.y, fact.chol, fact.inverse)
-            if n <= fact.served else fact.error for n in sizes]
+    y = _as_data(design, y)
+    sizes = [design.check_prefix_size(n) for n in sizes]
+    design = design.prefix(max(sizes, default=0))
+    factor_buffer, inverse_buffer = workspace or (None, None)
+    L, err = _factor(kernel, design, factor_buffer)
+    served = design.n if err is None else err.pivot_index
+    fact = _Factorization(kernel, design, y, L, max((n for n in sizes if n <= served), default=0),
+                          inverse_buffer)
+    return [fact.posterior(n) if n <= served else err for n in sizes]
 
 
 def _cross_covariances(post, x):
@@ -507,24 +495,18 @@ def posterior_var(post, x):
 
 def log_det(post):
     """Log-determinant of the kernel matrix, from the Cholesky diagonal."""
-    return 2.0 * float(np.sum(np.log(np.diag(post.chol))))
+    return 2.0 * float(np.sum(np.log(np.diag(post.factorization.chol)[:post.n])))
 
 
 def quadratic_form(post):
     """Data quadratic form y' K^{-1} y; also the squared norm of the mean.
 
-    A float for one data vector, an ``(s,)`` array for ``s`` data columns.
+    A float for one data vector, an ``(s,)`` array for ``s`` data columns,
+    each from the leading part of the factorization's forward solve.
     """
-    if post.y.ndim == 2:
-        # Each column solved on its own: a multi-column triangular solve
-        # rounds differently from the one-column solve in the last bits.
-        return np.array([_quadratic_form(post.chol, col) for col in post.y.T])
-    return _quadratic_form(post.chol, post.y)
-
-
-def _quadratic_form(chol, y):
-    e = _linalg.solve_triangular(chol, y, lower=True, check_finite=False)
-    return float(np.dot(e, e))
+    n = post.n
+    terms = [float(np.dot(e[:n], e[:n])) for e in post.factorization.forward()]
+    return terms[0] if post.y.ndim == 1 else np.array(terms)
 
 
 def incremental_variances(post):
@@ -534,7 +516,7 @@ def incremental_variances(post):
     conditioned on the prefix ``x_1 .. x_{i-1}`` (the empty prefix gives
     the prior variance).  They are the squared Cholesky pivots.
     """
-    return np.diag(post.chol) ** 2
+    return np.diag(post.factorization.chol)[:post.n] ** 2
 
 
 @dataclass(frozen=True)
@@ -566,13 +548,7 @@ def loo(post):
     """
     if post.n < 2:
         raise DomainError("leave-one-out needs at least 2 points")
-    return _prefix_loo(post._factorization(), post.n, post.weights)
-
-
-def _prefix_loo(fact, n, weights):
-    """:func:`loo` of the first ``n`` points of a :class:`_Factorization`,
-    whose weights are ``weights``: from the leading block of its inverse."""
-    W = fact.inverse.leading(n)
+    W = post.factorization.inverse(post.n)
     diag = np.einsum("ij,ij->j", W, W)
     bad = ~(np.isfinite(diag) & (diag > 0.0))
     if np.any(bad):
@@ -582,6 +558,7 @@ def _prefix_loo(fact, n, weights):
             pivot_index=idx,
             pivot_value=float(diag[idx]),
         )
+    weights = post.weights
     residuals = weights / (diag if weights.ndim == 1 else diag[:, None])
     return LooResult(residuals=residuals, variances=1.0 / diag)
 

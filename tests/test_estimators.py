@@ -217,6 +217,31 @@ class TestBracketedMinimize:
         assert 0 < scan.searchable_upper - scan.nu_hat < 1e-3
         assert not scan.hit_upper_bracket
 
+    @pytest.mark.parametrize("failure", ["conditioning", "profiling"])
+    def test_reading_a_failed_cell_does_not_grow_its_traceback(self, failure):
+        # A search reads a failing cell's one stored error at every read, and
+        # each read raises it with a traceback of its own frames only.
+        if failure == "conditioning":
+            points, y, nu, profile = [[0.1], [0.7], [0.7 + 1e-15]], np.ones((3, 1)), 2.0, False
+        else:
+            points, y, nu, profile = [[0.1], [0.4], [0.7]], np.zeros((3, 1)), 1.0, True
+        design = Design(points, UNIT)
+        scan = estimators._Scan("nu", lambda nu: MaternKernel(matern(nu)), nu, nu, 8, profile)
+        (cell,) = estimators._cells(design, y, scan, nu, [3])
+        stored = cell["ml"] if failure == "conditioning" else cell["ml"][0]
+
+        def depth(reads):
+            for _ in range(reads):
+                with pytest.raises((ConditioningError, EstimationError)) as caught:
+                    estimators._total(cell, "ml", 0)
+                assert caught.value is stored
+            tb, frames = caught.value.__traceback__, 0
+            while tb is not None:
+                tb, frames = tb.tb_next, frames + 1
+            return frames
+
+        assert depth(1) == depth(200)
+
 
 class TestEstimateNu:
     def test_zero_data_minimises_log_det(self, sample_instance):
@@ -276,10 +301,10 @@ class TestEstimateNu:
         # well, and the CV search's error is raised.
         design, y = sample_instance
 
-        def failing(fact, n, weights):
+        def failing(post):
             raise ConditioningError("injected", pivot_index=0)
 
-        monkeypatch.setattr(objectives, "_prefix_loo", failing)
+        monkeypatch.setattr(objectives, "loo", failing)
         with pytest.raises(EstimationError, match="could be evaluated"):
             estimate_nu(design.prefix(32), y[:32], EstimatorConfig(lambda_=1.0))
 
@@ -505,9 +530,9 @@ class TestSweeps:
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
             return prefix_objectives(kernel, prefix, values, sizes, names, workspace)
 
-        def inverting(fact, n, weights):
-            inverted.append((fact.kernel.params.nu, n))
-            return gp._prefix_loo(fact, n, weights)
+        def inverting(post):
+            inverted.append((post.kernel.params.nu, post.n))
+            return gp.loo(post)
 
         def recording(fn, *args):
             asked = []
@@ -516,7 +541,7 @@ class TestSweeps:
 
         monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
         monkeypatch.setattr(estimators, "prefix_objectives", counting)
-        monkeypatch.setattr(objectives, "_prefix_loo", inverting)
+        monkeypatch.setattr(objectives, "loo", inverting)
         monkeypatch.setattr(estimators, "bracketed_minimize", recording)
         cfg = EstimatorConfig(lambda_=1.0)
         sizes = (16, 32, 64)
@@ -597,13 +622,13 @@ class TestSweeps:
         grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
         nearest = float(grid[np.argmin(np.abs(np.log(grid / ml.nu_hat)))])
 
-        def failing(fact, n, weights):
-            nu = fact.kernel.params.nu
+        def failing(post):
+            nu = post.kernel.params.nu
             if nu == nearest if broken == "coarse" else nu not in grid:
                 raise ConditioningError(f"injected at nu={nu:g}", pivot_index=0)
-            return gp._prefix_loo(fact, n, weights)
+            return gp.loo(post)
 
-        monkeypatch.setattr(objectives, "_prefix_loo", failing)
+        monkeypatch.setattr(objectives, "loo", failing)
         (record,) = sweep_prefixes(design, y, [64], cfg)
         assert (record.nu_hat_ml, record.ell_ml_min) == (ml.nu_hat, ml.objective_at_min)
 

@@ -32,6 +32,7 @@ from maternsmooth.kernels import (
     kernel_matrix,
     matern,
 )
+from maternsmooth.objectives import ell_ml_from
 
 UNIT = Box.unit(1)
 
@@ -93,6 +94,24 @@ class TestCondition:
         kernel, design, y, post = instance
         direct = np.linalg.solve(kernel_matrix(kernel, design), y)
         np.testing.assert_allclose(post.weights, direct, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(32,), (32, 2)])
+    def test_posteriors_do_not_alias_the_callers_data(self, shape):
+        # The caller's data overwritten after conditioning, before anything
+        # is read from the posteriors: they hold what they held before.
+        kernel = MaternKernel(matern(1.5, lambda_=0.15))
+        design = van_der_corput(UNIT, 32)
+        y = np.random.Generator(np.random.Philox(4)).standard_normal(shape)
+        sizes = [16, 32]
+        want = [condition(kernel, design, y.copy())] + condition_prefixes(
+            kernel, design, y.copy(), sizes)
+        posts = [condition(kernel, design, y)] + condition_prefixes(kernel, design, y, sizes)
+        y[:] = 7.0
+        for got, ref in zip(posts, want):
+            assert np.array_equal(got.y, ref.y)
+            assert np.array_equal(got.weights, ref.weights)
+            assert np.array_equal(quadratic_form(got), quadratic_form(ref))
+            assert np.array_equal(loo(got).residuals, loo(ref).residuals)
 
     def test_near_duplicate_raises_with_pivot_info(self):
         design = Design([[0.2], [0.2 + 1e-13], [0.9]], UNIT)
@@ -475,7 +494,7 @@ class TestFastIdentities:
         post = condition(kernel, design, np.ones(40))
         chol = post.chol.copy(order="F")
         chol[21, 21] = 0.0
-        broken = Posterior(kernel, design, post.y, chol, post.weights)
+        broken = gp._Factorization(kernel, design, post.y, chol, 40).posterior(40)
         with pytest.raises(ConditioningError, match="diagonal entry 21") as exc:
             loo(broken)
         assert (exc.value.pivot_index, exc.value.pivot_value) == (21, 0.0)
@@ -483,28 +502,39 @@ class TestFastIdentities:
                                       loo(post.prefix(16)).variances)
 
     def test_concurrent_loo_inverts_the_factor_once(self, instance, monkeypatch):
-        # Eight threads on two CPUs ask for the shared inverse at once, with
-        # a short switch interval and a slow inversion to widen the race.
+        # Eight threads on two CPUs ask for the shared inverse and forward
+        # solve at once, with a short switch interval and a slow inversion
+        # and solve to widen the race: each is computed once.
         kernel, _, _, _ = instance
         design = van_der_corput(UNIT, 64)
         y = np.random.Generator(np.random.Philox(3)).standard_normal(64)
         sizes = [8, 16, 32, 64] * 2
-        want = [loo(post) for post in condition_prefixes(kernel, design, y, sizes)]
-        calls, invert = [], gp._invert
 
-        def slow(chol, m, buffer=None):
-            calls.append(m)
+        def queries(post):
+            return loo(post), quadratic_form(post), ell_ml_from(post)
+
+        want = [queries(post) for post in condition_prefixes(kernel, design, y, sizes)]
+        calls, invert, solve = [], gp._invert, gp._linalg.solve_triangular
+
+        def slow_invert(chol, m, buffer=None):
+            calls.append(("invert", m))
             time.sleep(0.01)
             return invert(chol, m, buffer)
 
-        monkeypatch.setattr(gp, "_invert", slow)
+        def slow_solve(chol, data, **kwargs):
+            calls.append(("forward", data.shape[0]))
+            time.sleep(0.01)
+            return solve(chol, data, **kwargs)
+
+        monkeypatch.setattr(gp, "_invert", slow_invert)
+        monkeypatch.setattr(gp, "_linalg", SimpleNamespace(solve_triangular=slow_solve))
         posts = condition_prefixes(kernel, design, y, sizes)
         got = [None] * len(posts)
         start = threading.Barrier(len(posts))
 
         def work(i):
             start.wait(timeout=20)
-            got[i] = loo(posts[i])
+            got[i] = queries(posts[i])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(posts))]
         interval = sys.getswitchinterval()
@@ -517,10 +547,12 @@ class TestFastIdentities:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert calls == [64]
-        for a, b in zip(got, want):
+        assert sorted(calls) == [("forward", 64), ("invert", 64)]
+        for (a, qa, ma), (b, qb, mb) in zip(got, want):
             np.testing.assert_array_equal(a.variances, b.variances)
             np.testing.assert_array_equal(a.residuals, b.residuals)
+            assert qa == qb and (ma.data_term, ma.complexity_term) == (
+                mb.data_term, mb.complexity_term)
 
     def test_variance_only_loo_matches_loo(self, instance):
         _, _, _, post = instance

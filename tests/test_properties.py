@@ -216,7 +216,7 @@ def test_inverse_of_a_prefix_is_the_leading_block(case):
         own, err = gp._invert(condition(kernel, _alone(design, n), y[:n]).chol, n)
         assert err is None and own.shape == (n, n)
         assert np.array_equal(inverse[:n, :n], own), n
-        assert np.array_equal(full.prefix(n)._inverse.leading(n), own), n
+        assert np.array_equal(full.prefix(n).factorization.inverse(n), own), n
 
 
 @PROPERTY
@@ -318,7 +318,7 @@ def _recorded_inversions():
         return blas.dtrmm(alpha, a, b, **kwargs)
 
     saved = gp._lapack, gp._blas
-    gp._lapack = SimpleNamespace(dpotrf=lapack.dpotrf, dtrtri=dtrtri)
+    gp._lapack = SimpleNamespace(dpotrf=lapack.dpotrf, dtrtri=dtrtri, dpotrs=lapack.dpotrs)
     gp._blas = SimpleNamespace(dtrsm=blas.dtrsm, dsyrk=blas.dsyrk, dtrmm=dtrmm)
     try:
         yield calls
