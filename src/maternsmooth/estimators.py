@@ -2,19 +2,22 @@
 
 The engine scans theta through a kernel factory (:class:`_Scan`); its main
 use is the Matern smoothness nu, and the Gaussian length-scale probe is the
-other.  Estimation runs on a log-spaced coarse grid over a bracket
-``[lo, hi]``.  Cells whose kernel matrix fails to factorize are recorded
-and skipped; the searchable bracket is the contiguous run of cells that
-factor, from the lowest one, and an estimate that saturates its top is
-flagged via ``hit_upper_bracket``.  A minimum inside the run is refined on
-its bracketing triple by Chebyshev-Lobatto nodes in log theta: the
-objectives are analytic in log theta there, so the minimum of the
+other.  Estimation runs on a lattice of log-spaced coarse cells over a
+bracket ``[lo, hi]``, coarse to fine (:func:`_plan`): every fourth cell
+first, then the cells that fix the ends of the searchable bracket and
+those next to its minimum.  Cells whose kernel matrix fails to factorize
+are recorded and skipped; the searchable bracket is the contiguous run of
+cells that factor, from the lowest one, and an estimate that saturates its
+top is flagged via ``hit_upper_bracket``.  A minimum inside the run is
+refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
+the objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
 
-A prefix sweep factors each distinct coarse cell once and reads every
-prefix and both objectives from that factor.  The searches that share a
-bracketing triple share its nodes, each factored once, on the largest
-prefix that needs it.
+A prefix sweep runs the searches of every data column, objective and
+prefix in lockstep.  It factors each lattice cell that some search reads
+once, on the largest prefix, and reads every prefix and both objectives
+from that factor.  The searches that share a bracketing triple share its
+nodes, each factored once, on the largest prefix that needs it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ _TO_CHEBYSHEV = np.array([
 # polished by Newton steps, each of which squares the scan's error.
 _SCAN = np.linspace(-1.0, 1.0, 2049)
 _NEWTON_STEPS = 3
+# The coarse scan reads every _STRIDE-th cell of the lattice first (see
+# :func:`_plan`).  Of 3 and 4, 4 ran the benchmark's sweeps faster.
+_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -117,19 +123,25 @@ class NuEstimate:
 
     ``searchable_upper`` is the top of the searchable bracket: the
     contiguous run of coarse cells that could be evaluated, from the lowest
-    one (``nu_min`` unless it fails).  ``irregular_failures`` counts the
-    cells above that run that could still be evaluated; the search ignores
-    them.  ``hit_upper_bracket`` is set when the estimate saturates the run:
-    its coarse minimum is the run's top cell, and ``nu_hat`` is
-    ``searchable_upper``.  A minimum inside the last bracket, however close
-    to the top, is a real minimum and is not flagged; that holds for the
-    best node returned under ``non_unimodal`` too, which lies below the top
-    because the top cell's value exceeds the coarse minimum's.
-    ``evaluations`` counts the objective values the search read: every
-    distinct coarse cell, plus the interior nodes of its bracket when it was
-    refined.  ``objective_at_min`` is the interpolating polynomial's value
-    at ``nu_hat`` after refinement, else the value of the cell or node
-    returned.
+    one (``nu_min`` unless it fails).  ``hit_upper_bracket`` is set when
+    the estimate saturates the run: its coarse minimum is the run's top
+    cell, and ``nu_hat`` is ``searchable_upper``.  A minimum inside the last
+    bracket, however close to the top, is a real minimum and is not
+    flagged; that holds for the best node returned under ``non_unimodal``
+    too, which lies below the top because the top cell's value exceeds the
+    coarse minimum's.  ``objective_at_min`` is the interpolating
+    polynomial's value at ``nu_hat`` after refinement, else the value of
+    the cell or node returned.
+
+    The search reads the coarse cells coarse to fine (:func:`_plan`), and
+    the counts cover the cells it read: ``failures`` lists those that could
+    not be evaluated, ``irregular_failures`` counts those above the run that
+    could still be evaluated (the search ignores them), and ``evaluations``
+    counts every distinct cell read plus the interior nodes of the bracket
+    when it was refined.  When the failing cells are a lower and an upper
+    set of the lattice (every cell below a failing lowest cell, or above a
+    failing cell of the run, fails) and the values are unimodal over the
+    run, every other field is bit for bit that of a scan of every cell.
     """
 
     nu_hat: float
@@ -150,27 +162,6 @@ def _checked_data(y, shape, name):
     if not np.all(np.isfinite(y)):
         raise DomainError(f"{name} must be finite")
     return y
-
-
-def _coarse_plan(values):
-    """Indices ``(first, best, top)`` of the coarse cells, or None when no
-    value is finite.
-
-    ``first`` is the lowest cell with a finite value and ``top`` the end of
-    the contiguous run of such cells from it: the searchable bracket.
-    ``best`` is the run's minimum, ties broken toward the larger argument.
-    """
-    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
-    if not finite:
-        return None
-    first = top = finite[0]
-    while top + 1 < len(values) and math.isfinite(values[top + 1]):
-        top += 1
-    best = first
-    for i in range(first, top + 1):
-        if values[i] <= values[best]:
-            best = i
-    return first, best, top
 
 
 def _on_bracket(grid, best, t):
@@ -221,56 +212,80 @@ def _interpolant_minimum(values):
     return t, float(cheb.chebval(t, coeffs))
 
 
-def bracketed_minimize(fn, lo, hi, n_coarse):
-    """Log-spaced coarse scan plus node refinement of ``fn``.
+def _plan(lo, hi, count):
+    """The search of one objective on the lattice of ``count`` log-spaced
+    cells of ``[lo, hi]``, as a generator that asks for values.
 
-    ``fn`` maps a positive scalar to an objective value and may raise
-    :class:`ConditioningError`; failing cells, and cells whose value is
-    not finite, are recorded in ``failures`` and treated as unevaluable.
-    The searchable bracket is the contiguous run of evaluable coarse cells
-    from the lowest one (see :class:`NuEstimate`); coarse ties are broken
-    toward the larger argument.  A minimum inside the run is refined on its
-    bracketing triple: ``fn`` is evaluated at the triple's interior
-    Chebyshev-Lobatto nodes in log coordinates, and the estimate is the
-    minimum of the degree-8 polynomial through the nine nodes.  When a node
-    cannot be evaluated, or the node values are not unimodal, or the
-    polynomial's minimum sits on an end of the bracket, the best node is
-    returned with ``non_unimodal`` set.  The node count, not a tolerance,
-    fixes the precision of the estimate.
+    It yields lists of distinct theta, and is sent each list's outcomes in
+    order: a value, or the :class:`ConditioningError` that prevents it.  A
+    failing cell, or one whose value is not finite, is recorded in
+    ``failures`` and unevaluable.  The generator returns the
+    :class:`NuEstimate`, or raises :class:`EstimationError` when no cell can
+    be evaluated.  It asks in four rounds:
+
+    1. every ``_STRIDE``-th cell and the top cell, or, when none of them can
+       be evaluated, every cell;
+    2. the cells between the lowest evaluable cell and the read cell below
+       it, and between the run's highest read cell and the first read
+       failure above it, which fixes ``first``, ``top`` and
+       ``searchable_upper``;
+    3. the cells within one stride of the run's minimum, until the minimum
+       and its neighbours in the run have been read;
+    4. the interior nodes of the minimum's bracketing triple, when it lies
+       inside the run.
+
+    A cell that is not read counts as evaluable when it lies inside the
+    run and as failing below it.  So when the failing cells are a lower
+    and an upper set of the lattice, and the values are unimodal over the
+    run, the plan finds the bracketing triple and nodes of the scan of
+    every cell, and returns its estimate bit for bit.  A failing cell
+    between two evaluable cells that the plan does not read is not seen.
     """
-    grid = np.geomspace(lo, hi, n_coarse)
-    failures = []
-    evaluations = 0
+    grid = [float(theta) for theta in np.geomspace(lo, hi, count)]
+    known, failures = {}, []
 
-    def safe(theta):
-        nonlocal evaluations
-        evaluations += 1
-        try:
-            v = float(fn(theta))
-        except ConditioningError as err:
-            failures.append((float(theta), str(err)))
-            return math.inf
-        if not math.isfinite(v):
-            failures.append((float(theta), f"objective value {v!r} is not finite"))
-            return math.inf
-        return v
+    def read(thetas):
+        asked = [theta for theta in dict.fromkeys(thetas) if theta not in known]
+        if asked:
+            for theta, outcome in zip(asked, (yield asked)):
+                if isinstance(outcome, ConditioningError):
+                    failures.append((theta, str(outcome)))
+                    outcome = math.inf
+                elif not math.isfinite(outcome):
+                    failures.append((theta, f"objective value {outcome!r} is not finite"))
+                    outcome = math.inf
+                known[theta] = outcome
 
-    # A bracket of one value (lo == hi) has one distinct cell, read once.
-    cells = {theta: safe(theta) for theta in dict.fromkeys(grid)}
-    values = [cells[theta] for theta in grid]
-    plan = _coarse_plan(values)
-    if plan is None:
-        raise EstimationError(
-            f"no candidate in [{lo:g}, {hi:g}] could be evaluated "
-            f"({len(failures)} failures)"
-        )
-    first, best, top = plan
-    theta, value, non_unimodal = float(grid[best]), values[best], False
+    yield from read(grid[::_STRIDE] + grid[-1:])
+    if not any(v < math.inf for v in known.values()):
+        yield from read(grid)
+    if not any(v < math.inf for v in known.values()):
+        raise EstimationError(f"no candidate in [{lo:g}, {hi:g}] could be evaluated "
+                              f"({len(failures)} failures)")
+    while True:
+        values = [known.get(theta) for theta in grid]  # None where not read
+        first = next(i for i, v in enumerate(values) if v is not None and v < math.inf)
+        end = next((i for i in range(first + 1, count) if values[i] == math.inf), count)
+        top = max(i for i in range(first, end) if values[i] is not None)
+        below = first
+        while below > 0 and values[below - 1] is None:
+            below -= 1
+        if below < first or top + 1 < end:
+            yield from read(grid[below:first] + grid[top + 1:end])
+            continue
+        best = first  # ties broken toward the larger argument
+        for i in range(first, top + 1):
+            if values[i] is not None and values[i] <= values[best]:
+                best = i
+        if values[max(best - 1, first)] is not None and values[min(best + 1, top)] is not None:
+            break
+        yield from read(grid[max(best - _STRIDE + 1, first):min(best + _STRIDE, top + 1)])
 
+    theta, value, non_unimodal = grid[best], values[best], False
     if first < best < top:
-        coarse = {0: values[best - 1], _MID: values[best], _NODES - 1: values[best + 1]}
         nodes = _bracket_nodes(grid, best)
-        at = np.array([coarse[k] if k in coarse else safe(nu) for k, nu in enumerate(nodes)])
+        yield from read(nodes)
+        at = np.array([known[nu] for nu in nodes])
         t, low = _interpolant_minimum(at) if np.all(np.isfinite(at)) else (-1.0, math.inf)
         if abs(t) == 1.0 or not _unimodal(at):
             # The best node, ties broken toward the larger argument.
@@ -283,12 +298,49 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
         nu_hat=theta,
         objective_at_min=value,
         hit_upper_bracket=best == top,
-        evaluations=evaluations,
+        evaluations=len(known),
         failures=tuple(failures),
-        searchable_upper=float(grid[top]),
-        irregular_failures=sum(math.isfinite(v) for v in values[top + 1:]),
+        searchable_upper=grid[top],
+        irregular_failures=sum(v is not None and v < math.inf for v in values[top + 1:]),
         non_unimodal=non_unimodal,
     )
+
+
+def _outcome(fn, theta):
+    """``fn(theta)``, or the :class:`ConditioningError` it raises."""
+    try:
+        return float(fn(theta))
+    except ConditioningError as err:
+        return err
+
+
+def bracketed_minimize(fn, lo, hi, n_coarse):
+    """Coarse-to-fine scan plus node refinement of ``fn`` on ``n_coarse``
+    log-spaced cells of ``[lo, hi]``.
+
+    ``fn`` maps a positive scalar to an objective value and may raise
+    :class:`ConditioningError`; failing cells, and cells whose value is
+    not finite, are recorded in ``failures`` and treated as unevaluable.
+    The scan reads every ``_STRIDE``-th cell first, then the cells that fix
+    the searchable bracket, the contiguous run of evaluable cells from the
+    lowest one (see :class:`NuEstimate`), then the cells around its minimum
+    (:func:`_plan`); coarse ties are broken toward the larger argument.  A
+    minimum inside the run is refined on its bracketing triple: ``fn`` is
+    evaluated at the triple's interior Chebyshev-Lobatto nodes in log
+    coordinates, and the estimate is the minimum of the degree-8
+    polynomial through the nine nodes.  When a node cannot be evaluated,
+    or the node values are not unimodal, or the polynomial's minimum sits
+    on an end of the bracket, the best node is returned with
+    ``non_unimodal`` set.  The node count, not a tolerance, fixes the
+    precision of the estimate.
+    """
+    search = _plan(lo, hi, n_coarse)
+    try:
+        asked = next(search)
+        while True:
+            asked = search.send([_outcome(fn, theta) for theta in asked])
+    except StopIteration as done:
+        return done.value
 
 
 def _profiled(data_term, complexity_term, n):
@@ -388,6 +440,8 @@ class SweepRecord:
     max_loo_var_ratio: float
     hit_upper_ml: bool
     hit_upper_cv: bool
+    searchable_upper_ml: float
+    searchable_upper_cv: float
     notes: str
 
     def as_row(self):
@@ -413,21 +467,24 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
     sequence ``seed``.  The records come column after column, each in
     schedule order and equal to the column's sweep alone (to rounding at
-    sizes other than those named below).  The coarse cells, the fill
-    distances (one pass over the design for every prefix,
+    sizes other than those named below).  The fill distances (one pass
+    over the design for every prefix,
     :func:`~maternsmooth.designs.fill_distances`) and the leave-one-out
-    variances at ``nu0`` are computed once for all columns.  Every search
-    then reads its refinement nodes from :func:`_search_tables`: the
-    searches of all columns, both objectives and every prefix whose coarse
+    variances at ``nu0`` are computed once for all columns.  The searches
+    of all columns, both objectives and every prefix run in lockstep
+    (:func:`_search_tables`): each round factors the coarse cells that some
+    search asks for, once for all of them, and the searches whose coarse
     minimum lands on one bracketing triple share its nodes, each factored
     once, and inverted for leave-one-out only if a CV search needs it.
     The schedule holds sizes of at least 1 in strictly ascending order.
 
-    Each coarse cell is factored once, on the largest prefix, and so is
-    each node, on the largest prefix that needs it; every prefix reads its
-    objectives from that factor
+    Each coarse cell that a search reads is factored once, on the largest
+    prefix, and each node once, on the largest prefix that needs it;
+    every prefix reads its objectives from that factor
     (:func:`~maternsmooth.objectives.prefix_objectives`), its leave-one-out
-    quantities from one inverse of it.  At sizes of at most 16
+    quantities from one inverse of it.  A record's ``searchable_upper_*``
+    is the top of its search's searchable bracket, NaN where the search
+    ended in an error or is not defined.  At sizes of at most 16
     or ``16 * 2**k`` points those are bit for bit the prefix's own, so a
     record equals the sweep of its prefix alone; at other sizes they agree
     to rounding.  A cell whose factorization fails at some pivot
@@ -476,41 +533,58 @@ def _search_tables(top, columns, schedule, scan):
     """Per size of the schedule, the table of cells, keyed by theta, that the
     searches of the :class:`_Scan` on that prefix of ``top`` read.
 
-    Each distinct coarse cell is factored once, on ``top``.  Every search of
-    every data column, objective and size then takes its bracketing triple
-    from the coarse cells, as :func:`bracketed_minimize` will.  Each triple's
-    interior nodes are factored once, on the largest prefix whose searches
-    need them, and serve every size that needs them; their leave-one-out
-    inverse is computed only if a CV search needs them.  Every cell writes
-    its factor and inverse into one pair of buffers of ``top``'s size.
+    Runs the plan (:func:`_plan`) of every data column, objective and size
+    in lockstep, as :func:`bracketed_minimize` will run it on the tables.
+    Each round factors the cells the searches ask for and no table holds
+    yet, once every search waits for a cell.  A lattice cell is factored on
+    ``top`` and serves every size; a cell that only small prefixes ask for
+    fails early on ``top`` and is cheap.  The refinement nodes come last,
+    once every search waits for nodes: each is factored once, on the
+    largest prefix whose searches ask for it, and serves the sizes that ask
+    for it; its leave-one-out inverse is computed only if a CV search asks
+    for it.  Every cell writes its factor and inverse into one pair of
+    buffers of ``top``'s size.
     """
-    grid = [float(theta) for theta in np.geomspace(scan.lo, scan.hi, scan.count)]
+    lattice = set(np.geomspace(scan.lo, scan.hi, scan.count).tolist())
     tables = [{} for _ in schedule]
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
-    for theta in dict.fromkeys(grid):
-        for table, cell in zip(tables, _cells(top, columns, scan, theta, schedule,
-                                              workspace=workspace)):
-            table[theta] = cell
-    needs = {}  # bracket midpoint index -> {size: objectives refined there}
-    for n, table in zip(schedule, tables):
+    plans, asked = {}, {}
+    for i, n in enumerate(schedule):
         for name in _objective_names(n):
             for j in range(columns.shape[1]):
-                try:
-                    plan = _coarse_plan([_evaluable(table[theta], name, j) for theta in grid])
-                except EstimationError:
-                    continue  # the search ends with this error
-                if plan and plan[0] < plan[1] < plan[2]:
-                    needs.setdefault(plan[1], {}).setdefault(n, set()).add(name)
-    for best, by_size in sorted(needs.items()):
-        sizes = sorted(by_size)
-        names = ("ml", "cv") if any("cv" in wanted for wanted in by_size.values()) else ("ml",)
-        prefix = top.prefix(sizes[-1])
-        for k, theta in enumerate(_bracket_nodes(grid, best)):
-            if k in (0, _MID, _NODES - 1):
-                continue  # a coarse cell
-            for n, cell in zip(sizes, _cells(prefix, columns[:prefix.n], scan, theta, sizes,
-                                             names, workspace)):
-                tables[schedule.index(n)][theta] = cell
+                plans[i, name, j] = _plan(scan.lo, scan.hi, scan.count)
+                asked[i, name, j] = next(plans[i, name, j])
+    while asked:
+        ready = [key for key, thetas in asked.items()
+                 if all(theta in tables[key[0]] for theta in thetas)]
+        for i, name, j in ready:
+            try:
+                asked[i, name, j] = plans[i, name, j].send(
+                    [_outcome(lambda theta: _total(tables[i][theta], name, j), theta)
+                     for theta in asked[i, name, j]])
+            except (StopIteration, EstimationError):
+                del asked[i, name, j]  # the search ends
+        if ready:
+            continue
+        wanted = {}  # theta -> {size index: objectives asking}
+        for (i, name, _), thetas in asked.items():
+            for theta in thetas:
+                if theta not in tables[i]:
+                    wanted.setdefault(theta, {}).setdefault(i, set()).add(name)
+        cells = sorted(theta for theta in wanted if theta in lattice)
+        for theta in cells:
+            for table, cell in zip(tables, _cells(top, columns, scan, theta, schedule,
+                                                  workspace=workspace)):
+                table[theta] = cell
+        if not cells:  # every search waits for the nodes of its bracket
+            for theta, by_size in wanted.items():
+                indices = sorted(by_size)
+                sizes = [schedule[i] for i in indices]
+                names = ("ml", "cv") if any("cv" in v for v in by_size.values()) else ("ml",)
+                prefix = top.prefix(sizes[-1])
+                for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
+                                                   sizes, names, workspace)):
+                    tables[i][theta] = cell
     return tables
 
 
@@ -526,15 +600,6 @@ def _total(cell, name, j):
     if isinstance(value, EstimationError):
         raise value.with_traceback(None)
     return float(value)
-
-
-def _evaluable(cell, name, j):
-    """:func:`_total`, or ``math.inf`` where the cell cannot be conditioned;
-    :func:`_coarse_plan` treats every value that is not finite alike."""
-    try:
-        return _total(cell, name, j)
-    except ConditioningError:
-        return math.inf
 
 
 def _prefix_searches(n, s, table, scan):
@@ -618,5 +683,7 @@ def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
         max_loo_var_ratio=ratio,
         hit_upper_ml=bool(est_ml.hit_upper_bracket) if est_ml else False,
         hit_upper_cv=bool(est_cv.hit_upper_bracket) if est_cv else False,
+        searchable_upper_ml=est_ml.searchable_upper if est_ml else nan,
+        searchable_upper_cv=est_cv.searchable_upper if est_cv else nan,
         notes=";".join(notes),
     )

@@ -147,23 +147,27 @@ class TestBracketedMinimize:
     def test_failing_node_is_not_interpolated(self, bad):
         # The second new node of the bracket cannot be evaluated: it is
         # recorded, and the best of the other nodes and cells is returned.
-        calls = []
+        calls, nodes = [], []
+        grid = np.geomspace(0.5, 20.0, 30)
 
         def bowl(t):
             return (math.log(t) - math.log(3.0)) ** 2
 
         def fn(t):
             calls.append(t)
-            if len(calls) == 30 + 2:
-                if bad == "raise":
-                    raise ConditioningError("injected", 0, -1.0)
-                return math.nan
+            if t not in grid:
+                nodes.append(t)
+                if len(nodes) == 2:
+                    if bad == "raise":
+                        raise ConditioningError("injected", 0, -1.0)
+                    return math.nan
             return bowl(t)
 
         scan = bracketed_minimize(fn, 0.5, 20.0, 30)
-        assert [nu for nu, _ in scan.failures] == [calls[31]]
-        assert scan.non_unimodal and scan.evaluations == len(calls) == 36
-        best = min((t for t in calls if t != calls[31]), key=bowl)
+        assert [nu for nu, _ in scan.failures] == [nodes[1]]
+        assert len(nodes) == 6 and calls[-6:] == nodes
+        assert scan.non_unimodal and scan.evaluations == len(calls) == len(set(calls))
+        best = min((t for t in calls if t != nodes[1]), key=bowl)
         assert (scan.nu_hat, scan.objective_at_min) == (best, bowl(best))
 
     def test_searchable_bracket_is_the_run_from_below(self):
@@ -176,10 +180,19 @@ class TestBracketedMinimize:
                 raise ConditioningError("synthetic", 0, -1.0)
             return -math.log(t)  # decreasing: the best cell is the highest
 
-        scan = bracketed_minimize(fn, 0.5, 20.0, 30)
+        asked = []
+        scan = bracketed_minimize(lambda t: fn(asked.append(t) or t), 0.5, 20.0, 30)
         assert scan.searchable_upper == scan.nu_hat == grid[10]
         assert scan.hit_upper_bracket and not scan.non_unimodal
-        assert scan.irregular_failures == 30 - 11 - len(scan.failures) == 9
+        # The failures and the cells above the run that evaluate again are
+        # counted among the cells read.
+        failed = [nu for nu, _ in scan.failures]
+        assert sorted(failed) == sorted(t for t in asked
+                                        if grid[10] < t < grid[20] or t == grid[25])
+        assert grid[11] in failed
+        assert scan.irregular_failures == len([t for t in asked
+                                               if t >= grid[20] and t != grid[25]]) > 0
+        assert scan.evaluations == len(asked) < 30
 
 
     def test_refined_minimum_below_the_top_is_not_saturated(self):
@@ -205,14 +218,18 @@ class TestBracketedMinimize:
         # 1e-3 below the top cell: that node is returned, and it is not a
         # saturated bracket.
         grid = np.geomspace(1.0, 1.01, 9)
-        calls = []
+        calls, nodes = [], []
 
         def fn(t):
             calls.append(t)
             value = (math.log(t) - math.log(grid[7])) ** 2
-            return value - 1.0 if len(calls) == 9 + 6 else value
+            if t not in grid:
+                nodes.append(t)
+                return value - 1.0 if len(nodes) == 6 else value
+            return value
 
         scan = bracketed_minimize(fn, 1.0, 1.01, 9)
+        assert nodes[-1] == max(nodes) == calls[-1]
         assert scan.non_unimodal and scan.nu_hat == calls[-1]
         assert 0 < scan.searchable_upper - scan.nu_hat < 1e-3
         assert not scan.hit_upper_bracket
@@ -319,17 +336,30 @@ class TestEstimateNu:
     def test_irregular_failures_leave_the_searchable_run(self):
         # Two points 1e-15 apart: large orders fail, but not all of them.
         design = Design([[0.1], [0.4], [0.7], [0.7 + 1e-15]], UNIT)
+        y = [1.0, -0.5, 0.3, 0.3]
         cfg = EstimatorConfig(lambda_=1.0)
         grid = np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)
-        found = estimate_nu(design, [1.0, -0.5, 0.3, 0.3], cfg)
-        for est in found.values():
-            failed = {nu for nu, _ in est.failures}
-            assert "".join("x" if float(nu) in failed else "." for nu in grid) == (
-                "." * 24 + "x" * 12 + "." + "x" * 3 + "." + "x" * 16 + "." + "x" * 2)
-            assert est.searchable_upper == grid[23] and est.irregular_failures == 3
+        pattern = ""
+        for nu in grid:
+            try:
+                ml_objective(matern(float(nu), 1.0, 1.0, d=1), design, y)
+                pattern += "."
+            except ConditioningError:
+                pattern += "x"
+        assert pattern == "." * 24 + "x" * 12 + "." + "x" * 3 + "." + "x" * 16 + "." + "x" * 2
+        for est in estimate_nu(design, y, cfg).values():
+            # The search reads every fourth cell, the top one and those next
+            # to the run's top: its failures are the failing cells among
+            # them, and the cells 36 and 40, which evaluate again, are its
+            # irregular ones.
+            failed = sorted(list(grid).index(nu) for nu, _ in est.failures)
+            assert failed == [24, 28, 32, 44, 48, 52, 56, 59]
+            assert est.searchable_upper == grid[23] and est.irregular_failures == 2
             assert est.nu_hat <= est.searchable_upper and est.hit_upper_bracket
-        (record,) = sweep_prefixes(design, [1.0, -0.5, 0.3, 0.3], [4], cfg)
-        assert record.notes == "ml_failures=33;ml_irregular=3;cv_failures=33;cv_irregular=3"
+        (record,) = sweep_prefixes(design, y, [4], cfg)
+        assert record.notes == "ml_failures=8;ml_irregular=2;cv_failures=8;cv_irregular=2"
+        assert record.searchable_upper_ml == record.searchable_upper_cv == grid[23]
+        assert record.nu_hat_ml == record.searchable_upper_ml
 
     def test_preconditions(self):
         # Cross-validation needs two points: one point gets the ML estimate alone.
@@ -441,9 +471,9 @@ class TestSweeps:
                                                                est)
 
     def test_ten_seed_sweep_factor_budget(self, monkeypatch):
-        # The C07 configuration: ten seeds, n up to 512.  Shared nodes
-        # keep it to 155 factorizations; 424 is half of what one search
-        # at a time needed.
+        # The C07 configuration: ten seeds, n up to 512.  The coarse-to-fine
+        # plan and shared nodes keep it to 123 factorizations (146 when the
+        # search read every coarse cell).
         factor, calls = gp._factor, [0]
 
         def counting(*args):
@@ -452,7 +482,22 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5))
-        assert len(result.rows) == 60 and calls[0] < 424
+        assert len(result.rows) == 60 and calls[0] == 123
+
+    def test_two_seed_sweep_factor_budget(self, monkeypatch):
+        # The benchmark's sweep-1d configuration: seeds 101 and 102, n up to
+        # 512.  60 factorizations, 27 of them of all 512 points that succeed
+        # (86 and 51 when the search read every coarse cell).
+        factor, calls = gp._factor, []
+
+        def counting(kernel, design, buffer=None):
+            out = factor(kernel, design, buffer)
+            calls.append(design.n == 512 and out[1] is None)
+            return out
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
+        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (60, 27)
 
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)
@@ -460,6 +505,10 @@ class TestSweeps:
         y = gb(design.points[:, 0])
         records = sweep_prefixes(design, y, [16, 64], EstimatorConfig(lambda_=1.0))
         assert all(r.hit_upper_ml and r.hit_upper_cv for r in records)
+        # A saturated estimate is the top of its searchable bracket.
+        assert all(r.nu_hat_ml == r.searchable_upper_ml and r.nu_hat_cv == r.searchable_upper_cv
+                   for r in records)
+        assert SweepRecord.FIELDS[-3:] == ("searchable_upper_ml", "searchable_upper_cv", "notes")
 
     def test_schedule_validation(self, sample_instance):
         design, y = sample_instance
@@ -507,11 +556,12 @@ class TestSweeps:
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
-        # A coarse cell is factored once for the whole sweep, on its largest
-        # prefix.  A refinement node is factored once for every column and
-        # objective, on the largest prefix whose searches ask for it, and
-        # serves exactly the prefixes that ask for it.  Only the nodes a CV
-        # search asks for are inverted for leave-one-out.
+        # A coarse cell that some search reads is factored once for the whole
+        # sweep, on its largest prefix, and no other is.  A refinement node
+        # is factored once for every column and objective, on the largest
+        # prefix whose searches ask for it, and serves exactly the prefixes
+        # that ask for it.  Only the nodes a CV search asks for are inverted
+        # for leave-one-out.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
@@ -549,8 +599,11 @@ class TestSweeps:
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[0] in grid or f[0] == nu0]
-        assert coarse == [(nu, 64, sizes, (64, columns)) for nu in grid] + (
+        cells = [nu for nu, *_ in coarse if nu in grid]
+        assert len(set(cells)) == len(cells) < len(grid)
+        assert coarse == [(nu, 64, sizes, (64, columns)) for nu in cells] + (
             [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
+        assert set(cells) == {nu for asked in searches for nu in asked if nu in grid}
         nodes = [f for f in factored if f not in coarse]
         assert len({nu for nu, *_ in nodes}) == len(nodes)
         assert all(n == ns[-1] and shape == (n, columns) for _, n, ns, shape in nodes)
@@ -559,12 +612,14 @@ class TestSweeps:
             (nu, n) for nu in grid for n in sizes}  # the coarse cells that factor
 
         # Per prefix, the ML searches of every column run first, then the CV
-        # searches; each asks for every coarse cell and the nodes of its bracket.
+        # searches; each asks for coarse cells, then for the nodes of its
+        # bracket, each once.
         asked = {"ml": set(), "cv": set()}
         for k, n in enumerate(sizes):
-            for i, cells in enumerate(searches[2 * columns * k:2 * columns * (k + 1)]):
-                assert cells[:len(grid)] == grid
-                asked["ml" if i < columns else "cv"] |= {(nu, n) for nu in cells[len(grid):]}
+            for i, read in enumerate(searches[2 * columns * k:2 * columns * (k + 1)]):
+                refined = [nu for nu in read if nu not in grid]
+                assert len(set(read)) == len(read) and read[len(read) - len(refined):] == refined
+                asked["ml" if i < columns else "cv"] |= {(nu, n) for nu in refined}
         served = {(nu, n) for nu, _, ns, _ in nodes for n in ns}
         assert served == asked["ml"] | asked["cv"]
         assert {nu for nu, n in inverted if nu not in grid} == {nu for nu, _ in asked["cv"]}
@@ -592,24 +647,25 @@ class TestSweeps:
             out = compute(prefix, values, scan, nu, schedule, names, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
-            cells.append((tuple(schedule), names, served, inverted[before:]))
+            cells.append((nu, tuple(schedule), names, served, inverted[before:]))
             return out
 
         monkeypatch.setattr(gp, "_invert", inverting)
         monkeypatch.setattr(estimators, "_cells", counting)
         records = sweep_prefixes(design, y, sizes, cfg, nu0=1.5, seed=1)
-        coarse = [cell for cell in cells if cell[1] is None]
-        assert len(coarse) == cfg.coarse_grid and all(cell[0] == sizes for cell in coarse)
-        for _, _, served, inversions in coarse:
+        coarse = [cell for cell in cells if cell[2] is None]
+        assert len({cell[0] for cell in coarse}) == len(coarse) < cfg.coarse_grid
+        assert all(cell[1] == sizes for cell in coarse)
+        for _, _, _, served, inversions in coarse:
             assert inversions == served[-1:]
-        assert any(0 < len(served) < len(sizes) for _, _, served, _ in coarse)
-        nodes = [cell for cell in cells if cell[1] is not None]
+        assert any(0 < len(served) < len(sizes) for _, _, _, served, _ in coarse)
+        nodes = [cell for cell in cells if cell[2] is not None]
         assert nodes
-        for schedule, names, served, inversions in nodes:
+        for _, schedule, names, served, inversions in nodes:
             assert inversions == (served[-1:] if "cv" in names else [])
         ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert ratios == len(sizes)
-        assert len(inverted) == sum(len(cell[3]) for cell in cells) + 1 + ratios
+        assert len(inverted) == sum(len(cell[4]) for cell in cells) + 1 + ratios
 
     @pytest.mark.parametrize("broken", ["coarse", "refinement"])
     def test_loo_failure_fails_only_cv(self, sample_instance, monkeypatch, broken):
@@ -664,7 +720,7 @@ class TestSweeps:
         assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
         failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
-        assert any(call[0] < design.n for call in calls[cfg.coarse_grid:])
+        assert any(call[0] < design.n for call in calls if call[3] is not None)  # a node
         for n, nu, sizes, names, _, out in calls:
             fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, names)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
@@ -687,6 +743,8 @@ class TestSweeps:
             assert "ml_error=sigma profiling is degenerate" in record.notes
             assert "cv_error=sigma profiling is degenerate" in record.notes
             assert math.isnan(record.nu_hat_ml) and math.isnan(record.nu_hat_cv)
+            assert math.isnan(record.searchable_upper_ml)
+            assert math.isnan(record.searchable_upper_cv)
 
     def test_degenerate_column_costs_the_others_nothing(self, sample_instance, monkeypatch):
         # The all-zero column fails its own totals only: the shared coarse
@@ -735,8 +793,8 @@ class TestPrefixRule:
 
     def test_failed_coarse_cells_are_not_conditioned_again(self, smooth_instance,
                                                            monkeypatch):
-        # Every coarse cell is factored once, on the largest prefix, failed or
-        # not; refinement conditions no coarse cell.
+        # Every coarse cell that a search reads is factored once, on the
+        # largest prefix, failed or not; refinement conditions no coarse cell.
         design, y, cfg = smooth_instance
         factored = []
 
@@ -750,7 +808,9 @@ class TestPrefixRule:
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[2] == self.SCHEDULE]
-        assert [(nu, n) for nu, n, _, _ in coarse] == [(nu, 64) for nu in grid]
+        assert {n for _, n, _, _ in coarse} == {64}
+        assert len({nu for nu, *_ in coarse}) == len(coarse) < len(grid)
+        assert {nu for nu, *_ in coarse} <= set(grid)
         assert not {nu for nu, _, sizes, _ in factored if sizes != self.SCHEDULE} & set(grid)
         assert [False, True, True] in [failed for *_, failed in coarse]
 

@@ -1,8 +1,10 @@
 """Experiment engines and the command-line front end."""
 
 import csv
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,3 +580,19 @@ class TestCli:
         )
         assert main(["variance-decay", "--config", str(cfg)]) == 0
         assert out.exists()
+
+
+def test_digest_comparison_names_the_notes_entries_that_moved():
+    # ``tools/cli_digests.py --against`` lists, for ``notes``, the keys of
+    # the entries whose values differ; a bare entry is its own key.
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = (b"n,nu_hat_ml,notes\n16,1.5,ml_failures=33;ml_irregular=3;cv_failures=33\n"
+           b'32,1.25,"ml_non_unimodal;cv_error=nu=2, n=32: pivot 3"\n')
+    new = (b"n,nu_hat_ml,notes\n16,1.5,ml_failures=8;cv_failures=33\n"
+           b'32,1.25,"cv_error=nu=2, n=32: pivot 3"\n')
+    assert tool.column_changes(old, new) == [
+        "notes: 2 of 2 rows differ (ml_failures, ml_irregular, ml_non_unimodal)"]
+    assert tool.column_changes(old, old) == ["identical"]

@@ -1,6 +1,6 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
 prefix consistency of the panel-grown factor and of its inverse, the
-refinement of smoothness estimates, the modified Bessel function of the
+coarse-to-fine plan and the refinement of smoothness estimates, the modified Bessel function of the
 second kind, the design file format and the one-pass fill and separation
 distances.
 
@@ -23,7 +23,7 @@ from scipy.linalg import blas, lapack
 from maternsmooth.designs import (Box, Design, fill_distance, fill_distances, load_design,
                                   save_design, separation_distance, uniform_grid,
                                   uniformity_report, van_der_corput)
-from maternsmooth.errors import ConditioningError
+from maternsmooth.errors import ConditioningError, EstimationError
 from maternsmooth.analysis import sample_gp_path
 from maternsmooth import estimators
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimate_nu
@@ -102,6 +102,137 @@ def test_node_minimum_of_the_c07_objectives(c07_paths, n, seed):
         assert abs(est.nu_hat - reference.x) <= 1e-3
         # The interpolant's minimum, off the objective's by its interpolation error.
         assert abs(est.objective_at_min - reference.fun) <= 1e-6 * abs(reference.fun)
+
+
+def _every_cell_scan(fn, lo, hi, count):
+    """The coarse search as it read every distinct cell of the lattice, kept
+    as the reference that the coarse-to-fine plan is checked against."""
+    grid = np.geomspace(lo, hi, count)
+    failures = []
+
+    def safe(theta):
+        try:
+            v = float(fn(theta))
+        except ConditioningError as err:
+            failures.append((float(theta), str(err)))
+            return math.inf
+        if not math.isfinite(v):
+            failures.append((float(theta), f"objective value {v!r} is not finite"))
+            return math.inf
+        return v
+
+    cells = {theta: safe(theta) for theta in dict.fromkeys(grid)}
+    values = [cells[theta] for theta in grid]
+    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+    if not finite:
+        raise EstimationError(f"no candidate in [{lo:g}, {hi:g}] could be evaluated "
+                              f"({len(failures)} failures)")
+    first = top = finite[0]
+    while top + 1 < count and math.isfinite(values[top + 1]):
+        top += 1
+    best = first
+    for i in range(first, top + 1):
+        if values[i] <= values[best]:
+            best = i
+    theta, value, non_unimodal = float(grid[best]), values[best], False
+    if first < best < top:
+        nodes = estimators._bracket_nodes(grid, best)
+        coarse = {0: values[best - 1], estimators._MID: values[best],
+                  estimators._NODES - 1: values[best + 1]}
+        at = np.array([coarse[k] if k in coarse else safe(nu) for k, nu in enumerate(nodes)])
+        t, low = (estimators._interpolant_minimum(at) if np.all(np.isfinite(at))
+                  else (-1.0, math.inf))
+        if abs(t) == 1.0 or not estimators._unimodal(at):
+            k = estimators._NODES - 1 - int(np.argmin(at[::-1]))
+            theta, value, non_unimodal = nodes[k], float(at[k]), True
+        else:
+            theta, value = float(estimators._on_bracket(grid, best, t)), low
+    return SimpleNamespace(nu_hat=theta, objective_at_min=value, hit_upper_bracket=best == top,
+                           searchable_upper=float(grid[top]), non_unimodal=non_unimodal,
+                           run=range(first, top + 1), refined=first < best < top)
+
+
+@st.composite
+def lattice_objectives(draw):
+    """``(fn, lo, hi, count)``: an objective on a lattice of 8 to 80 cells
+    (one value in a quarter of the cases) whose failing cells are the
+    ``low`` lowest and every cell from ``high`` on, failing by a
+    :class:`ConditioningError` or by NaN, and whose values are convex in
+    the cell index, with the minimum inside the run, below it, above it or
+    anywhere."""
+    count = draw(st.integers(min_value=8, max_value=80))
+    lo = draw(st.floats(min_value=0.05, max_value=2.0))
+    hi = lo if draw(st.integers(0, 3)) == 0 else lo * draw(st.floats(min_value=1.5,
+                                                                      max_value=1e3))
+    low = draw(st.sampled_from((0, 0, 0, 1, 2, 5)))
+    high = draw(st.sampled_from((count, count, draw(st.integers(min_value=0, max_value=count)))))
+    low = min(low, high)
+    where = draw(st.sampled_from(("interior", "below", "above", "anywhere")))
+    bounds = {"interior": (low + 0.5, max(high - 1.5, low + 0.5)), "below": (low - 9.0, low),
+              "above": (high, high + 9.0), "anywhere": (-5.0, count + 5.0)}[where]
+    centre = draw(st.floats(*bounds))
+    width = draw(st.floats(min_value=0.5, max_value=20.0))
+    nan = draw(st.booleans())
+    index = {float(theta): i for i, theta in enumerate(np.geomspace(lo, hi, count))}
+    span = math.log(hi / lo) or 1.0
+
+    def fn(theta):
+        i = index.get(float(theta))
+        if i is not None and not low <= i < high:
+            if nan:
+                return math.nan
+            raise ConditioningError(f"cell {i} fails", 0, -1.0)
+        x = math.log(theta / lo) / span * (count - 1)
+        return math.log1p(((x - centre) / width) ** 2)
+
+    return fn, lo, hi, count
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(lattice_objectives())
+def test_plan_reads_the_bracket_of_the_every_cell_scan(case):
+    # Failing cells a lower and an upper set, values unimodal over the run:
+    # the plan's estimate is the every-cell scan's, bit for bit.  An interior
+    # minimum costs fewer reads than the lattice has cells, from 30 cells on,
+    # unless no cell of the run is one of the first round's, which then reads
+    # every cell.
+    fn, lo, hi, count = case
+    try:
+        expected = _every_cell_scan(fn, lo, hi, count)
+    except EstimationError as err:
+        with pytest.raises(EstimationError) as caught:
+            bracketed_minimize(fn, lo, hi, count)
+        distinct = len(set(np.geomspace(lo, hi, count).tolist()))
+        assert str(caught.value) == str(err)
+        assert str(err).endswith(f"could be evaluated ({distinct} failures)")
+        return
+    found = bracketed_minimize(fn, lo, hi, count)
+    for field in ("nu_hat", "objective_at_min", "hit_upper_bracket", "searchable_upper",
+                  "non_unimodal"):
+        assert getattr(found, field) == getattr(expected, field), field
+    stride = estimators._STRIDE
+    if count >= 30 and expected.refined and any(i % stride == 0 or i == count - 1
+                                                for i in expected.run):
+        assert found.evaluations < count
+
+
+def test_plan_misses_a_failing_cell_hidden_inside_the_run():
+    # A failing cell between two evaluable cells of the first round, far
+    # from the minimum and the run's ends, is not read: the plan's run goes
+    # past it, where the every-cell scan's run ends below it.
+    hidden, count = 2 * estimators._STRIDE + 1, 30
+    grid = np.geomspace(0.5, 20.0, count)
+
+    def fn(theta):
+        if theta == grid[hidden]:
+            raise ConditioningError("hidden", 0, -1.0)
+        return -math.log(theta)  # decreasing: the minimum is the top cell
+
+    expected = _every_cell_scan(fn, 0.5, 20.0, count)
+    found = bracketed_minimize(fn, 0.5, 20.0, count)
+    assert expected.searchable_upper == expected.nu_hat == grid[hidden - 1]
+    assert found.searchable_upper == found.nu_hat == grid[-1]
+    assert found.hit_upper_bracket and not found.failures
 
 
 @PROPERTY

@@ -19,7 +19,10 @@ run, so leave them out of a diff (``grep -v '^    wall'``).
 per column that changed, the number of rows that differ and the largest
 relative (``|new - old| / |old|``) and absolute (``|new - old|``) change
 of its numeric cells, or ``identical``, and then whether its summary
-differs.  The exit code is then 1 when any CSV or summary differs from
+differs.  For ``notes``, whose cells are ``;``-separated entries, it names
+the keys of the entries that changed instead, as in ``notes: 60 of 60
+rows differ (ml_failures, cv_failures)``: the key of ``key=value`` is the
+text before its first ``=``, and a bare entry is its own key.  The exit code is then 1 when any CSV or summary differs from
 the saved one or none was saved, so one command checks that a change
 leaves every output byte-identical.  When a change adds or removes
 columns, the columns both CSVs share are compared by name, and the
@@ -129,6 +132,19 @@ def _changes(old, new):
     return (abs(b - a) / abs(a) if a else math.inf), abs(b - a)
 
 
+def _moved_notes(pairs):
+    """The keys of the ``notes`` entries that differ between the old and the
+    new cell of any pair, in order of first appearance."""
+    moved = {}
+    for pair in pairs:
+        old, new = (dict((entry.split("=", 1) + [""])[:2] for entry in cell.split(";") if entry)
+                    for cell in pair)
+        for key in {**old, **new}:
+            if old.get(key) != new.get(key):
+                moved[key] = None
+    return list(moved)
+
+
 def column_changes(old, new):
     """Lines describing how the CSV text ``new`` differs from ``old``, column
     by column; ``["identical"]`` when it does not."""
@@ -146,7 +162,10 @@ def column_changes(old, new):
             continue
         k = new_rows[0].index(column)
         pairs = [(a[j], b[k]) for a, b in zip(old_rows[1:], new_rows[1:]) if a[j] != b[k]]
-        if pairs:
+        if pairs and column == "notes":
+            lines.append(f"{column}: {len(pairs)} of {len(old_rows) - 1} rows differ "
+                         f"({', '.join(_moved_notes(pairs))})")
+        elif pairs:
             numeric = [c for c in (_changes(a, b) for a, b in pairs) if c is not None]
             largest = (f"largest relative change {max(r for r, _ in numeric):.2e}, "
                        f"absolute {max(d for _, d in numeric):.2e}") if numeric else "text"
