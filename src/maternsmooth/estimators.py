@@ -13,11 +13,12 @@ refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
 the objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
 
-A prefix sweep runs the searches of every data column, objective and
-prefix in lockstep.  It factors each lattice cell that some search reads
-once, on the largest prefix, and reads every prefix and both objectives
-from that factor.  The searches that share a bracketing triple share its
-nodes, each factored once, on the largest prefix that needs it.
+A prefix sweep runs the plans of every data column, objective and prefix
+once, in lockstep, and returns their estimates.  It factors each lattice
+cell that some search reads once, on the largest prefix, and reads every
+prefix and both objectives from that factor.  The searches that share a
+bracketing triple share its nodes, each factored once, on the largest
+prefix that needs it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from numpy.polynomial import chebyshev as cheb
 from .designs import check_schedule, fill_distance, fill_distances, is_integer  # noqa: F401
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import condition, condition_prefixes, loo_variances
-from .kernels import MaternKernel, matern, require_positive
+from .kernels import MaternKernel, check_positive, matern, require_positive
 # ``ell_ml_from`` and ``ell_cv_from`` stay bound here for the benchmark
 # tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from, prefix_objectives  # noqa: F401
@@ -251,7 +252,7 @@ def _plan(lo, hi, count):
                 if isinstance(outcome, ConditioningError):
                     failures.append((theta, str(outcome)))
                     outcome = math.inf
-                elif not math.isfinite(outcome):
+                elif not math.isfinite(outcome := float(outcome)):
                     failures.append((theta, f"objective value {outcome!r} is not finite"))
                     outcome = math.inf
                 known[theta] = outcome
@@ -309,7 +310,7 @@ def _plan(lo, hi, count):
 def _outcome(fn, theta):
     """``fn(theta)``, or the :class:`ConditioningError` it raises."""
     try:
-        return float(fn(theta))
+        return fn(theta)
     except ConditioningError as err:
         return err
 
@@ -332,8 +333,12 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     or the node values are not unimodal, or the polynomial's minimum sits
     on an end of the bracket, the best node is returned with
     ``non_unimodal`` set.  The node count, not a tolerance, fixes the
-    precision of the estimate.
+    precision of the estimate.  Raises :class:`DomainError` unless
+    ``0 < lo <= hi < inf`` and ``n_coarse`` is an integer of at least 1.
     """
+    if not (0 < lo <= hi < math.inf and is_integer(n_coarse) and n_coarse >= 1):
+        raise DomainError(f"need 0 < lo <= hi < inf and an integer n_coarse >= 1, got "
+                          f"lo={lo!r}, hi={hi!r}, n_coarse={n_coarse!r}")
     search = _plan(lo, hi, n_coarse)
     try:
         asked = next(search)
@@ -404,9 +409,9 @@ def _objective_names(n):
 
 
 def estimate_nu(design, y, config=EstimatorConfig()):
-    """Smoothness estimates on one data vector: the prefix sweep's search
-    (:func:`_search_tables`, :func:`_prefix_searches`) on one column and
-    one size, so no cell or node is factored twice.
+    """Smoothness estimates on one data vector: the prefix sweep's searches
+    (:func:`_searches`) on one column and one size, so no cell or node is
+    factored twice and each search runs once.
 
     A dict mapping each objective defined on ``n`` points to its
     :class:`NuEstimate`: ``"ml"``, and ``"cv"`` from ``n = 2``.  Needs
@@ -417,8 +422,7 @@ def estimate_nu(design, y, config=EstimatorConfig()):
         raise DomainError(f"objective 'ml' needs more data than n={design.n}")
     y = _checked_data(y, (design.n,), "y")[:, None]
     scan = _matern_scan(config, design.d)
-    (table,) = _search_tables(design, y, [design.n], scan)
-    (found,) = _prefix_searches(design.n, 1, table, scan)
+    ((found,),) = _searches(design, y, [design.n], scan)
     for name in _objective_names(design.n):
         if isinstance(found[name], EstimationError):
             raise found[name]
@@ -461,7 +465,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     worst-case leave-one-out variance ratio between ``nu0`` and the ML
     estimate as an undersmoothing diagnostic.  Per-prefix failures are
     recorded in the ``notes`` field and do not abort the sweep.  Data
-    must be finite.
+    must be finite, and ``nu0`` positive and finite.
 
     ``y_full`` is one data vector ``(n,)`` labelled ``seed``, or ``s``
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
@@ -471,8 +475,8 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     over the design for every prefix,
     :func:`~maternsmooth.designs.fill_distances`) and the leave-one-out
     variances at ``nu0`` are computed once for all columns.  The searches
-    of all columns, both objectives and every prefix run in lockstep
-    (:func:`_search_tables`): each round factors the coarse cells that some
+    of all columns, both objectives and every prefix run once, in lockstep
+    (:func:`_searches`): each round factors the coarse cells that some
     search asks for, once for all of them, and the searches whose coarse
     minimum lands on one bracketing triple share its nodes, each factored
     once, and inverted for leave-one-out only if a CV search needs it.
@@ -507,12 +511,14 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     seeds = list(seed) if y_full.ndim == 2 else [seed]
     shape = (design.n, len(seeds)) if y_full.ndim == 2 else (design.n,)
     columns = _checked_data(y_full, shape, "y_full").reshape(design.n, len(seeds))
+    if nu0 is not None:
+        check_positive("nu0", nu0)
 
     if not schedule:
         return []
     top = design.prefix(schedule[-1])
     scan = _matern_scan(config, design.d)
-    tables = _search_tables(top, columns[:top.n], schedule, scan)
+    searches = _searches(top, columns[:top.n], schedule, scan)
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
@@ -521,32 +527,35 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
     records = [[] for _ in seeds]
     fills = fill_distances(top, schedule)
-    for n, table, v0, fill in zip(schedule, tables, variances0, fills):
+    for n, by_column, v0, fill in zip(schedule, searches, variances0, fills):
         prefix = top.prefix(n)
-        searches = _prefix_searches(n, len(seeds), table, scan)
-        for column, found, label in zip(records, searches, seeds):
+        for column, found, label in zip(records, by_column, seeds):
             column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
     return [record for column in records for record in column]
 
 
-def _search_tables(top, columns, schedule, scan):
-    """Per size of the schedule, the table of cells, keyed by theta, that the
-    searches of the :class:`_Scan` on that prefix of ``top`` read.
+def _searches(top, columns, schedule, scan):
+    """Per size of the schedule and data column, a dict mapping each
+    objective defined on that prefix of ``top`` to the :class:`NuEstimate`
+    its search of the :class:`_Scan` ends with, or to the
+    :class:`EstimationError` that ends it.
 
     Runs the plan (:func:`_plan`) of every data column, objective and size
-    in lockstep, as :func:`bracketed_minimize` will run it on the tables.
-    Each round factors the cells the searches ask for and no table holds
-    yet, once every search waits for a cell.  A lattice cell is factored on
-    ``top`` and serves every size; a cell that only small prefixes ask for
-    fails early on ``top`` and is cheap.  The refinement nodes come last,
-    once every search waits for nodes: each is factored once, on the
-    largest prefix whose searches ask for it, and serves the sizes that ask
-    for it; its leave-one-out inverse is computed only if a CV search asks
-    for it.  Every cell writes its factor and inverse into one pair of
-    buffers of ``top``'s size.
+    once, in lockstep, and sends it its cells as stored: a total or a
+    :class:`ConditioningError`; a column's profiling error ends its search,
+    the first one asked for winning.  Each round factors the cells the
+    searches ask for and no table holds yet, once every search waits for a
+    cell.  A lattice cell is factored on ``top`` and serves every size; a
+    cell that only small prefixes ask for fails early on ``top`` and is
+    cheap.  The refinement nodes come last, once every search waits for
+    nodes: each is factored once, on the largest prefix whose searches ask
+    for it, and serves the sizes that ask for it; its leave-one-out inverse
+    is computed only if a CV search asks for it.  Every cell writes its
+    factor and inverse into one pair of buffers of ``top``'s size.
     """
     lattice = set(np.geomspace(scan.lo, scan.hi, scan.count).tolist())
     tables = [{} for _ in schedule]
+    found = [[{} for _ in range(columns.shape[1])] for _ in schedule]
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
     plans, asked = {}, {}
     for i, n in enumerate(schedule):
@@ -557,13 +566,21 @@ def _search_tables(top, columns, schedule, scan):
     while asked:
         ready = [key for key, thetas in asked.items()
                  if all(theta in tables[key[0]] for theta in thetas)]
-        for i, name, j in ready:
-            try:
-                asked[i, name, j] = plans[i, name, j].send(
-                    [_outcome(lambda theta: _total(tables[i][theta], name, j), theta)
-                     for theta in asked[i, name, j]])
-            except (StopIteration, EstimationError):
-                del asked[i, name, j]  # the search ends
+        for key in ready:
+            i, name, j = key
+            outcomes = [v if isinstance(v, ConditioningError) else v[j]
+                        for v in (tables[i][theta][name] for theta in asked[key])]
+            end = next((v for v in outcomes if isinstance(v, EstimationError)), None)
+            if end is None:
+                try:
+                    asked[key] = plans[key].send(outcomes)
+                    continue
+                except StopIteration as done:
+                    end = done.value
+                except EstimationError as err:
+                    end = err
+            found[i][j][name] = end
+            del asked[key]
         if ready:
             continue
         wanted = {}  # theta -> {size index: objectives asking}
@@ -585,42 +602,7 @@ def _search_tables(top, columns, schedule, scan):
                 for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
                                                    sizes, names, workspace)):
                     tables[i][theta] = cell
-    return tables
-
-
-def _total(cell, name, j):
-    """Objective ``name`` of data column ``j`` in a cell, or raises the
-    error that prevents it.  A cell's error is raised with a fresh
-    traceback, which would otherwise grow by the reader's frames with each
-    read."""
-    value = cell[name]
-    if isinstance(value, ConditioningError):
-        raise value.with_traceback(None)
-    value = value[j]
-    if isinstance(value, EstimationError):
-        raise value.with_traceback(None)
-    return float(value)
-
-
-def _prefix_searches(n, s, table, scan):
-    """Both searches of the :class:`_Scan` for each of ``s`` data columns on
-    a prefix of ``n`` points, reading every cell from the prefix's table
-    (see :func:`_search_tables`).
-
-    Per column, a dict mapping each objective defined on the prefix to its
-    :class:`NuEstimate`, or to the :class:`EstimationError` that ended its
-    search.
-    """
-    searches = [{} for _ in range(s)]
-    for name in _objective_names(n):
-        for j, found in enumerate(searches):
-            try:
-                found[name] = bracketed_minimize(
-                    lambda theta: _total(table[float(theta)], name, j), scan.lo, scan.hi,
-                    scan.count)
-            except EstimationError as err:
-                found[name] = err
-    return searches
+    return found
 
 
 def _loo_variances(post):
@@ -634,7 +616,8 @@ def _loo_variances(post):
 
 
 def _search_notes(searches):
-    """The notes and the estimates of one column's :func:`_prefix_searches`."""
+    """The notes and the estimates of one column's searches on a prefix
+    (see :func:`_searches`)."""
     notes, estimates = [], {}
     for name in ("ml", "cv"):
         found = searches.get(name)
@@ -655,7 +638,7 @@ def _search_notes(searches):
 
 def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
     """The record of one data column on one prefix, from its ``searches``
-    (see :func:`_prefix_searches`)."""
+    (see :func:`_searches`)."""
     nan = math.nan
     notes, estimates = _search_notes(searches)
     est_ml, est_cv = estimates.get("ml"), estimates.get("cv")

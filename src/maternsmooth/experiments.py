@@ -16,8 +16,8 @@ import numpy as np
 from .analysis import builtin_test_functions, check_seed, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
 from .errors import ConditioningError, DomainError
-from .estimators import (EstimatorConfig, SweepRecord, _prefix_searches, _Scan, _search_notes,
-                         _search_tables, sweep_prefixes)
+from .estimators import (EstimatorConfig, SweepRecord, _Scan, _search_notes, _searches,
+                         sweep_prefixes)
 from .gp import (
     _moments,
     condition,
@@ -589,8 +589,7 @@ def run_gaussian_scale_probe(config):
     degenerate = ["degenerate_zero_data"] if np.all(y == 0.0) else []
 
     rows, lines = [], []
-    for n, table in zip(schedule, _search_tables(design, y[:, None], schedule, scan)):
-        (searches,) = _prefix_searches(n, 1, table, scan)
+    for n, (searches,) in zip(schedule, _searches(design, y[:, None], schedule, scan)):
         notes, found = _search_notes(searches)
         notes = ";".join(degenerate + notes)
         lam = {name: found[name].nu_hat if name in found else math.nan for name in ("ml", "cv")}

@@ -43,6 +43,30 @@ def worst_loo_ratio(prefix, nu0, nu, config):
     return float(np.max(variances(nu0) / variances(nu)))
 
 
+def recording_plans(monkeypatch):
+    """Wrap ``estimators._plan``: the list returned gets, per plan started, a
+    dict of the cells it asks for (``"asked"``), the outcomes it is sent
+    (``"sent"``) and, once it returns, its estimate (``"found"``)."""
+    plans, plan = [], estimators._plan
+
+    def recording(*args):
+        record = {"asked": [], "sent": []}
+        plans.append(record)
+        search, outcomes = plan(*args), None
+        while True:
+            try:
+                thetas = search.send(outcomes)
+            except StopIteration as done:
+                record["found"] = done.value
+                return done.value
+            record["asked"].extend(thetas)
+            outcomes = yield thetas
+            record["sent"].extend(outcomes)
+
+    monkeypatch.setattr(estimators, "_plan", recording)
+    return plans
+
+
 @pytest.fixture(scope="module")
 def sample_instance():
     design = van_der_corput(UNIT, 128)
@@ -87,6 +111,16 @@ class TestBracketedMinimize:
 
         with pytest.raises(EstimationError):
             bracketed_minimize(fn, 0.1, 1.0, 10)
+
+    @pytest.mark.parametrize("lo, hi, n_coarse", [
+        (2.0, 1.0, 10), (1.0, math.inf, 10), (1.0, math.nan, 10), (math.nan, 4.0, 10),
+        (0.0, 4.0, 10), (-1.0, 4.0, 10), (1.0, 4.0, True), (1.0, 4.0, 0), (1.0, 4.0, -3),
+        (1.0, 4.0, 2.5), (1.0, 4.0, 10.0)])
+    def test_bracket_is_checked(self, lo, hi, n_coarse):
+        calls = []
+        with pytest.raises(DomainError, match="lo <= hi"):
+            bracketed_minimize(lambda t: calls.append(t) or t, lo, hi, n_coarse)
+        assert not calls
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_one_value_bracket_reads_its_cell_once(self, fails):
@@ -235,29 +269,42 @@ class TestBracketedMinimize:
         assert not scan.hit_upper_bracket
 
     @pytest.mark.parametrize("failure", ["conditioning", "profiling"])
-    def test_reading_a_failed_cell_does_not_grow_its_traceback(self, failure):
-        # A search reads a failing cell's one stored error at every read, and
-        # each read raises it with a traceback of its own frames only.
+    def test_reading_a_failed_cell_does_not_grow_its_traceback(self, sample_instance,
+                                                               monkeypatch, failure):
+        # A sweep's searches read a failing cell's stored error as it is: the
+        # one conditioning error of every column and objective, or a
+        # column's profiling error, which ends its search.  None is raised,
+        # so none holds a traceback that could grow with each read.
+        design, y = sample_instance
+        design, profile = design.prefix(64), failure == "profiling"
+        columns = np.stack([y[:64], np.zeros(64), y[:64]], axis=1)
+        scan = estimators._matern_scan(EstimatorConfig(lambda_=1.0, profile_sigma=profile), 1)
+        cells, compute = [], estimators._cells
+
+        def recording(*args, **kwargs):
+            out = compute(*args, **kwargs)
+            cells.extend(out)
+            return out
+
+        monkeypatch.setattr(estimators, "_cells", recording)
+        plans = recording_plans(monkeypatch)
+        found = estimators._searches(design, columns, [16, 32, 64], scan)
+        stored = [v for cell in cells for v in cell.values() if isinstance(v, Exception)]
+        stored += [v for cell in cells for values in cell.values()
+                   if not isinstance(values, Exception) for v in values
+                   if isinstance(v, Exception)]
         if failure == "conditioning":
-            points, y, nu, profile = [[0.1], [0.7], [0.7 + 1e-15]], np.ones((3, 1)), 2.0, False
+            reads = {}
+            for plan in plans:
+                for v in plan["sent"]:
+                    if isinstance(v, ConditioningError):
+                        reads[id(v)] = reads.get(id(v), 0) + 1
+            assert max(reads.values()) == 2 * columns.shape[1]
         else:
-            points, y, nu, profile = [[0.1], [0.4], [0.7]], np.zeros((3, 1)), 1.0, True
-        design = Design(points, UNIT)
-        scan = estimators._Scan("nu", lambda nu: MaternKernel(matern(nu)), nu, nu, 8, profile)
-        (cell,) = estimators._cells(design, y, scan, nu, [3])
-        stored = cell["ml"] if failure == "conditioning" else cell["ml"][0]
-
-        def depth(reads):
-            for _ in range(reads):
-                with pytest.raises((ConditioningError, EstimationError)) as caught:
-                    estimators._total(cell, "ml", 0)
-                assert caught.value is stored
-            tb, frames = caught.value.__traceback__, 0
-            while tb is not None:
-                tb, frames = tb.tb_next, frames + 1
-            return frames
-
-        assert depth(1) == depth(200)
+            ended = [by_column[1][name] for by_column in found for name in ("ml", "cv")]
+            assert all(isinstance(err, EstimationError) for err in ended)
+            assert all(any(err is v for v in stored) for err in ended)
+        assert stored and all(err.__traceback__ is None for err in stored)
 
 
 class TestEstimateNu:
@@ -554,6 +601,39 @@ class TestSweeps:
             sweep_prefixes(design, np.stack([y, y], axis=1), [16],
                            EstimatorConfig(lambda_=1.0), seed=seed)
 
+    @pytest.mark.parametrize("nu0", [-1.0, 0.0, math.nan, math.inf, True, "1.5"])
+    def test_nu0_is_checked_before_searching(self, sample_instance, monkeypatch, nu0):
+        design, y = sample_instance
+        calls = []
+        monkeypatch.setattr(estimators, "_cells", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError, match="nu0"):
+            sweep_prefixes(design, y, [16, 64], EstimatorConfig(lambda_=1.0), nu0=nu0)
+        assert not calls
+
+    def test_each_search_runs_its_plan_once(self, sample_instance, monkeypatch):
+        # A two-column sweep starts one plan per size, objective and column,
+        # its records carry the estimates those plans return, and a search
+        # that refines its bracket interpolates its nodes once.
+        design, y = sample_instance
+        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        interpolated, interpolate = [], estimators._interpolant_minimum
+
+        def counting(values):
+            interpolated.append(values)
+            return interpolate(values)
+
+        monkeypatch.setattr(estimators, "_interpolant_minimum", counting)
+        plans = recording_plans(monkeypatch)
+        cfg = EstimatorConfig(lambda_=1.0)
+        records = sweep_prefixes(design, np.stack([y, second], axis=1), [1, 16, 64], cfg,
+                                 seed=(202, 7))
+        assert len(plans) == 2 * (1 + 2 + 2)  # no CV search on one point
+        assert sorted(plan["found"].nu_hat for plan in plans) == sorted(
+            nu for r in records for nu in (r.nu_hat_ml, r.nu_hat_cv) if not math.isnan(nu))
+        grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
+        refined = [plan for plan in plans if set(plan["asked"]) - grid]
+        assert refined and len(interpolated) == len(refined)
+
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
         # A coarse cell that some search reads is factored once for the whole
@@ -568,7 +648,7 @@ class TestSweeps:
         else:
             second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
-        factored, inverted, searches = [], [], []
+        factored, inverted = [], []
 
         def conditioning(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
@@ -584,18 +664,14 @@ class TestSweeps:
             inverted.append((post.kernel.params.nu, post.n))
             return gp.loo(post)
 
-        def recording(fn, *args):
-            asked = []
-            searches.append(asked)
-            return bracketed_minimize(lambda nu: fn(asked.append(float(nu)) or nu), *args)
-
         monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
         monkeypatch.setattr(estimators, "prefix_objectives", counting)
         monkeypatch.setattr(objectives, "loo", inverting)
-        monkeypatch.setattr(estimators, "bracketed_minimize", recording)
+        plans = recording_plans(monkeypatch)
         cfg = EstimatorConfig(lambda_=1.0)
         sizes = (16, 32, 64)
         records = sweep_prefixes(design, data, sizes, cfg, nu0=nu0, seed=seed)
+        searches = [plan["asked"] for plan in plans]
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[0] in grid or f[0] == nu0]
@@ -696,10 +772,10 @@ class TestSweeps:
         assert failures(record, "cv") > failures(intact, "cv")
 
     def test_shared_workspace_changes_no_cell(self, sample_instance, monkeypatch):
-        # Every cell of the search tables writes its factor and inverse into
-        # one pair of buffers.  A node factored on a smaller prefix after the
+        # Every cell of the searches writes its factor and inverse into one
+        # pair of buffers.  A node factored on a smaller prefix after the
         # top-size cells, and a failing cell after a conditioned one, read as
-        # cells on fresh arrays, and nothing in the tables views the buffers.
+        # cells on fresh arrays, and no cell views the buffers.
         design, y = sample_instance
         design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
         scan = estimators._matern_scan(cfg, design.d)
@@ -715,7 +791,7 @@ class TestSweeps:
                     for name, v in cell.items()}
 
         monkeypatch.setattr(estimators, "_cells", recording)
-        tables = estimators._search_tables(design, columns, [16, 32, 64], scan)
+        estimators._searches(design, columns, [16, 32, 64], scan)
         workspace = calls[0][4]
         assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
         failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
@@ -724,7 +800,7 @@ class TestSweeps:
         for n, nu, sizes, names, _, out in calls:
             fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, names)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
-        values = [v for table in tables for cell in table.values() for v in cell.values()]
+        values = [v for *_, out in calls for cell in out for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)
         for value in values:
             assert not any(np.shares_memory(value, buffer) for buffer in workspace
@@ -815,20 +891,14 @@ class TestPrefixRule:
         assert [False, True, True] in [failed for *_, failed in coarse]
 
 
-    def test_inherited_failure_names_the_first_prefix(self, smooth_instance, monkeypatch):
+    def test_inherited_failure_names_the_first_prefix(self, smooth_instance):
         design, y, cfg = smooth_instance
-        found = []
-
-        def recording(fn, *args):
-            scan = bracketed_minimize(fn, *args)
-            found.append(scan)
-            return scan
-
-        monkeypatch.setattr(estimators, "bracketed_minimize", recording)
-        sweep_prefixes(design, y, self.SCHEDULE, cfg)
+        searches = estimators._searches(design, y[:, None], self.SCHEDULE,
+                                        estimators._matern_scan(cfg, design.d))
         # one ML and one CV search per prefix, in schedule order
-        assert len(found) == 2 * len(self.SCHEDULE)
-        scans = list(zip((n for n in self.SCHEDULE for _ in ("ml", "cv")), found))
+        scans = [(n, found[name]) for n, (found,) in zip(self.SCHEDULE, searches)
+                 for name in ("ml", "cv")]
+        assert all(isinstance(scan, estimators.NuEstimate) for _, scan in scans)
         at_32 = {nu: msg for n, scan in scans if n == 32 for nu, msg in scan.failures}
         inherited = [(nu, msg) for n, scan in scans if n == 64 for nu, msg in scan.failures
                      if "failed on prefix" in msg]

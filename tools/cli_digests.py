@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over eighteen fixed configurations.
+"""SHA-256 digests of the CLI's outputs over nineteen fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -82,6 +82,10 @@ CONFIGURATIONS = (
                              "--schedule", "16,32,64"], None),
     ("sigma-lambda-convergence", ["convergence", "--sigma", "1.3", "--lambda", "0.7",
                                   "--seed-list", "1,2", "--schedule", "32,64,128"], None),
+    # Smooth data on a bracket up to nu = 300: saturated searches, large-order
+    # Bessel evaluation, irregular failures above the run, non-unimodal CV.
+    ("saturation-nu-max-300", ["non-undersmoothing", "--f0", "gauss_bump"],
+     ["nu_max = 300", "lambda = 0.05"]),
 )
 
 
