@@ -59,7 +59,7 @@ from scipy.linalg import lapack as _lapack
 
 from .errors import ConditioningError, DomainError
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
-from .kernels import kernel_matrix, kernel_panels  # noqa: F401
+from .kernels import _FIRST_PANEL, _panel_ends, kernel_matrix, kernel_panels  # noqa: F401
 
 __all__ = [
     "Posterior",
@@ -87,19 +87,9 @@ PIVOT_RTOL = 1e-14
 _VAR_CLAMP_RTOL = 1e-12
 
 
-# Row panels of the factorization end at 16, 32, 64, ... points.
-_FIRST_PANEL = 16
-
 # The diagonal block of a row panel is factored and inverted by sub-panels
 # of at most this many rows (see the module docstring).
 _SUB = 64
-
-
-def _panel_ends(n):
-    ends = [_FIRST_PANEL]
-    while ends[-1] < n:
-        ends.append(2 * ends[-1])
-    return [min(b, n) for b in ends] if n else []
 
 
 def _square(buffer, n):

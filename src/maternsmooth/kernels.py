@@ -4,21 +4,25 @@ All Matern evaluation goes through log space (log scaling factor plus
 ``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that
 orders up to several hundred remain usable; direct evaluation of
 ``(.)**nu * K_nu`` would overflow long before that.  Kernel matrices are
-assembled by row panels from distances numbered in design order, so a
-prefix of the design evaluates the kernel only at its own distances.
+assembled by row panels (ends 16, 32, 64, ..., those of the factorization)
+from a table of distinct distances numbered by the panel in which they
+first appear and by value within it: each panel evaluates the kernel at
+one ascending run of new distances, the order in which the Bessel layer
+evaluates them fastest, and a prefix of the design of any size only at
+its own distances.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateDesignError, DomainError
-from .specfun import log_bessel_k, log_gamma
+from .specfun import is_real, log_bessel_k, log_gamma
 
 __all__ = [
     "ScalingPolicy",
@@ -87,8 +91,7 @@ def c_scaling(policy, nu):
 def check_positive(name, value):
     """Raise :class:`DomainError` naming ``name`` unless ``value`` is a
     positive finite real number: Python or NumPy, and not a bool."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
+    if not (is_real(value) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -253,13 +256,28 @@ class GaussianKernel:
         return f"GaussianKernel(sigma={p.sigma}, lambda_={p.lambda_}, d={self.d})"
 
 
-class _DistanceTable:
-    """Distinct pairwise distances of a point sequence, numbered in design order.
+# Row panels of kernel assembly and of the factorization (``gp._factor``)
+# end at 16, 32, 64, ... points.
+_FIRST_PANEL = 16
 
-    Number 0 is the zero distance; the others are numbered where they first
-    appear among the pairs ``(i, j)``, ``j < i``, row after row.  So the first
-    ``count[m]`` numbers are the distances among the first ``m`` points, and
-    ``index[:m, :m]`` maps their kernel matrix onto them.  Lattice-like
+
+def _panel_ends(n):
+    ends = [_FIRST_PANEL]
+    while ends[-1] < n:
+        ends.append(2 * ends[-1])
+    return [min(b, n) for b in ends] if n else []
+
+
+class _DistanceTable:
+    """Distinct pairwise distances of a point sequence, numbered by row panel.
+
+    Number 0 is the zero distance.  The others are numbered by the row panel
+    (:func:`_panel_ends`) in which they first appear among the pairs
+    ``(i, j)``, ``j < i``, and by value within each panel, so each panel's
+    new distances are one ascending run.  ``count[m]`` is the number of
+    distinct distances among the first ``m`` points; where ``m`` is a panel
+    end, they are the first ``count[m]`` numbers.  ``index[:m, :m]`` maps the
+    kernel matrix of the first ``m`` points onto the numbers.  Lattice-like
     designs repeat distances many times; the kernel is evaluated once each.
     """
 
@@ -272,16 +290,47 @@ class _DistanceTable:
             k = int(np.argmin(dist))
             raise DegenerateDesignError(
                 f"duplicate points at indices {int(il[1][k])} and {int(il[0][k])}")
+        # np.unique sorts, so each panel's distances, taken in that order,
+        # ascend.
         unique, first, inverse = np.unique(dist, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty(order.size, dtype=np.int32)
-        number[order] = np.arange(1, order.size + 1, dtype=np.int32)
-        self.distances = np.concatenate(([0.0], unique[order]))
+        rows = il[0][first]  # the row in which each distance first appears
+        self.bounds = [0] + _panel_ends(n)
+        self.count = np.concatenate(([0], 1 + np.cumsum(np.bincount(rows, minlength=n))))
+        self.distances = np.zeros(unique.size + 1)
+        number = np.empty(unique.size, dtype=np.int32)
+        for a, b in zip(self.bounds, self.bounds[1:]):
+            lo, hi = max(self.count[a], 1), self.count[b]
+            members = np.flatnonzero((rows >= a) & (rows < b))
+            number[members] = np.arange(lo, hi, dtype=np.int32)
+            self.distances[lo:hi] = unique[members]
         self.index = np.zeros((n, n), dtype=np.int32)
         self.index[il] = self.index.T[il] = number[inverse]
-        # Row m starts at pair m (m - 1) / 2; the zero distance comes with row 0.
-        m = np.arange(n + 1)
-        self.count = np.searchsorted(first[order], m * (m - 1) // 2) + (m > 0)
+
+    def new(self, a, b):
+        """The numbers of the distances that first appear in rows ``a:b``,
+        ascending within each panel: a slice when ``a`` and ``b`` are panel
+        ends (or 0), else an index array.
+
+        Then they are picked out of the panels that cover those rows: the
+        numbers of the pairs in rows ``a:b``, less those of the pairs in the
+        earlier rows of the first covering panel.
+        """
+        lo = self.bounds[bisect.bisect_right(self.bounds, a) - 1]
+        hi = self.bounds[bisect.bisect_left(self.bounds, b)]
+        if (lo, hi) == (a, b):
+            return slice(self.count[a], self.count[b])
+        base = self.count[lo]
+        fresh = np.zeros(self.count[hi] - base, dtype=bool)
+        pairs = self.index[a:b, :b]
+        fresh[pairs[pairs >= base] - base] = True
+        pairs = self.index[lo:a, :a]
+        fresh[pairs[pairs >= base] - base] = False
+        return base + np.flatnonzero(fresh)
+
+    def size(self, n):
+        """How many numbers the kernel matrix of the first ``n`` points reads
+        from: all those of the panels that cover its rows."""
+        return self.count[self.bounds[bisect.bisect_left(self.bounds, n)]]
 
 
 def kernel_panels(kernel, design, ends):
@@ -291,7 +340,12 @@ def kernel_panels(kernel, design, ends):
     evaluates the kernel only at the distances new in its rows, when it is
     requested, unless the design has at most ``n`` distinct nonzero
     distances: those are all evaluated in one call before the first panel.
-    The distance table is cached on the design and its prefixes.
+    The distance table is cached on the design and shared with its prefixes
+    (:meth:`~maternsmooth.designs.Design.prefix`), and it numbers the
+    distances by the panels of :func:`_panel_ends`: a panel between two such
+    ends hands the kernel one ascending run of distances, and any other
+    panel the new distances of its rows, picked out of the table's panels
+    that cover them.
     """
     table = getattr(design, "_dist_cache", None)
     if table is None:
@@ -299,17 +353,20 @@ def kernel_panels(kernel, design, ends):
     # The table's distances are finite and nonnegative: a kernel that can
     # skip checking them says so with ``at_distances``.
     evaluate = getattr(kernel, "at_distances", kernel)
-    values = np.empty(table.count[design.n])
+    values = np.empty(table.size(design.n))
     # A lattice-like design has the zero distance and at most n others: one
     # call evaluates them all, for less than the fixed cost of one per panel.
-    ready = values.size if values.size <= design.n + 1 else 0
+    ready = table.count[design.n] <= design.n + 1
     if ready:
-        values[:] = evaluate(table.distances[:ready])
+        new = table.new(0, design.n)
+        values[new] = evaluate(table.distances[new])
     a = 0
     for b in ends:
-        lo, hi = max(table.count[a], ready), table.count[b]
-        if hi > lo:
-            values[lo:hi] = evaluate(table.distances[lo:hi])
+        if not ready:
+            new = table.new(a, b)
+            distances = table.distances[new]
+            if distances.size:
+                values[new] = evaluate(distances)
         # The index is symmetric: its columns a:b, transposed, are the rows.
         yield np.take(values, table.index[:b, a:b]).T
         a = b

@@ -18,9 +18,11 @@ that a value never depends on the array it came in or on its position.
   ``[1, 2), [2, 4), ..., [64, 128]``, each with its own step and node
   count, and a value costs one ``exp`` per node.  Its worst relative error
   against mpmath is 1.2e-15, where SciPy's ``kve`` reaches 1.3e-13 near
-  ``x = 2`` at small orders, and it costs 25 to 55 ns per element where
-  ``kve`` costs 170 to 270 ns at orders that are not half-integers (2-core
-  AMD EPYC; ``kve`` has a closed form at half-integers).
+  ``x = 2`` at small orders.  On one thread of a 2-core AMD EPYC it costs
+  12 to 33 ns per element at orders 0.53 and 5.6, where ``kve`` costs 140
+  to 220 ns below 1, 80 to 145 ns above 128 and 270 ns at order 20.3;
+  ``kve`` has a closed form at half-integers (``tools/bessel_rates.py``
+  measures each path).
 * Elsewhere, where SciPy's ``kve`` is finite, it is used directly (its
   relative error is up to 2e-14 just below ``x = 1`` at small orders).
 * Where ``kve`` overflows, which happens for large order or tiny
@@ -36,12 +38,18 @@ that a value never depends on the array it came in or on its position.
 Accuracy is validated against arbitrary-precision oracle tables shipped
 with the test suite.
 
+At orders up to 16 each path evaluates one contiguous run of ascending
+arguments.  Kernel assembly hands them over ascending (see
+``kernels._DistanceTable``); other input that takes more than one path is
+sorted first, which costs about 15 ns per element.
+
 Threads: an array of at least ``2 * _SLICE_MIN`` arguments (of any shape,
-taken flat) is cut into one contiguous slice per worker thread, and each
-slice of one output array is filled by the path of each of its arguments
-(NumPy and ``kve`` release the GIL); the calling thread evaluates the
-first slice itself.  Every path is element-wise, so the result does not
-depend on the number of threads, bit for bit.  That number is the package's
+taken flat) is split by stride, thread ``k`` of ``T`` taking elements
+``k, k + T, ...``, so that each thread gets an equal share of every path;
+each fills its elements of one output array (NumPy and ``kve`` release the
+GIL), and the calling thread takes stride 0 itself.  Every path is
+element-wise, so the result does not depend on the number of threads or
+on the order of the arguments, bit for bit.  That number is the package's
 thread limit (:func:`thread_limit`; ``--threads N`` on the command line
 sets it for every command), capped at the CPUs the process may run on,
 which is also the default.  The workers are started on the first split and
@@ -52,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -94,15 +103,19 @@ _QUAD_RTOL = 2.0**-56
 # Half-widths of the strip around the real axis over which the step's error
 # bound is minimised (the integrand decays in the strip below pi/2).
 _QUAD_STRIPS = np.arange(1, 32) * 0.05
-# A slice is evaluated _BLOCK arguments at a time, and each bucket's node
-# matrix (nodes by arguments) holds at most _NODE_MATRIX doubles.
-_BLOCK = 8192
+# Each bucket's node matrix (nodes by arguments) holds at most _NODE_MATRIX
+# doubles.
 _NODE_MATRIX = 2**16
 
 _threads = None  # the thread limit; None: every CPU the process may run on
 _cpus = None  # CPUs in the process's affinity mask, read on first use
 _pool = None  # Bessel workers besides the calling thread
 _pool_lock = threading.Lock()
+
+
+def is_real(value):
+    """Whether ``value`` is a real number, Python or NumPy, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_threads(threads):
@@ -238,61 +251,76 @@ def _trapezoid(nu, bucket, x, out):
 def _kve_slice(nu, x, out=None):
     """``kve(nu, x)`` for a 1-d float array, by the trapezoidal rule where
     ``nu <= 16`` and ``1 <= x <= 128`` and by SciPy elsewhere, into ``out``
-    (a new array if None)."""
+    (a new array if None).
+
+    Each path (SciPy below 1, each bucket of the rule, SciPy above 128)
+    evaluates one contiguous run of ascending arguments, found by one
+    ``searchsorted`` of the bucket edges.  Arguments that do not ascend are
+    sorted first and their values put back in place, unless they all take
+    one path.
+    """
     if out is None:
         out = np.empty_like(x)
     if nu > _QUAD_ORDER_MAX:
         return _special.kve(nu, x, out=out)
-    for a in range(0, x.size, _BLOCK):
-        xa, oa = x[a:a + _BLOCK], out[a:a + _BLOCK]
-        # Group 0 holds the arguments below 1, group k + 1 the bucket
-        # [2**k, 2**(k+1)) (the top one with 128), and the last group those
-        # above 128.
-        group = np.searchsorted(_QUAD_EDGES, xa, side="right")
-        counts = np.bincount(group, minlength=_QUAD_BUCKETS + 2).tolist()
-        for g, count in enumerate(counts):
-            if count == xa.size:
-                _kve_group(nu, g, xa, oa)
-            elif count:
-                index = np.flatnonzero(group == g)
-                values = xa[index]
-                _kve_group(nu, g, values, values)
-                oa[index] = values
+    if not (x[1:] < x[:-1]).any():
+        return _kve_runs(nu, x, out)
+    first, last = np.searchsorted(_QUAD_EDGES, (x.min(), x.max()), side="right").tolist()
+    if first == last:
+        _kve_path(nu, first, x, out)
+        return out
+    order = np.argsort(x)
+    values = x[order]
+    _kve_runs(nu, values, values)
+    out[order] = values
     return out
 
 
-def _kve_group(nu, group, x, out):
-    """``kve(nu, x)`` into ``out`` for arguments ``x`` of one group of
-    :func:`_kve_slice`."""
-    if 1 <= group <= _QUAD_BUCKETS:
-        _trapezoid(nu, group - 1, x, out)
+def _kve_runs(nu, x, out):
+    """:func:`_kve_slice` for ascending ``x``."""
+    edges = [0, *np.searchsorted(x, _QUAD_EDGES).tolist(), x.size]
+    for path, (a, b) in enumerate(zip(edges, edges[1:])):
+        if b > a:
+            _kve_path(nu, path, x[a:b], out[a:b])
+    return out
+
+
+def _kve_path(nu, path, x, out):
+    """``kve(nu, x)`` into ``out`` for arguments ``x`` of one path: 0 for
+    those below 1, ``k + 1`` for the bucket ``[2**k, 2**(k+1))`` of the rule
+    (the top one with 128), and the last for those above 128."""
+    if 1 <= path <= _QUAD_BUCKETS:
+        _trapezoid(nu, path - 1, x, out)
     else:
         _special.kve(nu, x, out=out)
 
 
 def _kve(nu, x):
-    """``kve(nu, x)`` for a float array of any shape, its flat slices
-    evaluated on the worker threads when ``x`` is large; bit-identical to
-    one call of :func:`_kve_slice`."""
+    """``kve(nu, x)`` for a float array of any shape, split flat across the
+    worker threads by stride when ``x`` is large (thread ``k`` of ``T``
+    takes elements ``k, k + T, ...``); bit-identical to one call of
+    :func:`_kve_slice`."""
     flat = x.reshape(-1)
-    slices = flat.size // _SLICE_MIN
-    if slices >= 2:
-        slices = min(slices, worker_threads())
-    if slices < 2:
+    threads = flat.size // _SLICE_MIN
+    if threads >= 2:
+        threads = min(threads, worker_threads())
+    if threads < 2:
         return _kve_slice(nu, flat).reshape(x.shape)
     out = np.empty_like(flat)
-    edges = [flat.size * k // slices for k in range(slices + 1)]
     pool = _worker_pool()
-    futures = [pool.submit(_kve_slice, nu, flat[a:b], out[a:b])
-               for a, b in zip(edges[1:-1], edges[2:])]
-    _kve_slice(nu, flat[:edges[1]], out[:edges[1]])
+    futures = [pool.submit(_kve_slice, nu, flat[k::threads], out[k::threads])
+               for k in range(1, threads)]
+    _kve_slice(nu, flat[::threads], out[::threads])
     for future in futures:
         future.result()
     return out.reshape(x.shape)
 
 
 def _validate_positive(name, value):
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be integer or floating numbers, got {value!r}")
+    arr = arr.astype(float, copy=False)
     # Two reductions: a NaN fails both comparisons.
     if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -436,12 +464,11 @@ def _log_k_fallback(nu, x):
 def _order_and_arguments(nu, x):
     """Validated order, arguments as an array of at least one dimension, and
     whether ``x`` is scalar."""
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError(f"order nu must be finite and >= 0, got {nu!r}")
+    if not (is_real(nu) and math.isfinite(nu) and nu >= 0):
+        raise DomainError(f"order nu must be a real number, finite and >= 0, got {nu!r}")
     arr = _validate_positive("x", x)
     scalar = np.isscalar(x) or arr.ndim == 0
-    return nu, np.atleast_1d(arr), scalar
+    return float(nu), np.atleast_1d(arr), scalar
 
 
 def log_bessel_k(nu, x):

@@ -8,6 +8,7 @@ import pytest
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import DegenerateDesignError, DomainError
 from maternsmooth.estimators import EstimatorConfig
+from maternsmooth.experiments import _jittered_grid
 from maternsmooth.kernels import (
     GaussParams,
     GaussianKernel,
@@ -15,6 +16,7 @@ from maternsmooth.kernels import (
     MaternParams,
     STANDARD_SCALING,
     ScalingPolicy,
+    _panel_ends,
     c_scaling,
     gaussian_eval,
     kernel_matrix,
@@ -270,3 +272,74 @@ class TestKernelPanels:
         list(panels)
         assert kernel.calls == [1 + 16 * 15 // 2, (32 * 31 - 16 * 15) // 2,
                                 (64 * 63 - 32 * 31) // 2]
+
+
+def _jittered_van_der_corput(n, seed):
+    """Van der Corput points moved by up to a quarter of their spacing: all
+    pairwise distances distinct, as in a scattered design."""
+    base = van_der_corput(Box.unit(1), n).points[:, 0]
+    spacing = float(np.min(np.diff(np.sort(base))))
+    rng = np.random.Generator(np.random.Philox(seed))
+    return Design(np.clip(base + (2.0 * rng.random(n) - 1.0) * 0.25 * spacing, 0.0, 1.0),
+                  Box.unit(1))
+
+
+def _distinct(points):
+    """Distinct pairwise distances among ``points``, the zero distance included."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.unique(np.sqrt((diff * diff).sum(-1))).size if len(points) else 0
+
+
+class TestDistanceTable:
+    """The numbering of distances by row panel, and prefixes that share it."""
+
+    DESIGNS = {
+        "jittered-1d": lambda: _jittered_van_der_corput(113, 4),
+        "jittered-grid-2d": lambda: _jittered_grid(2, 150, 9),
+        "van-der-corput": lambda: van_der_corput(Box.unit(1), 200),
+    }
+
+    @pytest.fixture(params=sorted(DESIGNS))
+    def design(self, request):
+        design = self.DESIGNS[request.param]()
+        kernel_matrix(MaternKernel(matern(1.5, lambda_=0.3, d=design.d)), design)
+        return design
+
+    def test_each_panel_numbers_its_new_distances_ascending(self, design):
+        # Each panel's numbers are the distances whose first pair lies in
+        # its rows, ascending.
+        points = design.points
+        first_row = {}
+        for i in range(design.n):
+            diff = points[i] - points[:i]
+            for r in np.sqrt((diff * diff).sum(-1)).tolist():
+                first_row.setdefault(r, i)
+        table = design._dist_cache
+        assert table.distances[0] == 0.0
+        for a, b in zip(table.bounds, table.bounds[1:]):
+            lo, hi = max(table.count[a], 1), table.count[b]
+            panel = table.distances[lo:hi]
+            assert np.all(np.diff(panel) > 0.0)
+            assert sorted(panel.tolist()) == sorted(r for r, i in first_row.items() if a <= i < b)
+            assert hi == _distinct(points[:b])
+
+    def test_every_shared_prefix_evaluates_its_own_distances(self, design):
+        # Panel ends or not, and whatever the ends asked for: the panels of
+        # a prefix that shares the table are the rows of its own kernel
+        # matrix, and the kernel is evaluated at the distances new in each
+        # panel (or, with at most m + 1 distinct, at all of them in one
+        # call), each once.
+        params = matern(2.5, lambda_=0.2, d=design.d)
+        for m in range(1, design.n + 1):
+            K = kernel_matrix(MaternKernel(params), Design(design.points[:m], design.box))
+            for ends in (_panel_ends(m), sorted({(m + 2) // 3, (2 * m + 2) // 3, m})):
+                kernel = _Counting(params)
+                panels = list(kernel_panels(kernel, design.prefix(m), ends))
+                for (a, b), panel in zip(zip([0] + ends, ends), panels):
+                    assert np.array_equal(panel, K[a:b, :b])
+                distinct = [_distinct(design.points[:b]) for b in [0] + ends]
+                if distinct[-1] <= m + 1:
+                    assert kernel.calls == [distinct[-1]], (m, ends)
+                else:
+                    assert kernel.calls == [b - a for a, b in zip(distinct, distinct[1:])
+                                            if b > a], (m, ends)

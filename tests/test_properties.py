@@ -588,6 +588,37 @@ def test_split_bessel_evaluation_is_bit_identical(case):
     assert results[0] == results[1]
 
 
+# Orders on both sides of 16, the rule's top, and of 50, where the uniform
+# expansion takes over from the series.
+orders = st.one_of(st.floats(min_value=0.0, max_value=16.0),
+                   st.floats(min_value=16.0, max_value=50.0, exclude_min=True),
+                   st.floats(min_value=50.0, max_value=300.0))
+
+
+@PROPERTY
+@given(orders, st.one_of(st.integers(min_value=2, max_value=64),
+                         st.integers(min_value=SPLIT, max_value=SPLIT + 64)),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_values_do_not_depend_on_position(nu, size, seed):
+    # Ascending arguments from below 1 through every bucket of the rule to
+    # above 128, a few of them where kve overflows (the uniform expansion
+    # from order 50, the series from 5 to 50), evaluated in order and
+    # permuted, on one or two threads: the values permute with them.
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), size))
+    few = min(8, size // 2)
+    if nu >= 50.0:
+        x[:few] = _near_kve_overflow(nu, 0.0) * np.exp(rng.uniform(-0.5, 0.5, few))
+    elif nu >= 5.0:
+        x[:few] = np.exp(-720.0 / nu - rng.uniform(0.0, 10.0, few))
+    x.sort()
+    p = rng.permutation(size)
+    for count in (1, 2):
+        with _workers(count):
+            for fn in (log_bessel_k, bessel_k):
+                assert fn(nu, x[p]).tobytes() == fn(nu, x)[p].tobytes()
+
+
 def _next_to(values):
     """Each value and the floats on either side of it."""
     return sorted({v for x in values for v in (math.nextafter(x, 0.0), x,

@@ -230,6 +230,29 @@ class TestValidation:
         with pytest.raises(DomainError):
             bessel_k(bad_nu, 1.0)
 
+    @pytest.mark.parametrize("function, args, twin", [
+        # An order that is no real number, or a bool, and arguments whose
+        # dtype is not integer or floating.
+        *((f, args, None) for f in (log_bessel_k, bessel_k) for args in [
+            (True, 1.0), (np.True_, 1.0), ("2", 1.0), (None, 1.0), (1 + 0j, 1.0),
+            (np.array([1.0, 2.0]), 1.0), (1.0, "2"), (1.0, True), (1.0, [True, False]),
+            (1.0, [1 + 0j]), (1.0, None)]),
+        *((log_gamma, (x,), None) for x in (True, np.True_, "2", None, [1 + 0j], [True])),
+        # Valid input of other real types: the bits of its float64 twin.
+        *((f, args, twin) for f in (log_bessel_k, bessel_k) for args, twin in [
+            ((2, 3), (2.0, 3.0)), ((np.int64(2), [1, 40]), (2.0, [1.0, 40.0])),
+            ((np.float32(1.5), np.float32(2.0)), (1.5, 2.0)),
+            ((0.3, np.array([0.5, 7.0], dtype=np.float32)), (0.3, [0.5, 7.0]))]),
+        (log_gamma, (3,), (3.0,)), (log_gamma, ([np.float32(0.5), 4],), ([0.5, 4.0],)),
+    ])
+    def test_order_and_argument_types(self, function, args, twin):
+        if twin is None:
+            with pytest.raises(DomainError):
+                function(*args)
+        else:
+            assert np.asarray(function(*args)).tobytes() == \
+                np.asarray(function(*twin)).tobytes()
+
     def test_series_nonconvergence_reports_achieved_error(self, monkeypatch):
         # the public routing never feeds the series a large argument; force
         # one directly, with a short term budget, to check the failure contract
@@ -278,12 +301,13 @@ class TestThreads:
         return calls
 
     def test_caller_evaluates_the_first_slice(self, two_cpus, slices):
+        # Strided: the caller takes elements 0, 2, 4, ..., the worker the rest.
         x = np.linspace(0.1, 30.0, self.SPLIT + 1)
         with thread_limit(2):
             split = log_bessel_k(3.3, x)
             whole = log_bessel_k(3.3, x[:-2])
         half = self.SPLIT // 2
-        assert sorted(slices[:2]) == [(False, half + 1, True), (True, half, True)]
+        assert sorted(slices[:2]) == [(False, half, True), (True, half + 1, True)]
         assert slices[2:] == [(True, self.SPLIT - 1, False)]
         with thread_limit(1):
             assert split.tobytes() == log_bessel_k(3.3, x).tobytes()

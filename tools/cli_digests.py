@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over nineteen fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -86,6 +86,10 @@ CONFIGURATIONS = (
     # Bessel evaluation, irregular failures above the run, non-unimodal CV.
     ("saturation-nu-max-300", ["non-undersmoothing", "--f0", "gauss_bump"],
      ["nu_max = 300", "lambda = 0.05"]),
+    # Prefixes that are not row-panel ends (16, 32, 64, ...): their kernel
+    # panels pick their distances out of the panels that cover them.
+    ("odd-schedule", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "24,40,100,300",
+                      "--seed-list", "101,102"], None),
 )
 
 
