@@ -3,12 +3,13 @@
 The engine scans theta through a kernel factory (:class:`_Scan`); its main
 use is the Matern smoothness nu, and the Gaussian length-scale probe is the
 other.  Estimation runs on a lattice of log-spaced coarse cells over a
-bracket ``[lo, hi]``, coarse to fine (:func:`_plan`): every fourth cell
-first, then the cells that fix the ends of the searchable bracket and
-those next to its minimum.  Cells whose kernel matrix fails to factorize
-are recorded and skipped; the searchable bracket is the contiguous run of
-cells that factor, from the lowest one, and an estimate that saturates its
-top is flagged via ``hit_upper_bracket``.  A minimum inside the run is
+bracket ``[lo, hi]``, coarse to fine (:func:`_plan`): every eighth cell
+first, then bisection of the gaps that hold the ends of the searchable
+bracket, then a walk from the coarse minimum to the cells next to the
+minimum.  Cells whose kernel matrix fails to factorize are recorded and
+skipped; the searchable bracket is the contiguous run of cells that
+factor, from the lowest one, and an estimate that saturates its top is
+flagged via ``hit_upper_bracket``.  A minimum inside the run is
 refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
 the objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
@@ -66,8 +67,15 @@ _TO_CHEBYSHEV = np.array([
 _SCAN = np.linspace(-1.0, 1.0, 2049)
 _NEWTON_STEPS = 3
 # The coarse scan reads every _STRIDE-th cell of the lattice first (see
-# :func:`_plan`).  Of 3 and 4, 4 ran the benchmark's sweeps faster.
-_STRIDE = 4
+# :func:`_plan`).  Measured with bisection and the walk: the C07 sweep (ten
+# seeds, n <= 512) makes 55, 53, 51 and 47 search-cell factorizations at
+# strides 4, 6, 8 and 12, and the benchmark's saturation-scattered sweep 24,
+# 21, 20 and 18.  Which cells are read decides what a failing cell between
+# evaluable ones does: at n = 16, C07's cell 51 fails between the evaluable
+# cells 50 and 52.  Strides 6 and 12 read it and end the run at 50, as the
+# scan of every cell does; strides 4 and 8 do not, and keep the run's top at
+# 52, as the plan of stride 4 before bisection did.
+_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -87,14 +95,16 @@ class EstimatorConfig:
     lambda_: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.nu_min < self.nu_max < math.inf):
-            raise DomainError(f"need 0 < nu_min < nu_max < inf, got nu_min={self.nu_min!r}, "
+        require_positive(self, ("nu_min", "nu_max", "sigma", "lambda_"))
+        if not self.nu_min < self.nu_max:
+            raise DomainError(f"need nu_min < nu_max, got nu_min={self.nu_min!r}, "
                               f"nu_max={self.nu_max!r}")
         if not is_integer(self.coarse_grid):
             raise DomainError(f"coarse_grid must be an integer, got {self.coarse_grid!r}")
         if self.coarse_grid < 8:
             raise DomainError("coarse_grid must be at least 8")
-        require_positive(self, ("sigma", "lambda_"))
+        if not isinstance(self.profile_sigma, bool):
+            raise DomainError(f"profile_sigma must be a bool, got {self.profile_sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class NuEstimate:
     when it was refined.  When the failing cells are a lower and an upper
     set of the lattice (every cell below a failing lowest cell, or above a
     failing cell of the run, fails) and the values are unimodal over the
-    run, every other field is bit for bit that of a scan of every cell.
+    run, ties allowed, every other field is bit for bit that of a scan of
+    every cell.
     """
 
     nu_hat: float
@@ -226,21 +237,27 @@ def _plan(lo, hi, count):
 
     1. every ``_STRIDE``-th cell and the top cell, or, when none of them can
        be evaluated, every cell;
-    2. the cells between the lowest evaluable cell and the read cell below
-       it, and between the run's highest read cell and the first read
-       failure above it, which fixes ``first``, ``top`` and
+    2. bisection: of the unread cells between the lowest evaluable cell and
+       the read cell below it, and of those between the run's highest read
+       cell and the first read failure above it, the middle one, and again
+       until neither gap is left, which fixes ``first``, ``top`` and
        ``searchable_upper``;
-    3. the cells within one stride of the run's minimum, until the minimum
-       and its neighbours in the run have been read;
+    3. a walk: the unread neighbours of the run's minimum inside the run,
+       and again until both have been read.  A left neighbour whose value
+       ties the minimum's is a shelf, and the walk goes on past it to the
+       first left cell that does not tie;
     4. the interior nodes of the minimum's bracketing triple, when it lies
        inside the run.
 
     A cell that is not read counts as evaluable when it lies inside the
     run and as failing below it.  So when the failing cells are a lower
-    and an upper set of the lattice, and the values are unimodal over the
-    run, the plan finds the bracketing triple and nodes of the scan of
-    every cell, and returns its estimate bit for bit.  A failing cell
-    between two evaluable cells that the plan does not read is not seen.
+    and an upper set of the lattice, bisection finds the ends of the scan
+    of every cell; when the values are also unimodal over the run (falling
+    to the minimum and then rising, ties allowed), the walk ends at its
+    minimum, the last cell of the least value, so the plan finds the
+    bracketing triple and nodes of that scan and returns its estimate bit
+    for bit.  A failing cell between two evaluable cells that the plan does
+    not read is not seen.
     """
     grid = [float(theta) for theta in np.geomspace(lo, hi, count)]
     known, failures = {}, []
@@ -271,16 +288,21 @@ def _plan(lo, hi, count):
         below = first
         while below > 0 and values[below - 1] is None:
             below -= 1
-        if below < first or top + 1 < end:
-            yield from read(grid[below:first] + grid[top + 1:end])
+        gaps = [(a, b) for a, b in ((below, first), (top + 1, end)) if a < b]
+        if gaps:
+            yield from read([grid[(a + b - 1) // 2] for a, b in gaps])
             continue
         best = first  # ties broken toward the larger argument
         for i in range(first, top + 1):
             if values[i] is not None and values[i] <= values[best]:
                 best = i
-        if values[max(best - 1, first)] is not None and values[min(best + 1, top)] is not None:
+        left = best - 1
+        while left >= first and values[left] == values[best]:  # a shelf
+            left -= 1
+        walk = [i for i in (left, best + 1) if first <= i <= top and values[i] is None]
+        if not walk:
             break
-        yield from read(grid[max(best - _STRIDE + 1, first):min(best + _STRIDE, top + 1)])
+        yield from read([grid[i] for i in walk])
 
     theta, value, non_unimodal = grid[best], values[best], False
     if first < best < top:
@@ -322,13 +344,13 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     ``fn`` maps a positive scalar to an objective value and may raise
     :class:`ConditioningError`; failing cells, and cells whose value is
     not finite, are recorded in ``failures`` and treated as unevaluable.
-    The scan reads every ``_STRIDE``-th cell first, then the cells that fix
-    the searchable bracket, the contiguous run of evaluable cells from the
-    lowest one (see :class:`NuEstimate`), then the cells around its minimum
-    (:func:`_plan`); coarse ties are broken toward the larger argument.  A
-    minimum inside the run is refined on its bracketing triple: ``fn`` is
-    evaluated at the triple's interior Chebyshev-Lobatto nodes in log
-    coordinates, and the estimate is the minimum of the degree-8
+    The scan reads every ``_STRIDE``-th cell first, then bisects to the
+    ends of the searchable bracket, the contiguous run of evaluable cells
+    from the lowest one (see :class:`NuEstimate`), then walks to the cells
+    next to its minimum (:func:`_plan`); coarse ties are broken toward the
+    larger argument.  A minimum inside the run is refined on its bracketing
+    triple: ``fn`` is evaluated at the triple's interior Chebyshev-Lobatto
+    nodes in log coordinates, and the estimate is the minimum of the degree-8
     polynomial through the nine nodes.  When a node cannot be evaluated,
     or the node values are not unimodal, or the polynomial's minimum sits
     on an end of the bracket, the best node is returned with
@@ -545,12 +567,14 @@ def _searches(top, columns, schedule, scan):
     :class:`ConditioningError`; a column's profiling error ends its search,
     the first one asked for winning.  Each round factors the cells the
     searches ask for and no table holds yet, once every search waits for a
-    cell.  A lattice cell is factored on ``top`` and serves every size; a
-    cell that only small prefixes ask for fails early on ``top`` and is
-    cheap.  The refinement nodes come last, once every search waits for
-    nodes: each is factored once, on the largest prefix whose searches ask
-    for it, and serves the sizes that ask for it; its leave-one-out inverse
-    is computed only if a CV search asks for it.  Every cell writes its
+    cell: first every ``_STRIDE``-th cell, then one bisection or walk step
+    of each search, one or two cells that the searches of other sizes and
+    columns often ask for too.  A lattice cell is factored on ``top`` and
+    serves every size; a cell that only small prefixes ask for fails early
+    on ``top`` and is cheap.  The refinement nodes come last, once every
+    search waits for nodes: each is factored once, on the largest prefix
+    whose searches ask for it, and serves the sizes that ask for it; its
+    leave-one-out inverse is computed only if a CV search asks for it.  Every cell writes its
     factor and inverse into one pair of buffers of ``top``'s size.
     """
     lattice = set(np.geomspace(scan.lo, scan.hi, scan.count).tolist())

@@ -305,6 +305,7 @@ class _DistanceTable:
             self.distances[lo:hi] = unique[members]
         self.index = np.zeros((n, n), dtype=np.int32)
         self.index[il] = self.index.T[il] = number[inverse]
+        self._ascending = {}
 
     def new(self, a, b):
         """The numbers of the distances that first appear in rows ``a:b``,
@@ -326,6 +327,16 @@ class _DistanceTable:
         pairs = self.index[lo:a, :a]
         fresh[pairs[pairs >= base] - base] = False
         return base + np.flatnonzero(fresh)
+
+    def ascending(self, m):
+        """The numbers of the distances among the first ``m`` points, those
+        of ``new(0, m)``, in ascending order of distance; computed once per
+        ``m`` and kept."""
+        order = self._ascending.get(m)
+        if order is None:
+            numbers = np.arange(self.size(m))[self.new(0, m)]
+            order = self._ascending[m] = numbers[np.argsort(self.distances[numbers])]
+        return order
 
     def size(self, n):
         """How many numbers the kernel matrix of the first ``n`` points reads
@@ -355,10 +366,11 @@ def kernel_panels(kernel, design, ends):
     evaluate = getattr(kernel, "at_distances", kernel)
     values = np.empty(table.size(design.n))
     # A lattice-like design has the zero distance and at most n others: one
-    # call evaluates them all, for less than the fixed cost of one per panel.
+    # call evaluates them all, in ascending order, for less than the fixed
+    # cost of one per panel.
     ready = table.count[design.n] <= design.n + 1
     if ready:
-        new = table.new(0, design.n)
+        new = table.ascending(design.n)
         values[new] = evaluate(table.distances[new])
     a = 0
     for b in ends:

@@ -92,6 +92,21 @@ class TestConfig:
         with pytest.raises(DomainError):
             EstimatorConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # A string is truthy, so "no" would profile; 1 is not a bool either.
+        (dict(profile_sigma="no"), "profile_sigma must be a bool, got 'no'"),
+        (dict(profile_sigma=1), "profile_sigma must be a bool, got 1"),
+        # True would run as 1; a string would raise a bare TypeError.
+        (dict(nu_min=True), "nu_min must be positive and finite, got True"),
+        (dict(nu_min="0.1"), "nu_min must be positive and finite, got '0.1'"),
+        (dict(nu_max=True), "nu_max must be positive and finite, got True"),
+        (dict(nu_max="15"), "nu_max must be positive and finite, got '15'"),
+    ])
+    def test_typed_errors(self, kwargs, message):
+        with pytest.raises(DomainError) as caught:
+            EstimatorConfig(**kwargs)
+        assert str(caught.value) == message
+
 
 class TestBracketedMinimize:
     def test_quadratic_in_log_space(self):
@@ -158,7 +173,9 @@ class TestBracketedMinimize:
 
     def test_two_dips_in_the_bracket_return_the_best_node(self):
         # Two dips either side of the coarse minimum at 2: the node values
-        # fall, rise and fall again, so no polynomial is trusted.
+        # fall, rise and fall again, so no polynomial is trusted.  The plan
+        # reads cells 0 and 8, walks from 0 up to the minimum at 4 and its
+        # neighbour 5, then reads the six interior nodes.
         c = math.log(2.0)
 
         def fn(t):
@@ -169,7 +186,7 @@ class TestBracketedMinimize:
         scan = bracketed_minimize(lambda t: fn(asked.append(t) or t), 0.5, 8.0, 9)
         grid = np.geomspace(0.5, 8.0, 9)
         inside = sorted(t for t in asked if grid[3] <= t <= grid[5])
-        assert len(asked) == scan.evaluations == 9 + 6 and len(inside) == 9
+        assert len(asked) == scan.evaluations == 7 + 6 and len(inside) == 9
         values = [fn(t) for t in inside]
         assert not all(b >= a for a, b in zip(values[values.index(min(values)):], values[1:]))
         assert scan.non_unimodal and not scan.failures
@@ -395,16 +412,16 @@ class TestEstimateNu:
                 pattern += "x"
         assert pattern == "." * 24 + "x" * 12 + "." + "x" * 3 + "." + "x" * 16 + "." + "x" * 2
         for est in estimate_nu(design, y, cfg).values():
-            # The search reads every fourth cell, the top one and those next
-            # to the run's top: its failures are the failing cells among
-            # them, and the cells 36 and 40, which evaluate again, are its
-            # irregular ones.
+            # The search reads every eighth cell and the top one, then
+            # bisects the gap above the run's top (cells 20, 22 and 23): its
+            # failures are the failing cells among them, and cell 40, which
+            # evaluates again, is its irregular one.
             failed = sorted(list(grid).index(nu) for nu, _ in est.failures)
-            assert failed == [24, 28, 32, 44, 48, 52, 56, 59]
-            assert est.searchable_upper == grid[23] and est.irregular_failures == 2
+            assert failed == [24, 32, 48, 56, 59]
+            assert est.searchable_upper == grid[23] and est.irregular_failures == 1
             assert est.nu_hat <= est.searchable_upper and est.hit_upper_bracket
         (record,) = sweep_prefixes(design, y, [4], cfg)
-        assert record.notes == "ml_failures=8;ml_irregular=2;cv_failures=8;cv_irregular=2"
+        assert record.notes == "ml_failures=5;ml_irregular=1;cv_failures=5;cv_irregular=1"
         assert record.searchable_upper_ml == record.searchable_upper_cv == grid[23]
         assert record.nu_hat_ml == record.searchable_upper_ml
 
@@ -519,8 +536,8 @@ class TestSweeps:
 
     def test_ten_seed_sweep_factor_budget(self, monkeypatch):
         # The C07 configuration: ten seeds, n up to 512.  The coarse-to-fine
-        # plan and shared nodes keep it to 123 factorizations (146 when the
-        # search read every coarse cell).
+        # plan and shared nodes keep it to 113 factorizations, 51 of them
+        # search cells (146 and 84 when the search read every coarse cell).
         factor, calls = gp._factor, [0]
 
         def counting(*args):
@@ -529,11 +546,11 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5))
-        assert len(result.rows) == 60 and calls[0] == 123
+        assert len(result.rows) == 60 and calls[0] == 113
 
     def test_two_seed_sweep_factor_budget(self, monkeypatch):
         # The benchmark's sweep-1d configuration: seeds 101 and 102, n up to
-        # 512.  60 factorizations, 27 of them of all 512 points that succeed
+        # 512.  52 factorizations, 22 of them of all 512 points that succeed
         # (86 and 51 when the search read every coarse cell).
         factor, calls = gp._factor, []
 
@@ -544,7 +561,32 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
-        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (60, 27)
+        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (52, 22)
+
+    def test_saturated_sweep_factor_budget(self, monkeypatch):
+        # The benchmark's saturation-scattered configuration: the smooth bump
+        # on 512 jittered van der Corput points, nu_max = 300, lambda = 0.05,
+        # n from 64 to 512.  Every estimate saturates a run that ends where
+        # the factorization first fails, so bisection finds each run's top:
+        # 20 factorizations, 7 of them succeed (28 and 11 when the gaps of
+        # every fourth cell were read whole).
+        base = van_der_corput(UNIT, 512).points[:, 0]
+        spacing = float(np.min(np.diff(np.sort(base))))
+        rng = np.random.Generator(np.random.Philox(0))
+        points = np.clip(base + (2.0 * rng.random(512) - 1.0) * 0.25 * spacing, 0.0, 1.0)
+        y = builtin_test_functions()["gauss_bump"](points)
+        factor, calls = gp._factor, []
+
+        def counting(kernel, design, buffer=None):
+            out = factor(kernel, design, buffer)
+            calls.append(out[1] is None)
+            return out
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        records = sweep_prefixes(Design(points, UNIT), y, (64, 128, 256, 512),
+                                 EstimatorConfig(nu_max=300.0, lambda_=0.05))
+        assert all(r.hit_upper_ml and r.hit_upper_cv for r in records)
+        assert (len(calls), sum(calls)) == (20, 7)
 
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)

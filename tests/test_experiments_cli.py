@@ -511,7 +511,10 @@ class TestCli:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("line,message", [
-        ("nu_max = inf", "need 0 < nu_min < nu_max < inf"),
+        ("nu_max = inf", "nu_max must be positive and finite, got inf"),
+        ("nu_min = 3.5\nnu_max = 2.5", "need nu_min < nu_max, got nu_min=3.5, nu_max=2.5"),
+        ("nu_min = low", "nu_min must be positive and finite, got 'low'"),
+        ("profile_sigma = no", "profile_sigma must be a bool, got 'no'"),
         ("coarse_grid = 10.5", "coarse_grid must be an integer"),
         ("coarse_grid = true", "coarse_grid must be an integer"),
         ("lambda_max = inf", "need 0 < lambda_min <= lambda_max < inf"),

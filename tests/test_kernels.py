@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maternsmooth.designs import Box, Design, van_der_corput
+from maternsmooth.designs import Box, Design, uniform_grid, van_der_corput
 from maternsmooth.errors import DegenerateDesignError, DomainError
 from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import _jittered_grid
@@ -236,14 +236,15 @@ class TestKernelMatrix:
 
 
 class _Counting(MaternKernel):
-    """A Matern kernel that records the size of every distance array it evaluates."""
+    """A Matern kernel that records every distance array it evaluates, and its size."""
 
     def __init__(self, params):
         super().__init__(params)
-        self.calls = []
+        self.calls, self.arguments = [], []
 
     def at_distances(self, r):
         self.calls.append(r.size)
+        self.arguments.append(r)
         return super().at_distances(r)
 
 
@@ -259,6 +260,22 @@ class TestKernelPanels:
         K = kernel_matrix(MaternKernel(kernel.params), Design(design.points, design.box))
         for (a, b), panel in zip([(0, 16), (16, 32), (32, 64)], panels):
             assert np.array_equal(panel, K[a:b, :b])
+
+    @pytest.mark.parametrize("design, m", [
+        (van_der_corput(Box.unit(1), 256), 64), (van_der_corput(Box.unit(1), 256), 128),
+        (van_der_corput(Box.unit(1), 256), 256), (uniform_grid(Box.unit(1), 129), 129),
+    ])
+    def test_lattice_call_takes_ascending_distances(self, design, m):
+        # The one call of a lattice-like design, on its own table or on a
+        # prefix that shares it, gets its distances ascending across the
+        # table's panels, so the Bessel evaluation sorts nothing, and the
+        # panels keep the bits of the prefix's own kernel matrix.
+        kernel = _Counting(matern(1.5, lambda_=0.3))
+        panels = list(kernel_panels(kernel, design.prefix(m), [m]))
+        (r,) = kernel.arguments
+        assert r.size == _distinct(design.points[:m]) and np.all(np.diff(r) > 0.0)
+        K = kernel_matrix(MaternKernel(kernel.params), Design(design.points[:m], design.box))
+        assert np.array_equal(panels[0], K)
 
     def test_distinct_distances_are_evaluated_per_panel(self):
         # All distances distinct: each panel evaluates its own, when it is

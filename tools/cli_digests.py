@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-two fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -49,6 +49,8 @@ from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+FORTY_SEEDS = ",".join(str(seed) for seed in range(1, 41))
+
 # (name, CLI arguments, configuration file lines or None).
 CONFIGURATIONS = (
     ("c07-check-threads-1", ["non-undersmoothing", "--nu0", "1.5", "--threads", "1",
@@ -90,6 +92,12 @@ CONFIGURATIONS = (
     # panels pick their distances out of the panels that cover them.
     ("odd-schedule", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "24,40,100,300",
                       "--seed-list", "101,102"], None),
+    # Forty seeds at a rough and at a smooth nu0: 480 records, so that a
+    # change of the search plan is checked on many objective surfaces.
+    ("wide-seeds-nu0-0.5", ["non-undersmoothing", "--nu0", "0.5", "--seed-list", FORTY_SEEDS,
+                            "--threads", "1"], None),
+    ("wide-seeds-nu0-2.5", ["non-undersmoothing", "--nu0", "2.5", "--seed-list", FORTY_SEEDS,
+                            "--threads", "1"], None),
 )
 
 
