@@ -350,12 +350,17 @@ def load_design(path, box=None):
 
     If no box is given, the exact bounding box of the points is used
     (generated designs include the domain corners, so this round-trips).
+    Raises :class:`DomainError` when that box has no positive width on some
+    axis, as for a design of zero or one point: its box needs ``box=``.
     """
     with open(path) as fh:
         header = fh.readline().split()
         d, n = int(header[0]), int(header[1])
         pts = np.loadtxt(fh, ndmin=2).reshape(n, d) if n else np.zeros((0, d))
     if box is None:
+        if n == 0 or not np.all(pts.max(axis=0) > pts.min(axis=0)):
+            raise DomainError(f"the box of a design of {n} points with no positive width on "
+                              f"some axis cannot be inferred; pass box=")
         box = Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
     return Design(pts, box)
 

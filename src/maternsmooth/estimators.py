@@ -35,9 +35,7 @@ from .designs import check_schedule, fill_distance, fill_distances, is_integer  
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import condition, condition_prefixes, loo_variances
 from .kernels import MaternKernel, check_positive, matern, require_positive
-# ``ell_ml_from`` and ``ell_cv_from`` stay bound here for the benchmark
-# tracer, which wraps them.
-from .objectives import ell_cv_from, ell_ml_from, prefix_objectives  # noqa: F401
+from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
     "EstimatorConfig",
@@ -330,11 +328,12 @@ def _plan(lo, hi, count):
 
 
 def _outcome(fn, theta):
-    """``fn(theta)``, or the :class:`ConditioningError` it raises."""
+    """``fn(theta)``, or the :class:`ConditioningError` it raises, kept
+    without its traceback, which holds the frames that raised it."""
     try:
         return fn(theta)
     except ConditioningError as err:
-        return err
+        return err.with_traceback(None)
 
 
 def bracketed_minimize(fn, lo, hi, n_coarse):
@@ -383,15 +382,16 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
+def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
     """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
-    points of ``design``, for each ``n`` in ``sizes``, from one
-    factorization (:func:`~maternsmooth.objectives.prefix_objectives`).
+    points of ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
+    and :func:`ell_cv_from` when ``cv`` is set, on the posteriors of one
+    factorization (:func:`~maternsmooth.gp.condition_prefixes`).
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
-    mapping each objective defined on ``n`` points (of ``names``, if given)
-    to its ``s`` totals, profiled when the scan asks, or to
-    the :class:`ConditioningError` that prevents that objective alone.  When
+    mapping each objective defined on ``n`` points (cross-validation needs
+    two) to its ``s`` totals, profiled when the scan asks, or to the
+    :class:`ConditioningError` that prevents that objective alone.  When
     the factorization fails, both objectives map to one ``nu=..., n=...:``
     error, which names the first failing size after it.
 
@@ -399,28 +399,30 @@ def _cells(design, y, scan, theta, sizes, names=None, workspace=None):
     profiling is degenerate gets its :class:`EstimationError` in place of
     its total, so the cells of a column equal those of its sweep alone.
     ``workspace`` is handed to
-    :func:`~maternsmooth.objectives.prefix_objectives`; nothing returned
-    reads from it.
+    :func:`~maternsmooth.gp.condition_prefixes`; nothing returned reads
+    from it.
     """
     cells, first = [], None
-    for n, values in zip(sizes, prefix_objectives(scan.kernel_at(theta), design, y, sizes,
-                                                  names or ("ml", "cv"), workspace)):
-        if isinstance(values, ConditioningError):
+    for n, post in zip(sizes, condition_prefixes(scan.kernel_at(theta), design, y, sizes,
+                                                 workspace)):
+        if isinstance(post, ConditioningError):
             if first is None:
-                first, text = n, str(values)
+                first, text = n, str(post)
             else:
-                text = (f"failed on prefix n={first}: pivot {values.pivot_index} = "
-                        f"{values.pivot_value:.3e}")
+                text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
+                        f"{post.pivot_value:.3e}")
             cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
-                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=values.pivot_index,
-                pivot_value=values.pivot_value)))
+                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=post.pivot_index,
+                pivot_value=post.pivot_value)))
             continue
-        cell = {}
-        for name, value in values.items():
+        cell = {"ml": ell_ml_from(post)}
+        if cv and n >= 2:
+            cell["cv"] = _outcome(ell_cv_from, post)
+        for name, value in cell.items():
             if not isinstance(value, ConditioningError):
-                value = ([_profiled(data, value.complexity_term, n) for data in value.data_term]
-                         if scan.profile else value.total)
-            cell[name] = value
+                cell[name] = ([_profiled(data, value.complexity_term, n)
+                               for data in value.data_term]
+                              if scan.profile else value.total)
         cells.append(cell)
     return cells
 
@@ -506,17 +508,16 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
 
     Each coarse cell that a search reads is factored once, on the largest
     prefix, and each node once, on the largest prefix that needs it;
-    every prefix reads its objectives from that factor
-    (:func:`~maternsmooth.objectives.prefix_objectives`), its leave-one-out
-    quantities from one inverse of it.  A record's ``searchable_upper_*``
-    is the top of its search's searchable bracket, NaN where the search
-    ended in an error or is not defined.  At sizes of at most 16
-    or ``16 * 2**k`` points those are bit for bit the prefix's own, so a
-    record equals the sweep of its prefix alone; at other sizes they agree
-    to rounding.  A cell whose factorization fails at some pivot
-    fails on every prefix beyond it, and the prefixes after the first one
-    record the prefix size, pivot index and pivot value of that first
-    failure.
+    every prefix reads its objectives from its view of that factor
+    (:func:`_cells`), its leave-one-out quantities from one inverse of it.
+    A record's ``searchable_upper_*`` is the top of its search's searchable
+    bracket, NaN where the search ended in an error or is not defined.  At
+    sizes of at most 16 or ``16 * 2**k`` points those are bit for bit the
+    prefix's own, so a record equals the sweep of its prefix alone; at
+    other sizes they agree to rounding.  A cell whose factorization fails
+    at some pivot fails on every prefix beyond it, and the prefixes after
+    the first one record the prefix size, pivot index and pivot value of
+    that first failure.
 
     The variance ratio factors the kernel at the ML estimate once more,
     per record: the cell table keeps objective totals, not factors, and a
@@ -544,8 +545,9 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     variances0 = [None] * len(schedule)
     if nu0 is not None:
         kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
-        variances0 = [_loo_variances(post) for post in condition_prefixes(
-            kernel0, top, np.zeros(top.n), schedule)]
+        variances0 = [post if isinstance(post, ConditioningError)
+                      else _outcome(loo_variances, post)
+                      for post in condition_prefixes(kernel0, top, np.zeros(top.n), schedule)]
 
     records = [[] for _ in seeds]
     fills = fill_distances(top, schedule)
@@ -621,22 +623,12 @@ def _searches(top, columns, schedule, scan):
             for theta, by_size in wanted.items():
                 indices = sorted(by_size)
                 sizes = [schedule[i] for i in indices]
-                names = ("ml", "cv") if any("cv" in v for v in by_size.values()) else ("ml",)
+                cv = any("cv" in v for v in by_size.values())
                 prefix = top.prefix(sizes[-1])
                 for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
-                                                   sizes, names, workspace)):
+                                                   sizes, cv, workspace)):
                     tables[i][theta] = cell
     return found
-
-
-def _loo_variances(post):
-    """Leave-one-out variances of a posterior, or the error that prevents them."""
-    if isinstance(post, ConditioningError):
-        return post
-    try:
-        return loo_variances(post)
-    except ConditioningError as err:
-        return err
 
 
 def _search_notes(searches):

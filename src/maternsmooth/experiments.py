@@ -31,7 +31,7 @@ from .gp import (
     quadratic_form,
 )
 from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive, kernel_matrix,
-                      matern)
+                      matern, require_positive)
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 from .specfun import check_threads
@@ -97,8 +97,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown design generator {self.design!r}")
         if self.f0 is not None and self.f0 not in builtin_test_functions():
             raise DomainError(f"unknown test function label {self.f0!r}")
-        if not (0 < self.lambda_min <= self.lambda_max < math.inf):
-            raise DomainError(f"need 0 < lambda_min <= lambda_max < inf, got "
+        require_positive(self, ("lambda_min", "lambda_max"))
+        if not self.lambda_min <= self.lambda_max:
+            raise DomainError(f"need lambda_min <= lambda_max, got "
                               f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
         if not self.seeds:
             raise DomainError("need at least one seed")

@@ -7,8 +7,8 @@ of that factorization's first ``n`` points.  Everything downstream
 (posterior mean and variance, leave-one-out residuals and variances,
 incremental variances, log-determinant and quadratic form) reads a
 posterior, so one factorization per (kernel, design) pair serves every
-prefix; :func:`~maternsmooth.objectives.prefix_objectives` computes the
-objectives on those views.  Refitting on subsets is kept only as an
+prefix, and the objectives of :mod:`~maternsmooth.objectives` read those
+views.  Refitting on subsets is kept only as an
 oracle in the test suite.  One factorization also serves several data
 vectors at once: the data may be an ``(n, s)`` matrix whose columns (for
 example sample paths of different seeds) share the kernel matrix, and the

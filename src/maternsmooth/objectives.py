@@ -5,10 +5,10 @@ same shape: the quadratic form plus the log-determinant for maximum
 likelihood, and the scaled residual sum plus the summed log variances for
 leave-one-out cross-validation.  :func:`ell_ml_from` and
 :func:`ell_cv_from` compute them on one conditioned
-:class:`~maternsmooth.gp.Posterior`, and :func:`prefix_objectives` is the
-two over the posteriors of every prefix of a schedule, which are views of
-one factorization of the largest prefix: they share its forward solve and
-its inverse.
+:class:`~maternsmooth.gp.Posterior`.  The posteriors of every prefix of a
+schedule (:func:`~maternsmooth.gp.condition_prefixes`) are views of one
+factorization of the largest prefix, so the objectives of all prefixes
+share its forward solve and its inverse.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError
+from .errors import DomainError
 # ``condition`` stays bound here for the benchmark tracer, which wraps it.
-from .gp import condition, condition_prefixes, log_det, loo, quadratic_form  # noqa: F401
+from .gp import condition, log_det, loo, quadratic_form  # noqa: F401
 
 __all__ = [
     "ObjectiveValue",
-    "prefix_objectives",
     "ell_ml_from",
     "ell_cv_from",
 ]
@@ -43,39 +42,6 @@ class ObjectiveValue:
 
     def __post_init__(self):
         object.__setattr__(self, "total", self.data_term + self.complexity_term)
-
-
-def prefix_objectives(kernel, design, y, sizes, names=("ml", "cv"), workspace=None):
-    """The objectives ``names`` on the first ``n`` points of ``design`` for
-    each ``n`` in ``sizes``: :func:`ell_ml_from` and :func:`ell_cv_from` on
-    the posteriors of :func:`~maternsmooth.gp.condition_prefixes`.
-
-    ``y``, ``sizes`` and ``workspace`` are as there.  Per size, a dict
-    mapping each objective of ``names`` defined on ``n`` points
-    (cross-validation needs two) to its :class:`ObjectiveValue`, or to the
-    :class:`~maternsmooth.errors.ConditioningError` that prevents that
-    objective alone; a size beyond a failing pivot gets that pivot's error
-    in place of its dict.  Maximum likelihood alone never solves for
-    weights or inverts the factor.  At sizes of at most 16 or
-    ``16 * 2**k`` points each value is bit for bit that of the prefix
-    conditioned alone; at other sizes the two agree to rounding.
-    """
-    out = []
-    for post in condition_prefixes(kernel, design, y, sizes, workspace):
-        if isinstance(post, ConditioningError):
-            out.append(post)
-            continue
-        values = {}
-        if "ml" in names:
-            values["ml"] = ell_ml_from(post)
-        if "cv" in names and post.n >= 2:
-            try:
-                values["cv"] = ell_cv_from(post)
-            except ConditioningError as err:
-                # Kept without its traceback, which holds the factor.
-                values["cv"] = err.with_traceback(None)
-        out.append(values)
-    return out
 
 
 def ell_ml_from(post):

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from maternsmooth.analysis import (
     builtin_test_functions,
@@ -21,7 +20,6 @@ from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     ExperimentConfig,
     run_convergence,
-    run_identity_suite,
     run_non_undersmoothing,
     run_variance_decay,
 )
@@ -36,14 +34,6 @@ SQRT2 = math.sqrt(2.0)
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} -- {detail}")
     assert ok, f"{criterion} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def identity_result():
-    start = time.monotonic()
-    result = run_identity_suite()
-    result_elapsed = time.monotonic() - start
-    return result, result_elapsed
 
 
 def _half_integer_forms(x):

@@ -289,3 +289,15 @@ class TestSerialization:
         save_design(des, path)
         back = load_design(path)
         assert back.box == des.box
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_box_of_too_few_points_is_not_inferred(self, tmp_path, n):
+        # No box has positive width around zero or one point: loading needs
+        # box=, and with it the design round-trips.
+        des = Design(np.random.default_rng(3).random((8, 2)), UNIT2).prefix(n)
+        path = tmp_path / "design.txt"
+        save_design(des, path)
+        with pytest.raises(DomainError, match="cannot be inferred; pass box="):
+            load_design(path)
+        back = load_design(path, box=UNIT2)
+        assert back.box == UNIT2 and np.array_equal(back.points, des.points)

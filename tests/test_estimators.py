@@ -20,7 +20,7 @@ from maternsmooth.estimators import (
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
 from maternsmooth.gp import condition, condition_prefixes, loo_variances
 from maternsmooth.kernels import MaternKernel, matern
-from maternsmooth.objectives import ell_cv_from, ell_ml_from, prefix_objectives
+from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import thread_limit
 
 UNIT = Box.unit(1)
@@ -697,17 +697,11 @@ class TestSweeps:
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
             return condition_prefixes(kernel, prefix, values, sizes, workspace)
 
-        def counting(kernel, prefix, values, sizes, names, workspace=None):
-            values = np.asarray(values)
-            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
-            return prefix_objectives(kernel, prefix, values, sizes, names, workspace)
-
         def inverting(post):
             inverted.append((post.kernel.params.nu, post.n))
             return gp.loo(post)
 
         monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
-        monkeypatch.setattr(estimators, "prefix_objectives", counting)
         monkeypatch.setattr(objectives, "loo", inverting)
         plans = recording_plans(monkeypatch)
         cfg = EstimatorConfig(lambda_=1.0)
@@ -760,30 +754,68 @@ class TestSweeps:
             inverted.append(m)
             return invert(chol, m, buffer)
 
-        def counting(prefix, values, scan, nu, schedule, names=None, workspace=None):
+        def counting(prefix, values, scan, nu, schedule, cv=True, workspace=None):
             before = len(inverted)
-            out = compute(prefix, values, scan, nu, schedule, names, workspace)
+            out = compute(prefix, values, scan, nu, schedule, cv, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
-            cells.append((nu, tuple(schedule), names, served, inverted[before:]))
+            cells.append((nu, tuple(schedule), cv, served, inverted[before:]))
             return out
 
         monkeypatch.setattr(gp, "_invert", inverting)
         monkeypatch.setattr(estimators, "_cells", counting)
         records = sweep_prefixes(design, y, sizes, cfg, nu0=1.5, seed=1)
-        coarse = [cell for cell in cells if cell[2] is None]
+        grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
+        coarse = [cell for cell in cells if cell[0] in grid]
         assert len({cell[0] for cell in coarse}) == len(coarse) < cfg.coarse_grid
         assert all(cell[1] == sizes for cell in coarse)
         for _, _, _, served, inversions in coarse:
             assert inversions == served[-1:]
         assert any(0 < len(served) < len(sizes) for _, _, _, served, _ in coarse)
-        nodes = [cell for cell in cells if cell[2] is not None]
+        nodes = [cell for cell in cells if cell[0] not in grid]
         assert nodes
-        for _, schedule, names, served, inversions in nodes:
-            assert inversions == (served[-1:] if "cv" in names else [])
+        for _, schedule, cv, served, inversions in nodes:
+            assert inversions == (served[-1:] if cv else [])
         ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert ratios == len(sizes)
         assert len(inverted) == sum(len(cell[4]) for cell in cells) + 1 + ratios
+
+    def test_each_served_view_reads_its_objectives_once(self, sample_instance, monkeypatch):
+        # The searches read every objective through the estimators' bindings
+        # of ``ell_ml_from`` and ``ell_cv_from``, once per cell and size the
+        # cell's factorization serves: ML on every such size, CV from two
+        # points on the cells a CV search asks for.  A wrapper of these
+        # bindings (the benchmark's tracer) so sees every objective.
+        design, y = sample_instance
+        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        read, served, compute = {"ml": [], "cv": []}, {"ml": [], "cv": []}, estimators._cells
+
+        def reading(name, ell):
+            def wrapped(post):
+                read[name].append((post.kernel.params.nu, post.n))
+                return ell(post)
+            return wrapped
+
+        def counting(prefix, values, scan, nu, sizes, cv=True, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
+            for n, cell in zip(sizes, out):
+                if not isinstance(cell["ml"], ConditioningError):
+                    served["ml"].append((nu, n))
+                    if cv and n >= 2:
+                        served["cv"].append((nu, n))
+            return out
+
+        monkeypatch.setattr(estimators, "ell_ml_from", reading("ml", ell_ml_from))
+        monkeypatch.setattr(estimators, "ell_cv_from", reading("cv", ell_cv_from))
+        monkeypatch.setattr(estimators, "_cells", counting)
+        sweep_prefixes(design, np.stack([y, second], axis=1), [1, 16, 32, 64],
+                       EstimatorConfig(lambda_=1.0), nu0=1.5, seed=(202, 7))
+        for name in ("ml", "cv"):
+            assert sorted(read[name]) == sorted(served[name]), name
+            assert len(set(read[name])) == len(read[name]), name
+        assert {n for _, n in read["ml"]} == {1, 16, 32, 64}
+        assert {n for _, n in read["cv"]} == {16, 32, 64}
+        assert {cell for cell in read["ml"] if cell[1] >= 2} - set(read["cv"])  # ML-only nodes
 
     @pytest.mark.parametrize("broken", ["coarse", "refinement"])
     def test_loo_failure_fails_only_cv(self, sample_instance, monkeypatch, broken):
@@ -823,9 +855,9 @@ class TestSweeps:
         scan = estimators._matern_scan(cfg, design.d)
         calls, compute = [], estimators._cells
 
-        def recording(prefix, values, scan, nu, sizes, names=None, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, names, workspace)
-            calls.append((prefix.n, nu, sizes, names, workspace, out))
+        def recording(prefix, values, scan, nu, sizes, cv=True, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
+            calls.append((prefix.n, nu, sizes, cv, workspace, out))
             return out
 
         def exact(cell):
@@ -838,9 +870,10 @@ class TestSweeps:
         assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
         failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
-        assert any(call[0] < design.n for call in calls if call[3] is not None)  # a node
-        for n, nu, sizes, names, _, out in calls:
-            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, names)
+        grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
+        assert any(call[0] < design.n for call in calls if call[1] not in grid)  # a node
+        for n, nu, sizes, cv, _, out in calls:
+            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, cv)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
         values = [v for *_, out in calls for cell in out for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)
@@ -916,13 +949,13 @@ class TestPrefixRule:
         design, y, cfg = smooth_instance
         factored = []
 
-        def counting(kernel, top, data, sizes, names, workspace=None):
-            posts = prefix_objectives(kernel, top, data, sizes, names, workspace)
+        def counting(kernel, top, data, sizes, workspace=None):
+            posts = condition_prefixes(kernel, top, data, sizes, workspace)
             factored.append((kernel.params.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts
 
-        monkeypatch.setattr(estimators, "prefix_objectives", counting)
+        monkeypatch.setattr(estimators, "condition_prefixes", counting)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[2] == self.SCHEDULE]

@@ -48,8 +48,8 @@ class _DriftingKernel:
 
 
 class TestIdentitySuite:
-    def test_passes_on_default_grid(self):
-        result = run_identity_suite()
+    def test_passes_on_default_grid(self, identity_result):
+        result, _ = identity_result
         assert result.ok
         assert len(result.rows) == 80
         assert all(row[-1] == "ok" for row in result.rows)
@@ -58,8 +58,8 @@ class TestIdentitySuite:
         result = run_identity_suite(kernel_fault=_DriftingKernel, include_loo=False)
         assert not result.ok
 
-    def test_single_point_cells_included(self):
-        result = run_identity_suite()
+    def test_single_point_cells_included(self, identity_result):
+        result, _ = identity_result
         assert any(row[3] == 1 for row in result.rows)
 
 
@@ -235,10 +235,22 @@ class TestEngines:
                     dict(nu_model=(math.inf,)), dict(nu_model=(False,))):
             with pytest.raises(DomainError, match="must be positive and finite"):
                 ExperimentConfig(**bad)
-        for bad in (dict(lambda_max=math.inf), dict(lambda_min=math.inf, lambda_max=math.inf),
-                    dict(lambda_max=math.nan)):
-            with pytest.raises(DomainError, match="lambda_max < inf"):
+        for bad, name in ((dict(lambda_max=math.inf), "lambda_max"),
+                          (dict(lambda_min=math.inf, lambda_max=math.inf), "lambda_min"),
+                          (dict(lambda_max=math.nan), "lambda_max")):
+            with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                 ExperimentConfig(**bad)
+        # True would run as 1; a string would raise a bare TypeError.
+        for bad, message in (
+                (dict(lambda_min=True), "lambda_min must be positive and finite, got True"),
+                (dict(lambda_max=True), "lambda_max must be positive and finite, got True"),
+                (dict(lambda_min="low"), "lambda_min must be positive and finite, got 'low'"),
+                (dict(lambda_max="2"), "lambda_max must be positive and finite, got '2'"),
+                (dict(lambda_min=1.0, lambda_max=0.5),
+                 "need lambda_min <= lambda_max, got lambda_min=1.0, lambda_max=0.5")):
+            with pytest.raises(DomainError) as caught:
+                ExperimentConfig(**bad)
+            assert str(caught.value) == message
         for d in (True, 1.0, 2.0, "1"):
             with pytest.raises(DomainError, match="only d in"):
                 ExperimentConfig(d=d)
@@ -517,7 +529,12 @@ class TestCli:
         ("profile_sigma = no", "profile_sigma must be a bool, got 'no'"),
         ("coarse_grid = 10.5", "coarse_grid must be an integer"),
         ("coarse_grid = true", "coarse_grid must be an integer"),
-        ("lambda_max = inf", "need 0 < lambda_min <= lambda_max < inf"),
+        ("lambda_max = inf", "lambda_max must be positive and finite, got inf"),
+        ("lambda_min = true", "lambda_min must be positive and finite, got True"),
+        ("lambda_max = true", "lambda_max must be positive and finite, got True"),
+        ("lambda_min = low", "lambda_min must be positive and finite, got 'low'"),
+        ("lambda_min = 1.5\nlambda_max = 0.5",
+         "need lambda_min <= lambda_max, got lambda_min=1.5, lambda_max=0.5"),
         ("seeds = 1.5, 2.5", "seed 1.5 must be a non-negative integer"),
         ("seeds = true", "seed True must be a non-negative integer"),
         ("nu0 = nan", "nu0 must be positive and finite"),

@@ -10,7 +10,7 @@ from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
 from maternsmooth.gp import condition, condition_prefixes, incremental_variances
 from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, kernel_matrix, matern
-from maternsmooth.objectives import ell_cv_from, ell_ml_from, prefix_objectives
+from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
 
@@ -128,7 +128,7 @@ class TestCvObjective:
 
 
 class TestPrefixObjectives:
-    """One pass over one factor gives the objectives of every prefix."""
+    """The views of one factorization give the objectives of every prefix."""
 
     SIZES = (5, 16, 32, 64, 128, 256, 512)
 
@@ -139,46 +139,54 @@ class TestPrefixObjectives:
         design = van_der_corput(UNIT, 512)
         kernel = MaternKernel(matern(1.5, lambda_=1.0))
         y = np.random.Generator(np.random.Philox(columns)).standard_normal((512, columns))
-        for n, values in zip(self.SIZES, prefix_objectives(kernel, design, y, self.SIZES)):
+        for n, view in zip(self.SIZES, condition_prefixes(kernel, design, y, self.SIZES)):
             post = condition(kernel, Design(design.points[:n], UNIT), y[:n])
             for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from)):
-                got, want = values[name], ell(post)
+                got, want = ell(view), ell(post)
                 assert np.array_equal(got.data_term, want.data_term), (name, n)
                 assert got.complexity_term == want.complexity_term, (name, n)
 
     def test_one_vector_and_one_size_is_the_posterior_objective(self, instance):
         design, y = instance
         kernel = MaternKernel(matern(1.5, lambda_=0.3))
-        (values,) = prefix_objectives(kernel, design, y, [design.n], ("ml", "cv"))
+        (view,) = condition_prefixes(kernel, design, y, [design.n])
         post = condition(kernel, design, y)
+        values = {"ml": ell_ml_from(view), "cv": ell_cv_from(view)}
         assert values == {"ml": ell_ml_from(post), "cv": ell_cv_from(post)}
         assert isinstance(values["ml"].data_term, float)
 
     def test_names_and_two_points_for_cross_validation(self, instance):
+        # Maximum likelihood is defined on every prefix, cross-validation
+        # from two points.
         design, y = instance
         kernel = MaternKernel(matern(1.5, lambda_=0.3))
-        ml, cv = (prefix_objectives(kernel, design, y, [1, 2, 12], names)
-                  for names in (("ml",), ("cv",)))
-        assert [sorted(v) for v in ml] == [["ml"], ["ml"], ["ml"]]
-        assert [sorted(v) for v in cv] == [[], ["cv"], ["cv"]]
+        views = condition_prefixes(kernel, design, y, [1, 2, 12])
+        assert all(isinstance(ell_ml_from(view).total, float) for view in views)
+        with pytest.raises(DomainError, match="n >= 2"):
+            ell_cv_from(views[0])
+        assert all(isinstance(ell_cv_from(view).total, float) for view in views[1:])
 
     def test_sizes_past_a_failing_pivot_get_its_error(self):
-        # Two points 1e-13 apart: the factor fails at pivot 17, and the
-        # posteriors' errors are the pass's.
+        # Two points 1e-13 apart: the factor fails at pivot 17, the sizes
+        # beyond it get that pivot's error in place of their views, and the
+        # sizes before it views whose objectives are the prefix's own.
         points = van_der_corput(UNIT, 20).points[:, 0].copy()
         points[17] = points[3] + 1e-13
         design = Design(points, UNIT)
         kernel = MaternKernel(matern(2.5, lambda_=0.5))
         y = np.ones(design.n)
         sizes = [16, 17, 18, 20]
-        got = prefix_objectives(kernel, design, y, sizes)
-        posts = condition_prefixes(kernel, design, y, sizes)
-        for n, values, post in zip(sizes, got, posts):
-            if isinstance(post, ConditioningError):
-                assert (str(values), values.pivot_index, values.pivot_value) == (
-                    str(post), post.pivot_index, post.pivot_value)
+        got = condition_prefixes(kernel, design, y, sizes)
+        with pytest.raises(ConditioningError) as failed:
+            condition(kernel, design, y)
+        for n, view in zip(sizes, got):
+            if n > 17:
+                assert (str(view), view.pivot_index, view.pivot_value) == (
+                    str(failed.value), failed.value.pivot_index, failed.value.pivot_value)
             else:
-                assert values == {"ml": ell_ml_from(post), "cv": ell_cv_from(post)}
+                post = condition(kernel, design.prefix(n), y[:n])
+                assert {"ml": ell_ml_from(view), "cv": ell_cv_from(view)} == {
+                    "ml": ell_ml_from(post), "cv": ell_cv_from(post)}
         assert isinstance(got[-1], ConditioningError) and got[-1].pivot_index == 17
 
 
