@@ -6,15 +6,17 @@ Subcommands mirror the experiment engines: ``verify-identities``,
 an optional flat ``key=value`` file plus command-line overrides; every
 run is deterministic given its configuration, seeds included.
 
-Exit codes: 0 on success, 1 when a run raises or an asserted experiment
-fails its criterion (``verify-identities`` always asserts, the others
-under ``--check``), 2 on usage or configuration errors.
+Exit codes: 0 on success, 1 when a run raises, its CSV cannot be
+written, or an asserted experiment fails its criterion
+(``verify-identities`` always asserts, the others under ``--check``), 2
+on usage or configuration errors, a missing output directory among them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -131,6 +133,15 @@ def _build_config(args):
     return ExperimentConfig(estimator=estimator, **values)
 
 
+def _check_output_directory(path):
+    """Raise :class:`DomainError` when the directory of the CSV path does
+    not exist, so that no run ends in a write that cannot succeed."""
+    if path:
+        directory = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(directory):
+            raise DomainError(f"output directory {directory!r} does not exist")
+
+
 def _emit(result, config):
     if config.output_path:
         write_csv(config.output_path, result.header, result.rows)
@@ -200,6 +211,7 @@ def main(argv=None):
     try:
         config = _build_config(args)
         config = replace(config, experiment=args.command)
+        _check_output_directory(config.output_path)
     except (MaternSmoothError, TypeError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
@@ -209,7 +221,11 @@ def main(argv=None):
     except MaternSmoothError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(result, config)
+    try:
+        _emit(result, config)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     asserted = args.check or args.command == "verify-identities"
     return 1 if asserted and result.ok is False else 0
 

@@ -224,13 +224,15 @@ def _squared_distances(a, b):
 
 def fill_distances(design, sizes, probe_resolution=None):
     """:func:`fill_distance` of the first ``n`` points for each ``n`` in
-    ``sizes`` (ascending integers in ``[1, design.n]``), in one pass.
+    ``sizes`` (ascending integers in ``[1, design.n]``), each value bit for
+    bit that of the prefix probed on its own.
 
-    The points are taken in design order, a chunk of them at a time, and
-    each probe keeps its least squared distance to the points so far; the
-    fill distance of a prefix is read off when the pass reaches its size.
-    The temporaries stay at about 1 MB whatever the design size, and each
-    value is bit for bit that of the prefix probed on its own.
+    On a line, each probe reads its two neighbours in the sorted prefix
+    (:func:`_nearest_on_line`).  In higher dimensions the points are taken
+    in design order, a chunk of them at a time, and each probe keeps its
+    least squared distance to the points so far; the fill distance of a
+    prefix is read off when the pass reaches its size.  The temporaries
+    stay at about 1 MB whatever the design size.
     """
     sizes = check_schedule(sizes)
     if sizes and sizes[-1] > design.n:
@@ -242,10 +244,15 @@ def fill_distances(design, sizes, probe_resolution=None):
     if probe_resolution < 64:
         raise DomainError("probe_resolution must be at least 64")
     probes = _probe_grid(design.box, int(probe_resolution))
+    pts = design.points
+    if design.d == 1:
+        # The square root is monotone and correctly rounded, so this is the
+        # largest of the probes' distances.
+        return [float(np.sqrt(_nearest_on_line(probes[:, 0], pts[:n, 0]).max()))
+                for n in sizes]
     block = min(probes.shape[0], _CHUNK_ELEMENTS // design.d)
     step = _CHUNK_ELEMENTS // (block * design.d)
     best = np.full(probes.shape[0], np.inf)
-    pts = design.points
     fills, done = [], 0
     for n in sizes:
         for a in range(done, n, step):
@@ -258,6 +265,18 @@ def fill_distances(design, sizes, probe_resolution=None):
         # largest of the probes' distances.
         fills.append(float(np.sqrt(best.max())))
     return fills
+
+
+def _nearest_on_line(probes, points):
+    """Per probe on a line, its least squared distance to ``points``, the
+    value :func:`_squared_distances` gives, from its two neighbours among
+    the sorted points.  The rounded ``p - x`` is monotone in ``x``, so no
+    point beyond a neighbour comes nearer, to the last bit."""
+    line = np.sort(points)
+    right = np.minimum(np.searchsorted(line, probes), line.size - 1)
+    left = np.maximum(right - 1, 0)
+    # A sum over one coordinate is its square alone.
+    return np.minimum((probes - line[left]) ** 2, (probes - line[right]) ** 2)
 
 
 def fill_distance(design, probe_resolution=None):
@@ -312,8 +331,8 @@ class UniformityReport:
 
 def uniformity_report(design, n_schedule, probe_resolution=None):
     """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
-    :func:`check_schedule`), from one pass over the design for the fill
-    distances (:func:`fill_distances`) and one for the separations."""
+    :func:`check_schedule`): the fill distances from :func:`fill_distances`,
+    the separations from one pass over the design."""
     schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")

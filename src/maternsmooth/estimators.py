@@ -16,10 +16,12 @@ polynomial through nine nodes stands in for a one-dimensional search.
 
 A prefix sweep runs the plans of every data column, objective and prefix
 once, in lockstep, and returns their estimates.  It factors each lattice
-cell that some search reads once, on the largest prefix, and reads every
-prefix and both objectives from that factor.  The searches that share a
-bracketing triple share its nodes, each factored once, on the largest
-prefix that needs it.
+cell that some search reads on the prefix of the largest size whose
+searches ask for it, and reads both objectives of every prefix up to that
+one from that factor; a failure there is recorded for the larger prefixes
+too.  Only a later ask from a larger prefix factors the cell again.  The
+searches that share a bracketing triple share its nodes, each factored
+once, on the largest prefix that needs it.
 """
 
 from __future__ import annotations
@@ -395,6 +397,10 @@ def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
     the factorization fails, both objectives map to one ``nu=..., n=...:``
     error, which names the first failing size after it.
 
+    Sizes beyond ``design.n`` are not factored: when the factorization
+    fails, they get that failure too, and otherwise no cell, so the list is
+    cut short.
+
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
     its total, so the cells of a column equal those of its sweep alone.
@@ -402,9 +408,12 @@ def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
     :func:`~maternsmooth.gp.condition_prefixes`; nothing returned reads
     from it.
     """
+    within = [n for n in sizes if n <= design.n]
+    posts = condition_prefixes(scan.kernel_at(theta), design, y, within, workspace)
+    if isinstance(posts[-1], ConditioningError):
+        posts += posts[-1:] * (len(sizes) - len(within))
     cells, first = [], None
-    for n, post in zip(sizes, condition_prefixes(scan.kernel_at(theta), design, y, sizes,
-                                                 workspace)):
+    for n, post in zip(sizes, posts):
         if isinstance(post, ConditioningError):
             if first is None:
                 first, text = n, str(post)
@@ -495,21 +504,23 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
     sequence ``seed``.  The records come column after column, each in
     schedule order and equal to the column's sweep alone (to rounding at
-    sizes other than those named below).  The fill distances (one pass
-    over the design for every prefix,
-    :func:`~maternsmooth.designs.fill_distances`) and the leave-one-out
-    variances at ``nu0`` are computed once for all columns.  The searches
-    of all columns, both objectives and every prefix run once, in lockstep
-    (:func:`_searches`): each round factors the coarse cells that some
-    search asks for, once for all of them, and the searches whose coarse
-    minimum lands on one bracketing triple share its nodes, each factored
-    once, and inverted for leave-one-out only if a CV search needs it.
+    sizes other than those named below).  The fill distances of every
+    prefix (:func:`~maternsmooth.designs.fill_distances`) and the
+    leave-one-out variances at ``nu0`` are computed once for all columns.
+    The searches of all columns, both objectives and every prefix run
+    once, in lockstep (:func:`_searches`): each round factors the coarse
+    cells that some search asks for, once for all of them, and the
+    searches whose coarse minimum lands on one bracketing triple share its
+    nodes, each factored once, and inverted for leave-one-out only if a CV
+    search needs it.
     The schedule holds sizes of at least 1 in strictly ascending order.
 
-    Each coarse cell that a search reads is factored once, on the largest
-    prefix, and each node once, on the largest prefix that needs it;
-    every prefix reads its objectives from its view of that factor
-    (:func:`_cells`), its leave-one-out quantities from one inverse of it.
+    Each coarse cell that a search reads is factored on the largest
+    prefix whose searches ask for it, and again on a larger one only if
+    its searches ask later; each node once, on the largest prefix that
+    needs it.  Every prefix reads its objectives from its view of that
+    factor (:func:`_cells`), its leave-one-out quantities from one inverse
+    of it.
     A record's ``searchable_upper_*`` is the top of its search's searchable
     bracket, NaN where the search ended in an error or is not defined.  At
     sizes of at most 16 or ``16 * 2**k`` points those are bit for bit the
@@ -517,7 +528,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     other sizes they agree to rounding.  A cell whose factorization fails
     at some pivot fails on every prefix beyond it, and the prefixes after
     the first one record the prefix size, pivot index and pivot value of
-    that first failure.
+    that first failure, without another factorization.
 
     The variance ratio factors the kernel at the ML estimate once more,
     per record: the cell table keeps objective totals, not factors, and a
@@ -571,12 +582,15 @@ def _searches(top, columns, schedule, scan):
     searches ask for and no table holds yet, once every search waits for a
     cell: first every ``_STRIDE``-th cell, then one bisection or walk step
     of each search, one or two cells that the searches of other sizes and
-    columns often ask for too.  A lattice cell is factored on ``top`` and
-    serves every size; a cell that only small prefixes ask for fails early
-    on ``top`` and is cheap.  The refinement nodes come last, once every
-    search waits for nodes: each is factored once, on the largest prefix
-    whose searches ask for it, and serves the sizes that ask for it; its
-    leave-one-out inverse is computed only if a CV search asks for it.  Every cell writes its
+    columns often ask for too.  A lattice cell is factored on the prefix
+    of the largest size whose searches ask for it, and serves every size
+    up to that one that lacks it; a failure at pivot ``p`` is recorded for
+    every larger size without another factorization.  A later ask from a
+    larger size factors the cell again, on that size's prefix.  The
+    refinement nodes come last, once every search waits for nodes: each is
+    factored once, on the largest prefix whose searches ask for it, and
+    serves the sizes that ask for it; its leave-one-out inverse is
+    computed only if a CV search asks for it.  Every cell writes its
     factor and inverse into one pair of buffers of ``top``'s size.
     """
     lattice = set(np.geomspace(scan.lo, scan.hi, scan.count).tolist())
@@ -614,20 +628,19 @@ def _searches(top, columns, schedule, scan):
             for theta in thetas:
                 if theta not in tables[i]:
                     wanted.setdefault(theta, {}).setdefault(i, set()).add(name)
-        cells = sorted(theta for theta in wanted if theta in lattice)
-        for theta in cells:
-            for table, cell in zip(tables, _cells(top, columns, scan, theta, schedule,
-                                                  workspace=workspace)):
-                table[theta] = cell
-        if not cells:  # every search waits for the nodes of its bracket
-            for theta, by_size in wanted.items():
+        # The nodes wait until no search waits for a lattice cell.
+        for theta in sorted(theta for theta in wanted if theta in lattice) or wanted:
+            by_size = wanted[theta]
+            if theta in lattice:
+                indices = [i for i, table in enumerate(tables) if theta not in table]
+                cv = True
+            else:
                 indices = sorted(by_size)
-                sizes = [schedule[i] for i in indices]
-                cv = any("cv" in v for v in by_size.values())
-                prefix = top.prefix(sizes[-1])
-                for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
-                                                   sizes, cv, workspace)):
-                    tables[i][theta] = cell
+                cv = any("cv" in names for names in by_size.values())
+            prefix = top.prefix(schedule[max(by_size)])
+            for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
+                                               [schedule[i] for i in indices], cv, workspace)):
+                tables[i][theta] = cell
     return found
 
 

@@ -536,6 +536,14 @@ def loo(post):
     alone when its size is at most 16 or ``16 * 2**k``.  Verified against
     per-point refits in the test suite.
     """
+    diag = _inverse_diagonal(post)
+    weights = post.weights
+    residuals = weights / (diag if weights.ndim == 1 else diag[:, None])
+    return LooResult(residuals=residuals, variances=1.0 / diag)
+
+
+def _inverse_diagonal(post):
+    """The diagonal of ``K^{-1}`` (see :func:`loo`), checked positive and finite."""
     if post.n < 2:
         raise DomainError("leave-one-out needs at least 2 points")
     W = post.factorization.inverse(post.n)
@@ -548,13 +556,12 @@ def loo(post):
             pivot_index=idx,
             pivot_value=float(diag[idx]),
         )
-    weights = post.weights
-    residuals = weights / (diag if weights.ndim == 1 else diag[:, None])
-    return LooResult(residuals=residuals, variances=1.0 / diag)
+    return diag
 
 
 def loo_variances(post):
-    """Leave-one-out variances, with the single-point convention V = K(x, x)."""
+    """Leave-one-out variances, with the single-point convention V = K(x, x):
+    those of :func:`loo`, from the inverse diagonal alone, without the data."""
     if post.n == 1:
         return np.array([post.kernel(0.0)])
-    return loo(post).variances
+    return 1.0 / _inverse_diagonal(post)

@@ -290,10 +290,20 @@ class _DistanceTable:
             k = int(np.argmin(dist))
             raise DegenerateDesignError(
                 f"duplicate points at indices {int(il[1][k])} and {int(il[0][k])}")
-        # np.unique sorts, so each panel's distances, taken in that order,
-        # ascend.
-        unique, first, inverse = np.unique(dist, return_index=True, return_inverse=True)
-        rows = il[0][first]  # the row in which each distance first appears
+        # The distinct distances in ascending order, as np.unique gives them,
+        # from one sort of any kind: a distance's first pair is the least
+        # position among its equal values, and the pairs come row by row.
+        # So each panel's distances, taken in that order, ascend.  Each
+        # temporary is dropped once spent, to hold fewer than np.unique.
+        order = np.argsort(dist)
+        dist = dist[order]
+        fresh = np.empty(dist.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(dist[1:], dist[:-1], out=fresh[1:])
+        starts = np.flatnonzero(fresh)
+        unique = dist[starts]
+        rows = il[0][np.minimum.reduceat(order, starts)]  # the row of each first pair
+        del diff, dist, starts
         self.bounds = [0] + _panel_ends(n)
         self.count = np.concatenate(([0], 1 + np.cumsum(np.bincount(rows, minlength=n))))
         self.distances = np.zeros(unique.size + 1)
@@ -303,8 +313,13 @@ class _DistanceTable:
             members = np.flatnonzero((rows >= a) & (rows < b))
             number[members] = np.arange(lo, hi, dtype=np.int32)
             self.distances[lo:hi] = unique[members]
+        del unique, rows
+        group = np.cumsum(fresh, dtype=np.int32)
+        group -= 1
+        numbers = np.empty(order.size, dtype=np.int32)
+        numbers[order] = number[group]
         self.index = np.zeros((n, n), dtype=np.int32)
-        self.index[il] = self.index.T[il] = number[inverse]
+        self.index[il] = self.index.T[il] = numbers
         self._ascending = {}
 
     def new(self, a, b):

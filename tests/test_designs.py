@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maternsmooth.designs import (
     Box,
@@ -151,6 +153,26 @@ class TestOnePass:
         assert [r.separation for r in reports] == [dense_separation(des.prefix(m))
                                                    for m in sizes[1:]]
         assert separation_distance(des) == dense_separation(des)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=1e-3, max_value=1e3),
+           st.integers(min_value=64, max_value=300), st.integers(min_value=1, max_value=80),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_line_neighbours_equal_the_dense_formula(self, lo, width, resolution, n, seed):
+        # A design on a line with both box ends among its points and some
+        # points on probes: each probe's two neighbours in the sorted prefix
+        # give the fill distance of the dense pass bit for bit.
+        hi = lo + width
+        rng = np.random.Generator(np.random.Philox(seed))
+        probes = np.linspace(lo, hi, resolution)
+        points = np.concatenate(([lo, hi], probes[rng.integers(0, resolution, n // 2)],
+                                 lo + width * rng.random(n)))
+        points = rng.permutation(points)
+        _, keep = np.unique(points, return_index=True)
+        des = Design(points[np.sort(keep)], Box((lo,), (hi,)))
+        sizes = sorted({des.n} | {int(m) for m in rng.integers(1, des.n + 1, 4)})
+        assert fill_distances(des, sizes, resolution) == [
+            dense_fill(des.prefix(m), resolution) for m in sizes]
 
     def test_fill_pass_memory_is_bounded(self):
         # A dense pass over 1024 points and 129**2 probes holds about 260 MB.

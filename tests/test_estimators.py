@@ -1,5 +1,6 @@
 """Bracketed smoothness estimation: scan, refinement, sweeps, profiling."""
 
+import collections
 import math
 
 import numpy as np
@@ -65,6 +66,30 @@ def recording_plans(monkeypatch):
 
     monkeypatch.setattr(estimators, "_plan", recording)
     return plans
+
+
+def largest_prefix_rule(factored, schedule):
+    """Check the rule by which a sweep factors its lattice cells, given
+    ``(nu, prefix size, sizes served, failed per size)`` per factorization
+    of a lattice cell, in call order, and count the factorizations per
+    prefix size.
+
+    A cell is factored on the prefix of the largest size whose searches
+    ask for it, and serves every size up to it that lacks the cell: the
+    first factorization every size up to its prefix, a later one the sizes
+    above the prefix before.  A factorization that fails at some size
+    leaves no size to factor again: its failure reaches the larger ones.
+    """
+    runs = {}
+    for nu, n, sizes, failed in factored:
+        runs.setdefault(nu, []).append((n, sizes, failed))
+    for nu, cell in runs.items():
+        below = 0
+        for n, sizes, failed in cell:
+            assert sizes == tuple(m for m in schedule if below < m <= n), nu
+            below = n
+        assert not any(any(failed) for _, _, failed in cell[:-1]), nu
+    return dict(collections.Counter(n for _, n, _, _ in factored))
 
 
 @pytest.fixture(scope="module")
@@ -550,8 +575,9 @@ class TestSweeps:
 
     def test_two_seed_sweep_factor_budget(self, monkeypatch):
         # The benchmark's sweep-1d configuration: seeds 101 and 102, n up to
-        # 512.  52 factorizations, 22 of them of all 512 points that succeed
-        # (86 and 51 when the search read every coarse cell).
+        # 512.  52 factorizations, 21 of them of all 512 points that succeed
+        # (22 when every lattice cell was factored on all 512 points, 86 and
+        # 51 when the search read every coarse cell).
         factor, calls = gp._factor, []
 
         def counting(kernel, design, buffer=None):
@@ -561,15 +587,17 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
-        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (52, 22)
+        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (52, 21)
 
     def test_saturated_sweep_factor_budget(self, monkeypatch):
         # The benchmark's saturation-scattered configuration: the smooth bump
         # on 512 jittered van der Corput points, nu_max = 300, lambda = 0.05,
         # n from 64 to 512.  Every estimate saturates a run that ends where
         # the factorization first fails, so bisection finds each run's top:
-        # 20 factorizations, 7 of them succeed (28 and 11 when the gaps of
-        # every fourth cell were read whole).
+        # 20 factorizations (28 when the gaps of every fourth cell were read
+        # whole).  Each is made on the largest prefix whose searches ask for
+        # it, so the cells only smaller prefixes read are factored on them,
+        # where 5 more succeed than on all 512 points.
         base = van_der_corput(UNIT, 512).points[:, 0]
         spacing = float(np.min(np.diff(np.sort(base))))
         rng = np.random.Generator(np.random.Philox(0))
@@ -579,14 +607,15 @@ class TestSweeps:
 
         def counting(kernel, design, buffer=None):
             out = factor(kernel, design, buffer)
-            calls.append(out[1] is None)
+            calls.append((design.n, out[1] is None))
             return out
 
         monkeypatch.setattr(gp, "_factor", counting)
         records = sweep_prefixes(Design(points, UNIT), y, (64, 128, 256, 512),
                                  EstimatorConfig(nu_max=300.0, lambda_=0.05))
         assert all(r.hit_upper_ml and r.hit_upper_cv for r in records)
-        assert (len(calls), sum(calls)) == (20, 7)
+        assert collections.Counter(n for n, _ in calls) == {512: 12, 256: 3, 128: 2, 64: 3}
+        assert sum(ok for _, ok in calls) == 12  # 7 of them on 512 points
 
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)
@@ -678,24 +707,27 @@ class TestSweeps:
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
-        # A coarse cell that some search reads is factored once for the whole
-        # sweep, on its largest prefix, and no other is.  A refinement node
-        # is factored once for every column and objective, on the largest
-        # prefix whose searches ask for it, and serves exactly the prefixes
-        # that ask for it.  Only the nodes a CV search asks for are inverted
-        # for leave-one-out.
+        # No cell is factored twice for one prefix.  A coarse cell that some
+        # search reads is factored on the largest prefix whose searches ask
+        # for it, and again on a larger one only if a search of that size
+        # asks later; no other is.  A refinement node is factored once for
+        # every column and objective, on the largest prefix whose searches
+        # ask for it, and serves exactly the prefixes that ask for it.  Only
+        # the nodes a CV search asks for are inverted for leave-one-out.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
         else:
             second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
             data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
-        factored, inverted = [], []
+        factored, failed, inverted = [], [], []
 
         def conditioning(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
             factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
-            return condition_prefixes(kernel, prefix, values, sizes, workspace)
+            posts = condition_prefixes(kernel, prefix, values, sizes, workspace)
+            failed.append([isinstance(post, ConditioningError) for post in posts])
+            return posts
 
         def inverting(post):
             inverted.append((post.kernel.params.nu, post.n))
@@ -710,21 +742,31 @@ class TestSweeps:
         searches = [plan["asked"] for plan in plans]
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        coarse = [f for f in factored if f[0] in grid or f[0] == nu0]
-        cells = [nu for nu, *_ in coarse if nu in grid]
-        assert len(set(cells)) == len(cells) < len(grid)
-        assert coarse == [(nu, 64, sizes, (64, columns)) for nu in cells] + (
-            [] if nu0 is None else [(nu0, 64, sizes, (64,))])  # the variances at nu0
-        assert set(cells) == {nu for asked in searches for nu in asked if nu in grid}
-        nodes = [f for f in factored if f not in coarse]
+        coarse = [f + (bad,) for f, bad in zip(factored, failed) if f[0] in grid]
+        # Factorizations of the coarse cells per prefix size; two of the
+        # cells the second column reads are factored again on a larger prefix.
+        prefixes = {64: 17, 32: 4, 16: 2} if columns == 1 else {64: 23, 32: 5, 16: 4}
+        assert largest_prefix_rule([(nu, n, ns, bad) for nu, n, ns, _, bad in coarse],
+                                   sizes) == prefixes
+        assert all(shape == (n, columns) for _, n, _, shape, _ in coarse)
+        if nu0 is not None:  # the variances at nu0
+            assert factored[-1] == (nu0, 64, sizes, (64,))
+        cells = {nu for nu, *_ in coarse}
+        assert cells == {nu for asked in searches for nu in asked if nu in grid}
+        assert len(coarse) - len(cells) == (0 if columns == 1 else 2) and len(cells) < len(grid)
+        # Per prefix, the ML searches of every column run first, then the CV
+        # searches.  Each cell is factored on a prefix whose searches ask for it.
+        by_size = {(nu, n) for k, n in enumerate(sizes)
+                   for read in searches[2 * columns * k:2 * columns * (k + 1)] for nu in read}
+        assert {(nu, n) for nu, n, *_ in coarse} <= by_size
+        nodes = [f for f in factored if f[0] not in grid and f[0] != nu0]
         assert len({nu for nu, *_ in nodes}) == len(nodes)
         assert all(n == ns[-1] and shape == (n, columns) for _, n, ns, shape in nodes)
         assert len(set(inverted)) == len(inverted)
         assert {cell for cell in inverted if cell[0] in grid} <= {
             (nu, n) for nu in grid for n in sizes}  # the coarse cells that factor
 
-        # Per prefix, the ML searches of every column run first, then the CV
-        # searches; each asks for coarse cells, then for the nodes of its
+        # Each search asks for coarse cells, then for the nodes of its
         # bracket, each once.
         asked = {"ml": set(), "cv": set()}
         for k, n in enumerate(sizes):
@@ -742,9 +784,10 @@ class TestSweeps:
     @pytest.mark.parametrize("sizes", [(16, 64), (16, 24, 32, 48, 64, 96, 128)])
     def test_each_factor_is_inverted_once(self, sample_instance, monkeypatch, sizes):
         # A coarse cell inverts its factor once, up to the largest prefix it
-        # serves, for the leave-one-out of every prefix of the schedule; so
-        # does a refinement node if a CV search asks for it.  The variances
-        # at nu0 take one inversion, and so does each record's variance ratio.
+        # serves, for the leave-one-out of every prefix up to the one it is
+        # factored on; so does a refinement node if a CV search asks for it.
+        # The variances at nu0 take one inversion, and so does each record's
+        # variance ratio.
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0)
         inverted, cells = [], []
@@ -759,7 +802,7 @@ class TestSweeps:
             out = compute(prefix, values, scan, nu, schedule, cv, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
-            cells.append((nu, tuple(schedule), cv, served, inverted[before:]))
+            cells.append((nu, prefix.n, tuple(schedule), cv, served, inverted[before:], out))
             return out
 
         monkeypatch.setattr(gp, "_invert", inverting)
@@ -768,17 +811,22 @@ class TestSweeps:
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
         coarse = [cell for cell in cells if cell[0] in grid]
         assert len({cell[0] for cell in coarse}) == len(coarse) < cfg.coarse_grid
-        assert all(cell[1] == sizes for cell in coarse)
-        for _, _, _, served, inversions in coarse:
-            assert inversions == served[-1:]
-        assert any(0 < len(served) < len(sizes) for _, _, _, served, _ in coarse)
+        # Each coarse cell is handed every size: those up to its prefix are
+        # factored, and a failure there reaches the larger ones.
+        assert all(cell[2] == sizes and cell[3] for cell in coarse)
+        assert collections.Counter(cell[1] for cell in coarse) == (
+            {64: 17, 16: 3} if len(sizes) == 2 else {128: 17, 96: 2, 48: 1, 32: 4, 16: 2})
+        for _, n, _, _, served, inversions, out in coarse:
+            assert inversions == served[-1:] and served[-1:] <= [n]
+            assert len(out) == (len(sizes) if served[-1:] != [n] else sizes.index(n) + 1)
+        assert any(0 < len(served) < len(sizes) for *_, served, _, _ in coarse)
         nodes = [cell for cell in cells if cell[0] not in grid]
         assert nodes
-        for _, schedule, cv, served, inversions in nodes:
+        for _, _, _, cv, served, inversions, _ in nodes:
             assert inversions == (served[-1:] if cv else [])
         ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert ratios == len(sizes)
-        assert len(inverted) == sum(len(cell[4]) for cell in cells) + 1 + ratios
+        assert len(inverted) == sum(len(cell[5]) for cell in cells) + 1 + ratios
 
     def test_each_served_view_reads_its_objectives_once(self, sample_instance, monkeypatch):
         # The searches read every objective through the estimators' bindings
@@ -945,7 +993,10 @@ class TestPrefixRule:
     def test_failed_coarse_cells_are_not_conditioned_again(self, smooth_instance,
                                                            monkeypatch):
         # Every coarse cell that a search reads is factored once, on the
-        # largest prefix, failed or not; refinement conditions no coarse cell.
+        # largest prefix whose searches ask for it, failed or not: 13 on all
+        # 64 points, 6 that only the smaller prefixes read on 32 and one on
+        # 16.  A failure reaches the larger prefixes, which never factor the
+        # cell again.
         design, y, cfg = smooth_instance
         factored = []
 
@@ -958,12 +1009,53 @@ class TestPrefixRule:
         monkeypatch.setattr(estimators, "condition_prefixes", counting)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        coarse = [f for f in factored if f[2] == self.SCHEDULE]
-        assert {n for _, n, _, _ in coarse} == {64}
+        coarse = [f for f in factored if f[0] in grid]
+        assert largest_prefix_rule(coarse, self.SCHEDULE) == {64: 13, 32: 6, 16: 1}
         assert len({nu for nu, *_ in coarse}) == len(coarse) < len(grid)
-        assert {nu for nu, *_ in coarse} <= set(grid)
-        assert not {nu for nu, _, sizes, _ in factored if sizes != self.SCHEDULE} & set(grid)
         assert [False, True, True] in [failed for *_, failed in coarse]
+        assert [False, True] in [failed for *_, failed in coarse]  # fails on 32, not 64
+
+    def test_failure_on_a_small_prefix_reaches_the_larger_ones(self, monkeypatch):
+        # Jittered van der Corput points on [0, 1], n = 64 and 128: the cell
+        # above the run of the 64-point searches is read by them alone, so it
+        # is factored on 64 points.  It fails there, and the 128-point
+        # prefix gets that failure without a second factorization.
+        base = van_der_corput(UNIT, 128).points[:, 0]
+        spacing = float(np.min(np.diff(np.sort(base))))
+        rng = np.random.Generator(np.random.Philox(0))
+        points = np.clip(base + (2.0 * rng.random(128) - 1.0) * 0.25 * spacing, 0.0, 1.0)
+        design = Design(points, UNIT)
+        y = builtin_test_functions()["gauss_bump"](points)
+        cfg = EstimatorConfig(nu_max=300.0, lambda_=0.05)
+        factored, cells, factor, compute = [], [], gp._factor, estimators._cells
+
+        def factoring(kernel, design, buffer=None):
+            out = factor(kernel, design, buffer)
+            factored.append((kernel.params.nu, design.n))
+            return out
+
+        def recording(prefix, values, scan, nu, sizes, cv=True, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
+            cells.append((nu, prefix.n, tuple(sizes), out))
+            return out
+
+        monkeypatch.setattr(gp, "_factor", factoring)
+        monkeypatch.setattr(estimators, "_cells", recording)
+        first, _ = sweep_prefixes(design, y, (64, 128), cfg)
+        ((nu, n, sizes, (small, large)),) = [
+            cell for cell in cells if cell[1] == 64 and isinstance(cell[3][0]["ml"],
+                                                                   ConditioningError)]
+        assert (n, sizes) == (64, (64, 128)) and [m for v, m in factored if v == nu] == [64]
+        assert first.hit_upper_ml and nu > first.searchable_upper_ml
+        err = small["ml"]
+        assert str(err).startswith(f"nu={nu:g}, n=64: ") and err.pivot_index < 64
+        assert str(large["ml"]) == (f"nu={nu:g}, n=128: failed on prefix n=64: pivot "
+                                    f"{err.pivot_index} = {err.pivot_value:.3e}")
+        assert (large["ml"].pivot_index, large["ml"].pivot_value) == (err.pivot_index,
+                                                                      err.pivot_value)
+        assert large["cv"] is large["ml"]
+        # The record of the smaller prefix is that of its sweep alone.
+        assert repr(first) == repr(sweep_prefixes(design.prefix(64), y[:64], [64], cfg)[0])
 
 
     def test_inherited_failure_names_the_first_prefix(self, smooth_instance):

@@ -559,6 +559,32 @@ class TestCli:
         assert main(argv + ["--out", str(every)]) == 0
         assert one.read_bytes() == every.read_bytes()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_missing_output_directory_exit_two_before_the_run(self, source, tmp_path,
+                                                             monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_variance_decay", calls.append)
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["variance-decay", "--schedule", "16,32,64"]
+        if source == "flag":
+            argv += ["--out", str(out)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"output_path = {out}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert not calls
+        assert (f"configuration error: output directory '{out.parent}' does not exist"
+                in capsys.readouterr().err)
+
+    def test_failed_write_exit_one(self, tmp_path, monkeypatch, capsys):
+        # The directory exists, but the path names it: the write fails.
+        result = ExperimentResult(header=("x",), rows=[[1.0]], summary="done")
+        monkeypatch.setattr(cli, "run_variance_decay", lambda config: result)
+        assert main(["variance-decay", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_missing_config_file_exit_two(self, capsys):
         assert main(["variance-decay", "--config", "/nonexistent/run.cfg"]) == 2
 

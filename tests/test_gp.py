@@ -558,6 +558,20 @@ class TestFastIdentities:
         _, _, _, post = instance
         np.testing.assert_array_equal(loo_variances(post), loo(post).variances)
 
+    def test_loo_variances_do_not_solve_for_the_weights(self, instance, monkeypatch):
+        # The variances are read off the inverse diagonal alone: no solve
+        # against the data, and the same bits as loo's.
+        kernel, design, y, _ = instance
+        want = [loo(post).variances for post in condition_prefixes(kernel, design, y, [2, 9, 16])]
+
+        def unsolvable(post):
+            raise AssertionError("weights were solved for")
+
+        monkeypatch.setattr(Posterior, "weights", property(unsolvable))
+        got = [loo_variances(post) for post in condition_prefixes(kernel, design, y, [2, 9, 16])]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_single_point_loo_variance_is_prior_variance(self):
         kernel = MaternKernel(matern(1.0, sigma=1.3))
         post = condition(kernel, Design([[0.5]], UNIT), [0.0])

@@ -1,8 +1,8 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
 prefix consistency of the panel-grown factor and of its inverse, the
-coarse-to-fine plan and the refinement of smoothness estimates, the modified Bessel function of the
-second kind, the design file format and the one-pass fill and separation
-distances.
+distance table, the coarse-to-fine plan and the refinement of smoothness
+estimates, the modified Bessel function of the second kind, the design file
+format and the one-pass fill and separation distances.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
@@ -28,7 +28,7 @@ from maternsmooth.analysis import sample_gp_path
 from maternsmooth import estimators
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimate_nu
 from maternsmooth.experiments import _jittered_grid, _naive_loo, make_design
-from maternsmooth import gp
+from maternsmooth import gp, kernels
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
@@ -357,6 +357,57 @@ def _prefix_instance(kind, d, nu, n, seed, columns=1, lam=None):
 def _alone(design, n):
     """The first ``n`` points as a new design, which builds its own distance table."""
     return Design(design.points[:n], design.box)
+
+
+def _unique_table(pts):
+    """A distance table whose distinct distances, first rows and numbers
+    come from ``np.unique`` (its stable sort gives each distance's first
+    pair), as an oracle for the one-sort build of :class:`_DistanceTable`."""
+    n = pts.shape[0]
+    il = np.tril_indices(n, k=-1)
+    diff = pts[il[0]] - pts[il[1]]
+    unique, first, inverse = np.unique(np.sqrt(np.sum(diff * diff, axis=-1)),
+                                       return_index=True, return_inverse=True)
+    rows = il[0][first]
+    table = object.__new__(kernels._DistanceTable)
+    table.bounds = [0] + kernels._panel_ends(n)
+    table.count = np.concatenate(([0], 1 + np.cumsum(np.bincount(rows, minlength=n))))
+    table.distances = np.zeros(unique.size + 1)
+    number = np.empty(unique.size, dtype=np.int32)
+    for a, b in zip(table.bounds, table.bounds[1:]):
+        members = np.flatnonzero((rows >= a) & (rows < b))
+        number[members] = np.arange(max(table.count[a], 1), table.count[b], dtype=np.int32)
+        table.distances[max(table.count[a], 1):table.count[b]] = unique[members]
+    table.index = np.zeros((n, n), dtype=np.int32)
+    table.index[il] = table.index.T[il] = number[inverse]
+    table._ascending = {}
+    return table
+
+
+@PROPERTY
+@given(st.sampled_from(("lattice", "jittered")), st.sampled_from((1, 2)),
+       st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31 - 1))
+def test_distance_table_equals_the_unique_oracle(kind, d, n, seed):
+    # A lattice repeats its distances (ties); jittered points in one
+    # dimension have every distance distinct, a jittered 2-d grid nearly so.
+    if kind == "jittered":
+        design = _jittered_grid(d, n, seed)
+    elif d == 1:
+        design = van_der_corput(Box.unit(1), n)
+    else:
+        design = uniform_grid(Box.unit(2), 15).prefix(n)
+    table, oracle = kernels._DistanceTable(design.points), _unique_table(design.points)
+    assert table.distances.tobytes() == oracle.distances.tobytes()
+    assert table.count.tolist() == oracle.count.tolist() and table.bounds == oracle.bounds
+    assert table.index.dtype == oracle.index.dtype
+    assert np.array_equal(table.index, oracle.index)
+    rng = np.random.Generator(np.random.Philox(seed))
+    cuts = sorted({0, n} | {int(m) for m in rng.integers(0, n + 1, 3)})
+    for a, b in zip(cuts, cuts[1:]):
+        assert np.array_equal(np.arange(table.size(b))[table.new(a, b)],
+                              np.arange(oracle.size(b))[oracle.new(a, b)]), (a, b)
+    for m in cuts:
+        assert np.array_equal(table.ascending(m), oracle.ascending(m)), m
 
 
 @PROPERTY

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty-two fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-three fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -92,6 +92,13 @@ CONFIGURATIONS = (
     # panels pick their distances out of the panels that cover them.
     ("odd-schedule", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "24,40,100,300",
                       "--seed-list", "101,102"], None),
+    # Two sizes far apart: the lattice cells that only the 16-point searches
+    # read are factored on 16 points, and two of them fail there, which
+    # 512 then records without factoring them.  (The cells that a larger
+    # prefix asks for later, and so are factored again, are in
+    # sweep-2d-uniform-grid.)
+    ("two-sizes-16-512", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "16,512",
+                          "--seed-list", "101,102"], None),
     # Forty seeds at a rough and at a smooth nu0: 480 records, so that a
     # change of the search plan is checked on many objective surfaces.
     ("wide-seeds-nu0-0.5", ["non-undersmoothing", "--nu0", "0.5", "--seed-list", FORTY_SEEDS,
