@@ -19,8 +19,8 @@ from .designs import is_integer
 from .errors import AccuracyError, DomainError
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
-from .kernels import MaternKernel, kernel_matrix, log_c_scaling  # noqa: F401
-from .specfun import log_gamma
+from .kernels import MaternKernel, check_positive, kernel_matrix, log_c_scaling  # noqa: F401
+from .specfun import is_real, log_gamma
 
 __all__ = [
     "TestFunction",
@@ -71,12 +71,12 @@ class QuadratureConfig:
     tail_bound: float = 1e-8
 
     def __post_init__(self):
-        if self.truncation is not None and not (self.truncation > 0):
-            raise DomainError("truncation must be positive")
-        if self.nodes < 2:
-            raise DomainError("need at least 2 nodes per unit interval")
-        if not (self.tail_bound > 0):
-            raise DomainError("tail_bound must be positive")
+        if self.truncation is not None:
+            check_positive("truncation", self.truncation)
+        if not (is_integer(self.nodes) and self.nodes >= 2):
+            raise DomainError(f"nodes must be an integer >= 2 per unit interval, "
+                              f"got {self.nodes!r}")
+        check_positive("tail_bound", self.tail_bound)
 
 
 def _panel_rule(truncation, nodes):
@@ -100,23 +100,21 @@ def _require_fourier(tf):
         raise DomainError(f"test function {tf.label!r} has no closed-form transform")
 
 
-def _tail_slope(log_integrand, truncation):
-    """Local decay rate of the integrand at the truncation point."""
-    delta = 0.5
-    g1 = log_integrand(truncation - delta)
-    g0 = log_integrand(truncation)
-    return (g1 - g0) / delta
-
-
 def _check_tail(log_integrand, truncation, value, tail_bound, what):
-    slope = _tail_slope(log_integrand, truncation)
-    edge = math.exp(log_integrand(truncation))
-    if slope <= 0.0:
+    """The integral beyond the truncation ``T``, ``exp(g(T)) / s`` for the
+    log integrand ``g`` decaying at the rate ``s`` over ``[T - 1/2, T]``, and
+    zero where it has underflowed at ``T``; :class:`AccuracyError` when it
+    is not decaying or the tail exceeds ``tail_bound`` of the integral."""
+    g0 = log_integrand(truncation)
+    if g0 == -math.inf:
+        return 0.0
+    slope = (log_integrand(truncation - 0.5) - g0) / 0.5
+    if not slope > 0.0:
         raise AccuracyError(
             f"{what}: integrand is not decaying at truncation {truncation:g}",
             achieved=math.inf,
         )
-    tail = edge / slope
+    tail = math.exp(g0) / slope
     if tail > tail_bound * max(value, tail):
         raise AccuracyError(
             f"{what}: estimated tail {tail:.3e} exceeds bound "
@@ -124,6 +122,33 @@ def _check_tail(log_integrand, truncation, value, tail_bound, what):
             achieved=tail / max(value, tail),
         )
     return tail
+
+
+def _log_integrand(tf, log_weight):
+    """``xi -> log |fhat(xi)|^2 + log_weight(xi)``, ``-inf`` where fhat vanishes."""
+    _require_fourier(tf)
+
+    def log_integrand(xi):
+        xi = np.asarray(xi, dtype=float)
+        with np.errstate(divide="ignore"):
+            return 2.0 * np.log(np.abs(tf.fourier(xi))) + log_weight(xi)
+
+    return log_integrand
+
+
+def _spectral_integral(log_integrand, truncation, q, what):
+    """The integral of ``exp(log_integrand)`` over ``[-T, T]`` and its tail
+    (:func:`_check_tail`, checked where the integral is positive and finite):
+    the one path of the three norms, summed from log space so that a weight
+    that overflows alone, as ``(1 + xi^2)^alpha`` does, stays finite."""
+    x, w = _panel_rule(truncation, q.nodes)
+    with np.errstate(over="ignore"):
+        value = float(np.dot(w, np.exp(log_integrand(x))))
+    tail = 0.0
+    if 0.0 < value < math.inf:
+        tail = _check_tail(lambda xi: float(log_integrand(xi)), truncation, value,
+                           q.tail_bound, what)
+    return value, tail
 
 
 def _log_matern_weight(params, d, xi):
@@ -144,33 +169,14 @@ def matern_rkhs_norm_sq(tf, params, q=QuadratureConfig()):
     """Squared Matern RKHS norm of a 1-d test function by quadrature.
 
     Evaluates ``C_nu int |fhat|^2 (2 nu / lambda^2 + xi^2)^(nu + 1/2) dxi``
-    with the spectral weight accumulated in log space.  Raises
+    in log space, on the one tail-checked path of the three norms: raises
     :class:`AccuracyError` when the estimated truncation tail exceeds the
     configured bound.
     """
-    _require_fourier(tf)
-    nu = params.nu
-    truncation = q.truncation
-    if truncation is None:
-        truncation = 8.0 * (nu + 1.0) + 80.0
-
-    def integrand_log(xi):
-        fh = float(np.abs(tf.fourier(np.asarray(xi, dtype=float))))
-        if fh == 0.0:
-            return -math.inf
-        return 2.0 * math.log(fh) + float(_log_matern_weight(params, 1, xi))
-
-    x, w = _panel_rule(truncation, q.nodes)
-    fh = np.abs(tf.fourier(x))
-    with np.errstate(divide="ignore"):
-        log_vals = np.where(fh > 0.0, 2.0 * np.log(np.where(fh > 0, fh, 1.0)), -np.inf)
-    log_vals = log_vals + _log_matern_weight(params, 1, x)
-    vals = np.exp(log_vals)
-    value = float(np.dot(w, vals))
-    if value != 0.0:
-        _check_tail(integrand_log, truncation, value, q.tail_bound,
-                    f"Matern norm of {tf.label!r} at nu={nu:g}")
-    return max(value, 0.0)
+    log_integrand = _log_integrand(tf, lambda xi: _log_matern_weight(params, 1, xi))
+    truncation = q.truncation if q.truncation is not None else 8.0 * (params.nu + 1.0) + 80.0
+    return _spectral_integral(log_integrand, truncation, q,
+                              f"Matern norm of {tf.label!r} at nu={params.nu:g}")[0]
 
 
 @dataclass(frozen=True)
@@ -191,23 +197,14 @@ class GaussianNorm:
 def gaussian_rkhs_norm_sq(tf, lambda_, q=QuadratureConfig()):
     """Squared Gaussian RKHS norm of a 1-d test function by quadrature.
 
-    Divergence is detected from growth of the integrand across panels and
-    reported via the ``diverged`` flag rather than a number.
+    The integral ``int |fhat|^2 exp(lambda^2 xi^2 / 2) dxi`` takes the one
+    log-space, tail-checked path of the three norms.  Divergence is detected
+    from growth of the integrand toward the truncation, or an integral that
+    overflows, and reported via the ``diverged`` flag rather than a number.
     """
-    _require_fourier(tf)
-    if not (lambda_ > 0):
-        raise DomainError("length-scale must be positive")
-    truncation = q.truncation
-    if truncation is None:
-        truncation = 60.0
-
-    def log_integrand(xi):
-        xi = np.asarray(xi, dtype=float)
-        fh = np.abs(tf.fourier(xi))
-        with np.errstate(divide="ignore"):
-            log_fh_sq = np.where(fh > 0.0, 2.0 * np.log(np.where(fh > 0.0, fh, 1.0)),
-                                 -np.inf)
-        return log_fh_sq + 0.5 * lambda_**2 * xi**2
+    check_positive("length-scale lambda_", lambda_)
+    log_integrand = _log_integrand(tf, lambda xi: 0.5 * lambda_**2 * xi**2)
+    truncation = q.truncation if q.truncation is not None else 60.0
 
     # Divergence check: the log integrand must decay toward the truncation;
     # growth there means the exponential weight beats the transform.
@@ -218,32 +215,29 @@ def gaussian_rkhs_norm_sq(tf, lambda_, q=QuadratureConfig()):
         return GaussianNorm(value=None, integral=None, diverged=True,
                             tail_estimate=math.inf)
 
-    x, w = _panel_rule(truncation, q.nodes)
-    with np.errstate(over="ignore"):
-        vals = np.exp(log_integrand(x))
-    if not np.all(np.isfinite(vals)):
+    integral, tail = _spectral_integral(log_integrand, truncation, q,
+                                        f"Gaussian norm of {tf.label!r}")
+    if not math.isfinite(integral):
         return GaussianNorm(value=None, integral=None, diverged=True,
                             tail_estimate=math.inf)
-    integral = float(np.dot(w, vals))
-    tail = 0.0
-    if integral != 0.0:
-        tail = _check_tail(lambda xi: float(log_integrand(xi)), truncation, integral,
-                           q.tail_bound, f"Gaussian norm of {tf.label!r}")
     prefactor = (2.0 * math.pi * lambda_**2) ** -0.5
     return GaussianNorm(value=prefactor * integral, integral=integral,
                         diverged=False, tail_estimate=tail)
 
 
 def sobolev_norm_sq(tf, alpha, q=QuadratureConfig()):
-    """Squared Sobolev norm ``int |fhat|^2 (1 + xi^2)^alpha dxi`` (1-d)."""
-    _require_fourier(tf)
-    truncation = q.truncation
-    if truncation is None:
-        truncation = 8.0 * (abs(alpha) + 1.0) + 80.0
-    x, w = _panel_rule(truncation, q.nodes)
-    fh = np.abs(tf.fourier(x))
-    vals = fh * fh * (1.0 + x * x) ** alpha
-    return float(np.dot(w, vals))
+    """Squared Sobolev norm ``int |fhat|^2 (1 + xi^2)^alpha dxi`` (1-d).
+
+    Evaluated in log space, on the one tail-checked path of the three norms:
+    raises :class:`AccuracyError` when the estimated truncation tail exceeds
+    the configured bound.
+    """
+    if not (is_real(alpha) and math.isfinite(alpha)):
+        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+    log_integrand = _log_integrand(tf, lambda xi: alpha * np.log1p(xi * xi))
+    truncation = q.truncation if q.truncation is not None else 8.0 * (abs(alpha) + 1.0) + 80.0
+    return _spectral_integral(log_integrand, truncation, q,
+                              f"Sobolev norm of {tf.label!r} at alpha={alpha:g}")[0]
 
 
 def fourier_reconstruction(tf, x, q=QuadratureConfig()):
@@ -270,8 +264,7 @@ def bump_function(center, h):
     ``x -> e * exp(-1 / (1 - ||(x - center)/h||^2))`` inside the support,
     0 outside.  Infinitely differentiable; declared smoothness is inf.
     """
-    if not (h > 0):
-        raise DomainError("bump radius h must be positive")
+    check_positive("bump radius h", h)
     center_arr = np.atleast_1d(np.asarray(center, dtype=float))
 
     def evaluate(x):
@@ -345,8 +338,9 @@ def fit_rate(ns, values):
     values = np.asarray(list(values), dtype=float)
     if ns.size < 3:
         raise DomainError("rate fitting needs at least 3 points")
-    if np.any(values <= 0.0) or np.any(ns <= 0.0):
-        raise DomainError("rate fitting needs positive sizes and values")
+    if not (np.all(np.isfinite(ns) & (ns > 0.0))
+            and np.all(np.isfinite(values) & (values > 0.0))):
+        raise DomainError("rate fitting needs positive finite sizes and values")
     x = np.log(ns)
     y = np.log(values)
     slope, intercept = np.polyfit(x, y, 1)

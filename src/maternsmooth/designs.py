@@ -371,11 +371,19 @@ def load_design(path, box=None):
     (generated designs include the domain corners, so this round-trips).
     Raises :class:`DomainError` when that box has no positive width on some
     axis, as for a design of zero or one point: its box needs ``box=``.
+    A malformed file raises :class:`DomainError` naming the path and the fault.
     """
     with open(path) as fh:
         header = fh.readline().split()
-        d, n = int(header[0]), int(header[1])
-        pts = np.loadtxt(fh, ndmin=2).reshape(n, d) if n else np.zeros((0, d))
+        try:
+            d, n = (int(v) for v in header)
+            values = np.loadtxt(fh, ndmin=2) if n else np.zeros((0, d))
+        except ValueError as err:
+            raise DomainError(f"{path}: not a design written by save_design ({err})") from None
+    if not (d >= 1 and values.shape == (n, d)):
+        raise DomainError(f"{path}: header 'd={d} n={n}' does not match the "
+                          f"{values.shape[0]} rows of {values.shape[1]} values that follow")
+    pts = values
     if box is None:
         if n == 0 or not np.all(pts.max(axis=0) > pts.min(axis=0)):
             raise DomainError(f"the box of a design of {n} points with no positive width on "

@@ -1,15 +1,15 @@
 """Matern and Gaussian covariance kernels with configurable order scaling.
 
-All Matern evaluation goes through log space (log scaling factor plus
-``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that
-orders up to several hundred remain usable; direct evaluation of
-``(.)**nu * K_nu`` would overflow long before that.  Kernel matrices are
-assembled by row panels (ends 16, 32, 64, ..., those of the factorization)
-from a table of distinct distances numbered by the panel in which they
-first appear and by value within it: each panel evaluates the kernel at
-one ascending run of new distances, the order in which the Bessel layer
-evaluates them fastest, and a prefix of the design of any size only at
-its own distances.
+All Matern evaluation goes through one entry, :func:`matern_eval`, in log
+space (log scaling factor plus ``nu * log`` of the scaled distance plus
+:func:`log_bessel_k`) so that orders up to several hundred remain usable;
+direct evaluation of ``(.)**nu * K_nu`` would overflow long before that.
+Kernel matrices are assembled by row panels (ends 16, 32, 64, ..., those of
+the factorization) from a table of distinct distances numbered by the panel
+in which they first appear and by value within it: each panel calls the
+kernel at one ascending run of new distances, and a prefix of the design of
+any size only at its own distances.  The Bessel layer sorts input that does
+not ascend, as the one call of a lattice-like design, in table order.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .designs import is_integer
 from .errors import DegenerateDesignError, DomainError
 from .specfun import is_real, log_bessel_k, log_gamma
 
@@ -58,8 +59,8 @@ class ScalingPolicy:
     def __post_init__(self):
         if self.kind not in ("standard", "clamped"):
             raise DomainError(f"unknown scaling kind {self.kind!r}")
-        if self.kind == "clamped" and self.d < 1:
-            raise DomainError("clamped scaling needs a dimension d >= 1")
+        if self.kind == "clamped":
+            check_dimension(self.d)
 
     @classmethod
     def standard(cls):
@@ -67,7 +68,7 @@ class ScalingPolicy:
 
     @classmethod
     def clamped(cls, d):
-        return cls("clamped", int(d))
+        return cls("clamped", d)
 
 
 STANDARD_SCALING = ScalingPolicy.standard()
@@ -86,6 +87,13 @@ def log_c_scaling(policy, nu):
 def c_scaling(policy, nu):
     """Scaling factor c(nu); clamped below nu = d/2 under the clamped policy."""
     return math.exp(log_c_scaling(policy, nu))
+
+
+def check_dimension(d):
+    """Raise :class:`DomainError` unless ``d`` is an integer >= 1, Python or
+    NumPy, and not a bool."""
+    if not (is_integer(d) and d >= 1):
+        raise DomainError(f"dimension d must be an integer >= 1, got {d!r}")
 
 
 def check_positive(name, value):
@@ -149,20 +157,18 @@ def _validate_distances(r):
     return arr
 
 
-def matern_eval(params, r, *, checked=False):
-    """Matern covariance as a function of distance ``r >= 0``.
+def matern_eval(params, r):
+    """Matern covariance as a function of distance ``r >= 0``: the one entry
+    of Matern evaluation, for a scalar or an array of any order, checked.
 
     The value at ``r = 0`` is the analytic limit
     ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)`` (exactly ``sigma**2`` under
     standard scaling); evaluation near zero would otherwise hit the
-    singularity of ``K_nu``.  ``checked=True`` says that ``r`` is a 1-d
-    float array of finite nonnegative distances and skips checking it.
+    singularity of ``K_nu``.
     """
-    scalar = False
-    if not checked:
-        arr = _validate_distances(r)
-        scalar = np.isscalar(r) or arr.ndim == 0
-        r = np.atleast_1d(arr)
+    arr = _validate_distances(r)
+    scalar = np.isscalar(r) or arr.ndim == 0
+    r = np.atleast_1d(arr)
 
     nu = params.nu
     zero = r == 0.0
@@ -202,8 +208,7 @@ def gaussian_eval(params, r, d, unit_amplitude=False):
     """
     arr = _validate_distances(r)
     scalar = np.isscalar(r) or arr.ndim == 0
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d!r}")
+    check_dimension(d)
     amp = params.sigma**2
     if not unit_amplitude:
         amp *= (params.lambda_**2 / (2.0 * math.pi)) ** (0.5 * d)
@@ -222,11 +227,6 @@ class MaternKernel:
     def __call__(self, r):
         return matern_eval(self.params, r)
 
-    def at_distances(self, r):
-        """Covariances at a 1-d float array of finite nonnegative distances,
-        unchecked; :func:`kernel_panels` calls it on its distance table."""
-        return matern_eval(self.params, r, checked=True)
-
     @property
     def variance(self):
         return matern_eval(self.params, 0.0)
@@ -240,8 +240,9 @@ class GaussianKernel:
     """Gaussian kernel evaluator for a fixed dimension."""
 
     def __init__(self, params, d, unit_amplitude=False):
+        check_dimension(d)
         self.params = params
-        self.d = int(d)
+        self.d = d
         self.unit_amplitude = unit_amplitude
 
     def __call__(self, r):
@@ -278,7 +279,8 @@ class _DistanceTable:
     distinct distances among the first ``m`` points; where ``m`` is a panel
     end, they are the first ``count[m]`` numbers.  ``index[:m, :m]`` maps the
     kernel matrix of the first ``m`` points onto the numbers.  Lattice-like
-    designs repeat distances many times; the kernel is evaluated once each.
+    designs repeat distances many times; the kernel is evaluated once each,
+    in table order, which the Bessel layer sorts where it does not ascend.
     """
 
     def __init__(self, pts):
@@ -320,7 +322,6 @@ class _DistanceTable:
         numbers[order] = number[group]
         self.index = np.zeros((n, n), dtype=np.int32)
         self.index[il] = self.index.T[il] = numbers
-        self._ascending = {}
 
     def new(self, a, b):
         """The numbers of the distances that first appear in rows ``a:b``,
@@ -343,16 +344,6 @@ class _DistanceTable:
         fresh[pairs[pairs >= base] - base] = False
         return base + np.flatnonzero(fresh)
 
-    def ascending(self, m):
-        """The numbers of the distances among the first ``m`` points, those
-        of ``new(0, m)``, in ascending order of distance; computed once per
-        ``m`` and kept."""
-        order = self._ascending.get(m)
-        if order is None:
-            numbers = np.arange(self.size(m))[self.new(0, m)]
-            order = self._ascending[m] = numbers[np.argsort(self.distances[numbers])]
-        return order
-
     def size(self, n):
         """How many numbers the kernel matrix of the first ``n`` points reads
         from: all those of the panels that cover its rows."""
@@ -365,35 +356,34 @@ def kernel_panels(kernel, design, ends):
     A generator of Fortran-ordered panels, each from the previous end; each
     evaluates the kernel only at the distances new in its rows, when it is
     requested, unless the design has at most ``n`` distinct nonzero
-    distances: those are all evaluated in one call before the first panel.
-    The distance table is cached on the design and shared with its prefixes
+    distances: those are all evaluated in one call before the first panel,
+    in table order.  Every evaluation is ``kernel(distances)``.  The
+    distance table is cached on the design and shared with its prefixes
     (:meth:`~maternsmooth.designs.Design.prefix`), and it numbers the
     distances by the panels of :func:`_panel_ends`: a panel between two such
     ends hands the kernel one ascending run of distances, and any other
     panel the new distances of its rows, picked out of the table's panels
-    that cover them.
+    that cover them.  Table order is ascending within each panel, not
+    across them; the Bessel layer sorts what does not ascend.
     """
     table = getattr(design, "_dist_cache", None)
     if table is None:
         table = design._dist_cache = _DistanceTable(design.points)
-    # The table's distances are finite and nonnegative: a kernel that can
-    # skip checking them says so with ``at_distances``.
-    evaluate = getattr(kernel, "at_distances", kernel)
     values = np.empty(table.size(design.n))
     # A lattice-like design has the zero distance and at most n others: one
-    # call evaluates them all, in ascending order, for less than the fixed
+    # call evaluates them all, in the table's order, for less than the fixed
     # cost of one per panel.
     ready = table.count[design.n] <= design.n + 1
     if ready:
-        new = table.ascending(design.n)
-        values[new] = evaluate(table.distances[new])
+        new = table.new(0, design.n)
+        values[new] = kernel(table.distances[new])
     a = 0
     for b in ends:
         if not ready:
             new = table.new(a, b)
             distances = table.distances[new]
             if distances.size:
-                values[new] = evaluate(distances)
+                values[new] = kernel(distances)
         # The index is symmetric: its columns a:b, transposed, are the rows.
         yield np.take(values, table.index[:b, a:b]).T
         a = b

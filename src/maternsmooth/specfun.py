@@ -39,9 +39,10 @@ Accuracy is validated against arbitrary-precision oracle tables shipped
 with the test suite.
 
 At orders up to 16 each path evaluates one contiguous run of ascending
-arguments.  Kernel assembly hands them over ascending (see
-``kernels._DistanceTable``); other input that takes more than one path is
-sorted first, which costs about 15 ns per element.
+arguments; input that does not ascend is sorted first, which costs about
+15 ns per element.  Kernel assembly hands each row panel's distances over
+ascending, and the one call of a lattice-like design in table order (see
+``kernels._DistanceTable``).
 
 Threads: an array of at least ``2 * _SLICE_MIN`` arguments (of any shape,
 taken flat) is split by stride, thread ``k`` of ``T`` taking elements
@@ -256,8 +257,7 @@ def _kve_slice(nu, x, out=None):
     Each path (SciPy below 1, each bucket of the rule, SciPy above 128)
     evaluates one contiguous run of ascending arguments, found by one
     ``searchsorted`` of the bucket edges.  Arguments that do not ascend are
-    sorted first and their values put back in place, unless they all take
-    one path.
+    sorted first and their values put back in place.
     """
     if out is None:
         out = np.empty_like(x)
@@ -265,10 +265,6 @@ def _kve_slice(nu, x, out=None):
         return _special.kve(nu, x, out=out)
     if not (x[1:] < x[:-1]).any():
         return _kve_runs(nu, x, out)
-    first, last = np.searchsorted(_QUAD_EDGES, (x.min(), x.max()), side="right").tolist()
-    if first == last:
-        _kve_path(nu, first, x, out)
-        return out
     order = np.argsort(x)
     values = x[order]
     _kve_runs(nu, values, values)
@@ -277,22 +273,16 @@ def _kve_slice(nu, x, out=None):
 
 
 def _kve_runs(nu, x, out):
-    """:func:`_kve_slice` for ascending ``x``."""
+    """:func:`_kve_slice` for ascending ``x``: path 0 takes the arguments
+    below 1, path ``k + 1`` the bucket ``[2**k, 2**(k+1))`` of the rule (the
+    top one with 128), and the last those above 128."""
     edges = [0, *np.searchsorted(x, _QUAD_EDGES).tolist(), x.size]
     for path, (a, b) in enumerate(zip(edges, edges[1:])):
-        if b > a:
-            _kve_path(nu, path, x[a:b], out[a:b])
+        if b > a and 1 <= path <= _QUAD_BUCKETS:
+            _trapezoid(nu, path - 1, x[a:b], out[a:b])
+        elif b > a:
+            _special.kve(nu, x[a:b], out=out[a:b])
     return out
-
-
-def _kve_path(nu, path, x, out):
-    """``kve(nu, x)`` into ``out`` for arguments ``x`` of one path: 0 for
-    those below 1, ``k + 1`` for the bucket ``[2**k, 2**(k+1))`` of the rule
-    (the top one with 128), and the last for those above 128."""
-    if 1 <= path <= _QUAD_BUCKETS:
-        _trapezoid(nu, path - 1, x, out)
-    else:
-        _special.kve(nu, x, out=out)
 
 
 def _kve(nu, x):

@@ -31,6 +31,41 @@ UNIT = Box.unit(1)
 SQRT2 = math.sqrt(2.0)
 CATALOG = builtin_test_functions()
 
+# Matern norms (label, nu, lambda) and Gaussian norms (lambda) of the
+# catalog as hex floats, taken on x86-64 Linux with NumPy 2.4 and OpenBLAS
+# before the three norms shared one log-space path, which keeps their bits.
+# The quadrature sums by a BLAS dot product: another build may round them
+# differently.
+MATERN_NORMS = [
+    ("cauchy_like", 0.5, 0.5, "0x1.7413482ea761cp+9"),
+    ("cauchy_like", 0.5, SQRT2, "0x1.b67eb65a99534p+9"),
+    ("cauchy_like", 1.5, 0.5, "0x1.423a07a8f8402p+9"),
+    ("cauchy_like", 1.5, SQRT2, "0x1.10270f5c6a4b6p+11"),
+    ("cauchy_like", 4.0, 0.5, "0x1.6079b478f961cp+9"),
+    ("cauchy_like", 4.0, SQRT2, "0x1.04088d17c64cap+17"),
+    ("cauchy_like", 16.0, 0.5, "0x1.f961b5c59eef9p+18"),
+    ("cauchy_like", 16.0, SQRT2, "0x1.28676a0f61a26p+64"),
+    ("cauchy_like", 64.0, 0.5, "0x1.2ddf79c24ba3ep+154"),
+    ("cauchy_like", 64.0, SQRT2, "0x1.9628b18bbc9bdp+343"),
+    ("gauss_bump", 0.5, 0.5, "0x1.0bbe4d6f93c7cp+3"),
+    ("gauss_bump", 0.5, SQRT2, "0x1.0b479d4af6150p+2"),
+    ("gauss_bump", 1.5, 0.5, "0x1.c7386b9f4f86cp+2"),
+    ("gauss_bump", 1.5, SQRT2, "0x1.b5391c7b21d34p+1"),
+    ("gauss_bump", 4.0, 0.5, "0x1.ae0eee695a2f8p+2"),
+    ("gauss_bump", 4.0, SQRT2, "0x1.9b30e21273344p+1"),
+    ("gauss_bump", 16.0, 0.5, "0x1.a2f5da9a2eb2fp+2"),
+    ("gauss_bump", 16.0, SQRT2, "0x1.931a1ecbd0c04p+1"),
+    ("gauss_bump", 64.0, 0.5, "0x1.a0389e921dde2p+2"),
+    ("gauss_bump", 64.0, SQRT2, "0x1.9233882e6a32cp+1"),
+]
+GAUSSIAN_NORMS = [
+    (0.25, "0x1.02061446ffa9ap+1"),
+    (0.5, "0x1.08654a2d4f6dbp+0"),
+    (1.0, "0x1.279a74590331dp-1"),
+    (SQRT2, "0x1.ffffffffffffep-2"),
+    (1.9, "0x1.af80d40af7206p-1"),
+]
+
 
 class TestCatalog:
     def test_cauchy_like_at_zero(self):
@@ -79,6 +114,11 @@ class TestBump:
     def test_validation(self):
         with pytest.raises(DomainError):
             bump_function(0.0, 0.0)
+
+    @pytest.mark.parametrize("h", [-1.0, math.inf, math.nan, True, "1"])
+    def test_bad_radius_is_rejected(self, h):
+        with pytest.raises(DomainError, match="bump radius h"):
+            bump_function(0.0, h)
 
 
 class TestMaternNorm:
@@ -139,6 +179,11 @@ class TestMaternNorm:
         with pytest.raises(DomainError):
             matern_rkhs_norm_sq(b, MaternParams(1.0, 1.0, SQRT2, STANDARD_SCALING))
 
+    @pytest.mark.parametrize("label, nu, lam, pinned", MATERN_NORMS)
+    def test_pinned_values(self, label, nu, lam, pinned):
+        params = MaternParams(nu, 1.0, lam, STANDARD_SCALING)
+        assert matern_rkhs_norm_sq(CATALOG[label], params) == float.fromhex(pinned)
+
 
 class TestGaussianNorm:
     def test_membership_integral_value(self):
@@ -155,6 +200,58 @@ class TestGaussianNorm:
     def test_validation(self):
         with pytest.raises(DomainError):
             gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], 0.0)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan, True, "1"])
+    def test_bad_length_scale_is_rejected(self, lam):
+        with pytest.raises(DomainError, match="length-scale"):
+            gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], lam)
+
+    @pytest.mark.parametrize("lam, pinned", GAUSSIAN_NORMS)
+    def test_pinned_values(self, lam, pinned):
+        res = gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], lam)
+        assert res.value == float.fromhex(pinned)
+
+    def test_underflowed_tail_is_zero(self):
+        # The transform has underflowed to zero at the truncation: the tail
+        # beyond it is zero, not the NaN of 0 / (-inf - -inf).
+        assert gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], SQRT2).tail_estimate == 0.0
+
+
+class TestSobolevNorm:
+    @pytest.mark.parametrize("alpha", [2, 60])
+    def test_closed_form_for_cauchy_like(self, alpha):
+        # |fhat|^2 = 4 pi^2 exp(-|xi|): the integral of (1 + xi^2)^alpha
+        # against it is 8 pi^2 sum_k C(alpha, k) (2k)!, about 5.3e200 at
+        # alpha = 60, where the weight alone overflows.
+        exact = 8.0 * math.pi**2 * sum(math.comb(alpha, k) * math.factorial(2 * k)
+                                       for k in range(alpha + 1))
+        assert sobolev_norm_sq(CATALOG["cauchy_like"], alpha) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True, "2"])
+    def test_alpha_must_be_a_finite_real(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            sobolev_norm_sq(CATALOG["gauss_bump"], alpha)
+
+    def test_tail_violation_raises(self):
+        # The tail beyond 5 is about 931 of 2290.
+        with pytest.raises(AccuracyError, match="Sobolev norm"):
+            sobolev_norm_sq(CATALOG["cauchy_like"], 2, QuadratureConfig(truncation=5.0))
+
+
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("truncation", 0.0), ("truncation", -1.0), ("truncation", math.inf),
+        ("truncation", math.nan), ("truncation", True),
+        ("nodes", 1), ("nodes", 2.5), ("nodes", True), ("nodes", "12"),
+        ("tail_bound", 0.0), ("tail_bound", math.inf), ("tail_bound", math.nan),
+    ])
+    def test_bad_field_is_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            QuadratureConfig(**{field: value})
+
+    def test_numpy_values_are_accepted(self):
+        q = QuadratureConfig(truncation=np.float64(20.0), nodes=np.int64(8), tail_bound=1e-6)
+        assert sobolev_norm_sq(CATALOG["gauss_bump"], 1, q) > 0.0
 
 
 class TestSamplePaths:
@@ -239,3 +336,11 @@ class TestFitRate:
             fit_rate([2, 4], [1.0, 0.5])
         with pytest.raises(DomainError):
             fit_rate([2, 4, 8], [1.0, -0.5, 0.2])
+
+    @pytest.mark.parametrize("ns, values", [
+        ([2, 4, 8], [1.0, math.nan, 0.2]), ([2, 4, 8], [1.0, math.inf, 0.2]),
+        ([2, math.nan, 8], [1.0, 0.5, 0.2]), ([2, math.inf, 8], [1.0, 0.5, 0.2]),
+    ])
+    def test_non_finite_points_are_rejected(self, ns, values):
+        with pytest.raises(DomainError, match="finite"):
+            fit_rate(ns, values)

@@ -323,3 +323,18 @@ class TestSerialization:
             load_design(path)
         back = load_design(path, box=UNIT2)
         assert back.box == UNIT2 and np.array_equal(back.points, des.points)
+
+    @pytest.mark.parametrize("text, fault", [
+        ("1 5\n0.1\n0.2\n0.3\n0.4\n", "does not match the 4 rows of 1 values"),
+        ("2 2\n0.1\n0.2\n0.3\n0.4\n", "does not match the 4 rows of 1 values"),
+        ("x y\n0.1\n", "invalid literal"),
+        ("", "expected 2, got 0"),
+        ("1 2\n0.1\nabc\n", "could not convert string 'abc'"),
+    ], ids=["more-points-than-values", "rows-not-points", "header-not-integers", "empty",
+            "value-not-a-number"])
+    def test_malformed_file_names_its_path_and_fault(self, tmp_path, text, fault):
+        path = tmp_path / "design.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=fault) as info:
+            load_design(path, box=UNIT)
+        assert str(path) in str(info.value)

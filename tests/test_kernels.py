@@ -63,6 +63,30 @@ class TestScaling:
             c_scaling(STANDARD_SCALING, 0.0)
 
 
+# A dimension is an integer >= 1, Python or NumPy, and not a bool; nothing
+# rounds or coerces it.
+BAD_DIMENSIONS = [0, -1, 1.5, 2.9, 2.0, True, np.bool_(True), "2", None]
+
+
+@pytest.mark.parametrize("d", BAD_DIMENSIONS)
+@pytest.mark.parametrize("make", [
+    lambda d: ScalingPolicy.clamped(d),
+    lambda d: ScalingPolicy("clamped", d),
+    lambda d: matern(1.5, d=d),
+    lambda d: gaussian_eval(GaussParams(), 0.5, d),
+    lambda d: GaussianKernel(GaussParams(), d),
+], ids=["ScalingPolicy.clamped", "ScalingPolicy", "matern", "gaussian_eval",
+        "GaussianKernel"])
+def test_bad_dimension_is_rejected(make, d):
+    with pytest.raises(DomainError, match="dimension d must be an integer >= 1"):
+        make(d)
+
+
+def test_numpy_dimension_is_accepted():
+    assert matern(1.5, d=np.int64(2)).scaling == ScalingPolicy.clamped(2)
+    assert GaussianKernel(GaussParams(), np.int32(2))(0.0) == gaussian_eval(GaussParams(), 0.0, 2)
+
+
 class TestMaternEval:
     def test_exponential_closed_form(self):
         p = MaternParams(0.5, 1.0, 1.0, STANDARD_SCALING)
@@ -111,7 +135,7 @@ class TestMaternEval:
     @pytest.mark.parametrize("zeros", [False, True])
     def test_log_space_formula_and_caller_array(self, nu, zeros):
         # Bit for bit exp(log c + nu log x + log K_nu(x)), in that order, and
-        # the caller's distances are never written, checked or not.
+        # the caller's distances are never written.
         p = MaternParams(nu, 1.3, 0.05, STANDARD_SCALING)
         r = np.geomspace(1e-4, 2.0, 300)
         if zeros:
@@ -120,8 +144,7 @@ class TestMaternEval:
         x = math.sqrt(2.0 * nu) / p.lambda_ * r[r > 0.0]
         want = np.full(r.shape, p._at_zero)
         want[r > 0.0] = np.exp(p._log_scale + nu * np.log(x) + log_bessel_k(nu, x))
-        for got in (matern_eval(p, r), matern_eval(p, r, checked=True),
-                    matern_eval(p, r.reshape(20, 15)).reshape(-1)):
+        for got in (matern_eval(p, r), matern_eval(p, r.reshape(20, 15)).reshape(-1)):
             assert got.tobytes() == want.tobytes()
             assert r.tobytes() == kept.tobytes()
 
@@ -242,10 +265,10 @@ class _Counting(MaternKernel):
         super().__init__(params)
         self.calls, self.arguments = [], []
 
-    def at_distances(self, r):
+    def __call__(self, r):
         self.calls.append(r.size)
         self.arguments.append(r)
-        return super().at_distances(r)
+        return super().__call__(r)
 
 
 class TestKernelPanels:
@@ -265,15 +288,14 @@ class TestKernelPanels:
         (van_der_corput(Box.unit(1), 256), 64), (van_der_corput(Box.unit(1), 256), 128),
         (van_der_corput(Box.unit(1), 256), 256), (uniform_grid(Box.unit(1), 129), 129),
     ])
-    def test_lattice_call_takes_ascending_distances(self, design, m):
+    def test_lattice_call_takes_the_prefix_distances(self, design, m):
         # The one call of a lattice-like design, on its own table or on a
-        # prefix that shares it, gets its distances ascending across the
-        # table's panels, so the Bessel evaluation sorts nothing, and the
-        # panels keep the bits of the prefix's own kernel matrix.
+        # prefix that shares it, gets the prefix's distinct distances, and
+        # the panels keep the bits of the prefix's own kernel matrix.
         kernel = _Counting(matern(1.5, lambda_=0.3))
         panels = list(kernel_panels(kernel, design.prefix(m), [m]))
         (r,) = kernel.arguments
-        assert r.size == _distinct(design.points[:m]) and np.all(np.diff(r) > 0.0)
+        assert r.size == _distinct(design.points[:m])
         K = kernel_matrix(MaternKernel(kernel.params), Design(design.points[:m], design.box))
         assert np.array_equal(panels[0], K)
 
