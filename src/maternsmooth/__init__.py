@@ -81,6 +81,6 @@ from .objectives import (
     ell_cv_from,
     ell_ml_from,
 )
-from .specfun import bessel_k, log_bessel_k, log_gamma, thread_limit
+from .specfun import bessel_k, log_bessel_k, log_gamma
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from .experiments import (
     run_non_undersmoothing,
     run_variance_decay,
 )
-from .specfun import thread_limit
 
 __all__ = ["main", "parse_config_file", "write_csv"]
 
@@ -111,7 +110,6 @@ def _build_config(args):
         "nu0": args.nu0,
         "schedule": args.schedule,
         "seeds": args.seed_list,
-        "threads": args.threads,
         "output_path": args.out,
         "f0": args.f0,
         "nu_grid": args.nu_grid,
@@ -166,6 +164,13 @@ def _int_list(text):
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _thread_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {count}")
+    return count
+
+
 def _float_list(text):
     return tuple(float(t) for t in text.split(",") if t.strip())
 
@@ -181,9 +186,11 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--out", help="CSV output path")
-        p.add_argument("--threads", type=int, default=None,
-                       help="most worker threads (default: every CPU the process "
-                            "may run on); outputs do not depend on it")
+        # Kept only because existing benchmark commands pass it; the
+        # package evaluates everything on the calling thread.
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="accepted and ignored (an integer >= 1): every "
+                            "command runs on the calling thread")
         p.add_argument("--seed-list", type=_int_list, default=None,
                        help="comma-separated seeds")
         p.add_argument("--d", type=int, choices=(1, 2), default=None)
@@ -216,8 +223,7 @@ def main(argv=None):
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     try:
-        with thread_limit(config.threads):
-            result = _COMMANDS[args.command](config)
+        result = _COMMANDS[args.command](config)
     except MaternSmoothError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

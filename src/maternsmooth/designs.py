@@ -373,14 +373,21 @@ def load_design(path, box=None):
     axis, as for a design of zero or one point: its box needs ``box=``.
     A malformed file raises :class:`DomainError` naming the path and the fault.
     """
+    malformed = f"{path}: not a design written by save_design"
     with open(path) as fh:
-        header = fh.readline().split()
         try:
-            d, n = (int(v) for v in header)
-            values = np.loadtxt(fh, ndmin=2) if n else np.zeros((0, d))
+            d, n = (int(v) for v in fh.readline().split())
         except ValueError as err:
-            raise DomainError(f"{path}: not a design written by save_design ({err})") from None
-    if not (d >= 1 and values.shape == (n, d)):
+            raise DomainError(f"{malformed} ({err})") from None
+        if d < 1 or n < 0:
+            raise DomainError(f"{path}: header 'd={d} n={n}' needs d >= 1 and n >= 0")
+        # Blank input is not handed to loadtxt, which warns on it.
+        rows = [line for line in fh if line.strip()]
+        try:
+            values = np.loadtxt(rows, ndmin=2) if rows else np.zeros((0, d))
+        except ValueError as err:
+            raise DomainError(f"{malformed} ({err})") from None
+    if values.shape != (n, d):
         raise DomainError(f"{path}: header 'd={d} n={n}' does not match the "
                           f"{values.shape[0]} rows of {values.shape[1]} values that follow")
     pts = values

@@ -34,7 +34,6 @@ from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive,
                       matern, require_positive)
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
-from .specfun import check_threads
 
 __all__ = [
     "ExperimentConfig",
@@ -76,10 +75,6 @@ class ExperimentConfig:
     lambda_max: float = 2.0
     f0: str = None
     probe_count: int = 256
-    # Caps the threads that large Bessel evaluations are split across (the
-    # CLI applies it through specfun.thread_limit); None: every CPU the
-    # process may run on.  Outputs do not depend on it.
-    threads: int = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     output_path: str = None
 
@@ -105,7 +100,6 @@ class ExperimentConfig:
             raise DomainError("need at least one seed")
         for seed in self.seeds:
             check_seed(seed)
-        check_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -359,7 +353,8 @@ def run_non_undersmoothing(config):
     saturation flags for the smooth entries.
     """
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
-    design = make_design(config.design, config.d, max(schedule))
+    # A 2-d grid has more points than asked for; draw and sweep only those asked.
+    design = make_design(config.design, config.d, max(schedule)).prefix(max(schedule))
     seeds, paths = _draw_or_evaluate(config, design)
     records = sweep_prefixes(
         design, paths, schedule, config.estimator, nu0=config.nu0,

@@ -44,17 +44,9 @@ arguments; input that does not ascend is sorted first, which costs about
 ascending, and the one call of a lattice-like design in table order (see
 ``kernels._DistanceTable``).
 
-Threads: an array of at least ``2 * _SLICE_MIN`` arguments (of any shape,
-taken flat) is split by stride, thread ``k`` of ``T`` taking elements
-``k, k + T, ...``, so that each thread gets an equal share of every path;
-each fills its elements of one output array (NumPy and ``kve`` release the
-GIL), and the calling thread takes stride 0 itself.  Every path is
-element-wise, so the result does not depend on the number of threads or
-on the order of the arguments, bit for bit.  That number is the package's
-thread limit (:func:`thread_limit`; ``--threads N`` on the command line
-sets it for every command), capped at the CPUs the process may run on,
-which is also the default.  The workers are started on the first split and
-again in a forked child, which inherits none of its parent's threads.
+Every path is element-wise, so a value does not depend on the order of the
+arguments or on the array they came in, bit for bit.  Evaluation runs on
+the calling thread; the module starts no threads.
 """
 
 from __future__ import annotations
@@ -62,10 +54,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 from scipy import special as _special
@@ -76,8 +64,6 @@ __all__ = [
     "log_gamma",
     "bessel_k",
     "log_bessel_k",
-    "thread_limit",
-    "worker_threads",
 ]
 
 # Order threshold above which the uniform large-order expansion is used
@@ -88,9 +74,6 @@ _UNIFORM_ORDER_MIN = 50.0
 # its running sum, and raises AccuracyError after this many terms.
 _SERIES_RTOL = 1e-13
 _SERIES_MAX_TERMS = 200
-
-# Fewest arguments per slice of a split ``kve`` evaluation.
-_SLICE_MIN = 8192
 
 # The trapezoidal rule serves orders up to _QUAD_ORDER_MAX and arguments
 # from 1 to 2**_QUAD_BUCKETS, in the buckets [2**k, 2**(k+1)); the top one
@@ -108,69 +91,9 @@ _QUAD_STRIPS = np.arange(1, 32) * 0.05
 # doubles.
 _NODE_MATRIX = 2**16
 
-_threads = None  # the thread limit; None: every CPU the process may run on
-_cpus = None  # CPUs in the process's affinity mask, read on first use
-_pool = None  # Bessel workers besides the calling thread
-_pool_lock = threading.Lock()
-
-
 def is_real(value):
     """Whether ``value`` is a real number, Python or NumPy, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_threads(threads):
-    """Raise :class:`DomainError` unless ``threads`` is None or an integer >= 1."""
-    if threads is not None and (isinstance(threads, bool)
-                                or not isinstance(threads, (int, np.integer)) or threads < 1):
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
-
-
-@contextmanager
-def thread_limit(threads):
-    """Run the block with at most ``threads`` worker threads in the package
-    (None: one per CPU the process may run on).  Results do not depend on it."""
-    global _threads
-    check_threads(threads)
-    previous, _threads = _threads, threads
-    try:
-        yield
-    finally:
-        _threads = previous
-
-
-def _cpu_count():
-    global _cpus
-    if _cpus is None:
-        try:
-            _cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity masks on this platform
-            _cpus = os.cpu_count() or 1
-    return _cpus
-
-
-def worker_threads():
-    """Threads the package may run work on: the thread limit, at most the CPUs."""
-    cpus = _cpu_count()
-    return cpus if _threads is None else min(_threads, cpus)
-
-
-def _worker_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpu_count() - 1,
-                                       thread_name_prefix="maternsmooth-kve")
-        return _pool
-
-
-def _forget_workers():
-    """In a forked child: the parent's worker threads do not exist here."""
-    global _cpus, _pool, _pool_lock
-    _cpus, _pool, _pool_lock = None, None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_workers)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,31 +172,31 @@ def _trapezoid(nu, bucket, x, out):
         out[a:a + width] = terms[0]
 
 
-def _kve_slice(nu, x, out=None):
-    """``kve(nu, x)`` for a 1-d float array, by the trapezoidal rule where
-    ``nu <= 16`` and ``1 <= x <= 128`` and by SciPy elsewhere, into ``out``
-    (a new array if None).
+def _kve(nu, x):
+    """``kve(nu, x)`` for a float array of any shape, taken flat, by the
+    trapezoidal rule where ``nu <= 16`` and ``1 <= x <= 128`` and by SciPy
+    elsewhere.
 
     Each path (SciPy below 1, each bucket of the rule, SciPy above 128)
     evaluates one contiguous run of ascending arguments, found by one
     ``searchsorted`` of the bucket edges.  Arguments that do not ascend are
     sorted first and their values put back in place.
     """
-    if out is None:
-        out = np.empty_like(x)
+    flat = x.reshape(-1)
     if nu > _QUAD_ORDER_MAX:
-        return _special.kve(nu, x, out=out)
-    if not (x[1:] < x[:-1]).any():
-        return _kve_runs(nu, x, out)
-    order = np.argsort(x)
-    values = x[order]
-    _kve_runs(nu, values, values)
-    out[order] = values
-    return out
+        out = _special.kve(nu, flat)
+    elif not (flat[1:] < flat[:-1]).any():
+        out = _kve_runs(nu, flat, np.empty_like(flat))
+    else:
+        order = np.argsort(flat)
+        values = flat[order]
+        out = np.empty_like(flat)
+        out[order] = _kve_runs(nu, values, values)
+    return out.reshape(x.shape)
 
 
 def _kve_runs(nu, x, out):
-    """:func:`_kve_slice` for ascending ``x``: path 0 takes the arguments
+    """:func:`_kve` for ascending 1-d ``x``: path 0 takes the arguments
     below 1, path ``k + 1`` the bucket ``[2**k, 2**(k+1))`` of the rule (the
     top one with 128), and the last those above 128."""
     edges = [0, *np.searchsorted(x, _QUAD_EDGES).tolist(), x.size]
@@ -283,27 +206,6 @@ def _kve_runs(nu, x, out):
         elif b > a:
             _special.kve(nu, x[a:b], out=out[a:b])
     return out
-
-
-def _kve(nu, x):
-    """``kve(nu, x)`` for a float array of any shape, split flat across the
-    worker threads by stride when ``x`` is large (thread ``k`` of ``T``
-    takes elements ``k, k + T, ...``); bit-identical to one call of
-    :func:`_kve_slice`."""
-    flat = x.reshape(-1)
-    threads = flat.size // _SLICE_MIN
-    if threads >= 2:
-        threads = min(threads, worker_threads())
-    if threads < 2:
-        return _kve_slice(nu, flat).reshape(x.shape)
-    out = np.empty_like(flat)
-    pool = _worker_pool()
-    futures = [pool.submit(_kve_slice, nu, flat[k::threads], out[k::threads])
-               for k in range(1, threads)]
-    _kve_slice(nu, flat[::threads], out[::threads])
-    for future in futures:
-        future.result()
-    return out.reshape(x.shape)
 
 
 def _validate_positive(name, value):

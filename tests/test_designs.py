@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -330,11 +331,17 @@ class TestSerialization:
         ("x y\n0.1\n", "invalid literal"),
         ("", "expected 2, got 0"),
         ("1 2\n0.1\nabc\n", "could not convert string 'abc'"),
+        ("1 -1\n", "header 'd=1 n=-1' needs d >= 1 and n >= 0"),
+        ("0 3\n", "header 'd=0 n=3' needs d >= 1 and n >= 0"),
+        ("1 3\n", "header 'd=1 n=3' does not match the 0 rows of 1 values"),
     ], ids=["more-points-than-values", "rows-not-points", "header-not-integers", "empty",
-            "value-not-a-number"])
+            "value-not-a-number", "negative-points", "no-dimensions", "missing-rows"])
     def test_malformed_file_names_its_path_and_fault(self, tmp_path, text, fault):
+        # Raised with no warning first (loadtxt warns on input with no rows).
         path = tmp_path / "design.txt"
         path.write_text(text)
-        with pytest.raises(DomainError, match=fault) as info:
-            load_design(path, box=UNIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=fault) as info:
+                load_design(path, box=UNIT)
         assert str(path) in str(info.value)

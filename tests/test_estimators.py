@@ -22,7 +22,6 @@ from maternsmooth.experiments import ExperimentConfig, make_design, run_non_unde
 from maternsmooth.gp import condition, condition_prefixes, loo_variances
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
-from maternsmooth.specfun import thread_limit
 
 UNIT = Box.unit(1)
 
@@ -1074,20 +1073,3 @@ class TestPrefixRule:
             assert msg.startswith(f"nu={nu:g}, n=64: failed on prefix n=32: pivot ")
             pivot = msg.split("failed on prefix n=32: ")[1]
             assert at_32[nu].startswith(f"nu={nu:g}, n=32: ") and pivot in at_32[nu]
-
-
-def test_sweep_does_not_depend_on_threads():
-    # Jittered van der Corput points with distinct distances, two data
-    # columns: the panel of points 129..256 evaluates kve on 24k distances.
-    base = van_der_corput(UNIT, 256).points[:, 0]
-    spacing = float(np.min(np.diff(np.sort(base))))
-    rng = np.random.Generator(np.random.Philox(3))
-    points = np.clip(base + (2.0 * rng.random(256) - 1.0) * 0.25 * spacing, 0.0, 1.0)
-    design = Design(points, UNIT)
-    f = builtin_test_functions()["gauss_bump"](points)
-    y = np.column_stack([f, np.sin(5.0 * points)])
-    cfg = EstimatorConfig(nu_max=60.0, lambda_=0.1)
-    with thread_limit(1):
-        one = sweep_prefixes(design, y, (64, 256), cfg, seed=(1, 2))
-    every = sweep_prefixes(design, y, (64, 256), cfg, seed=(1, 2))
-    assert repr(one) == repr(every)

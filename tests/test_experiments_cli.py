@@ -17,7 +17,6 @@ from maternsmooth.estimators import EstimatorConfig, bracketed_minimize
 from maternsmooth.gp import condition
 from maternsmooth.kernels import GaussianKernel, GaussParams
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
-from maternsmooth.specfun import thread_limit
 from maternsmooth.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -80,14 +79,21 @@ class TestEngines:
         assert result.ok is not None
         assert len(result.rows) == 6
 
-    def test_non_undersmoothing_threads_deterministic(self):
-        base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32),
-                                seeds=(1, 2, 3))
-        with thread_limit(1):
-            serial = run_non_undersmoothing(base)
-        with thread_limit(3):
-            threaded = run_non_undersmoothing(base)
-        assert serial.rows == threaded.rows
+    def test_2d_grid_paths_are_drawn_on_the_swept_points(self, monkeypatch):
+        # A 9 x 9 grid covers a schedule to 64: the paths are drawn on its
+        # first 64 points, not on all 81.
+        drawn = []
+        draw = experiments.sample_gp_path
+
+        def recording(params, design, seed):
+            drawn.append(draw(params, design, seed))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "sample_gp_path", recording)
+        cfg = ExperimentConfig(experiment="x", nu0=1.5, d=2, design="uniform_grid",
+                               schedule=(16, 32, 64), seeds=(101, 102))
+        assert len(run_non_undersmoothing(cfg).rows) == 6
+        assert [paths.shape for paths in drawn] == [(64, 2)]
 
     def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
         # Python's min skips a NaN that is not first, so a failed estimate
@@ -108,16 +114,6 @@ class TestEngines:
         assert not result.ok
         assert "seed=101: tail min ml=nan" in result.summary
         assert "ml 1/2" in result.summary
-
-    def test_convergence_threads_deterministic(self):
-        base = ExperimentConfig(experiment="x", nu0=1.5, schedule=(16, 32, 64),
-                                seeds=(1, 2, 3), probe_count=64)
-        with thread_limit(1):
-            serial = run_convergence(base)
-        with thread_limit(2):
-            threaded = run_convergence(base)
-        assert serial.rows == threaded.rows
-        assert serial.summary == threaded.summary
 
     def test_convergence_rows_do_not_depend_on_other_seeds(self):
         base = ExperimentConfig(experiment="x", nu0=1.5, nu_model=(3.0, 0.75),
@@ -220,11 +216,6 @@ class TestEngines:
             ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
-        for bad in (dict(threads=0), dict(threads=-4), dict(threads=2.5),
-                    dict(threads="x"), dict(threads=True)):
-            with pytest.raises(DomainError):
-                ExperimentConfig(**bad)
-        assert ExperimentConfig().threads is None
         for seeds in ((1.5, 2.5), (True,), (101, -1), (np.bool_(True),), (2.0,), ("3",)):
             with pytest.raises(DomainError, match="must be a non-negative integer"):
                 ExperimentConfig(seeds=seeds)
@@ -510,7 +501,8 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads = 2.5\n")
         assert main(["variance-decay", "--config", str(cfg)]) == 2
-        assert "configuration error: threads must be an integer >= 1" in capsys.readouterr().err
+        assert ("configuration error: unknown configuration keys: ['threads']"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["non-undersmoothing", "--nu0", "1.5", "--schedule", "0,16"],
@@ -550,7 +542,8 @@ class TestCli:
         assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_c07_csv_does_not_depend_on_threads(self, tmp_path):
-        # The ten-seed C07 configuration: one thread, then every CPU.
+        # The ten-seed C07 configuration with and without --threads, which
+        # is accepted and ignored.
         argv = ["non-undersmoothing", "--nu0", "1.5", "--d", "1", "--design",
                 "van_der_corput", "--lambda", "1", "--schedule", "16,32,64,128,256,512",
                 "--check"]

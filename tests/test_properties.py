@@ -32,8 +32,7 @@ from maternsmooth import gp, kernels
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
-from maternsmooth import specfun
-from maternsmooth.specfun import bessel_k, log_bessel_k, thread_limit
+from maternsmooth.specfun import bessel_k, log_bessel_k
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -656,42 +655,32 @@ def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
     assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]
 
 
-SPLIT = 2 * specfun._SLICE_MIN
+# Array sizes on both sides of LARGE, up to 3 * LARGE arguments.
+LARGE = 16384
 bessel_arrays = st.tuples(
     st.floats(min_value=0.0, max_value=300.0),
-    st.one_of(st.integers(min_value=1, max_value=SPLIT - 1),
-              st.integers(min_value=SPLIT, max_value=3 * SPLIT)),
+    st.one_of(st.integers(min_value=1, max_value=LARGE - 1),
+              st.integers(min_value=LARGE, max_value=3 * LARGE)),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-
-
-@contextlib.contextmanager
-def _workers(count):
-    """``count`` worker threads, as on a machine with that many CPUs."""
-    saved = specfun._cpus
-    specfun._cpus = count
-    try:
-        with thread_limit(count):
-            yield
-    finally:
-        specfun._cpus = saved
 
 
 @PROPERTY
 @given(bessel_arrays)
 def test_split_bessel_evaluation_is_bit_identical(case):
-    # For nu >= 50, every other argument lies within a factor exp(0.5) of
-    # where kve overflows, so both the kve path and the fallback are split.
+    # An array split by stride into two, each half evaluated alone, gives
+    # the same bits as the whole.  For nu >= 50, every other argument lies
+    # within a factor exp(0.5) of where kve overflows, so both halves mix
+    # the kve path and the fallback.
     nu, size, seed = case
     rng = np.random.Generator(np.random.Philox(seed))
     x = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), size))
     if nu >= 50.0:
-        x[::2] = _near_kve_overflow(nu, 0.0) * np.exp(rng.uniform(-0.5, 0.5, x[::2].size))
-    results = []
-    for count in (1, 2):
-        with _workers(count):
-            results.append((log_bessel_k(nu, x).tobytes(), bessel_k(nu, x).tobytes()))
-    assert results[0] == results[1]
+        x[1::2] = _near_kve_overflow(nu, 0.0) * np.exp(rng.uniform(-0.5, 0.5, x[1::2].size))
+    for fn in (log_bessel_k, bessel_k):
+        split = np.empty_like(x)
+        split[::2], split[1::2] = fn(nu, x[::2]), fn(nu, x[1::2])
+        assert split.tobytes() == fn(nu, x).tobytes()
 
 
 # Orders on both sides of 16, the rule's top, and of 50, where the uniform
@@ -703,13 +692,13 @@ orders = st.one_of(st.floats(min_value=0.0, max_value=16.0),
 
 @PROPERTY
 @given(orders, st.one_of(st.integers(min_value=2, max_value=64),
-                         st.integers(min_value=SPLIT, max_value=SPLIT + 64)),
+                         st.integers(min_value=LARGE, max_value=LARGE + 64)),
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_values_do_not_depend_on_position(nu, size, seed):
     # Ascending arguments from below 1 through every bucket of the rule to
     # above 128, a few of them where kve overflows (the uniform expansion
     # from order 50, the series from 5 to 50), evaluated in order and
-    # permuted, on one or two threads: the values permute with them.
+    # permuted: the values permute with them.
     rng = np.random.Generator(np.random.Philox(seed))
     x = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), size))
     few = min(8, size // 2)
@@ -719,10 +708,8 @@ def test_values_do_not_depend_on_position(nu, size, seed):
         x[:few] = np.exp(-720.0 / nu - rng.uniform(0.0, 10.0, few))
     x.sort()
     p = rng.permutation(size)
-    for count in (1, 2):
-        with _workers(count):
-            for fn in (log_bessel_k, bessel_k):
-                assert fn(nu, x[p]).tobytes() == fn(nu, x)[p].tobytes()
+    for fn in (log_bessel_k, bessel_k):
+        assert fn(nu, x[p]).tobytes() == fn(nu, x)[p].tobytes()
 
 
 # Arguments that all take one path: one bucket [2**k, 2**(k+1)) of the rule,
@@ -741,21 +728,19 @@ one_path = st.one_of(
 
 @PROPERTY
 @given(one_path, st.one_of(st.integers(min_value=2, max_value=64),
-                           st.integers(min_value=SPLIT, max_value=SPLIT + 64)),
+                           st.integers(min_value=LARGE, max_value=LARGE + 64)),
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_values_of_one_path_do_not_depend_on_position(case, size, seed):
     # Permuted arguments confined to one path are sorted like any others
-    # that do not ascend, on one or two threads: the values permute with them.
+    # that do not ascend: the values permute with them.
     nu, (lo, hi) = case
     rng = np.random.Generator(np.random.Philox(seed))
     x = np.exp(rng.uniform(math.log(lo), math.log(hi), size))
     x = np.clip(x, lo, math.nextafter(hi, 0.0) if hi < 128.0 else hi)
     x.sort()
     p = rng.permutation(size)
-    for count in (1, 2):
-        with _workers(count):
-            for fn in (log_bessel_k, bessel_k):
-                assert fn(nu, x[p]).tobytes() == fn(nu, x)[p].tobytes()
+    for fn in (log_bessel_k, bessel_k):
+        assert fn(nu, x[p]).tobytes() == fn(nu, x)[p].tobytes()
 
 
 def _next_to(values):
@@ -786,25 +771,23 @@ path_cases = st.one_of(
 
 @PROPERTY
 @given(path_cases, st.one_of(st.integers(min_value=1, max_value=64),
-                             st.integers(min_value=SPLIT // 2, max_value=SPLIT + 64)),
+                             st.integers(min_value=LARGE // 2, max_value=LARGE + 64)),
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_a_bessel_value_depends_only_on_its_argument(case, half, seed):
-    # Alone or at any place of a longer array, flat or in two dimensions,
-    # on one or two threads: the same bits.
+    # Alone or at any place of a longer array, flat or in two dimensions:
+    # the same bits.
     nu, x = case
     alone = (log_bessel_k(nu, x), bessel_k(nu, x))
     rng = np.random.Generator(np.random.Philox(seed))
     around = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 2 * half))
     around[rng.integers(2 * half)] = x
     places = np.flatnonzero(around == x)
-    for count in (1, 2):
-        with _workers(count):
-            for shape in ((2 * half,), (2, half), (half, 2)):
-                arr = around.reshape(shape)
-                for fn, want in zip((log_bessel_k, bessel_k), alone):
-                    got = fn(nu, arr)
-                    assert got.shape == shape
-                    assert got.reshape(-1)[places].tobytes() == np.full(places.size, want).tobytes()
+    for shape in ((2 * half,), (2, half), (half, 2)):
+        arr = around.reshape(shape)
+        for fn, want in zip((log_bessel_k, bessel_k), alone):
+            got = fn(nu, arr)
+            assert got.shape == shape
+            assert got.reshape(-1)[places].tobytes() == np.full(places.size, want).tobytes()
 
 
 @PROPERTY

@@ -7,12 +7,8 @@ never recompute it.
 
 import json
 import math
-import os
 import pathlib
-import signal
-import sys
 import threading
-import time
 from decimal import Decimal
 
 import numpy as np
@@ -20,13 +16,13 @@ import pytest
 from scipy import optimize, special
 
 from maternsmooth import specfun
+from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import AccuracyError, DomainError
+from maternsmooth.kernels import MaternKernel, kernel_matrix, matern
 from maternsmooth.specfun import (
     bessel_k,
     log_bessel_k,
     log_gamma,
-    thread_limit,
-    worker_threads,
     _log_k_series,
 )
 
@@ -263,69 +259,12 @@ class TestValidation:
 
 
 class TestThreads:
-    """Large ``kve`` evaluations split across worker threads."""
+    """The package evaluates on the calling thread."""
 
-    SPLIT = 2 * specfun._SLICE_MIN
-
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_cpus", 2)
-
-    def test_worker_count_is_capped_at_the_cpus(self, two_cpus):
-        assert worker_threads() == 2
-        with thread_limit(64):
-            assert worker_threads() == 2
-        with thread_limit(1):
-            assert worker_threads() == 1
-        assert worker_threads() == 2
-
-    @pytest.mark.parametrize("bad", [0, -4, 2.5, "x", True])
-    def test_bad_thread_limit(self, bad):
-        with pytest.raises(DomainError):
-            with thread_limit(bad):
-                pass
-
-    @pytest.fixture
-    def slices(self, monkeypatch):
-        """Record each slice evaluation: whether the calling (main) thread
-        made it, its size and whether it wrote into a given output."""
-        calls = []
-        evaluate = specfun._kve_slice
-
-        def recording(nu, x, out=None):
-            calls.append((threading.current_thread() is threading.main_thread(),
-                          x.size, out is not None))
-            return evaluate(nu, x, out)
-
-        monkeypatch.setattr(specfun, "_kve_slice", recording)
-        return calls
-
-    def test_caller_evaluates_the_first_slice(self, two_cpus, slices):
-        # Strided: the caller takes elements 0, 2, 4, ..., the worker the rest.
-        x = np.linspace(0.1, 30.0, self.SPLIT + 1)
-        with thread_limit(2):
-            split = log_bessel_k(3.3, x)
-            whole = log_bessel_k(3.3, x[:-2])
-        half = self.SPLIT // 2
-        assert sorted(slices[:2]) == [(False, half, True), (True, half + 1, True)]
-        assert slices[2:] == [(True, self.SPLIT - 1, False)]
-        with thread_limit(1):
-            assert split.tobytes() == log_bessel_k(3.3, x).tobytes()
-        assert whole.tobytes() == split[:-2].tobytes()
-
-    def test_arrays_of_two_dimensions_are_split_flat(self, two_cpus, slices):
-        # A (512, 40) cross-covariance: both threads get half of its
-        # elements, not slices of its rows.
-        x = np.geomspace(0.5, 200.0, 512 * 40).reshape(512, 40)
-        with thread_limit(2):
-            split = log_bessel_k(3.3, x)
-        assert sorted(slices) == [(False, 512 * 20, True), (True, 512 * 20, True)]
-        with thread_limit(1):
-            serial = log_bessel_k(3.3, x)
-        assert split.shape == x.shape and split.tobytes() == serial.tobytes()
-
-    def test_one_worker_starts_no_thread(self, two_cpus, monkeypatch):
-        monkeypatch.setattr(specfun, "_pool", None)
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # Bessel calls on 3 * 16,384 arguments and the assembly of a
+        # 512-point kernel matrix at nu = 10 (the saturation-scattered
+        # design, whose distances are all distinct) start no thread.
         started = []
         start = threading.Thread.start
 
@@ -334,68 +273,13 @@ class TestThreads:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording)
-        x = np.linspace(0.1, 30.0, 3 * self.SPLIT)
-        with thread_limit(1):
-            log_bessel_k(3.3, x)
-            bessel_k(3.3, x)
-        assert started == [] and specfun._pool is None
-
-    def test_concurrent_callers_share_one_pool(self, two_cpus, monkeypatch):
-        # More callers than CPUs, starting together and switching threads
-        # often: every result is the serial one, and one pool of one worker
-        # serves them all.
-        monkeypatch.setattr(specfun, "_pool", None)
-        before = set(threading.enumerate())
-        x = np.linspace(0.1, 30.0, 2 * self.SPLIT)
-        with thread_limit(1):
-            want = specfun._kve(3.3, x).tobytes()
-        results = []
-        start = threading.Barrier(4)
-
-        def caller():
-            start.wait(timeout=60.0)
-            for _ in range(5):
-                results.append(specfun._kve(3.3, x).tobytes() == want)
-
-        callers = [threading.Thread(target=caller) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        assert results == [True] * 20
-        workers = [t for t in set(threading.enumerate()) - before
-                   if t.name.startswith("maternsmooth-kve")]
-        assert len(workers) == 1
-        specfun._pool.shutdown()
-
-    def test_split_evaluation_in_a_forked_child(self, two_cpus):
-        # The child inherits the parent's pool object but not its threads;
-        # a split evaluation there must start its own.
-        x = np.linspace(0.1, 30.0, 2 * self.SPLIT)
-        with thread_limit(2):
-            want = log_bessel_k(3.3, x)
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    specfun._cpus = 2  # the child reads its own CPU mask again
-                    code = 0 if log_bessel_k(3.3, x).tobytes() == want.tobytes() else 3
-                finally:
-                    os._exit(code)
-        deadline = time.monotonic() + 20.0
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("a split evaluation in a forked child did not finish")
-            time.sleep(0.01)
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        before = threading.active_count()
+        x = np.linspace(0.1, 30.0, 3 * 16384)
+        log_bessel_k(3.3, x)
+        bessel_k(3.3, x)
+        base = van_der_corput(Box.unit(1), 512).points[:, 0]
+        rng = np.random.Generator(np.random.Philox(0))
+        jitter = (2.0 * rng.random(512) - 1.0) * 0.25 * np.min(np.diff(np.sort(base)))
+        design = Design(np.clip(base + jitter, 0.0, 1.0), Box.unit(1))
+        kernel_matrix(MaternKernel(matern(10.0, 1.0, 0.05)), design)
+        assert started == [] and threading.active_count() == before

@@ -6,9 +6,8 @@ Prints the environment line of the benchmark (versions, BLAS libraries and
 their threads, processors, CPU model), then one row per path of
 ``maternsmooth.specfun`` with the median time per element of one
 ``log_bessel_k`` call on ``2**17`` arguments, for arguments
-that ascend and for the same arguments shuffled, on one and on two threads
-(``thread_limit``; two only where the process may run on two CPUs).  The
-paths:
+that ascend and for the same arguments shuffled, on the calling thread (the
+package starts no threads).  The paths:
 
 * the trapezoidal rule, one row per argument bucket ``[2**k, 2**(k+1))``
   (the top one with 128), at orders 0.53 and 5.6;
@@ -81,17 +80,16 @@ def _paths():
     return rows
 
 
-def _median_ns(nu, x, threads, seconds):
+def _median_ns(nu, x, seconds):
     """Median time per element of ``log_bessel_k(nu, x)`` in nanoseconds,
     over at least five calls and about ``seconds``."""
     times, spent = [], 0.0
-    with specfun.thread_limit(threads):
-        specfun.log_bessel_k(nu, x)  # node tables, weights and the pool
-        while len(times) < 5 or spent < seconds:
-            t0 = time.perf_counter()
-            specfun.log_bessel_k(nu, x)
-            times.append(time.perf_counter() - t0)
-            spent += times[-1]
+    specfun.log_bessel_k(nu, x)  # node tables and weights
+    while len(times) < 5 or spent < seconds:
+        t0 = time.perf_counter()
+        specfun.log_bessel_k(nu, x)
+        times.append(time.perf_counter() - t0)
+        spent += times[-1]
     return 1e9 * float(np.median(times)) / x.size
 
 
@@ -102,16 +100,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     print("# environment " + json.dumps(environment()))
-    threads = [t for t in (1, 2) if t <= specfun._cpu_count()]
-    columns = [(order, t) for t in threads for order in ("ascending", "shuffled")]
     print(f"# ns per element, {SIZE} arguments per call")
-    print(f"{'path':>22}{'order':>8}" + "".join(f"{f'{o}/{t}':>14}" for o, t in columns))
+    print(f"{'path':>22}{'order':>8}{'ascending':>14}{'shuffled':>14}")
     rng = np.random.default_rng(0)
     for name, nu, lo, hi in _paths():
         x = np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), SIZE)))
         shuffled = rng.permutation(x)
-        cells = [_median_ns(nu, x if o == "ascending" else shuffled, t, args.seconds)
-                 for o, t in columns]
+        cells = [_median_ns(nu, values, args.seconds) for values in (x, shuffled)]
         print(f"{name:>22}{nu:>8g}" + "".join(f"{c:>14.1f}" for c in cells), flush=True)
 
 

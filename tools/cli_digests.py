@@ -53,6 +53,9 @@ FORTY_SEEDS = ",".join(str(seed) for seed in range(1, 41))
 
 # (name, CLI arguments, configuration file lines or None).
 CONFIGURATIONS = (
+    # --threads is accepted and ignored: each *-threads-2 configuration has
+    # the digests of its run with --threads 1 or without the flag
+    # (c07-check-threads-1, convergence).
     ("c07-check-threads-1", ["non-undersmoothing", "--nu0", "1.5", "--threads", "1",
                              "--check"], None),
     ("c07-threads-2", ["non-undersmoothing", "--nu0", "1.5", "--threads", "2"], None),
