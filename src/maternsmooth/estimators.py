@@ -14,18 +14,18 @@ refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
 the objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
 
-A prefix sweep runs the plans of every data column, objective and prefix
-once, in lockstep, and returns their estimates.  It factors each lattice
-cell that some search reads on the prefix of the largest size whose
-searches ask for it, and reads both objectives of every prefix up to that
-one from that factor; a failure there is recorded for the larger prefixes
-too.  Only a later ask from a larger prefix factors the cell again.  The
-searches that share a bracketing triple share its nodes, each factored
-once, on the largest prefix that needs it.
+A prefix sweep runs its sizes from the largest to the smallest, and each
+search of a size, objective and data column is one
+:func:`bracketed_minimize` call.  A cell that a search asks for and the
+sweep's table lacks is factored on that size's prefix, and every prefix up
+to that one reads both objectives from that factor.  Every larger size has
+finished by then, so each cell is factored once, on the largest prefix
+that asks for it, for every column and objective.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -384,22 +384,18 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
+def _cells(design, y, scan, theta, sizes, workspace=None):
     """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
     points of ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
-    and :func:`ell_cv_from` when ``cv`` is set, on the posteriors of one
+    and :func:`ell_cv_from` from two points, on the posteriors of one
     factorization (:func:`~maternsmooth.gp.condition_prefixes`).
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
-    mapping each objective defined on ``n`` points (cross-validation needs
-    two) to its ``s`` totals, profiled when the scan asks, or to the
-    :class:`ConditioningError` that prevents that objective alone.  When
-    the factorization fails, both objectives map to one ``nu=..., n=...:``
-    error, which names the first failing size after it.
-
-    Sizes beyond ``design.n`` are not factored: when the factorization
-    fails, they get that failure too, and otherwise no cell, so the list is
-    cut short.
+    mapping each objective defined on ``n`` points to its ``s`` totals,
+    profiled when the scan asks, or to the :class:`ConditioningError` that
+    prevents that objective alone.  When the factorization fails, both
+    objectives map to one ``nu=..., n=...:`` error, which names the first
+    failing size after it.
 
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
@@ -408,10 +404,7 @@ def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
     :func:`~maternsmooth.gp.condition_prefixes`; nothing returned reads
     from it.
     """
-    within = [n for n in sizes if n <= design.n]
-    posts = condition_prefixes(scan.kernel_at(theta), design, y, within, workspace)
-    if isinstance(posts[-1], ConditioningError):
-        posts += posts[-1:] * (len(sizes) - len(within))
+    posts = condition_prefixes(scan.kernel_at(theta), design, y, sizes, workspace)
     cells, first = [], None
     for n, post in zip(sizes, posts):
         if isinstance(post, ConditioningError):
@@ -425,7 +418,7 @@ def _cells(design, y, scan, theta, sizes, cv=True, workspace=None):
                 pivot_value=post.pivot_value)))
             continue
         cell = {"ml": ell_ml_from(post)}
-        if cv and n >= 2:
+        if n >= 2:
             cell["cv"] = _outcome(ell_cv_from, post)
         for name, value in cell.items():
             if not isinstance(value, ConditioningError):
@@ -508,27 +501,21 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     prefix (:func:`~maternsmooth.designs.fill_distances`) and the
     leave-one-out variances at ``nu0`` are computed once for all columns.
     The searches of all columns, both objectives and every prefix run
-    once, in lockstep (:func:`_searches`): each round factors the coarse
-    cells that some search asks for, once for all of them, and the
-    searches whose coarse minimum lands on one bracketing triple share its
-    nodes, each factored once, and inverted for leave-one-out only if a CV
-    search needs it.
+    once (:func:`_searches`), the sizes from the largest to the smallest.
+    Each cell that a search reads is factored once, for every column and
+    objective, on the largest prefix that asks for it, and every prefix up
+    to that one reads its objectives from its view of that factor
+    (:func:`_cells`), its leave-one-out quantities from one inverse of it.
     The schedule holds sizes of at least 1 in strictly ascending order.
 
-    Each coarse cell that a search reads is factored on the largest
-    prefix whose searches ask for it, and again on a larger one only if
-    its searches ask later; each node once, on the largest prefix that
-    needs it.  Every prefix reads its objectives from its view of that
-    factor (:func:`_cells`), its leave-one-out quantities from one inverse
-    of it.
     A record's ``searchable_upper_*`` is the top of its search's searchable
     bracket, NaN where the search ended in an error or is not defined.  At
     sizes of at most 16 or ``16 * 2**k`` points those are bit for bit the
     prefix's own, so a record equals the sweep of its prefix alone; at
     other sizes they agree to rounding.  A cell whose factorization fails
-    at some pivot fails on every prefix beyond it, and the prefixes after
-    the first one record the prefix size, pivot index and pivot value of
-    that first failure, without another factorization.
+    at some pivot fails on every prefix beyond it up to the one factored,
+    and the prefixes after the first one record the prefix size, pivot
+    index and pivot value of that first failure.
 
     The variance ratio factors the kernel at the ML estimate once more,
     per record: the cell table keeps objective totals, not factors, and a
@@ -575,72 +562,42 @@ def _searches(top, columns, schedule, scan):
     its search of the :class:`_Scan` ends with, or to the
     :class:`EstimationError` that ends it.
 
-    Runs the plan (:func:`_plan`) of every data column, objective and size
-    once, in lockstep, and sends it its cells as stored: a total or a
-    :class:`ConditioningError`; a column's profiling error ends its search,
-    the first one asked for winning.  Each round factors the cells the
-    searches ask for and no table holds yet, once every search waits for a
-    cell: first every ``_STRIDE``-th cell, then one bisection or walk step
-    of each search, one or two cells that the searches of other sizes and
-    columns often ask for too.  A lattice cell is factored on the prefix
-    of the largest size whose searches ask for it, and serves every size
-    up to that one that lacks it; a failure at pivot ``p`` is recorded for
-    every larger size without another factorization.  A later ask from a
-    larger size factors the cell again, on that size's prefix.  The
-    refinement nodes come last, once every search waits for nodes: each is
-    factored once, on the largest prefix whose searches ask for it, and
-    serves the sizes that ask for it; its leave-one-out inverse is
-    computed only if a CV search asks for it.  Every cell writes its
-    factor and inverse into one pair of buffers of ``top``'s size.
+    The sizes run from the largest to the smallest, and each search of a
+    size, objective and column is one :func:`bracketed_minimize` call that
+    reads one table of cells.  A cell the table lacks is factored on the
+    size's prefix (:func:`_cells`) with the outcomes of every size up to
+    this one; since no smaller size has run, each cell is factored once, on
+    the largest prefix that asks for it, and a failure at pivot ``p``
+    reaches every size beyond ``p`` up to that prefix.  A stored
+    :class:`ConditioningError` is returned to the search, which records it;
+    a column's stored profiling error is raised and ends its search.  Every
+    cell writes its factor and inverse into one pair of buffers of
+    ``top``'s size.
     """
-    lattice = set(np.geomspace(scan.lo, scan.hi, scan.count).tolist())
-    tables = [{} for _ in schedule]
-    found = [[{} for _ in range(columns.shape[1])] for _ in schedule]
+    cells = {}
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
-    plans, asked = {}, {}
-    for i, n in enumerate(schedule):
-        for name in _objective_names(n):
+
+    def lookup(i, name, j, theta):
+        if theta not in cells:
+            prefix = top.prefix(schedule[i])
+            cells[theta] = _cells(prefix, columns[:prefix.n], scan, theta,
+                                  schedule[:i + 1], workspace)
+        value = cells[theta][i][name]
+        if isinstance(value, ConditioningError):
+            return value
+        if isinstance(value[j], EstimationError):
+            raise value[j]
+        return value[j]
+
+    found = [[{} for _ in range(columns.shape[1])] for _ in schedule]
+    for i in reversed(range(len(schedule))):
+        for name in _objective_names(schedule[i]):
             for j in range(columns.shape[1]):
-                plans[i, name, j] = _plan(scan.lo, scan.hi, scan.count)
-                asked[i, name, j] = next(plans[i, name, j])
-    while asked:
-        ready = [key for key, thetas in asked.items()
-                 if all(theta in tables[key[0]] for theta in thetas)]
-        for key in ready:
-            i, name, j = key
-            outcomes = [v if isinstance(v, ConditioningError) else v[j]
-                        for v in (tables[i][theta][name] for theta in asked[key])]
-            end = next((v for v in outcomes if isinstance(v, EstimationError)), None)
-            if end is None:
                 try:
-                    asked[key] = plans[key].send(outcomes)
-                    continue
-                except StopIteration as done:
-                    end = done.value
+                    found[i][j][name] = bracketed_minimize(
+                        functools.partial(lookup, i, name, j), scan.lo, scan.hi, scan.count)
                 except EstimationError as err:
-                    end = err
-            found[i][j][name] = end
-            del asked[key]
-        if ready:
-            continue
-        wanted = {}  # theta -> {size index: objectives asking}
-        for (i, name, _), thetas in asked.items():
-            for theta in thetas:
-                if theta not in tables[i]:
-                    wanted.setdefault(theta, {}).setdefault(i, set()).add(name)
-        # The nodes wait until no search waits for a lattice cell.
-        for theta in sorted(theta for theta in wanted if theta in lattice) or wanted:
-            by_size = wanted[theta]
-            if theta in lattice:
-                indices = [i for i, table in enumerate(tables) if theta not in table]
-                cv = True
-            else:
-                indices = sorted(by_size)
-                cv = any("cv" in names for names in by_size.values())
-            prefix = top.prefix(schedule[max(by_size)])
-            for i, cell in zip(indices, _cells(prefix, columns[:prefix.n], scan, theta,
-                                               [schedule[i] for i in indices], cv, workspace)):
-                tables[i][theta] = cell
+                    found[i][j][name] = err.with_traceback(None)
     return found
 
 

@@ -119,18 +119,18 @@ def _matern(config, nu, d):
 
 
 def make_design(name, d, size):
-    """Instantiate a named quasi-uniform design generator on the unit box."""
+    """The first ``size`` points of a named quasi-uniform design on the unit box."""
     box = Box.unit(d)
     if name == "van_der_corput":
         if d != 1:
             raise DomainError("van der Corput designs are one-dimensional")
         return van_der_corput(box, size)
     if name == "uniform_grid":
-        # smallest 2^k + 1 grid per axis covering the requested size
+        # the prefix of the smallest 2^k + 1 grid per axis covering the size
         k = 1
         while (2**k + 1) ** d < size:
             k += 1
-        return uniform_grid(box, 2**k + 1)
+        return uniform_grid(box, 2**k + 1).prefix(size)
     raise DomainError(f"unknown design generator {name!r}")
 
 
@@ -195,14 +195,14 @@ def _naive_loo(kernel, design, y):
     return np.asarray(residuals), np.asarray(variances)
 
 
-def run_identity_suite(kernel_fault=None, include_loo=True):
+def run_identity_suite(kernel_fault=None):
     """Exact algebraic identities on a (d, nu, n, design) grid.
 
     Per cell: the log-determinant against the naive sum of log prefix
     variances, the quadratic form against the naive sum of squared
     prefix residuals over prefix variances, the quadratic form against
-    the recomputed squared norm of the interpolant, and (optionally) the
-    fast leave-one-out path against per-point refits.  The length-scale
+    the recomputed squared norm of the interpolant, and the fast
+    leave-one-out path against per-point refits.  The length-scale
     is tied to the point spacing so that every cell is far from the
     double-precision conditioning cliff; the identities themselves hold
     for any parameters.
@@ -239,7 +239,7 @@ def run_identity_suite(kernel_fault=None, include_loo=True):
                     r_norm = abs(qf - norm_sq) / abs(qf) if qf else 0.0
 
                     r_loo = 0.0
-                    if include_loo and n >= 2:
+                    if n >= 2:
                         fast = loo(post)
                         lres, lvar = _naive_loo(kernel, design, y)
                         r_loo = max(
@@ -353,8 +353,7 @@ def run_non_undersmoothing(config):
     saturation flags for the smooth entries.
     """
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
-    # A 2-d grid has more points than asked for; draw and sweep only those asked.
-    design = make_design(config.design, config.d, max(schedule)).prefix(max(schedule))
+    design = make_design(config.design, config.d, max(schedule))
     seeds, paths = _draw_or_evaluate(config, design)
     records = sweep_prefixes(
         design, paths, schedule, config.estimator, nu0=config.nu0,

@@ -68,27 +68,18 @@ def recording_plans(monkeypatch):
 
 
 def largest_prefix_rule(factored, schedule):
-    """Check the rule by which a sweep factors its lattice cells, given
-    ``(nu, prefix size, sizes served, failed per size)`` per factorization
-    of a lattice cell, in call order, and count the factorizations per
-    prefix size.
+    """Check the rule by which a sweep factors its cells, given ``(nu,
+    prefix size, sizes served, ...)`` per factorization of a cell, in call
+    order, and count the factorizations per prefix size.
 
-    A cell is factored on the prefix of the largest size whose searches
-    ask for it, and serves every size up to it that lacks the cell: the
-    first factorization every size up to its prefix, a later one the sizes
-    above the prefix before.  A factorization that fails at some size
-    leaves no size to factor again: its failure reaches the larger ones.
+    The sizes run from the largest, so the prefixes factored on never grow;
+    each cell is factored once, and serves every size up to its prefix.
     """
-    runs = {}
-    for nu, n, sizes, failed in factored:
-        runs.setdefault(nu, []).append((n, sizes, failed))
-    for nu, cell in runs.items():
-        below = 0
-        for n, sizes, failed in cell:
-            assert sizes == tuple(m for m in schedule if below < m <= n), nu
-            below = n
-        assert not any(any(failed) for _, _, failed in cell[:-1]), nu
-    return dict(collections.Counter(n for _, n, _, _ in factored))
+    assert len({nu for nu, *_ in factored}) == len(factored)
+    assert [n for _, n, *_ in factored] == sorted((n for _, n, *_ in factored), reverse=True)
+    for nu, n, sizes, *_ in factored:
+        assert sizes == tuple(m for m in schedule if m <= n), nu
+    return dict(collections.Counter(n for _, n, *_ in factored))
 
 
 @pytest.fixture(scope="module")
@@ -588,6 +579,23 @@ class TestSweeps:
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
         assert len(result.rows) == 12 and (len(calls), sum(calls)) == (52, 21)
 
+    def test_two_dimensional_sweep_factors_no_cell_twice(self, monkeypatch):
+        # Two seeds on the 2-d uniform grid, n = 16, 32 and 64: 49 cells, no
+        # smoothness factored twice (54 when the searches of all sizes ran
+        # in rounds, and five cells the 32-point searches read first were
+        # factored again on 64 points).
+        factored, compute = [], estimators._cells
+
+        def recording(prefix, values, scan, nu, sizes, workspace=None):
+            factored.append(nu)
+            return compute(prefix, values, scan, nu, sizes, workspace)
+
+        monkeypatch.setattr(estimators, "_cells", recording)
+        result = run_non_undersmoothing(ExperimentConfig(
+            nu0=1.5, d=2, design="uniform_grid", seeds=(101, 102), schedule=(16, 32, 64)))
+        assert len(result.rows) == 6
+        assert len(factored) == len(set(factored)) == 49
+
     def test_saturated_sweep_factor_budget(self, monkeypatch):
         # The benchmark's saturation-scattered configuration: the smooth bump
         # on 512 jittered van der Corput points, nu_max = 300, lambda = 0.05,
@@ -706,13 +714,10 @@ class TestSweeps:
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_no_cell_is_conditioned_twice(self, sample_instance, monkeypatch, columns):
-        # No cell is factored twice for one prefix.  A coarse cell that some
-        # search reads is factored on the largest prefix whose searches ask
-        # for it, and again on a larger one only if a search of that size
-        # asks later; no other is.  A refinement node is factored once for
-        # every column and objective, on the largest prefix whose searches
-        # ask for it, and serves exactly the prefixes that ask for it.  Only
-        # the nodes a CV search asks for are inverted for leave-one-out.
+        # The sizes run from the largest, so every cell, coarse or node, is
+        # factored once for every column and objective, on the prefix of the
+        # largest size whose searches ask for it, and serves every size up
+        # to that one.  Its factor is inverted once, for leave-one-out.
         design, y = sample_instance
         if columns == 1:
             data, seed, nu0 = y, 202, 1.5
@@ -741,52 +746,47 @@ class TestSweeps:
         searches = [plan["asked"] for plan in plans]
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        coarse = [f + (bad,) for f, bad in zip(factored, failed) if f[0] in grid]
-        # Factorizations of the coarse cells per prefix size; two of the
-        # cells the second column reads are factored again on a larger prefix.
-        prefixes = {64: 17, 32: 4, 16: 2} if columns == 1 else {64: 23, 32: 5, 16: 4}
-        assert largest_prefix_rule([(nu, n, ns, bad) for nu, n, ns, _, bad in coarse],
-                                   sizes) == prefixes
-        assert all(shape == (n, columns) for _, n, _, shape, _ in coarse)
         if nu0 is not None:  # the variances at nu0
-            assert factored[-1] == (nu0, 64, sizes, (64,))
+            assert factored.pop() == (nu0, 64, sizes, (64,))
+        assert all(shape == (n, columns) for _, n, _, shape in factored)
+        # Factorizations per prefix size, of the coarse cells and of all.
+        coarse = [f for f in factored if f[0] in grid]
+        prefixes = {64: 17, 32: 4, 16: 2} if columns == 1 else {64: 23, 32: 5, 16: 2}
+        assert largest_prefix_rule(coarse, sizes) == prefixes
+        largest_prefix_rule(factored, sizes)
         cells = {nu for nu, *_ in coarse}
         assert cells == {nu for asked in searches for nu in asked if nu in grid}
-        assert len(coarse) - len(cells) == (0 if columns == 1 else 2) and len(cells) < len(grid)
-        # Per prefix, the ML searches of every column run first, then the CV
-        # searches.  Each cell is factored on a prefix whose searches ask for it.
-        by_size = {(nu, n) for k, n in enumerate(sizes)
-                   for read in searches[2 * columns * k:2 * columns * (k + 1)] for nu in read}
-        assert {(nu, n) for nu, n, *_ in coarse} <= by_size
-        nodes = [f for f in factored if f[0] not in grid and f[0] != nu0]
-        assert len({nu for nu, *_ in nodes}) == len(nodes)
-        assert all(n == ns[-1] and shape == (n, columns) for _, n, ns, shape in nodes)
+        assert len(cells) < len(grid)
         assert len(set(inverted)) == len(inverted)
-        assert {cell for cell in inverted if cell[0] in grid} <= {
-            (nu, n) for nu in grid for n in sizes}  # the coarse cells that factor
+        assert {nu for nu, _ in inverted} <= {nu for nu, *_ in factored}
 
         # Each search asks for coarse cells, then for the nodes of its
-        # bracket, each once.
-        asked = {"ml": set(), "cv": set()}
-        for k, n in enumerate(sizes):
+        # bracket, each once.  The sizes run from the largest, and per size
+        # the ML searches of every column run first, then the CV searches.
+        asked, largest = {"ml": set(), "cv": set()}, {}
+        for k, n in enumerate(reversed(sizes)):
             for i, read in enumerate(searches[2 * columns * k:2 * columns * (k + 1)]):
                 refined = [nu for nu in read if nu not in grid]
                 assert len(set(read)) == len(read) and read[len(read) - len(refined):] == refined
                 asked["ml" if i < columns else "cv"] |= {(nu, n) for nu in refined}
-        served = {(nu, n) for nu, _, ns, _ in nodes for n in ns}
-        assert served == asked["ml"] | asked["cv"]
-        assert {nu for nu, n in inverted if nu not in grid} == {nu for nu, _ in asked["cv"]}
-        assert len(nodes) < len(served)  # some node serves several prefixes
-        if columns == 2:  # and some only ML searches, uninverted
+                for nu in read:
+                    largest.setdefault(nu, n)
+        # Each cell is factored on the largest size whose searches ask for it.
+        assert {nu: n for nu, n, *_ in factored} == largest
+        nodes = [f for f in factored if f[0] not in grid]
+        assert {nu for nu, *_ in nodes} == {nu for nu, _ in asked["ml"] | asked["cv"]}
+        assert len(nodes) < len(asked["ml"] | asked["cv"])  # some node serves several sizes
+        # Every node that factors is inverted, ML-only ones too.
+        assert {nu for nu, _ in inverted if nu not in grid} == {nu for nu, *_ in nodes}
+        if columns == 2:
             assert {nu for nu, _ in asked["ml"]} - {nu for nu, _ in asked["cv"]}
 
     @pytest.mark.parametrize("sizes", [(16, 64), (16, 24, 32, 48, 64, 96, 128)])
     def test_each_factor_is_inverted_once(self, sample_instance, monkeypatch, sizes):
-        # A coarse cell inverts its factor once, up to the largest prefix it
-        # serves, for the leave-one-out of every prefix up to the one it is
-        # factored on; so does a refinement node if a CV search asks for it.
-        # The variances at nu0 take one inversion, and so does each record's
-        # variance ratio.
+        # Every cell, coarse or node, inverts its factor once, up to the
+        # largest prefix it serves, for the leave-one-out of every prefix up
+        # to the one it is factored on.  The variances at nu0 take one
+        # inversion, and so does each record's variance ratio.
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0)
         inverted, cells = [], []
@@ -796,12 +796,12 @@ class TestSweeps:
             inverted.append(m)
             return invert(chol, m, buffer)
 
-        def counting(prefix, values, scan, nu, schedule, cv=True, workspace=None):
+        def counting(prefix, values, scan, nu, schedule, workspace=None):
             before = len(inverted)
-            out = compute(prefix, values, scan, nu, schedule, cv, workspace)
+            out = compute(prefix, values, scan, nu, schedule, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
-            cells.append((nu, prefix.n, tuple(schedule), cv, served, inverted[before:], out))
+            cells.append((nu, prefix.n, tuple(schedule), served, inverted[before:], out))
             return out
 
         monkeypatch.setattr(gp, "_invert", inverting)
@@ -810,29 +810,26 @@ class TestSweeps:
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
         coarse = [cell for cell in cells if cell[0] in grid]
         assert len({cell[0] for cell in coarse}) == len(coarse) < cfg.coarse_grid
-        # Each coarse cell is handed every size: those up to its prefix are
-        # factored, and a failure there reaches the larger ones.
-        assert all(cell[2] == sizes and cell[3] for cell in coarse)
-        assert collections.Counter(cell[1] for cell in coarse) == (
+        # Each cell is handed every size up to its prefix, and a failure at
+        # some size reaches the larger ones.
+        assert largest_prefix_rule(coarse, sizes) == (
             {64: 17, 16: 3} if len(sizes) == 2 else {128: 17, 96: 2, 48: 1, 32: 4, 16: 2})
-        for _, n, _, _, served, inversions, out in coarse:
-            assert inversions == served[-1:] and served[-1:] <= [n]
-            assert len(out) == (len(sizes) if served[-1:] != [n] else sizes.index(n) + 1)
-        assert any(0 < len(served) < len(sizes) for *_, served, _, _ in coarse)
-        nodes = [cell for cell in cells if cell[0] not in grid]
-        assert nodes
-        for _, _, _, cv, served, inversions, _ in nodes:
-            assert inversions == (served[-1:] if cv else [])
+        for _, n, handed, served, inversions, out in cells:
+            assert handed[-1] == n and len(out) == len(handed)
+            assert served == list(handed[:len(served)])
+            assert inversions == served[-1:]
+        assert any(0 < len(served) < len(handed) for _, _, handed, served, *_ in coarse)
+        assert [cell for cell in cells if cell[0] not in grid]  # some nodes
         ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
         assert ratios == len(sizes)
-        assert len(inverted) == sum(len(cell[5]) for cell in cells) + 1 + ratios
+        assert len(inverted) == sum(len(cell[4]) for cell in cells) + 1 + ratios
 
     def test_each_served_view_reads_its_objectives_once(self, sample_instance, monkeypatch):
         # The searches read every objective through the estimators' bindings
         # of ``ell_ml_from`` and ``ell_cv_from``, once per cell and size the
         # cell's factorization serves: ML on every such size, CV from two
-        # points on the cells a CV search asks for.  A wrapper of these
-        # bindings (the benchmark's tracer) so sees every objective.
+        # points.  A wrapper of these bindings (the benchmark's tracer) so
+        # sees every objective.
         design, y = sample_instance
         second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
         read, served, compute = {"ml": [], "cv": []}, {"ml": [], "cv": []}, estimators._cells
@@ -843,12 +840,12 @@ class TestSweeps:
                 return ell(post)
             return wrapped
 
-        def counting(prefix, values, scan, nu, sizes, cv=True, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
+        def counting(prefix, values, scan, nu, sizes, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, workspace)
             for n, cell in zip(sizes, out):
                 if not isinstance(cell["ml"], ConditioningError):
                     served["ml"].append((nu, n))
-                    if cv and n >= 2:
+                    if n >= 2:
                         served["cv"].append((nu, n))
             return out
 
@@ -862,7 +859,7 @@ class TestSweeps:
             assert len(set(read[name])) == len(read[name]), name
         assert {n for _, n in read["ml"]} == {1, 16, 32, 64}
         assert {n for _, n in read["cv"]} == {16, 32, 64}
-        assert {cell for cell in read["ml"] if cell[1] >= 2} - set(read["cv"])  # ML-only nodes
+        assert {cell for cell in read["ml"] if cell[1] >= 2} == set(read["cv"])
 
     @pytest.mark.parametrize("broken", ["coarse", "refinement"])
     def test_loo_failure_fails_only_cv(self, sample_instance, monkeypatch, broken):
@@ -894,7 +891,7 @@ class TestSweeps:
 
     def test_shared_workspace_changes_no_cell(self, sample_instance, monkeypatch):
         # Every cell of the searches writes its factor and inverse into one
-        # pair of buffers.  A node factored on a smaller prefix after the
+        # pair of buffers.  A cell factored on a smaller prefix after the
         # top-size cells, and a failing cell after a conditioned one, read as
         # cells on fresh arrays, and no cell views the buffers.
         design, y = sample_instance
@@ -902,9 +899,9 @@ class TestSweeps:
         scan = estimators._matern_scan(cfg, design.d)
         calls, compute = [], estimators._cells
 
-        def recording(prefix, values, scan, nu, sizes, cv=True, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
-            calls.append((prefix.n, nu, sizes, cv, workspace, out))
+        def recording(prefix, values, scan, nu, sizes, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, workspace)
+            calls.append((prefix.n, nu, sizes, workspace, out))
             return out
 
         def exact(cell):
@@ -913,14 +910,15 @@ class TestSweeps:
 
         monkeypatch.setattr(estimators, "_cells", recording)
         estimators._searches(design, columns, [16, 32, 64], scan)
-        workspace = calls[0][4]
-        assert len(workspace) == 2 and all(call[4] is workspace for call in calls)
-        failed = [isinstance(call[5][-1]["ml"], ConditioningError) for call in calls]
+        workspace = calls[0][3]
+        assert len(workspace) == 2 and all(call[3] is workspace for call in calls)
+        failed = [isinstance(call[4][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
         assert any(call[0] < design.n for call in calls if call[1] not in grid)  # a node
-        for n, nu, sizes, cv, _, out in calls:
-            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes, cv)
+        assert any(call[0] < design.n for call in calls if call[1] in grid)  # a coarse cell
+        for n, nu, sizes, _, out in calls:
+            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
         values = [v for *_, out in calls for cell in out for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)
@@ -1015,10 +1013,12 @@ class TestPrefixRule:
         assert [False, True] in [failed for *_, failed in coarse]  # fails on 32, not 64
 
     def test_failure_on_a_small_prefix_reaches_the_larger_ones(self, monkeypatch):
-        # Jittered van der Corput points on [0, 1], n = 64 and 128: the cell
-        # above the run of the 64-point searches is read by them alone, so it
-        # is factored on 64 points.  It fails there, and the 128-point
-        # prefix gets that failure without a second factorization.
+        # Jittered van der Corput points on [0, 1], n = 64 and 128.  The
+        # 128-point searches run first: a cell they read that fails before
+        # pivot 64 fails on both prefixes from its one factorization, on 128
+        # points, and the 128-point prefix records the 64-point failure.
+        # The cell above the run of the 64-point searches is read by them
+        # alone, so it is factored on 64 points alone.
         base = van_der_corput(UNIT, 128).points[:, 0]
         spacing = float(np.min(np.diff(np.sort(base))))
         rng = np.random.Generator(np.random.Philox(0))
@@ -1033,29 +1033,31 @@ class TestPrefixRule:
             factored.append((kernel.params.nu, design.n))
             return out
 
-        def recording(prefix, values, scan, nu, sizes, cv=True, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, cv, workspace)
+        def recording(prefix, values, scan, nu, sizes, workspace=None):
+            out = compute(prefix, values, scan, nu, sizes, workspace)
             cells.append((nu, prefix.n, tuple(sizes), out))
             return out
 
         monkeypatch.setattr(gp, "_factor", factoring)
         monkeypatch.setattr(estimators, "_cells", recording)
         first, _ = sweep_prefixes(design, y, (64, 128), cfg)
-        ((nu, n, sizes, (small, large)),) = [
-            cell for cell in cells if cell[1] == 64 and isinstance(cell[3][0]["ml"],
-                                                                   ConditioningError)]
-        assert (n, sizes) == (64, (64, 128)) and [m for v, m in factored if v == nu] == [64]
+        reached = [cell for cell in cells if isinstance(cell[3][0]["ml"], ConditioningError)]
+        assert len(reached) == 3
+        for nu, n, sizes, (small, large) in reached[:-1]:
+            assert (n, sizes) == (128, (64, 128)) and [m for v, m in factored if v == nu] == [128]
+            err = small["ml"]
+            assert str(err).startswith(f"nu={nu:g}, n=64: ") and err.pivot_index < 64
+            assert str(large["ml"]) == (f"nu={nu:g}, n=128: failed on prefix n=64: pivot "
+                                        f"{err.pivot_index} = {err.pivot_value:.3e}")
+            assert (large["ml"].pivot_index, large["ml"].pivot_value) == (err.pivot_index,
+                                                                          err.pivot_value)
+            assert large["cv"] is large["ml"]
+        ((nu, n, sizes, (small,)),) = reached[-1:]
+        assert (n, sizes) == (64, (64,)) and [m for v, m in factored if v == nu] == [64]
         assert first.hit_upper_ml and nu > first.searchable_upper_ml
-        err = small["ml"]
-        assert str(err).startswith(f"nu={nu:g}, n=64: ") and err.pivot_index < 64
-        assert str(large["ml"]) == (f"nu={nu:g}, n=128: failed on prefix n=64: pivot "
-                                    f"{err.pivot_index} = {err.pivot_value:.3e}")
-        assert (large["ml"].pivot_index, large["ml"].pivot_value) == (err.pivot_index,
-                                                                      err.pivot_value)
-        assert large["cv"] is large["ml"]
+        assert str(small["ml"]).startswith(f"nu={nu:g}, n=64: ") and small["cv"] is small["ml"]
         # The record of the smaller prefix is that of its sweep alone.
         assert repr(first) == repr(sweep_prefixes(design.prefix(64), y[:64], [64], cfg)[0])
-
 
     def test_inherited_failure_names_the_first_prefix(self, smooth_instance):
         design, y, cfg = smooth_instance

@@ -18,6 +18,7 @@ from maternsmooth.gp import condition
 from maternsmooth.kernels import GaussianKernel, GaussParams
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.experiments import (
+    IDENTITY_TOL,
     ExperimentConfig,
     ExperimentResult,
     run_convergence,
@@ -54,8 +55,11 @@ class TestIdentitySuite:
         assert all(row[-1] == "ok" for row in result.rows)
 
     def test_injected_fault_is_detected(self):
-        result = run_identity_suite(kernel_fault=_DriftingKernel, include_loo=False)
+        # The leave-one-out check alone would catch the drift: ask that the
+        # log-determinant, expansion or norm identity catches it as well.
+        result = run_identity_suite(kernel_fault=_DriftingKernel)
         assert not result.ok
+        assert any(max(row[5:8]) > IDENTITY_TOL for row in result.rows)
 
     def test_single_point_cells_included(self, identity_result):
         result, _ = identity_result
@@ -94,6 +98,21 @@ class TestEngines:
                                schedule=(16, 32, 64), seeds=(101, 102))
         assert len(run_non_undersmoothing(cfg).rows) == 6
         assert [paths.shape for paths in drawn] == [(64, 2)]
+
+    def test_logdet_growth_draws_on_the_swept_points(self, monkeypatch, tmp_path, capsys):
+        # make_design returns the points asked for, so a 2-d path is drawn on
+        # the 64 points swept, not on all 81 of the 9 x 9 grid.
+        sizes, draw = [], experiments.sample_gp_path
+
+        def recording(params, design, seed):
+            sizes.append(design.n)
+            return draw(params, design, seed)
+
+        monkeypatch.setattr(experiments, "sample_gp_path", recording)
+        code = main(["logdet-growth", "--d", "2", "--design", "uniform_grid",
+                     "--schedule", "16,32,64", "--out", str(tmp_path / "out.csv")])
+        assert code == 0 and sizes == [64]
+        assert experiments.make_design("uniform_grid", 2, 64).n == 64
 
     def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
         # Python's min skips a NaN that is not first, so a failed estimate

@@ -95,11 +95,11 @@ CONFIGURATIONS = (
     # panels pick their distances out of the panels that cover them.
     ("odd-schedule", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "24,40,100,300",
                       "--seed-list", "101,102"], None),
-    # Two sizes far apart: the lattice cells that only the 16-point searches
-    # read are factored on 16 points, and two of them fail there, which
-    # 512 then records without factoring them.  (The cells that a larger
-    # prefix asks for later, and so are factored again, are in
-    # sweep-2d-uniform-grid.)
+    # Two sizes far apart, run largest first: two lattice cells that the
+    # 512-point searches read fail within the first 16 points, and the
+    # 16-point prefix records that failure from the one factorization.  The
+    # cells that only the 16-point searches read are factored on 16 points,
+    # and two of them fail there.
     ("two-sizes-16-512", ["non-undersmoothing", "--nu0", "1.5", "--schedule", "16,512",
                           "--seed-list", "101,102"], None),
     # Forty seeds at a rough and at a smooth nu0: 480 records, so that a
