@@ -6,6 +6,14 @@ growing data sizes.  Grids are emitted coarse-to-fine (corner points
 first, then successive dyadic refinements); the one-dimensional default
 is the base-2 radical-inverse sequence with the interval endpoints
 prepended.
+
+The fill and separation distances read each point's nearest neighbour
+exactly.  On a line a probe reads its two neighbours in the sorted points;
+in higher dimensions, and for every separation, one helper queries a k-d
+tree (:func:`_nearest`) and re-ranks its few candidates by one elementwise
+formula, so each value is bit for bit that of the dense pass over every
+pair.  ``scipy.spatial`` is imported on the first tree query, so that runs
+on a line, which never make one, do not pay its import.
 """
 
 from __future__ import annotations
@@ -212,14 +220,44 @@ def _probe_grid(box, resolution):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-# Elements of the distance temporaries of one chunk: 1 MiB of doubles.
+# Elements of the distance temporaries of one block of queries: 1 MiB of
+# doubles.
 _CHUNK_ELEMENTS = 1 << 17
 
 
-def _squared_distances(a, b):
-    """Squared distances between the rows of ``a`` and those of ``b``, shape
-    ``(len(a), len(b))``, by one elementwise formula for every caller."""
-    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+def _nearest(queries, points, exclude=None):
+    """Per row of ``queries``, its least squared distance to the rows of
+    ``points``, leaving out ``points[exclude[i]]`` for query ``i`` when
+    ``exclude`` is given; ``inf`` when no point is left.
+
+    A k-d tree of the points (Bentley, CACM 1975) proposes each query's
+    ``2**d + 1`` nearest points, one more when the query's own index is
+    excluded, and one elementwise formula re-ranks them, so the value is
+    bit for bit the least over all points by that formula.  The tree's
+    search is exact and sums the same squares: in d <= 5 its distances are
+    the formula's to the last bit, and in d = 8, where they may differ in
+    it, the spare candidates hold every point within rounding of the
+    nearest.  They also hold the ``2**d`` points that tie at a lattice
+    cell's centre.  Queries run in blocks whose temporaries stay at about
+    1 MB.  ``scipy.spatial`` is imported here, not at load time, so that
+    runs on a line, which never get here, do not pay its import.
+    """
+    from scipy.spatial import cKDTree
+
+    d = points.shape[1]
+    k = min(2 ** d + 1 + (exclude is not None), len(points))
+    tree = cKDTree(points)
+    nearest = np.empty(len(queries))
+    block = max(1, _CHUNK_ELEMENTS // (k * d))
+    for start in range(0, len(queries), block):
+        rows = slice(start, start + block)
+        # A query for one neighbour returns one index per row, not a row.
+        idx = tree.query(queries[rows], k=k)[1].reshape(-1, k)
+        d2 = np.sum((queries[rows, None, :] - points[idx]) ** 2, axis=-1)
+        if exclude is not None:
+            d2[idx == exclude[rows, None]] = np.inf
+        nearest[rows] = d2.min(axis=1)
+    return nearest
 
 
 def fill_distances(design, sizes, probe_resolution=None):
@@ -228,11 +266,12 @@ def fill_distances(design, sizes, probe_resolution=None):
     bit that of the prefix probed on its own.
 
     On a line, each probe reads its two neighbours in the sorted prefix
-    (:func:`_nearest_on_line`).  In higher dimensions the points are taken
-    in design order, a chunk of them at a time, and each probe keeps its
-    least squared distance to the points so far; the fill distance of a
-    prefix is read off when the pass reaches its size.  The temporaries
-    stay at about 1 MB whatever the design size.
+    (:func:`_nearest_on_line`).  In higher dimensions one pass runs over the
+    schedule: at each size every probe queries a k-d tree of the points
+    added since the size before (:func:`_nearest`) and keeps the least
+    squared distance so far.  So each size costs one query of every probe
+    (``probe_resolution**d`` of them): long schedules in d = 3 at the
+    default 129**3 probes take minutes, a doubling one seconds.
     """
     sizes = check_schedule(sizes)
     if sizes and sizes[-1] > design.n:
@@ -245,31 +284,22 @@ def fill_distances(design, sizes, probe_resolution=None):
         raise DomainError("probe_resolution must be at least 64")
     probes = _probe_grid(design.box, int(probe_resolution))
     pts = design.points
+    # The square root is monotone and correctly rounded, so each value is
+    # the largest of the probes' distances.
     if design.d == 1:
-        # The square root is monotone and correctly rounded, so this is the
-        # largest of the probes' distances.
         return [float(np.sqrt(_nearest_on_line(probes[:, 0], pts[:n, 0]).max()))
                 for n in sizes]
-    block = min(probes.shape[0], _CHUNK_ELEMENTS // design.d)
-    step = _CHUNK_ELEMENTS // (block * design.d)
     best = np.full(probes.shape[0], np.inf)
-    fills, done = [], 0
-    for n in sizes:
-        for a in range(done, n, step):
-            chunk = pts[a:min(a + step, n)]
-            for start in range(0, probes.shape[0], block):
-                near = _squared_distances(probes[start:start + block], chunk).min(axis=1)
-                np.minimum(best[start:start + block], near, out=best[start:start + block])
-        done = n
-        # The square root is monotone and correctly rounded, so this is the
-        # largest of the probes' distances.
+    fills = []
+    for a, n in zip([0] + sizes[:-1], sizes):
+        np.minimum(best, _nearest(probes, pts[a:n]), out=best)
         fills.append(float(np.sqrt(best.max())))
     return fills
 
 
 def _nearest_on_line(probes, points):
     """Per probe on a line, its least squared distance to ``points``, the
-    value :func:`_squared_distances` gives, from its two neighbours among
+    value :func:`_nearest`'s formula gives, from its two neighbours among
     the sorted points.  The rounded ``p - x`` is monotone in ``x``, so no
     point beyond a neighbour comes nearer, to the last bit."""
     line = np.sort(points)
@@ -293,29 +323,22 @@ def fill_distance(design, probe_resolution=None):
     return fill_distances(design, [design.n], probe_resolution)[0]
 
 
-def _nearest_predecessors(design):
-    """Per point after the first, its least squared distance to the points
-    before it, in chunks of about 1 MB of temporaries."""
+def _separations(design, sizes):
+    """Per size ``n`` in ``sizes`` (ascending), the least squared distance
+    between two of the first ``n`` points, ``inf`` for one point: a running
+    minimum over the points each size adds, each queried against all the
+    points of its size but itself."""
     pts = design.points
-    nearest = np.empty(max(design.n - 1, 0))
-    i = 1
-    while i < design.n:
-        # At most i rows, so fewer than 2 i columns.
-        rows = max(1, min(i, _CHUNK_ELEMENTS // (2 * i * design.d)))
-        j = min(design.n, i + rows)
-        d2 = _squared_distances(pts[i:j], pts[:j - 1])
-        # Row r is point i + r: only its first i + r columns precede it.
-        d2[np.arange(i, j)[:, None] <= np.arange(j - 1)[None, :]] = np.inf
-        nearest[i - 1:j - 1] = d2.min(axis=1)
-        i = j
-    return nearest
+    return np.minimum.accumulate([_nearest(pts[a:n], pts[:n], exclude=np.arange(a, n)).min()
+                                  for a, n in zip([0] + sizes[:-1], sizes)])
 
 
 def separation_distance(design):
-    """Half the minimal pairwise distance of the design points."""
+    """Half the minimal pairwise distance of the design points, from one
+    tree query of every point (:func:`_separations`)."""
     if design.n < 2:
         raise DomainError("separation distance needs at least 2 points")
-    return 0.5 * float(np.sqrt(_nearest_predecessors(design).min()))
+    return 0.5 * math.sqrt(_separations(design, [design.n])[0])
 
 
 @dataclass(frozen=True)
@@ -332,18 +355,18 @@ class UniformityReport:
 def uniformity_report(design, n_schedule, probe_resolution=None):
     """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
     :func:`check_schedule`): the fill distances from :func:`fill_distances`,
-    the separations from one pass over the design."""
+    the separations from a running minimum of tree queries of the points
+    each size adds (:func:`_separations`), each bit for bit that of the
+    prefix alone."""
     schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
         raise DomainError("schedule exceeds design size")
     if not schedule:
         return []
     fills = fill_distances(design, schedule, probe_resolution)
-    # Entry n - 2: the least squared distance among the first n points.
-    closest = np.minimum.accumulate(_nearest_predecessors(design.prefix(schedule[-1])))
     reports = []
-    for n, fill in zip(schedule, fills):
-        sep = 0.5 * float(np.sqrt(closest[n - 2])) if n >= 2 else math.nan
+    for n, fill, closest in zip(schedule, fills, _separations(design, schedule)):
+        sep = 0.5 * math.sqrt(closest) if n >= 2 else math.nan
         reports.append(
             UniformityReport(
                 n=n,

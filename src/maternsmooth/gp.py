@@ -32,10 +32,16 @@ rows, and ``dtrsm``, ``dsyrk`` and ``dtrmm`` do the rest.  On a 2-core
 AMD EPYC with one OpenBLAS thread, ``dpotrf`` and ``dtrtri`` run at 5 to
 9 GFMA/s on blocks of 128 and 256 rows where ``dtrmm`` runs at 40 to 47,
 and sub-panels cut the time of a 256-row block by about half; sub-panels
-of 32 or 128 rows are slower (``tools/lapack_rates.py`` measures all
-three).  The split depends only on
-the panel, so a prefix of at most 16 or ``16 * 2**k`` points still meets
-the same operations as in any larger design.
+of 32 or 128 rows are slower.  On a 2-core Intel Xeon (OpenBLAS built for
+SkylakeX, one thread) the factor's sub-panels are slower and the
+inverse's two to three times as fast: over two runs, at 256 rows
+``dpotrf`` took 434-439 us against 500-502 us by sub-panels and ``dtrtri``
+841-1022 us against 310-409 us; at 512 rows, 2087-2514 against 2906-3187
+us and 3599-3702 against 2577-2880 us.  ``tools/lapack_rates.py``
+measures all of these.  The sub-panel size stays 64 for both: a factor
+blocked differently rounds differently from row 128 on.  The split
+depends only on the panel, so a prefix of at most 16 or ``16 * 2**k``
+points still meets the same operations as in any larger design.
 
 There is no nugget or jitter anywhere: the model interpolates noiseless
 data, and a factorization failure is surfaced as

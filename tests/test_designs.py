@@ -1,6 +1,10 @@
 """Design generators, quasi-uniformity diagnostics, and serialization."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -205,6 +209,60 @@ class TestOnePass:
     def test_numpy_integer_probe_resolution(self):
         des = van_der_corput(UNIT, 8)
         assert fill_distance(des, np.int64(65)) == fill_distance(des, 65)
+
+
+class TestTreeQueries:
+    def test_one_dimensional_sweep_never_imports_scipy_spatial(self):
+        # The k-d tree serves d >= 2 and separations only: a run on a line
+        # does not pay the import of scipy.spatial.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import maternsmooth\n"
+                "from maternsmooth.designs import Box, van_der_corput\n"
+                "from maternsmooth.estimators import sweep_prefixes\n"
+                "design = van_der_corput(Box.unit(1), 32)\n"
+                "y = np.sin(7.0 * design.points[:, 0])\n"
+                "records = sweep_prefixes(design, y, [8, 16, 32], nu0=1.5)\n"
+                "assert len(records) == 3 and all(r.fill > 0 for r in records)\n"
+                "print('scipy.spatial' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_separations_in_higher_dimensions_equal_the_dense_formula(self, d):
+        # In d = 8 the tree's own distances differ from the formula's in
+        # the last bit; the re-ranked candidates give the formula's value.
+        rng = np.random.default_rng(d)
+        des = Design(rng.random((300, d)), Box.unit(d))
+        for m in (2, 3, 50, 300):
+            assert separation_distance(des.prefix(m)) == dense_separation(des.prefix(m))
+
+    def test_two_dimensional_fill_starts_no_thread(self, monkeypatch):
+        # Every tree query runs on the calling thread (workers=1, the
+        # default), and nothing starts a Python thread.
+        from scipy import spatial
+
+        started, workers = [], []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        class Tree(spatial.cKDTree):
+            def query(self, *args, **kwargs):
+                workers.append(kwargs.get("workers", 1))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        monkeypatch.setattr(spatial, "cKDTree", Tree)
+        before = threading.active_count()
+        fill_distances(uniform_grid(UNIT2, 17), [9, 25, 289])
+        assert workers and set(workers) == {1}
+        assert started == [] and threading.active_count() == before
 
 
 class TestUniformityReports:

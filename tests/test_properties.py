@@ -33,6 +33,7 @@ from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import bessel_k, log_bessel_k
+from test_designs import dense_fill, dense_separation
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -852,3 +853,43 @@ def test_one_pass_equals_each_prefix_alone(d, n, seed, resolution):
     reports = uniformity_report(design, sizes, resolution)
     assert [r.separation for r in reports if r.n >= 2] == [
         separation_distance(design.prefix(m)) for m in sizes if m >= 2]
+
+
+def _tie_design(kind, d, seed, resolution):
+    """A design in ``d`` dimensions of the given ``kind``: uniform random
+    points, a jittered grid, or a shuffled lattice whose points, edge
+    midpoints and cell centres all lie on the probe grid, so that probes tie
+    between up to ``2**d`` points.  At most 8 points in d = 3, where each
+    dense oracle call holds probes x points x d doubles."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    most = 6 if d == 3 else 40
+    if kind == "random":
+        return Design(rng.random((int(rng.integers(1, most + 1)), d)), Box.unit(d))
+    if kind == "jittered":
+        return _jittered_grid(d, int(rng.integers(1, most + 1)), seed)
+    # Spacing 2 j and offset a, in steps of the probe grid.
+    m = 2 if d == 3 else int(rng.integers(2, 7))
+    j = int(rng.integers(1, (resolution - 2) // (2 * (m - 1)) + 1))
+    a = rng.integers(0, resolution - 1 - 2 * j * (m - 1), size=d)
+    step = 1.0 / (resolution - 1)
+    axes = [(a[k] + 2 * j * np.arange(m)) * step for k in range(d)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return Design(rng.permutation(points), Box.unit(d))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(("random", "jittered", "lattice")), st.sampled_from((2, 3)),
+       st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=64, max_value=80),
+       st.booleans())
+def test_tree_queries_equal_the_dense_formulas(kind, d, seed, resolution, every_size):
+    # The k-d tree's candidates, re-ranked, give the fill and separation
+    # distances of the dense pass over every pair, bit for bit, ties included.
+    design = _tie_design(kind, d, seed, resolution)
+    sizes = list(range(1, design.n + 1)) if every_size else [design.n]
+    assert fill_distances(design, sizes, resolution) == [
+        dense_fill(design.prefix(m), resolution) for m in sizes]
+    reports = uniformity_report(design, sizes, resolution)
+    assert [r.separation for r in reports if r.n >= 2] == [
+        dense_separation(design.prefix(m)) for m in sizes if m >= 2]
+    if design.n >= 2:
+        assert separation_distance(design) == dense_separation(design)

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty-three fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-four fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -63,6 +63,11 @@ CONFIGURATIONS = (
     ("sweep-2d-uniform-grid", ["non-undersmoothing", "--nu0", "1.5", "--d", "2",
                                "--design", "uniform_grid", "--seed-list", "101,102,103"],
      None),
+    # The 2-d check to n = 2048: fill distances of a doubling schedule on a
+    # coarse-to-fine grid, whose cell-centre probes tie between four points.
+    ("sweep-2d-2048", ["non-undersmoothing", "--nu0", "1.5", "--d", "2",
+                       "--design", "uniform_grid", "--seed-list", "101,102,103",
+                       "--schedule", "64,128,256,512,1024,2048"], None),
     ("logdet-growth-ml", ["logdet-growth"], None),
     ("profile-sigma", ["non-undersmoothing", "--nu0", "1.5", "--seed-list", "101,102,103"],
      ["profile_sigma = true"]),
