@@ -32,11 +32,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-# ``fill_distance`` stays bound here for the benchmark tracer, which wraps it.
+# ``fill_distance`` and ``condition`` stay bound here for the benchmark
+# tracer, which wraps them.
 from .designs import check_schedule, fill_distance, fill_distances, is_integer  # noqa: F401
 from .errors import ConditioningError, DomainError, EstimationError
-from .gp import condition, condition_prefixes, loo_variances
-from .kernels import MaternKernel, check_positive, matern, require_positive
+from .gp import condition, condition_prefixes  # noqa: F401
+from .kernels import MaternKernel, matern, require_positive
 from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
@@ -457,7 +458,10 @@ def estimate_nu(design, y, config=EstimatorConfig()):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of a prefix sweep: estimates and diagnostics at one size."""
+    """One row of a prefix sweep: the ML and CV estimates of one data column
+    on one prefix, their objective minima, whether each saturates, the tops
+    of their searchable brackets, and notes on what the searches could not
+    evaluate."""
 
     experiment: str
     seed: object
@@ -467,7 +471,6 @@ class SweepRecord:
     nu_hat_cv: float
     ell_ml_min: float
     ell_cv_min: float
-    max_loo_var_ratio: float
     hit_upper_ml: bool
     hit_upper_cv: bool
     searchable_upper_ml: float
@@ -481,25 +484,22 @@ class SweepRecord:
 SweepRecord.FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
-def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=None,
-                   experiment="", seed=None):
+def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experiment="",
+                   seed=None):
     """Estimate the smoothness on growing prefixes of a design.
 
     Runs both the maximum-likelihood and the cross-validation estimate on
-    each prefix, from one factorization per candidate smoothness.  When
-    the generating smoothness ``nu0`` is supplied, each record carries the
-    worst-case leave-one-out variance ratio between ``nu0`` and the ML
-    estimate as an undersmoothing diagnostic.  Per-prefix failures are
-    recorded in the ``notes`` field and do not abort the sweep.  Data
-    must be finite, and ``nu0`` positive and finite.
+    each prefix, from one factorization per candidate smoothness; nothing
+    else is factored.  Per-prefix failures are recorded in the ``notes``
+    field and do not abort the sweep.  Data must be finite.
 
     ``y_full`` is one data vector ``(n,)`` labelled ``seed``, or ``s``
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
     sequence ``seed``.  The records come column after column, each in
     schedule order and equal to the column's sweep alone (to rounding at
     sizes other than those named below).  The fill distances of every
-    prefix (:func:`~maternsmooth.designs.fill_distances`) and the
-    leave-one-out variances at ``nu0`` are computed once for all columns.
+    prefix (:func:`~maternsmooth.designs.fill_distances`) are computed
+    once for all columns.
     The searches of all columns, both objectives and every prefix run
     once (:func:`_searches`), the sizes from the largest to the smallest.
     Each cell that a search reads is factored once, for every column and
@@ -516,11 +516,6 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     at some pivot fails on every prefix beyond it up to the one factored,
     and the prefixes after the first one record the prefix size, pivot
     index and pivot value of that first failure.
-
-    The variance ratio factors the kernel at the ML estimate once more,
-    per record: the cell table keeps objective totals, not factors, and a
-    profiled cell is factored with ``sigma = 1`` while the ratio uses
-    ``config.sigma``.
     """
     schedule = check_schedule(n_schedule)
     if schedule and schedule[-1] > design.n:
@@ -532,27 +527,17 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), nu0=Non
     seeds = list(seed) if y_full.ndim == 2 else [seed]
     shape = (design.n, len(seeds)) if y_full.ndim == 2 else (design.n,)
     columns = _checked_data(y_full, shape, "y_full").reshape(design.n, len(seeds))
-    if nu0 is not None:
-        check_positive("nu0", nu0)
 
     if not schedule:
         return []
     top = design.prefix(schedule[-1])
     scan = _matern_scan(config, design.d)
     searches = _searches(top, columns[:top.n], schedule, scan)
-    variances0 = [None] * len(schedule)
-    if nu0 is not None:
-        kernel0 = MaternKernel(matern(nu0, config.sigma, config.lambda_, d=design.d))
-        variances0 = [post if isinstance(post, ConditioningError)
-                      else _outcome(loo_variances, post)
-                      for post in condition_prefixes(kernel0, top, np.zeros(top.n), schedule)]
 
     records = [[] for _ in seeds]
-    fills = fill_distances(top, schedule)
-    for n, by_column, v0, fill in zip(schedule, searches, variances0, fills):
-        prefix = top.prefix(n)
+    for n, by_column, fill in zip(schedule, searches, fill_distances(top, schedule)):
         for column, found, label in zip(records, by_column, seeds):
-            column.append(_prefix_record(prefix, found, config, v0, fill, experiment, label))
+            column.append(_prefix_record(n, found, fill, experiment, label))
     return [record for column in records for record in column]
 
 
@@ -622,34 +607,21 @@ def _search_notes(searches):
     return notes, estimates
 
 
-def _prefix_record(prefix, searches, config, v0, fill, experiment, seed):
-    """The record of one data column on one prefix, from its ``searches``
-    (see :func:`_searches`)."""
+def _prefix_record(n, searches, fill, experiment, seed):
+    """The record of one data column on the prefix of ``n`` points, from
+    its ``searches`` (see :func:`_searches`)."""
     nan = math.nan
     notes, estimates = _search_notes(searches)
     est_ml, est_cv = estimates.get("ml"), estimates.get("cv")
-
-    ratio = nan
-    if isinstance(v0, ConditioningError) and est_ml is not None:
-        notes.append(f"ratio_error={v0}")
-    elif v0 is not None and est_ml is not None:
-        kernel = MaternKernel(matern(est_ml.nu_hat, config.sigma, config.lambda_, d=prefix.d))
-        try:
-            post = condition(kernel, prefix, np.zeros(prefix.n))
-            ratio = float(np.max(v0 / loo_variances(post)))
-        except ConditioningError as err:
-            notes.append(f"ratio_error={err}")
-
     return SweepRecord(
         experiment=experiment,
         seed=seed,
-        n=prefix.n,
+        n=n,
         fill=fill,
         nu_hat_ml=est_ml.nu_hat if est_ml else nan,
         nu_hat_cv=est_cv.nu_hat if est_cv else nan,
         ell_ml_min=est_ml.objective_at_min if est_ml else nan,
         ell_cv_min=est_cv.objective_at_min if est_cv else nan,
-        max_loo_var_ratio=ratio,
         hit_upper_ml=bool(est_ml.hit_upper_bracket) if est_ml else False,
         hit_upper_cv=bool(est_cv.hit_upper_bracket) if est_cv else False,
         searchable_upper_ml=est_ml.searchable_upper if est_ml else nan,

@@ -350,13 +350,18 @@ def run_non_undersmoothing(config):
     stay above ``nu0 - d/2 - 0.1`` (the sample-path lower bound with
     slack); a failed (non-finite) tail estimate counts as below it.  For
     catalog functions the sweep is reported as-is, with upper-bracket
-    saturation flags for the smooth entries.
+    saturation flags for the smooth entries.  A catalog function with a
+    ``nu0`` is a :class:`DomainError`: the threshold bounds paths drawn at
+    ``nu0``, and says nothing of a fixed function.
     """
+    if config.f0 is not None and config.nu0 is not None:
+        raise DomainError(f"the catalog function {config.f0!r} is not drawn at nu0, so "
+                          f"nu0={config.nu0!r} sets no threshold for it: give one of them")
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
     seeds, paths = _draw_or_evaluate(config, design)
     records = sweep_prefixes(
-        design, paths, schedule, config.estimator, nu0=config.nu0,
+        design, paths, schedule, config.estimator,
         experiment=config.experiment or "non-undersmoothing", seed=seeds)
     k = len(schedule)
     all_records = [records[j * k:(j + 1) * k] for j in range(len(seeds))]

@@ -222,7 +222,7 @@ class TestTreeQueries:
                 "from maternsmooth.estimators import sweep_prefixes\n"
                 "design = van_der_corput(Box.unit(1), 32)\n"
                 "y = np.sin(7.0 * design.points[:, 0])\n"
-                "records = sweep_prefixes(design, y, [8, 16, 32], nu0=1.5)\n"
+                "records = sweep_prefixes(design, y, [8, 16, 32])\n"
                 "assert len(records) == 3 and all(r.fill > 0 for r in records)\n"
                 "print('scipy.spatial' in sys.modules)\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

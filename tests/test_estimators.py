@@ -19,7 +19,7 @@ from maternsmooth.estimators import (
     sweep_prefixes,
 )
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
-from maternsmooth.gp import condition, condition_prefixes, loo_variances
+from maternsmooth.gp import condition, condition_prefixes
 from maternsmooth.kernels import MaternKernel, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
@@ -32,15 +32,6 @@ def ml_objective(params, design, y):
 
 def cv_objective(params, design, y):
     return ell_cv_from(condition(MaternKernel(params), design, y))
-
-
-def worst_loo_ratio(prefix, nu0, nu, config):
-    """Largest ratio of the leave-one-out variances at ``nu0`` to those at
-    ``nu``, with the configured magnitude and length-scale, on zero data."""
-    def variances(nu):
-        kernel = MaternKernel(matern(nu, config.sigma, config.lambda_, d=prefix.d))
-        return loo_variances(condition(kernel, prefix, np.zeros(prefix.n)))
-    return float(np.max(variances(nu0) / variances(nu)))
 
 
 def recording_plans(monkeypatch):
@@ -520,24 +511,9 @@ class TestSweeps:
         tail_minima = [min(hats[i:]) for i in range(len(hats))]
         assert all(b >= a - 1e-12 for a, b in zip(tail_minima, tail_minima[1:]))
 
-    def test_ratio_diagnostic_present_with_nu0(self, sample_instance):
-        design, y = sample_instance
-        records = sweep_prefixes(design, y, [16, 64], EstimatorConfig(lambda_=1.0),
-                                 nu0=1.5, seed=202)
-        assert all(math.isfinite(r.max_loo_var_ratio) for r in records)
-        assert all(r.seed == 202 for r in records)
-
-    @pytest.mark.parametrize("profiled", [False, True])
-    def test_ratio_is_worst_loo_variance_ratio(self, sample_instance, profiled):
-        design, y = sample_instance
-        cfg = EstimatorConfig(sigma=1.3, lambda_=0.7, profile_sigma=profiled)
-        record = sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5)[1]
-        assert record.max_loo_var_ratio == worst_loo_ratio(design.prefix(64), 1.5,
-                                                           record.nu_hat_ml, cfg)
-
     def test_experiment_sweeps_with_the_estimator_sigma_and_lambda(self):
-        # The paths are drawn, and the estimates and ratios computed, with
-        # the magnitude and length-scale of the experiment's estimator.
+        # The paths are drawn, and the estimates computed, with the
+        # magnitude and length-scale of the experiment's estimator.
         est = EstimatorConfig(sigma=1.3, lambda_=0.7)
         cfg = ExperimentConfig(nu0=1.5, schedule=(16, 64), seeds=(101,), estimator=est)
         design = make_design(cfg.design, cfg.d, max(cfg.schedule))
@@ -546,13 +522,12 @@ class TestSweeps:
             record = SweepRecord(*row)
             prefix = design.prefix(record.n)
             assert record.nu_hat_ml == estimate_nu(prefix, y[:record.n], est)["ml"].nu_hat
-            assert record.max_loo_var_ratio == worst_loo_ratio(prefix, 1.5, record.nu_hat_ml,
-                                                               est)
 
     def test_ten_seed_sweep_factor_budget(self, monkeypatch):
         # The C07 configuration: ten seeds, n up to 512.  The coarse-to-fine
-        # plan and shared nodes keep it to 113 factorizations, 51 of them
-        # search cells (146 and 84 when the search read every coarse cell).
+        # plan and shared nodes keep it to 52 factorizations: 51 search
+        # cells and the path draw (84 search cells when the search read
+        # every coarse cell).
         factor, calls = gp._factor, [0]
 
         def counting(*args):
@@ -561,13 +536,25 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5))
-        assert len(result.rows) == 60 and calls[0] == 113
+        assert len(result.rows) == 60 and calls[0] == 52
+
+    def test_ten_seed_sweep_factors_the_generating_kernel_once(self, monkeypatch):
+        # The C07 configuration factors K(nu0) for the path draw alone, on
+        # all 512 points, and no search cell or node is nu0 itself.
+        factor, factored = gp._factor, []
+
+        def recording(kernel, design, buffer=None):
+            factored.append((kernel.params.nu, design.n))
+            return factor(kernel, design, buffer)
+
+        monkeypatch.setattr(gp, "_factor", recording)
+        run_non_undersmoothing(ExperimentConfig(nu0=1.5))
+        assert [cell for cell in factored if cell[0] == 1.5] == [(1.5, 512)]
 
     def test_two_seed_sweep_factor_budget(self, monkeypatch):
         # The benchmark's sweep-1d configuration: seeds 101 and 102, n up to
-        # 512.  52 factorizations, 21 of them of all 512 points that succeed
-        # (22 when every lattice cell was factored on all 512 points, 86 and
-        # 51 when the search read every coarse cell).
+        # 512.  39 factorizations, the path draw and 38 search cells, 18 of
+        # them of all 512 points that succeed.
         factor, calls = gp._factor, []
 
         def counting(kernel, design, buffer=None):
@@ -577,7 +564,7 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
-        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (52, 21)
+        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (39, 18)
 
     def test_two_dimensional_sweep_factors_no_cell_twice(self, monkeypatch):
         # Two seeds on the 2-d uniform grid, n = 16, 32 and 64: 49 cells, no
@@ -658,18 +645,18 @@ class TestSweeps:
         second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
         cfg = EstimatorConfig(lambda_=1.0, coarse_grid=24)
         together = sweep_prefixes(design, np.stack([y, second], axis=1), [16, 64], cfg,
-                                  nu0=1.5, seed=(202, 7))
+                                  seed=(202, 7))
         assert len(together) == 4  # column after column, in schedule order
         for seed, column, records in zip((202, 7), (y, second),
                                          (together[:2], together[2:])):
-            alone = sweep_prefixes(design, column, [16, 64], cfg, nu0=1.5, seed=seed)
+            alone = sweep_prefixes(design, column, [16, 64], cfg, seed=seed)
             assert [r.seed for r in records] == [seed, seed]
             for a, b in zip(records, alone):
                 assert (a.n, a.fill, a.notes) == (b.n, b.fill, b.notes)
                 assert (a.hit_upper_ml, a.hit_upper_cv) == (b.hit_upper_ml, b.hit_upper_cv)
                 for field in ("nu_hat_ml", "nu_hat_cv"):
                     assert abs(getattr(a, field) - getattr(b, field)) <= 1e-3
-                for field in ("ell_ml_min", "ell_cv_min", "max_loo_var_ratio"):
+                for field in ("ell_ml_min", "ell_cv_min"):
                     assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [None, 7, (1,), (1, 2, 3)])
@@ -680,13 +667,11 @@ class TestSweeps:
                            EstimatorConfig(lambda_=1.0), seed=seed)
 
     @pytest.mark.parametrize("nu0", [-1.0, 0.0, math.nan, math.inf, True, "1.5"])
-    def test_nu0_is_checked_before_searching(self, sample_instance, monkeypatch, nu0):
-        design, y = sample_instance
-        calls = []
-        monkeypatch.setattr(estimators, "_cells", lambda *args, **kwargs: calls.append(args))
+    def test_nu0_is_checked_before_searching(self, nu0):
+        # The sweep takes no nu0: the experiment's configuration checks it
+        # when it is built, before anything is drawn or searched.
         with pytest.raises(DomainError, match="nu0"):
-            sweep_prefixes(design, y, [16, 64], EstimatorConfig(lambda_=1.0), nu0=nu0)
-        assert not calls
+            run_non_undersmoothing(ExperimentConfig(nu0=nu0, schedule=(16, 64), seeds=(1,)))
 
     def test_each_search_runs_its_plan_once(self, sample_instance, monkeypatch):
         # A two-column sweep starts one plan per size, objective and column,
@@ -720,10 +705,10 @@ class TestSweeps:
         # to that one.  Its factor is inverted once, for leave-one-out.
         design, y = sample_instance
         if columns == 1:
-            data, seed, nu0 = y, 202, 1.5
+            data, seed = y, 202
         else:
             second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
-            data, seed, nu0 = np.stack([y, second], axis=1), (202, 7), None
+            data, seed = np.stack([y, second], axis=1), (202, 7)
         factored, failed, inverted = [], [], []
 
         def conditioning(kernel, prefix, values, sizes, workspace=None):
@@ -742,12 +727,10 @@ class TestSweeps:
         plans = recording_plans(monkeypatch)
         cfg = EstimatorConfig(lambda_=1.0)
         sizes = (16, 32, 64)
-        records = sweep_prefixes(design, data, sizes, cfg, nu0=nu0, seed=seed)
+        records = sweep_prefixes(design, data, sizes, cfg, seed=seed)
         searches = [plan["asked"] for plan in plans]
         assert len(records) == 3 * columns
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
-        if nu0 is not None:  # the variances at nu0
-            assert factored.pop() == (nu0, 64, sizes, (64,))
         assert all(shape == (n, columns) for _, n, _, shape in factored)
         # Factorizations per prefix size, of the coarse cells and of all.
         coarse = [f for f in factored if f[0] in grid]
@@ -785,8 +768,7 @@ class TestSweeps:
     def test_each_factor_is_inverted_once(self, sample_instance, monkeypatch, sizes):
         # Every cell, coarse or node, inverts its factor once, up to the
         # largest prefix it serves, for the leave-one-out of every prefix up
-        # to the one it is factored on.  The variances at nu0 take one
-        # inversion, and so does each record's variance ratio.
+        # to the one it is factored on, and nothing else is inverted.
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0)
         inverted, cells = [], []
@@ -806,7 +788,7 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_invert", inverting)
         monkeypatch.setattr(estimators, "_cells", counting)
-        records = sweep_prefixes(design, y, sizes, cfg, nu0=1.5, seed=1)
+        sweep_prefixes(design, y, sizes, cfg, seed=1)
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
         coarse = [cell for cell in cells if cell[0] in grid]
         assert len({cell[0] for cell in coarse}) == len(coarse) < cfg.coarse_grid
@@ -820,9 +802,7 @@ class TestSweeps:
             assert inversions == served[-1:]
         assert any(0 < len(served) < len(handed) for _, _, handed, served, *_ in coarse)
         assert [cell for cell in cells if cell[0] not in grid]  # some nodes
-        ratios = sum(math.isfinite(r.max_loo_var_ratio) for r in records)
-        assert ratios == len(sizes)
-        assert len(inverted) == sum(len(cell[4]) for cell in cells) + 1 + ratios
+        assert len(inverted) == sum(len(cell[4]) for cell in cells)
 
     def test_each_served_view_reads_its_objectives_once(self, sample_instance, monkeypatch):
         # The searches read every objective through the estimators' bindings
@@ -853,7 +833,7 @@ class TestSweeps:
         monkeypatch.setattr(estimators, "ell_cv_from", reading("cv", ell_cv_from))
         monkeypatch.setattr(estimators, "_cells", counting)
         sweep_prefixes(design, np.stack([y, second], axis=1), [1, 16, 32, 64],
-                       EstimatorConfig(lambda_=1.0), nu0=1.5, seed=(202, 7))
+                       EstimatorConfig(lambda_=1.0), seed=(202, 7))
         for name in ("ml", "cv"):
             assert sorted(read[name]) == sorted(served[name]), name
             assert len(set(read[name])) == len(read[name]), name
@@ -932,9 +912,8 @@ class TestSweeps:
         design, y = sample_instance
         cfg = EstimatorConfig(lambda_=1.0, profile_sigma=True)
         together = sweep_prefixes(design, np.stack([y, np.zeros_like(y)], axis=1), [16, 64],
-                                  cfg, nu0=1.5, seed=(202, 0))
-        assert repr(together[:2]) == repr(sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5,
-                                                         seed=202))
+                                  cfg, seed=(202, 0))
+        assert repr(together[:2]) == repr(sweep_prefixes(design, y, [16, 64], cfg, seed=202))
         for record in together[2:]:
             assert "ml_error=sigma profiling is degenerate" in record.notes
             assert "cv_error=sigma profiling is degenerate" in record.notes
@@ -955,10 +934,10 @@ class TestSweeps:
             return factor(*args)
 
         monkeypatch.setattr(gp, "_factor", counting)
-        sweep_prefixes(design, y, [16, 64], cfg, nu0=1.5, seed=202)
+        sweep_prefixes(design, y, [16, 64], cfg, seed=202)
         alone, calls[0] = calls[0], 0
         sweep_prefixes(design, np.stack([y, np.zeros_like(y)], axis=1), [16, 64], cfg,
-                       nu0=1.5, seed=(202, 0))
+                       seed=(202, 0))
         assert calls[0] == alone
 
 

@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -193,6 +196,16 @@ class TestEngines:
                                **{"schedule": (16, 32, 64), **kwargs})
         with pytest.raises(DomainError):
             run_convergence(cfg)
+
+    def test_catalog_function_with_nu0_is_rejected_before_drawing(self, monkeypatch):
+        # The threshold nu0 - d/2 - 0.1 bounds paths drawn at nu0: with a
+        # catalog function it would judge data that nu0 did not generate.
+        factored, factor = [], gp._factor
+        monkeypatch.setattr(gp, "_factor", lambda *args: factored.append(args) or factor(*args))
+        cfg = ExperimentConfig(experiment="x", f0="gauss_bump", nu0=1.5, schedule=(16, 32, 64))
+        with pytest.raises(DomainError, match="gauss_bump"):
+            run_non_undersmoothing(cfg)
+        assert not factored
 
     def test_zero_function_degenerate_flag(self):
         cfg = ExperimentConfig(experiment="x", f0="zero", schedule=(8, 16))
@@ -623,6 +636,29 @@ class TestCli:
         code = main(["non-undersmoothing", "--f0", "gauss_bump",
                      "--schedule", "8,16"])
         assert code == 0
+
+    def test_catalog_function_with_nu0_via_cli_exit_one_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["non-undersmoothing", "--f0", "gauss_bump", "--nu0", "1.5",
+                     "--schedule", "16,32,64", "--check", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and not out.exists()
+        assert captured.err.startswith("error: ") and "PASS" not in captured.out
+
+    def test_sweep_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The benchmark's two-seed sweep, run at one and at two OpenBLAS
+        # threads in fresh processes, writes the same bytes.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "maternsmooth.cli", "non-undersmoothing",
+                            "--nu0", "1.5", "--seed-list", "101,102",
+                            "--schedule", "16,32,64,128,256,512", "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_gaussian_probe_via_cli(self, capsys):
         code = main(["gaussian-scale-probe", "--schedule", "8,16"])
