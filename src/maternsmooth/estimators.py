@@ -3,13 +3,13 @@
 The engine scans theta through a kernel factory (:class:`_Scan`); its main
 use is the Matern smoothness nu, and the Gaussian length-scale probe is the
 other.  Estimation runs on a lattice of log-spaced coarse cells over a
-bracket ``[lo, hi]``, coarse to fine (:func:`_plan`): every eighth cell
-first, then bisection of the gaps that hold the ends of the searchable
-bracket, then a walk from the coarse minimum to the cells next to the
-minimum.  Cells whose kernel matrix fails to factorize are recorded and
-skipped; the searchable bracket is the contiguous run of cells that
-factor, from the lowest one, and an estimate that saturates its top is
-flagged via ``hit_upper_bracket``.  A minimum inside the run is
+bracket ``[lo, hi]``, coarse to fine (:func:`bracketed_minimize`): every
+eighth cell first, then bisection of the gaps that hold the ends of the
+searchable bracket, then a walk from the coarse minimum to the cells next
+to the minimum.  Cells whose kernel matrix fails to factorize are
+recorded and skipped; the searchable bracket is the contiguous run of
+cells that factor, from the lowest one, and an estimate that saturates
+its top is flagged via ``hit_upper_bracket``.  A minimum inside the run is
 refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
 the objectives are analytic in log theta there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
@@ -68,14 +68,15 @@ _TO_CHEBYSHEV = np.array([
 _SCAN = np.linspace(-1.0, 1.0, 2049)
 _NEWTON_STEPS = 3
 # The coarse scan reads every _STRIDE-th cell of the lattice first (see
-# :func:`_plan`).  Measured with bisection and the walk: the C07 sweep (ten
-# seeds, n <= 512) makes 55, 53, 51 and 47 search-cell factorizations at
-# strides 4, 6, 8 and 12, and the benchmark's saturation-scattered sweep 24,
-# 21, 20 and 18.  Which cells are read decides what a failing cell between
-# evaluable ones does: at n = 16, C07's cell 51 fails between the evaluable
-# cells 50 and 52.  Strides 6 and 12 read it and end the run at 50, as the
-# scan of every cell does; strides 4 and 8 do not, and keep the run's top at
-# 52, as the plan of stride 4 before bisection did.
+# :func:`bracketed_minimize`).  Measured with bisection and the walk: the
+# C07 sweep (ten seeds, n <= 512) makes 55, 53, 51 and 47 search-cell
+# factorizations at strides 4, 6, 8 and 12, and the benchmark's
+# saturation-scattered sweep 24, 21, 20 and 18.  Which cells are read
+# decides what a failing cell between evaluable ones does: at n = 16, C07's
+# cell 51 fails between the evaluable cells 50 and 52.  Strides 6 and 12
+# read it and end the run at 50, as the scan of every cell does; strides 4
+# and 8 do not, and keep the run's top at 52, as the plan of stride 4
+# before bisection did.
 _STRIDE = 8
 
 
@@ -145,16 +146,16 @@ class NuEstimate:
     polynomial's value at ``nu_hat`` after refinement, else the value of
     the cell or node returned.
 
-    The search reads the coarse cells coarse to fine (:func:`_plan`), and
-    the counts cover the cells it read: ``failures`` lists those that could
-    not be evaluated, ``irregular_failures`` counts those above the run that
-    could still be evaluated (the search ignores them), and ``evaluations``
-    counts every distinct cell read plus the interior nodes of the bracket
-    when it was refined.  When the failing cells are a lower and an upper
-    set of the lattice (every cell below a failing lowest cell, or above a
-    failing cell of the run, fails) and the values are unimodal over the
-    run, ties allowed, every other field is bit for bit that of a scan of
-    every cell.
+    The search reads the coarse cells coarse to fine
+    (:func:`bracketed_minimize`), and the counts cover the cells it read:
+    ``failures`` lists those that could not be evaluated,
+    ``irregular_failures`` counts those above the run that could still be
+    evaluated (the search ignores them), and ``evaluations`` counts every
+    distinct cell read plus the interior nodes of the bracket when it was
+    refined.  When the failing cells are a lower and an upper set of the
+    lattice (every cell below a failing lowest cell, or above a failing cell
+    of the run, fails) and the values are unimodal over the run, ties
+    allowed, every other field is bit for bit that of a scan of every cell.
     """
 
     nu_hat: float
@@ -225,16 +226,27 @@ def _interpolant_minimum(values):
     return t, float(cheb.chebval(t, coeffs))
 
 
-def _plan(lo, hi, count):
-    """The search of one objective on the lattice of ``count`` log-spaced
-    cells of ``[lo, hi]``, as a generator that asks for values.
+def _outcome(fn, theta):
+    """``fn(theta)``, or the :class:`ConditioningError` it raises, kept
+    without its traceback, which holds the frames that raised it."""
+    try:
+        return fn(theta)
+    except ConditioningError as err:
+        return err.with_traceback(None)
 
-    It yields lists of distinct theta, and is sent each list's outcomes in
-    order: a value, or the :class:`ConditioningError` that prevents it.  A
-    failing cell, or one whose value is not finite, is recorded in
-    ``failures`` and unevaluable.  The generator returns the
-    :class:`NuEstimate`, or raises :class:`EstimationError` when no cell can
-    be evaluated.  It asks in four rounds:
+
+def bracketed_minimize(fn, lo, hi, n_coarse):
+    """Coarse-to-fine scan plus node refinement of ``fn`` on ``n_coarse``
+    log-spaced cells of ``[lo, hi]``.
+
+    ``fn`` maps a positive scalar to an objective value and may return or
+    raise :class:`ConditioningError`; it is called once per distinct cell or
+    node read, in the order the search asks for them.  A failing cell, or
+    one whose value is not finite, is recorded in ``failures`` and
+    unevaluable.  Raises :class:`EstimationError` when no cell can be
+    evaluated, and :class:`DomainError` unless ``0 < lo <= hi < inf`` and
+    ``n_coarse`` is an integer of at least 1.  The search reads in four
+    rounds:
 
     1. every ``_STRIDE``-th cell and the top cell, or, when none of them can
        be evaluated, every cell;
@@ -242,56 +254,66 @@ def _plan(lo, hi, count):
        the read cell below it, and of those between the run's highest read
        cell and the first read failure above it, the middle one, and again
        until neither gap is left, which fixes ``first``, ``top`` and
-       ``searchable_upper``;
+       ``searchable_upper`` (see :class:`NuEstimate`);
     3. a walk: the unread neighbours of the run's minimum inside the run,
-       and again until both have been read.  A left neighbour whose value
-       ties the minimum's is a shelf, and the walk goes on past it to the
-       first left cell that does not tie;
-    4. the interior nodes of the minimum's bracketing triple, when it lies
-       inside the run.
+       and again until both have been read.  Coarse ties are broken toward
+       the larger argument, and a left neighbour whose value ties the
+       minimum's is a shelf: the walk goes on past it to the first left
+       cell that does not tie;
+    4. the interior Chebyshev-Lobatto nodes, in log coordinates, of the
+       minimum's bracketing triple, when it lies inside the run.  The
+       estimate is the minimum of the degree-8 polynomial through the nine
+       nodes.  When a node cannot be evaluated, or the node values are not
+       unimodal, or the polynomial's minimum sits on an end of the bracket,
+       the best node is returned with ``non_unimodal`` set.  The node
+       count, not a tolerance, fixes the precision of the estimate.
 
     A cell that is not read counts as evaluable when it lies inside the
     run and as failing below it.  So when the failing cells are a lower
     and an upper set of the lattice, bisection finds the ends of the scan
     of every cell; when the values are also unimodal over the run (falling
     to the minimum and then rising, ties allowed), the walk ends at its
-    minimum, the last cell of the least value, so the plan finds the
+    minimum, the last cell of the least value, so the search finds the
     bracketing triple and nodes of that scan and returns its estimate bit
-    for bit.  A failing cell between two evaluable cells that the plan does
-    not read is not seen.
+    for bit.  A failing cell between two evaluable cells that the search
+    does not read is not seen.
     """
-    grid = [float(theta) for theta in np.geomspace(lo, hi, count)]
+    if not (0 < lo <= hi < math.inf and is_integer(n_coarse) and n_coarse >= 1):
+        raise DomainError(f"need 0 < lo <= hi < inf and an integer n_coarse >= 1, got "
+                          f"lo={lo!r}, hi={hi!r}, n_coarse={n_coarse!r}")
+    grid = [float(theta) for theta in np.geomspace(lo, hi, n_coarse)]
     known, failures = {}, []
 
     def read(thetas):
-        asked = [theta for theta in dict.fromkeys(thetas) if theta not in known]
-        if asked:
-            for theta, outcome in zip(asked, (yield asked)):
-                if isinstance(outcome, ConditioningError):
-                    failures.append((theta, str(outcome)))
-                    outcome = math.inf
-                elif not math.isfinite(outcome := float(outcome)):
-                    failures.append((theta, f"objective value {outcome!r} is not finite"))
-                    outcome = math.inf
-                known[theta] = outcome
+        for theta in dict.fromkeys(thetas):
+            if theta in known:
+                continue
+            outcome = _outcome(fn, theta)
+            if isinstance(outcome, ConditioningError):
+                failures.append((theta, str(outcome)))
+                outcome = math.inf
+            elif not math.isfinite(outcome := float(outcome)):
+                failures.append((theta, f"objective value {outcome!r} is not finite"))
+                outcome = math.inf
+            known[theta] = outcome
 
-    yield from read(grid[::_STRIDE] + grid[-1:])
+    read(grid[::_STRIDE] + grid[-1:])
     if not any(v < math.inf for v in known.values()):
-        yield from read(grid)
+        read(grid)
     if not any(v < math.inf for v in known.values()):
         raise EstimationError(f"no candidate in [{lo:g}, {hi:g}] could be evaluated "
                               f"({len(failures)} failures)")
     while True:
         values = [known.get(theta) for theta in grid]  # None where not read
         first = next(i for i, v in enumerate(values) if v is not None and v < math.inf)
-        end = next((i for i in range(first + 1, count) if values[i] == math.inf), count)
+        end = next((i for i in range(first + 1, n_coarse) if values[i] == math.inf), n_coarse)
         top = max(i for i in range(first, end) if values[i] is not None)
         below = first
         while below > 0 and values[below - 1] is None:
             below -= 1
         gaps = [(a, b) for a, b in ((below, first), (top + 1, end)) if a < b]
         if gaps:
-            yield from read([grid[(a + b - 1) // 2] for a, b in gaps])
+            read([grid[(a + b - 1) // 2] for a, b in gaps])
             continue
         best = first  # ties broken toward the larger argument
         for i in range(first, top + 1):
@@ -303,12 +325,12 @@ def _plan(lo, hi, count):
         walk = [i for i in (left, best + 1) if first <= i <= top and values[i] is None]
         if not walk:
             break
-        yield from read([grid[i] for i in walk])
+        read([grid[i] for i in walk])
 
     theta, value, non_unimodal = grid[best], values[best], False
     if first < best < top:
         nodes = _bracket_nodes(grid, best)
-        yield from read(nodes)
+        read(nodes)
         at = np.array([known[nu] for nu in nodes])
         t, low = _interpolant_minimum(at) if np.all(np.isfinite(at)) else (-1.0, math.inf)
         if abs(t) == 1.0 or not _unimodal(at):
@@ -328,48 +350,6 @@ def _plan(lo, hi, count):
         irregular_failures=sum(v is not None and v < math.inf for v in values[top + 1:]),
         non_unimodal=non_unimodal,
     )
-
-
-def _outcome(fn, theta):
-    """``fn(theta)``, or the :class:`ConditioningError` it raises, kept
-    without its traceback, which holds the frames that raised it."""
-    try:
-        return fn(theta)
-    except ConditioningError as err:
-        return err.with_traceback(None)
-
-
-def bracketed_minimize(fn, lo, hi, n_coarse):
-    """Coarse-to-fine scan plus node refinement of ``fn`` on ``n_coarse``
-    log-spaced cells of ``[lo, hi]``.
-
-    ``fn`` maps a positive scalar to an objective value and may raise
-    :class:`ConditioningError`; failing cells, and cells whose value is
-    not finite, are recorded in ``failures`` and treated as unevaluable.
-    The scan reads every ``_STRIDE``-th cell first, then bisects to the
-    ends of the searchable bracket, the contiguous run of evaluable cells
-    from the lowest one (see :class:`NuEstimate`), then walks to the cells
-    next to its minimum (:func:`_plan`); coarse ties are broken toward the
-    larger argument.  A minimum inside the run is refined on its bracketing
-    triple: ``fn`` is evaluated at the triple's interior Chebyshev-Lobatto
-    nodes in log coordinates, and the estimate is the minimum of the degree-8
-    polynomial through the nine nodes.  When a node cannot be evaluated,
-    or the node values are not unimodal, or the polynomial's minimum sits
-    on an end of the bracket, the best node is returned with
-    ``non_unimodal`` set.  The node count, not a tolerance, fixes the
-    precision of the estimate.  Raises :class:`DomainError` unless
-    ``0 < lo <= hi < inf`` and ``n_coarse`` is an integer of at least 1.
-    """
-    if not (0 < lo <= hi < math.inf and is_integer(n_coarse) and n_coarse >= 1):
-        raise DomainError(f"need 0 < lo <= hi < inf and an integer n_coarse >= 1, got "
-                          f"lo={lo!r}, hi={hi!r}, n_coarse={n_coarse!r}")
-    search = _plan(lo, hi, n_coarse)
-    try:
-        asked = next(search)
-        while True:
-            asked = search.send([_outcome(fn, theta) for theta in asked])
-    except StopIteration as done:
-        return done.value
 
 
 def _profiled(data_term, complexity_term, n):
@@ -560,6 +540,10 @@ def _searches(top, columns, schedule, scan):
     ``top``'s size.
     """
     cells = {}
+    # Reused, not fresh per cell: the outputs are the same either way, but a
+    # fresh array pays its page faults on first touch.  On a 2-core Intel
+    # Xeon, filling 16 MB took 3.9-13.2 ms the first time and 2.1-6.3 ms
+    # again, and fresh arrays per cell made the benchmark's sweep slower.
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
 
     def lookup(i, name, j, theta):

@@ -57,10 +57,11 @@ DEFAULT_SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 class ExperimentConfig:
     """Configuration shared by the experiment commands.
 
-    Every field is checked when the configuration is built, except
-    ``probe_count``, which ``convergence`` checks against its design;
-    commands ignore the fields they do not use.  The magnitude ``sigma`` and
-    length-scale ``lambda_`` of every Matern kernel live in ``estimator``.
+    Every field is checked when the configuration is built, and so are the
+    rules of the command that ``experiment`` names (:func:`_check_command`),
+    which its runner checks again; commands ignore the fields they do not
+    use.  The magnitude ``sigma`` and length-scale ``lambda_`` of every
+    Matern kernel live in ``estimator``.
     """
 
     experiment: str = ""
@@ -100,6 +101,38 @@ class ExperimentConfig:
             raise DomainError("need at least one seed")
         for seed in self.seeds:
             check_seed(seed)
+        _check_command(self.experiment, self)
+
+
+# The schedule of ``convergence`` when none is given; its probes sit off
+# the lattice of the first 513 van der Corput points.
+_CONVERGENCE_SCHEDULE = (32, 64, 128, 256, 512)
+
+
+def _check_command(command, config):
+    """Raise :class:`DomainError` unless ``config`` suits the experiment
+    ``command``, a command name; any other name has no rules."""
+    if (command in ("non-undersmoothing", "logdet-growth") and config.d != 1
+            and config.design == "van_der_corput"):
+        raise DomainError("van der Corput designs are one-dimensional")
+    if command == "non-undersmoothing":
+        if config.f0 is not None and config.nu0 is not None:
+            raise DomainError(f"the catalog function {config.f0!r} is not drawn at nu0, so "
+                              f"nu0={config.nu0!r} sets no threshold for it: give one of them")
+        if config.f0 is None and config.nu0 is None:
+            raise DomainError("need either a test-function label or nu0 for path draws")
+    elif command == "convergence":
+        if config.d != 1:
+            raise DomainError("the convergence experiment is one-dimensional")
+        count, n = config.probe_count, max(config.schedule or _CONVERGENCE_SCHEDULE)
+        if not (is_integer(count) and 1 <= count <= 512 and n <= 513):
+            raise DomainError(f"convergence needs an integer 1 <= probe_count <= 512 and at "
+                              f"most 513 design points, got {count!r} probes and {n} points")
+    elif command == "gaussian-scale-probe":
+        if config.d != 1:
+            raise DomainError("the scale probe is one-dimensional")
+        if config.nu_grid:
+            raise DomainError("the scale probe searches lambda, not a nu grid")
 
 
 @dataclass(frozen=True)
@@ -324,8 +357,6 @@ def _draw_or_evaluate(config, design):
         f0 = builtin_test_functions()[config.f0]
         y = f0(design.points[:, 0]) if design.d == 1 else f0(design.points)
         return [None], np.asarray(y, dtype=float)[:, None]
-    if config.nu0 is None:
-        raise DomainError("need either a test-function label or nu0 for path draws")
     paths = sample_gp_path(_matern(config, config.nu0, design.d), design, config.seeds)
     return list(config.seeds), paths
 
@@ -354,9 +385,7 @@ def run_non_undersmoothing(config):
     ``nu0`` is a :class:`DomainError`: the threshold bounds paths drawn at
     ``nu0``, and says nothing of a fixed function.
     """
-    if config.f0 is not None and config.nu0 is not None:
-        raise DomainError(f"the catalog function {config.f0!r} is not drawn at nu0, so "
-                          f"nu0={config.nu0!r} sets no threshold for it: give one of them")
+    _check_command("non-undersmoothing", config)
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
     seeds, paths = _draw_or_evaluate(config, design)
@@ -422,6 +451,7 @@ def run_logdet_growth(config):
     settles relative to ``nu0 + d/2`` (no pass/fail: the limit is an
     open conjecture).
     """
+    _check_command("logdet-growth", config)
     nu0 = config.nu0 if config.nu0 is not None else 1.0
     nus = config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
@@ -471,15 +501,12 @@ def run_logdet_growth(config):
 # convergence of the conditional mean
 # ----------------------------------------------------------------------
 
-def _convergence_probes(count, n):
-    """Probe points off the dyadic lattice: odd multiples of 1/1024, spread
-    evenly over [0, 1] for any ``count``.
+def _convergence_probes(count):
+    """``count`` probe points off the dyadic lattice, ``1 <= count <= 512``:
+    odd multiples of 1/1024, spread evenly over [0, 1].
 
     The first 513 van der Corput points lie on the lattice of 1/512.
     """
-    if not (is_integer(count) and 1 <= count <= 512 and n <= 513):
-        raise DomainError(f"convergence needs an integer 1 <= probe_count <= 512 and at most "
-                          f"513 design points, got {count!r} probes and {n} points")
     return (2 * (np.arange(count) * 512 // count) + 1) / 1024.0
 
 
@@ -498,13 +525,12 @@ def run_convergence(config):
     those of that seed run alone, bit for bit.  Rows run seed by seed, then
     model, then prefix size.
     """
-    if config.d != 1:
-        raise DomainError("the convergence experiment is one-dimensional")
+    _check_command("convergence", config)
     nu0 = config.nu0 if config.nu0 is not None else 1.5
     models = config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0)
-    schedule = config.schedule or (32, 64, 128, 256, 512)
+    schedule = config.schedule or _CONVERGENCE_SCHEDULE
     design = make_design("van_der_corput", 1, max(schedule))
-    probes = _convergence_probes(config.probe_count, design.n)
+    probes = _convergence_probes(config.probe_count)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)
     seeds = config.seeds
     paths = sample_gp_path(_matern(config, nu0, 1), joint, seeds)
@@ -575,14 +601,11 @@ def run_gaussian_scale_probe(config):
     ill-conditioned, so conditioning failures are expected, recorded, and
     shrink the searchable bracket; no assertion is attached to the output.
     """
-    if config.d != 1:
-        raise DomainError("the scale probe is one-dimensional")
+    _check_command("gaussian-scale-probe", config)
     f0 = builtin_test_functions()[config.f0 or "gauss_bump"]
     schedule = config.schedule or (8, 16, 32, 64, 128)
     design = make_design("van_der_corput", 1, max(schedule))
     y = np.asarray(f0(design.points[:, 0]), dtype=float)
-    if config.nu_grid:
-        raise DomainError("the scale probe searches lambda, not a nu grid")
     scan = _Scan("lambda", lambda lam: GaussianKernel(GaussParams(config.estimator.sigma, lam),
                                                       d=1, unit_amplitude=True),
                  config.lambda_min, config.lambda_max, config.estimator.coarse_grid)

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as _linalg
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
@@ -255,6 +254,17 @@ def _invert_block(block):
     return inv, 0
 
 
+def _solve_lower(chol, b):
+    """``chol^{-1} b`` for a lower triangular ``chol`` and a vector or
+    matrix ``b`` (LAPACK ``dtrtrs``), in a new array."""
+    if not chol.shape[0]:  # dtrtrs rejects the leading dimension 0
+        return np.array(b, dtype=float)
+    x, info = _lapack.dtrtrs(chol, b, lower=1)
+    if info < 0:
+        raise DomainError(f"dtrtrs rejected argument {-info}")
+    return x
+
+
 class _Factorization:
     """One factorization of a design's kernel matrix, and what the
     posteriors of its prefixes share.
@@ -298,7 +308,7 @@ class _Factorization:
         with self._lock:
             if self._forward is None:
                 chol = np.asfortranarray(self.chol[:self.top, :self.top])
-                self._forward = [_linalg.solve_triangular(chol, col, lower=True, check_finite=False)
+                self._forward = [_solve_lower(chol, col)
                                  for col in np.atleast_2d(self.y[:self.top].T)]
         return self._forward
 
@@ -454,7 +464,7 @@ def _moments(post, x, mean=True, var=True):
             mu = kt @ post.weights
     if var:
         prior = post.kernel(0.0)
-        c = _linalg.solve_triangular(post.chol, k, lower=True, check_finite=False)
+        c = _solve_lower(post.chol, k)
         v = prior - np.sum(c * c, axis=0)
         if np.any(v < -_VAR_CLAMP_RTOL * prior):
             worst = float(v.min())

@@ -385,7 +385,7 @@ def kernel_panels(kernel, design, ends):
             if distances.size:
                 values[new] = kernel(distances)
         # The index is symmetric: its columns a:b, transposed, are the rows.
-        yield np.take(values, table.index[:b, a:b]).T
+        yield values[table.index[:b, a:b]].T
         a = b
 
 

@@ -35,26 +35,30 @@ def cv_objective(params, design, y):
 
 
 def recording_plans(monkeypatch):
-    """Wrap ``estimators._plan``: the list returned gets, per plan started, a
-    dict of the cells it asks for (``"asked"``), the outcomes it is sent
-    (``"sent"``) and, once it returns, its estimate (``"found"``)."""
-    plans, plan = [], estimators._plan
+    """Wrap ``estimators.bracketed_minimize``: the list returned gets, per
+    search started, a dict of the cells it asks ``fn`` for (``"asked"``), the
+    outcomes ``fn`` gives, a value or a :class:`ConditioningError` (``"sent"``)
+    and, once it returns, its estimate (``"found"``)."""
+    plans, search = [], estimators.bracketed_minimize
 
-    def recording(*args):
+    def recording(fn, *args):
         record = {"asked": [], "sent": []}
         plans.append(record)
-        search, outcomes = plan(*args), None
-        while True:
-            try:
-                thetas = search.send(outcomes)
-            except StopIteration as done:
-                record["found"] = done.value
-                return done.value
-            record["asked"].extend(thetas)
-            outcomes = yield thetas
-            record["sent"].extend(outcomes)
 
-    monkeypatch.setattr(estimators, "_plan", recording)
+        def reading(theta):
+            record["asked"].append(theta)
+            try:
+                outcome = fn(theta)
+            except ConditioningError as err:
+                record["sent"].append(err)
+                raise
+            record["sent"].append(outcome)
+            return outcome
+
+        record["found"] = search(reading, *args)
+        return record["found"]
+
+    monkeypatch.setattr(estimators, "bracketed_minimize", recording)
     return plans
 
 

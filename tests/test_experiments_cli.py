@@ -33,6 +33,41 @@ from maternsmooth.experiments import (
 )
 
 
+# The rows of a sweep over the first 512 van der Corput points, each moved
+# by at most a quarter of the finest spacing, of the catalog's gauss_bump,
+# written as CSV to the path given as the first argument.
+_SATURATION_SWEEP = """
+import sys
+import numpy as np
+from maternsmooth.analysis import builtin_test_functions
+from maternsmooth.cli import write_csv
+from maternsmooth.designs import Box, Design, van_der_corput
+from maternsmooth.estimators import EstimatorConfig, SweepRecord, sweep_prefixes
+base = van_der_corput(Box.unit(1), 512).points[:, 0]
+spacing = float(np.min(np.diff(np.sort(base))))
+jitter = (2.0 * np.random.Generator(np.random.Philox(0)).random(512) - 1.0) * 0.25 * spacing
+points = np.clip(base + jitter, 0.0, 1.0)
+records = sweep_prefixes(Design(points, Box.unit(1)),
+                         builtin_test_functions()["gauss_bump"](points), (64, 128, 256, 512),
+                         EstimatorConfig(nu_max=300.0, lambda_=0.05), seed=0)
+write_csv(sys.argv[1], SweepRecord.FIELDS, [r.as_row() for r in records])
+"""
+
+
+def _written_at_blas_threads(tmp_path, args):
+    """The bytes that ``python *args OUT`` writes to the file OUT, run at one
+    and at two OpenBLAS threads, each in a fresh process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, *args, str(out)], env=env, capture_output=True,
+                       check=True)
+        written.append(out.read_bytes())
+    return written
+
+
 class _DriftingKernel:
     """Fault-injection hook: answers drift slightly between calls, so the
     full matrix and the prefix refits see inconsistent kernels."""
@@ -183,7 +218,7 @@ class TestEngines:
                                seeds=(1,), probe_count=300)
         assert len(run_convergence(cfg).rows) == 9
         for count in range(1, 513):
-            numerators = experiments._convergence_probes(count, 513) * 1024.0
+            numerators = experiments._convergence_probes(count) * 1024.0
             assert len(set(numerators)) == count
             assert all(k % 2 == 1 for k in numerators) and numerators.max() < 1024
             assert numerators.max() / 1024 > 1 - 2 * math.ceil(512 / count) / 1024, count
@@ -196,6 +231,25 @@ class TestEngines:
                                **{"schedule": (16, 32, 64), **kwargs})
         with pytest.raises(DomainError):
             run_convergence(cfg)
+
+    @pytest.mark.parametrize("command,runner,kwargs", [
+        ("non-undersmoothing", run_non_undersmoothing, {}),
+        ("non-undersmoothing", run_non_undersmoothing, dict(f0="gauss_bump", nu0=1.5)),
+        ("non-undersmoothing", run_non_undersmoothing, dict(nu0=1.5, d=2)),
+        ("logdet-growth", run_logdet_growth, dict(d=2)),
+        ("convergence", run_convergence, dict(d=2)),
+        ("convergence", run_convergence, dict(schedule=(16, 600))),
+        ("gaussian-scale-probe", run_gaussian_scale_probe, dict(d=2)),
+        ("gaussian-scale-probe", run_gaussian_scale_probe, dict(nu_grid=(1.0, 2.0))),
+    ])
+    def test_command_rules_are_checked_when_built_and_when_run(self, command, runner, kwargs):
+        # A configuration named after its command fails when it is built;
+        # one built under another name fails when the runner is called.
+        with pytest.raises(DomainError):
+            ExperimentConfig(experiment=command, **kwargs)
+        config = ExperimentConfig(experiment="x", **kwargs)
+        with pytest.raises(DomainError):
+            runner(config)
 
     def test_catalog_function_with_nu0_is_rejected_before_drawing(self, monkeypatch):
         # The threshold nu0 - d/2 - 0.1 bounds paths drawn at nu0: with a
@@ -500,6 +554,8 @@ class TestCli:
         monkeypatch.setattr(cli, runner, lambda *args: result)
         out = tmp_path / "out.csv"
         argv = [command, "--out", str(out)] + (["--check"] if check else [])
+        if command == "non-undersmoothing":
+            argv += ["--nu0", "1.5"]  # the command needs nu0 or f0
         assert main(argv) == code
         assert out.read_text() == "x\n1\n"
 
@@ -637,28 +693,51 @@ class TestCli:
                      "--schedule", "8,16"])
         assert code == 0
 
-    def test_catalog_function_with_nu0_via_cli_exit_one_without_csv(self, tmp_path, capsys):
+    def test_catalog_function_with_nu0_via_cli_exit_two_without_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["non-undersmoothing", "--f0", "gauss_bump", "--nu0", "1.5",
                      "--schedule", "16,32,64", "--check", "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 1 and not out.exists()
-        assert captured.err.startswith("error: ") and "PASS" not in captured.out
+        assert code == 2 and not out.exists()
+        assert captured.err.startswith("configuration error: ") and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["non-undersmoothing"], "need either a test-function label or nu0"),
+        (["non-undersmoothing", "--nu0", "1.5", "--d", "2", "--design", "van_der_corput"],
+         "van der Corput designs are one-dimensional"),
+        (["logdet-growth", "--d", "2", "--design", "van_der_corput"],
+         "van der Corput designs are one-dimensional"),
+        (["convergence", "--d", "2"], "the convergence experiment is one-dimensional"),
+        (["convergence", "--schedule", "16,600"], "convergence needs an integer 1 <= "
+                                                  "probe_count <= 512 and at most 513 design "
+                                                  "points, got 256 probes and 600 points"),
+        (["gaussian-scale-probe", "--d", "2"], "the scale probe is one-dimensional"),
+        (["gaussian-scale-probe", "--nu-grid", "1,2"],
+         "the scale probe searches lambda, not a nu grid"),
+    ])
+    def test_command_rules_exit_two_without_csv(self, argv, message, tmp_path, capsys):
+        # A setting that the command cannot use is a configuration error,
+        # raised when the configuration is built, before anything runs (as
+        # for --f0 with --nu0, above).
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--check", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_sweep_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The benchmark's two-seed sweep, run at one and at two OpenBLAS
         # threads in fresh processes, writes the same bytes.
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        written = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads-{threads}.csv"
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "maternsmooth.cli", "non-undersmoothing",
-                            "--nu0", "1.5", "--seed-list", "101,102",
-                            "--schedule", "16,32,64,128,256,512", "--out", str(out)],
-                           env=env, capture_output=True, check=True)
-            written.append(out.read_bytes())
-        assert written[0] == written[1]
+        one, two = _written_at_blas_threads(tmp_path, [
+            "-m", "maternsmooth.cli", "non-undersmoothing", "--nu0", "1.5",
+            "--seed-list", "101,102", "--schedule", "16,32,64,128,256,512", "--out"])
+        assert one == two
+
+    def test_saturation_rows_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The benchmark's saturation sweep (smooth data, nu_max = 300, on a
+        # jittered design): Bessel orders above 16, the uniform expansion
+        # and late pivot-floor failures, at one and at two OpenBLAS threads.
+        one, two = _written_at_blas_threads(tmp_path, ["-c", _SATURATION_SWEEP])
+        assert one == two and one.count(b"\n") == 5
 
     def test_gaussian_probe_via_cli(self, capsys):
         code = main(["gaussian-scale-probe", "--schedule", "8,16"])

@@ -514,20 +514,20 @@ class TestFastIdentities:
             return loo(post), quadratic_form(post), ell_ml_from(post)
 
         want = [queries(post) for post in condition_prefixes(kernel, design, y, sizes)]
-        calls, invert, solve = [], gp._invert, gp._linalg.solve_triangular
+        calls, invert, solve = [], gp._invert, gp._solve_lower
 
         def slow_invert(chol, m, buffer=None):
             calls.append(("invert", m))
             time.sleep(0.01)
             return invert(chol, m, buffer)
 
-        def slow_solve(chol, data, **kwargs):
+        def slow_solve(chol, data):
             calls.append(("forward", data.shape[0]))
             time.sleep(0.01)
-            return solve(chol, data, **kwargs)
+            return solve(chol, data)
 
         monkeypatch.setattr(gp, "_invert", slow_invert)
-        monkeypatch.setattr(gp, "_linalg", SimpleNamespace(solve_triangular=slow_solve))
+        monkeypatch.setattr(gp, "_solve_lower", slow_solve)
         posts = condition_prefixes(kernel, design, y, sizes)
         got = [None] * len(posts)
         start = threading.Barrier(len(posts))
