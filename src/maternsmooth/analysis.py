@@ -143,7 +143,14 @@ def _spectral_integral(log_integrand, truncation, q, what):
     that overflows alone, as ``(1 + xi^2)^alpha`` does, stays finite."""
     x, w = _panel_rule(truncation, q.nodes)
     with np.errstate(over="ignore"):
-        value = float(np.dot(w, np.exp(log_integrand(x))))
+        terms = w * np.exp(log_integrand(x))
+    # fsum, not a BLAS dot product, whose rounding depends on how many
+    # threads share the sum; the terms are non-negative, so an intermediate
+    # overflow means the integral is infinite.
+    try:
+        value = math.fsum(terms)
+    except OverflowError:
+        value = math.inf
     tail = 0.0
     if 0.0 < value < math.inf:
         tail = _check_tail(lambda xi: float(log_integrand(xi)), truncation, value,

@@ -35,7 +35,8 @@ from .experiments import (
 __all__ = ["main", "parse_config_file", "write_csv"]
 
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
-_LIST_KEYS = {"schedule", "seeds", "nu_grid", "nu_model"}
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)}
+_LIST_KEYS = {f.name for f in fields(ExperimentConfig) if isinstance(f.default, tuple)}
 
 
 def _parse_scalar(text):
@@ -98,34 +99,18 @@ def write_csv(path, header, rows):
 
 
 def _build_config(args):
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
+    values = parse_config_file(args.config) if args.config else {}
     # The file spells the key ``lambda``; rename it before the flags apply,
     # so that ``--lambda`` overrides it like every other key.
     if "lambda" in values:
         values["lambda_"] = values.pop("lambda")
-    overrides = {
-        "d": args.d,
-        "nu0": args.nu0,
-        "schedule": args.schedule,
-        "seeds": args.seed_list,
-        "output_path": args.out,
-        "f0": args.f0,
-        "nu_grid": args.nu_grid,
-        "nu_model": args.nu_model,
-        "sigma": args.sigma,
-        "lambda_": getattr(args, "lambda_"),
-        "design": args.design,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
+    # Each flag is stored under the name of the setting it overrides.
+    values.update((key, value) for key, value in vars(args).items()
+                  if value is not None and key in _ESTIMATOR_KEYS | _EXPERIMENT_KEYS)
 
     est_values = {k: values.pop(k) for k in list(values) if k in _ESTIMATOR_KEYS}
     estimator = EstimatorConfig(**est_values)
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - _EXPERIMENT_KEYS
     if unknown:
         raise DomainError(f"unknown configuration keys: {sorted(unknown)}")
     return ExperimentConfig(estimator=estimator, **values)
@@ -185,13 +170,13 @@ def _build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--out", help="CSV output path")
+        p.add_argument("--out", dest="output_path", help="CSV output path")
         # Kept only because existing benchmark commands pass it; the
         # package evaluates everything on the calling thread.
         p.add_argument("--threads", type=_thread_count, default=None,
                        help="accepted and ignored (an integer >= 1): every "
                             "command runs on the calling thread")
-        p.add_argument("--seed-list", type=_int_list, default=None,
+        p.add_argument("--seed-list", dest="seeds", type=_int_list, default=None,
                        help="comma-separated seeds")
         p.add_argument("--d", type=int, choices=(1, 2), default=None)
         p.add_argument("--nu0", type=float, default=None)

@@ -60,7 +60,8 @@ class ExperimentConfig:
     Every field is checked when the configuration is built, and so are the
     rules of the command that ``experiment`` names (:func:`_check_command`),
     which its runner checks again; commands ignore the fields they do not
-    use.  The magnitude ``sigma`` and length-scale ``lambda_`` of every
+    use.  No smoothness may repeat in ``nu_grid`` or ``nu_model``, whose
+    entries each name rows and summary lines.  The magnitude ``sigma`` and length-scale ``lambda_`` of every
     Matern kernel live in ``estimator``.
     """
 
@@ -87,8 +88,11 @@ class ExperimentConfig:
         if self.nu0 is not None:
             check_positive("nu0", self.nu0)
         for name in ("nu_grid", "nu_model"):
-            for nu in getattr(self, name):
+            nus = getattr(self, name)
+            for nu in nus:
                 check_positive(f"each entry of {name}", nu)
+            if len(set(nus)) != len(nus):
+                raise DomainError(f"{name} repeats an entry: {nus!r}")
         if self.design not in ("van_der_corput", "uniform_grid"):
             raise DomainError(f"unknown design generator {self.design!r}")
         if self.f0 is not None and self.f0 not in builtin_test_functions():
@@ -116,6 +120,8 @@ def _check_command(command, config):
             and config.design == "van_der_corput"):
         raise DomainError("van der Corput designs are one-dimensional")
     if command == "non-undersmoothing":
+        if config.f0 is not None and config.d != 1:
+            raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
         if config.f0 is not None and config.nu0 is not None:
             raise DomainError(f"the catalog function {config.f0!r} is not drawn at nu0, so "
                               f"nu0={config.nu0!r} sets no threshold for it: give one of them")
@@ -300,6 +306,26 @@ def run_identity_suite(kernel_fault=None):
 
 
 # ----------------------------------------------------------------------
+# per-prefix cells of one smoothness
+# ----------------------------------------------------------------------
+
+def _prefix_cells(kernel, design, y, schedule, read):
+    """``read(post)`` of each prefix of ``schedule``, all conditioned by one
+    factorization, or the note ``conditioning: ...`` of the
+    :class:`ConditioningError` that took the posterior's place or that
+    ``read`` raised."""
+    cells = []
+    for post in condition_prefixes(kernel, design, y, schedule):
+        try:
+            if isinstance(post, ConditioningError):
+                raise post
+            cells.append(read(post))
+        except ConditioningError as err:
+            cells.append(f"conditioning: {err}")
+    return cells
+
+
+# ----------------------------------------------------------------------
 # variance decay
 # ----------------------------------------------------------------------
 
@@ -310,31 +336,20 @@ def run_variance_decay(config):
                                    else (9, 25, 81, 289, 1089))
     design = make_design(config.design if config.d == 1 else "uniform_grid",
                          config.d, max(schedule))
+
+    def read(post):
+        return float(np.max(loo_variances(post))), float(incremental_variances(post)[-1]), ""
+
     rows = []
     slopes = {}
     for nu in nus:
         kernel = MaternKernel(_matern(config, nu, config.d))
-        cells = []
-        posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule)
-        for n, post in zip(schedule, posts):
-            note = ""
-            max_loo = math.nan
-            last_seq = math.nan
-            try:
-                if isinstance(post, ConditioningError):
-                    raise post
-                max_loo = float(np.max(loo_variances(post)))
-                last_seq = float(incremental_variances(post)[-1])
-            except ConditioningError as err:
-                note = f"conditioning: {err}"
-            cells.append((n, max_loo, last_seq, note))
-        ok_cells = [(n, v) for n, v, _, note in cells if math.isfinite(v) and not note]
-        slope = math.nan
-        if len(ok_cells) >= 3:
-            slope = fit_rate([c[0] for c in ok_cells], [c[1] for c in ok_cells]).slope
-        slopes[nu] = slope
-        for n, max_loo, last_seq, note in cells:
-            rows.append([config.d, nu, n, max_loo, last_seq, slope, note])
+        cells = [(math.nan, math.nan, cell) if isinstance(cell, str) else cell
+                 for cell in _prefix_cells(kernel, design, np.zeros(design.n), schedule, read)]
+        fit = [(n, v) for n, (v, _, _) in zip(schedule, cells) if math.isfinite(v)]
+        slopes[nu] = fit_rate(*zip(*fit)).slope if len(fit) >= 3 else math.nan
+        rows += [[config.d, nu, n, v, last, slopes[nu], note]
+                 for n, (v, last, note) in zip(schedule, cells)]
 
     lines = [
         f"d={config.d} nu={nu}: fitted slope {slopes[nu]:+.3f} (theory {-2*nu/config.d:+.3f})"
@@ -355,8 +370,7 @@ def _draw_or_evaluate(config, design):
     factorization."""
     if config.f0 is not None:
         f0 = builtin_test_functions()[config.f0]
-        y = f0(design.points[:, 0]) if design.d == 1 else f0(design.points)
-        return [None], np.asarray(y, dtype=float)[:, None]
+        return [None], np.asarray(f0(design.points[:, 0]), dtype=float)[:, None]
     paths = sample_gp_path(_matern(config, config.nu0, design.d), design, config.seeds)
     return list(config.seeds), paths
 
@@ -467,14 +481,8 @@ def run_logdet_growth(config):
     ratio_at_max = {}
     for nu in nus:
         kernel = MaternKernel(_matern(config, nu, config.d))
-        posts = condition_prefixes(kernel, design, y, schedule)
-        for n, post in zip(schedule, posts):
-            note = ""
-            ld = math.nan
-            if isinstance(post, ConditioningError):
-                note = f"conditioning: {post}"
-            else:
-                ld = log_det(post)
+        for n, ld in zip(schedule, _prefix_cells(kernel, design, y, schedule, log_det)):
+            note, ld = (ld, math.nan) if isinstance(ld, str) else ("", ld)
             trend = -(2.0 * nu / config.d) * n * math.log(n)
             ratio = ld / (n * math.log(n)) if n > 1 and math.isfinite(ld) else math.nan
             rows.append([nu, n, ld, trend, ratio, nu_hat.get(n, math.nan), note])
@@ -535,50 +543,35 @@ def run_convergence(config):
     seeds = config.seeds
     paths = sample_gp_path(_matern(config, nu0, 1), joint, seeds)
     y, f0_probe = paths[:design.n], paths[design.n:]
+
+    def read(post):
+        mean, var, _ = _moments(post, probes)
+        err, positive = np.abs(mean - f0_probe), var > 0.0
+        return [(float(np.max(e)), float(np.max(e[positive] / np.sqrt(var[positive]))), "")
+                for e in err.T]
+
     cells = {}  # (model, n) -> per-seed (sup error, error / sd ratio, note)
     for nu_model in models:
         kernel = MaternKernel(_matern(config, nu_model, 1))
-        posts = condition_prefixes(kernel, design, y, schedule)
-        for n, post in zip(schedule, posts):
-            try:
-                if isinstance(post, ConditioningError):
-                    raise post
-                mean, var, _ = _moments(post, probes)
-                err = np.abs(mean - f0_probe)
-            except ConditioningError as exc:
-                cells[nu_model, n] = [(math.nan, math.nan, f"conditioning: {exc}")] * len(seeds)
-                continue
-            positive = var > 0.0
-            cells[nu_model, n] = [
-                (float(np.max(e)), float(np.max(e[positive] / np.sqrt(var[positive]))), "")
-                for e in err.T]
+        for n, cell in zip(schedule, _prefix_cells(kernel, design, y, schedule, read)):
+            cells[nu_model, n] = ([(math.nan, math.nan, cell)] * len(seeds)
+                                  if isinstance(cell, str) else cell)
     rows = [[seed, nu_model, n, *cells[nu_model, n][j]]
             for j, seed in enumerate(seeds) for nu_model in models for n in schedule]
 
     lines = []
-    slopes = {}
     for nu_model in models:
-        by_n = {}
-        for row in rows:
-            if row[1] == nu_model and math.isfinite(row[3]):
-                by_n.setdefault(row[2], []).append(row[3])
-        ns = sorted(n for n, v in by_n.items() if len(v) == len(seeds))
+        errors = {n: [e for e, _, _ in cells[nu_model, n]] for n in schedule}
+        ns = [n for n in schedule if all(map(math.isfinite, errors[n]))]
         if len(ns) >= 3:
-            gmean = [float(np.exp(np.mean(np.log(by_n[n])))) for n in ns]
-            slopes[nu_model] = fit_rate(ns, gmean).slope
-            lines.append(
-                f"nu_model={nu_model:g}: sup-error slope {slopes[nu_model]:+.3f} "
-                f"(oversmoothed theory {-nu0:+.3f})"
-            )
+            slope = fit_rate(ns, [float(np.exp(np.mean(np.log(errors[n])))) for n in ns]).slope
+            lines.append(f"nu_model={nu_model:g}: sup-error slope {slope:+.3f} "
+                         f"(oversmoothed theory {-nu0:+.3f})")
     under = min(models)
-    ratios_by_n = {}
-    for row in rows:
-        if row[1] == under and math.isfinite(row[4]):
-            ratios_by_n.setdefault(row[2], []).append(row[4])
-    ns = sorted(ratios_by_n)
-    if len(ns) >= 3:
-        means = [float(np.mean(ratios_by_n[n])) for n in ns]
-        third = max(1, len(ns) // 3)
+    ratios = [[r for _, r, _ in cells[under, n] if math.isfinite(r)] for n in schedule]
+    means = [float(np.mean(r)) for r in ratios if r]
+    if len(means) >= 3:
+        third = max(1, len(means) // 3)
         first, last = float(np.mean(means[:third])), float(np.mean(means[-third:]))
         lines.append(
             f"undersmoothed nu_model={under:g}: error/sd ratio first-third mean "

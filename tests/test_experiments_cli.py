@@ -53,6 +53,24 @@ records = sweep_prefixes(Design(points, Box.unit(1)),
 write_csv(sys.argv[1], SweepRecord.FIELDS, [r.as_row() for r in records])
 """
 
+# The hex of the 25 catalog norms that tests/test_analysis.py pins, one a
+# line, written to the path given as the first argument.
+_NORMS = """
+import math
+import sys
+from maternsmooth.analysis import (builtin_test_functions, gaussian_rkhs_norm_sq,
+                                  matern_rkhs_norm_sq)
+from maternsmooth.kernels import STANDARD_SCALING, MaternParams
+catalog = builtin_test_functions()
+values = [matern_rkhs_norm_sq(catalog[label], MaternParams(nu, 1.0, lam, STANDARD_SCALING))
+          for label in ("cauchy_like", "gauss_bump") for nu in (0.5, 1.5, 4.0, 16.0, 64.0)
+          for lam in (0.5, math.sqrt(2.0))]
+values += [gaussian_rkhs_norm_sq(catalog["gauss_bump"], lam).value
+           for lam in (0.25, 0.5, 1.0, math.sqrt(2.0), 1.9)]
+with open(sys.argv[1], "w") as fh:
+    fh.write("".join(value.hex() + "\\n" for value in values))
+"""
+
 
 def _written_at_blas_threads(tmp_path, args):
     """The bytes that ``python *args OUT`` writes to the file OUT, run at one
@@ -241,6 +259,8 @@ class TestEngines:
         ("convergence", run_convergence, dict(schedule=(16, 600))),
         ("gaussian-scale-probe", run_gaussian_scale_probe, dict(d=2)),
         ("gaussian-scale-probe", run_gaussian_scale_probe, dict(nu_grid=(1.0, 2.0))),
+        ("non-undersmoothing", run_non_undersmoothing,
+         dict(f0="gauss_bump", d=2, design="uniform_grid")),
     ])
     def test_command_rules_are_checked_when_built_and_when_run(self, command, runner, kwargs):
         # A configuration named after its command fails when it is built;
@@ -332,6 +352,60 @@ class TestEngines:
             with pytest.raises(DomainError, match="only d in"):
                 ExperimentConfig(d=d)
         assert ExperimentConfig(d=np.int64(2)).d == 2
+
+    @pytest.mark.parametrize("kwargs", [dict(nu_grid=(1.0, 2.0, 1.0)), dict(nu_model=(1, 1.0))])
+    def test_repeated_smoothness_is_rejected(self, kwargs):
+        # Each entry names its rows and summary lines; a repeat would write
+        # them twice.  Repeated seeds stay allowed.
+        with pytest.raises(DomainError, match="repeats an entry"):
+            ExperimentConfig(**kwargs)
+        assert ExperimentConfig(seeds=(1, 1)).seeds == (1, 1)
+
+    def test_variance_decay_notes_failed_prefixes(self):
+        # nu = 6 fails at pivot 22: its 16-point prefix is conditioned, the
+        # larger ones are NaN with the note, and its slope has too few sizes.
+        cfg = ExperimentConfig(experiment="variance-decay", nu_grid=(0.5, 6),
+                               schedule=(16, 64, 256, 512))
+        rows = run_variance_decay(cfg).rows
+        assert [row[1:3] for row in rows] == [[nu, n] for nu in (0.5, 6)
+                                               for n in (16, 64, 256, 512)]
+        assert all(math.isfinite(row[3]) and math.isfinite(row[5]) and not row[6]
+                   for row in rows[:4])
+        assert math.isfinite(rows[4][3]) and math.isfinite(rows[4][4]) and not rows[4][6]
+        for row in rows[5:]:
+            assert math.isnan(row[3]) and math.isnan(row[4]) and math.isnan(row[5])
+            assert row[6].startswith("conditioning: pivot 22 = ")
+            assert row[6].endswith("below relative floor 1.000e-14")
+
+    def test_logdet_growth_notes_failed_prefixes(self):
+        cfg = ExperimentConfig(experiment="logdet-growth", nu_grid=(6,), schedule=(16, 64, 256))
+        result = run_logdet_growth(cfg)
+        first, *failed = result.rows
+        assert math.isfinite(first[2]) and math.isfinite(first[4]) and not first[6]
+        assert [row[1] for row in failed] == [64, 256]
+        for row in failed:
+            assert math.isnan(row[2]) and math.isnan(row[4]) and math.isfinite(row[5])
+            assert row[6].startswith("conditioning: pivot 22 = ")
+            assert row[6].endswith("below relative floor 1.000e-14")
+        assert "nu=6: logdet/(n log n) at n=256 is +nan" in result.summary
+
+    def test_convergence_notes_failed_prefixes(self):
+        # Every nu_model = 8 prefix fails, so the summary fits the sup-error
+        # slope of nu_model = 1.5 alone.
+        cfg = ExperimentConfig(experiment="convergence", nu_model=(8, 1.5),
+                               schedule=(16, 64, 256), seeds=(1, 2))
+        result = run_convergence(cfg)
+        assert len(result.rows) == 12
+        for row in result.rows:
+            if row[1] == 8:
+                assert math.isnan(row[3]) and math.isnan(row[4])
+                assert row[5].startswith("conditioning: pivot ")
+                assert row[5].endswith("below relative floor 1.000e-14")
+            else:
+                assert math.isfinite(row[3]) and math.isfinite(row[4]) and not row[5]
+        lines = result.summary.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "nu_model=1.5", "undersmoothed nu_model=1.5"]
 
 
 def _reference_probe(config):
@@ -714,6 +788,8 @@ class TestCli:
         (["gaussian-scale-probe", "--d", "2"], "the scale probe is one-dimensional"),
         (["gaussian-scale-probe", "--nu-grid", "1,2"],
          "the scale probe searches lambda, not a nu grid"),
+        (["non-undersmoothing", "--f0", "gauss_bump", "--d", "2", "--design", "uniform_grid",
+          "--schedule", "16,32"], "the catalog function 'gauss_bump' is one-dimensional"),
     ])
     def test_command_rules_exit_two_without_csv(self, argv, message, tmp_path, capsys):
         # A setting that the command cannot use is a configuration error,
@@ -723,6 +799,14 @@ class TestCli:
         assert main(argv + ["--check", "--out", str(out)]) == 2
         assert not out.exists()
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--nu-model", "--nu-grid"])
+    def test_repeated_smoothness_exit_two_without_csv(self, flag, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["convergence", flag, "1,1", "--seed-list", "1", "--schedule", "16,32,64"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "configuration error: " in capsys.readouterr().err
 
     def test_sweep_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The benchmark's two-seed sweep, run at one and at two OpenBLAS
@@ -738,6 +822,12 @@ class TestCli:
         # and late pivot-floor failures, at one and at two OpenBLAS threads.
         one, two = _written_at_blas_threads(tmp_path, ["-c", _SATURATION_SWEEP])
         assert one == two and one.count(b"\n") == 5
+
+    def test_norms_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The 25 pinned catalog norms, at one and at two OpenBLAS threads:
+        # their quadrature sums do not depend on how BLAS splits a sum.
+        one, two = _written_at_blas_threads(tmp_path, ["-c", _NORMS])
+        assert one == two and one.count(b"\n") == 25
 
     def test_gaussian_probe_via_cli(self, capsys):
         code = main(["gaussian-scale-probe", "--schedule", "8,16"])

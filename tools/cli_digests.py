@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty-four fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-seven fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -113,6 +113,15 @@ CONFIGURATIONS = (
                             "--threads", "1"], None),
     ("wide-seeds-nu0-2.5", ["non-undersmoothing", "--nu0", "2.5", "--seed-list", FORTY_SEEDS,
                             "--threads", "1"], None),
+    # Smoothnesses whose factorizations fail on the pivot floor, so that the
+    # per-prefix runners write their conditioning notes: nu = 6 fails at
+    # pivot 22 of 512, and every nu_model = 8 prefix fails.
+    ("variance-decay-failures", ["variance-decay", "--nu-grid", "0.5,6",
+                                 "--schedule", "16,64,256,512"], None),
+    ("logdet-growth-failures", ["logdet-growth", "--nu-grid", "6", "--schedule", "16,64,256"],
+     None),
+    ("convergence-failures", ["convergence", "--nu-model", "8,1.5", "--seed-list", "1,2",
+                              "--schedule", "16,64,256"], None),
 )
 
 
