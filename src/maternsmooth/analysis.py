@@ -323,11 +323,17 @@ def sample_gp_path(params, design, seed):
     seeds = [check_seed(s) for s in ([seed] if single else seed)]
     if not seeds:
         raise DomainError("need at least one seed")
-    chol = condition(MaternKernel(params), design, np.zeros(design.n)).chol
-    # One contiguous product per seed: a single ``chol @ Z`` rounds differently.
-    paths = [chol @ np.random.Generator(np.random.Philox(s)).standard_normal(design.n)
-             for s in seeds]
+    paths = _draw(condition(MaternKernel(params), design, np.zeros(design.n)).chol, seeds)
     return paths[0] if single else np.stack(paths, axis=1)
+
+
+def _draw(chol, seeds):
+    """One path ``chol @ z`` per checked seed, ``z`` that seed's Philox
+    standard normals, for the lower Cholesky factor ``chol`` of a kernel
+    matrix.  One contiguous product per seed: a single ``chol @ Z`` rounds
+    differently."""
+    return [chol @ np.random.Generator(np.random.Philox(s)).standard_normal(chol.shape[0])
+            for s in seeds]
 
 
 @dataclass(frozen=True)

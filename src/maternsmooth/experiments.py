@@ -9,11 +9,11 @@ cell never aborts a sweep; it is recorded in the row notes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import builtin_test_functions, check_seed, fit_rate, sample_gp_path
+from .analysis import _draw, builtin_test_functions, check_seed, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
 from .errors import ConditioningError, DomainError
 from .estimators import (EstimatorConfig, SweepRecord, _Scan, _search_notes, _searches,
@@ -59,15 +59,17 @@ class ExperimentConfig:
 
     Every field is checked when the configuration is built, and so are the
     rules of the command that ``experiment`` names (:func:`_check_command`),
-    which its runner checks again; commands ignore the fields they do not
-    use.  No smoothness may repeat in ``nu_grid`` or ``nu_model``, whose
-    entries each name rows and summary lines.  The magnitude ``sigma`` and length-scale ``lambda_`` of every
-    Matern kernel live in ``estimator``.
+    which its runner checks again: a command refuses any setting it does
+    not read (:data:`_READS`) that is not at its default.  No smoothness may
+    repeat in ``nu_grid`` or ``nu_model``, whose entries each name rows and
+    summary lines.  The magnitude ``sigma`` and length-scale ``lambda_`` of
+    every Matern kernel live in ``estimator``.  ``design`` None is van der
+    Corput in one dimension and the uniform grid in two (:func:`make_design`).
     """
 
     experiment: str = ""
     d: int = 1
-    design: str = "van_der_corput"
+    design: str = None
     nu0: float = None
     nu_grid: tuple = ()
     nu_model: tuple = ()
@@ -93,7 +95,7 @@ class ExperimentConfig:
                 check_positive(f"each entry of {name}", nu)
             if len(set(nus)) != len(nus):
                 raise DomainError(f"{name} repeats an entry: {nus!r}")
-        if self.design not in ("van_der_corput", "uniform_grid"):
+        if self.design not in (None, "van_der_corput", "uniform_grid"):
             raise DomainError(f"unknown design generator {self.design!r}")
         if self.f0 is not None and self.f0 not in builtin_test_functions():
             raise DomainError(f"unknown test function label {self.f0!r}")
@@ -113,32 +115,63 @@ class ExperimentConfig:
 _CONVERGENCE_SCHEDULE = (32, 64, 128, 256, 512)
 
 
+_ESTIMATOR = tuple(f.name for f in fields(EstimatorConfig))
+
+# The settings each command reads: fields of ExperimentConfig, and of
+# EstimatorConfig through ``estimator``.  Any other setting must keep its
+# default (:func:`_check_command`).
+_READS = {
+    "verify-identities": (),
+    "variance-decay": ("d", "design", "nu_grid", "schedule", "sigma", "lambda_"),
+    "non-undersmoothing": ("d", "design", "nu0", "f0", "schedule", "seeds", *_ESTIMATOR),
+    "logdet-growth": ("d", "design", "nu0", "nu_grid", "schedule", "seeds", *_ESTIMATOR),
+    "convergence": ("nu0", "nu_model", "schedule", "seeds", "probe_count", "sigma", "lambda_"),
+    "gaussian-scale-probe": ("f0", "schedule", "lambda_min", "lambda_max", "sigma",
+                             "coarse_grid"),
+}
+
+# Fields of ExperimentConfig that are not settings of a run.
+_NOT_SETTINGS = ("experiment", "estimator", "output_path")
+
+
 def _check_command(command, config):
     """Raise :class:`DomainError` unless ``config`` suits the experiment
-    ``command``, a command name; any other name has no rules."""
-    if (command in ("non-undersmoothing", "logdet-growth") and config.d != 1
-            and config.design == "van_der_corput"):
+    ``command``, a command name; any other name has no rules.
+
+    A setting that the command does not read must be at its default, and
+    the rules on values hold: van der Corput designs and the catalog
+    functions are one-dimensional, ``logdet-growth`` draws one path (a seed
+    list other than the default holds one seed), ``non-undersmoothing``
+    takes exactly one of ``nu0`` and ``f0`` and reads no seeds with ``f0``,
+    and ``convergence`` keeps its probes off the design points.
+    """
+    if command not in _READS:
+        return
+    for owner in (config, config.estimator):
+        for f in fields(owner):
+            value = getattr(owner, f.name)
+            if f.name not in _READS[command] + _NOT_SETTINGS and value != f.default:
+                raise DomainError(f"{command} does not read {f.name}, got {value!r}")
+    if config.d != 1 and config.design == "van_der_corput":
         raise DomainError("van der Corput designs are one-dimensional")
+    if config.f0 is not None and config.d != 1:
+        raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
+    if command == "logdet-growth" and config.seeds != DEFAULT_SEEDS and len(config.seeds) != 1:
+        raise DomainError(f"logdet-growth draws one path: give one seed, got {config.seeds!r}")
     if command == "non-undersmoothing":
-        if config.f0 is not None and config.d != 1:
-            raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
         if config.f0 is not None and config.nu0 is not None:
             raise DomainError(f"the catalog function {config.f0!r} is not drawn at nu0, so "
                               f"nu0={config.nu0!r} sets no threshold for it: give one of them")
         if config.f0 is None and config.nu0 is None:
             raise DomainError("need either a test-function label or nu0 for path draws")
+        if config.f0 is not None and config.seeds != DEFAULT_SEEDS:
+            raise DomainError(f"the catalog function {config.f0!r} is not drawn, so it reads "
+                              f"no seeds, got {config.seeds!r}")
     elif command == "convergence":
-        if config.d != 1:
-            raise DomainError("the convergence experiment is one-dimensional")
         count, n = config.probe_count, max(config.schedule or _CONVERGENCE_SCHEDULE)
         if not (is_integer(count) and 1 <= count <= 512 and n <= 513):
             raise DomainError(f"convergence needs an integer 1 <= probe_count <= 512 and at "
                               f"most 513 design points, got {count!r} probes and {n} points")
-    elif command == "gaussian-scale-probe":
-        if config.d != 1:
-            raise DomainError("the scale probe is one-dimensional")
-        if config.nu_grid:
-            raise DomainError("the scale probe searches lambda, not a nu grid")
 
 
 @dataclass(frozen=True)
@@ -158,8 +191,12 @@ def _matern(config, nu, d):
 
 
 def make_design(name, d, size):
-    """The first ``size`` points of a named quasi-uniform design on the unit box."""
+    """The first ``size`` points of a named quasi-uniform design on the unit
+    box; the name None is ``van_der_corput`` in one dimension and
+    ``uniform_grid`` in more."""
     box = Box.unit(d)
+    if name is None:
+        name = "van_der_corput" if d == 1 else "uniform_grid"
     if name == "van_der_corput":
         if d != 1:
             raise DomainError("van der Corput designs are one-dimensional")
@@ -331,11 +368,11 @@ def _prefix_cells(kernel, design, y, schedule, read):
 
 def run_variance_decay(config):
     """Decay rate of the worst leave-one-out variance along a schedule."""
+    _check_command("variance-decay", config)
     nus = config.nu_grid or (0.5, 1.0, 2.0)
     schedule = config.schedule or ((16, 32, 64, 128, 256, 512, 1024) if config.d == 1
                                    else (9, 25, 81, 289, 1089))
-    design = make_design(config.design if config.d == 1 else "uniform_grid",
-                         config.d, max(schedule))
+    design = make_design(config.design, config.d, max(schedule))
 
     def read(post):
         return float(np.max(loo_variances(post))), float(incremental_variances(post)[-1]), ""
@@ -456,6 +493,19 @@ def run_non_undersmoothing(config):
 # log-determinant growth
 # ----------------------------------------------------------------------
 
+def _draw_with_logdets(kernel, design, seed, schedule):
+    """The path of ``seed`` on ``design`` and the log-determinants of the
+    prefixes of ``schedule``, whose largest is ``design``, from one
+    factorization of ``kernel``: the path of :func:`sample_gp_path`, and
+    the :class:`ConditioningError` it raises when that factorization
+    fails."""
+    posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule)
+    if isinstance(posts[-1], ConditioningError):
+        raise posts[-1]
+    (y,) = _draw(posts[-1].chol, [seed])
+    return y, [log_det(post) for post in posts]
+
+
 def run_logdet_growth(config):
     """Log-determinant against its predicted super-linear trend.
 
@@ -471,8 +521,8 @@ def run_logdet_growth(config):
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
     seed = config.seeds[0]
-    params0 = _matern(config, nu0, config.d)
-    y = sample_gp_path(params0, design, seed)
+    y, logdets0 = _draw_with_logdets(MaternKernel(_matern(config, nu0, config.d)), design,
+                                     seed, schedule)
     records = sweep_prefixes(design, y, schedule, config.estimator,
                              experiment="logdet-growth", seed=seed)
     nu_hat = {r.n: r.nu_hat_ml for r in records}
@@ -481,7 +531,9 @@ def run_logdet_growth(config):
     ratio_at_max = {}
     for nu in nus:
         kernel = MaternKernel(_matern(config, nu, config.d))
-        for n, ld in zip(schedule, _prefix_cells(kernel, design, y, schedule, log_det)):
+        logdets = (logdets0 if nu == nu0
+                   else _prefix_cells(kernel, design, y, schedule, log_det))
+        for n, ld in zip(schedule, logdets):
             note, ld = (ld, math.nan) if isinstance(ld, str) else ("", ld)
             trend = -(2.0 * nu / config.d) * n * math.log(n)
             ratio = ld / (n * math.log(n)) if n > 1 and math.isfinite(ld) else math.nan

@@ -191,11 +191,8 @@ def _factor_block(block, floor, offset):
 
 def _invert(chol, m, buffer=None):
     """Inverse ``W`` of the leading ``m`` by ``m`` block of a lower factor,
-    grown by the row panels of :func:`_factor`.
+    grown by the row panels of :func:`_factor` (:func:`_invert_rows`).
 
-    Panel ``a:b`` inverts its diagonal block (:func:`_invert_block`, in
-    sub-panels of 64 rows when it is wider) and forms the rows left of it
-    as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).
     The inverse of a prefix of at most 16 or ``16 * 2**k`` points thus
     meets the same operations on the same data as in any larger factor: it
     is bit for bit the leading block of theirs.  Returns the
@@ -205,53 +202,53 @@ def _invert(chol, m, buffer=None):
     :func:`_square`).
     """
     W = _square(buffer, m)
-    a = 0
-    for b in _panel_ends(m):
-        if a:
-            block = chol[a:b, a:b]
-        else:
-            # Padded to the first panel's size, as in _factor, so that fewer
-            # points see the same operations as in a larger factor.
-            block = np.diag(np.full(max(b, _FIRST_PANEL), chol[0, 0]))
-            block[:b, :b] = chol[:b, :b]
-        inv, info = _invert_block(block)
-        if info:
-            p = a + info - 1
-            return W[:a, :a], ConditioningError(
-                f"triangular inversion failed: factor diagonal entry {p} is zero",
-                pivot_index=p, pivot_value=float(chol[p, p]))
-        W[a:b, a:b] = inv[:b - a, :b - a]
-        if a:
-            left = _blas.dtrmm(1.0, W[:a, :a], chol[a:b, :a], side=1, lower=1)
-            W[a:b, :a] = _blas.dtrmm(-1.0, inv, left, lower=1, overwrite_b=1)
-        a = b
-    return W, None
+    ends = _panel_ends(m)
+    info = _invert_rows(chol, W, ends)
+    if not info:
+        return W, None
+    p = info - 1
+    a = max(b for b in [0, *ends] if b <= p)
+    return W[:a, :a], ConditioningError(
+        f"triangular inversion failed: factor diagonal entry {p} is zero",
+        pivot_index=p, pivot_value=float(chol[p, p]))
 
 
-def _invert_block(block):
-    """Inverse of a lower triangular block by sub-panels of at most ``_SUB``
-    rows, and LAPACK's ``info``: 0, or one more than the index of the first
-    zero diagonal entry.
+def _invert_rows(L, W, ends):
+    """Write the inverse of the lower triangular ``L`` into ``W``, zeros of
+    its shape, by the row blocks ending at ``ends``; returns LAPACK's
+    ``info``: 0, or one more than the index of the first zero diagonal
+    entry, where the rows from that entry's block on are left unfinished.
 
-    The sub-panels are the row panels of :func:`_invert` on a smaller
-    scale: each inverts its diagonal block (``dtrtri``) and forms the rows
-    left of it by two ``dtrmm``.  A block of at most ``_SUB`` rows is one
-    ``dtrtri`` call.
+    Block ``a:b`` inverts its diagonal block and forms the rows left of it
+    as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  A diagonal block of at
+    most ``_SUB`` rows is one ``dtrtri`` call; a wider one is inverted the
+    same way by sub-panels of ``_SUB`` rows.  A first block of fewer than
+    16 rows is padded to 16 with ``L[0, 0]`` on the diagonal, as in
+    :func:`_factor`, so that fewer points see the same operations as in a
+    larger factor.
     """
-    w = block.shape[0]
-    inv = np.zeros((w, w), order="F") if w > _SUB else None
-    for c in range(0, w, _SUB):
-        e = min(c + _SUB, w)
-        sub, info = _lapack.dtrtri(block[c:e, c:e], lower=1)
-        if info < 0:
-            raise DomainError(f"dtrtri rejected argument {-info}")
-        if info or inv is None:
-            return sub, c + info
-        inv[c:e, c:e] = sub
-        if c:
-            left = _blas.dtrmm(1.0, inv[:c, :c], block[c:e, :c], side=1, lower=1)
-            inv[c:e, :c] = _blas.dtrmm(-1.0, sub, left, lower=1, overwrite_b=1)
-    return inv, 0
+    a = 0
+    for b in ends:
+        if b - a > _SUB:
+            w = b - a
+            info = _invert_rows(L[a:b, a:b], W[a:b, a:b], [*range(_SUB, w, _SUB), w])
+        else:
+            block = L[a:b, a:b]
+            if b < _FIRST_PANEL:
+                block = np.diag(np.full(_FIRST_PANEL, L[0, 0]))
+                block[:b, :b] = L[:b, :b]
+            inv, info = _lapack.dtrtri(block, lower=1)
+            if info < 0:
+                raise DomainError(f"dtrtri rejected argument {-info}")
+            if not info:
+                W[a:b, a:b] = inv[:b - a, :b - a]
+        if info:
+            return a + info
+        if a:
+            left = _blas.dtrmm(1.0, W[:a, :a], L[a:b, :a], side=1, lower=1)
+            W[a:b, :a] = _blas.dtrmm(-1.0, W[a:b, a:b], left, lower=1, overwrite_b=1)
+        a = b
+    return 0
 
 
 def _solve_lower(chol, b):

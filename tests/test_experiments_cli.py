@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,37 @@ class TestIdentitySuite:
         assert any(row[3] == 1 for row in result.rows)
 
 
+# The settings each command reads, and a value other than the default for
+# each of the 17 settings (fields of ExperimentConfig and EstimatorConfig).
+_ESTIMATOR_SETTINGS = ("nu_min", "nu_max", "coarse_grid", "sigma", "profile_sigma", "lambda_")
+_READS = {
+    "verify-identities": (),
+    "variance-decay": ("d", "design", "nu_grid", "schedule", "sigma", "lambda_"),
+    "non-undersmoothing": ("d", "design", "nu0", "f0", "schedule", "seeds",
+                           *_ESTIMATOR_SETTINGS),
+    "logdet-growth": ("d", "design", "nu0", "nu_grid", "schedule", "seeds",
+                      *_ESTIMATOR_SETTINGS),
+    "convergence": ("nu0", "nu_model", "schedule", "seeds", "probe_count", "sigma", "lambda_"),
+    "gaussian-scale-probe": ("f0", "schedule", "lambda_min", "lambda_max", "sigma",
+                             "coarse_grid"),
+}
+_SETTING_VALUES = dict(d=2, design="uniform_grid", nu0=1.5, nu_grid=(1.0,), nu_model=(1.0,),
+                       schedule=(16, 32), seeds=(1,), lambda_min=0.1, lambda_max=1.0,
+                       f0="gauss_bump", probe_count=128, nu_min=0.1, nu_max=10.0,
+                       coarse_grid=30, sigma=2.0, profile_sigma=True, lambda_=0.5)
+_RUNNERS = {"variance-decay": run_variance_decay, "non-undersmoothing": run_non_undersmoothing,
+            "logdet-growth": run_logdet_growth, "convergence": run_convergence,
+            "gaussian-scale-probe": run_gaussian_scale_probe}
+
+
+def _config(experiment, **settings):
+    """An ExperimentConfig of the given settings, those of EstimatorConfig
+    among them."""
+    estimator = EstimatorConfig(**{k: settings.pop(k) for k in _ESTIMATOR_SETTINGS
+                                   if k in settings})
+    return ExperimentConfig(experiment=experiment, estimator=estimator, **settings)
+
+
 class TestEngines:
     def test_variance_decay_rows_and_slope(self):
         cfg = ExperimentConfig(experiment="variance-decay", nu_grid=(1.0,),
@@ -158,17 +189,32 @@ class TestEngines:
     def test_logdet_growth_draws_on_the_swept_points(self, monkeypatch, tmp_path, capsys):
         # make_design returns the points asked for, so a 2-d path is drawn on
         # the 64 points swept, not on all 81 of the 9 x 9 grid.
-        sizes, draw = [], experiments.sample_gp_path
+        sizes, draw = [], experiments._draw
 
-        def recording(params, design, seed):
-            sizes.append(design.n)
-            return draw(params, design, seed)
+        def recording(chol, seeds):
+            sizes.append(chol.shape[0])
+            return draw(chol, seeds)
 
-        monkeypatch.setattr(experiments, "sample_gp_path", recording)
+        monkeypatch.setattr(experiments, "_draw", recording)
         code = main(["logdet-growth", "--d", "2", "--design", "uniform_grid",
                      "--schedule", "16,32,64", "--out", str(tmp_path / "out.csv")])
         assert code == 0 and sizes == [64]
         assert experiments.make_design("uniform_grid", 2, 64).n == 64
+
+    def test_logdet_growth_factors_the_generating_kernel_once(self, monkeypatch):
+        # One factorization of K(nu0) on the 512 points draws the path and
+        # gives the nu = nu0 log-determinants of every prefix; the sweep's
+        # cells and the two other smoothnesses of the grid make the rest.
+        factored, factor = [], gp._factor
+
+        def counting(kernel, design, buffer=None):
+            factored.append((kernel.params.nu, design.n))
+            return factor(kernel, design, buffer)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        run_logdet_growth(ExperimentConfig(experiment="logdet-growth", nu0=1.0))
+        assert len(factored) == 38
+        assert factored.count((1.0, 512)) == 1 and factored[0] == (1.0, 512)
 
     def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
         # Python's min skips a NaN that is not first, so a failed estimate
@@ -253,8 +299,9 @@ class TestEngines:
     @pytest.mark.parametrize("command,runner,kwargs", [
         ("non-undersmoothing", run_non_undersmoothing, {}),
         ("non-undersmoothing", run_non_undersmoothing, dict(f0="gauss_bump", nu0=1.5)),
-        ("non-undersmoothing", run_non_undersmoothing, dict(nu0=1.5, d=2)),
-        ("logdet-growth", run_logdet_growth, dict(d=2)),
+        ("non-undersmoothing", run_non_undersmoothing,
+         dict(nu0=1.5, d=2, design="van_der_corput")),
+        ("logdet-growth", run_logdet_growth, dict(d=2, design="van_der_corput")),
         ("convergence", run_convergence, dict(d=2)),
         ("convergence", run_convergence, dict(schedule=(16, 600))),
         ("gaussian-scale-probe", run_gaussian_scale_probe, dict(d=2)),
@@ -270,6 +317,34 @@ class TestEngines:
         config = ExperimentConfig(experiment="x", **kwargs)
         with pytest.raises(DomainError):
             runner(config)
+
+    @pytest.mark.parametrize("command", _READS)
+    @pytest.mark.parametrize("setting", _SETTING_VALUES)
+    def test_each_command_refuses_the_settings_it_does_not_read(self, command, setting):
+        # A setting the command reads is accepted; any other, given a value
+        # other than its default, is refused when the configuration is built
+        # under the command's name and when the runner is called under
+        # another.  verify-identities' runner takes no configuration.
+        base = {} if command != "non-undersmoothing" or setting in ("nu0", "f0") else {
+            "nu0": 1.5}
+        kwargs = {**base, setting: _SETTING_VALUES[setting]}
+        if setting in _READS[command]:
+            assert _config(command, **kwargs).experiment == command
+            return
+        _config(command, **base)
+        with pytest.raises(DomainError, match=f"^{command} does not read {setting}, got "):
+            _config(command, **kwargs)
+        if command != "verify-identities":
+            with pytest.raises(DomainError, match=f"^{command} does not read {setting}, got "):
+                _RUNNERS[command](_config("x", **kwargs))
+
+    def test_the_read_sets_accept_43_pairs_of_102(self):
+        settings = {f.name for config in (ExperimentConfig, EstimatorConfig)
+                    for f in fields(config)} - {"experiment", "estimator", "output_path"}
+        assert set(_SETTING_VALUES) == settings
+        assert len(_SETTING_VALUES) * len(_READS) == 102
+        assert sum(len(reads) for reads in _READS.values()) == 43
+        assert _READS == experiments._READS
 
     def test_catalog_function_with_nu0_is_rejected_before_drawing(self, monkeypatch):
         # The threshold nu0 - d/2 - 0.1 bounds paths drawn at nu0: with a
@@ -781,15 +856,26 @@ class TestCli:
          "van der Corput designs are one-dimensional"),
         (["logdet-growth", "--d", "2", "--design", "van_der_corput"],
          "van der Corput designs are one-dimensional"),
-        (["convergence", "--d", "2"], "the convergence experiment is one-dimensional"),
+        (["convergence", "--d", "2"], "convergence does not read d, got 2"),
         (["convergence", "--schedule", "16,600"], "convergence needs an integer 1 <= "
                                                   "probe_count <= 512 and at most 513 design "
                                                   "points, got 256 probes and 600 points"),
-        (["gaussian-scale-probe", "--d", "2"], "the scale probe is one-dimensional"),
+        (["gaussian-scale-probe", "--d", "2"], "gaussian-scale-probe does not read d, got 2"),
         (["gaussian-scale-probe", "--nu-grid", "1,2"],
-         "the scale probe searches lambda, not a nu grid"),
+         "gaussian-scale-probe does not read nu_grid, got (1.0, 2.0)"),
         (["non-undersmoothing", "--f0", "gauss_bump", "--d", "2", "--design", "uniform_grid",
           "--schedule", "16,32"], "the catalog function 'gauss_bump' is one-dimensional"),
+        (["convergence", "--f0", "gauss_bump"], "convergence does not read f0, got 'gauss_bump'"),
+        (["variance-decay", "--f0", "gauss_bump"],
+         "variance-decay does not read f0, got 'gauss_bump'"),
+        (["variance-decay", "--d", "2", "--design", "van_der_corput"],
+         "van der Corput designs are one-dimensional"),
+        (["convergence", "--design", "uniform_grid"],
+         "convergence does not read design, got 'uniform_grid'"),
+        (["logdet-growth", "--seed-list", "1,2"],
+         "logdet-growth draws one path: give one seed, got (1, 2)"),
+        (["non-undersmoothing", "--f0", "gauss_bump", "--seed-list", "1,2"],
+         "the catalog function 'gauss_bump' is not drawn, so it reads no seeds, got (1, 2)"),
     ])
     def test_command_rules_exit_two_without_csv(self, argv, message, tmp_path, capsys):
         # A setting that the command cannot use is a configuration error,

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty-seven fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-eight fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -63,6 +63,10 @@ CONFIGURATIONS = (
     ("sweep-2d-uniform-grid", ["non-undersmoothing", "--nu0", "1.5", "--d", "2",
                                "--design", "uniform_grid", "--seed-list", "101,102,103"],
      None),
+    # Without --design, a 2-d run takes the uniform grid: the digests of
+    # sweep-2d-uniform-grid.
+    ("sweep-2d-default-design", ["non-undersmoothing", "--nu0", "1.5", "--d", "2",
+                                 "--seed-list", "101,102,103"], None),
     # The 2-d check to n = 2048: fill distances of a doubling schedule on a
     # coarse-to-fine grid, whose cell-centre probes tie between four points.
     ("sweep-2d-2048", ["non-undersmoothing", "--nu0", "1.5", "--d", "2",
