@@ -19,6 +19,7 @@ import csv
 import os
 import sys
 from dataclasses import fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DomainError, MaternSmoothError
 from .estimators import EstimatorConfig
@@ -36,7 +37,8 @@ __all__ = ["main", "parse_config_file", "write_csv"]
 
 _ESTIMATOR_KEYS = {f.name for f in fields(EstimatorConfig)}
 _EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)}
-_LIST_KEYS = {f.name for f in fields(ExperimentConfig) if isinstance(f.default, tuple)}
+# The declared type of each setting: a tuple type is a comma-separated list.
+_TYPES = {**get_type_hints(EstimatorConfig), **get_type_hints(ExperimentConfig)}
 
 
 def _parse_scalar(text):
@@ -52,18 +54,25 @@ def _parse_scalar(text):
     return text
 
 
+def _as_declared(declared, value):
+    """A whole number read for a real-valued setting as a float, as its
+    flag reads it; anything else, bools and text among them, as read."""
+    return float(value) if declared is float and type(value) is int else value
+
+
 def _parse_value(key, text):
-    if key in _LIST_KEYS:
-        items = [t for t in text.split(",") if t.strip()]
-        return tuple(_parse_scalar(t) for t in items)
-    return _parse_scalar(text)
+    declared = _TYPES.get(key)
+    if get_origin(declared) is tuple:
+        item = get_args(declared)[0]
+        return tuple(_as_declared(item, _parse_scalar(t)) for t in text.split(",") if t.strip())
+    return _as_declared(declared, _parse_scalar(text))
 
 
 def parse_config_file(path):
     """Read a flat ``key=value`` configuration file.
 
     Blank lines and ``#`` comments are ignored; list-valued keys use
-    comma separation.
+    comma separation, and the key ``lambda`` is the setting ``lambda_``.
     """
     values = {}
     with open(path) as fh:
@@ -75,6 +84,7 @@ def parse_config_file(path):
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, text = line.split("=", 1)
             key = key.strip().replace("-", "_")
+            key = "lambda_" if key == "lambda" else key
             values[key] = _parse_value(key, text)
     return values
 
@@ -100,10 +110,6 @@ def write_csv(path, header, rows):
 
 def _build_config(args):
     values = parse_config_file(args.config) if args.config else {}
-    # The file spells the key ``lambda``; rename it before the flags apply,
-    # so that ``--lambda`` overrides it like every other key.
-    if "lambda" in values:
-        values["lambda_"] = values.pop("lambda")
     # Each flag is stored under the name of the setting it overrides.
     values.update((key, value) for key, value in vars(args).items()
                   if value is not None and key in _ESTIMATOR_KEYS | _EXPERIMENT_KEYS)

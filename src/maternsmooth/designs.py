@@ -125,6 +125,15 @@ class Design:
             raise DomainError(f"prefix size {m} outside [0, {self.n}]")
         return int(m)
 
+    def check_schedule(self, sizes):
+        """A schedule of prefix sizes of this design as a list of ints:
+        :func:`check_schedule`, and :class:`DomainError` when its last size
+        exceeds the design's points."""
+        sizes = check_schedule(sizes)
+        if sizes and sizes[-1] > self.n:
+            raise DomainError(f"size {sizes[-1]} exceeds the design's {self.n} points")
+        return sizes
+
     def prefix(self, m):
         """The first ``m`` points, built once per size and sharing the
         distance table that kernel assembly caches on this design (see
@@ -273,9 +282,7 @@ def fill_distances(design, sizes, probe_resolution=None):
     (``probe_resolution**d`` of them): long schedules in d = 3 at the
     default 129**3 probes take minutes, a doubling one seconds.
     """
-    sizes = check_schedule(sizes)
-    if sizes and sizes[-1] > design.n:
-        raise DomainError(f"size {sizes[-1]} exceeds the design's {design.n} points")
+    sizes = design.check_schedule(sizes)
     if probe_resolution is None:
         probe_resolution = 4097 if design.d == 1 else 129
     if not is_integer(probe_resolution):
@@ -354,13 +361,11 @@ class UniformityReport:
 
 def uniformity_report(design, n_schedule, probe_resolution=None):
     """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
-    :func:`check_schedule`): the fill distances from :func:`fill_distances`,
+    :meth:`Design.check_schedule`): the fill distances from :func:`fill_distances`,
     the separations from a running minimum of tree queries of the points
     each size adds (:func:`_separations`), each bit for bit that of the
     prefix alone."""
-    schedule = check_schedule(n_schedule)
-    if schedule and schedule[-1] > design.n:
-        raise DomainError("schedule exceeds design size")
+    schedule = design.check_schedule(n_schedule)
     if not schedule:
         return []
     fills = fill_distances(design, schedule, probe_resolution)

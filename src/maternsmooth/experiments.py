@@ -26,8 +26,6 @@ from .gp import (
     log_det,
     loo,
     loo_variances,
-    posterior_mean,
-    posterior_var,
     quadratic_form,
 )
 from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive, kernel_matrix,
@@ -64,17 +62,19 @@ class ExperimentConfig:
     repeat in ``nu_grid`` or ``nu_model``, whose entries each name rows and
     summary lines.  The magnitude ``sigma`` and length-scale ``lambda_`` of
     every Matern kernel live in ``estimator``.  ``design`` None is van der
-    Corput in one dimension and the uniform grid in two (:func:`make_design`).
+    Corput in one dimension and the uniform grid in two (:func:`make_design`),
+    and ``seeds`` None is :data:`DEFAULT_SEEDS`, of which ``logdet-growth``
+    draws the first.
     """
 
     experiment: str = ""
     d: int = 1
     design: str = None
     nu0: float = None
-    nu_grid: tuple = ()
-    nu_model: tuple = ()
-    schedule: tuple = ()
-    seeds: tuple = DEFAULT_SEEDS
+    nu_grid: tuple[float, ...] = ()
+    nu_model: tuple[float, ...] = ()
+    schedule: tuple[int, ...] = ()
+    seeds: tuple[int, ...] = None
     lambda_min: float = 0.05
     lambda_max: float = 2.0
     f0: str = None
@@ -103,10 +103,11 @@ class ExperimentConfig:
         if not self.lambda_min <= self.lambda_max:
             raise DomainError(f"need lambda_min <= lambda_max, got "
                               f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
-        if not self.seeds:
-            raise DomainError("need at least one seed")
-        for seed in self.seeds:
-            check_seed(seed)
+        if self.seeds is not None:
+            if not self.seeds:
+                raise DomainError("need at least one seed")
+            for seed in self.seeds:
+                check_seed(seed)
         _check_command(self.experiment, self)
 
 
@@ -141,7 +142,7 @@ def _check_command(command, config):
     A setting that the command does not read must be at its default, and
     the rules on values hold: van der Corput designs and the catalog
     functions are one-dimensional, ``logdet-growth`` draws one path (a seed
-    list other than the default holds one seed), ``non-undersmoothing``
+    list given holds one seed), ``non-undersmoothing``
     takes exactly one of ``nu0`` and ``f0`` and reads no seeds with ``f0``,
     and ``convergence`` keeps its probes off the design points.
     """
@@ -156,7 +157,7 @@ def _check_command(command, config):
         raise DomainError("van der Corput designs are one-dimensional")
     if config.f0 is not None and config.d != 1:
         raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
-    if command == "logdet-growth" and config.seeds != DEFAULT_SEEDS and len(config.seeds) != 1:
+    if command == "logdet-growth" and config.seeds is not None and len(config.seeds) != 1:
         raise DomainError(f"logdet-growth draws one path: give one seed, got {config.seeds!r}")
     if command == "non-undersmoothing":
         if config.f0 is not None and config.nu0 is not None:
@@ -164,7 +165,7 @@ def _check_command(command, config):
                               f"nu0={config.nu0!r} sets no threshold for it: give one of them")
         if config.f0 is None and config.nu0 is None:
             raise DomainError("need either a test-function label or nu0 for path draws")
-        if config.f0 is not None and config.seeds != DEFAULT_SEEDS:
+        if config.f0 is not None and config.seeds is not None:
             raise DomainError(f"the catalog function {config.f0!r} is not drawn, so it reads "
                               f"no seeds, got {config.seeds!r}")
     elif command == "convergence":
@@ -198,8 +199,6 @@ def make_design(name, d, size):
     if name is None:
         name = "van_der_corput" if d == 1 else "uniform_grid"
     if name == "van_der_corput":
-        if d != 1:
-            raise DomainError("van der Corput designs are one-dimensional")
         return van_der_corput(box, size)
     if name == "uniform_grid":
         # the prefix of the smallest 2^k + 1 grid per axis covering the size
@@ -245,30 +244,28 @@ def _identity_design(kind, d, n, seed):
     return _jittered_grid(d, n, seed)
 
 
-def _naive_sequential(kernel, design, y):
-    """Per-prefix refits: the slow oracle for the fast expansion."""
-    variances = []
+def _naive_refits(kernel, design, y, subset):
+    """Per point ``i``, the residual and variance at ``x_i`` of a refit on
+    the points ``subset(i)``: the slow oracle of the fast identities."""
     residuals = []
+    variances = []
     for i in range(design.n):
-        prefix = design.prefix(i)
-        post = condition(kernel, prefix, y[:i])
-        x = design.points[i]
-        variances.append(float(np.atleast_1d(posterior_var(post, x))[0]))
-        residuals.append(y[i] - float(np.atleast_1d(posterior_mean(post, x))[0]))
+        keep = subset(i)
+        post = condition(kernel, Design(design.points[keep], design.box), y[keep])
+        mean, var, _ = _moments(post, design.points[i:i + 1])
+        residuals.append(y[i] - mean[0])
+        variances.append(var[0])
     return np.asarray(residuals), np.asarray(variances)
+
+
+def _naive_sequential(kernel, design, y):
+    """Per-prefix refits, on the points before each one."""
+    return _naive_refits(kernel, design, y, lambda i: np.arange(i))
 
 
 def _naive_loo(kernel, design, y):
-    residuals = []
-    variances = []
-    for i in range(design.n):
-        keep = [j for j in range(design.n) if j != i]
-        sub = Design(design.points[keep], design.box)
-        post = condition(kernel, sub, y[keep])
-        x = design.points[i]
-        residuals.append(y[i] - float(np.atleast_1d(posterior_mean(post, x))[0]))
-        variances.append(float(np.atleast_1d(posterior_var(post, x))[0]))
-    return np.asarray(residuals), np.asarray(variances)
+    """Leave-one-out refits, on every point but each one."""
+    return _naive_refits(kernel, design, y, lambda i: np.delete(np.arange(design.n), i))
 
 
 def run_identity_suite(kernel_fault=None):
@@ -408,8 +405,8 @@ def _draw_or_evaluate(config, design):
     if config.f0 is not None:
         f0 = builtin_test_functions()[config.f0]
         return [None], np.asarray(f0(design.points[:, 0]), dtype=float)[:, None]
-    paths = sample_gp_path(_matern(config, config.nu0, design.d), design, config.seeds)
-    return list(config.seeds), paths
+    seeds = config.seeds or DEFAULT_SEEDS
+    return list(seeds), sample_gp_path(_matern(config, config.nu0, design.d), design, seeds)
 
 
 def _tail_min(values):
@@ -493,19 +490,6 @@ def run_non_undersmoothing(config):
 # log-determinant growth
 # ----------------------------------------------------------------------
 
-def _draw_with_logdets(kernel, design, seed, schedule):
-    """The path of ``seed`` on ``design`` and the log-determinants of the
-    prefixes of ``schedule``, whose largest is ``design``, from one
-    factorization of ``kernel``: the path of :func:`sample_gp_path`, and
-    the :class:`ConditioningError` it raises when that factorization
-    fails."""
-    posts = condition_prefixes(kernel, design, np.zeros(design.n), schedule)
-    if isinstance(posts[-1], ConditioningError):
-        raise posts[-1]
-    (y,) = _draw(posts[-1].chol, [seed])
-    return y, [log_det(post) for post in posts]
-
-
 def run_logdet_growth(config):
     """Log-determinant against its predicted super-linear trend.
 
@@ -520,9 +504,12 @@ def run_logdet_growth(config):
     nus = config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
-    seed = config.seeds[0]
-    y, logdets0 = _draw_with_logdets(MaternKernel(_matern(config, nu0, config.d)), design,
-                                     seed, schedule)
+    (seed,) = config.seeds or DEFAULT_SEEDS[:1]
+    # One factorization of K(nu0) draws the path (that of sample_gp_path)
+    # and gives the log-determinants at nu0.
+    post = condition(MaternKernel(_matern(config, nu0, config.d)), design, np.zeros(design.n))
+    (y,) = _draw(post.chol, [seed])
+    logdets0 = [log_det(post.prefix(n)) for n in schedule]
     records = sweep_prefixes(design, y, schedule, config.estimator,
                              experiment="logdet-growth", seed=seed)
     nu_hat = {r.n: r.nu_hat_ml for r in records}
@@ -592,7 +579,7 @@ def run_convergence(config):
     design = make_design("van_der_corput", 1, max(schedule))
     probes = _convergence_probes(config.probe_count)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)
-    seeds = config.seeds
+    seeds = config.seeds or DEFAULT_SEEDS
     paths = sample_gp_path(_matern(config, nu0, 1), joint, seeds)
     y, f0_probe = paths[:design.n], paths[design.n:]
 

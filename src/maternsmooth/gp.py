@@ -97,6 +97,27 @@ _VAR_CLAMP_RTOL = 1e-12
 _SUB = 64
 
 
+def _lapack_call(name, *args, **kwargs):
+    """LAPACK routine ``name`` on the arguments: its result and ``info``,
+    or :class:`DomainError` naming it when ``info`` says an argument was
+    rejected.  ``_lapack`` is looked up at each call, so that a namespace
+    put in its place serves every routine."""
+    out, info = getattr(_lapack, name)(*args, **kwargs)
+    if info < 0:
+        raise DomainError(f"{name} rejected argument {-info}")
+    return out, info
+
+
+def _first_block(block):
+    """A copy of the first diagonal block, completed to ``_FIRST_PANEL``
+    rows with its ``[0, 0]`` entry on the diagonal, so that fewer points
+    see the same operations as in a larger design."""
+    b = block.shape[0]
+    out = np.diag(np.full(max(b, _FIRST_PANEL), block[0, 0]))
+    out[:b, :b] = block
+    return out
+
+
 def _square(buffer, n):
     """An ``(n, n)`` Fortran-ordered array of zeros: fresh when ``buffer`` is
     None, else a view of the leading ``n * n`` elements of that flat
@@ -134,12 +155,8 @@ def _factor(kernel, design, buffer=None):
             block = _blas.dsyrk(-1.0, left, beta=1.0, c=panel[:, a:], lower=1, overwrite_c=1)
             L[a:b, :a] = left
         else:
-            # Fewer points than the first panel are completed to its size
-            # with K(0) on the diagonal, so that their rows see the same
-            # operations as in a larger design.
             floor = PIVOT_RTOL * panel[0, 0]
-            block = np.diag(np.full(max(b, _FIRST_PANEL), panel[0, 0]))
-            block[:b, :b] = panel
+            block = _first_block(panel)
         err = _factor_block(block, floor, a)
         L[a:b, a:b] = block[:b - a, :b - a]
         if err is not None:
@@ -163,9 +180,7 @@ def _factor_block(block, floor, offset):
     w = block.shape[0]
     for c in range(0, w, _SUB):
         e = min(c + _SUB, w)
-        sub, info = _lapack.dpotrf(block[c:e, c:e], lower=1, clean=1, overwrite_a=1)
-        if info < 0:
-            raise DomainError(f"dpotrf rejected argument {-info}")
+        sub, info = _lapack_call("dpotrf", block[c:e, c:e], lower=1, clean=1, overwrite_a=1)
         block[c:e, c:e] = sub
         block[c:e, e:] = 0.0
         start = offset + c
@@ -223,9 +238,7 @@ def _invert_rows(L, W, ends):
     as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  A diagonal block of at
     most ``_SUB`` rows is one ``dtrtri`` call; a wider one is inverted the
     same way by sub-panels of ``_SUB`` rows.  A first block of fewer than
-    16 rows is padded to 16 with ``L[0, 0]`` on the diagonal, as in
-    :func:`_factor`, so that fewer points see the same operations as in a
-    larger factor.
+    16 rows is padded to 16 by :func:`_first_block`, as in :func:`_factor`.
     """
     a = 0
     for b in ends:
@@ -233,13 +246,8 @@ def _invert_rows(L, W, ends):
             w = b - a
             info = _invert_rows(L[a:b, a:b], W[a:b, a:b], [*range(_SUB, w, _SUB), w])
         else:
-            block = L[a:b, a:b]
-            if b < _FIRST_PANEL:
-                block = np.diag(np.full(_FIRST_PANEL, L[0, 0]))
-                block[:b, :b] = L[:b, :b]
-            inv, info = _lapack.dtrtri(block, lower=1)
-            if info < 0:
-                raise DomainError(f"dtrtri rejected argument {-info}")
+            block = _first_block(L[:b, :b]) if b < _FIRST_PANEL else L[a:b, a:b]
+            inv, info = _lapack_call("dtrtri", block, lower=1)
             if not info:
                 W[a:b, a:b] = inv[:b - a, :b - a]
         if info:
@@ -256,10 +264,7 @@ def _solve_lower(chol, b):
     matrix ``b`` (LAPACK ``dtrtrs``), in a new array."""
     if not chol.shape[0]:  # dtrtrs rejects the leading dimension 0
         return np.array(b, dtype=float)
-    x, info = _lapack.dtrtrs(chol, b, lower=1)
-    if info < 0:
-        raise DomainError(f"dtrtrs rejected argument {-info}")
-    return x
+    return _lapack_call("dtrtrs", chol, b, lower=1)[0]
 
 
 class _Factorization:
@@ -350,10 +355,8 @@ class Posterior:
         """``K^{-1} y`` (LAPACK ``dpotrs``)."""
         if not self.n:
             return self.y.copy()
-        x, info = _lapack.dpotrs(self.factorization.chol[:self.n, :self.n], self.y, lower=1)
-        if info < 0:
-            raise DomainError(f"dpotrs rejected argument {-info}")
-        return x
+        return _lapack_call("dpotrs", self.factorization.chol[:self.n, :self.n], self.y,
+                            lower=1)[0]
 
     def prefix(self, n):
         """The posterior of the first ``n`` points, from the leading block of

@@ -26,6 +26,7 @@ from maternsmooth.designs import (
     van_der_corput,
 )
 from maternsmooth.errors import DegenerateDesignError, DomainError
+from maternsmooth.estimators import sweep_prefixes
 
 UNIT = Box.unit(1)
 UNIT2 = Box.unit(2)
@@ -317,6 +318,15 @@ class TestUniformityReports:
     def test_schedule_must_hold_ascending_integer_sizes(self, schedule):
         with pytest.raises(DomainError, match="strictly ascending"):
             uniformity_report(van_der_corput(UNIT, 16), schedule)
+
+
+    @pytest.mark.parametrize("run", [uniformity_report, fill_distances,
+                                     lambda des, schedule: sweep_prefixes(des, np.zeros(des.n),
+                                                                          schedule)],
+                             ids=["uniformity_report", "fill_distances", "sweep_prefixes"])
+    def test_schedule_past_the_design_is_refused_with_one_message(self, run):
+        with pytest.raises(DomainError, match=r"^size 16 exceeds the design's 8 points$"):
+            run(van_der_corput(UNIT, 8), [4, 16])
 
 
 class TestDesignInvariants:

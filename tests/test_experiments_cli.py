@@ -32,6 +32,7 @@ from maternsmooth.experiments import (
     run_variance_decay,
 )
 
+TEN_SEEDS = ",".join(str(seed) for seed in range(101, 111))
 
 # The rows of a sweep over the first 512 van der Corput points, each moved
 # by at most a quarter of the finest spacing, of the catalog's gauss_bump,
@@ -635,6 +636,26 @@ class TestConfigFile:
         assert config.estimator.sigma == 2.0
 
 
+    @pytest.mark.parametrize("command,flags,lines", [
+        ("variance-decay", ["--nu-grid", "1,2", "--sigma", "2"], "nu_grid = 1, 2\nsigma = 2\n"),
+        ("logdet-growth", ["--nu0", "1", "--nu-grid", "1,2", "--lambda", "1"],
+         "nu0 = 1\nnu_grid = 1, 2\nlambda = 1\n"),
+    ])
+    def test_file_reads_whole_numbers_of_real_settings_as_its_flags_do(
+            self, command, flags, lines, tmp_path, monkeypatch, capsys):
+        # Whole numbers in the file are floats, as the flags read them, so
+        # the summary prints nu=1.0 both ways.
+        (tmp_path / "run.cfg").write_text(lines)
+        written = []
+        for source, extra in (("flag", flags), ("file", ["--config", str(tmp_path / "run.cfg")])):
+            (tmp_path / source).mkdir()
+            monkeypatch.chdir(tmp_path / source)
+            assert main([command, "--schedule", "16,32,64", *extra, "--out", "out.csv"]) == 0
+            written.append((Path("out.csv").read_bytes(), capsys.readouterr().out))
+        assert written[0] == written[1]
+        assert "nu=1.0:" in written[0][1]
+
+
 class TestCli:
     def test_verify_identities_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "ids.csv"
@@ -876,6 +897,11 @@ class TestCli:
          "logdet-growth draws one path: give one seed, got (1, 2)"),
         (["non-undersmoothing", "--f0", "gauss_bump", "--seed-list", "1,2"],
          "the catalog function 'gauss_bump' is not drawn, so it reads no seeds, got (1, 2)"),
+        # The ten seeds that an unset seed list stands for are a list like any other.
+        (["logdet-growth", "--seed-list", TEN_SEEDS],
+         f"logdet-growth draws one path: give one seed, got ({TEN_SEEDS.replace(',', ', ')})"),
+        (["variance-decay", "--seed-list", TEN_SEEDS],
+         f"variance-decay does not read seeds, got ({TEN_SEEDS.replace(',', ', ')})"),
     ])
     def test_command_rules_exit_two_without_csv(self, argv, message, tmp_path, capsys):
         # A setting that the command cannot use is a configuration error,

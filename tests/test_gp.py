@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from maternsmooth import gp
 from maternsmooth.designs import Box, Design, van_der_corput
@@ -399,6 +400,29 @@ class TestSubPanels:
         assert (err.pivot_index, err.pivot_value) == (p, 0.0)
         # The inverse of the panels before the one that failed.
         assert np.array_equal(W, gp._invert(chol[:start, :start].copy(order="F"), start)[0])
+
+
+# Each LAPACK routine of gp, and a read of a posterior that calls it
+# (dpotrf runs in condition itself).
+_LAPACK_READS = {
+    "dpotrf": lambda post: None,
+    "dtrtri": loo,
+    "dtrtrs": quadratic_form,
+    "dpotrs": lambda post: post.weights,
+}
+
+
+@pytest.mark.parametrize("routine", sorted(_LAPACK_READS))
+def test_rejected_lapack_argument_raises_domain_error_naming_the_routine(routine, monkeypatch):
+    # A negative info is a rejected argument, not a conditioning failure.
+    design = van_der_corput(UNIT, 16)
+    kernel = MaternKernel(matern(1.5, sigma=1.2, lambda_=0.15, d=1))
+    y = np.random.Generator(np.random.Philox(9)).standard_normal(16)
+    fake = SimpleNamespace(**{name: getattr(lapack, name) for name in _LAPACK_READS})
+    setattr(fake, routine, lambda a, *args, **kwargs: (a, -1))
+    monkeypatch.setattr(gp, "_lapack", fake)
+    with pytest.raises(DomainError, match=f"^{routine} rejected argument 1$"):
+        _LAPACK_READS[routine](condition(kernel, design, y))
 
 
 class TestFastIdentities:
