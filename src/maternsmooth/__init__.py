@@ -12,7 +12,6 @@ from .analysis import (
     QuadratureConfig,
     RateFit,
     TestFunction,
-    bump_function,
     builtin_test_functions,
     fit_rate,
     fourier_reconstruction,
@@ -24,14 +23,9 @@ from .analysis import (
 from .designs import (
     Box,
     Design,
-    UniformityReport,
     fill_distance,
     fill_distances,
-    load_design,
-    save_design,
-    separation_distance,
     uniform_grid,
-    uniformity_report,
     van_der_corput,
 )
 from .errors import (
@@ -70,7 +64,6 @@ from .kernels import (
     MaternParams,
     ScalingPolicy,
     STANDARD_SCALING,
-    c_scaling,
     gaussian_eval,
     kernel_matrix,
     matern,

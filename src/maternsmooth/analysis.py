@@ -30,7 +30,6 @@ __all__ = [
     "gaussian_rkhs_norm_sq",
     "sobolev_norm_sq",
     "fourier_reconstruction",
-    "bump_function",
     "sample_gp_path",
     "RateFit",
     "fit_rate",
@@ -264,38 +263,6 @@ def fourier_reconstruction(tf, x, q=QuadratureConfig()):
     return out
 
 
-def bump_function(center, h):
-    """Smooth bump supported on the radius-``h`` ball around ``center``.
-
-    Normalised so the peak value is exactly 1:
-    ``x -> e * exp(-1 / (1 - ||(x - center)/h||^2))`` inside the support,
-    0 outside.  Infinitely differentiable; declared smoothness is inf.
-    """
-    check_positive("bump radius h", h)
-    center_arr = np.atleast_1d(np.asarray(center, dtype=float))
-
-    def evaluate(x):
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 0
-        pts = np.atleast_1d(pts)
-        if pts.ndim == 1 and center_arr.size == 1:
-            u2 = ((pts - center_arr[0]) / h) ** 2
-        else:
-            pts2 = np.atleast_2d(pts)
-            u2 = np.sum(((pts2 - center_arr) / h) ** 2, axis=-1)
-        out = np.zeros_like(u2, dtype=float)
-        inside = u2 < 1.0
-        out[inside] = math.e * np.exp(-1.0 / (1.0 - u2[inside]))
-        return float(out[0]) if scalar else out
-
-    return TestFunction(
-        label=f"bump(center={tuple(center_arr)}, h={h:g})",
-        evaluator=evaluate,
-        fourier=None,
-        smoothness=math.inf,
-    )
-
-
 def check_seed(seed):
     """A seed as an int: :class:`DomainError` unless it is a non-negative
     integer (a bool or a float is not)."""
@@ -369,8 +336,7 @@ def builtin_test_functions():
 
     ``cauchy_like`` lies in every Matern RKHS but outside the Gaussian
     RKHS; ``gauss_bump`` lies in both; ``zero`` is the zero function.
-    Compactly supported bumps come from :func:`bump_function`, and
-    finite-smoothness synthetics are generated as fixed-seed sample paths
+    Finite-smoothness synthetics are generated as fixed-seed sample paths
     via :func:`sample_gp_path`.
     """
     two_pi = 2.0 * math.pi

@@ -1,4 +1,4 @@
-"""Point sequences on box domains with quasi-uniformity diagnostics.
+"""Point sequences on box domains, and their fill distances.
 
 Generators produce *ordered* point sets: every prefix of the sequence is
 itself quasi-uniform, so a single stream of points serves sweeps over
@@ -7,10 +7,11 @@ first, then successive dyadic refinements); the one-dimensional default
 is the base-2 radical-inverse sequence with the interval endpoints
 prepended.
 
-The fill and separation distances read each point's nearest neighbour
-exactly.  On a line a probe reads its two neighbours in the sorted points;
-in higher dimensions, and for every separation, one helper queries a k-d
-tree (:func:`_nearest`) and re-ranks its few candidates by one elementwise
+The fill distance and the least squared separation of a prefix
+(:func:`_separations`) read each point's nearest neighbour exactly.  On a
+line a probe reads its two neighbours in the sorted points; in higher
+dimensions, and for every separation, one helper queries a k-d tree
+(:func:`_nearest`) and re-ranks its few candidates by one elementwise
 formula, so each value is bit for bit that of the dense pass over every
 pair.  ``scipy.spatial`` is imported on the first tree query, so that runs
 on a line, which never make one, do not pay its import.
@@ -18,7 +19,6 @@ on a line, which never make one, do not pay its import.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +28,10 @@ from .errors import DegenerateDesignError, DomainError
 __all__ = [
     "Box",
     "Design",
-    "UniformityReport",
     "uniform_grid",
     "van_der_corput",
     "fill_distance",
     "fill_distances",
-    "separation_distance",
-    "uniformity_report",
-    "save_design",
-    "load_design",
 ]
 
 
@@ -338,91 +333,3 @@ def _separations(design, sizes):
     pts = design.points
     return np.minimum.accumulate([_nearest(pts[a:n], pts[:n], exclude=np.arange(a, n)).min()
                                   for a, n in zip([0] + sizes[:-1], sizes)])
-
-
-def separation_distance(design):
-    """Half the minimal pairwise distance of the design points, from one
-    tree query of every point (:func:`_separations`)."""
-    if design.n < 2:
-        raise DomainError("separation distance needs at least 2 points")
-    return 0.5 * math.sqrt(_separations(design, [design.n])[0])
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Fill/separation diagnostics of one design prefix."""
-
-    n: int
-    fill: float
-    separation: float
-    ratio_upper: float  # fill * n**(1/d)
-    mesh_ratio: float  # fill / separation
-
-
-def uniformity_report(design, n_schedule, probe_resolution=None):
-    """Quasi-uniformity diagnostics along a schedule of prefix sizes (see
-    :meth:`Design.check_schedule`): the fill distances from :func:`fill_distances`,
-    the separations from a running minimum of tree queries of the points
-    each size adds (:func:`_separations`), each bit for bit that of the
-    prefix alone."""
-    schedule = design.check_schedule(n_schedule)
-    if not schedule:
-        return []
-    fills = fill_distances(design, schedule, probe_resolution)
-    reports = []
-    for n, fill, closest in zip(schedule, fills, _separations(design, schedule)):
-        sep = 0.5 * math.sqrt(closest) if n >= 2 else math.nan
-        reports.append(
-            UniformityReport(
-                n=n,
-                fill=fill,
-                separation=sep,
-                ratio_upper=fill * n ** (1.0 / design.d),
-                mesh_ratio=fill / sep if n >= 2 else math.nan,
-            )
-        )
-    return reports
-
-
-def save_design(design, path):
-    """Write a design as plain text: header ``d n``, one point per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{design.d} {design.n}\n")
-        for row in design.points:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_design(path, box=None):
-    """Read a design written by :func:`save_design`.
-
-    If no box is given, the exact bounding box of the points is used
-    (generated designs include the domain corners, so this round-trips).
-    Raises :class:`DomainError` when that box has no positive width on some
-    axis, as for a design of zero or one point: its box needs ``box=``.
-    A malformed file raises :class:`DomainError` naming the path and the fault.
-    """
-    malformed = f"{path}: not a design written by save_design"
-    with open(path) as fh:
-        try:
-            d, n = (int(v) for v in fh.readline().split())
-        except ValueError as err:
-            raise DomainError(f"{malformed} ({err})") from None
-        if d < 1 or n < 0:
-            raise DomainError(f"{path}: header 'd={d} n={n}' needs d >= 1 and n >= 0")
-        # Blank input is not handed to loadtxt, which warns on it.
-        rows = [line for line in fh if line.strip()]
-        try:
-            values = np.loadtxt(rows, ndmin=2) if rows else np.zeros((0, d))
-        except ValueError as err:
-            raise DomainError(f"{malformed} ({err})") from None
-    if values.shape != (n, d):
-        raise DomainError(f"{path}: header 'd={d} n={n}' does not match the "
-                          f"{values.shape[0]} rows of {values.shape[1]} values that follow")
-    pts = values
-    if box is None:
-        if n == 0 or not np.all(pts.max(axis=0) > pts.min(axis=0)):
-            raise DomainError(f"the box of a design of {n} points with no positive width on "
-                              f"some axis cannot be inferred; pass box=")
-        box = Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
-    return Design(pts, box)
-

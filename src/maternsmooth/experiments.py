@@ -64,16 +64,18 @@ class ExperimentConfig:
     every Matern kernel live in ``estimator``.  ``design`` None is van der
     Corput in one dimension and the uniform grid in two (:func:`make_design`),
     and ``seeds`` None is :data:`DEFAULT_SEEDS`, of which ``logdet-growth``
-    draws the first.
+    draws the first.  A list setting (``schedule``, ``nu_grid``,
+    ``nu_model``, ``seeds``) None is unset, and takes the command's default;
+    an empty one is refused.
     """
 
     experiment: str = ""
     d: int = 1
     design: str = None
     nu0: float = None
-    nu_grid: tuple[float, ...] = ()
-    nu_model: tuple[float, ...] = ()
-    schedule: tuple[int, ...] = ()
+    nu_grid: tuple[float, ...] = None
+    nu_model: tuple[float, ...] = None
+    schedule: tuple[int, ...] = None
     seeds: tuple[int, ...] = None
     lambda_min: float = 0.05
     lambda_max: float = 2.0
@@ -83,14 +85,20 @@ class ExperimentConfig:
     output_path: str = None
 
     def __post_init__(self):
-        check_schedule(self.schedule)
+        for name, entry in (("schedule", "size"), ("nu_grid", "smoothness"),
+                            ("nu_model", "smoothness"), ("seeds", "seed")):
+            value = getattr(self, name)
+            if value is not None and len(value) == 0:
+                raise DomainError(f"need at least one {entry} in {name}, or leave it unset")
+        if self.schedule is not None:
+            check_schedule(self.schedule)
         if not (is_integer(self.d) and self.d in (1, 2)):
             raise DomainError(f"only d in {{1, 2}} is supported by the experiments, "
                               f"got {self.d!r}")
         if self.nu0 is not None:
             check_positive("nu0", self.nu0)
         for name in ("nu_grid", "nu_model"):
-            nus = getattr(self, name)
+            nus = getattr(self, name) or ()
             for nu in nus:
                 check_positive(f"each entry of {name}", nu)
             if len(set(nus)) != len(nus):
@@ -103,11 +111,8 @@ class ExperimentConfig:
         if not self.lambda_min <= self.lambda_max:
             raise DomainError(f"need lambda_min <= lambda_max, got "
                               f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
-        if self.seeds is not None:
-            if not self.seeds:
-                raise DomainError("need at least one seed")
-            for seed in self.seeds:
-                check_seed(seed)
+        for seed in self.seeds or ():
+            check_seed(seed)
         _check_command(self.experiment, self)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "MaternParams",
     "GaussParams",
     "matern",
-    "c_scaling",
     "matern_eval",
     "gaussian_eval",
     "MaternKernel",
@@ -82,11 +81,6 @@ def log_c_scaling(policy, nu):
     if policy.kind == "clamped" and nu < 0.5 * policy.d:
         nu_eff = 0.5 * policy.d
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)
-
-
-def c_scaling(policy, nu):
-    """Scaling factor c(nu); clamped below nu = d/2 under the clamped policy."""
-    return math.exp(log_c_scaling(policy, nu))
 
 
 def check_dimension(d):
@@ -247,10 +241,6 @@ class GaussianKernel:
 
     def __call__(self, r):
         return gaussian_eval(self.params, r, self.d, self.unit_amplitude)
-
-    @property
-    def variance(self):
-        return gaussian_eval(self.params, 0.0, self.d, self.unit_amplitude)
 
     def __repr__(self):
         p = self.params

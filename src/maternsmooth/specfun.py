@@ -5,7 +5,7 @@ Covariance evaluation needs :math:`\\mathcal{K}_\\nu(x)` for real order
 double precision long before that (``K_150(1)`` is already above 1e308),
 so this module provides log-scale variants that stay finite throughout.
 
-Strategy: four paths, chosen from the order and the argument alone, so
+Strategy: five paths, chosen from the order and the argument alone, so
 that a value never depends on the array it came in or on its position.
 
 * For ``nu <= 16`` and ``1 <= x <= 128``, the bulk of a kernel matrix,
@@ -34,6 +34,9 @@ that a value never depends on the array it came in or on its position.
   only a handful of terms and the discarded part of the standard two-sided
   series is smaller than the result by hundreds of orders of magnitude,
   so the usual near-integer-order cancellation never arises.
+* SciPy's ``kve`` returns NaN past ``x = 2**30 - 0.5``.  There the uniform
+  expansion serves from order 50, and below it the first two terms of
+  Hankel's large-argument expansion, exact to rounding at such ``x``.
 
 Accuracy is validated against arbitrary-precision oracle tables shipped
 with the test suite.
@@ -346,11 +349,30 @@ def _log_k_series(nu, x):
     return math.log(0.5) + float(_special.gammaln(nu)) + nu * math.log(2.0 / x) + math.log(total)
 
 
+def _log_k_hankel(nu, x):
+    """log K_nu(x) for ``nu < 50`` and ``x > 2**30`` from the first two terms
+    of Hankel's expansion (DLMF 10.40.2),
+    ``K_nu(x) ~ sqrt(pi / (2 x)) e**-x (1 + (4 nu**2 - 1) / (8 x))``.
+
+    Vectorized over ``x``.  The next term, below 1e-12 there, is under an
+    ulp of the value, whose size is at least ``2**30``; at orders 1/2 and 3/2
+    the two terms are the closed form.
+    """
+    return 0.5 * np.log(0.5 * np.pi / x) - x + np.log1p((nu * nu / 2.0 - 0.125) / x)
+
+
 def _log_k_fallback(nu, x):
-    """log K_nu at the arguments ``x`` (an array) where ``kve`` overflows."""
+    """log K_nu at the arguments ``x`` (an array) where ``kve`` overflows or,
+    past ``2**30 - 0.5``, returns NaN: the uniform expansion from order 50,
+    and below it Hankel's expansion at ``x >= 1``, where ``kve`` fails only
+    past that bound, and the series at ``x < 1``."""
     if nu >= _UNIFORM_ORDER_MIN:
         return _log_k_uniform(nu, x)
-    return np.array([_log_k_series(nu, float(xi)) for xi in x])
+    large = x >= 1.0
+    out = np.empty_like(x)
+    out[large] = _log_k_hankel(nu, x[large])
+    out[~large] = [_log_k_series(nu, float(xi)) for xi in x[~large]]
+    return out
 
 
 def _order_and_arguments(nu, x):

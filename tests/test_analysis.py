@@ -1,5 +1,6 @@
 """Test-function catalog, RKHS-norm quadrature, sampling, rate fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from maternsmooth.analysis import (
     QuadratureConfig,
-    bump_function,
     builtin_test_functions,
     fit_rate,
     fourier_reconstruction,
@@ -92,37 +92,6 @@ class TestCatalog:
         assert gaussian_rkhs_norm_sq(z, SQRT2).value == 0.0
 
 
-class TestBump:
-    def test_normalised_peak(self):
-        b = bump_function(0.0, 1.0)
-        assert b(0.0) == pytest.approx(1.0)
-
-    def test_support_boundary(self):
-        b = bump_function(0.25, 0.5)
-        assert b(0.75) == 0.0
-        assert b(0.9) == 0.0
-
-    def test_half_radius_value(self):
-        b = bump_function(0.0, 1.0)
-        assert b(0.5) == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-12)
-
-    def test_multidimensional_support(self):
-        b = bump_function([0.5, 0.5], 0.25)
-        vals = b(np.array([[0.5, 0.5], [0.74, 0.5], [0.8, 0.8]]))
-        assert vals[0] == pytest.approx(1.0)
-        assert 0.0 < vals[1] < 1.0
-        assert vals[2] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            bump_function(0.0, 0.0)
-
-    @pytest.mark.parametrize("h", [-1.0, math.inf, math.nan, True, "1"])
-    def test_bad_radius_is_rejected(self, h):
-        with pytest.raises(DomainError, match="bump radius h"):
-            bump_function(0.0, h)
-
-
 class TestMaternNorm:
     def test_gamma_lower_bound_for_cauchy_like(self):
         tf = CATALOG["cauchy_like"]
@@ -177,9 +146,9 @@ class TestMaternNorm:
             matern_rkhs_norm_sq(tf, params, QuadratureConfig(truncation=6.0))
 
     def test_missing_transform_raises(self):
-        b = bump_function(0.0, 1.0)
+        tf = dataclasses.replace(CATALOG["gauss_bump"], fourier=None)
         with pytest.raises(DomainError):
-            matern_rkhs_norm_sq(b, MaternParams(1.0, 1.0, SQRT2, STANDARD_SCALING))
+            matern_rkhs_norm_sq(tf, MaternParams(1.0, 1.0, SQRT2, STANDARD_SCALING))
 
     def test_overflowing_norm_is_infinite(self):
         # The quadrature's terms overflow as they are added: the norm is

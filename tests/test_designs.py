@@ -1,4 +1,4 @@
-"""Design generators, quasi-uniformity diagnostics, and serialization."""
+"""Design generators, fill distances and separations, quasi-uniformity."""
 
 import math
 import os
@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +15,10 @@ from hypothesis import strategies as st
 from maternsmooth.designs import (
     Box,
     Design,
+    _separations,
     fill_distance,
     fill_distances,
-    load_design,
-    save_design,
-    separation_distance,
     uniform_grid,
-    uniformity_report,
     van_der_corput,
 )
 from maternsmooth.errors import DegenerateDesignError, DomainError
@@ -103,8 +99,10 @@ class TestDiagnostics:
             math.sqrt(2.0) / 2.0, abs=0.02)
 
     def test_separation_examples(self):
-        assert separation_distance(Design([[0.0], [0.5], [1.0]], UNIT)) == 0.25
-        assert separation_distance(van_der_corput(UNIT, 4)) == 0.125
+        # Least squared distances between two points.
+        assert _separations(Design([[0.0], [0.5], [1.0]], UNIT), [3]).tolist() == [0.25]
+        assert _separations(van_der_corput(UNIT, 4), [1, 2, 3, 4]).tolist() == [
+            math.inf, 1.0, 0.25, 0.0625]
 
     def test_separation_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -114,7 +112,7 @@ class TestDiagnostics:
             float(np.linalg.norm(pts[i] - pts[j]))
             for i in range(32) for j in range(i + 1, 32)
         )
-        assert separation_distance(des) == pytest.approx(0.5 * best, rel=1e-12)
+        assert _separations(des, [32])[0] == pytest.approx(best**2, rel=1e-12)
 
     def test_fill_monotone_along_prefixes(self):
         des = van_der_corput(UNIT, 256)
@@ -126,8 +124,6 @@ class TestDiagnostics:
             fill_distance(Design(np.zeros((0, 1)), UNIT))
         with pytest.raises(DomainError):
             fill_distance(van_der_corput(UNIT, 4), probe_resolution=32)
-        with pytest.raises(DomainError):
-            separation_distance(Design([[0.5]], UNIT))
 
 
 def dense_fill(design, resolution):
@@ -139,11 +135,21 @@ def dense_fill(design, resolution):
     return float(np.sqrt(d2.min(axis=1)).max())
 
 
-def dense_separation(design):
-    """Half the least distance of the strict upper triangle of every pair."""
+def dense_closest(design):
+    """The least squared distance of the strict upper triangle of every
+    pair, ``inf`` for one point."""
     pts = design.points
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return 0.5 * float(np.sqrt(d2[np.triu_indices(design.n, k=1)].min()))
+    return float(np.min(d2[np.triu_indices(design.n, k=1)], initial=np.inf))
+
+
+def mesh_ratios(design, sizes, resolution=None):
+    """Per prefix size, the fill distance over the separation (half the
+    least distance between two points), and the fill distance times
+    ``n**(1/d)``."""
+    fills = np.array(fill_distances(design, sizes, resolution))
+    separations = 0.5 * np.sqrt(_separations(design, sizes))
+    return fills / separations, fills * np.array(sizes) ** (1.0 / design.d)
 
 
 class TestOnePass:
@@ -155,10 +161,8 @@ class TestOnePass:
         sizes = [1, 2, 3, 17, n // 2, n]
         assert fill_distances(des, sizes, resolution) == [
             dense_fill(des.prefix(m), resolution) for m in sizes]
-        reports = uniformity_report(des, sizes[1:], resolution)
-        assert [r.separation for r in reports] == [dense_separation(des.prefix(m))
-                                                   for m in sizes[1:]]
-        assert separation_distance(des) == dense_separation(des)
+        assert _separations(des, sizes).tolist() == [dense_closest(des.prefix(m))
+                                                     for m in sizes]
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=1e-3, max_value=1e3),
@@ -186,7 +190,7 @@ class TestOnePass:
         tracemalloc.start()
         try:
             fill_distances(des, [16, 64, 256, 1024])
-            separation_distance(des)
+            _separations(des, [des.n])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,8 +208,6 @@ class TestOnePass:
             fill_distance(des, resolution)
         with pytest.raises(DomainError, match="probe_resolution"):
             fill_distances(des, [2, 8], resolution)
-        with pytest.raises(DomainError, match="probe_resolution"):
-            uniformity_report(des, [2, 8], resolution)
 
     def test_numpy_integer_probe_resolution(self):
         des = van_der_corput(UNIT, 8)
@@ -239,7 +241,7 @@ class TestTreeQueries:
         rng = np.random.default_rng(d)
         des = Design(rng.random((300, d)), Box.unit(d))
         for m in (2, 3, 50, 300):
-            assert separation_distance(des.prefix(m)) == dense_separation(des.prefix(m))
+            assert _separations(des.prefix(m), [m])[0] == dense_closest(des.prefix(m))
 
     def test_two_dimensional_fill_starts_no_thread(self, monkeypatch):
         # Every tree query runs on the calling thread (workers=1, the
@@ -266,64 +268,60 @@ class TestTreeQueries:
         assert started == [] and threading.active_count() == before
 
 
-class TestUniformityReports:
+class TestQuasiUniformity:
     def test_vdc_band(self):
         des = van_der_corput(UNIT, 4096)
         schedule = [2, 4, 8, 16, 64, 256, 1024, 4096]
-        reports = uniformity_report(des, schedule)
-        ratios = [r.ratio_upper for r in reports]
-        mesh = [r.mesh_ratio for r in reports]
+        mesh, ratios = mesh_ratios(des, schedule)
         assert 0.5 <= min(ratios) and max(ratios) <= 2.0
         assert max(ratios) / min(ratios) <= 8.0
         assert max(mesh) <= 4.0
 
     def test_vdc_every_prefix_mesh_bounded(self):
         des = van_der_corput(UNIT, 64)
-        reports = uniformity_report(des, list(range(2, 65)), probe_resolution=2049)
-        assert max(r.mesh_ratio for r in reports) <= 4.0
+        mesh, _ = mesh_ratios(des, list(range(2, 65)), 2049)
+        assert max(mesh) <= 4.0
 
     def test_grid_2d_band(self):
         des = uniform_grid(UNIT2, 33)
         schedule = [4, 9, 25, 81, 289, 1089]
-        reports = uniformity_report(des, schedule, probe_resolution=96)
-        ratios = [r.ratio_upper for r in reports]
+        mesh, ratios = mesh_ratios(des, schedule, 96)
         assert max(ratios) / min(ratios) <= 8.0
-        assert max(r.mesh_ratio for r in reports) <= 4.0
+        assert max(mesh) <= 4.0
 
     def test_generic_lower_bound(self):
         # fill * n^(1/d) is bounded below for any point set
         des = van_der_corput(UNIT, 512)
-        reports = uniformity_report(des, [2, 8, 32, 128, 512])
-        assert min(r.ratio_upper for r in reports) >= 0.4
+        _, ratios = mesh_ratios(des, [2, 8, 32, 128, 512])
+        assert min(ratios) >= 0.4
 
     def test_equispaced_mesh_ratio_is_one(self):
         des = Design(np.linspace(0, 1, 33), UNIT)
-        rep = uniformity_report(des, [33])[0]
-        assert rep.mesh_ratio == pytest.approx(1.0, rel=2e-2)
+        mesh, _ = mesh_ratios(des, [33])
+        assert mesh[0] == pytest.approx(1.0, rel=2e-2)
 
     def test_clustered_pair_blows_up_mesh_ratio(self):
         base = van_der_corput(UNIT, 16).points.ravel()
         des = Design(np.append(base, 0.5 + 1e-7), UNIT)
-        rep = uniformity_report(des, [des.n])[0]
-        assert rep.mesh_ratio > 1e4
+        mesh, _ = mesh_ratios(des, [des.n])
+        assert mesh[0] > 1e4
 
     def test_schedule_validation(self):
         des = van_der_corput(UNIT, 8)
         with pytest.raises(DomainError):
-            uniformity_report(des, [4, 2])
+            fill_distances(des, [4, 2])
         with pytest.raises(DomainError):
-            uniformity_report(des, [16])
+            fill_distances(des, [16])
 
     @pytest.mark.parametrize("schedule", [[2.7, 9.9], [8, 8], [True], [0, 4], [4.0]])
     def test_schedule_must_hold_ascending_integer_sizes(self, schedule):
         with pytest.raises(DomainError, match="strictly ascending"):
-            uniformity_report(van_der_corput(UNIT, 16), schedule)
+            fill_distances(van_der_corput(UNIT, 16), schedule)
 
-
-    @pytest.mark.parametrize("run", [uniformity_report, fill_distances,
+    @pytest.mark.parametrize("run", [fill_distances,
                                      lambda des, schedule: sweep_prefixes(des, np.zeros(des.n),
                                                                           schedule)],
-                             ids=["uniformity_report", "fill_distances", "sweep_prefixes"])
+                             ids=["fill_distances", "sweep_prefixes"])
     def test_schedule_past_the_design_is_refused_with_one_message(self, run):
         with pytest.raises(DomainError, match=r"^size 16 exceeds the design's 8 points$"):
             run(van_der_corput(UNIT, 8), [4, 16])
@@ -357,59 +355,3 @@ class TestDesignInvariants:
         des = van_der_corput(UNIT, 8)
         assert des.prefix(np.int64(5)) is des.prefix(5)
         assert des.prefix(np.int32(8)) is des
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        des = Design(rng.random((17, 2)), UNIT2)
-        path = tmp_path / "design.txt"
-        save_design(des, path)
-        back = load_design(path, box=UNIT2)
-        np.testing.assert_array_equal(back.points, des.points)
-
-    def test_header_format(self, tmp_path):
-        des = van_der_corput(UNIT, 5)
-        path = tmp_path / "design.txt"
-        save_design(des, path)
-        assert path.read_text().splitlines()[0] == "1 5"
-
-    def test_inferred_box_covers_generated_designs(self, tmp_path):
-        des = van_der_corput(Box((-1.0,), (3.0,)), 8)
-        path = tmp_path / "design.txt"
-        save_design(des, path)
-        back = load_design(path)
-        assert back.box == des.box
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_box_of_too_few_points_is_not_inferred(self, tmp_path, n):
-        # No box has positive width around zero or one point: loading needs
-        # box=, and with it the design round-trips.
-        des = Design(np.random.default_rng(3).random((8, 2)), UNIT2).prefix(n)
-        path = tmp_path / "design.txt"
-        save_design(des, path)
-        with pytest.raises(DomainError, match="cannot be inferred; pass box="):
-            load_design(path)
-        back = load_design(path, box=UNIT2)
-        assert back.box == UNIT2 and np.array_equal(back.points, des.points)
-
-    @pytest.mark.parametrize("text, fault", [
-        ("1 5\n0.1\n0.2\n0.3\n0.4\n", "does not match the 4 rows of 1 values"),
-        ("2 2\n0.1\n0.2\n0.3\n0.4\n", "does not match the 4 rows of 1 values"),
-        ("x y\n0.1\n", "invalid literal"),
-        ("", "expected 2, got 0"),
-        ("1 2\n0.1\nabc\n", "could not convert string 'abc'"),
-        ("1 -1\n", "header 'd=1 n=-1' needs d >= 1 and n >= 0"),
-        ("0 3\n", "header 'd=0 n=3' needs d >= 1 and n >= 0"),
-        ("1 3\n", "header 'd=1 n=3' does not match the 0 rows of 1 values"),
-    ], ids=["more-points-than-values", "rows-not-points", "header-not-integers", "empty",
-            "value-not-a-number", "negative-points", "no-dimensions", "missing-rows"])
-    def test_malformed_file_names_its_path_and_fault(self, tmp_path, text, fault):
-        # Raised with no warning first (loadtxt warns on input with no rows).
-        path = tmp_path / "design.txt"
-        path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=fault) as info:
-                load_design(path, box=UNIT)
-        assert str(path) in str(info.value)

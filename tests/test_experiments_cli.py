@@ -739,6 +739,22 @@ class TestCli:
         assert "configuration error: seed -1 must be a non-negative integer" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("line", ["schedule = ,", "schedule =", "nu_grid = ,"])
+    def test_empty_list_in_a_file_exit_two_without_csv(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["variance-decay", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "configuration error: need at least one " in capsys.readouterr().err
+
+    def test_scaled_distances_past_scipys_bessel_range_run(self, capsys):
+        # At lambda = 1e-300 every scaled distance is past 2**30, where
+        # SciPy's kve is NaN: the kernel still reads each entry.
+        assert main(["non-undersmoothing", "--nu0", "1.5", "--lambda", "1e-300",
+                     "--schedule", "16,32", "--seed-list", "1"]) == 0
+        assert "-> PASS" in capsys.readouterr().out
+
     def test_non_positive_scale_exit_two(self, capsys):
         assert main(["logdet-growth", "--lambda", "-1"]) == 2
         assert main(["non-undersmoothing", "--sigma", "0"]) == 2
@@ -902,6 +918,16 @@ class TestCli:
          f"logdet-growth draws one path: give one seed, got ({TEN_SEEDS.replace(',', ', ')})"),
         (["variance-decay", "--seed-list", TEN_SEEDS],
          f"variance-decay does not read seeds, got ({TEN_SEEDS.replace(',', ', ')})"),
+        # An empty list is refused, as an empty seed list is, and does not
+        # stand for the default.
+        (["non-undersmoothing", "--nu0", "1.5", "--schedule", ","],
+         "need at least one size in schedule, or leave it unset"),
+        (["variance-decay", "--nu-grid", ","],
+         "need at least one smoothness in nu_grid, or leave it unset"),
+        (["logdet-growth", "--nu-grid", ","],
+         "need at least one smoothness in nu_grid, or leave it unset"),
+        (["convergence", "--nu-model", ",", "--schedule", "32,64", "--seed-list", "1"],
+         "need at least one smoothness in nu_model, or leave it unset"),
     ])
     def test_command_rules_exit_two_without_csv(self, argv, message, tmp_path, capsys):
         # A setting that the command cannot use is a configuration error,

@@ -14,6 +14,7 @@ from scipy.linalg import lapack
 from maternsmooth import gp
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
+from maternsmooth.experiments import _naive_loo, _naive_sequential
 from maternsmooth.gp import (
     Posterior,
     condition,
@@ -40,27 +41,6 @@ UNIT = Box.unit(1)
 
 def scalar(value):
     return float(np.atleast_1d(value)[0])
-
-
-def naive_sequential(kernel, design, y):
-    res, var = [], []
-    for i in range(design.n):
-        post = condition(kernel, design.prefix(i), y[:i])
-        x = design.points[i]
-        var.append(scalar(posterior_var(post, x)))
-        res.append(y[i] - scalar(posterior_mean(post, x)))
-    return np.asarray(res), np.asarray(var)
-
-
-def naive_loo(kernel, design, y):
-    res, var = [], []
-    for i in range(design.n):
-        keep = [j for j in range(design.n) if j != i]
-        post = condition(kernel, Design(design.points[keep], design.box), y[keep])
-        x = design.points[i]
-        res.append(y[i] - scalar(posterior_mean(post, x)))
-        var.append(scalar(posterior_var(post, x)))
-    return np.asarray(res), np.asarray(var)
 
 
 @pytest.fixture
@@ -441,7 +421,7 @@ class TestFastIdentities:
     def test_incremental_matches_naive_prefix_refits(self, instance):
         kernel, design, y, post = instance
         fast = incremental_variances(post)
-        _, naive = naive_sequential(kernel, design, y)
+        _, naive = _naive_sequential(kernel, design, y)
         np.testing.assert_allclose(fast, naive, rtol=1e-10)
 
     def test_log_det_is_sum_of_log_increments(self, instance):
@@ -469,7 +449,7 @@ class TestFastIdentities:
 
     def test_sequential_sum_equals_quadratic_form(self, instance):
         kernel, design, y, post = instance
-        nres, nvar = naive_sequential(kernel, design, y)
+        nres, nvar = _naive_sequential(kernel, design, y)
         qf = quadratic_form(post)
         assert qf == pytest.approx(float(np.sum(nres**2 / nvar)), rel=1e-10)
 
@@ -480,13 +460,13 @@ class TestFastIdentities:
         k = 4
         dist = np.sqrt(((design.points - design.points[k]) ** 2).sum(axis=1))
         y = kernel(dist)
-        res, _ = naive_sequential(kernel, design, y)
+        res, _ = _naive_sequential(kernel, design, y)
         assert np.max(np.abs(res[k + 1 :])) <= 1e-9
 
     def test_loo_matches_naive_refits(self, instance):
         kernel, design, y, post = instance
         fast = loo(post)
-        nres, nvar = naive_loo(kernel, design, y)
+        nres, nvar = _naive_loo(kernel, design, y)
         assert np.max(np.abs(fast.residuals - nres)) <= 1e-8
         assert np.max(np.abs(fast.variances - nvar)) <= 1e-8
 

@@ -1,10 +1,14 @@
 """Every name a module of the package imports is used in that module, or is
 a binding that the benchmark's tracer (``benchmarks/tracing.py``) wraps:
 an import that nothing reads is either dead or kept for that tracer, and
-the tracer's ``WRAPPED`` table is the one list of the second kind."""
+the tracer's ``WRAPPED`` table is the one list of the second kind.  Every
+name a module exports, in its ``__all__`` or through the package's
+``__init__.py``, is bound in that module."""
 
 import ast
+import importlib
 import os
+import types
 
 import pytest
 
@@ -52,3 +56,32 @@ def test_every_import_is_used_or_wrapped_by_the_tracer(module):
 def test_an_unused_import_is_caught():
     source = "from .designs import check_schedule, is_integer\n\nis_integer(1)\n"
     assert unused_imports(source) == {"check_schedule"}
+
+
+def unresolved(module, names):
+    """The entries of ``names`` that are not attributes of ``module``."""
+    return [name for name in names if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    owner = importlib.import_module(f"maternsmooth.{module}")
+    assert unresolved(owner, getattr(owner, "__all__", ())) == []
+
+
+def test_every_name_the_package_imports_resolves():
+    # Read from the source, so that a stale name is reported by name rather
+    # than as a failed import of the package.
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        owner = importlib.import_module(f"maternsmooth.{node.module}")
+        assert unresolved(owner, [alias.name for alias in node.names]) == [], node.module
+
+
+def test_a_stale_export_is_caught():
+    module = types.ModuleType("stale")
+    module.kept = None
+    assert unresolved(module, ["kept", "deleted"]) == ["deleted"]

@@ -17,10 +17,10 @@ from maternsmooth.kernels import (
     STANDARD_SCALING,
     ScalingPolicy,
     _panel_ends,
-    c_scaling,
     gaussian_eval,
     kernel_matrix,
     kernel_panels,
+    log_c_scaling,
     matern,
     matern_eval,
 )
@@ -31,28 +31,27 @@ SQRT2 = math.sqrt(2.0)
 
 class TestScaling:
     def test_standard_at_one(self):
-        assert c_scaling(STANDARD_SCALING, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert log_c_scaling(STANDARD_SCALING, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_clamp_active_below_half_dimension(self):
         clamped = ScalingPolicy.clamped(2)
-        assert c_scaling(clamped, 0.5) == pytest.approx(1.0, rel=1e-14)
+        assert log_c_scaling(clamped, 0.5) == pytest.approx(0.0, abs=1e-14)
         # above the threshold the clamp is inactive
-        assert c_scaling(clamped, 1.7) == pytest.approx(
-            c_scaling(STANDARD_SCALING, 1.7), rel=1e-14)
+        assert log_c_scaling(clamped, 1.7) == log_c_scaling(STANDARD_SCALING, 1.7)
 
     def test_standard_at_two_point_five(self):
         # 2^{-1.5} / Gamma(2.5), frozen 40-digit value
-        assert c_scaling(STANDARD_SCALING, 2.5) == pytest.approx(
-            0.2659615202676217853, rel=1e-13)
+        assert log_c_scaling(STANDARD_SCALING, 2.5) == pytest.approx(
+            math.log(0.2659615202676217853), abs=1e-13)
 
     def test_clamped_bounded_away_from_zero(self):
         clamped = ScalingPolicy.clamped(1)
-        floor = c_scaling(clamped, 0.5)
+        floor = log_c_scaling(clamped, 0.5)
         nus = np.geomspace(1e-4, 0.5, 50)
-        vals = [c_scaling(clamped, float(nu)) for nu in nus]
+        vals = [log_c_scaling(clamped, float(nu)) for nu in nus]
         assert min(vals) == pytest.approx(floor)
         # the standard factor vanishes at the origin instead
-        assert c_scaling(STANDARD_SCALING, 1e-4) < 1e-3
+        assert log_c_scaling(STANDARD_SCALING, 1e-4) < math.log(1e-3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -60,7 +59,7 @@ class TestScaling:
         with pytest.raises(DomainError):
             ScalingPolicy.clamped(0)
         with pytest.raises(DomainError):
-            c_scaling(STANDARD_SCALING, 0.0)
+            log_c_scaling(STANDARD_SCALING, 0.0)
 
 
 # A dimension is an integer >= 1, Python or NumPy, and not a bool; nothing

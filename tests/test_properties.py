@@ -1,16 +1,14 @@
 """Property-based checks of the LOO identities, the multi-column objectives,
 prefix consistency of the panel-grown factor and of its inverse, the
 distance table, the coarse-to-fine plan and the refinement of smoothness
-estimates, the modified Bessel function of the second kind, the design file
-format and the one-pass fill and separation distances.
+estimates, the modified Bessel function of the second kind, and the
+one-pass fill and separation distances.
 
 Examples are derandomized, so every run of the suite draws the same cases.
 """
 
 import contextlib
 import math
-import os
-import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +18,8 @@ from hypothesis import strategies as st
 from scipy import linalg, optimize
 from scipy.linalg import blas, lapack
 
-from maternsmooth.designs import (Box, Design, fill_distance, fill_distances, load_design,
-                                  save_design, separation_distance, uniform_grid,
-                                  uniformity_report, van_der_corput)
+from maternsmooth.designs import (Box, Design, _separations, fill_distance, fill_distances,
+                                  uniform_grid, van_der_corput)
 from maternsmooth.errors import ConditioningError, EstimationError
 from maternsmooth.analysis import sample_gp_path
 from maternsmooth import estimators
@@ -33,7 +30,7 @@ from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import bessel_k, log_bessel_k
-from test_designs import dense_fill, dense_separation
+from test_designs import dense_closest, dense_fill
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
@@ -815,28 +812,6 @@ def test_kernel_entries_depend_only_on_their_distance(case, seed):
     assert full[0, 1:].tolist() == [kernel(r) for r in points[1:]]
 
 
-BOX_HALF_WIDTH = 1e6
-coordinates = st.floats(min_value=-BOX_HALF_WIDTH, max_value=BOX_HALF_WIDTH)
-design_points = st.sampled_from((1, 2)).flatmap(
-    lambda d: st.lists(st.tuples(*(coordinates,) * d), max_size=30, unique=True).map(
-        lambda rows: np.array(rows, dtype=float).reshape(len(rows), d)))
-
-
-@PROPERTY
-@given(design_points)
-def test_design_file_round_trip_is_bit_identical(points):
-    d = points.shape[1]
-    box = Box((-BOX_HALF_WIDTH,) * d, (BOX_HALF_WIDTH,) * d)
-    design = Design(points, box)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "design.txt")
-        save_design(design, path)
-        back = load_design(path, box=box)
-    assert back.box == box
-    assert back.points.shape == design.points.shape
-    assert back.points.tobytes() == design.points.tobytes()
-
-
 @PROPERTY
 @given(st.sampled_from((1, 2)), st.integers(min_value=1, max_value=200),
        st.integers(min_value=0, max_value=2**31 - 1),
@@ -850,9 +825,8 @@ def test_one_pass_equals_each_prefix_alone(d, n, seed, resolution):
     sizes = sorted(int(m) for m in rng.choice(np.arange(1, n + 1), count, replace=False))
     assert fill_distances(design, sizes, resolution) == [
         fill_distance(design.prefix(m), resolution) for m in sizes]
-    reports = uniformity_report(design, sizes, resolution)
-    assert [r.separation for r in reports if r.n >= 2] == [
-        separation_distance(design.prefix(m)) for m in sizes if m >= 2]
+    assert _separations(design, sizes).tolist() == [
+        _separations(design.prefix(m), [m])[0] for m in sizes]
 
 
 def _tie_design(kind, d, seed, resolution):
@@ -888,8 +862,5 @@ def test_tree_queries_equal_the_dense_formulas(kind, d, seed, resolution, every_
     sizes = list(range(1, design.n + 1)) if every_size else [design.n]
     assert fill_distances(design, sizes, resolution) == [
         dense_fill(design.prefix(m), resolution) for m in sizes]
-    reports = uniformity_report(design, sizes, resolution)
-    assert [r.separation for r in reports if r.n >= 2] == [
-        dense_separation(design.prefix(m)) for m in sizes if m >= 2]
-    if design.n >= 2:
-        assert separation_distance(design) == dense_separation(design)
+    assert _separations(design, sizes).tolist() == [dense_closest(design.prefix(m))
+                                                    for m in sizes]

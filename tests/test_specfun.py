@@ -112,6 +112,25 @@ class TestBesselClosedForms:
         assert log_bessel_k(1.0, 50.0) == pytest.approx(-51.722793870183626, abs=1e-9)
         assert math.isfinite(log_bessel_k(500.0, 0.01))
 
+    @pytest.mark.parametrize("x", [2.0**30, 1e10, 1e300])
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_past_scipys_argument_range(self, nu, x):
+        # SciPy's kve is NaN past x = 2**30 - 0.5.  There
+        # log K_1/2(x) = log(pi / 2x) / 2 - x, and K_3/2 has the factor 1 + 1/x.
+        ref = 0.5 * math.log(math.pi / (2.0 * x)) - x + (math.log1p(1.0 / x) if nu == 1.5 else 0.0)
+        assert log_bessel_k(nu, x) == pytest.approx(ref, rel=1e-15)
+        assert log_bessel_k(nu, np.array([0.5, x, 1e-3]))[1] == log_bessel_k(nu, x)
+        assert bessel_k(nu, x) == 0.0
+
+    @pytest.mark.parametrize("nu, x, ref", [(0.0, 2.0**30, -1073741834.171416355870868),
+                                            (0.0, 1e10, -10000000011.287134112338),
+                                            (7.25, 3e9, -3000000010.685147701443783),
+                                            (49.9, 2.0**30, -1073741834.171415196369606)])
+    def test_past_scipys_argument_range_at_other_orders(self, nu, x, ref):
+        # Frozen 40-digit values, order 0 among them, within two ulps: at
+        # order 49.9 the expansion's second term moves the value by five.
+        assert log_bessel_k(nu, x) == pytest.approx(ref, rel=4e-16)
+
 
 class TestTrapezoidalRule:
     """``kve`` by the trapezoidal rule at orders up to 16 and arguments from
@@ -250,8 +269,9 @@ class TestValidation:
                 np.asarray(function(*twin)).tobytes()
 
     def test_series_nonconvergence_reports_achieved_error(self, monkeypatch):
-        # the public routing never feeds the series a large argument; force
-        # one directly, with a short term budget, to check the failure contract
+        # the public routing feeds the series only arguments below 1, where
+        # it needs a few terms; force a larger one directly, with a short
+        # term budget, to check the failure contract
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
         with pytest.raises(AccuracyError) as exc:
             _log_k_series(45.0, 10.0)
