@@ -59,11 +59,7 @@ from .gp import (
 )
 from .kernels import (
     GaussParams,
-    GaussianKernel,
-    MaternKernel,
     MaternParams,
-    ScalingPolicy,
-    STANDARD_SCALING,
     gaussian_eval,
     kernel_matrix,
     matern,

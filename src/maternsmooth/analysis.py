@@ -19,7 +19,7 @@ from .designs import is_integer
 from .errors import AccuracyError, DomainError
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
-from .kernels import MaternKernel, check_positive, kernel_matrix, log_c_scaling  # noqa: F401
+from .kernels import check_positive, kernel_matrix, log_c_scaling  # noqa: F401
 from .specfun import is_real, log_gamma
 
 __all__ = [
@@ -157,13 +157,14 @@ def _spectral_integral(log_integrand, truncation, q, what):
     return value, tail
 
 
-def _log_matern_weight(params, d, xi):
-    """Log spectral weight of the Matern norm: log C_nu + (nu+d/2) log(2nu/l^2+xi^2)."""
-    nu, sigma, lam = params.nu, params.sigma, params.lambda_
+def _log_matern_weight(params, xi):
+    """Log spectral weight of the Matern norm in the record's dimension d:
+    log C_nu + (nu+d/2) log(2nu/l^2+xi^2)."""
+    nu, sigma, lam, d = params.nu, params.sigma, params.lambda_, params.d
     log_c_nu = (
         0.5 * d * math.log(math.pi)
         - 2.0 * math.log(sigma)
-        - log_c_scaling(params.scaling, nu)
+        - log_c_scaling(nu, d)
         - (nu - 1.0) * math.log(2.0)
         - log_gamma(nu + 0.5 * d)
         + nu * math.log(lam * lam / (2.0 * nu))
@@ -177,9 +178,12 @@ def matern_rkhs_norm_sq(tf, params, q=QuadratureConfig()):
     Evaluates ``C_nu int |fhat|^2 (2 nu / lambda^2 + xi^2)^(nu + 1/2) dxi``
     in log space, on the one tail-checked path of the three norms: raises
     :class:`AccuracyError` when the estimated truncation tail exceeds the
-    configured bound.
+    configured bound.  A record of dimension ``d != 1`` raises
+    :class:`DomainError`.
     """
-    log_integrand = _log_integrand(tf, lambda xi: _log_matern_weight(params, 1, xi))
+    if params.d != 1:
+        raise DomainError(f"the Matern norm is one-dimensional, got d={params.d}")
+    log_integrand = _log_integrand(tf, lambda xi: _log_matern_weight(params, xi))
     truncation = q.truncation if q.truncation is not None else 8.0 * (params.nu + 1.0) + 80.0
     return _spectral_integral(log_integrand, truncation, q,
                               f"Matern norm of {tf.label!r} at nu={params.nu:g}")[0]
@@ -290,7 +294,7 @@ def sample_gp_path(params, design, seed):
     seeds = [check_seed(s) for s in ([seed] if single else seed)]
     if not seeds:
         raise DomainError("need at least one seed")
-    paths = _draw(condition(MaternKernel(params), design, np.zeros(design.n)).chol, seeds)
+    paths = _draw(condition(params, design, np.zeros(design.n)).chol, seeds)
     return paths[0] if single else np.stack(paths, axis=1)
 
 

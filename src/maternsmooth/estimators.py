@@ -37,7 +37,7 @@ from numpy.polynomial import chebyshev as cheb
 from .designs import fill_distance, fill_distances, is_integer  # noqa: F401
 from .errors import ConditioningError, DomainError, EstimationError
 from .gp import condition, condition_prefixes  # noqa: F401
-from .kernels import MaternKernel, matern, require_positive
+from .kernels import matern, require_positive
 from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
@@ -126,7 +126,7 @@ class _Scan:
 def _matern_scan(config, d):
     """The search of the Matern smoothness that ``config`` sets, in dimension ``d``."""
     sigma = 1.0 if config.profile_sigma else config.sigma
-    return _Scan("nu", lambda nu: MaternKernel(matern(nu, sigma, config.lambda_, d=d)),
+    return _Scan("nu", lambda nu: matern(nu, sigma, config.lambda_, d=d),
                 config.nu_min, config.nu_max, config.coarse_grid, config.profile_sigma)
 
 

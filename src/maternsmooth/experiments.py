@@ -28,8 +28,7 @@ from .gp import (
     loo_variances,
     quadratic_form,
 )
-from .kernels import (GaussianKernel, GaussParams, MaternKernel, check_positive, kernel_matrix,
-                      matern, require_positive)
+from .kernels import GaussParams, check_positive, kernel_matrix, matern, require_positive
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 
@@ -299,7 +298,7 @@ def run_identity_suite(kernel_fault=None):
                 for kind_id, kind in enumerate(("quasi-uniform", "random")):
                     seed = int(1_000_000 * d + 10_000 * nu + 10 * n + kind_id)
                     design = _identity_design(kind, d, n, seed)
-                    kernel = MaternKernel(matern(nu, sigma, lam, d=d))
+                    kernel = matern(nu, sigma, lam, d=d)
                     if kernel_fault is not None:
                         kernel = kernel_fault(kernel)
                     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal(n)
@@ -382,7 +381,7 @@ def run_variance_decay(config):
     rows = []
     slopes = {}
     for nu in nus:
-        kernel = MaternKernel(_matern(config, nu, config.d))
+        kernel = _matern(config, nu, config.d)
         cells = [(math.nan, math.nan, cell) if isinstance(cell, str) else cell
                  for cell in _prefix_cells(kernel, design, np.zeros(design.n), schedule, read)]
         fit = [(n, v) for n, (v, _, _) in zip(schedule, cells) if math.isfinite(v)]
@@ -512,7 +511,7 @@ def run_logdet_growth(config):
     (seed,) = config.seeds or DEFAULT_SEEDS[:1]
     # One factorization of K(nu0) draws the path (that of sample_gp_path)
     # and gives the log-determinants at nu0.
-    post = condition(MaternKernel(_matern(config, nu0, config.d)), design, np.zeros(design.n))
+    post = condition(_matern(config, nu0, config.d), design, np.zeros(design.n))
     (y,) = _draw(post.chol, [seed])
     logdets0 = [log_det(post.prefix(n)) for n in schedule]
     records = sweep_prefixes(design, y, schedule, config.estimator,
@@ -522,7 +521,7 @@ def run_logdet_growth(config):
     rows = []
     ratio_at_max = {}
     for nu in nus:
-        kernel = MaternKernel(_matern(config, nu, config.d))
+        kernel = _matern(config, nu, config.d)
         logdets = (logdets0 if nu == nu0
                    else _prefix_cells(kernel, design, y, schedule, log_det))
         for n, ld in zip(schedule, logdets):
@@ -591,12 +590,14 @@ def run_convergence(config):
     def read(post):
         mean, var, _ = _moments(post, probes)
         err, positive = np.abs(mean - f0_probe), var > 0.0
+        if not positive.any():  # rounding leaves no probe a positive variance
+            return [(float(np.max(e)), math.nan, "no_positive_variance") for e in err.T]
         return [(float(np.max(e)), float(np.max(e[positive] / np.sqrt(var[positive]))), "")
                 for e in err.T]
 
     cells = {}  # (model, n) -> per-seed (sup error, error / sd ratio, note)
     for nu_model in models:
-        kernel = MaternKernel(_matern(config, nu_model, 1))
+        kernel = _matern(config, nu_model, 1)
         for n, cell in zip(schedule, _prefix_cells(kernel, design, y, schedule, read)):
             cells[nu_model, n] = ([(math.nan, math.nan, cell)] * len(seeds)
                                   if isinstance(cell, str) else cell)
@@ -643,8 +644,7 @@ def run_gaussian_scale_probe(config):
     schedule = config.schedule or (8, 16, 32, 64, 128)
     design = make_design("van_der_corput", 1, max(schedule))
     y = np.asarray(f0(design.points[:, 0]), dtype=float)
-    scan = _Scan("lambda", lambda lam: GaussianKernel(GaussParams(config.estimator.sigma, lam),
-                                                      d=1, unit_amplitude=True),
+    scan = _Scan("lambda", lambda lam: GaussParams(config.estimator.sigma, lam),
                  config.lambda_min, config.lambda_max, config.estimator.coarse_grid)
     degenerate = ["degenerate_zero_data"] if np.all(y == 0.0) else []
 

@@ -54,7 +54,6 @@ rejected instead of producing garbage downstream.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -277,13 +276,12 @@ class _Factorization:
     inverse of the factor's first ``top`` rows (written into ``buffer`` if
     one is given) and the forward solve ``L^{-1} y`` of their data are
     each computed once, on the first request, and then read by every
-    posterior (:meth:`posterior`).  Safe to call from several threads.
+    posterior (:meth:`posterior`).
     """
 
     def __init__(self, kernel, design, y, chol, top, buffer=None):
         self.kernel, self.design, self.y, self.chol, self.top = kernel, design, y, chol, top
         self._buffer = buffer
-        self._lock = threading.Lock()
         self._inverse = self._forward = None
 
     def posterior(self, n):
@@ -293,9 +291,8 @@ class _Factorization:
     def inverse(self, n):
         """The inverse of the first ``n <= top`` rows of the factor; raises
         the :class:`ConditioningError` of :func:`_invert` if it fails before."""
-        with self._lock:
-            if self._inverse is None:
-                self._inverse = _invert(self.chol, self.top, self._buffer)
+        if self._inverse is None:
+            self._inverse = _invert(self.chol, self.top, self._buffer)
         W, err = self._inverse
         if n > W.shape[0]:
             raise ConditioningError(str(err), pivot_index=err.pivot_index,
@@ -307,11 +304,10 @@ class _Factorization:
         column, each solved on its own (a multi-column triangular solve
         rounds differently in the last bits); a prefix's quadratic form
         reads its leading part."""
-        with self._lock:
-            if self._forward is None:
-                chol = np.asfortranarray(self.chol[:self.top, :self.top])
-                self._forward = [_solve_lower(chol, col)
-                                 for col in np.atleast_2d(self.y[:self.top].T)]
+        if self._forward is None:
+            chol = np.asfortranarray(self.chol[:self.top, :self.top])
+            self._forward = [_solve_lower(chol, col)
+                             for col in np.atleast_2d(self.y[:self.top].T)]
         return self._forward
 
 
@@ -325,8 +321,6 @@ class Posterior:
     ``s`` data columns conditioned on the same factor; each is computed on
     first use.  The inverse and the forward solve come from the
     factorization, shared with the other posteriors it serves.
-    Immutable after construction; safe to share across threads for
-    concurrent mean/variance and leave-one-out queries.
     """
 
     factorization: _Factorization = field(repr=False)

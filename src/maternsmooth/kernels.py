@@ -1,9 +1,11 @@
-"""Matern and Gaussian covariance kernels with configurable order scaling.
+"""The Matern kernel and its Gaussian limit, as parameter records.
 
-All Matern evaluation goes through one entry, :func:`matern_eval`, in log
-space (log scaling factor plus ``nu * log`` of the scaled distance plus
-:func:`log_bessel_k`) so that orders up to several hundred remain usable;
-direct evaluation of ``(.)**nu * K_nu`` would overflow long before that.
+A :class:`MaternParams` or :class:`GaussParams` record is the kernel: called
+on distances, it gives their covariances.  All Matern evaluation goes through
+one entry, :func:`matern_eval`, in log space (log scaling factor plus
+``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that orders
+up to several hundred remain usable; direct evaluation of
+``(.)**nu * K_nu`` would overflow long before that.
 Kernel matrices are assembled by row panels (ends 16, 32, 64, ..., those of
 the factorization) from a table of distinct distances numbered by the panel
 in which they first appear and by value within it: each panel calls the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,60 +28,25 @@ from .errors import DegenerateDesignError, DomainError
 from .specfun import is_real, log_bessel_k, log_gamma
 
 __all__ = [
-    "ScalingPolicy",
-    "STANDARD_SCALING",
     "MaternParams",
     "GaussParams",
     "matern",
     "matern_eval",
     "gaussian_eval",
-    "MaternKernel",
-    "GaussianKernel",
     "kernel_matrix",
 ]
 
 
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """Order-dependent normalisation factor c(nu) of the Matern kernel.
-
-    ``standard`` uses ``c(nu) = 2**(1-nu) / Gamma(nu)``, which makes the
-    kernel value at zero distance equal ``sigma**2`` and gives the Gaussian
-    kernel in the large-``nu`` limit.  Because that factor vanishes as
-    ``nu -> 0``, the ``clamped`` variant freezes it at its value for
-    ``nu = d/2`` below that threshold, keeping ``c`` bounded away from zero
-    on every interval ``(0, nu1]`` while leaving the large-``nu`` limit
-    untouched.
-    """
-
-    kind: str = "standard"
-    d: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "clamped"):
-            raise DomainError(f"unknown scaling kind {self.kind!r}")
-        if self.kind == "clamped":
-            check_dimension(self.d)
-
-    @classmethod
-    def standard(cls):
-        return cls("standard")
-
-    @classmethod
-    def clamped(cls, d):
-        return cls("clamped", d)
-
-
-STANDARD_SCALING = ScalingPolicy.standard()
-
-
-def log_c_scaling(policy, nu):
-    """Natural log of c(nu) under the given policy."""
+def log_c_scaling(nu, d):
+    """Natural log of the Matern normalisation ``c(nu) = 2**(1-nu) / Gamma(nu)``,
+    frozen at its value for ``nu = d/2`` below that, so that it stays bounded
+    away from zero on every interval ``(0, nu1]``.  At ``nu >= d/2`` the
+    kernel's value at zero distance is ``sigma**2``, and its large-``nu``
+    limit is the Gaussian kernel (:func:`gaussian_eval`)."""
     if not (nu > 0 and math.isfinite(nu)):
         raise DomainError(f"nu must be positive and finite, got {nu!r}")
-    nu_eff = nu
-    if policy.kind == "clamped" and nu < 0.5 * policy.d:
-        nu_eff = 0.5 * policy.d
+    check_dimension(d)
+    nu_eff = max(nu, 0.5 * d)
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)
 
 
@@ -105,20 +72,27 @@ def require_positive(params, names):
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Matern kernel parameters: smoothness, magnitude, and length-scale."""
+    """The Matern kernel of smoothness ``nu``, magnitude ``sigma`` and
+    length-scale ``lambda_`` in dimension ``d``, normalised by
+    :func:`log_c_scaling`; called on distances, it gives their
+    covariances (:func:`matern_eval`)."""
 
     nu: float
     sigma: float = 1.0
     lambda_: float = 1.0
-    scaling: ScalingPolicy = field(default=STANDARD_SCALING)
+    d: int = 1
 
     def __post_init__(self):
         require_positive(self, ("nu", "sigma", "lambda_"))
+        check_dimension(self.d)
+
+    def __call__(self, r):
+        return matern_eval(self, r)
 
     @cached_property
     def _log_scale(self):
         """``log(sigma**2 c(nu))``, computed once per parameter set."""
-        return 2.0 * math.log(self.sigma) + log_c_scaling(self.scaling, self.nu)
+        return 2.0 * math.log(self.sigma) + log_c_scaling(self.nu, self.d)
 
     @cached_property
     def _at_zero(self):
@@ -128,20 +102,23 @@ class MaternParams:
 
 
 def matern(nu, sigma=1.0, lambda_=1.0, d=1):
-    """Convenience constructor with the clamped scaling for dimension ``d``;
-    build :class:`MaternParams` directly for another scaling."""
-    return MaternParams(float(nu), float(sigma), float(lambda_), ScalingPolicy.clamped(d))
+    """:class:`MaternParams` with ``nu``, ``sigma`` and ``lambda_`` as floats."""
+    return MaternParams(float(nu), float(sigma), float(lambda_), d)
 
 
 @dataclass(frozen=True)
 class GaussParams:
-    """Gaussian kernel parameters: magnitude and length-scale."""
+    """The Gaussian kernel of magnitude ``sigma`` and length-scale ``lambda_``;
+    called on distances, it gives their covariances (:func:`gaussian_eval`)."""
 
     sigma: float = 1.0
     lambda_: float = 1.0
 
     def __post_init__(self):
         require_positive(self, ("sigma", "lambda_"))
+
+    def __call__(self, r):
+        return gaussian_eval(self, r)
 
 
 def _validate_distances(r):
@@ -156,8 +133,8 @@ def matern_eval(params, r):
     of Matern evaluation, for a scalar or an array of any order, checked.
 
     The value at ``r = 0`` is the analytic limit
-    ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)`` (exactly ``sigma**2`` under
-    standard scaling); evaluation near zero would otherwise hit the
+    ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)`` (exactly ``sigma**2`` at
+    ``nu >= d/2``); evaluation near zero would otherwise hit the
     singularity of ``K_nu``.
     """
     arr = _validate_distances(r)
@@ -192,59 +169,15 @@ def matern_eval(params, r):
     return out
 
 
-def gaussian_eval(params, r, d, unit_amplitude=False):
-    """Gaussian covariance at distance ``r`` in dimension ``d``.
-
-    The default carries the prefactor ``(lambda**2 / 2 pi)**(d/2)`` so that
-    it is the large-``nu`` limit of the standard-scaled Matern family; with
-    ``unit_amplitude=True`` the plain ``sigma**2 exp(-r**2 / 2 lambda**2)``
-    is returned instead.
-    """
+def gaussian_eval(params, r):
+    """Gaussian covariance ``sigma**2 exp(-r**2 / 2 lambda**2)`` at distance
+    ``r``: the large-``nu`` limit of the Matern kernel of the same ``sigma``
+    and ``lambda_``."""
     arr = _validate_distances(r)
-    scalar = np.isscalar(r) or arr.ndim == 0
-    check_dimension(d)
-    amp = params.sigma**2
-    if not unit_amplitude:
-        amp *= (params.lambda_**2 / (2.0 * math.pi)) ** (0.5 * d)
-    out = amp * np.exp(-0.5 * (arr / params.lambda_) ** 2)
-    if scalar:
+    out = params.sigma**2 * np.exp(-0.5 * (arr / params.lambda_) ** 2)
+    if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
-
-
-class MaternKernel:
-    """Stationary kernel evaluator: maps distance arrays to covariances."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def __call__(self, r):
-        return matern_eval(self.params, r)
-
-    @property
-    def variance(self):
-        return matern_eval(self.params, 0.0)
-
-    def __repr__(self):
-        p = self.params
-        return f"MaternKernel(nu={p.nu}, sigma={p.sigma}, lambda_={p.lambda_}, {p.scaling.kind})"
-
-
-class GaussianKernel:
-    """Gaussian kernel evaluator for a fixed dimension."""
-
-    def __init__(self, params, d, unit_amplitude=False):
-        check_dimension(d)
-        self.params = params
-        self.d = d
-        self.unit_amplitude = unit_amplitude
-
-    def __call__(self, r):
-        return gaussian_eval(self.params, r, self.d, self.unit_amplitude)
-
-    def __repr__(self):
-        p = self.params
-        return f"GaussianKernel(sigma={p.sigma}, lambda_={p.lambda_}, d={self.d})"
 
 
 # Row panels of kernel assembly and of the factorization (``gp._factor``)

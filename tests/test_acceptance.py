@@ -24,7 +24,7 @@ from maternsmooth.experiments import (
     run_variance_decay,
 )
 from maternsmooth.gp import condition, loo, posterior_mean, posterior_var, quadratic_form
-from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, matern, matern_eval
+from maternsmooth.kernels import MaternParams, matern, matern_eval
 from maternsmooth.specfun import bessel_k, log_gamma
 
 UNIT = Box.unit(1)
@@ -98,7 +98,7 @@ def test_c04_loo_fast_vs_naive():
         design = van_der_corput(UNIT, n)
         for nu in (0.5, 2.5):
             lam = 0.5 * math.sqrt(2.0 * nu) / n
-            kernel = MaternKernel(matern(nu, 1.0, lam, d=1))
+            kernel = matern(nu, 1.0, lam, d=1)
             y = np.random.Generator(np.random.Philox(n * 100 + int(nu * 10))
                                     ).standard_normal(n)
             fast = loo(condition(kernel, design, y))
@@ -117,16 +117,15 @@ def test_c05_interpolant_norm_and_error_bound():
     """Data quadratic form below the squared norm; pointwise error below
     norm times posterior sd, at 100 probes, within 1e-5."""
     gb = builtin_test_functions()["gauss_bump"]
-    params = MaternParams(1.5, 1.0, SQRT2, STANDARD_SCALING)
+    params = MaternParams(1.5, 1.0, SQRT2)
     norm_sq = matern_rkhs_norm_sq(gb, params)
     box = Box((-1.0,), (1.0,))
-    kernel = MaternKernel(params)
     worst_gap = -math.inf
     worst_violation = -math.inf
     for n in (8, 16, 32):
         design = van_der_corput(box, n)
         y = gb(design.points[:, 0])
-        post = condition(kernel, design, y)
+        post = condition(params, design, y)
         qf = quadratic_form(post)
         worst_gap = max(worst_gap, qf - norm_sq)
         probes = np.linspace(-1.0, 1.0, 100)
@@ -211,7 +210,7 @@ def test_c09_norm_computations():
     cat = builtin_test_functions()
     checks = []
     for nu in (1.0, 2.0, 4.0):
-        params = MaternParams(nu, 1.0, SQRT2, STANDARD_SCALING)
+        params = MaternParams(nu, 1.0, SQRT2)
         value = matern_rkhs_norm_sq(cat["cauchy_like"], params)
         bound = (2.0 * math.sqrt(math.pi)
                  * math.exp(log_gamma(nu) + log_gamma(2.0 * nu + 2.0)
@@ -234,7 +233,7 @@ def test_c10_gaussian_limit():
     target = np.exp(-(r**2) / 4.0)
     sups = []
     for nu in (10.0, 50.0, 100.0):
-        params = MaternParams(nu, 1.0, SQRT2, STANDARD_SCALING)
+        params = MaternParams(nu, 1.0, SQRT2)
         sups.append(float(np.max(np.abs(matern_eval(params, r) - target))))
     ok = sups[0] > sups[1] > sups[2] and sups[2] <= 0.01
     report("C10 gaussian-limit", ok,

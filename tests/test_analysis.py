@@ -19,9 +19,7 @@ from maternsmooth.analysis import (
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import AccuracyError, DomainError
 from maternsmooth.kernels import (
-    MaternKernel,
     MaternParams,
-    STANDARD_SCALING,
     log_c_scaling,
     matern,
 )
@@ -88,7 +86,7 @@ class TestCatalog:
     def test_zero_function(self):
         z = CATALOG["zero"]
         assert np.all(z(np.linspace(-1, 1, 7)) == 0.0)
-        assert matern_rkhs_norm_sq(z, MaternParams(1.0, 1.0, SQRT2, STANDARD_SCALING)) == 0.0
+        assert matern_rkhs_norm_sq(z, MaternParams(1.0, 1.0, SQRT2)) == 0.0
         assert gaussian_rkhs_norm_sq(z, SQRT2).value == 0.0
 
 
@@ -96,7 +94,7 @@ class TestMaternNorm:
     def test_gamma_lower_bound_for_cauchy_like(self):
         tf = CATALOG["cauchy_like"]
         for nu in (1.0, 2.0, 4.0):
-            params = MaternParams(nu, 1.0, SQRT2, STANDARD_SCALING)
+            params = MaternParams(nu, 1.0, SQRT2)
             value = matern_rkhs_norm_sq(tf, params)
             bound = (2.0 * math.sqrt(math.pi)
                      * math.exp(log_gamma(nu) + log_gamma(2.0 * nu + 2.0)
@@ -105,18 +103,18 @@ class TestMaternNorm:
 
     def test_gauss_bump_norm_bounded_at_large_smoothness(self):
         tf = CATALOG["gauss_bump"]
-        value = matern_rkhs_norm_sq(tf, MaternParams(64.0, 1.0, SQRT2, STANDARD_SCALING))
+        value = matern_rkhs_norm_sq(tf, MaternParams(64.0, 1.0, SQRT2))
         assert value <= math.pi * 1.05
 
     def test_monotone_in_smoothness_for_cauchy_like(self):
         tf = CATALOG["cauchy_like"]
-        vals = [matern_rkhs_norm_sq(tf, MaternParams(nu, 1.0, SQRT2, STANDARD_SCALING))
+        vals = [matern_rkhs_norm_sq(tf, MaternParams(nu, 1.0, SQRT2))
                 for nu in (1.0, 2.0, 4.0, 8.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_node_doubling_stability(self):
         tf = CATALOG["gauss_bump"]
-        params = MaternParams(1.5, 1.0, SQRT2, STANDARD_SCALING)
+        params = MaternParams(1.5, 1.0, SQRT2)
         v1 = matern_rkhs_norm_sq(tf, params, QuadratureConfig(nodes=12))
         v2 = matern_rkhs_norm_sq(tf, params, QuadratureConfig(nodes=24))
         assert v2 == pytest.approx(v1, rel=1e-6)
@@ -127,10 +125,10 @@ class TestMaternNorm:
         tf = CATALOG["gauss_bump"]
         for nu in (0.5, 1.5):
             lam = SQRT2
-            params = MaternParams(nu, 1.0, lam, STANDARD_SCALING)
+            params = MaternParams(nu, 1.0, lam)
             c = (2.0 * nu / lam**2) ** (nu + 0.5)
             log_c_nu = (0.5 * math.log(math.pi)
-                        - log_c_scaling(STANDARD_SCALING, nu)
+                        - log_c_scaling(nu, 1)
                         - (nu - 1.0) * math.log(2.0)
                         - log_gamma(nu + 0.5)
                         + nu * math.log(lam**2 / (2.0 * nu)))
@@ -141,24 +139,30 @@ class TestMaternNorm:
 
     def test_tail_violation_raises(self):
         tf = CATALOG["cauchy_like"]
-        params = MaternParams(2.0, 1.0, SQRT2, STANDARD_SCALING)
+        params = MaternParams(2.0, 1.0, SQRT2)
         with pytest.raises(AccuracyError):
             matern_rkhs_norm_sq(tf, params, QuadratureConfig(truncation=6.0))
 
     def test_missing_transform_raises(self):
         tf = dataclasses.replace(CATALOG["gauss_bump"], fourier=None)
         with pytest.raises(DomainError):
-            matern_rkhs_norm_sq(tf, MaternParams(1.0, 1.0, SQRT2, STANDARD_SCALING))
+            matern_rkhs_norm_sq(tf, MaternParams(1.0, 1.0, SQRT2))
+
+    @pytest.mark.parametrize("d", [2, 3, np.int64(2)])
+    def test_another_dimension_raises(self, d):
+        # The norm's spectral weight is one-dimensional.
+        with pytest.raises(DomainError, match=f"one-dimensional, got d={d}$"):
+            matern_rkhs_norm_sq(CATALOG["gauss_bump"], MaternParams(1.5, 1.0, SQRT2, d))
 
     def test_overflowing_norm_is_infinite(self):
         # The quadrature's terms overflow as they are added: the norm is
         # infinite, not an error.
-        params = MaternParams(200.0, 1.0, SQRT2, STANDARD_SCALING)
+        params = MaternParams(200.0, 1.0, SQRT2)
         assert matern_rkhs_norm_sq(CATALOG["cauchy_like"], params) == math.inf
 
     @pytest.mark.parametrize("label, nu, lam, pinned", MATERN_NORMS)
     def test_pinned_values(self, label, nu, lam, pinned):
-        params = MaternParams(nu, 1.0, lam, STANDARD_SCALING)
+        params = MaternParams(nu, 1.0, lam)
         assert matern_rkhs_norm_sq(CATALOG[label], params) == float.fromhex(pinned)
 
 
@@ -286,8 +290,7 @@ class TestSamplePaths:
         var1 = float(np.var(draws[:, 0]))
         assert var1 == pytest.approx(1.3**2, rel=0.05)
         cov12 = float(np.mean(draws[:, 0] * draws[:, 1]))
-        kernel = MaternKernel(params)
-        assert cov12 == pytest.approx(kernel(0.25), rel=0.05)
+        assert cov12 == pytest.approx(params(0.25), rel=0.05)
 
 
 class TestFitRate:

@@ -20,18 +20,18 @@ from maternsmooth.estimators import (
 )
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
 from maternsmooth.gp import condition, condition_prefixes
-from maternsmooth.kernels import MaternKernel, matern
+from maternsmooth.kernels import matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
 
 
 def ml_objective(params, design, y):
-    return ell_ml_from(condition(MaternKernel(params), design, y))
+    return ell_ml_from(condition(params, design, y))
 
 
 def cv_objective(params, design, y):
-    return ell_cv_from(condition(MaternKernel(params), design, y))
+    return ell_cv_from(condition(params, design, y))
 
 
 def recording_plans(monkeypatch):
@@ -548,7 +548,7 @@ class TestSweeps:
         factor, factored = gp._factor, []
 
         def recording(kernel, design, buffer=None):
-            factored.append((kernel.params.nu, design.n))
+            factored.append((kernel.nu, design.n))
             return factor(kernel, design, buffer)
 
         monkeypatch.setattr(gp, "_factor", recording)
@@ -717,13 +717,13 @@ class TestSweeps:
 
         def conditioning(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
-            factored.append((kernel.params.nu, prefix.n, tuple(sizes), values.shape))
+            factored.append((kernel.nu, prefix.n, tuple(sizes), values.shape))
             posts = condition_prefixes(kernel, prefix, values, sizes, workspace)
             failed.append([isinstance(post, ConditioningError) for post in posts])
             return posts
 
         def inverting(post):
-            inverted.append((post.kernel.params.nu, post.n))
+            inverted.append((post.kernel.nu, post.n))
             return gp.loo(post)
 
         monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
@@ -820,7 +820,7 @@ class TestSweeps:
 
         def reading(name, ell):
             def wrapped(post):
-                read[name].append((post.kernel.params.nu, post.n))
+                read[name].append((post.kernel.nu, post.n))
                 return ell(post)
             return wrapped
 
@@ -857,7 +857,7 @@ class TestSweeps:
         nearest = float(grid[np.argmin(np.abs(np.log(grid / ml.nu_hat)))])
 
         def failing(post):
-            nu = post.kernel.params.nu
+            nu = post.kernel.nu
             if nu == nearest if broken == "coarse" else nu not in grid:
                 raise ConditioningError(f"injected at nu={nu:g}", pivot_index=0)
             return gp.loo(post)
@@ -982,7 +982,7 @@ class TestPrefixRule:
 
         def counting(kernel, top, data, sizes, workspace=None):
             posts = condition_prefixes(kernel, top, data, sizes, workspace)
-            factored.append((kernel.params.nu, top.n, tuple(sizes),
+            factored.append((kernel.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts
 
@@ -1013,7 +1013,7 @@ class TestPrefixRule:
 
         def factoring(kernel, design, buffer=None):
             out = factor(kernel, design, buffer)
-            factored.append((kernel.params.nu, design.n))
+            factored.append((kernel.nu, design.n))
             return out
 
         def recording(prefix, values, scan, nu, sizes, workspace=None):

@@ -18,7 +18,7 @@ from maternsmooth.cli import _build_config, _build_parser, main, parse_config_fi
 from maternsmooth.errors import DomainError, EstimationError
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize
 from maternsmooth.gp import condition
-from maternsmooth.kernels import GaussianKernel, GaussParams
+from maternsmooth.kernels import GaussParams
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.experiments import (
     IDENTITY_TOL,
@@ -61,9 +61,9 @@ import math
 import sys
 from maternsmooth.analysis import (builtin_test_functions, gaussian_rkhs_norm_sq,
                                   matern_rkhs_norm_sq)
-from maternsmooth.kernels import STANDARD_SCALING, MaternParams
+from maternsmooth.kernels import MaternParams
 catalog = builtin_test_functions()
-values = [matern_rkhs_norm_sq(catalog[label], MaternParams(nu, 1.0, lam, STANDARD_SCALING))
+values = [matern_rkhs_norm_sq(catalog[label], MaternParams(nu, 1.0, lam))
           for label in ("cauchy_like", "gauss_bump") for nu in (0.5, 1.5, 4.0, 16.0, 64.0)
           for lam in (0.5, math.sqrt(2.0))]
 values += [gaussian_rkhs_norm_sq(catalog["gauss_bump"], lam).value
@@ -98,10 +98,6 @@ class _DriftingKernel:
     def __call__(self, r):
         self.calls += 1
         return self.kernel(r) * (1.0 + 1e-5 * (self.calls % 3))
-
-    @property
-    def variance(self):
-        return self.kernel.variance
 
 
 class TestIdentitySuite:
@@ -209,7 +205,7 @@ class TestEngines:
         factored, factor = [], gp._factor
 
         def counting(kernel, design, buffer=None):
-            factored.append((kernel.params.nu, design.n))
+            factored.append((kernel.nu, design.n))
             return factor(kernel, design, buffer)
 
         monkeypatch.setattr(gp, "_factor", counting)
@@ -498,8 +494,7 @@ def _reference_probe(config):
         prefix = design.prefix(n)
         for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from)):
             def fn(lam):
-                kernel = GaussianKernel(GaussParams(config.estimator.sigma, lam), d=1,
-                                        unit_amplitude=True)
+                kernel = GaussParams(config.estimator.sigma, lam)
                 return ell(condition(kernel, prefix, y[:n])).total
 
             try:
@@ -945,6 +940,23 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert "configuration error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", [1, 2, 4, 16])
+    def test_convergence_without_a_positive_probe_variance_notes_it(self, probes, tmp_path):
+        # A few probes, at each of which the posterior variance of
+        # nu_model = 3 on 64 points is clamped to zero: the error-to-sd ratio
+        # is NaN, with a note, and the run exits 0 (the larger prefixes fail
+        # to factor).
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"probe_count = {probes}\n")
+        assert main(["convergence", "--nu-model", "3", "--lambda", "3", "--schedule",
+                     "64,128,256,512", "--seed-list", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["seed", "nu_model", "n", "sup_error", "max_err_over_sd", "notes"]
+        assert rows[1][:3] == ["1", "3", "64"] and math.isfinite(float(rows[1][3]))
+        assert rows[1][4:] == ["nan", "no_positive_variance"]
 
     def test_sweep_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The benchmark's two-seed sweep, run at one and at two OpenBLAS

@@ -2,9 +2,6 @@
 
 import math
 import re
-import sys
-import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,9 +25,7 @@ from maternsmooth.gp import (
     quadratic_form,
 )
 from maternsmooth.kernels import (
-    MaternKernel,
     MaternParams,
-    STANDARD_SCALING,
     kernel_matrix,
     matern,
 )
@@ -46,7 +41,7 @@ def scalar(value):
 @pytest.fixture
 def instance():
     design = van_der_corput(UNIT, 16)
-    kernel = MaternKernel(matern(1.5, sigma=1.2, lambda_=0.15, d=1))
+    kernel = matern(1.5, sigma=1.2, lambda_=0.15, d=1)
     y = np.random.Generator(np.random.Philox(9)).standard_normal(16)
     return kernel, design, y, condition(kernel, design, y)
 
@@ -54,7 +49,7 @@ def instance():
 class TestCondition:
     def test_single_point(self):
         design = Design([[0.3]], UNIT)
-        kernel = MaternKernel(matern(1.0, sigma=1.4))
+        kernel = matern(1.0, sigma=1.4)
         post = condition(kernel, design, [2.8])
         assert post.chol[0, 0] == pytest.approx(1.4)
         assert post.weights[0] == pytest.approx(2.8 / 1.4**2)
@@ -80,7 +75,7 @@ class TestCondition:
     def test_posteriors_do_not_alias_the_callers_data(self, shape):
         # The caller's data overwritten after conditioning, before anything
         # is read from the posteriors: they hold what they held before.
-        kernel = MaternKernel(matern(1.5, lambda_=0.15))
+        kernel = matern(1.5, lambda_=0.15)
         design = van_der_corput(UNIT, 32)
         y = np.random.Generator(np.random.Philox(4)).standard_normal(shape)
         sizes = [16, 32]
@@ -96,7 +91,7 @@ class TestCondition:
 
     def test_near_duplicate_raises_with_pivot_info(self):
         design = Design([[0.2], [0.2 + 1e-13], [0.9]], UNIT)
-        kernel = MaternKernel(matern(2.5, lambda_=0.5))
+        kernel = matern(2.5, lambda_=0.5)
         with pytest.raises(ConditioningError) as exc:
             condition(kernel, design, np.ones(3))
         assert exc.value.pivot_index == 1
@@ -105,7 +100,7 @@ class TestCondition:
         # very smooth kernel on a fine grid: trailing pivots are pure noise,
         # positive but below the fixed floor of 1e-14 times K(0) = 1
         design = van_der_corput(UNIT, 64)
-        kernel = MaternKernel(matern(8.0, lambda_=1.0))
+        kernel = matern(8.0, lambda_=1.0)
         with pytest.raises(ConditioningError,
                            match=r"^pivot 14 = 3\.997e-15 below relative floor 1\.000e-14$"):
             condition(kernel, design, np.zeros(64))
@@ -117,7 +112,7 @@ class TestCondition:
         # those on fresh arrays bit for bit, upper triangle and rows past a
         # failing pivot included.  (nu = 8 fails at pivot 14 of 64.)
         design = van_der_corput(UNIT, 64)
-        kernel = MaternKernel(matern(nu, lambda_=lambda_))
+        kernel = matern(nu, lambda_=lambda_)
         y = np.random.Generator(np.random.Philox(5)).standard_normal((64, 2))
         workspace = (np.full(80 * 80, np.nan), np.full(80 * 80, np.nan))
         sizes = [8, 16, 32, 64]
@@ -196,7 +191,7 @@ class TestCondition:
         # A multi-column triangular solve rounds differently in the last
         # bits; each column's form is its one-column form, bit for bit.
         design = van_der_corput(UNIT, n)
-        kernel = MaternKernel(matern(1.5, lambda_=2.0 / n))
+        kernel = matern(1.5, lambda_=2.0 / n)
         Y = np.random.Generator(np.random.Philox(3)).standard_normal((n, 4))
         together = quadratic_form(condition(kernel, design, Y))
         assert together.shape == (4,)
@@ -209,7 +204,7 @@ class TestCondition:
         # each column's mean is its one-column mean, bit for bit, on every
         # prefix the factor serves.
         design = van_der_corput(UNIT, n)
-        kernel = MaternKernel(matern(1.5, lambda_=2.0 / n))
+        kernel = matern(1.5, lambda_=2.0 / n)
         Y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 4))
         probes = (2 * np.arange(200) + 1) / 400.0
         sizes = sorted({min(16, n), n // 2, n})
@@ -228,7 +223,7 @@ class TestCondition:
         # One build serves both, and each equals its own query bit for bit,
         # at many points, at one and on the empty design.
         design = van_der_corput(UNIT, 64)
-        kernel = MaternKernel(matern(2.5, lambda_=0.1))
+        kernel = matern(2.5, lambda_=0.1)
         shape = (64,) if columns is None else (64, columns)
         y = np.random.Generator(np.random.Philox(9)).standard_normal(shape)
         probes = (2 * np.arange(150) + 1) / 300.0
@@ -248,7 +243,7 @@ class TestCondition:
                 assert np.asarray(var).tobytes() == np.asarray(want_var).tobytes()
 
     def test_posterior_mean_of_columns_on_empty_design(self):
-        kernel = MaternKernel(matern(1.5))
+        kernel = matern(1.5)
         post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros((0, 3)))
         assert posterior_mean(post, [0.2, 0.4]).shape == (2, 3)
         assert posterior_mean(post, 0.2).shape == (3,)
@@ -268,7 +263,7 @@ class TestPosteriorQueries:
         # nu=1/2, sigma=lambda=1, points {0, 1}, y={1, 0}: the 2x2 system
         # solves in closed form and the mean at 1/2 is e^(-1/2)/(1+e^(-1))
         design = Design([[0.0], [1.0]], UNIT)
-        kernel = MaternKernel(MaternParams(0.5, 1.0, 1.0, STANDARD_SCALING))
+        kernel = MaternParams(0.5, 1.0, 1.0)
         post = condition(kernel, design, [1.0, 0.0])
         ref = math.exp(-0.5) / (1.0 + math.exp(-1.0))
         assert scalar(posterior_mean(post, 0.5)) == pytest.approx(ref, rel=1e-12)
@@ -276,11 +271,11 @@ class TestPosteriorQueries:
     def test_variance_vanishes_at_data(self, instance):
         kernel, design, y, post = instance
         v = posterior_var(post, design.points)
-        assert np.max(np.abs(v)) <= 1e-10 * kernel.variance
+        assert np.max(np.abs(v)) <= 1e-10 * kernel(0.0)
 
     def test_query_second_axis_must_be_dimension(self):
         design = Design([[0.1, 0.2], [0.5, 0.9], [0.8, 0.3]], Box.unit(2))
-        post = condition(MaternKernel(matern(1.5, lambda_=0.5, d=2)), design, [1.0, 0.0, 2.0])
+        post = condition(matern(1.5, lambda_=0.5, d=2), design, [1.0, 0.0, 2.0])
         assert posterior_mean(post, np.full((3, 2), 0.4)).shape == (3,)
         for bad in (np.full((2, 3), 0.4), np.full((3, 2, 1), 0.4)):
             with pytest.raises(DomainError):
@@ -298,15 +293,14 @@ class TestPosteriorQueries:
             posterior_mean(post, probes[None, :])
 
     def test_empty_design_convention(self):
-        kernel = MaternKernel(matern(1.5, sigma=1.3))
+        kernel = matern(1.5, sigma=1.3)
         post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros(0))
         assert scalar(posterior_var(post, 0.4)) == pytest.approx(1.3**2)
         assert scalar(posterior_mean(post, 0.4)) == 0.0
 
     def test_single_point_variance_formula(self):
         design = Design([[0.25]], UNIT)
-        params = matern(1.5, sigma=1.1, lambda_=0.8)
-        kernel = MaternKernel(params)
+        kernel = matern(1.5, sigma=1.1, lambda_=0.8)
         post = condition(kernel, design, [0.7])
         r = 0.3
         ref = 1.1**2 - kernel(r) ** 2 / 1.1**2
@@ -396,7 +390,7 @@ _LAPACK_READS = {
 def test_rejected_lapack_argument_raises_domain_error_naming_the_routine(routine, monkeypatch):
     # A negative info is a rejected argument, not a conditioning failure.
     design = van_der_corput(UNIT, 16)
-    kernel = MaternKernel(matern(1.5, sigma=1.2, lambda_=0.15, d=1))
+    kernel = matern(1.5, sigma=1.2, lambda_=0.15, d=1)
     y = np.random.Generator(np.random.Philox(9)).standard_normal(16)
     fake = SimpleNamespace(**{name: getattr(lapack, name) for name in _LAPACK_READS})
     setattr(fake, routine, lambda a, *args, **kwargs: (a, -1))
@@ -409,11 +403,11 @@ class TestFastIdentities:
     def test_incremental_first_entry_is_prior_variance(self, instance):
         kernel, _, _, post = instance
         v = incremental_variances(post)
-        assert v[0] == pytest.approx(kernel.variance, rel=1e-14)
+        assert v[0] == pytest.approx(kernel(0.0), rel=1e-14)
 
     def test_incremental_two_point_formula(self):
         design = Design([[0.1], [0.7]], UNIT)
-        kernel = MaternKernel(matern(1.5, sigma=1.2, lambda_=0.4))
+        kernel = matern(1.5, sigma=1.2, lambda_=0.4)
         v = incremental_variances(condition(kernel, design, np.zeros(2)))
         ref = 1.2**2 - kernel(0.6) ** 2 / 1.2**2
         assert v[1] == pytest.approx(ref, rel=1e-12)
@@ -431,18 +425,18 @@ class TestFastIdentities:
 
     def test_log_det_small_cases(self):
         design = Design([[0.4]], UNIT)
-        kernel = MaternKernel(matern(1.0, sigma=1.3))
+        kernel = matern(1.0, sigma=1.3)
         post = condition(kernel, design, [0.0])
         assert log_det(post) == pytest.approx(math.log(1.3**2), rel=1e-12)
 
         design2 = Design([[0.0], [1.0]], UNIT)
-        kernel2 = MaternKernel(MaternParams(0.5, 1.0, 1.0, STANDARD_SCALING))
+        kernel2 = MaternParams(0.5, 1.0, 1.0)
         post2 = condition(kernel2, design2, [0.0, 0.0])
         assert log_det(post2) == pytest.approx(math.log(1.0 - math.exp(-2.0)), rel=1e-12)
 
     def test_quadratic_form_edge_cases(self):
         design = Design([[0.4]], UNIT)
-        kernel = MaternKernel(matern(1.0, sigma=1.3))
+        kernel = matern(1.0, sigma=1.3)
         assert quadratic_form(condition(kernel, design, [0.0])) == 0.0
         assert quadratic_form(condition(kernel, design, [2.0])) == pytest.approx(
             4.0 / 1.3**2, rel=1e-12)
@@ -472,7 +466,7 @@ class TestFastIdentities:
 
     def test_loo_symmetry(self):
         design = Design([[0.2], [0.8]], UNIT)
-        kernel = MaternKernel(matern(1.5, lambda_=0.5))
+        kernel = matern(1.5, lambda_=0.5)
         res = loo(condition(kernel, design, [0.9, 0.9]))
         assert res.residuals[0] == pytest.approx(res.residuals[1], rel=1e-12)
         assert res.variances[0] == pytest.approx(res.variances[1], rel=1e-12)
@@ -484,7 +478,7 @@ class TestFastIdentities:
         assert np.all(res.variances > 0.0)
 
     def test_loo_needs_two_points(self):
-        kernel = MaternKernel(matern(1.0))
+        kernel = matern(1.0)
         post = condition(kernel, Design([[0.5]], UNIT), [1.0])
         with pytest.raises(DomainError):
             loo(post)
@@ -505,10 +499,10 @@ class TestFastIdentities:
         np.testing.assert_array_equal(loo(broken.prefix(16)).variances,
                                       loo(post.prefix(16)).variances)
 
-    def test_concurrent_loo_inverts_the_factor_once(self, instance, monkeypatch):
-        # Eight threads on two CPUs ask for the shared inverse and forward
-        # solve at once, with a short switch interval and a slow inversion
-        # and solve to widen the race: each is computed once.
+    def test_shared_loo_inverts_the_factor_once(self, instance, monkeypatch):
+        # The posteriors of one factorization share its inverse and forward
+        # solve: each is computed once, on the first request, and every
+        # posterior reads the bits it would read alone.
         kernel, _, _, _ = instance
         design = van_der_corput(UNIT, 64)
         y = np.random.Generator(np.random.Philox(3)).standard_normal(64)
@@ -520,37 +514,17 @@ class TestFastIdentities:
         want = [queries(post) for post in condition_prefixes(kernel, design, y, sizes)]
         calls, invert, solve = [], gp._invert, gp._solve_lower
 
-        def slow_invert(chol, m, buffer=None):
+        def counted_invert(chol, m, buffer=None):
             calls.append(("invert", m))
-            time.sleep(0.01)
             return invert(chol, m, buffer)
 
-        def slow_solve(chol, data):
+        def counted_solve(chol, data):
             calls.append(("forward", data.shape[0]))
-            time.sleep(0.01)
             return solve(chol, data)
 
-        monkeypatch.setattr(gp, "_invert", slow_invert)
-        monkeypatch.setattr(gp, "_solve_lower", slow_solve)
-        posts = condition_prefixes(kernel, design, y, sizes)
-        got = [None] * len(posts)
-        start = threading.Barrier(len(posts))
-
-        def work(i):
-            start.wait(timeout=20)
-            got[i] = queries(posts[i])
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(posts))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=20)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        monkeypatch.setattr(gp, "_invert", counted_invert)
+        monkeypatch.setattr(gp, "_solve_lower", counted_solve)
+        got = [queries(post) for post in condition_prefixes(kernel, design, y, sizes)]
         assert sorted(calls) == [("forward", 64), ("invert", 64)]
         for (a, qa, ma), (b, qb, mb) in zip(got, want):
             np.testing.assert_array_equal(a.variances, b.variances)
@@ -577,7 +551,7 @@ class TestFastIdentities:
             assert a.tobytes() == b.tobytes()
 
     def test_single_point_loo_variance_is_prior_variance(self):
-        kernel = MaternKernel(matern(1.0, sigma=1.3))
+        kernel = matern(1.0, sigma=1.3)
         post = condition(kernel, Design([[0.5]], UNIT), [0.0])
         np.testing.assert_array_equal(loo_variances(post), [kernel(0.0)])
 
@@ -588,8 +562,8 @@ class TestFastIdentities:
 
         def worst_ratio(n):
             prefix, zeros = design.prefix(n), np.zeros(n)
-            v0 = loo_variances(condition(MaternKernel(matern(1.5)), prefix, zeros))
-            v = loo_variances(condition(MaternKernel(matern(0.5)), prefix, zeros))
+            v0 = loo_variances(condition(matern(1.5), prefix, zeros))
+            v = loo_variances(condition(matern(0.5), prefix, zeros))
             return float(np.max(v0 / v))
 
         assert worst_ratio(256) < worst_ratio(32)

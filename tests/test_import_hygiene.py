@@ -3,10 +3,12 @@ a binding that the benchmark's tracer (``benchmarks/tracing.py``) wraps:
 an import that nothing reads is either dead or kept for that tracer, and
 the tracer's ``WRAPPED`` table is the one list of the second kind.  Every
 name a module exports, in its ``__all__`` or through the package's
-``__init__.py``, is bound in that module."""
+``__init__.py``, is bound in that module.  Every entry of the ``KEEP`` table
+of ``tools/unreached.py`` names a function the package defines."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import types
 
@@ -85,3 +87,23 @@ def test_a_stale_export_is_caught():
     module = types.ModuleType("stale")
     module.kept = None
     assert unresolved(module, ["kept", "deleted"]) == ["deleted"]
+
+
+def _unreached_tool():
+    """``tools/unreached.py`` as a module, loaded without running any
+    configuration."""
+    path = os.path.join(ROOT, "tools", "unreached.py")
+    spec = importlib.util.spec_from_file_location("unreached", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_every_keep_entry_names_a_function():
+    assert _unreached_tool().missing() == []
+
+
+def test_a_stale_keep_entry_is_caught(monkeypatch):
+    tool = _unreached_tool()
+    monkeypatch.setitem(tool.KEEP, "kernels.Deleted.method", "a deleted method")
+    assert tool.missing() == ["kernels.Deleted.method"]

@@ -9,18 +9,18 @@ from maternsmooth.analysis import builtin_test_functions, matern_rkhs_norm_sq
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
 from maternsmooth.gp import condition, condition_prefixes, incremental_variances
-from maternsmooth.kernels import MaternKernel, MaternParams, STANDARD_SCALING, kernel_matrix, matern
+from maternsmooth.kernels import MaternParams, kernel_matrix, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
 
 
 def ml_objective(params, design, y):
-    return ell_ml_from(condition(MaternKernel(params), design, y))
+    return ell_ml_from(condition(params, design, y))
 
 
 def cv_objective(params, design, y):
-    return ell_cv_from(condition(MaternKernel(params), design, y))
+    return ell_cv_from(condition(params, design, y))
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ class TestMlObjective:
         params = matern(1.5, sigma=1.2, lambda_=0.2)
         value = ml_objective(params, design, np.zeros(12))
         assert value.data_term == 0.0
-        post = condition(MaternKernel(params), design, np.zeros(12))
+        post = condition(params, design, np.zeros(12))
         from maternsmooth.gp import log_det
 
         assert value.total == pytest.approx(log_det(post), rel=1e-12)
@@ -52,7 +52,7 @@ class TestMlObjective:
         design, y = instance
         params = matern(2.5, sigma=1.1, lambda_=0.15)
         value = ml_objective(params, design, y)
-        K = kernel_matrix(MaternKernel(params), design)
+        K = kernel_matrix(params, design)
         ref = float(y @ np.linalg.solve(K, y)) + float(np.linalg.slogdet(K)[1])
         assert value.total == pytest.approx(ref, rel=1e-8)
 
@@ -77,7 +77,7 @@ class TestCvObjective:
         params = matern(1.5, sigma=1.2, lambda_=0.2)
         value = cv_objective(params, design, np.zeros(12))
         assert value.data_term == 0.0
-        post = condition(MaternKernel(params), design, np.zeros(12))
+        post = condition(params, design, np.zeros(12))
         from maternsmooth.gp import loo
 
         assert value.total == pytest.approx(
@@ -86,11 +86,10 @@ class TestCvObjective:
     def test_naive_refit_oracle(self, instance):
         design, y = instance
         params = matern(1.5, sigma=1.1, lambda_=0.2)
-        kernel = MaternKernel(params)
         data = complexity = 0.0
         for i in range(design.n):
             keep = [j for j in range(design.n) if j != i]
-            post = condition(kernel, Design(design.points[keep], design.box), y[keep])
+            post = condition(params, Design(design.points[keep], design.box), y[keep])
             from maternsmooth.gp import posterior_mean, posterior_var
 
             mu = float(np.atleast_1d(posterior_mean(post, design.points[i]))[0])
@@ -109,7 +108,7 @@ class TestCvObjective:
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
             cv_objective(matern(1.0), Design([[0.5]], UNIT), [1.0])
-        post = condition(MaternKernel(matern(1.0)), Design([[0.5]], UNIT), [[1.0, 2.0]])
+        post = condition(matern(1.0), Design([[0.5]], UNIT), [[1.0, 2.0]])
         with pytest.raises(DomainError):
             ell_cv_from(post)
 
@@ -117,7 +116,7 @@ class TestCvObjective:
     def test_columns_equal_each_column_alone(self, n):
         # One inverse for all columns; each value bit for bit its column's own.
         design = van_der_corput(UNIT, n)
-        kernel = MaternKernel(matern(1.3, sigma=1.1, lambda_=0.3))
+        kernel = matern(1.3, sigma=1.1, lambda_=0.3)
         y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 3))
         together = ell_cv_from(condition(kernel, design, y))
         assert together.data_term.shape == (3,)
@@ -137,7 +136,7 @@ class TestPrefixObjectives:
         # The C07 kernel on 512 points, whose diagonal blocks of 128 and 256
         # rows are factored and inverted by sub-panels.
         design = van_der_corput(UNIT, 512)
-        kernel = MaternKernel(matern(1.5, lambda_=1.0))
+        kernel = matern(1.5, lambda_=1.0)
         y = np.random.Generator(np.random.Philox(columns)).standard_normal((512, columns))
         for n, view in zip(self.SIZES, condition_prefixes(kernel, design, y, self.SIZES)):
             post = condition(kernel, Design(design.points[:n], UNIT), y[:n])
@@ -148,7 +147,7 @@ class TestPrefixObjectives:
 
     def test_one_vector_and_one_size_is_the_posterior_objective(self, instance):
         design, y = instance
-        kernel = MaternKernel(matern(1.5, lambda_=0.3))
+        kernel = matern(1.5, lambda_=0.3)
         (view,) = condition_prefixes(kernel, design, y, [design.n])
         post = condition(kernel, design, y)
         values = {"ml": ell_ml_from(view), "cv": ell_cv_from(view)}
@@ -159,7 +158,7 @@ class TestPrefixObjectives:
         # Maximum likelihood is defined on every prefix, cross-validation
         # from two points.
         design, y = instance
-        kernel = MaternKernel(matern(1.5, lambda_=0.3))
+        kernel = matern(1.5, lambda_=0.3)
         views = condition_prefixes(kernel, design, y, [1, 2, 12])
         assert all(isinstance(ell_ml_from(view).total, float) for view in views)
         with pytest.raises(DomainError, match="n >= 2"):
@@ -173,7 +172,7 @@ class TestPrefixObjectives:
         points = van_der_corput(UNIT, 20).points[:, 0].copy()
         points[17] = points[3] + 1e-13
         design = Design(points, UNIT)
-        kernel = MaternKernel(matern(2.5, lambda_=0.5))
+        kernel = matern(2.5, lambda_=0.5)
         y = np.ones(design.n)
         sizes = [16, 17, 18, 20]
         got = condition_prefixes(kernel, design, y, sizes)
@@ -198,16 +197,16 @@ class TestObjectiveChainInequality:
         gb = builtin_test_functions()["gauss_bump"]
         nu0 = 1.5
         lam = math.sqrt(2.0)
-        params0 = MaternParams(nu0, 1.0, lam, STANDARD_SCALING)
+        params0 = MaternParams(nu0, 1.0, lam)
         norm_sq = matern_rkhs_norm_sq(gb, params0)
         for n in (16, 32):
             design = van_der_corput(UNIT, n)
             y = gb(design.points[:, 0])
             lhs = ml_objective(params0, design, y).total
             for nu in (0.5, 1.0):
-                params = MaternParams(nu, 1.0, lam, STANDARD_SCALING)
+                params = MaternParams(nu, 1.0, lam)
                 rhs = ml_objective(params, design, y).total + norm_sq
-                v0 = incremental_variances(condition(MaternKernel(params0), design, y))
-                v1 = incremental_variances(condition(MaternKernel(params), design, y))
+                v0 = incremental_variances(condition(params0, design, y))
+                v1 = incremental_variances(condition(params, design, y))
                 rhs += float(np.sum(np.log(v0 / v1)))
                 assert lhs <= rhs + 1e-5

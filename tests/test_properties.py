@@ -27,7 +27,7 @@ from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimat
 from maternsmooth.experiments import _jittered_grid, _naive_loo, make_design
 from maternsmooth import gp, kernels
 from maternsmooth.gp import condition, condition_prefixes, loo
-from maternsmooth.kernels import MaternKernel, kernel_matrix, kernel_panels, matern
+from maternsmooth.kernels import kernel_matrix, kernel_panels, matern
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import bessel_k, log_bessel_k
 from test_designs import dense_closest, dense_fill
@@ -47,7 +47,7 @@ def _instance(d, nu, n, seed, columns=1):
     identity suite, so every case is well conditioned."""
     design = _jittered_grid(d, n, seed)
     lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d)
-    kernel = MaternKernel(matern(nu, 1.2, lam, d=d))
+    kernel = matern(nu, 1.2, lam, d=d)
     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
     return kernel, design, y
 
@@ -89,7 +89,7 @@ def test_node_minimum_of_the_c07_objectives(c07_paths, n, seed):
         objective = ell_ml_from if name == "ml" else ell_cv_from
 
         def total(nu):
-            return objective(condition(MaternKernel(matern(nu, 1.0, 1.0, d=1)), prefix,
+            return objective(condition(matern(nu, 1.0, 1.0, d=1), prefix,
                                        y)).total
 
         i = int(np.argmin(np.abs(np.log(grid / est.nu_hat))))
@@ -348,7 +348,7 @@ def _prefix_instance(kind, d, nu, n, seed, columns=1, lam=None):
         design = uniform_grid(Box.unit(2), 17).prefix(n)
     lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d) if lam is None else lam
     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
-    return MaternKernel(matern(nu, 1.2, lam, d=d)), design, y
+    return matern(nu, 1.2, lam, d=d), design, y
 
 
 def _alone(design, n):
@@ -460,7 +460,7 @@ def test_prefix_cells_equal_each_prefix_conditioned_alone(case, columns, profile
     # The one-pass totals of a cell: bit for bit those of each prefix
     # conditioned alone at the exact sizes, and to rounding at others.
     kernel, design, y = _prefix_instance(*case, columns=columns)
-    nu = kernel.params.nu
+    nu = kernel.nu
     scan = estimators._Scan("nu", lambda _: kernel, nu, nu, 8, profile)
     sizes = sorted({m for m in EXACT_SIZES if m <= design.n} | {min(other, design.n)})
     for n, cell in zip(sizes, estimators._cells(design, y, scan, nu, sizes)):
@@ -797,7 +797,7 @@ def test_kernel_entries_depend_only_on_their_distance(case, seed):
     # alone agree on every entry.
     nu, x = case
     nu = max(nu, 0.05)
-    kernel = MaternKernel(matern(nu, 1.0, math.sqrt(2.0 * nu)))
+    kernel = matern(nu, 1.0, math.sqrt(2.0 * nu))
     rng = np.random.Generator(np.random.Philox(seed))
     others = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 40))
     points = np.concatenate(([0.0, x], others[others != x]))

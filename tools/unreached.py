@@ -8,8 +8,9 @@ every configuration of ``tools/cli_digests.py`` in this process through
 package's sources (methods and nested functions included) that none of
 them called and that ``KEEP`` does not name.  ``KEEP`` maps each function
 kept without a command that runs it to its reason; an entry that some
-configuration runs is printed too, as stale.  The exit code is 1 when
-anything is printed, a configuration exiting other than 0 among it.
+configuration runs, or that names no function of the sources, is printed
+too, as stale.  The exit code is 1 when anything is printed, a
+configuration exiting other than 0 among it.
 
 It imports the package from the ``src`` directory of the checkout it lives
 in, and only the standard library besides; run on the sources of an
@@ -53,9 +54,6 @@ KEEP = {
     "analysis.builtin_test_functions.<locals>.gauss_fourier": "catalog entry gauss_bump",
     "errors.AccuracyError.__init__": "raised by the norm layer's tail check and the Bessel "
                                      "series (test_analysis.py, test_specfun.py)",
-    "kernels.MaternKernel.variance": "oracle of test_gp.py's first incremental variance",
-    "kernels.MaternKernel.__repr__": "Python protocol method",
-    "kernels.GaussianKernel.__repr__": "Python protocol method",
     "designs.fill_distance": "benchmark tracer binding (estimators.fill_distance), until "
                              "ROADMAP item 1",
     "designs._separations": "ROADMAP items 10 and 14 (the separation of a prefix)",
@@ -97,6 +95,11 @@ def functions():
             with open(path) as fh:
                 visit(ast.parse(fh.read()), path, f"{entry[:-3]}.")
     return found
+
+
+def missing():
+    """The ``KEEP`` entries that name no function of the sources."""
+    return sorted(set(KEEP) - set(functions().values()))
 
 
 def main():
@@ -141,6 +144,9 @@ def main():
         elif ran and name in KEEP:
             print(f"{where} is in KEEP, but a configuration runs it")
         printed |= ran == (name in KEEP)
+    for name in missing():
+        print(f"{name} is in KEEP, but the sources define no such function")
+        printed = True
     return 1 if printed else 0
 
 
