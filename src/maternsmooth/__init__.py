@@ -10,7 +10,6 @@ and runs desk-scale convergence experiments.
 
 from .analysis import (
     QuadratureConfig,
-    RateFit,
     TestFunction,
     builtin_test_functions,
     fit_rate,
@@ -62,7 +61,6 @@ from .kernels import (
     MaternParams,
     gaussian_eval,
     kernel_matrix,
-    matern,
     matern_eval,
 )
 from .objectives import (

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import is_integer
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_integer, check_positive, is_real
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
-from .kernels import check_positive, kernel_matrix, log_c_scaling  # noqa: F401
-from .specfun import is_real, log_gamma
+from .kernels import kernel_matrix, log_c_scaling  # noqa: F401
+from .specfun import log_gamma
 
 __all__ = [
     "TestFunction",
@@ -31,7 +30,6 @@ __all__ = [
     "sobolev_norm_sq",
     "fourier_reconstruction",
     "sample_gp_path",
-    "RateFit",
     "fit_rate",
     "builtin_test_functions",
 ]
@@ -72,9 +70,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.truncation is not None:
             check_positive("truncation", self.truncation)
-        if not (is_integer(self.nodes) and self.nodes >= 2):
-            raise DomainError(f"nodes must be an integer >= 2 per unit interval, "
-                              f"got {self.nodes!r}")
+        check_integer("nodes", self.nodes, 2)
         check_positive("tail_bound", self.tail_bound)
 
 
@@ -267,14 +263,6 @@ def fourier_reconstruction(tf, x, q=QuadratureConfig()):
     return out
 
 
-def check_seed(seed):
-    """A seed as an int: :class:`DomainError` unless it is a non-negative
-    integer (a bool or a float is not)."""
-    if not (is_integer(seed) and seed >= 0):
-        raise DomainError(f"seed {seed!r} must be a non-negative integer")
-    return int(seed)
-
-
 def sample_gp_path(params, design, seed):
     """Draw a zero-mean sample path at the design points.
 
@@ -291,7 +279,7 @@ def sample_gp_path(params, design, seed):
     design see consistent data; see :meth:`~maternsmooth.gp.Posterior.prefix`).
     """
     single = np.ndim(seed) == 0
-    seeds = [check_seed(s) for s in ([seed] if single else seed)]
+    seeds = [check_integer("seed", s, 0) for s in ([seed] if single else seed)]
     if not seeds:
         raise DomainError("need at least one seed")
     paths = _draw(condition(params, design, np.zeros(design.n)).chol, seeds)
@@ -307,17 +295,9 @@ def _draw(chol, seeds):
             for s in seeds]
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares line through ``(log n, log value)``."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-
-
 def fit_rate(ns, values):
-    """Fit ``value ~ C * n^slope`` by least squares in log-log coordinates."""
+    """The slope of ``value ~ C * n^slope``, fitted by least squares in
+    log-log coordinates."""
     ns = np.asarray(list(ns), dtype=float)
     values = np.asarray(list(values), dtype=float)
     if ns.size < 3:
@@ -327,12 +307,7 @@ def fit_rate(ns, values):
         raise DomainError("rate fitting needs positive finite sizes and values")
     x = np.log(ns)
     y = np.log(values)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def builtin_test_functions():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -151,10 +152,6 @@ _COMMANDS = {
 }
 
 
-def _int_list(text):
-    return tuple(int(t) for t in text.split(",") if t.strip())
-
-
 def _thread_count(text):
     count = int(text)
     if count < 1:
@@ -162,8 +159,21 @@ def _thread_count(text):
     return count
 
 
-def _float_list(text):
-    return tuple(float(t) for t in text.split(",") if t.strip())
+# The flag of each setting that a command line may give.  Its text is
+# parsed as the file line ``key = text`` is (:func:`_parse_value`), and the
+# configuration checks the value.
+_SETTING_FLAGS = {
+    "--seed-list": "seeds",
+    "--d": "d",
+    "--nu0": "nu0",
+    "--schedule": "schedule",
+    "--f0": "f0",
+    "--nu-grid": "nu_grid",
+    "--nu-model": "nu_model",
+    "--sigma": "sigma",
+    "--lambda": "lambda_",
+    "--design": "design",
+}
 
 
 def _build_parser():
@@ -182,19 +192,9 @@ def _build_parser():
         p.add_argument("--threads", type=_thread_count, default=None,
                        help="accepted and ignored (an integer >= 1): every "
                             "command runs on the calling thread")
-        p.add_argument("--seed-list", dest="seeds", type=_int_list, default=None,
-                       help="comma-separated seeds")
-        p.add_argument("--d", type=int, choices=(1, 2), default=None)
-        p.add_argument("--nu0", type=float, default=None)
-        p.add_argument("--schedule", type=_int_list, default=None,
-                       help="comma-separated prefix sizes")
-        p.add_argument("--f0", default=None, help="catalog test-function label")
-        p.add_argument("--nu-grid", dest="nu_grid", type=_float_list, default=None)
-        p.add_argument("--nu-model", dest="nu_model", type=_float_list, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--lambda", dest="lambda_", type=float, default=None)
-        p.add_argument("--design", choices=("van_der_corput", "uniform_grid"),
-                       default=None)
+        for flag, key in _SETTING_FLAGS.items():
+            p.add_argument(flag, dest=key, type=functools.partial(_parse_value, key),
+                           metavar="TEXT", help=f"the setting {key}, read as a file line")
         p.add_argument("--check", action="store_true",
                        help="exit 1 when the experiment's built-in criterion fails")
     return parser

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DomainError
+from .errors import DegenerateDesignError, DomainError, check_integer, is_integer
 
 __all__ = [
     "Box",
@@ -67,11 +67,6 @@ class Box:
         return bool(np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12))
 
 
-def is_integer(value):
-    """Whether ``value`` is a Python or NumPy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_schedule(schedule):
     """A schedule of prefix sizes as a list of ints: :class:`DomainError`
     unless each is an integer of at least 1, larger than the one before."""
@@ -112,13 +107,9 @@ class Design:
         return self.box.d
 
     def check_prefix_size(self, m):
-        """``m`` as an int: :class:`DomainError` unless it is an integer (a
-        NumPy one will do, a bool will not) in ``[0, n]``."""
-        if not is_integer(m):
-            raise DomainError(f"prefix size must be an integer, got {m!r}")
-        if not (0 <= m <= self.n):
-            raise DomainError(f"prefix size {m} outside [0, {self.n}]")
-        return int(m)
+        """``m`` as an int: :class:`DomainError` unless it is an integer in
+        ``[0, n]``."""
+        return check_integer("prefix size", m, 0, self.n)
 
     def check_schedule(self, sizes):
         """A schedule of prefix sizes of this design as a list of ints:
@@ -175,9 +166,7 @@ def uniform_grid(box, m_per_axis):
     design is itself quasi-uniform.  ``m_per_axis`` is an integer of at
     least 2.
     """
-    if not (is_integer(m_per_axis) and m_per_axis >= 2):
-        raise DomainError(f"m_per_axis must be an integer >= 2, got {m_per_axis!r}")
-    m = int(m_per_axis)
+    m = check_integer("m_per_axis", m_per_axis, 2)
     d = box.d
     axes = [np.linspace(box.lower[k], box.upper[k], m) for k in range(d)]
     levels_1d = _bisection_levels(m)
@@ -206,8 +195,7 @@ def van_der_corput(box, n):
     """
     if box.d != 1:
         raise DomainError("van der Corput sequence is one-dimensional")
-    if not (is_integer(n) and n >= 1):
-        raise DomainError(f"need an integer n >= 1 of points, got {n!r}")
+    n = check_integer("n", n, 1)
     lo, hi = box.lower[0], box.upper[0]
     unit = [0.0, 1.0]
     k = 1
@@ -280,11 +268,7 @@ def fill_distances(design, sizes, probe_resolution=None):
     sizes = design.check_schedule(sizes)
     if probe_resolution is None:
         probe_resolution = 4097 if design.d == 1 else 129
-    if not is_integer(probe_resolution):
-        raise DomainError(f"probe_resolution must be an integer, got {probe_resolution!r}")
-    if probe_resolution < 64:
-        raise DomainError("probe_resolution must be at least 64")
-    probes = _probe_grid(design.box, int(probe_resolution))
+    probes = _probe_grid(design.box, check_integer("probe_resolution", probe_resolution, 64))
     pts = design.points
     # The square root is monotone and correctly rounded, so each value is
     # the largest of the probes' distances.

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules on values
+that raise them.
+
+What an argument or a setting may hold is decided here, once: a real
+number (:func:`is_real`), an integer (:func:`is_integer`), a positive
+finite real (:func:`check_positive`, :func:`require_positive`) or an
+integer in a range (:func:`check_integer`).  Python and NumPy numbers both
+pass, a bool or text never does, and a value that fails raises
+:class:`DomainError` naming the setting and the value given; a value that
+passes is returned as an int or a float.
+"""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class MaternSmoothError(Exception):
@@ -48,3 +63,39 @@ class ConditioningError(MaternSmoothError, ArithmeticError):
 
 class EstimationError(MaternSmoothError, RuntimeError):
     """No parameter value in the search bracket could be evaluated."""
+
+
+def is_real(value):
+    """Whether ``value`` is a real number, Python or NumPy, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value):
+    """Whether ``value`` is a Python or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integer(name, value, low, high=math.inf):
+    """``value`` as an int: :class:`DomainError` naming ``name`` unless it is
+    an integer (:func:`is_integer`) in ``[low, high]``."""
+    if not (is_integer(value) and low <= value <= high):
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name, value):
+    """``value`` as a float: :class:`DomainError` naming ``name`` unless it
+    is a positive finite real number (:func:`is_real`)."""
+    if not (is_real(value) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def require_positive(record, names):
+    """:func:`check_positive` on each named field of the frozen dataclass
+    ``record``, stored back as its float: an int or a NumPy ``float32``
+    given for a kernel's field then computes in double precision, as a
+    float would."""
+    for name in names:
+        object.__setattr__(record, name, check_positive(name, getattr(record, name)))

@@ -34,10 +34,11 @@ from numpy.polynomial import chebyshev as cheb
 
 # ``fill_distance`` and ``condition`` stay bound here for the benchmark
 # tracer, which wraps them.
-from .designs import fill_distance, fill_distances, is_integer  # noqa: F401
-from .errors import ConditioningError, DomainError, EstimationError
+from .designs import fill_distance, fill_distances  # noqa: F401
+from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
+                     require_positive)
 from .gp import condition, condition_prefixes  # noqa: F401
-from .kernels import matern, require_positive
+from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
 
 __all__ = [
@@ -101,10 +102,7 @@ class EstimatorConfig:
         if not self.nu_min < self.nu_max:
             raise DomainError(f"need nu_min < nu_max, got nu_min={self.nu_min!r}, "
                               f"nu_max={self.nu_max!r}")
-        if not is_integer(self.coarse_grid):
-            raise DomainError(f"coarse_grid must be an integer, got {self.coarse_grid!r}")
-        if self.coarse_grid < 8:
-            raise DomainError("coarse_grid must be at least 8")
+        check_integer("coarse_grid", self.coarse_grid, 8)
         if not isinstance(self.profile_sigma, bool):
             raise DomainError(f"profile_sigma must be a bool, got {self.profile_sigma!r}")
 
@@ -126,7 +124,7 @@ class _Scan:
 def _matern_scan(config, d):
     """The search of the Matern smoothness that ``config`` sets, in dimension ``d``."""
     sigma = 1.0 if config.profile_sigma else config.sigma
-    return _Scan("nu", lambda nu: matern(nu, sigma, config.lambda_, d=d),
+    return _Scan("nu", lambda nu: MaternParams(nu, sigma, config.lambda_, d),
                 config.nu_min, config.nu_max, config.coarse_grid, config.profile_sigma)
 
 
@@ -278,9 +276,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     for bit.  A failing cell between two evaluable cells that the search
     does not read is not seen.
     """
-    if not (0 < lo <= hi < math.inf and is_integer(n_coarse) and n_coarse >= 1):
-        raise DomainError(f"need 0 < lo <= hi < inf and an integer n_coarse >= 1, got "
-                          f"lo={lo!r}, hi={hi!r}, n_coarse={n_coarse!r}")
+    if not 0 < lo <= hi < math.inf:
+        raise DomainError(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
+    check_integer("n_coarse", n_coarse, 1)
     grid = [float(theta) for theta in np.geomspace(lo, hi, n_coarse)]
     known, failures = {}, []
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import _draw, builtin_test_functions, check_seed, fit_rate, sample_gp_path
-from .designs import Box, Design, check_schedule, is_integer, uniform_grid, van_der_corput
-from .errors import ConditioningError, DomainError
+from .analysis import _draw, builtin_test_functions, fit_rate, sample_gp_path
+from .designs import Box, Design, check_schedule, uniform_grid, van_der_corput
+from .errors import (ConditioningError, DomainError, check_integer, check_positive,
+                     require_positive)
 from .estimators import (EstimatorConfig, SweepRecord, _Scan, _search_notes, _searches,
                          sweep_prefixes)
 from .gp import (
@@ -28,7 +29,7 @@ from .gp import (
     loo_variances,
     quadratic_form,
 )
-from .kernels import GaussParams, check_positive, kernel_matrix, matern, require_positive
+from .kernels import GaussParams, MaternParams, kernel_matrix
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 
@@ -91,9 +92,7 @@ class ExperimentConfig:
                 raise DomainError(f"need at least one {entry} in {name}, or leave it unset")
         if self.schedule is not None:
             check_schedule(self.schedule)
-        if not (is_integer(self.d) and self.d in (1, 2)):
-            raise DomainError(f"only d in {{1, 2}} is supported by the experiments, "
-                              f"got {self.d!r}")
+        check_integer("d", self.d, 1, 2)
         if self.nu0 is not None:
             check_positive("nu0", self.nu0)
         for name in ("nu_grid", "nu_model"):
@@ -102,8 +101,7 @@ class ExperimentConfig:
                 check_positive(f"each entry of {name}", nu)
             if len(set(nus)) != len(nus):
                 raise DomainError(f"{name} repeats an entry: {nus!r}")
-        if self.design not in (None, "van_der_corput", "uniform_grid"):
-            raise DomainError(f"unknown design generator {self.design!r}")
+        _generator(self.design, self.d)
         if self.f0 is not None and self.f0 not in builtin_test_functions():
             raise DomainError(f"unknown test function label {self.f0!r}")
         require_positive(self, ("lambda_min", "lambda_max"))
@@ -111,7 +109,7 @@ class ExperimentConfig:
             raise DomainError(f"need lambda_min <= lambda_max, got "
                               f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
         for seed in self.seeds or ():
-            check_seed(seed)
+            check_integer("seed", seed, 0)
         _check_command(self.experiment, self)
 
 
@@ -173,10 +171,10 @@ def _check_command(command, config):
             raise DomainError(f"the catalog function {config.f0!r} is not drawn, so it reads "
                               f"no seeds, got {config.seeds!r}")
     elif command == "convergence":
-        count, n = config.probe_count, max(config.schedule or _CONVERGENCE_SCHEDULE)
-        if not (is_integer(count) and 1 <= count <= 512 and n <= 513):
-            raise DomainError(f"convergence needs an integer 1 <= probe_count <= 512 and at "
-                              f"most 513 design points, got {count!r} probes and {n} points")
+        check_integer("probe_count", config.probe_count, 1, 512)
+        n = max(config.schedule or _CONVERGENCE_SCHEDULE)
+        if n > 513:
+            raise DomainError(f"convergence needs at most 513 design points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -192,25 +190,38 @@ class ExperimentResult:
 
 def _matern(config, nu, d):
     """Matern parameters of smoothness ``nu`` at the configured sigma and lambda."""
-    return matern(nu, config.estimator.sigma, config.estimator.lambda_, d=d)
+    return MaternParams(nu, config.estimator.sigma, config.estimator.lambda_, d)
+
+
+def _grid_prefix(box, size):
+    """The prefix of ``size`` points of the smallest ``2**k + 1`` per axis
+    :func:`~maternsmooth.designs.uniform_grid` that holds them."""
+    k = 1
+    while (2**k + 1) ** box.d < size:
+        k += 1
+    return uniform_grid(box, 2**k + 1).prefix(size)
+
+
+# The design generators a configuration may name: each gives the first
+# ``size`` points of its sequence on a box.
+_DESIGNS = {"van_der_corput": van_der_corput, "uniform_grid": _grid_prefix}
+
+
+def _generator(name, d):
+    """The generator of the design ``name`` in dimension ``d``, None being
+    van der Corput in one dimension and the grid in more;
+    :class:`DomainError` for a name that :data:`_DESIGNS` lacks."""
+    if name is None:
+        return van_der_corput if d == 1 else _grid_prefix
+    if name not in _DESIGNS:
+        raise DomainError(f"unknown design generator {name!r}")
+    return _DESIGNS[name]
 
 
 def make_design(name, d, size):
-    """The first ``size`` points of a named quasi-uniform design on the unit
-    box; the name None is ``van_der_corput`` in one dimension and
-    ``uniform_grid`` in more."""
-    box = Box.unit(d)
-    if name is None:
-        name = "van_der_corput" if d == 1 else "uniform_grid"
-    if name == "van_der_corput":
-        return van_der_corput(box, size)
-    if name == "uniform_grid":
-        # the prefix of the smallest 2^k + 1 grid per axis covering the size
-        k = 1
-        while (2**k + 1) ** d < size:
-            k += 1
-        return uniform_grid(box, 2**k + 1).prefix(size)
-    raise DomainError(f"unknown design generator {name!r}")
+    """The first ``size`` points of a design of :data:`_DESIGNS` on the unit
+    box (:func:`_generator`)."""
+    return _generator(name, d)(Box.unit(d), size)
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +309,7 @@ def run_identity_suite(kernel_fault=None):
                 for kind_id, kind in enumerate(("quasi-uniform", "random")):
                     seed = int(1_000_000 * d + 10_000 * nu + 10 * n + kind_id)
                     design = _identity_design(kind, d, n, seed)
-                    kernel = matern(nu, sigma, lam, d=d)
+                    kernel = MaternParams(nu, sigma, lam, d)
                     if kernel_fault is not None:
                         kernel = kernel_fault(kernel)
                     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal(n)
@@ -385,7 +396,7 @@ def run_variance_decay(config):
         cells = [(math.nan, math.nan, cell) if isinstance(cell, str) else cell
                  for cell in _prefix_cells(kernel, design, np.zeros(design.n), schedule, read)]
         fit = [(n, v) for n, (v, _, _) in zip(schedule, cells) if math.isfinite(v)]
-        slopes[nu] = fit_rate(*zip(*fit)).slope if len(fit) >= 3 else math.nan
+        slopes[nu] = fit_rate(*zip(*fit)) if len(fit) >= 3 else math.nan
         rows += [[config.d, nu, n, v, last, slopes[nu], note]
                  for n, (v, last, note) in zip(schedule, cells)]
 
@@ -609,7 +620,7 @@ def run_convergence(config):
         errors = {n: [e for e, _, _ in cells[nu_model, n]] for n in schedule}
         ns = [n for n in schedule if all(map(math.isfinite, errors[n]))]
         if len(ns) >= 3:
-            slope = fit_rate(ns, [float(np.exp(np.mean(np.log(errors[n])))) for n in ns]).slope
+            slope = fit_rate(ns, [float(np.exp(np.mean(np.log(errors[n])))) for n in ns])
             lines.append(f"nu_model={nu_model:g}: sup-error slope {slope:+.3f} "
                          f"(oversmoothed theory {-nu0:+.3f})")
     under = min(models)

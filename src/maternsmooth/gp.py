@@ -210,28 +210,21 @@ def _invert(chol, m, buffer=None):
     The inverse of a prefix of at most 16 or ``16 * 2**k`` points thus
     meets the same operations on the same data as in any larger factor: it
     is bit for bit the leading block of theirs.  Returns the
-    Fortran-ordered inverse and None, or the inverse of the panels before a
-    zero diagonal entry and the :class:`ConditioningError` naming that
-    entry.  The inverse is written into ``buffer`` when one is given (see
+    Fortran-ordered inverse, written into ``buffer`` when one is given (see
     :func:`_square`).
     """
     W = _square(buffer, m)
-    ends = _panel_ends(m)
-    info = _invert_rows(chol, W, ends)
-    if not info:
-        return W, None
-    p = info - 1
-    a = max(b for b in [0, *ends] if b <= p)
-    return W[:a, :a], ConditioningError(
-        f"triangular inversion failed: factor diagonal entry {p} is zero",
-        pivot_index=p, pivot_value=float(chol[p, p]))
+    _invert_rows(chol, W, _panel_ends(m))
+    return W
 
 
-def _invert_rows(L, W, ends):
+def _invert_rows(L, W, ends, offset=0):
     """Write the inverse of the lower triangular ``L`` into ``W``, zeros of
-    its shape, by the row blocks ending at ``ends``; returns LAPACK's
-    ``info``: 0, or one more than the index of the first zero diagonal
-    entry, where the rows from that entry's block on are left unfinished.
+    its shape, by the row blocks ending at ``ends``; raises the
+    :class:`ConditioningError` naming the first zero diagonal entry, numbered
+    from ``offset``, when ``dtrtri`` reports one.  No factor that
+    :func:`_factor` accepts has one: each of its pivots is at least
+    ``PIVOT_RTOL * K(0)``.
 
     Block ``a:b`` inverts its diagonal block and forms the rows left of it
     as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  A diagonal block of at
@@ -243,19 +236,20 @@ def _invert_rows(L, W, ends):
     for b in ends:
         if b - a > _SUB:
             w = b - a
-            info = _invert_rows(L[a:b, a:b], W[a:b, a:b], [*range(_SUB, w, _SUB), w])
+            _invert_rows(L[a:b, a:b], W[a:b, a:b], [*range(_SUB, w, _SUB), w], offset + a)
         else:
             block = _first_block(L[:b, :b]) if b < _FIRST_PANEL else L[a:b, a:b]
             inv, info = _lapack_call("dtrtri", block, lower=1)
-            if not info:
-                W[a:b, a:b] = inv[:b - a, :b - a]
-        if info:
-            return a + info
+            if info:
+                p = offset + a + info - 1
+                raise ConditioningError(
+                    f"triangular inversion failed: factor diagonal entry {p} is zero",
+                    pivot_index=p, pivot_value=float(block[info - 1, info - 1]))
+            W[a:b, a:b] = inv[:b - a, :b - a]
         if a:
             left = _blas.dtrmm(1.0, W[:a, :a], L[a:b, :a], side=1, lower=1)
             W[a:b, :a] = _blas.dtrmm(-1.0, W[a:b, a:b], left, lower=1, overwrite_b=1)
         a = b
-    return 0
 
 
 def _solve_lower(chol, b):
@@ -289,15 +283,11 @@ class _Factorization:
         return Posterior(self, n)
 
     def inverse(self, n):
-        """The inverse of the first ``n <= top`` rows of the factor; raises
-        the :class:`ConditioningError` of :func:`_invert` if it fails before."""
+        """The inverse of the first ``n <= top`` rows of the factor
+        (:func:`_invert`)."""
         if self._inverse is None:
             self._inverse = _invert(self.chol, self.top, self._buffer)
-        W, err = self._inverse
-        if n > W.shape[0]:
-            raise ConditioningError(str(err), pivot_index=err.pivot_index,
-                                    pivot_value=err.pivot_value)
-        return W[:n, :n]
+        return self._inverse[:n, :n]
 
     def forward(self):
         """``L^{-1} y`` of the first ``top`` points, one array per data

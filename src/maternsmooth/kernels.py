@@ -1,7 +1,10 @@
 """The Matern kernel and its Gaussian limit, as parameter records.
 
 A :class:`MaternParams` or :class:`GaussParams` record is the kernel: called
-on distances, it gives their covariances.  All Matern evaluation goes through
+on distances, it gives their covariances.  Its fields are checked as given
+by the rules of :mod:`~maternsmooth.errors`, so text and bools are refused:
+``nu``, ``sigma`` and ``lambda_`` are positive finite reals, kept as floats,
+and ``d`` is an integer of at least 1.  All Matern evaluation goes through
 one entry, :func:`matern_eval`, in log space (log scaling factor plus
 ``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that orders
 up to several hundred remain usable; direct evaluation of
@@ -23,14 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import is_integer
-from .errors import DegenerateDesignError, DomainError
-from .specfun import is_real, log_bessel_k, log_gamma
+from .errors import (DegenerateDesignError, DomainError, check_integer, check_positive,
+                     require_positive)
+from .specfun import log_bessel_k, log_gamma
 
 __all__ = [
     "MaternParams",
     "GaussParams",
-    "matern",
     "matern_eval",
     "gaussian_eval",
     "kernel_matrix",
@@ -43,31 +45,10 @@ def log_c_scaling(nu, d):
     away from zero on every interval ``(0, nu1]``.  At ``nu >= d/2`` the
     kernel's value at zero distance is ``sigma**2``, and its large-``nu``
     limit is the Gaussian kernel (:func:`gaussian_eval`)."""
-    if not (nu > 0 and math.isfinite(nu)):
-        raise DomainError(f"nu must be positive and finite, got {nu!r}")
-    check_dimension(d)
+    nu = check_positive("nu", nu)
+    check_integer("dimension d", d, 1)
     nu_eff = max(nu, 0.5 * d)
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)
-
-
-def check_dimension(d):
-    """Raise :class:`DomainError` unless ``d`` is an integer >= 1, Python or
-    NumPy, and not a bool."""
-    if not (is_integer(d) and d >= 1):
-        raise DomainError(f"dimension d must be an integer >= 1, got {d!r}")
-
-
-def check_positive(name, value):
-    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a
-    positive finite real number: Python or NumPy, and not a bool."""
-    if not (is_real(value) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def require_positive(params, names):
-    """:func:`check_positive` on each named field of ``params``."""
-    for name in names:
-        check_positive(name, getattr(params, name))
 
 
 @dataclass(frozen=True)
@@ -84,7 +65,7 @@ class MaternParams:
 
     def __post_init__(self):
         require_positive(self, ("nu", "sigma", "lambda_"))
-        check_dimension(self.d)
+        check_integer("dimension d", self.d, 1)
 
     def __call__(self, r):
         return matern_eval(self, r)
@@ -99,11 +80,6 @@ class MaternParams:
         """The covariance at distance 0."""
         nu = self.nu
         return math.exp(self._log_scale + (nu - 1.0) * math.log(2.0) + log_gamma(nu))
-
-
-def matern(nu, sigma=1.0, lambda_=1.0, d=1):
-    """:class:`MaternParams` with ``nu``, ``sigma`` and ``lambda_`` as floats."""
-    return MaternParams(float(nu), float(sigma), float(lambda_), d)
 
 
 @dataclass(frozen=True)

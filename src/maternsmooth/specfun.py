@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 from scipy import special as _special
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, is_real
 
 __all__ = [
     "log_gamma",
@@ -93,10 +92,6 @@ _QUAD_STRIPS = np.arange(1, 32) * 0.05
 # Each bucket's node matrix (nodes by arguments) holds at most _NODE_MATRIX
 # doubles.
 _NODE_MATRIX = 2**16
-
-def is_real(value):
-    """Whether ``value`` is a real number, Python or NumPy, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @functools.lru_cache(maxsize=None)

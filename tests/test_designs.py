@@ -348,7 +348,7 @@ class TestDesignInvariants:
 
     @pytest.mark.parametrize("size", [-1, 9, np.int64(9)])
     def test_prefix_size_must_lie_in_the_design(self, size):
-        with pytest.raises(DomainError, match="outside"):
+        with pytest.raises(DomainError, match=r"prefix size must be an integer in \[0, 8\]"):
             van_der_corput(UNIT, 8).prefix(size)
 
     def test_numpy_integer_prefix_size(self):

@@ -20,7 +20,7 @@ from maternsmooth.estimators import (
 )
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
 from maternsmooth.gp import condition, condition_prefixes
-from maternsmooth.kernels import matern
+from maternsmooth.kernels import MaternParams
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
@@ -80,7 +80,7 @@ def largest_prefix_rule(factored, schedule):
 @pytest.fixture(scope="module")
 def sample_instance():
     design = van_der_corput(UNIT, 128)
-    y = sample_gp_path(matern(1.5, 1.0, 1.0, d=1), design, seed=202)
+    y = sample_gp_path(MaternParams(1.5, 1.0, 1.0, d=1), design, seed=202)
     return design, y
 
 
@@ -143,7 +143,7 @@ class TestBracketedMinimize:
         (1.0, 4.0, 2.5), (1.0, 4.0, 10.0)])
     def test_bracket_is_checked(self, lo, hi, n_coarse):
         calls = []
-        with pytest.raises(DomainError, match="lo <= hi"):
+        with pytest.raises(DomainError, match="lo <= hi|n_coarse must be an integer >= 1"):
             bracketed_minimize(lambda t: calls.append(t) or t, lo, hi, n_coarse)
         assert not calls
 
@@ -341,7 +341,7 @@ class TestEstimateNu:
         est = estimate_nu(design.prefix(32), np.zeros(32), cfg)["ml"]
         # fine-grid oracle at 10x the coarse resolution
         fine = np.geomspace(cfg.nu_min, cfg.nu_max, 10 * cfg.coarse_grid)
-        vals = [ml_objective(matern(nu, 1.0, 0.2, d=1), design.prefix(32), np.zeros(32)).total
+        vals = [ml_objective(MaternParams(nu, 1.0, 0.2, d=1), design.prefix(32), np.zeros(32)).total
                 for nu in fine]
         assert est.objective_at_min <= min(vals) + 1e-6
 
@@ -351,7 +351,7 @@ class TestEstimateNu:
         est = estimate_nu(design, y, cfg)["ml"]
         for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid):
             try:
-                value = ml_objective(matern(float(nu), 1.0, 1.0, d=1), design, y).total
+                value = ml_objective(MaternParams(float(nu), 1.0, 1.0, d=1), design, y).total
             except ConditioningError:
                 continue
             assert est.objective_at_min <= value + 1e-9
@@ -416,7 +416,7 @@ class TestEstimateNu:
         pattern = ""
         for nu in grid:
             try:
-                ml_objective(matern(float(nu), 1.0, 1.0, d=1), design, y)
+                ml_objective(MaternParams(float(nu), 1.0, 1.0, d=1), design, y)
                 pattern += "."
             except ConditioningError:
                 pattern += "x"
@@ -448,7 +448,7 @@ class TestProfileSigma:
 
     def test_zero_data_degenerate(self, sample_instance):
         design, _ = sample_instance
-        value = ml_objective(matern(1.5, 1.0, 1.0, d=1), design.prefix(16), np.zeros(16))
+        value = ml_objective(MaternParams(1.5, 1.0, 1.0, d=1), design.prefix(16), np.zeros(16))
         assert value.data_term == 0.0
         err = _profiled(value.data_term, value.complexity_term, 16)
         assert isinstance(err, EstimationError) and "degenerate" in str(err)
@@ -456,7 +456,7 @@ class TestProfileSigma:
     def test_single_point_unit_kernel(self):
         # sigma^2 = y^2 for one point of unit prior variance
         design = Design([[0.5]], UNIT)
-        value = ml_objective(matern(1.0, 1.0, 1.0, d=1), design, [1.7])
+        value = ml_objective(MaternParams(1.0, 1.0, 1.0, d=1), design, [1.7])
         total = _profiled(value.data_term, value.complexity_term, 1)
         # the data term becomes n = 1, the complexity term gains n log sigma^2
         assert total == 1.0 + (math.log(value.data_term) + value.complexity_term)
@@ -468,15 +468,15 @@ class TestProfileSigma:
         prefix, yn = design.prefix(48), y[:48]
         nu, lam = 1.2, 0.8
         for objective in (ml_objective, cv_objective):
-            unit = objective(matern(nu, 1.0, lam, d=1), prefix, yn)
+            unit = objective(MaternParams(nu, 1.0, lam, d=1), prefix, yn)
             s2_hat = unit.data_term / prefix.n
             grid = np.geomspace(math.sqrt(s2_hat) / 3.0, math.sqrt(s2_hat) * 3.0, 4001)
-            vals = [objective(matern(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
+            vals = [objective(MaternParams(nu, float(s), lam, d=1), prefix, yn).total for s in grid]
             best = float(grid[int(np.argmin(vals))])
             assert best**2 == pytest.approx(s2_hat, rel=1e-3)
             profiled = _profiled(unit.data_term, unit.complexity_term, prefix.n)
             assert profiled <= min(vals) + 1e-6
-            direct = objective(matern(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
+            direct = objective(MaternParams(nu, math.sqrt(s2_hat), lam, d=1), prefix, yn).total
             assert profiled == pytest.approx(direct, rel=1e-10)
 
     def test_profiled_estimation_runs(self, sample_instance):
@@ -521,7 +521,7 @@ class TestSweeps:
         est = EstimatorConfig(sigma=1.3, lambda_=0.7)
         cfg = ExperimentConfig(nu0=1.5, schedule=(16, 64), seeds=(101,), estimator=est)
         design = make_design(cfg.design, cfg.d, max(cfg.schedule))
-        y = sample_gp_path(matern(1.5, 1.3, 0.7, d=1), design, 101)
+        y = sample_gp_path(MaternParams(1.5, 1.3, 0.7, d=1), design, 101)
         for row in run_non_undersmoothing(cfg).rows:
             record = SweepRecord(*row)
             prefix = design.prefix(record.n)
@@ -646,7 +646,7 @@ class TestSweeps:
 
     def test_columns_swept_together_match_single_sweeps(self, sample_instance):
         design, y = sample_instance
-        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        second = sample_gp_path(MaternParams(0.8, 1.0, 1.0, d=1), design, seed=7)
         cfg = EstimatorConfig(lambda_=1.0, coarse_grid=24)
         together = sweep_prefixes(design, np.stack([y, second], axis=1), [16, 64], cfg,
                                   seed=(202, 7))
@@ -682,7 +682,7 @@ class TestSweeps:
         # its records carry the estimates those plans return, and a search
         # that refines its bracket interpolates its nodes once.
         design, y = sample_instance
-        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        second = sample_gp_path(MaternParams(0.8, 1.0, 1.0, d=1), design, seed=7)
         interpolated, interpolate = [], estimators._interpolant_minimum
 
         def counting(values):
@@ -711,7 +711,7 @@ class TestSweeps:
         if columns == 1:
             data, seed = y, 202
         else:
-            second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+            second = sample_gp_path(MaternParams(0.8, 1.0, 1.0, d=1), design, seed=7)
             data, seed = np.stack([y, second], axis=1), (202, 7)
         factored, failed, inverted = [], [], []
 
@@ -815,7 +815,7 @@ class TestSweeps:
         # points.  A wrapper of these bindings (the benchmark's tracer) so
         # sees every objective.
         design, y = sample_instance
-        second = sample_gp_path(matern(0.8, 1.0, 1.0, d=1), design, seed=7)
+        second = sample_gp_path(MaternParams(0.8, 1.0, 1.0, d=1), design, seed=7)
         read, served, compute = {"ml": [], "cv": []}, {"ml": [], "cv": []}, estimators._cells
 
         def reading(name, ell):

@@ -395,7 +395,7 @@ class TestEngines:
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
         for seeds in ((1.5, 2.5), (True,), (101, -1), (np.bool_(True),), (2.0,), ("3",)):
-            with pytest.raises(DomainError, match="must be a non-negative integer"):
+            with pytest.raises(DomainError, match="seed must be an integer >= 0"):
                 ExperimentConfig(seeds=seeds)
         assert ExperimentConfig(seeds=(0, np.int64(7))).seeds == (0, 7)
         for bad in (dict(nu0=-1.0), dict(nu0=0.0), dict(nu0=math.inf), dict(nu0=math.nan),
@@ -421,7 +421,7 @@ class TestEngines:
                 ExperimentConfig(**bad)
             assert str(caught.value) == message
         for d in (True, 1.0, 2.0, "1"):
-            with pytest.raises(DomainError, match="only d in"):
+            with pytest.raises(DomainError, match=r"d must be an integer in \[1, 2\]"):
                 ExperimentConfig(d=d)
         assert ExperimentConfig(d=np.int64(2)).d == 2
 
@@ -651,6 +651,61 @@ class TestConfigFile:
         assert "nu=1.0:" in written[0][1]
 
 
+# Per setting flag: its setting, a command that reads it, the arguments the
+# command needs besides, and texts to give it, valid and not.
+_FLAG_TEXTS = [
+    ("--seed-list", "seeds", "non-undersmoothing", ["--nu0", "1.5"],
+     ["1,2", "7", "1.5", "-1", "x", "true", ","]),
+    ("--d", "d", "non-undersmoothing", ["--nu0", "1.5"], ["1", "2", "x", "3", "1.0", "true"]),
+    ("--nu0", "nu0", "non-undersmoothing", [], ["1.5", "2", "-1", "nan", "abc", "true"]),
+    ("--schedule", "schedule", "non-undersmoothing", ["--nu0", "1.5"],
+     ["16,32", "16", "16,16", "0,16", "16.5", "x"]),
+    ("--f0", "f0", "non-undersmoothing", [], ["gauss_bump", "foo", "true", "1"]),
+    ("--nu-grid", "nu_grid", "logdet-growth", [], ["0.5,1", "2", "1,1", "0,1", "x"]),
+    ("--nu-model", "nu_model", "convergence", [], ["1,3", "2", "0", "x"]),
+    ("--sigma", "sigma", "non-undersmoothing", ["--nu0", "1.5"], ["2", "0.5", "0", "true", "x"]),
+    ("--lambda", "lambda_", "non-undersmoothing", ["--nu0", "1.5"], ["1", "0.3", "-1", "x"]),
+    ("--design", "design", "non-undersmoothing", ["--nu0", "1.5"],
+     ["van_der_corput", "uniform_grid", "foo", "3"]),
+]
+
+
+class TestFlagsParseAsFileLines:
+    def test_every_command_takes_the_ten_setting_flags_and_four_others(self):
+        commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+        want = {"-h": "help", "--config": "config", "--out": "output_path",
+                "--threads": "threads", "--check": "check",
+                **{flag: key for flag, key, _, _, _ in _FLAG_TEXTS}}
+        for name, sub in commands.items():
+            assert {a.option_strings[0]: a.dest for a in sub._actions} == want, name
+
+    @pytest.mark.parametrize("flag,key,command,needs,text", [
+        pytest.param(flag, key, command, needs, text, id=f"{flag} {text}")
+        for flag, key, command, needs, texts in _FLAG_TEXTS for text in texts])
+    def test_flag_text_builds_what_its_file_line_builds(
+            self, flag, key, command, needs, text, tmp_path, monkeypatch, capsys):
+        # ``--flag TEXT`` and the file line ``key = TEXT`` give the same
+        # configuration, or the same configuration error with exit 2.
+        built = []
+
+        def runner(config):
+            built.append(config)
+            return ExperimentResult(header=("x",), rows=[], summary="stubbed")
+
+        for name in ("run_non_undersmoothing", "run_logdet_growth", "run_convergence"):
+            monkeypatch.setattr(cli, name, runner)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        outcomes = []
+        for given in ([flag, text], ["--config", str(cfg)]):
+            code = main([command, *needs, *given])
+            err = capsys.readouterr().err
+            outcomes.append((code, repr(built.pop()) if code == 0 else err))
+        assert outcomes[0] == outcomes[1]
+        code, outcome = outcomes[0]
+        assert code == 0 or (code == 2 and outcome.startswith("configuration error: "))
+
+
 class TestCli:
     def test_verify_identities_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "ids.csv"
@@ -731,7 +786,7 @@ class TestCli:
         assert main(["convergence", "--config", str(cfg)]) == 2
         assert "need at least one seed" in capsys.readouterr().err
         assert main(["convergence", "--seed-list", "-1"]) == 2
-        assert "configuration error: seed -1 must be a non-negative integer" in (
+        assert "configuration error: seed must be an integer >= 0, got -1" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("line", ["schedule = ,", "schedule =", "nu_grid = ,"])
@@ -796,10 +851,10 @@ class TestCli:
         ("lambda_min = low", "lambda_min must be positive and finite, got 'low'"),
         ("lambda_min = 1.5\nlambda_max = 0.5",
          "need lambda_min <= lambda_max, got lambda_min=1.5, lambda_max=0.5"),
-        ("seeds = 1.5, 2.5", "seed 1.5 must be a non-negative integer"),
-        ("seeds = true", "seed True must be a non-negative integer"),
+        ("seeds = 1.5, 2.5", "seed must be an integer >= 0, got 1.5"),
+        ("seeds = true", "seed must be an integer >= 0, got True"),
         ("nu0 = nan", "nu0 must be positive and finite"),
-        ("d = true", "only d in {1, 2} is supported by the experiments, got True"),
+        ("d = true", "d must be an integer in [1, 2], got True"),
     ])
     def test_bad_bracket_config_exit_two(self, line, message, tmp_path, capsys):
         # Every setting in the file is checked when the configuration is
@@ -889,9 +944,8 @@ class TestCli:
         (["logdet-growth", "--d", "2", "--design", "van_der_corput"],
          "van der Corput designs are one-dimensional"),
         (["convergence", "--d", "2"], "convergence does not read d, got 2"),
-        (["convergence", "--schedule", "16,600"], "convergence needs an integer 1 <= "
-                                                  "probe_count <= 512 and at most 513 design "
-                                                  "points, got 256 probes and 600 points"),
+        (["convergence", "--schedule", "16,600"],
+         "convergence needs at most 513 design points, got 600"),
         (["gaussian-scale-probe", "--d", "2"], "gaussian-scale-probe does not read d, got 2"),
         (["gaussian-scale-probe", "--nu-grid", "1,2"],
          "gaussian-scale-probe does not read nu_grid, got (1.0, 2.0)"),

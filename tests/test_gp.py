@@ -27,7 +27,6 @@ from maternsmooth.gp import (
 from maternsmooth.kernels import (
     MaternParams,
     kernel_matrix,
-    matern,
 )
 from maternsmooth.objectives import ell_ml_from
 
@@ -41,7 +40,7 @@ def scalar(value):
 @pytest.fixture
 def instance():
     design = van_der_corput(UNIT, 16)
-    kernel = matern(1.5, sigma=1.2, lambda_=0.15, d=1)
+    kernel = MaternParams(1.5, sigma=1.2, lambda_=0.15, d=1)
     y = np.random.Generator(np.random.Philox(9)).standard_normal(16)
     return kernel, design, y, condition(kernel, design, y)
 
@@ -49,7 +48,7 @@ def instance():
 class TestCondition:
     def test_single_point(self):
         design = Design([[0.3]], UNIT)
-        kernel = matern(1.0, sigma=1.4)
+        kernel = MaternParams(1.0, sigma=1.4)
         post = condition(kernel, design, [2.8])
         assert post.chol[0, 0] == pytest.approx(1.4)
         assert post.weights[0] == pytest.approx(2.8 / 1.4**2)
@@ -75,7 +74,7 @@ class TestCondition:
     def test_posteriors_do_not_alias_the_callers_data(self, shape):
         # The caller's data overwritten after conditioning, before anything
         # is read from the posteriors: they hold what they held before.
-        kernel = matern(1.5, lambda_=0.15)
+        kernel = MaternParams(1.5, lambda_=0.15)
         design = van_der_corput(UNIT, 32)
         y = np.random.Generator(np.random.Philox(4)).standard_normal(shape)
         sizes = [16, 32]
@@ -91,7 +90,7 @@ class TestCondition:
 
     def test_near_duplicate_raises_with_pivot_info(self):
         design = Design([[0.2], [0.2 + 1e-13], [0.9]], UNIT)
-        kernel = matern(2.5, lambda_=0.5)
+        kernel = MaternParams(2.5, lambda_=0.5)
         with pytest.raises(ConditioningError) as exc:
             condition(kernel, design, np.ones(3))
         assert exc.value.pivot_index == 1
@@ -100,7 +99,7 @@ class TestCondition:
         # very smooth kernel on a fine grid: trailing pivots are pure noise,
         # positive but below the fixed floor of 1e-14 times K(0) = 1
         design = van_der_corput(UNIT, 64)
-        kernel = matern(8.0, lambda_=1.0)
+        kernel = MaternParams(8.0, lambda_=1.0)
         with pytest.raises(ConditioningError,
                            match=r"^pivot 14 = 3\.997e-15 below relative floor 1\.000e-14$"):
             condition(kernel, design, np.zeros(64))
@@ -112,7 +111,7 @@ class TestCondition:
         # those on fresh arrays bit for bit, upper triangle and rows past a
         # failing pivot included.  (nu = 8 fails at pivot 14 of 64.)
         design = van_der_corput(UNIT, 64)
-        kernel = matern(nu, lambda_=lambda_)
+        kernel = MaternParams(nu, lambda_=lambda_)
         y = np.random.Generator(np.random.Philox(5)).standard_normal((64, 2))
         workspace = (np.full(80 * 80, np.nan), np.full(80 * 80, np.nan))
         sizes = [8, 16, 32, 64]
@@ -128,9 +127,10 @@ class TestCondition:
         L, err = gp._factor(kernel, design, workspace[0])
         assert np.shares_memory(L, workspace[0])
         assert L.tobytes() == gp._factor(kernel, design)[0].tobytes()
-        W, err = gp._invert(L, 64, workspace[1])
-        W0, err0 = gp._invert(L.copy(order="F"), 64)
-        assert W.tobytes() == W0.tobytes() and str(err) == str(err0)
+        # The inverse of the rows before the failing pivot, if there is one.
+        m = 64 if err is None else err.pivot_index
+        W = gp._invert(L, m, workspace[1])
+        assert W.tobytes() == gp._invert(L.copy(order="F"), m).tobytes()
 
     def test_shape_mismatch(self, instance):
         kernel, design, _, _ = instance
@@ -191,7 +191,7 @@ class TestCondition:
         # A multi-column triangular solve rounds differently in the last
         # bits; each column's form is its one-column form, bit for bit.
         design = van_der_corput(UNIT, n)
-        kernel = matern(1.5, lambda_=2.0 / n)
+        kernel = MaternParams(1.5, lambda_=2.0 / n)
         Y = np.random.Generator(np.random.Philox(3)).standard_normal((n, 4))
         together = quadratic_form(condition(kernel, design, Y))
         assert together.shape == (4,)
@@ -204,7 +204,7 @@ class TestCondition:
         # each column's mean is its one-column mean, bit for bit, on every
         # prefix the factor serves.
         design = van_der_corput(UNIT, n)
-        kernel = matern(1.5, lambda_=2.0 / n)
+        kernel = MaternParams(1.5, lambda_=2.0 / n)
         Y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 4))
         probes = (2 * np.arange(200) + 1) / 400.0
         sizes = sorted({min(16, n), n // 2, n})
@@ -223,7 +223,7 @@ class TestCondition:
         # One build serves both, and each equals its own query bit for bit,
         # at many points, at one and on the empty design.
         design = van_der_corput(UNIT, 64)
-        kernel = matern(2.5, lambda_=0.1)
+        kernel = MaternParams(2.5, lambda_=0.1)
         shape = (64,) if columns is None else (64, columns)
         y = np.random.Generator(np.random.Philox(9)).standard_normal(shape)
         probes = (2 * np.arange(150) + 1) / 300.0
@@ -243,7 +243,7 @@ class TestCondition:
                 assert np.asarray(var).tobytes() == np.asarray(want_var).tobytes()
 
     def test_posterior_mean_of_columns_on_empty_design(self):
-        kernel = matern(1.5)
+        kernel = MaternParams(1.5)
         post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros((0, 3)))
         assert posterior_mean(post, [0.2, 0.4]).shape == (2, 3)
         assert posterior_mean(post, 0.2).shape == (3,)
@@ -275,7 +275,7 @@ class TestPosteriorQueries:
 
     def test_query_second_axis_must_be_dimension(self):
         design = Design([[0.1, 0.2], [0.5, 0.9], [0.8, 0.3]], Box.unit(2))
-        post = condition(matern(1.5, lambda_=0.5, d=2), design, [1.0, 0.0, 2.0])
+        post = condition(MaternParams(1.5, lambda_=0.5, d=2), design, [1.0, 0.0, 2.0])
         assert posterior_mean(post, np.full((3, 2), 0.4)).shape == (3,)
         for bad in (np.full((2, 3), 0.4), np.full((3, 2, 1), 0.4)):
             with pytest.raises(DomainError):
@@ -293,14 +293,14 @@ class TestPosteriorQueries:
             posterior_mean(post, probes[None, :])
 
     def test_empty_design_convention(self):
-        kernel = matern(1.5, sigma=1.3)
+        kernel = MaternParams(1.5, sigma=1.3)
         post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros(0))
         assert scalar(posterior_var(post, 0.4)) == pytest.approx(1.3**2)
         assert scalar(posterior_mean(post, 0.4)) == 0.0
 
     def test_single_point_variance_formula(self):
         design = Design([[0.25]], UNIT)
-        kernel = matern(1.5, sigma=1.1, lambda_=0.8)
+        kernel = MaternParams(1.5, sigma=1.1, lambda_=0.8)
         post = condition(kernel, design, [0.7])
         r = 0.3
         ref = 1.1**2 - kernel(r) ** 2 / 1.1**2
@@ -363,17 +363,17 @@ class TestSubPanels:
         np.testing.assert_allclose(lead @ lead.T, K[:p, :p], rtol=0, atol=1e-12 * 1001.0)
         assert not np.any(np.triu(L[:p], 1))
 
-    @pytest.mark.parametrize("p, start", [(70, 64), (130, 128), (300, 256)])
-    def test_zero_diagonal_inside_a_sub_panel(self, monkeypatch, p, start):
+    @pytest.mark.parametrize("p", [70, 130, 300])
+    def test_zero_diagonal_inside_a_sub_panel(self, monkeypatch, p):
         L, err = _factor_of(_dependent_row(p, 1.0), monkeypatch)
         assert err is None
         chol = L.copy(order="F")
         chol[p, p] = 0.0
-        W, err = gp._invert(chol, 512)
+        with pytest.raises(ConditioningError) as caught:
+            gp._invert(chol, 512)
+        err = caught.value
         assert str(err) == f"triangular inversion failed: factor diagonal entry {p} is zero"
         assert (err.pivot_index, err.pivot_value) == (p, 0.0)
-        # The inverse of the panels before the one that failed.
-        assert np.array_equal(W, gp._invert(chol[:start, :start].copy(order="F"), start)[0])
 
 
 # Each LAPACK routine of gp, and a read of a posterior that calls it
@@ -390,7 +390,7 @@ _LAPACK_READS = {
 def test_rejected_lapack_argument_raises_domain_error_naming_the_routine(routine, monkeypatch):
     # A negative info is a rejected argument, not a conditioning failure.
     design = van_der_corput(UNIT, 16)
-    kernel = matern(1.5, sigma=1.2, lambda_=0.15, d=1)
+    kernel = MaternParams(1.5, sigma=1.2, lambda_=0.15, d=1)
     y = np.random.Generator(np.random.Philox(9)).standard_normal(16)
     fake = SimpleNamespace(**{name: getattr(lapack, name) for name in _LAPACK_READS})
     setattr(fake, routine, lambda a, *args, **kwargs: (a, -1))
@@ -407,7 +407,7 @@ class TestFastIdentities:
 
     def test_incremental_two_point_formula(self):
         design = Design([[0.1], [0.7]], UNIT)
-        kernel = matern(1.5, sigma=1.2, lambda_=0.4)
+        kernel = MaternParams(1.5, sigma=1.2, lambda_=0.4)
         v = incremental_variances(condition(kernel, design, np.zeros(2)))
         ref = 1.2**2 - kernel(0.6) ** 2 / 1.2**2
         assert v[1] == pytest.approx(ref, rel=1e-12)
@@ -425,7 +425,7 @@ class TestFastIdentities:
 
     def test_log_det_small_cases(self):
         design = Design([[0.4]], UNIT)
-        kernel = matern(1.0, sigma=1.3)
+        kernel = MaternParams(1.0, sigma=1.3)
         post = condition(kernel, design, [0.0])
         assert log_det(post) == pytest.approx(math.log(1.3**2), rel=1e-12)
 
@@ -436,7 +436,7 @@ class TestFastIdentities:
 
     def test_quadratic_form_edge_cases(self):
         design = Design([[0.4]], UNIT)
-        kernel = matern(1.0, sigma=1.3)
+        kernel = MaternParams(1.0, sigma=1.3)
         assert quadratic_form(condition(kernel, design, [0.0])) == 0.0
         assert quadratic_form(condition(kernel, design, [2.0])) == pytest.approx(
             4.0 / 1.3**2, rel=1e-12)
@@ -466,7 +466,7 @@ class TestFastIdentities:
 
     def test_loo_symmetry(self):
         design = Design([[0.2], [0.8]], UNIT)
-        kernel = matern(1.5, lambda_=0.5)
+        kernel = MaternParams(1.5, lambda_=0.5)
         res = loo(condition(kernel, design, [0.9, 0.9]))
         assert res.residuals[0] == pytest.approx(res.residuals[1], rel=1e-12)
         assert res.variances[0] == pytest.approx(res.variances[1], rel=1e-12)
@@ -478,7 +478,7 @@ class TestFastIdentities:
         assert np.all(res.variances > 0.0)
 
     def test_loo_needs_two_points(self):
-        kernel = matern(1.0)
+        kernel = MaternParams(1.0)
         post = condition(kernel, Design([[0.5]], UNIT), [1.0])
         with pytest.raises(DomainError):
             loo(post)
@@ -496,8 +496,6 @@ class TestFastIdentities:
         with pytest.raises(ConditioningError, match="diagonal entry 21") as exc:
             loo(broken)
         assert (exc.value.pivot_index, exc.value.pivot_value) == (21, 0.0)
-        np.testing.assert_array_equal(loo(broken.prefix(16)).variances,
-                                      loo(post.prefix(16)).variances)
 
     def test_shared_loo_inverts_the_factor_once(self, instance, monkeypatch):
         # The posteriors of one factorization share its inverse and forward
@@ -551,7 +549,7 @@ class TestFastIdentities:
             assert a.tobytes() == b.tobytes()
 
     def test_single_point_loo_variance_is_prior_variance(self):
-        kernel = matern(1.0, sigma=1.3)
+        kernel = MaternParams(1.0, sigma=1.3)
         post = condition(kernel, Design([[0.5]], UNIT), [0.0])
         np.testing.assert_array_equal(loo_variances(post), [kernel(0.0)])
 
@@ -562,8 +560,8 @@ class TestFastIdentities:
 
         def worst_ratio(n):
             prefix, zeros = design.prefix(n), np.zeros(n)
-            v0 = loo_variances(condition(matern(1.5), prefix, zeros))
-            v = loo_variances(condition(matern(0.5), prefix, zeros))
+            v0 = loo_variances(condition(MaternParams(1.5), prefix, zeros))
+            v = loo_variances(condition(MaternParams(0.5), prefix, zeros))
             return float(np.max(v0 / v))
 
         assert worst_ratio(256) < worst_ratio(32)

@@ -4,7 +4,9 @@ an import that nothing reads is either dead or kept for that tracer, and
 the tracer's ``WRAPPED`` table is the one list of the second kind.  Every
 name a module exports, in its ``__all__`` or through the package's
 ``__init__.py``, is bound in that module.  Every entry of the ``KEEP`` table
-of ``tools/unreached.py`` names a function the package defines."""
+of ``tools/unreached.py`` names a function the package defines.  The rules
+on values (:data:`VALUE_RULES`) are defined in ``errors.py`` alone, and every
+other module that uses one imports it from there."""
 
 import ast
 import importlib
@@ -56,8 +58,44 @@ def test_every_import_is_used_or_wrapped_by_the_tracer(module):
 
 
 def test_an_unused_import_is_caught():
-    source = "from .designs import check_schedule, is_integer\n\nis_integer(1)\n"
-    assert unused_imports(source) == {"check_schedule"}
+    source = "from .errors import DomainError, is_integer\n\nis_integer(1)\n"
+    assert unused_imports(source) == {"DomainError"}
+
+
+VALUE_RULES = {"is_real", "is_integer", "check_positive", "require_positive", "check_integer"}
+
+
+def value_rule_origins(source):
+    """``{name: origin}`` of each value rule that ``source`` binds: ``"def"``
+    where it defines or assigns it, else the module it imports it from
+    (``".errors"`` for a relative import of ``errors``)."""
+    origins = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            origins[node.name] = "def"
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            origins[node.id] = "def"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                origins[alias.asname or alias.name] = "." * node.level + (node.module or "")
+    return {name: origin for name, origin in origins.items() if name in VALUE_RULES}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_value_rules_are_defined_in_errors_alone(module):
+    with open(os.path.join(PACKAGE, f"{module}.py")) as fh:
+        origins = value_rule_origins(fh.read())
+    if module == "errors":
+        assert origins == dict.fromkeys(VALUE_RULES, "def")
+    else:
+        assert set(origins.values()) <= {".errors"}, origins
+
+
+def test_a_second_value_rule_is_caught():
+    source = ("from .errors import check_integer\nfrom .designs import is_integer\n\n"
+              "def check_positive(name, value):\n    pass\n")
+    assert value_rule_origins(source) == {"check_integer": ".errors",
+                                          "is_integer": ".designs", "check_positive": "def"}
 
 
 def unresolved(module, names):

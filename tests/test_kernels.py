@@ -18,7 +18,6 @@ from maternsmooth.kernels import (
     kernel_matrix,
     kernel_panels,
     log_c_scaling,
-    matern,
     matern_eval,
 )
 from maternsmooth.specfun import log_bessel_k
@@ -58,18 +57,33 @@ BAD_DIMENSIONS = [0, -1, 1.5, 2.9, 2.0, True, np.bool_(True), "2", None]
 
 @pytest.mark.parametrize("d", BAD_DIMENSIONS)
 @pytest.mark.parametrize("make", [
-    lambda d: matern(1.5, d=d),
     lambda d: MaternParams(1.5, d=d),
     lambda d: log_c_scaling(1.5, d),
-], ids=["matern", "MaternParams", "log_c_scaling"])
+], ids=["MaternParams", "log_c_scaling"])
 def test_bad_dimension_is_rejected(make, d):
     with pytest.raises(DomainError, match="dimension d must be an integer >= 1"):
         make(d)
 
 
 def test_numpy_dimension_is_accepted():
-    assert matern(1.5, d=np.int64(2)).d == 2
-    assert MaternParams(1.5, d=np.int32(2))(0.3) == matern(1.5, d=2)(0.3)
+    assert MaternParams(1.5, d=np.int64(2)).d == 2
+    assert MaternParams(1.5, d=np.int32(2))(0.3) == MaternParams(1.5, d=2)(0.3)
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.float32])
+def test_fields_compute_as_the_floats_of_their_values(kind):
+    # A checked field is stored as its float: an int, or a float32 that
+    # would otherwise round scalars to single precision, gives the bits of
+    # the float of its value.
+    r = np.array([0.0, 0.01, 0.3, 1.7, 40.0, 3e9])
+    for nu, sigma, lambda_ in ((2, 3, 1), (1, 1, 2), (60, 2, 5)):
+        given = [kind(v) for v in (nu, sigma, lambda_)]
+        for d in (1, 2, 3):
+            made = MaternParams(*given, d)(r)
+            real = MaternParams(*map(float, given), d)(r)
+            assert made.tobytes() == real.tobytes(), (nu, sigma, lambda_, d)
+        made = GaussParams(*given[1:])(r)
+        assert made.tobytes() == GaussParams(*map(float, given[1:]))(r).tobytes()
 
 
 class TestMaternEval:
@@ -147,10 +161,8 @@ class TestMaternEval:
         with pytest.raises(DomainError):
             MaternParams(1.0, -2.0, 1.0)
 
-    def test_convenience_constructor_clamps(self):
-        p = matern(0.3, d=2)
-        assert p == MaternParams(0.3, 1.0, 1.0, 2)
-        assert p._log_scale == log_c_scaling(1.0, 2)
+    def test_scaling_is_clamped_at_half_the_dimension(self):
+        assert MaternParams(0.3, d=2)._log_scale == log_c_scaling(1.0, 2)
 
 
 @pytest.mark.parametrize("make", [
@@ -171,10 +183,19 @@ def test_positive_fields_take_numpy_reals_not_bools(make, value, accepted):
             make(value)
 
 
+@pytest.mark.parametrize("args", [("1.5",), (True,), (1.5, "1"), (1.5, True),
+                                  (1.5, 1.0, "0.3")])
+def test_matern_fields_refuse_text_and_bools(args):
+    # The one constructor converts nothing: text is refused, not read as a
+    # number, and so is a bool.
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        MaternParams(*args)
+
+
 @pytest.mark.parametrize("record,evaluate", [
-    (matern(0.5, 1.3, 0.4), matern_eval),
-    (matern(2.5, 0.8, 0.2, d=2), matern_eval),
-    (matern(0.3, 1.1, 0.7, d=3), matern_eval),
+    (MaternParams(0.5, 1.3, 0.4), matern_eval),
+    (MaternParams(2.5, 0.8, 0.2, d=2), matern_eval),
+    (MaternParams(0.3, 1.1, 0.7, d=3), matern_eval),
     (GaussParams(1.2, 0.4), gaussian_eval),
 ], ids=["matern-0.5", "matern-2.5-d2", "matern-0.3-d3-clamped", "gauss"])
 def test_record_call_is_its_evaluation(record, evaluate):
@@ -187,7 +208,7 @@ def test_record_call_is_its_evaluation(record, evaluate):
 
 
 @pytest.mark.parametrize("record,name", [
-    (matern(1.5, lambda_=0.3), "matern_eval"),
+    (MaternParams(1.5, lambda_=0.3), "matern_eval"),
     (GaussParams(1.2, 0.4), "gaussian_eval"),
 ], ids=["matern", "gauss"])
 def test_record_call_reads_the_module_binding(record, name, monkeypatch):
@@ -233,7 +254,7 @@ def _random_design(rng, n, d):
 class TestKernelMatrix:
     def test_single_point(self):
         des = Design([[0.3]], Box.unit(1))
-        K = kernel_matrix(matern(1.5, sigma=1.4), des)
+        K = kernel_matrix(MaternParams(1.5, sigma=1.4), des)
         assert K.shape == (1, 1)
         assert K[0, 0] == pytest.approx(1.4**2)
 
@@ -246,12 +267,12 @@ class TestKernelMatrix:
     def test_exact_symmetry(self):
         rng = np.random.default_rng(5)
         des = _random_design(rng, 20, 2)
-        K = kernel_matrix(matern(2.5, lambda_=0.4, d=2), des)
+        K = kernel_matrix(MaternParams(2.5, lambda_=0.4, d=2), des)
         assert np.array_equal(K, K.T)
 
     def test_five_point_grid_is_positive_definite(self):
         des = Design(np.linspace(0, 1, 5), Box.unit(1))
-        K = kernel_matrix(matern(1.5, lambda_=0.3), des)
+        K = kernel_matrix(MaternParams(1.5, lambda_=0.3), des)
         L = np.linalg.cholesky(K)
         assert np.all(np.diag(L) > 0)
 
@@ -262,7 +283,7 @@ class TestKernelMatrix:
         n = 64
         des = _random_design(rng, n, d)
         lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d)
-        K = kernel_matrix(matern(nu, lambda_=lam, d=d), des)
+        K = kernel_matrix(MaternParams(nu, lambda_=lam, d=d), des)
         L = np.linalg.cholesky(K)
         assert np.all(np.diag(L) > 0)
 
@@ -273,7 +294,7 @@ class TestKernelMatrix:
         des.points = pts
         des.box = Box.unit(1)
         with pytest.raises(DegenerateDesignError):
-            kernel_matrix(matern(1.5), des)
+            kernel_matrix(MaternParams(1.5), des)
 
 
 class _Counting:
@@ -294,7 +315,7 @@ class TestKernelPanels:
         # At most 64 distinct nonzero distances among 64 points: one call
         # before the first panel, whatever the panels.
         design = van_der_corput(Box.unit(1), 64)
-        kernel = _Counting(matern(1.5, lambda_=0.3))
+        kernel = _Counting(MaternParams(1.5, lambda_=0.3))
         panels = list(kernel_panels(kernel, design, [16, 32, 64]))
         assert kernel.calls == [design._dist_cache.distances.size]
         assert kernel.calls[0] <= 64 + 1
@@ -310,7 +331,7 @@ class TestKernelPanels:
         # The one call of a lattice-like design, on its own table or on a
         # prefix that shares it, gets the prefix's distinct distances, and
         # the panels keep the bits of the prefix's own kernel matrix.
-        kernel = _Counting(matern(1.5, lambda_=0.3))
+        kernel = _Counting(MaternParams(1.5, lambda_=0.3))
         panels = list(kernel_panels(kernel, design.prefix(m), [m]))
         (r,) = kernel.arguments
         assert r.size == _distinct(design.points[:m])
@@ -322,7 +343,7 @@ class TestKernelPanels:
         # requested, so a factorization that stops early evaluates no more.
         rng = np.random.default_rng(3)
         design = Design(rng.random((64, 2)), Box.unit(2))
-        kernel = _Counting(matern(1.5, lambda_=0.3, d=2))
+        kernel = _Counting(MaternParams(1.5, lambda_=0.3, d=2))
         panels = kernel_panels(kernel, design, [16, 32, 64])
         next(panels)
         assert kernel.calls == [1 + 16 * 15 // 2]
@@ -359,7 +380,7 @@ class TestDistanceTable:
     @pytest.fixture(params=sorted(DESIGNS))
     def design(self, request):
         design = self.DESIGNS[request.param]()
-        kernel_matrix(matern(1.5, lambda_=0.3, d=design.d), design)
+        kernel_matrix(MaternParams(1.5, lambda_=0.3, d=design.d), design)
         return design
 
     def test_each_panel_numbers_its_new_distances_ascending(self, design):
@@ -386,7 +407,7 @@ class TestDistanceTable:
         # matrix, and the kernel is evaluated at the distances new in each
         # panel (or, with at most m + 1 distinct, at all of them in one
         # call), each once.
-        params = matern(2.5, lambda_=0.2, d=design.d)
+        params = MaternParams(2.5, lambda_=0.2, d=design.d)
         for m in range(1, design.n + 1):
             K = kernel_matrix(params, Design(design.points[:m], design.box))
             for ends in (_panel_ends(m), sorted({(m + 2) // 3, (2 * m + 2) // 3, m})):

@@ -9,7 +9,7 @@ from maternsmooth.analysis import builtin_test_functions, matern_rkhs_norm_sq
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
 from maternsmooth.gp import condition, condition_prefixes, incremental_variances
-from maternsmooth.kernels import MaternParams, kernel_matrix, matern
+from maternsmooth.kernels import MaternParams, kernel_matrix
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
 UNIT = Box.unit(1)
@@ -33,7 +33,7 @@ def instance():
 class TestMlObjective:
     def test_zero_data_leaves_log_det(self, instance):
         design, _ = instance
-        params = matern(1.5, sigma=1.2, lambda_=0.2)
+        params = MaternParams(1.5, sigma=1.2, lambda_=0.2)
         value = ml_objective(params, design, np.zeros(12))
         assert value.data_term == 0.0
         post = condition(params, design, np.zeros(12))
@@ -43,14 +43,14 @@ class TestMlObjective:
 
     def test_single_point(self):
         design = Design([[0.5]], UNIT)
-        params = matern(1.0, sigma=1.3)
+        params = MaternParams(1.0, sigma=1.3)
         value = ml_objective(params, design, [0.7])
         assert value.data_term == pytest.approx(0.7**2 / 1.3**2, rel=1e-12)
         assert value.complexity_term == pytest.approx(math.log(1.3**2), rel=1e-12)
 
     def test_dense_algebra_oracle(self, instance):
         design, y = instance
-        params = matern(2.5, sigma=1.1, lambda_=0.15)
+        params = MaternParams(2.5, sigma=1.1, lambda_=0.15)
         value = ml_objective(params, design, y)
         K = kernel_matrix(params, design)
         ref = float(y @ np.linalg.solve(K, y)) + float(np.linalg.slogdet(K)[1])
@@ -58,13 +58,13 @@ class TestMlObjective:
 
     def test_decomposition_is_exact(self, instance):
         design, y = instance
-        value = ml_objective(matern(1.5, lambda_=0.2), design, y)
+        value = ml_objective(MaternParams(1.5, lambda_=0.2), design, y)
         assert value.total == value.data_term + value.complexity_term
 
     @pytest.mark.parametrize("c", [0.0, 2.0, -1.0])
     def test_data_scaling(self, instance, c):
         design, y = instance
-        params = matern(1.5, lambda_=0.2)
+        params = MaternParams(1.5, lambda_=0.2)
         base = ml_objective(params, design, y)
         scaled = ml_objective(params, design, c * y)
         assert scaled.complexity_term == base.complexity_term
@@ -74,7 +74,7 @@ class TestMlObjective:
 class TestCvObjective:
     def test_zero_data_leaves_log_variances(self, instance):
         design, _ = instance
-        params = matern(1.5, sigma=1.2, lambda_=0.2)
+        params = MaternParams(1.5, sigma=1.2, lambda_=0.2)
         value = cv_objective(params, design, np.zeros(12))
         assert value.data_term == 0.0
         post = condition(params, design, np.zeros(12))
@@ -85,7 +85,7 @@ class TestCvObjective:
 
     def test_naive_refit_oracle(self, instance):
         design, y = instance
-        params = matern(1.5, sigma=1.1, lambda_=0.2)
+        params = MaternParams(1.5, sigma=1.1, lambda_=0.2)
         data = complexity = 0.0
         for i in range(design.n):
             keep = [j for j in range(design.n) if j != i]
@@ -101,14 +101,14 @@ class TestCvObjective:
 
     def test_symmetric_two_point_terms_match(self):
         design = Design([[0.2], [0.8]], UNIT)
-        value = cv_objective(matern(1.0, lambda_=0.5), design, [1.0, 1.0])
+        value = cv_objective(MaternParams(1.0, lambda_=0.5), design, [1.0, 1.0])
         # both leave-one-out terms are equal, so halving the sums recovers them
         assert value.total == pytest.approx(value.data_term + value.complexity_term)
 
     def test_needs_two_points(self):
         with pytest.raises(DomainError):
-            cv_objective(matern(1.0), Design([[0.5]], UNIT), [1.0])
-        post = condition(matern(1.0), Design([[0.5]], UNIT), [[1.0, 2.0]])
+            cv_objective(MaternParams(1.0), Design([[0.5]], UNIT), [1.0])
+        post = condition(MaternParams(1.0), Design([[0.5]], UNIT), [[1.0, 2.0]])
         with pytest.raises(DomainError):
             ell_cv_from(post)
 
@@ -116,7 +116,7 @@ class TestCvObjective:
     def test_columns_equal_each_column_alone(self, n):
         # One inverse for all columns; each value bit for bit its column's own.
         design = van_der_corput(UNIT, n)
-        kernel = matern(1.3, sigma=1.1, lambda_=0.3)
+        kernel = MaternParams(1.3, sigma=1.1, lambda_=0.3)
         y = np.random.Generator(np.random.Philox(5)).standard_normal((n, 3))
         together = ell_cv_from(condition(kernel, design, y))
         assert together.data_term.shape == (3,)
@@ -136,7 +136,7 @@ class TestPrefixObjectives:
         # The C07 kernel on 512 points, whose diagonal blocks of 128 and 256
         # rows are factored and inverted by sub-panels.
         design = van_der_corput(UNIT, 512)
-        kernel = matern(1.5, lambda_=1.0)
+        kernel = MaternParams(1.5, lambda_=1.0)
         y = np.random.Generator(np.random.Philox(columns)).standard_normal((512, columns))
         for n, view in zip(self.SIZES, condition_prefixes(kernel, design, y, self.SIZES)):
             post = condition(kernel, Design(design.points[:n], UNIT), y[:n])
@@ -147,7 +147,7 @@ class TestPrefixObjectives:
 
     def test_one_vector_and_one_size_is_the_posterior_objective(self, instance):
         design, y = instance
-        kernel = matern(1.5, lambda_=0.3)
+        kernel = MaternParams(1.5, lambda_=0.3)
         (view,) = condition_prefixes(kernel, design, y, [design.n])
         post = condition(kernel, design, y)
         values = {"ml": ell_ml_from(view), "cv": ell_cv_from(view)}
@@ -158,7 +158,7 @@ class TestPrefixObjectives:
         # Maximum likelihood is defined on every prefix, cross-validation
         # from two points.
         design, y = instance
-        kernel = matern(1.5, lambda_=0.3)
+        kernel = MaternParams(1.5, lambda_=0.3)
         views = condition_prefixes(kernel, design, y, [1, 2, 12])
         assert all(isinstance(ell_ml_from(view).total, float) for view in views)
         with pytest.raises(DomainError, match="n >= 2"):
@@ -172,7 +172,7 @@ class TestPrefixObjectives:
         points = van_der_corput(UNIT, 20).points[:, 0].copy()
         points[17] = points[3] + 1e-13
         design = Design(points, UNIT)
-        kernel = matern(2.5, lambda_=0.5)
+        kernel = MaternParams(2.5, lambda_=0.5)
         y = np.ones(design.n)
         sizes = [16, 17, 18, 20]
         got = condition_prefixes(kernel, design, y, sizes)

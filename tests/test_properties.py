@@ -27,7 +27,7 @@ from maternsmooth.estimators import EstimatorConfig, bracketed_minimize, estimat
 from maternsmooth.experiments import _jittered_grid, _naive_loo, make_design
 from maternsmooth import gp, kernels
 from maternsmooth.gp import condition, condition_prefixes, loo
-from maternsmooth.kernels import kernel_matrix, kernel_panels, matern
+from maternsmooth.kernels import MaternParams, kernel_matrix, kernel_panels
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 from maternsmooth.specfun import bessel_k, log_bessel_k
 from test_designs import dense_closest, dense_fill
@@ -47,7 +47,7 @@ def _instance(d, nu, n, seed, columns=1):
     identity suite, so every case is well conditioned."""
     design = _jittered_grid(d, n, seed)
     lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d)
-    kernel = matern(nu, 1.2, lam, d=d)
+    kernel = MaternParams(nu, 1.2, lam, d=d)
     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
     return kernel, design, y
 
@@ -73,7 +73,7 @@ def test_node_minimum_of_an_analytic_function(c, a, b):
 def c07_paths():
     """The C07 design and a function returning the path of a seed on it."""
     design = make_design("van_der_corput", 1, 512)
-    return design, lambda seed: sample_gp_path(matern(1.5, 1.0, 1.0, d=1), design, seed)
+    return design, lambda seed: sample_gp_path(MaternParams(1.5, 1.0, 1.0, d=1), design, seed)
 
 
 @pytest.mark.parametrize("n", [64, 512])
@@ -89,7 +89,7 @@ def test_node_minimum_of_the_c07_objectives(c07_paths, n, seed):
         objective = ell_ml_from if name == "ml" else ell_cv_from
 
         def total(nu):
-            return objective(condition(matern(nu, 1.0, 1.0, d=1), prefix,
+            return objective(condition(MaternParams(nu, 1.0, 1.0, d=1), prefix,
                                        y)).total
 
         i = int(np.argmin(np.abs(np.log(grid / est.nu_hat))))
@@ -348,7 +348,7 @@ def _prefix_instance(kind, d, nu, n, seed, columns=1, lam=None):
         design = uniform_grid(Box.unit(2), 17).prefix(n)
     lam = 0.5 * math.sqrt(2.0 * nu) * n ** (-1.0 / d) if lam is None else lam
     y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, columns))
-    return matern(nu, 1.2, lam, d=d), design, y
+    return MaternParams(nu, 1.2, lam, d=d), design, y
 
 
 def _alone(design, n):
@@ -444,11 +444,10 @@ def test_prefix_posterior_equals_conditioning_the_prefix(case, columns, other):
 def test_inverse_of_a_prefix_is_the_leading_block(case):
     kernel, design, y = _prefix_instance(*case)
     full = condition(kernel, design, y)
-    inverse, err = gp._invert(full.chol, design.n)
-    assert err is None
+    inverse = gp._invert(full.chol, design.n)
     for n in [m for m in EXACT_SIZES if m <= design.n]:
-        own, err = gp._invert(condition(kernel, _alone(design, n), y[:n]).chol, n)
-        assert err is None and own.shape == (n, n)
+        own = gp._invert(condition(kernel, _alone(design, n), y[:n]).chol, n)
+        assert own.shape == (n, n)
         assert np.array_equal(inverse[:n, :n], own), n
         assert np.array_equal(full.prefix(n).factorization.inverse(n), own), n
 
@@ -521,13 +520,12 @@ def test_sub_panels_keep_every_prefix_and_the_single_call_values(kind, n, nu, se
     with _serving(K, rows):
         L, err = gp._factor(None, SimpleNamespace(n=n))
         assert err is None
-        W, err = gp._invert(L, n)
-        assert err is None
+        W = gp._invert(L, n)
         for m in (16, 32, 64, 128, 256):
             if m < n:
                 own, _ = gp._factor(None, SimpleNamespace(n=m))
                 assert np.array_equal(own, L[:m, :m]), m
-                assert np.array_equal(gp._invert(own, m)[0], W[:m, :m]), m
+                assert np.array_equal(gp._invert(own, m), W[:m, :m]), m
     assert max(rows) <= gp._SUB
     assert not np.any(np.triu(L, 1)) and not np.any(np.triu(W, 1))
     # Well conditioned (cond(K) < 1e3): rounding apart, one LAPACK call each.
@@ -797,7 +795,7 @@ def test_kernel_entries_depend_only_on_their_distance(case, seed):
     # alone agree on every entry.
     nu, x = case
     nu = max(nu, 0.05)
-    kernel = matern(nu, 1.0, math.sqrt(2.0 * nu))
+    kernel = MaternParams(nu, 1.0, math.sqrt(2.0 * nu))
     rng = np.random.Generator(np.random.Philox(seed))
     others = np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 40))
     points = np.concatenate(([0.0, x], others[others != x]))

@@ -18,7 +18,7 @@ from scipy import optimize, special
 from maternsmooth import specfun
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import AccuracyError, DomainError
-from maternsmooth.kernels import kernel_matrix, matern
+from maternsmooth.kernels import MaternParams, kernel_matrix
 from maternsmooth.specfun import (
     bessel_k,
     log_bessel_k,
@@ -301,5 +301,5 @@ class TestThreads:
         rng = np.random.Generator(np.random.Philox(0))
         jitter = (2.0 * rng.random(512) - 1.0) * 0.25 * np.min(np.diff(np.sort(base)))
         design = Design(np.clip(base + jitter, 0.0, 1.0), Box.unit(1))
-        kernel_matrix(matern(10.0, 1.0, 0.05), design)
+        kernel_matrix(MaternParams(10.0, 1.0, 0.05), design)
         assert started == [] and threading.active_count() == before
