@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, check_integer, check_positive, is_real
+from .errors import (AccuracyError, DomainError, check_array, check_integer, check_positive,
+                     is_real)
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
 from .kernels import kernel_matrix, log_c_scaling  # noqa: F401
@@ -298,15 +299,11 @@ def _draw(chol, seeds):
 def fit_rate(ns, values):
     """The slope of ``value ~ C * n^slope``, fitted by least squares in
     log-log coordinates."""
-    ns = np.asarray(list(ns), dtype=float)
-    values = np.asarray(list(values), dtype=float)
-    if ns.size < 3:
+    ns, values = list(ns), list(values)
+    if len(ns) < 3:
         raise DomainError("rate fitting needs at least 3 points")
-    if not (np.all(np.isfinite(ns) & (ns > 0.0))
-            and np.all(np.isfinite(values) & (values > 0.0))):
-        raise DomainError("rate fitting needs positive finite sizes and values")
-    x = np.log(ns)
-    y = np.log(values)
+    x = np.log(check_array("sizes to fit", ns))
+    y = np.log(check_array("values to fit", values))
     return float(np.polyfit(x, y, 1)[0])
 
 

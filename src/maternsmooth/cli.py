@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields, replace
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import DomainError, MaternSmoothError
+from .errors import DomainError, MaternSmoothError, check_integer
 from .estimators import EstimatorConfig
 from .experiments import (
     ExperimentConfig,
@@ -152,13 +152,6 @@ _COMMANDS = {
 }
 
 
-def _thread_count(text):
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {count}")
-    return count
-
-
 # The flag of each setting that a command line may give.  Its text is
 # parsed as the file line ``key = text`` is (:func:`_parse_value`), and the
 # configuration checks the value.
@@ -189,7 +182,7 @@ def _build_parser():
         p.add_argument("--out", dest="output_path", help="CSV output path")
         # Kept only because existing benchmark commands pass it; the
         # package evaluates everything on the calling thread.
-        p.add_argument("--threads", type=_thread_count, default=None,
+        p.add_argument("--threads", type=_parse_scalar, default=None, metavar="N",
                        help="accepted and ignored (an integer >= 1): every "
                             "command runs on the calling thread")
         for flag, key in _SETTING_FLAGS.items():
@@ -207,6 +200,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.threads is not None:
+            check_integer("threads", args.threads, 1)
         config = _build_config(args)
         config = replace(config, experiment=args.command)
         _check_output_directory(config.output_path)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DomainError, check_integer, is_integer
+from .errors import DegenerateDesignError, DomainError, check_integer
 
 __all__ = [
     "Box",
@@ -69,13 +69,13 @@ class Box:
 
 def check_schedule(schedule):
     """A schedule of prefix sizes as a list of ints: :class:`DomainError`
-    unless each is an integer of at least 1, larger than the one before."""
-    sizes = list(schedule)
-    if (not all(is_integer(n) and n >= 1 for n in sizes)
-            or any(b <= a for a, b in zip(sizes, sizes[1:]))):
-        raise DomainError(f"schedule {tuple(sizes)} must hold integer sizes of at least 1 "
-                          f"in strictly ascending order")
-    return [int(n) for n in sizes]
+    unless each is an integer of at least 1 (:func:`check_integer`), larger
+    than the one before."""
+    given = tuple(schedule)
+    sizes = [check_integer(f"schedule {given}: each size", n, 1) for n in given]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise DomainError(f"schedule {given} must be strictly ascending")
+    return sizes
 
 
 class Design:
@@ -194,7 +194,7 @@ def van_der_corput(box, n):
     integer of at least 1.
     """
     if box.d != 1:
-        raise DomainError("van der Corput sequence is one-dimensional")
+        raise DomainError("van der Corput designs are one-dimensional")
     n = check_integer("n", n, 1)
     lo, hi = box.lower[0], box.upper[0]
     unit = [0.0, 1.0]

@@ -3,11 +3,14 @@ that raise them.
 
 What an argument or a setting may hold is decided here, once: a real
 number (:func:`is_real`), an integer (:func:`is_integer`), a positive
-finite real (:func:`check_positive`, :func:`require_positive`) or an
-integer in a range (:func:`check_integer`).  Python and NumPy numbers both
-pass, a bool or text never does, and a value that fails raises
-:class:`DomainError` naming the setting and the value given; a value that
-passes is returned as an int or a float.
+finite real (:func:`check_positive`, :func:`require_positive`), an
+integer in a range (:func:`check_integer`), or an array of finite numbers,
+positive, nonnegative or of any sign (:func:`check_array`: Bessel and
+Gamma arguments, kernel distances, data, and the points of a rate fit).
+Python and NumPy numbers both pass, a bool or text never does, and a
+value that fails raises :class:`DomainError` naming the setting and the
+value given; a value that passes is returned as an int, a float or a
+float array.
 """
 
 import math
@@ -99,3 +102,25 @@ def require_positive(record, names):
     float would."""
     for name in names:
         object.__setattr__(record, name, check_positive(name, getattr(record, name)))
+
+
+def check_array(name, value, sign="positive"):
+    """``value`` as a float array: :class:`DomainError` naming ``name``
+    unless its dtype is integer or floating (not bool, text or object) and
+    every entry is finite and, as ``sign`` says, ``"positive"``,
+    ``"nonnegative"`` or of any sign (None).  An empty array passes.
+
+    Two reductions decide, ``min`` and ``max``: a NaN fails the second.
+    An array already of doubles is returned as given, not copied.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be integer or floating numbers, got {value!r}")
+    arr = arr.astype(float, copy=False)
+    if arr.size:
+        low = arr.min()
+        signed = {"positive": low > 0.0, "nonnegative": low >= 0.0, None: low > -math.inf}[sign]
+        if not (signed and arr.max() < math.inf):
+            rule = f"{sign} and finite" if sign else "finite"
+            raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return arr

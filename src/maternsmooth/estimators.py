@@ -37,7 +37,7 @@ from numpy.polynomial import chebyshev as cheb
 from .designs import fill_distance, fill_distances  # noqa: F401
 from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
                      require_positive)
-from .gp import condition, condition_prefixes  # noqa: F401
+from .gp import _as_data, condition, condition_prefixes  # noqa: F401
 from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
 
@@ -164,16 +164,6 @@ class NuEstimate:
     searchable_upper: float
     irregular_failures: int
     non_unimodal: bool = False
-
-
-def _checked_data(y, shape, name):
-    """Data as a float array of the given shape, rejecting non-finite values."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != shape:
-        raise DomainError(f"{name} has shape {y.shape}, expected {shape}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"{name} must be finite")
-    return y
 
 
 def _on_bracket(grid, best, t):
@@ -426,7 +416,7 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     """
     if design.n < 1:
         raise DomainError(f"objective 'ml' needs more data than n={design.n}")
-    y = _checked_data(y, (design.n,), "y")[:, None]
+    y = _as_data(design, y, columns=False)[:, None]
     scan = _matern_scan(config, design.d)
     ((found,),) = _searches(design, y, [design.n], scan)
     for name in _objective_names(design.n):
@@ -497,13 +487,12 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     index and pivot value of that first failure.
     """
     schedule = design.check_schedule(n_schedule)
-    y_full = np.asarray(y_full, dtype=float)
+    y_full = _as_data(design, y_full, "y_full")
     if y_full.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != y_full.shape[1]):
         raise DomainError(f"{y_full.shape[1]} data columns need a sequence of as many "
                           f"seeds, got {seed!r}")
     seeds = list(seed) if y_full.ndim == 2 else [seed]
-    shape = (design.n, len(seeds)) if y_full.ndim == 2 else (design.n,)
-    columns = _checked_data(y_full, shape, "y_full").reshape(design.n, len(seeds))
+    columns = y_full.reshape(design.n, len(seeds))
 
     if not schedule:
         return []

@@ -142,8 +142,9 @@ def _check_command(command, config):
     ``command``, a command name; any other name has no rules.
 
     A setting that the command does not read must be at its default, and
-    the rules on values hold: van der Corput designs and the catalog
-    functions are one-dimensional, ``logdet-growth`` draws one path (a seed
+    the rules on values hold: the configured design generator takes ``d``
+    (a one-point design of it is built, so van der Corput's own rule on the
+    dimension speaks), the catalog functions are one-dimensional, ``logdet-growth`` draws one path (a seed
     list given holds one seed), ``non-undersmoothing``
     takes exactly one of ``nu0`` and ``f0`` and reads no seeds with ``f0``,
     and ``convergence`` keeps its probes off the design points.
@@ -155,8 +156,7 @@ def _check_command(command, config):
             value = getattr(owner, f.name)
             if f.name not in _READS[command] + _NOT_SETTINGS and value != f.default:
                 raise DomainError(f"{command} does not read {f.name}, got {value!r}")
-    if config.d != 1 and config.design == "van_der_corput":
-        raise DomainError("van der Corput designs are one-dimensional")
+    make_design(config.design, config.d, 1)  # the generator's own rules on d
     if config.f0 is not None and config.d != 1:
         raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
     if command == "logdet-growth" and config.seeds is not None and len(config.seeds) != 1:

@@ -61,7 +61,7 @@ import numpy as np
 from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, check_array
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
 from .kernels import _FIRST_PANEL, _panel_ends, kernel_matrix, kernel_panels  # noqa: F401
 
@@ -349,14 +349,16 @@ class Posterior:
         return Posterior(self.factorization, self.design.check_prefix_size(n))
 
 
-def _as_data(design, y):
-    """A copy of the data as a read-only float array of shape ``(n,)`` or
-    ``(n, s)``, all finite, so that no posterior aliases the caller's."""
-    y = np.array(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != design.n:
-        raise DomainError(f"y has shape {y.shape}, expected ({design.n},) or ({design.n}, s)")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
+def _as_data(design, y, name="y", columns=True):
+    """A copy of the data ``name`` as a read-only float array of shape
+    ``(n,)``, or ``(n, s)`` where ``columns`` allows, of finite numbers
+    (:func:`~maternsmooth.errors.check_array`), so that no posterior
+    aliases the caller's: the one check of data."""
+    y = np.asarray(y)
+    if y.ndim not in ((1, 2) if columns else (1,)) or y.shape[0] != design.n:
+        shapes = f"({design.n},)" + (f" or ({design.n}, s)" if columns else "")
+        raise DomainError(f"{name} has shape {y.shape}, expected {shapes}")
+    y = check_array(name, y, None).copy()
     y.flags.writeable = False
     return y
 
@@ -545,7 +547,7 @@ def loo(post):
 def _inverse_diagonal(post):
     """The diagonal of ``K^{-1}`` (see :func:`loo`), checked positive and finite."""
     if post.n < 2:
-        raise DomainError("leave-one-out needs at least 2 points")
+        raise DomainError(f"leave-one-out needs n >= 2, got n={post.n}")
     W = post.factorization.inverse(post.n)
     diag = np.einsum("ij,ij->j", W, W)
     bad = ~(np.isfinite(diag) & (diag > 0.0))

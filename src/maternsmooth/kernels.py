@@ -4,7 +4,10 @@ A :class:`MaternParams` or :class:`GaussParams` record is the kernel: called
 on distances, it gives their covariances.  Its fields are checked as given
 by the rules of :mod:`~maternsmooth.errors`, so text and bools are refused:
 ``nu``, ``sigma`` and ``lambda_`` are positive finite reals, kept as floats,
-and ``d`` is an integer of at least 1.  All Matern evaluation goes through
+and ``d`` is an integer of at least 1.  Distances are checked as Bessel
+arguments are (:func:`~maternsmooth.errors.check_array`), zero allowed:
+integer or floating numbers, finite and nonnegative, so text, bools and
+object arrays are refused, not converted.  All Matern evaluation goes through
 one entry, :func:`matern_eval`, in log space (log scaling factor plus
 ``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that orders
 up to several hundred remain usable; direct evaluation of
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateDesignError, DomainError, check_integer, check_positive,
+from .errors import (DegenerateDesignError, check_array, check_integer, check_positive,
                      require_positive)
 from .specfun import log_bessel_k, log_gamma
 
@@ -97,13 +100,6 @@ class GaussParams:
         return gaussian_eval(self, r)
 
 
-def _validate_distances(r):
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise DomainError("distances must be finite and nonnegative")
-    return arr
-
-
 def matern_eval(params, r):
     """Matern covariance as a function of distance ``r >= 0``: the one entry
     of Matern evaluation, for a scalar or an array of any order, checked.
@@ -113,7 +109,7 @@ def matern_eval(params, r):
     ``nu >= d/2``); evaluation near zero would otherwise hit the
     singularity of ``K_nu``.
     """
-    arr = _validate_distances(r)
+    arr = check_array("distances", r, "nonnegative")
     scalar = np.isscalar(r) or arr.ndim == 0
     r = np.atleast_1d(arr)
 
@@ -149,7 +145,7 @@ def gaussian_eval(params, r):
     """Gaussian covariance ``sigma**2 exp(-r**2 / 2 lambda**2)`` at distance
     ``r``: the large-``nu`` limit of the Matern kernel of the same ``sigma``
     and ``lambda_``."""
-    arr = _validate_distances(r)
+    arr = check_array("distances", r, "nonnegative")
     out = params.sigma**2 * np.exp(-0.5 * (arr / params.lambda_) ** 2)
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
 # ``condition`` stays bound here for the benchmark tracer, which wraps it.
 from .gp import condition, log_det, loo, quadratic_form  # noqa: F401
 
@@ -59,10 +58,9 @@ def ell_cv_from(post):
     Per data column when the posterior holds several, each bit for bit the
     value of that column conditioned alone: one leave-one-out inverse
     serves every column, so the complexity term is shared, and each data
-    term is summed over its own column.
+    term is summed over its own column.  Needs two points, as
+    :func:`~maternsmooth.gp.loo` does.
     """
-    if post.n < 2:
-        raise DomainError("cross-validation objective needs n >= 2")
     res = loo(post)
     if res.residuals.ndim == 1:
         data = float(np.sum(res.residuals**2 / res.variances))

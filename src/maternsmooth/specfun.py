@@ -60,7 +60,7 @@ import math
 import numpy as np
 from scipy import special as _special
 
-from .errors import AccuracyError, DomainError, is_real
+from .errors import AccuracyError, DomainError, check_array, is_real
 
 __all__ = [
     "log_gamma",
@@ -206,24 +206,13 @@ def _kve_runs(nu, x, out):
     return out
 
 
-def _validate_positive(name, value):
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be integer or floating numbers, got {value!r}")
-    arr = arr.astype(float, copy=False)
-    # Two reductions: a NaN fails both comparisons.
-    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return arr
-
-
 def log_gamma(x):
     """Natural log of the Gamma function for positive real ``x``.
 
     Accepts a scalar or array; raises :class:`DomainError` for
     non-positive or non-finite input.
     """
-    arr = _validate_positive("x", x)
+    arr = check_array("x", x)
     out = _special.gammaln(arr)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
@@ -375,7 +364,7 @@ def _order_and_arguments(nu, x):
     whether ``x`` is scalar."""
     if not (is_real(nu) and math.isfinite(nu) and nu >= 0):
         raise DomainError(f"order nu must be a real number, finite and >= 0, got {nu!r}")
-    arr = _validate_positive("x", x)
+    arr = check_array("x", x)
     scalar = np.isscalar(x) or arr.ndim == 0
     return float(nu), np.atleast_1d(arr), scalar
 

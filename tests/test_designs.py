@@ -315,8 +315,15 @@ class TestQuasiUniformity:
 
     @pytest.mark.parametrize("schedule", [[2.7, 9.9], [8, 8], [True], [0, 4], [4.0]])
     def test_schedule_must_hold_ascending_integer_sizes(self, schedule):
-        with pytest.raises(DomainError, match="strictly ascending"):
+        # Each size is checked as every integer setting is, then the order.
+        if schedule == [8, 8]:
+            message = "schedule (8, 8) must be strictly ascending"
+        else:
+            message = (f"schedule {tuple(schedule)}: each size must be an integer >= 1, "
+                       f"got {schedule[0]!r}")
+        with pytest.raises(DomainError) as caught:
             fill_distances(van_der_corput(UNIT, 16), schedule)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("run", [fill_distances,
                                      lambda des, schedule: sweep_prefixes(des, np.zeros(des.n),

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -633,7 +634,8 @@ class TestSweeps:
                 sweep_prefixes(design, y, schedule, EstimatorConfig())
         with pytest.raises(DomainError):
             sweep_prefixes(design, y, [4096], EstimatorConfig())
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape(
+                "y_full has shape (10,), expected (128,) or (128, s)")):
             sweep_prefixes(design, y[:10], [16], EstimatorConfig())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -15,6 +15,7 @@ import pytest
 from maternsmooth import analysis, cli, experiments, gp
 from maternsmooth.analysis import builtin_test_functions
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
+from maternsmooth.designs import Box, van_der_corput
 from maternsmooth.errors import DomainError, EstimationError
 from maternsmooth.estimators import EstimatorConfig, bracketed_minimize
 from maternsmooth.gp import condition
@@ -819,9 +820,16 @@ class TestCli:
         assert "configuration error: each entry of nu_model must be positive and finite" in err
 
     def test_bad_thread_count_exit_two(self, tmp_path, capsys):
+        # --threads is ignored, but its value is checked as every integer
+        # setting is, with the same configuration error line.
         assert main(["variance-decay", "--threads", "0"]) == 2
         assert main(["gaussian-scale-probe", "--threads", "-4"]) == 2
         assert main(["convergence", "--threads", "x"]) == 2
+        assert main(["convergence", "--threads", "2.0"]) == 2
+        err = capsys.readouterr().err
+        for text in ("0", "-4", "'x'", "2.0"):
+            assert f"configuration error: threads must be an integer >= 1, got {text}\n" in err
+        assert "_thread_count" not in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads = 2.5\n")
         assert main(["variance-decay", "--config", str(cfg)]) == 2
@@ -936,6 +944,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and not out.exists()
         assert captured.err.startswith("configuration error: ") and "PASS" not in captured.out
+
+    def test_van_der_corput_dimension_rule_is_the_generators(self, capsys):
+        # The configuration reads the rule from the generator: one message.
+        with pytest.raises(DomainError) as caught:
+            van_der_corput(Box.unit(2), 4)
+        assert main(["non-undersmoothing", "--nu0", "1.5", "--d", "2",
+                     "--design", "van_der_corput"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {caught.value}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["non-undersmoothing"], "need either a test-function label or nu0"),

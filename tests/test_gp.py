@@ -139,6 +139,13 @@ class TestCondition:
         with pytest.raises(DomainError):
             condition(kernel, design, np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("bad", [["0.5"] * 16, [True] * 16], ids=["text", "bools"])
+    def test_data_refuse_text_and_bools(self, instance, bad):
+        # Data pass the one array rule of errors: nothing is converted.
+        kernel, design, _, _ = instance
+        with pytest.raises(DomainError, match="^y must be integer or floating numbers"):
+            condition(kernel, design, bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_raises(self, instance, bad):
         kernel, design, y, _ = instance

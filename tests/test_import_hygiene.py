@@ -6,7 +6,9 @@ name a module exports, in its ``__all__`` or through the package's
 ``__init__.py``, is bound in that module.  Every entry of the ``KEEP`` table
 of ``tools/unreached.py`` names a function the package defines.  The rules
 on values (:data:`VALUE_RULES`) are defined in ``errors.py`` alone, and every
-other module that uses one imports it from there."""
+other module that uses one imports it from there; no other module reads an
+array's ``dtype.kind``, the test by which the array rule refuses bools,
+text and objects."""
 
 import ast
 import importlib
@@ -62,7 +64,8 @@ def test_an_unused_import_is_caught():
     assert unused_imports(source) == {"DomainError"}
 
 
-VALUE_RULES = {"is_real", "is_integer", "check_positive", "require_positive", "check_integer"}
+VALUE_RULES = {"is_real", "is_integer", "check_positive", "require_positive", "check_integer",
+               "check_array"}
 
 
 def value_rule_origins(source):
@@ -96,6 +99,28 @@ def test_a_second_value_rule_is_caught():
               "def check_positive(name, value):\n    pass\n")
     assert value_rule_origins(source) == {"check_integer": ".errors",
                                           "is_integer": ".designs", "check_positive": "def"}
+
+
+def reads_dtype_kind(source):
+    """Whether ``source`` reads ``<array>.dtype.kind``."""
+    return any(isinstance(node, ast.Attribute) and node.attr == "kind"
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_array_rule_is_written_in_errors_alone(module):
+    with open(os.path.join(PACKAGE, f"{module}.py")) as fh:
+        assert reads_dtype_kind(fh.read()) == (module == "errors")
+
+
+def test_a_second_array_rule_is_caught():
+    source = ("def _validate_positive(name, value):\n"
+              "    arr = np.asarray(value)\n"
+              "    if arr.dtype.kind not in 'iuf':\n"
+              "        raise DomainError(name)\n")
+    assert reads_dtype_kind(source)
+    assert not reads_dtype_kind("arr = np.asarray(value, dtype=float)\n")
 
 
 def unresolved(module, names):

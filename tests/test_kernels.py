@@ -153,13 +153,31 @@ class TestMaternEval:
 
     def test_domain_errors(self):
         p = MaternParams(1.0, 1.0, 1.0)
-        for bad in (-1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                matern_eval(p, bad)
+        for bad in (-1.0, math.inf, math.nan, [0.5, 0.0, -2.0]):
+            for kernel in (p, GaussParams()):
+                with pytest.raises(DomainError) as caught:
+                    kernel(bad)
+                assert str(caught.value) == (
+                    f"distances must be nonnegative and finite, got {bad!r}")
         with pytest.raises(DomainError):
             MaternParams(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             MaternParams(1.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("kernel,r", [
+        (MaternParams(1.5), "0.5"), (MaternParams(1.5), True), (MaternParams(1.5), ["0.5", "1"]),
+        (MaternParams(1.5), [True, False]), (MaternParams(1.5), np.array([0.5], dtype=object)),
+        (GaussParams(), "0.5"), (GaussParams(), np.True_),
+    ], ids=["matern-text", "matern-bool", "matern-text-list", "matern-bool-list",
+            "matern-object-array", "gauss-text", "gauss-numpy-bool"])
+    def test_distances_refuse_text_and_bools(self, kernel, r):
+        # Distances are checked as Bessel arguments are: nothing converts
+        # text or a bool into a number.
+        with pytest.raises(DomainError) as caught:
+            kernel(r)
+        assert str(caught.value) == f"distances must be integer or floating numbers, got {r!r}"
+        with pytest.raises(DomainError, match="must be integer or floating numbers"):
+            log_bessel_k(1.0, r)
 
     def test_scaling_is_clamped_at_half_the_dimension(self):
         assert MaternParams(0.3, d=2)._log_scale == log_c_scaling(1.0, 2)

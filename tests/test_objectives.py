@@ -8,7 +8,7 @@ import pytest
 from maternsmooth.analysis import builtin_test_functions, matern_rkhs_norm_sq
 from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import ConditioningError, DomainError
-from maternsmooth.gp import condition, condition_prefixes, incremental_variances
+from maternsmooth.gp import condition, condition_prefixes, incremental_variances, loo
 from maternsmooth.kernels import MaternParams, kernel_matrix
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
@@ -109,8 +109,12 @@ class TestCvObjective:
         with pytest.raises(DomainError):
             cv_objective(MaternParams(1.0), Design([[0.5]], UNIT), [1.0])
         post = condition(MaternParams(1.0), Design([[0.5]], UNIT), [[1.0, 2.0]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as cv:
             ell_cv_from(post)
+        # One rule on the size, leave-one-out's: the objective says what it says.
+        with pytest.raises(DomainError) as held_out:
+            loo(post)
+        assert str(cv.value) == str(held_out.value) == "leave-one-out needs n >= 2, got n=1"
 
     @pytest.mark.parametrize("n", [12, 64, 100])
     def test_columns_equal_each_column_alone(self, n):
