@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, check_array, check_integer, check_positive,
-                     is_real)
+from .errors import (AccuracyError, DomainError, check_array, check_integer, check_real,
+                     require_positive)
 from .gp import condition
 # ``kernel_matrix`` stays bound here for the benchmark tracer, which wraps it.
 from .kernels import kernel_matrix, log_c_scaling  # noqa: F401
@@ -43,6 +43,9 @@ class TestFunction:
     ``fourier`` is the closed-form transform (1-d only) under the
     convention in the module docstring; ``smoothness`` is the declared
     Sobolev-scale smoothness, ``math.inf`` for infinitely smooth entries.
+    A call checks its points as finite reals
+    (:func:`~maternsmooth.errors.check_array`) and hands the evaluator
+    them as a float array.
     """
 
     label: str
@@ -51,7 +54,7 @@ class TestFunction:
     smoothness: float = None
 
     def __call__(self, x):
-        return self.evaluator(np.asarray(x, dtype=float))
+        return self.evaluator(check_array("x", x, None))
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,8 @@ class QuadratureConfig:
     The integrand is evaluated on ``[-truncation, truncation]`` split
     into unit-width panels carrying ``nodes`` Gauss-Legendre points each.
     The estimated relative tail contribution beyond the truncation must
-    stay below ``tail_bound``.
+    stay below ``tail_bound``.  Both are positive finite reals, kept as
+    floats (:func:`~maternsmooth.errors.require_positive`).
     """
 
     truncation: float = None
@@ -69,10 +73,9 @@ class QuadratureConfig:
     tail_bound: float = 1e-8
 
     def __post_init__(self):
-        if self.truncation is not None:
-            check_positive("truncation", self.truncation)
+        given = ("truncation", "tail_bound") if self.truncation is not None else ("tail_bound",)
+        require_positive(self, given)
         check_integer("nodes", self.nodes, 2)
-        check_positive("tail_bound", self.tail_bound)
 
 
 def _panel_rule(truncation, nodes):
@@ -125,7 +128,6 @@ def _log_integrand(tf, log_weight):
     _require_fourier(tf)
 
     def log_integrand(xi):
-        xi = np.asarray(xi, dtype=float)
         with np.errstate(divide="ignore"):
             return 2.0 * np.log(np.abs(tf.fourier(xi))) + log_weight(xi)
 
@@ -209,7 +211,7 @@ def gaussian_rkhs_norm_sq(tf, lambda_, q=QuadratureConfig()):
     from growth of the integrand toward the truncation, or an integral that
     overflows, and reported via the ``diverged`` flag rather than a number.
     """
-    check_positive("length-scale lambda_", lambda_)
+    lambda_ = check_real("length-scale lambda_", lambda_)
     log_integrand = _log_integrand(tf, lambda xi: 0.5 * lambda_**2 * xi**2)
     truncation = q.truncation if q.truncation is not None else 60.0
 
@@ -239,8 +241,7 @@ def sobolev_norm_sq(tf, alpha, q=QuadratureConfig()):
     raises :class:`AccuracyError` when the estimated truncation tail exceeds
     the configured bound.
     """
-    if not (is_real(alpha) and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+    alpha = check_real("alpha", alpha, None)
     log_integrand = _log_integrand(tf, lambda xi: alpha * np.log1p(xi * xi))
     truncation = q.truncation if q.truncation is not None else 8.0 * (abs(alpha) + 1.0) + 80.0
     return _spectral_integral(log_integrand, truncation, q,
@@ -251,12 +252,13 @@ def fourier_reconstruction(tf, x, q=QuadratureConfig()):
     """Evaluate ``(2 pi)^{-1} int fhat(xi) exp(i xi x) dxi`` by quadrature.
 
     Assumes a real, even transform (true for every catalog entry).  Used
-    to cross-check a catalog transform against its evaluator.
+    to cross-check a catalog transform against its evaluator.  ``x`` holds
+    finite reals (:func:`~maternsmooth.errors.check_array`).
     """
     _require_fourier(tf)
     truncation = q.truncation if q.truncation is not None else 80.0
     nodes, w = _panel_rule(truncation, q.nodes)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.atleast_1d(check_array("x", x, None))
     fh = tf.fourier(nodes)
     out = np.array([np.dot(w, fh * np.cos(nodes * xi)) for xi in xs]) / (2.0 * math.pi)
     if np.ndim(x) == 0:
@@ -318,16 +320,16 @@ def builtin_test_functions():
     two_pi = 2.0 * math.pi
 
     def cauchy_eval(x):
-        return 1.0 / (0.25 + np.asarray(x, dtype=float) ** 2)
+        return 1.0 / (0.25 + x**2)
 
     def cauchy_fourier(xi):
-        return two_pi * np.exp(-0.5 * np.abs(np.asarray(xi, dtype=float)))
+        return two_pi * np.exp(-0.5 * np.abs(xi))
 
     def gauss_eval(x):
-        return np.exp(-np.asarray(x, dtype=float) ** 2 / 4.0) / (2.0 * math.sqrt(math.pi))
+        return np.exp(-x**2 / 4.0) / (2.0 * math.sqrt(math.pi))
 
     def gauss_fourier(xi):
-        return np.exp(-np.asarray(xi, dtype=float) ** 2)
+        return np.exp(-xi**2)
 
     return {
         "cauchy_like": TestFunction(
@@ -344,8 +346,8 @@ def builtin_test_functions():
         ),
         "zero": TestFunction(
             label="zero",
-            evaluator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            fourier=lambda xi: np.zeros_like(np.asarray(xi, dtype=float)),
+            evaluator=np.zeros_like,
+            fourier=np.zeros_like,
             smoothness=math.inf,
         ),
     }

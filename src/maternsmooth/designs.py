@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DomainError, check_integer
+from .errors import DegenerateDesignError, DomainError, check_array, check_integer
 
 __all__ = [
     "Box",
@@ -37,18 +37,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box domain given by lower and upper corners."""
+    """Axis-aligned box domain given by lower and upper corners, each a
+    vector of finite reals (:func:`~maternsmooth.errors.check_array`),
+    kept as a tuple of Python floats."""
 
     lower: tuple
     upper: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lower))
-        hi = tuple(float(v) for v in np.atleast_1d(self.upper))
+        lo, hi = (np.atleast_1d(check_array(f"box corner {name}", getattr(self, name), None))
+                  for name in ("lower", "upper"))
+        if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0:
+            raise DomainError("box corners must have equal positive length")
+        lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if len(lo) != len(hi) or len(lo) == 0:
-            raise DomainError("box corners must have equal positive length")
         if any(not (l < u) for l, u in zip(lo, hi)):
             raise DomainError(f"degenerate box: lower={lo}, upper={hi}")
 
@@ -61,7 +64,9 @@ class Box:
         return cls((0.0,) * d, (1.0,) * d)
 
     def contains(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Whether every point, finite reals (:func:`check_array`), lies in
+        the box to 1e-12."""
+        pts = np.atleast_2d(check_array("points", points, None))
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         return bool(np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12))
@@ -79,10 +84,14 @@ def check_schedule(schedule):
 
 
 class Design:
-    """An ordered point sequence inside a box; prefixes are meaningful."""
+    """An ordered point sequence inside a box; prefixes are meaningful.
+
+    ``points`` are finite reals (:func:`~maternsmooth.errors.check_array`),
+    ``(n, d)`` or, in one dimension, ``(n,)``, held as a read-only copy.
+    """
 
     def __init__(self, points, box):
-        pts = np.asarray(points, dtype=float)
+        pts = check_array("points", points, None)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:

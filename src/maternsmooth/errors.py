@@ -1,16 +1,18 @@
 """Exception types shared across the package, and the rules on values
 that raise them.
 
-What an argument or a setting may hold is decided here, once: a real
-number (:func:`is_real`), an integer (:func:`is_integer`), a positive
-finite real (:func:`check_positive`, :func:`require_positive`), an
-integer in a range (:func:`check_integer`), or an array of finite numbers,
-positive, nonnegative or of any sign (:func:`check_array`: Bessel and
-Gamma arguments, kernel distances, data, and the points of a rate fit).
+What an argument or a setting may hold is decided here, once, by three
+rules: an integer in a range (:func:`check_integer`, by
+:func:`is_integer`), one real number (:func:`check_real`, by
+:func:`is_real`, and :func:`require_positive` for the fields of a
+record), and an array of real numbers (:func:`check_array`: Bessel and
+Gamma arguments, kernel distances, data, design points, box corners,
+query points and the points of a rate fit).  A real number or array is
+finite and, as its rule is asked, positive, nonnegative or of any sign.
 Python and NumPy numbers both pass, a bool or text never does, and a
 value that fails raises :class:`DomainError` naming the setting and the
 value given; a value that passes is returned as an int, a float or a
-float array.
+float array.  Input is converted to floats here and nowhere else.
 """
 
 import math
@@ -87,21 +89,30 @@ def check_integer(name, value, low, high=math.inf):
     return int(value)
 
 
-def check_positive(name, value):
+# Per sign of a real rule, the test of the least value and the words of
+# its message; NaN fails every test.
+_SIGNS = {"positive": (lambda low: low > 0.0, "positive and finite"),
+          "nonnegative": (lambda low: low >= 0.0, "nonnegative and finite"),
+          None: (lambda low: low > -math.inf, "finite")}
+
+
+def check_real(name, value, sign="positive"):
     """``value`` as a float: :class:`DomainError` naming ``name`` unless it
-    is a positive finite real number (:func:`is_real`)."""
-    if not (is_real(value) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    is a real number (:func:`is_real`), finite and, as ``sign`` says,
+    ``"positive"``, ``"nonnegative"`` or of any sign (None)."""
+    signed, rule = _SIGNS[sign]
+    if not (is_real(value) and signed(value) and value < math.inf):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
     return float(value)
 
 
 def require_positive(record, names):
-    """:func:`check_positive` on each named field of the frozen dataclass
-    ``record``, stored back as its float: an int or a NumPy ``float32``
+    """:func:`check_real` (positive) on each named field of the frozen
+    dataclass ``record``, stored back as its float: an int or a NumPy ``float32``
     given for a kernel's field then computes in double precision, as a
     float would."""
     for name in names:
-        object.__setattr__(record, name, check_positive(name, getattr(record, name)))
+        object.__setattr__(record, name, check_real(name, getattr(record, name)))
 
 
 def check_array(name, value, sign="positive"):
@@ -110,7 +121,8 @@ def check_array(name, value, sign="positive"):
     every entry is finite and, as ``sign`` says, ``"positive"``,
     ``"nonnegative"`` or of any sign (None).  An empty array passes.
 
-    Two reductions decide, ``min`` and ``max``: a NaN fails the second.
+    Two reductions decide, ``min`` and ``max``, each NaN where an entry is,
+    and a NaN fails.
     An array already of doubles is returned as given, not copied.
     """
     arr = np.asarray(value)
@@ -118,9 +130,7 @@ def check_array(name, value, sign="positive"):
         raise DomainError(f"{name} must be integer or floating numbers, got {value!r}")
     arr = arr.astype(float, copy=False)
     if arr.size:
-        low = arr.min()
-        signed = {"positive": low > 0.0, "nonnegative": low >= 0.0, None: low > -math.inf}[sign]
-        if not (signed and arr.max() < math.inf):
-            rule = f"{sign} and finite" if sign else "finite"
+        signed, rule = _SIGNS[sign]
+        if not (signed(arr.min()) and arr.max() < math.inf):
             raise DomainError(f"{name} must be {rule}, got {value!r}")
     return arr

@@ -37,7 +37,7 @@ from numpy.polynomial import chebyshev as cheb
 from .designs import fill_distance, fill_distances  # noqa: F401
 from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
                      require_positive)
-from .gp import _as_data, condition, condition_prefixes  # noqa: F401
+from .gp import _as_data, _prefix_posteriors, condition  # noqa: F401
 from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
 
@@ -357,9 +357,10 @@ def _cells(design, y, scan, theta, sizes, workspace=None):
     """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
     points of ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
     and :func:`ell_cv_from` from two points, on the posteriors of one
-    factorization (:func:`~maternsmooth.gp.condition_prefixes`).
+    factorization (:func:`~maternsmooth.gp._prefix_posteriors`).
 
-    ``y`` holds ``s`` data columns, shape ``(n, s)``.  Per size, a dict
+    ``y`` holds ``s`` data columns, shape ``(n, s)``, already checked, and
+    ``sizes`` are prefix sizes of ``design``.  Per size, a dict
     mapping each objective defined on ``n`` points to its ``s`` totals,
     profiled when the scan asks, or to the :class:`ConditioningError` that
     prevents that objective alone.  When the factorization fails, both
@@ -370,10 +371,10 @@ def _cells(design, y, scan, theta, sizes, workspace=None):
     profiling is degenerate gets its :class:`EstimationError` in place of
     its total, so the cells of a column equal those of its sweep alone.
     ``workspace`` is handed to
-    :func:`~maternsmooth.gp.condition_prefixes`; nothing returned reads
+    :func:`~maternsmooth.gp._prefix_posteriors`; nothing returned reads
     from it.
     """
-    posts = condition_prefixes(scan.kernel_at(theta), design, y, sizes, workspace)
+    posts = _prefix_posteriors(scan.kernel_at(theta), design, y, sizes, workspace)
     # Looked up at each call, so that a wrapper put on these bindings (as
     # the benchmark tracer does) sees the calls.
     read = {"ml": ell_ml_from, "cv": ell_cv_from}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import _draw, builtin_test_functions, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, uniform_grid, van_der_corput
-from .errors import (ConditioningError, DomainError, check_integer, check_positive,
+from .errors import (ConditioningError, DomainError, check_integer, check_real,
                      require_positive)
 from .estimators import (EstimatorConfig, SweepRecord, _Scan, _search_notes, _searches,
                          sweep_prefixes)
@@ -94,11 +94,11 @@ class ExperimentConfig:
             check_schedule(self.schedule)
         check_integer("d", self.d, 1, 2)
         if self.nu0 is not None:
-            check_positive("nu0", self.nu0)
+            check_real("nu0", self.nu0)
         for name in ("nu_grid", "nu_model"):
             nus = getattr(self, name) or ()
             for nu in nus:
-                check_positive(f"each entry of {name}", nu)
+                check_real(f"each entry of {name}", nu)
             if len(set(nus)) != len(nus):
                 raise DomainError(f"{name} repeats an entry: {nus!r}")
         _generator(self.design, self.d)
@@ -419,7 +419,7 @@ def _draw_or_evaluate(config, design):
     factorization."""
     if config.f0 is not None:
         f0 = builtin_test_functions()[config.f0]
-        return [None], np.asarray(f0(design.points[:, 0]), dtype=float)[:, None]
+        return [None], f0(design.points[:, 0])[:, None]
     seeds = config.seeds or DEFAULT_SEEDS
     return list(seeds), sample_gp_path(_matern(config, config.nu0, design.d), design, seeds)
 
@@ -654,7 +654,7 @@ def run_gaussian_scale_probe(config):
     f0 = builtin_test_functions()[config.f0 or "gauss_bump"]
     schedule = config.schedule or (8, 16, 32, 64, 128)
     design = make_design("van_der_corput", 1, max(schedule))
-    y = np.asarray(f0(design.points[:, 0]), dtype=float)
+    y = f0(design.points[:, 0])
     scan = _Scan("lambda", lambda lam: GaussParams(config.estimator.sigma, lam),
                  config.lambda_min, config.lambda_max, config.estimator.coarse_grid)
     degenerate = ["degenerate_zero_data"] if np.all(y == 0.0) else []

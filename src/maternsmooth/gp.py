@@ -256,7 +256,7 @@ def _solve_lower(chol, b):
     """``chol^{-1} b`` for a lower triangular ``chol`` and a vector or
     matrix ``b`` (LAPACK ``dtrtrs``), in a new array."""
     if not chol.shape[0]:  # dtrtrs rejects the leading dimension 0
-        return np.array(b, dtype=float)
+        return b.copy()
     return _lapack_call("dtrtrs", chol, b, lower=1)[0]
 
 
@@ -379,7 +379,7 @@ def condition(kernel, design, y):
     return post
 
 
-def condition_prefixes(kernel, design, y, sizes, workspace=None):
+def condition_prefixes(kernel, design, y, sizes):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
     One :class:`_Factorization`, of the largest prefix, serves all: each
@@ -387,14 +387,23 @@ def condition_prefixes(kernel, design, y, sizes, workspace=None):
     and the inverse and forward solve are computed when first asked for and
     only up to the largest size served; a size beyond a failing pivot gets
     that pivot's :class:`ConditioningError` in place of its posterior.
+    The data are checked (:func:`_as_data`) and the sizes are prefix sizes
+    of the design; :func:`_prefix_posteriors` does the rest.
+    """
+    return _prefix_posteriors(kernel, design, _as_data(design, y),
+                              [design.check_prefix_size(n) for n in sizes])
+
+
+def _prefix_posteriors(kernel, design, y, sizes, workspace=None):
+    """:func:`condition_prefixes` on data ``y`` and ``sizes`` already checked,
+    with ``y`` held as given, not copied: the path of a sweep, which checks
+    its data once.
 
     ``workspace``, a pair of flat float arrays of at least ``m * m``
     elements for the largest size ``m``, takes the factor and the inverse
     in place of fresh arrays, with the same values.  The posteriors then
     read from it and hold only until it is next used.
     """
-    y = _as_data(design, y)
-    sizes = [design.check_prefix_size(n) for n in sizes]
     design = design.prefix(max(sizes, default=0))
     factor_buffer, inverse_buffer = workspace or (None, None)
     L, err = _factor(kernel, design, factor_buffer)
@@ -412,8 +421,10 @@ def _cross_covariances(post, x):
 
 
 def _as_query(post, x):
+    """Query points of finite reals (:func:`~maternsmooth.errors.check_array`)
+    as an ``(m, d)`` array, and whether ``x`` is one point."""
     d = post.design.d
-    arr = np.asarray(x, dtype=float)
+    arr = check_array("query points", x, None)
     if arr.ndim == 0:
         if d != 1:
             raise DomainError("scalar query point in a multi-dimensional domain")

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateDesignError, check_array, check_integer, check_positive,
+from .errors import (DegenerateDesignError, check_array, check_integer, check_real,
                      require_positive)
 from .specfun import log_bessel_k, log_gamma
 
@@ -48,7 +48,7 @@ def log_c_scaling(nu, d):
     away from zero on every interval ``(0, nu1]``.  At ``nu >= d/2`` the
     kernel's value at zero distance is ``sigma**2``, and its large-``nu``
     limit is the Gaussian kernel (:func:`gaussian_eval`)."""
-    nu = check_positive("nu", nu)
+    nu = check_real("nu", nu)
     check_integer("dimension d", d, 1)
     nu_eff = max(nu, 0.5 * d)
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)

@@ -60,7 +60,7 @@ import math
 import numpy as np
 from scipy import special as _special
 
-from .errors import AccuracyError, DomainError, check_array, is_real
+from .errors import AccuracyError, check_array, check_real
 
 __all__ = [
     "log_gamma",
@@ -209,7 +209,8 @@ def _kve_runs(nu, x, out):
 def log_gamma(x):
     """Natural log of the Gamma function for positive real ``x``.
 
-    Accepts a scalar or array; raises :class:`DomainError` for
+    Accepts a scalar or array; raises
+    :class:`~maternsmooth.errors.DomainError` for
     non-positive or non-finite input.
     """
     arr = check_array("x", x)
@@ -362,11 +363,10 @@ def _log_k_fallback(nu, x):
 def _order_and_arguments(nu, x):
     """Validated order, arguments as an array of at least one dimension, and
     whether ``x`` is scalar."""
-    if not (is_real(nu) and math.isfinite(nu) and nu >= 0):
-        raise DomainError(f"order nu must be a real number, finite and >= 0, got {nu!r}")
+    nu = check_real("order nu", nu, "nonnegative")
     arr = check_array("x", x)
     scalar = np.isscalar(x) or arr.ndim == 0
-    return float(nu), np.atleast_1d(arr), scalar
+    return nu, np.atleast_1d(arr), scalar
 
 
 def log_bessel_k(nu, x):

@@ -82,6 +82,18 @@ class TestCatalog:
         rec = fourier_reconstruction(tf, xs)
         np.testing.assert_allclose(rec, tf(xs), atol=1e-6)
 
+    @pytest.mark.parametrize("label", sorted(CATALOG))
+    @pytest.mark.parametrize("x, message", [
+        ("0.5", "x must be integer or floating numbers, got '0.5'"),
+        (True, "x must be integer or floating numbers, got True"),
+        ([0.1, math.nan], "x must be finite, got [0.1, nan]"),
+    ])
+    def test_arguments_are_finite_reals(self, label, x, message):
+        for read in (CATALOG[label], lambda x: fourier_reconstruction(CATALOG[label], x)):
+            with pytest.raises(DomainError) as caught:
+                read(x)
+            assert str(caught.value) == message
+
     def test_zero_function(self):
         z = CATALOG["zero"]
         assert np.all(z(np.linspace(-1, 1, 7)) == 0.0)
@@ -209,7 +221,7 @@ class TestSobolevNorm:
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, True, "2"])
     def test_alpha_must_be_a_finite_real(self, alpha):
-        with pytest.raises(DomainError, match="alpha"):
+        with pytest.raises(DomainError, match=f"^alpha must be finite, got {alpha!r}$"):
             sobolev_norm_sq(CATALOG["gauss_bump"], alpha)
 
     def test_tail_violation_raises(self):
@@ -232,6 +244,9 @@ class TestQuadratureConfig:
     def test_numpy_values_are_accepted(self):
         q = QuadratureConfig(truncation=np.float64(20.0), nodes=np.int64(8), tail_bound=1e-6)
         assert sobolev_norm_sq(CATALOG["gauss_bump"], 1, q) > 0.0
+        # Checked reals are kept as floats, as in every other setting record.
+        q = QuadratureConfig(truncation=20, tail_bound=np.float32(1e-6))
+        assert [type(q.truncation), type(q.tail_bound)] == [float, float]
 
 
 class TestSamplePaths:

@@ -80,6 +80,33 @@ class TestGenerators:
         with pytest.raises(DomainError):
             Box((0.0,), (0.0,))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Design(["0.1", "0.5", True], UNIT),
+         "points must be integer or floating numbers, got ['0.1', '0.5', True]"),
+        (lambda: Design([0.1, "0.5"], UNIT),
+         "points must be integer or floating numbers, got [0.1, '0.5']"),
+        (lambda: Design([0.1, math.nan], UNIT), "points must be finite, got [0.1, nan]"),
+        (lambda: UNIT.contains([[math.inf]]), "points must be finite, got [[inf]]"),
+        (lambda: Box(("0",), (True,)),
+         "box corner lower must be integer or floating numbers, got ('0',)"),
+        (lambda: Box((0.0,), (math.inf,)), "box corner upper must be finite, got (inf,)"),
+        (lambda: Box((0.0,), (math.nan,)), "box corner upper must be finite, got (nan,)"),
+    ], ids=["text-and-bool-points", "text-point", "nan-point", "infinite-probe",
+            "text-and-bool-corners", "infinite-corner", "nan-corner"])
+    def test_points_and_corners_are_finite_reals(self, build, message):
+        # Both pass the one array rule of errors: nothing is converted.
+        with pytest.raises(DomainError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_numbers_of_other_real_types_are_taken_as_doubles(self):
+        box = Box((0,), (np.float32(2.5),))
+        assert box == Box((0.0,), (2.5,))
+        assert [type(v) for v in box.lower + box.upper] == [float, float]
+        design = Design(np.array([0, 2], dtype=np.int32), box)
+        assert design.points.dtype == np.float64
+        assert design.points.ravel().tolist() == [0.0, 2.0]
+
 
 class TestDiagnostics:
     def test_fill_three_points(self):

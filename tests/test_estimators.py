@@ -20,7 +20,7 @@ from maternsmooth.estimators import (
     sweep_prefixes,
 )
 from maternsmooth.experiments import ExperimentConfig, make_design, run_non_undersmoothing
-from maternsmooth.gp import condition, condition_prefixes
+from maternsmooth.gp import condition
 from maternsmooth.kernels import MaternParams
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
 
@@ -720,7 +720,7 @@ class TestSweeps:
         def conditioning(kernel, prefix, values, sizes, workspace=None):
             values = np.asarray(values)
             factored.append((kernel.nu, prefix.n, tuple(sizes), values.shape))
-            posts = condition_prefixes(kernel, prefix, values, sizes, workspace)
+            posts = gp._prefix_posteriors(kernel, prefix, values, sizes, workspace)
             failed.append([isinstance(post, ConditioningError) for post in posts])
             return posts
 
@@ -728,7 +728,7 @@ class TestSweeps:
             inverted.append((post.kernel.nu, post.n))
             return gp.loo(post)
 
-        monkeypatch.setattr(estimators, "condition_prefixes", conditioning)
+        monkeypatch.setattr(estimators, "_prefix_posteriors", conditioning)
         monkeypatch.setattr(objectives, "loo", inverting)
         plans = recording_plans(monkeypatch)
         cfg = EstimatorConfig(lambda_=1.0)
@@ -983,12 +983,12 @@ class TestPrefixRule:
         factored = []
 
         def counting(kernel, top, data, sizes, workspace=None):
-            posts = condition_prefixes(kernel, top, data, sizes, workspace)
+            posts = gp._prefix_posteriors(kernel, top, data, sizes, workspace)
             factored.append((kernel.nu, top.n, tuple(sizes),
                              [isinstance(p, ConditioningError) for p in posts]))
             return posts
 
-        monkeypatch.setattr(estimators, "condition_prefixes", counting)
+        monkeypatch.setattr(estimators, "_prefix_posteriors", counting)
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[0] in grid]

@@ -116,7 +116,7 @@ class TestCondition:
         workspace = (np.full(80 * 80, np.nan), np.full(80 * 80, np.nan))
         sizes = [8, 16, 32, 64]
         fresh = condition_prefixes(kernel, design, y, sizes)
-        reused = condition_prefixes(kernel, design, y, sizes, workspace)
+        reused = gp._prefix_posteriors(kernel, design, y, sizes, workspace)
         assert [str(p) for p in reused if isinstance(p, ConditioningError)] == [
             str(p) for p in fresh if isinstance(p, ConditioningError)]
         for a, b in zip(fresh, reused):
@@ -289,6 +289,20 @@ class TestPosteriorQueries:
                 posterior_mean(post, bad)
             with pytest.raises(DomainError):
                 posterior_var(post, bad)
+
+    @pytest.mark.parametrize("query, message", [
+        ("0.5", "query points must be integer or floating numbers, got '0.5'"),
+        (True, "query points must be integer or floating numbers, got True"),
+        (math.nan, "query points must be finite, got nan"),
+        ([0.1, math.inf], "query points must be finite, got [0.1, inf]"),
+    ])
+    def test_query_points_are_finite_reals(self, instance, query, message):
+        # The query, not the distances built from it, is named.
+        post = instance[3]
+        for read in (posterior_mean, posterior_var):
+            with pytest.raises(DomainError) as caught:
+                read(post, query)
+            assert str(caught.value) == message
 
     def test_one_dimensional_row_of_points_rejected(self, instance):
         # (1, m) is not m points in 1-d; (m,) and (m, 1) are

@@ -8,7 +8,8 @@ of ``tools/unreached.py`` names a function the package defines.  The rules
 on values (:data:`VALUE_RULES`) are defined in ``errors.py`` alone, and every
 other module that uses one imports it from there; no other module reads an
 array's ``dtype.kind``, the test by which the array rule refuses bools,
-text and objects."""
+text and objects, and no other module converts input by a call with
+``dtype=float``."""
 
 import ast
 import importlib
@@ -64,7 +65,7 @@ def test_an_unused_import_is_caught():
     assert unused_imports(source) == {"DomainError"}
 
 
-VALUE_RULES = {"is_real", "is_integer", "check_positive", "require_positive", "check_integer",
+VALUE_RULES = {"is_real", "is_integer", "check_real", "require_positive", "check_integer",
                "check_array"}
 
 
@@ -96,9 +97,9 @@ def test_value_rules_are_defined_in_errors_alone(module):
 
 def test_a_second_value_rule_is_caught():
     source = ("from .errors import check_integer\nfrom .designs import is_integer\n\n"
-              "def check_positive(name, value):\n    pass\n")
+              "def check_real(name, value):\n    pass\n")
     assert value_rule_origins(source) == {"check_integer": ".errors",
-                                          "is_integer": ".designs", "check_positive": "def"}
+                                          "is_integer": ".designs", "check_real": "def"}
 
 
 def reads_dtype_kind(source):
@@ -121,6 +122,26 @@ def test_a_second_array_rule_is_caught():
               "        raise DomainError(name)\n")
     assert reads_dtype_kind(source)
     assert not reads_dtype_kind("arr = np.asarray(value, dtype=float)\n")
+
+
+def converts_to_float(source):
+    """Whether ``source`` calls anything with the keyword ``dtype=float``."""
+    return any(isinstance(node, ast.keyword) and node.arg == "dtype"
+               and isinstance(node.value, ast.Name) and node.value.id == "float"
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_input_is_converted_in_errors_alone(module):
+    with open(os.path.join(PACKAGE, f"{module}.py")) as fh:
+        assert not converts_to_float(fh.read()) or module == "errors"
+
+
+def test_a_second_conversion_is_caught():
+    assert converts_to_float("def _as_query(x):\n    return np.asarray(x, dtype=float)\n")
+    assert converts_to_float("pts = np.array(points, copy=True, dtype=float)\n")
+    assert not converts_to_float("arr = check_array('points', points, None)\n"
+                                 "out = np.empty(3, dtype=np.int64)\n")
 
 
 def unresolved(module, names):

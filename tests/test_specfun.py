@@ -240,10 +240,12 @@ class TestValidation:
         pair = bessel_k(60.0, np.array([x, x]))
         assert np.all(np.isfinite(pair)) and pair.tolist() == [bessel_k(60.0, x)] * 2
 
-    @pytest.mark.parametrize("bad_nu", [-0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("bad_nu", [-0.5, math.inf, math.nan, "2", True])
     def test_order_domain(self, bad_nu):
-        with pytest.raises(DomainError):
-            bessel_k(bad_nu, 1.0)
+        for function in (bessel_k, log_bessel_k):
+            with pytest.raises(DomainError) as caught:
+                function(bad_nu, 1.0)
+            assert str(caught.value) == f"order nu must be nonnegative and finite, got {bad_nu!r}"
 
     @pytest.mark.parametrize("function, args, twin", [
         # An order that is no real number, or a bool, and arguments whose
