@@ -57,9 +57,7 @@ from .gp import (
     quadratic_form,
 )
 from .kernels import (
-    GaussParams,
     MaternParams,
-    gaussian_eval,
     kernel_matrix,
     matern_eval,
 )

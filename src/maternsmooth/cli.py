@@ -1,8 +1,8 @@
 """Command-line front end for the identity suites and experiments.
 
 Subcommands mirror the experiment engines: ``verify-identities``,
-``variance-decay``, ``non-undersmoothing``, ``logdet-growth``,
-``convergence``, and ``gaussian-scale-probe``.  Configuration comes from
+``variance-decay``, ``non-undersmoothing``, ``logdet-growth`` and
+``convergence``.  Configuration comes from
 an optional flat ``key=value`` file plus command-line overrides; every
 run is deterministic given its configuration, seeds included.
 
@@ -27,7 +27,6 @@ from .estimators import EstimatorConfig
 from .experiments import (
     ExperimentConfig,
     run_convergence,
-    run_gaussian_scale_probe,
     run_identity_suite,
     run_logdet_growth,
     run_non_undersmoothing,
@@ -148,7 +147,6 @@ _COMMANDS = {
     "non-undersmoothing": lambda config: run_non_undersmoothing(config),
     "logdet-growth": lambda config: run_logdet_growth(config),
     "convergence": lambda config: run_convergence(config),
-    "gaussian-scale-probe": lambda config: run_gaussian_scale_probe(config),
 }
 
 

@@ -1,17 +1,15 @@
-"""Derivative-free estimation of a kernel parameter theta on a bounded bracket.
+"""Derivative-free estimation of the Matern smoothness nu on a bounded bracket.
 
-The engine scans theta through a kernel factory (:class:`_Scan`); its main
-use is the Matern smoothness nu, and the Gaussian length-scale probe is the
-other.  Estimation runs on a lattice of log-spaced coarse cells over a
-bracket ``[lo, hi]``, coarse to fine (:func:`bracketed_minimize`): every
+Estimation runs on a lattice of log-spaced coarse cells over a bracket
+``[nu_min, nu_max]``, coarse to fine (:func:`bracketed_minimize`): every
 eighth cell first, then bisection of the gaps that hold the ends of the
 searchable bracket, then a walk from the coarse minimum to the cells next
 to the minimum.  Cells whose kernel matrix fails to factorize are
 recorded and skipped; the searchable bracket is the contiguous run of
 cells that factor, from the lowest one, and an estimate that saturates
 its top is flagged via ``hit_upper_bracket``.  A minimum inside the run is
-refined on its bracketing triple by Chebyshev-Lobatto nodes in log theta:
-the objectives are analytic in log theta there, so the minimum of the
+refined on its bracketing triple by Chebyshev-Lobatto nodes in log nu:
+the objectives are analytic in log nu there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
 
 A prefix sweep runs its sizes from the largest to the smallest, and each
@@ -105,27 +103,6 @@ class EstimatorConfig:
         check_integer("coarse_grid", self.coarse_grid, 8)
         if not isinstance(self.profile_sigma, bool):
             raise DomainError(f"profile_sigma must be a bool, got {self.profile_sigma!r}")
-
-
-@dataclass(frozen=True)
-class _Scan:
-    """A kernel parameter theta, called ``name``, to search on ``count`` log-spaced
-    cells of ``[lo, hi]``, with kernels ``kernel_at(theta)``; ``profile``
-    asks for totals with the closed-form magnitude."""
-
-    name: str
-    kernel_at: object
-    lo: float
-    hi: float
-    count: int
-    profile: bool = False
-
-
-def _matern_scan(config, d):
-    """The search of the Matern smoothness that ``config`` sets, in dimension ``d``."""
-    sigma = 1.0 if config.profile_sigma else config.sigma
-    return _Scan("nu", lambda nu: MaternParams(nu, sigma, config.lambda_, d),
-                config.nu_min, config.nu_max, config.coarse_grid, config.profile_sigma)
 
 
 @dataclass(frozen=True)
@@ -353,16 +330,16 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, scan, theta, sizes, workspace=None):
-    """Objective totals of the :class:`_Scan` at ``theta`` on the first ``n``
-    points of ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
+def _cells(design, y, kernel, profile, sizes, workspace=None):
+    """Objective totals of the Matern ``kernel`` on the first ``n`` points of
+    ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
     and :func:`ell_cv_from` from two points, on the posteriors of one
     factorization (:func:`~maternsmooth.gp._prefix_posteriors`).
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``, already checked, and
     ``sizes`` are prefix sizes of ``design``.  Per size, a dict
     mapping each objective defined on ``n`` points to its ``s`` totals,
-    profiled when the scan asks, or to the :class:`ConditioningError` that
+    profiled when ``profile`` is set, or to the :class:`ConditioningError` that
     prevents that objective alone.  When the factorization fails, both
     objectives map to one ``nu=..., n=...:`` error, which names the first
     failing size after it.
@@ -374,7 +351,7 @@ def _cells(design, y, scan, theta, sizes, workspace=None):
     :func:`~maternsmooth.gp._prefix_posteriors`; nothing returned reads
     from it.
     """
-    posts = _prefix_posteriors(scan.kernel_at(theta), design, y, sizes, workspace)
+    posts = _prefix_posteriors(kernel, design, y, sizes, workspace)
     # Looked up at each call, so that a wrapper put on these bindings (as
     # the benchmark tracer does) sees the calls.
     read = {"ml": ell_ml_from, "cv": ell_cv_from}
@@ -387,7 +364,7 @@ def _cells(design, y, scan, theta, sizes, workspace=None):
                 text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
                         f"{post.pivot_value:.3e}")
             cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
-                f"{scan.name}={theta:g}, n={n}: {text}", pivot_index=post.pivot_index,
+                f"nu={kernel.nu:g}, n={n}: {text}", pivot_index=post.pivot_index,
                 pivot_value=post.pivot_value)))
             continue
         cell = {name: _outcome(read[name], post) for name in _objective_names(n)}
@@ -395,7 +372,7 @@ def _cells(design, y, scan, theta, sizes, workspace=None):
             if not isinstance(value, ConditioningError):
                 cell[name] = ([_profiled(data, value.complexity_term, n)
                                for data in value.data_term]
-                              if scan.profile else value.total)
+                              if profile else value.total)
         cells.append(cell)
     return cells
 
@@ -418,8 +395,7 @@ def estimate_nu(design, y, config=EstimatorConfig()):
     if design.n < 1:
         raise DomainError(f"objective 'ml' needs more data than n={design.n}")
     y = _as_data(design, y, columns=False)[:, None]
-    scan = _matern_scan(config, design.d)
-    ((found,),) = _searches(design, y, [design.n], scan)
+    ((found,),) = _searches(design, y, [design.n], config)
     for name in _objective_names(design.n):
         if isinstance(found[name], EstimationError):
             raise found[name]
@@ -498,8 +474,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     if not schedule:
         return []
     top = design.prefix(schedule[-1])
-    scan = _matern_scan(config, design.d)
-    searches = _searches(top, columns[:top.n], schedule, scan)
+    searches = _searches(top, columns[:top.n], schedule, config)
 
     records = [[] for _ in seeds]
     for n, by_column, fill in zip(schedule, searches, fill_distances(top, schedule)):
@@ -508,11 +483,13 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     return [record for column in records for record in column]
 
 
-def _searches(top, columns, schedule, scan):
+def _searches(top, columns, schedule, config):
     """Per size of the schedule and data column, a dict mapping each
     objective defined on that prefix of ``top`` to the :class:`NuEstimate`
-    its search of the :class:`_Scan` ends with, or to the
-    :class:`EstimationError` that ends it.
+    its search of the smoothness ends with, or to the
+    :class:`EstimationError` that ends it.  The searches and the kernels
+    follow the :class:`EstimatorConfig` ``config``, with ``sigma`` 1 when it
+    profiles the magnitude.
 
     The sizes run from the largest to the smallest, and each search of a
     size, objective and column is one :func:`bracketed_minimize` call that
@@ -532,13 +509,15 @@ def _searches(top, columns, schedule, scan):
     # Xeon, filling 16 MB took 3.9-13.2 ms the first time and 2.1-6.3 ms
     # again, and fresh arrays per cell made the benchmark's sweep slower.
     workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
+    sigma = 1.0 if config.profile_sigma else config.sigma
 
-    def lookup(i, name, j, theta):
-        if theta not in cells:
+    def lookup(i, name, j, nu):
+        if nu not in cells:
             prefix = top.prefix(schedule[i])
-            cells[theta] = _cells(prefix, columns[:prefix.n], scan, theta,
-                                  schedule[:i + 1], workspace)
-        value = cells[theta][i][name]
+            kernel = MaternParams(nu, sigma, config.lambda_, top.d)
+            cells[nu] = _cells(prefix, columns[:prefix.n], kernel, config.profile_sigma,
+                               schedule[:i + 1], workspace)
+        value = cells[nu][i][name]
         if isinstance(value, ConditioningError):
             return value
         if isinstance(value[j], EstimationError):
@@ -551,15 +530,17 @@ def _searches(top, columns, schedule, scan):
             for j in range(columns.shape[1]):
                 try:
                     found[i][j][name] = bracketed_minimize(
-                        functools.partial(lookup, i, name, j), scan.lo, scan.hi, scan.count)
+                        functools.partial(lookup, i, name, j), config.nu_min, config.nu_max,
+                        config.coarse_grid)
                 except EstimationError as err:
                     found[i][j][name] = err.with_traceback(None)
     return found
 
 
-def _search_notes(searches):
-    """The notes and the estimates of one column's searches on a prefix
-    (see :func:`_searches`)."""
+def _prefix_record(n, searches, fill, experiment, seed):
+    """The record of one data column on the prefix of ``n`` points, from
+    its ``searches`` (see :func:`_searches`)."""
+    nan = math.nan
     notes, estimates = [], {}
     for name in ("ml", "cv"):
         found = searches.get(name)
@@ -575,14 +556,6 @@ def _search_notes(searches):
                 notes.append(f"{name}_irregular={found.irregular_failures}")
             if found.non_unimodal:
                 notes.append(f"{name}_non_unimodal")
-    return notes, estimates
-
-
-def _prefix_record(n, searches, fill, experiment, seed):
-    """The record of one data column on the prefix of ``n`` points, from
-    its ``searches`` (see :func:`_searches`)."""
-    nan = math.nan
-    notes, estimates = _search_notes(searches)
     est_ml, est_cv = estimates.get("ml"), estimates.get("cv")
     return SweepRecord(
         experiment=experiment,

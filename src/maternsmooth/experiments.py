@@ -15,10 +15,8 @@ import numpy as np
 
 from .analysis import _draw, builtin_test_functions, fit_rate, sample_gp_path
 from .designs import Box, Design, check_schedule, uniform_grid, van_der_corput
-from .errors import (ConditioningError, DomainError, check_integer, check_real,
-                     require_positive)
-from .estimators import (EstimatorConfig, SweepRecord, _Scan, _search_notes, _searches,
-                         sweep_prefixes)
+from .errors import ConditioningError, DomainError, check_integer, check_real
+from .estimators import EstimatorConfig, SweepRecord, sweep_prefixes
 from .gp import (
     _moments,
     condition,
@@ -29,7 +27,7 @@ from .gp import (
     loo_variances,
     quadratic_form,
 )
-from .kernels import GaussParams, MaternParams, kernel_matrix
+from .kernels import MaternParams, kernel_matrix
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 
@@ -42,7 +40,6 @@ __all__ = [
     "run_non_undersmoothing",
     "run_logdet_growth",
     "run_convergence",
-    "run_gaussian_scale_probe",
     "IDENTITY_TOL",
 ]
 
@@ -77,8 +74,6 @@ class ExperimentConfig:
     nu_model: tuple[float, ...] = None
     schedule: tuple[int, ...] = None
     seeds: tuple[int, ...] = None
-    lambda_min: float = 0.05
-    lambda_max: float = 2.0
     f0: str = None
     probe_count: int = 256
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -104,10 +99,6 @@ class ExperimentConfig:
         _generator(self.design, self.d)
         if self.f0 is not None and self.f0 not in builtin_test_functions():
             raise DomainError(f"unknown test function label {self.f0!r}")
-        require_positive(self, ("lambda_min", "lambda_max"))
-        if not self.lambda_min <= self.lambda_max:
-            raise DomainError(f"need lambda_min <= lambda_max, got "
-                              f"lambda_min={self.lambda_min!r}, lambda_max={self.lambda_max!r}")
         for seed in self.seeds or ():
             check_integer("seed", seed, 0)
         _check_command(self.experiment, self)
@@ -129,8 +120,6 @@ _READS = {
     "non-undersmoothing": ("d", "design", "nu0", "f0", "schedule", "seeds", *_ESTIMATOR),
     "logdet-growth": ("d", "design", "nu0", "nu_grid", "schedule", "seeds", *_ESTIMATOR),
     "convergence": ("nu0", "nu_model", "schedule", "seeds", "probe_count", "sigma", "lambda_"),
-    "gaussian-scale-probe": ("f0", "schedule", "lambda_min", "lambda_max", "sigma",
-                             "coarse_grid"),
 }
 
 # Fields of ExperimentConfig that are not settings of a run.
@@ -635,41 +624,4 @@ def run_convergence(config):
             f"({'bounded' if last <= 1.5 * first else 'growing'})"
         )
     header = ("seed", "nu_model", "n", "sup_error", "max_err_over_sd", "notes")
-    return ExperimentResult(header=header, rows=rows, summary="\n".join(lines))
-
-
-# ----------------------------------------------------------------------
-# Gaussian length-scale probe
-# ----------------------------------------------------------------------
-
-def run_gaussian_scale_probe(config):
-    """Length-scale estimation for the Gaussian kernel (exploratory only).
-
-    The estimator's search on lambda: one factor per lambda cell serves every
-    prefix and both objectives.  Gaussian kernel matrices are severely
-    ill-conditioned, so conditioning failures are expected, recorded, and
-    shrink the searchable bracket; no assertion is attached to the output.
-    """
-    _check_command("gaussian-scale-probe", config)
-    f0 = builtin_test_functions()[config.f0 or "gauss_bump"]
-    schedule = config.schedule or (8, 16, 32, 64, 128)
-    design = make_design("van_der_corput", 1, max(schedule))
-    y = f0(design.points[:, 0])
-    scan = _Scan("lambda", lambda lam: GaussParams(config.estimator.sigma, lam),
-                 config.lambda_min, config.lambda_max, config.estimator.coarse_grid)
-    degenerate = ["degenerate_zero_data"] if np.all(y == 0.0) else []
-
-    rows, lines = [], []
-    for n, (searches,) in zip(schedule, _searches(design, y[:, None], schedule, scan)):
-        notes, found = _search_notes(searches)
-        notes = ";".join(degenerate + notes)
-        lam = {name: found[name].nu_hat if name in found else math.nan for name in ("ml", "cv")}
-        hit = {name: name in found and found[name].hit_upper_bracket for name in ("ml", "cv")}
-        rows.append([n, lam["ml"], lam["cv"], hit["ml"], hit["cv"], notes])
-        lines.append(f"n={n}: " + " ".join(
-            f"lambda_hat_{name}={lam[name]:.4f}"
-            + (" (saturates the searchable bracket)" if hit[name] else "")
-            for name in ("ml", "cv")) + (f" ({notes})" if notes else ""))
-    lines.append("exploratory probe: no assertion attached")
-    header = ("n", "lambda_hat_ml", "lambda_hat_cv", "hit_upper_ml", "hit_upper_cv", "notes")
     return ExperimentResult(header=header, rows=rows, summary="\n".join(lines))

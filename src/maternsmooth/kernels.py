@@ -1,13 +1,13 @@
-"""The Matern kernel and its Gaussian limit, as parameter records.
+"""The Matern kernel, as a parameter record.
 
-A :class:`MaternParams` or :class:`GaussParams` record is the kernel: called
-on distances, it gives their covariances.  Its fields are checked as given
-by the rules of :mod:`~maternsmooth.errors`, so text and bools are refused:
-``nu``, ``sigma`` and ``lambda_`` are positive finite reals, kept as floats,
-and ``d`` is an integer of at least 1.  Distances are checked as Bessel
-arguments are (:func:`~maternsmooth.errors.check_array`), zero allowed:
-integer or floating numbers, finite and nonnegative, so text, bools and
-object arrays are refused, not converted.  All Matern evaluation goes through
+A :class:`MaternParams` record is the kernel: called on distances, it gives
+their covariances.  Its fields are checked as given by the rules of
+:mod:`~maternsmooth.errors`, so text and bools are refused: ``nu``, ``sigma``
+and ``lambda_`` are positive finite reals, kept as floats, and ``d`` is an
+integer of at least 1.  Distances are checked as Bessel arguments are
+(:func:`~maternsmooth.errors.check_array`), zero allowed: integer or
+floating numbers, finite and nonnegative, so text, bools and object arrays
+are refused, not converted.  All Matern evaluation goes through
 one entry, :func:`matern_eval`, in log space (log scaling factor plus
 ``nu * log`` of the scaled distance plus :func:`log_bessel_k`) so that orders
 up to several hundred remain usable; direct evaluation of
@@ -35,9 +35,7 @@ from .specfun import log_bessel_k, log_gamma
 
 __all__ = [
     "MaternParams",
-    "GaussParams",
     "matern_eval",
-    "gaussian_eval",
     "kernel_matrix",
 ]
 
@@ -47,7 +45,8 @@ def log_c_scaling(nu, d):
     frozen at its value for ``nu = d/2`` below that, so that it stays bounded
     away from zero on every interval ``(0, nu1]``.  At ``nu >= d/2`` the
     kernel's value at zero distance is ``sigma**2``, and its large-``nu``
-    limit is the Gaussian kernel (:func:`gaussian_eval`)."""
+    limit is the Gaussian kernel ``sigma**2 exp(-r**2 / 2 lambda**2)``, the
+    limit that acceptance check C10 measures."""
     nu = check_real("nu", nu)
     check_integer("dimension d", d, 1)
     nu_eff = max(nu, 0.5 * d)
@@ -83,21 +82,6 @@ class MaternParams:
         """The covariance at distance 0."""
         nu = self.nu
         return math.exp(self._log_scale + (nu - 1.0) * math.log(2.0) + log_gamma(nu))
-
-
-@dataclass(frozen=True)
-class GaussParams:
-    """The Gaussian kernel of magnitude ``sigma`` and length-scale ``lambda_``;
-    called on distances, it gives their covariances (:func:`gaussian_eval`)."""
-
-    sigma: float = 1.0
-    lambda_: float = 1.0
-
-    def __post_init__(self):
-        require_positive(self, ("sigma", "lambda_"))
-
-    def __call__(self, r):
-        return gaussian_eval(self, r)
 
 
 def matern_eval(params, r):
@@ -141,17 +125,6 @@ def matern_eval(params, r):
     return out
 
 
-def gaussian_eval(params, r):
-    """Gaussian covariance ``sigma**2 exp(-r**2 / 2 lambda**2)`` at distance
-    ``r``: the large-``nu`` limit of the Matern kernel of the same ``sigma``
-    and ``lambda_``."""
-    arr = check_array("distances", r, "nonnegative")
-    out = params.sigma**2 * np.exp(-0.5 * (arr / params.lambda_) ** 2)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 # Row panels of kernel assembly and of the factorization (``gp._factor``)
 # end at 16, 32, 64, ... points.
 _FIRST_PANEL = 16
@@ -180,18 +153,32 @@ class _DistanceTable:
 
     def __init__(self, pts):
         n = pts.shape[0]
-        il = np.tril_indices(n, k=-1)
-        diff = pts[il[0]] - pts[il[1]]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # The pairs (i, j), j < i, row by row, as np.tril_indices(n, -1)
+        # lists them: the pairs of row i start at position i (i - 1) / 2.
+        sizes = np.arange(n)
+        offsets = sizes * (sizes - 1) // 2
+        i = np.repeat(sizes, sizes)
+        j = np.arange(i.size)
+        j -= np.repeat(offsets, sizes)
+        # The operations of np.sqrt(np.sum(diff * diff, axis=-1)) in place:
+        # fewer temporaries leave fewer holes in the heap, which the rest of
+        # a run would keep resident.
+        diff = pts[i]
+        diff -= pts[j]
+        diff *= diff
+        dist = np.sum(diff, axis=-1)
+        np.sqrt(dist, out=dist)
         if dist.size and np.min(dist) == 0.0:
             k = int(np.argmin(dist))
             raise DegenerateDesignError(
-                f"duplicate points at indices {int(il[1][k])} and {int(il[0][k])}")
+                f"duplicate points at indices {int(j[k])} and {int(i[k])}")
+        del diff, j
         # The distinct distances in ascending order, as np.unique gives them,
         # from one sort of any kind: a distance's first pair is the least
-        # position among its equal values, and the pairs come row by row.
-        # So each panel's distances, taken in that order, ascend.  Each
-        # temporary is dropped once spent, to hold fewer than np.unique.
+        # position among its equal values (its one position when all are
+        # distinct), and the pairs come row by row.  So each panel's
+        # distances, taken in that order, ascend.  Each temporary is dropped
+        # once spent, to hold fewer than np.unique.
         order = np.argsort(dist)
         dist = dist[order]
         fresh = np.empty(dist.size, dtype=bool)
@@ -199,24 +186,28 @@ class _DistanceTable:
         np.not_equal(dist[1:], dist[:-1], out=fresh[1:])
         starts = np.flatnonzero(fresh)
         unique = dist[starts]
-        rows = il[0][np.minimum.reduceat(order, starts)]  # the row of each first pair
-        del diff, dist, starts
+        distinct = starts.size == dist.size
+        rows = i[order if distinct else np.minimum.reduceat(order, starts)]
+        del dist, starts, i
         self.bounds = [0] + _panel_ends(n)
         self.count = np.concatenate(([0], 1 + np.cumsum(np.bincount(rows, minlength=n))))
-        self.distances = np.zeros(unique.size + 1)
+        # Numbered panel by panel from 1: a stable sort of the distinct
+        # distances by the panel of their first row keeps them ascending
+        # within each panel.
+        panel_of_row = np.repeat(np.arange(len(self.bounds) - 1, dtype=np.int8),
+                                 np.diff(self.bounds))
+        by_panel = np.argsort(panel_of_row[rows], kind="stable")
         number = np.empty(unique.size, dtype=np.int32)
-        for a, b in zip(self.bounds, self.bounds[1:]):
-            lo, hi = max(self.count[a], 1), self.count[b]
-            members = np.flatnonzero((rows >= a) & (rows < b))
-            number[members] = np.arange(lo, hi, dtype=np.int32)
-            self.distances[lo:hi] = unique[members]
-        del unique, rows
-        group = np.cumsum(fresh, dtype=np.int32)
-        group -= 1
+        number[by_panel] = np.arange(1, unique.size + 1, dtype=np.int32)
+        self.distances = np.zeros(unique.size + 1)
+        np.take(unique, by_panel, out=self.distances[1:])
+        del unique, rows, by_panel
         numbers = np.empty(order.size, dtype=np.int32)
-        numbers[order] = number[group]
+        numbers[order] = number if distinct else number[np.cumsum(fresh, dtype=np.int32) - 1]
+        del order, fresh, number
         self.index = np.zeros((n, n), dtype=np.int32)
-        self.index[il] = self.index.T[il] = numbers
+        for r, start in enumerate(offsets):
+            self.index[r, :r] = self.index[:r, r] = numbers[start:start + r]
 
     def new(self, a, b):
         """The numbers of the distances that first appear in rows ``a:b``,

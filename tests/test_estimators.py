@@ -3,6 +3,7 @@
 import collections
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,7 +307,7 @@ class TestBracketedMinimize:
         design, y = sample_instance
         design, profile = design.prefix(64), failure == "profiling"
         columns = np.stack([y[:64], np.zeros(64), y[:64]], axis=1)
-        scan = estimators._matern_scan(EstimatorConfig(lambda_=1.0, profile_sigma=profile), 1)
+        cfg = EstimatorConfig(lambda_=1.0, profile_sigma=profile)
         cells, compute = [], estimators._cells
 
         def recording(*args, **kwargs):
@@ -316,7 +317,7 @@ class TestBracketedMinimize:
 
         monkeypatch.setattr(estimators, "_cells", recording)
         plans = recording_plans(monkeypatch)
-        found = estimators._searches(design, columns, [16, 32, 64], scan)
+        found = estimators._searches(design, columns, [16, 32, 64], cfg)
         stored = [v for cell in cells for v in cell.values() if isinstance(v, Exception)]
         stored += [v for cell in cells for values in cell.values()
                    if not isinstance(values, Exception) for v in values
@@ -578,9 +579,9 @@ class TestSweeps:
         # factored again on 64 points).
         factored, compute = [], estimators._cells
 
-        def recording(prefix, values, scan, nu, sizes, workspace=None):
-            factored.append(nu)
-            return compute(prefix, values, scan, nu, sizes, workspace)
+        def recording(prefix, values, kernel, profile, sizes, workspace=None):
+            factored.append(kernel.nu)
+            return compute(prefix, values, kernel, profile, sizes, workspace)
 
         monkeypatch.setattr(estimators, "_cells", recording)
         result = run_non_undersmoothing(ExperimentConfig(
@@ -784,9 +785,9 @@ class TestSweeps:
             inverted.append(m)
             return invert(chol, m, buffer)
 
-        def counting(prefix, values, scan, nu, schedule, workspace=None):
-            before = len(inverted)
-            out = compute(prefix, values, scan, nu, schedule, workspace)
+        def counting(prefix, values, kernel, profile, schedule, workspace=None):
+            nu, before = kernel.nu, len(inverted)
+            out = compute(prefix, values, kernel, profile, schedule, workspace)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
             cells.append((nu, prefix.n, tuple(schedule), served, inverted[before:], out))
@@ -826,8 +827,8 @@ class TestSweeps:
                 return ell(post)
             return wrapped
 
-        def counting(prefix, values, scan, nu, sizes, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, workspace)
+        def counting(prefix, values, kernel, profile, sizes, workspace=None):
+            nu, out = kernel.nu, compute(prefix, values, kernel, profile, sizes, workspace)
             for n, cell in zip(sizes, out):
                 if not isinstance(cell["ml"], ConditioningError):
                     served["ml"].append((nu, n))
@@ -882,12 +883,11 @@ class TestSweeps:
         # cells on fresh arrays, and no cell views the buffers.
         design, y = sample_instance
         design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
-        scan = estimators._matern_scan(cfg, design.d)
         calls, compute = [], estimators._cells
 
-        def recording(prefix, values, scan, nu, sizes, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, workspace)
-            calls.append((prefix.n, nu, sizes, workspace, out))
+        def recording(prefix, values, kernel, profile, sizes, workspace=None):
+            out = compute(prefix, values, kernel, profile, sizes, workspace)
+            calls.append((prefix.n, kernel, sizes, workspace, out))
             return out
 
         def exact(cell):
@@ -895,16 +895,16 @@ class TestSweeps:
                     for name, v in cell.items()}
 
         monkeypatch.setattr(estimators, "_cells", recording)
-        estimators._searches(design, columns, [16, 32, 64], scan)
+        estimators._searches(design, columns, [16, 32, 64], cfg)
         workspace = calls[0][3]
         assert len(workspace) == 2 and all(call[3] is workspace for call in calls)
         failed = [isinstance(call[4][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
-        assert any(call[0] < design.n for call in calls if call[1] not in grid)  # a node
-        assert any(call[0] < design.n for call in calls if call[1] in grid)  # a coarse cell
-        for n, nu, sizes, _, out in calls:
-            fresh = compute(design.prefix(n), columns[:n], scan, nu, sizes)
+        assert any(call[0] < design.n for call in calls if call[1].nu not in grid)  # a node
+        assert any(call[0] < design.n for call in calls if call[1].nu in grid)  # a coarse cell
+        for n, kernel, sizes, _, out in calls:
+            fresh = compute(design.prefix(n), columns[:n], kernel, cfg.profile_sigma, sizes)
             assert [exact(cell) for cell in out] == [exact(cell) for cell in fresh]
         values = [v for *_, out in calls for cell in out for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)
@@ -1018,9 +1018,9 @@ class TestPrefixRule:
             factored.append((kernel.nu, design.n))
             return out
 
-        def recording(prefix, values, scan, nu, sizes, workspace=None):
-            out = compute(prefix, values, scan, nu, sizes, workspace)
-            cells.append((nu, prefix.n, tuple(sizes), out))
+        def recording(prefix, values, kernel, profile, sizes, workspace=None):
+            out = compute(prefix, values, kernel, profile, sizes, workspace)
+            cells.append((kernel.nu, prefix.n, tuple(sizes), out))
             return out
 
         monkeypatch.setattr(gp, "_factor", factoring)
@@ -1046,8 +1046,7 @@ class TestPrefixRule:
 
     def test_inherited_failure_names_the_first_prefix(self, smooth_instance):
         design, y, cfg = smooth_instance
-        searches = estimators._searches(design, y[:, None], self.SCHEDULE,
-                                        estimators._matern_scan(cfg, design.d))
+        searches = estimators._searches(design, y[:, None], self.SCHEDULE, cfg)
         # one ML and one CV search per prefix, in schedule order
         scans = [(n, found[name]) for n, (found,) in zip(self.SCHEDULE, searches)
                  for name in ("ml", "cv")]
@@ -1060,3 +1059,61 @@ class TestPrefixRule:
             assert msg.startswith(f"nu={nu:g}, n=64: failed on prefix n=32: pivot ")
             pivot = msg.split("failed on prefix n=32: ")[1]
             assert at_32[nu].startswith(f"nu={nu:g}, n=32: ") and pivot in at_32[nu]
+
+
+def _search_alone(design, y, n, name, config):
+    """The search of one prefix and objective as it would run on its own:
+    :func:`bracketed_minimize` over a closure that conditions the first
+    ``n`` points anew at each smoothness.  The :class:`NuEstimate`, or the
+    :class:`EstimationError` that ends the search."""
+    prefix = design.prefix(n)
+    sigma = 1.0 if config.profile_sigma else config.sigma
+    read = {"ml": ell_ml_from, "cv": ell_cv_from}[name]
+
+    def fn(nu):
+        value = read(condition(MaternParams(nu, sigma, config.lambda_, design.d), prefix, y[:n]))
+        if not config.profile_sigma:
+            return value.total
+        total = _profiled(value.data_term, value.complexity_term, n)
+        if isinstance(total, EstimationError):
+            raise total
+        return total
+
+    try:
+        return bracketed_minimize(fn, config.nu_min, config.nu_max, config.coarse_grid)
+    except EstimationError as err:
+        return err
+
+
+class TestSearches:
+    """The smoothness is the one scanned parameter: ``_searches`` reads one
+    table of cells for every size, objective and column."""
+
+    SCHEDULE = (1, 2, 16, 64)
+
+    @pytest.mark.parametrize("data,config", [
+        ("path", EstimatorConfig()),
+        ("path", EstimatorConfig(sigma=2.0, lambda_=0.5)),
+        ("path", EstimatorConfig(nu_min=0.5, nu_max=4.0, coarse_grid=12)),
+        ("path", EstimatorConfig(profile_sigma=True)),
+        ("gauss_bump", EstimatorConfig(nu_max=300.0, lambda_=0.05)),
+    ], ids=["default", "sigma-lambda", "narrow-bracket", "profiled", "saturating"])
+    def test_estimates_equal_the_searches_on_their_own(self, sample_instance, data, config):
+        design, y = sample_instance
+        design = design.prefix(max(self.SCHEDULE))
+        if data == "gauss_bump":
+            y = builtin_test_functions()["gauss_bump"](design.points[:, 0])
+        y = y[:design.n]
+        searches = estimators._searches(design, y[:, None], self.SCHEDULE, config)
+        for n, (found,) in zip(self.SCHEDULE, searches):
+            assert sorted(found) == sorted(estimators._objective_names(n))
+            for name, estimate in found.items():
+                alone = _search_alone(design, y, n, name, config)
+                if isinstance(alone, EstimationError):
+                    assert type(estimate) is type(alone) and str(estimate) == str(alone)
+                    continue
+                # The failure texts name the prefix that was factored; the
+                # failing smoothnesses are the same.
+                assert ([nu for nu, _ in estimate.failures]
+                        == [nu for nu, _ in alone.failures]), (n, name)
+                assert (replace(estimate, failures=()) == replace(alone, failures=())), (n, name)

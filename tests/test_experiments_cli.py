@@ -16,17 +16,13 @@ from maternsmooth import analysis, cli, experiments, gp
 from maternsmooth.analysis import builtin_test_functions
 from maternsmooth.cli import _build_config, _build_parser, main, parse_config_file, write_csv
 from maternsmooth.designs import Box, van_der_corput
-from maternsmooth.errors import DomainError, EstimationError
-from maternsmooth.estimators import EstimatorConfig, bracketed_minimize
-from maternsmooth.gp import condition
-from maternsmooth.kernels import GaussParams
-from maternsmooth.objectives import ell_cv_from, ell_ml_from
+from maternsmooth.errors import DomainError
+from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import (
     IDENTITY_TOL,
     ExperimentConfig,
     ExperimentResult,
     run_convergence,
-    run_gaussian_scale_probe,
     run_identity_suite,
     run_logdet_growth,
     run_non_undersmoothing,
@@ -121,7 +117,7 @@ class TestIdentitySuite:
 
 
 # The settings each command reads, and a value other than the default for
-# each of the 17 settings (fields of ExperimentConfig and EstimatorConfig).
+# each of the 15 settings (fields of ExperimentConfig and EstimatorConfig).
 _ESTIMATOR_SETTINGS = ("nu_min", "nu_max", "coarse_grid", "sigma", "profile_sigma", "lambda_")
 _READS = {
     "verify-identities": (),
@@ -131,16 +127,13 @@ _READS = {
     "logdet-growth": ("d", "design", "nu0", "nu_grid", "schedule", "seeds",
                       *_ESTIMATOR_SETTINGS),
     "convergence": ("nu0", "nu_model", "schedule", "seeds", "probe_count", "sigma", "lambda_"),
-    "gaussian-scale-probe": ("f0", "schedule", "lambda_min", "lambda_max", "sigma",
-                             "coarse_grid"),
 }
 _SETTING_VALUES = dict(d=2, design="uniform_grid", nu0=1.5, nu_grid=(1.0,), nu_model=(1.0,),
-                       schedule=(16, 32), seeds=(1,), lambda_min=0.1, lambda_max=1.0,
-                       f0="gauss_bump", probe_count=128, nu_min=0.1, nu_max=10.0,
-                       coarse_grid=30, sigma=2.0, profile_sigma=True, lambda_=0.5)
+                       schedule=(16, 32), seeds=(1,), f0="gauss_bump", probe_count=128,
+                       nu_min=0.1, nu_max=10.0, coarse_grid=30, sigma=2.0, profile_sigma=True,
+                       lambda_=0.5)
 _RUNNERS = {"variance-decay": run_variance_decay, "non-undersmoothing": run_non_undersmoothing,
-            "logdet-growth": run_logdet_growth, "convergence": run_convergence,
-            "gaussian-scale-probe": run_gaussian_scale_probe}
+            "logdet-growth": run_logdet_growth, "convergence": run_convergence}
 
 
 def _config(experiment, **settings):
@@ -302,8 +295,6 @@ class TestEngines:
         ("logdet-growth", run_logdet_growth, dict(d=2, design="van_der_corput")),
         ("convergence", run_convergence, dict(d=2)),
         ("convergence", run_convergence, dict(schedule=(16, 600))),
-        ("gaussian-scale-probe", run_gaussian_scale_probe, dict(d=2)),
-        ("gaussian-scale-probe", run_gaussian_scale_probe, dict(nu_grid=(1.0, 2.0))),
         ("non-undersmoothing", run_non_undersmoothing,
          dict(f0="gauss_bump", d=2, design="uniform_grid")),
     ])
@@ -336,12 +327,12 @@ class TestEngines:
             with pytest.raises(DomainError, match=f"^{command} does not read {setting}, got "):
                 _RUNNERS[command](_config("x", **kwargs))
 
-    def test_the_read_sets_accept_43_pairs_of_102(self):
+    def test_the_read_sets_accept_37_pairs_of_75(self):
         settings = {f.name for config in (ExperimentConfig, EstimatorConfig)
                     for f in fields(config)} - {"experiment", "estimator", "output_path"}
         assert set(_SETTING_VALUES) == settings
-        assert len(_SETTING_VALUES) * len(_READS) == 102
-        assert sum(len(reads) for reads in _READS.values()) == 43
+        assert len(_SETTING_VALUES) * len(_READS) == 75
+        assert sum(len(reads) for reads in _READS.values()) == 37
         assert _READS == experiments._READS
 
     def test_catalog_function_with_nu0_is_rejected_before_drawing(self, monkeypatch):
@@ -369,20 +360,6 @@ class TestEngines:
             assert last[4] == pytest.approx(-2.0 * nu, rel=0.30)
         assert "conjecture probe" in result.summary
 
-    def test_gaussian_probe_records_failures(self):
-        cfg = ExperimentConfig(experiment="x", f0="gauss_bump", schedule=(8, 16, 64))
-        result = run_gaussian_scale_probe(cfg)
-        assert "no assertion" in result.summary
-        # by n=64 the Gaussian matrices are numerically rank-deficient
-        last = result.rows[-1]
-        assert math.isnan(last[1]) or "failures" in last[3]
-
-    def test_degenerate_lambda_bracket_returns_that_lambda(self):
-        cfg = ExperimentConfig(experiment="x", f0="gauss_bump", schedule=(8,),
-                               lambda_min=0.8, lambda_max=0.8)
-        result = run_gaussian_scale_probe(cfg)
-        assert result.rows[0][1] == pytest.approx(0.8)
-
     def test_config_validation(self):
         for schedule in ((32, 16), (0, 16), (-16,), (16, 16), (16, 32.5), (True, 16)):
             with pytest.raises(DomainError, match="schedule"):
@@ -391,8 +368,6 @@ class TestEngines:
             ExperimentConfig(d=3)
         with pytest.raises(DomainError):
             ExperimentConfig(f0="nonexistent")
-        with pytest.raises(DomainError):
-            ExperimentConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())
         for seeds in ((1.5, 2.5), (True,), (101, -1), (np.bool_(True),), (2.0,), ("3",)):
@@ -405,22 +380,6 @@ class TestEngines:
                     dict(nu_model=(math.inf,)), dict(nu_model=(False,))):
             with pytest.raises(DomainError, match="must be positive and finite"):
                 ExperimentConfig(**bad)
-        for bad, name in ((dict(lambda_max=math.inf), "lambda_max"),
-                          (dict(lambda_min=math.inf, lambda_max=math.inf), "lambda_min"),
-                          (dict(lambda_max=math.nan), "lambda_max")):
-            with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
-                ExperimentConfig(**bad)
-        # True would run as 1; a string would raise a bare TypeError.
-        for bad, message in (
-                (dict(lambda_min=True), "lambda_min must be positive and finite, got True"),
-                (dict(lambda_max=True), "lambda_max must be positive and finite, got True"),
-                (dict(lambda_min="low"), "lambda_min must be positive and finite, got 'low'"),
-                (dict(lambda_max="2"), "lambda_max must be positive and finite, got '2'"),
-                (dict(lambda_min=1.0, lambda_max=0.5),
-                 "need lambda_min <= lambda_max, got lambda_min=1.0, lambda_max=0.5")):
-            with pytest.raises(DomainError) as caught:
-                ExperimentConfig(**bad)
-            assert str(caught.value) == message
         for d in (True, 1.0, 2.0, "1"):
             with pytest.raises(DomainError, match=r"d must be an integer in \[1, 2\]"):
                 ExperimentConfig(d=d)
@@ -481,101 +440,6 @@ class TestEngines:
             "nu_model=1.5", "undersmoothed nu_model=1.5"]
 
 
-def _reference_probe(config):
-    """The Gaussian scale probe's searches as they ran on their own: per
-    prefix and objective, :func:`bracketed_minimize` over a closure that
-    conditions the prefix anew at each length-scale.  A dict mapping
-    ``(n, objective)`` to the :class:`NuEstimate` or the
-    :class:`EstimationError` that ended the search."""
-    schedule = config.schedule or (8, 16, 32, 64, 128)
-    design = experiments.make_design("van_der_corput", 1, max(schedule))
-    y = builtin_test_functions()["gauss_bump"](design.points[:, 0])
-    found = {}
-    for n in schedule:
-        prefix = design.prefix(n)
-        for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from)):
-            def fn(lam):
-                kernel = GaussParams(config.estimator.sigma, lam)
-                return ell(condition(kernel, prefix, y[:n])).total
-
-            try:
-                found[n, name] = bracketed_minimize(fn, config.lambda_min, config.lambda_max,
-                                                    config.estimator.coarse_grid)
-            except EstimationError as err:
-                found[n, name] = err
-    return found
-
-
-def _probe_failures(notes, name):
-    """The failing cells a probe row's notes give for one objective: the
-    count of its ``*_failures=`` note or of its error, else 0."""
-    for note in notes.split(";"):
-        if note.startswith(f"{name}_failures="):
-            return int(note.split("=")[1])
-        if note.startswith(f"{name}_error="):
-            return int(note.rsplit("(", 1)[1].split()[0])
-    return 0
-
-
-class TestGaussianScaleProbe:
-    """The probe runs the estimator's search on the length-scale."""
-
-    @pytest.mark.parametrize("config", [
-        ExperimentConfig(experiment="x"),
-        ExperimentConfig(experiment="x", schedule=(8, 16, 32),
-                         estimator=EstimatorConfig(sigma=2.0)),
-    ])
-    def test_estimates_equal_the_searches_on_their_own(self, config):
-        result = run_gaussian_scale_probe(config)
-        reference = _reference_probe(config)
-        assert [row[0] for row in result.rows] == sorted({n for n, _ in reference})
-        for n, lam_ml, lam_cv, _, _, notes in result.rows:
-            for name, lam in (("ml", lam_ml), ("cv", lam_cv)):
-                ref = reference[n, name]
-                if isinstance(ref, EstimationError):
-                    assert math.isnan(lam) and f"{name}_error={ref}" in notes
-                    failures = int(str(ref).rsplit("(", 1)[1].split()[0])
-                else:
-                    assert lam == ref.nu_hat
-                    failures = len(ref.failures)
-                assert _probe_failures(notes, name) == failures
-
-    def test_error_row_reports_its_failures_once(self):
-        result = run_gaussian_scale_probe(ExperimentConfig(experiment="x"))
-        (notes,) = [row[-1] for row in result.rows if row[0] == 64]
-        assert notes.split(";") == [
-            f"{name}_error=no candidate in [0.05, 2] could be evaluated (60 failures)"
-            for name in ("ml", "cv")]
-
-    def test_saturated_estimates_are_flagged(self):
-        config = ExperimentConfig(experiment="x")
-        result = run_gaussian_scale_probe(config)
-        reference = _reference_probe(config)
-        assert result.header[3:] == ("hit_upper_ml", "hit_upper_cv", "notes")
-        saturated = [row for row in result.rows if row[0] in (8, 16, 32)]
-        assert len(saturated) == 3
-        for n, lam_ml, lam_cv, hit_ml, hit_cv, _ in saturated:
-            assert hit_ml is True and hit_cv is True
-            assert lam_ml == reference[n, "ml"].searchable_upper
-            assert lam_cv == reference[n, "cv"].searchable_upper
-            assert (f"n={n}: lambda_hat_ml={lam_ml:.4f} (saturates the searchable bracket) "
-                    f"lambda_hat_cv={lam_cv:.4f} (saturates the searchable bracket)"
-                    in result.summary)
-
-    @pytest.mark.parametrize("bracket, factorizations", [((0.05, 2.0), 60), ((0.8, 0.8), 1)])
-    def test_one_factorization_per_distinct_cell(self, monkeypatch, bracket, factorizations):
-        # Every prefix and both objectives read one factor per lambda cell,
-        # on the largest prefix; the default run refines no search.
-        factor, calls = gp._factor, [0]
-
-        def counting(*args):
-            calls[0] += 1
-            return factor(*args)
-
-        monkeypatch.setattr(gp, "_factor", counting)
-        lo, hi = bracket
-        run_gaussian_scale_probe(ExperimentConfig(experiment="x", lambda_min=lo, lambda_max=hi))
-        assert calls[0] == factorizations
 
 
 class TestCsv:
@@ -823,7 +687,7 @@ class TestCli:
         # --threads is ignored, but its value is checked as every integer
         # setting is, with the same configuration error line.
         assert main(["variance-decay", "--threads", "0"]) == 2
-        assert main(["gaussian-scale-probe", "--threads", "-4"]) == 2
+        assert main(["logdet-growth", "--threads", "-4"]) == 2
         assert main(["convergence", "--threads", "x"]) == 2
         assert main(["convergence", "--threads", "2.0"]) == 2
         err = capsys.readouterr().err
@@ -835,6 +699,29 @@ class TestCli:
         assert main(["variance-decay", "--config", str(cfg)]) == 2
         assert ("configuration error: unknown configuration keys: ['threads']"
                 in capsys.readouterr().err)
+
+    def test_the_length_scale_probe_and_its_bracket_are_gone(self, tmp_path, capsys):
+        # The smoothness is the one scanned parameter: no command scans the
+        # Gaussian length-scale, and its bracket is no setting.
+        assert main(["gaussian-scale-probe"]) == 2
+        assert "invalid choice: 'gaussian-scale-probe'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda_min = 0.1\n")
+        assert main(["logdet-growth", "--config", str(cfg)]) == 2
+        assert (capsys.readouterr().err
+                == "configuration error: unknown configuration keys: ['lambda_min']\n")
+
+    @pytest.mark.parametrize("command", ["verify-identities", *_RUNNERS])
+    @pytest.mark.parametrize("key", ["lambda_min", "lambda_max"])
+    def test_the_length_scale_bracket_is_an_unknown_key(self, command, key, tmp_path, capsys):
+        # The bracket's keys are refused as any unknown key is, by every
+        # command, before anything runs.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: unknown configuration keys: ['{key}']\n"
 
     @pytest.mark.parametrize("argv", [
         ["non-undersmoothing", "--nu0", "1.5", "--schedule", "0,16"],
@@ -853,12 +740,6 @@ class TestCli:
         ("profile_sigma = no", "profile_sigma must be a bool, got 'no'"),
         ("coarse_grid = 10.5", "coarse_grid must be an integer"),
         ("coarse_grid = true", "coarse_grid must be an integer"),
-        ("lambda_max = inf", "lambda_max must be positive and finite, got inf"),
-        ("lambda_min = true", "lambda_min must be positive and finite, got True"),
-        ("lambda_max = true", "lambda_max must be positive and finite, got True"),
-        ("lambda_min = low", "lambda_min must be positive and finite, got 'low'"),
-        ("lambda_min = 1.5\nlambda_max = 0.5",
-         "need lambda_min <= lambda_max, got lambda_min=1.5, lambda_max=0.5"),
         ("seeds = 1.5, 2.5", "seed must be an integer >= 0, got 1.5"),
         ("seeds = true", "seed must be an integer >= 0, got True"),
         ("nu0 = nan", "nu0 must be positive and finite"),
@@ -866,7 +747,7 @@ class TestCli:
     ])
     def test_bad_bracket_config_exit_two(self, line, message, tmp_path, capsys):
         # Every setting in the file is checked when the configuration is
-        # built, the brackets of nu and lambda among them.
+        # built, the bracket of nu among them.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         argv = ["non-undersmoothing", "--schedule", "16", "--config", str(cfg)]
@@ -962,9 +843,6 @@ class TestCli:
         (["convergence", "--d", "2"], "convergence does not read d, got 2"),
         (["convergence", "--schedule", "16,600"],
          "convergence needs at most 513 design points, got 600"),
-        (["gaussian-scale-probe", "--d", "2"], "gaussian-scale-probe does not read d, got 2"),
-        (["gaussian-scale-probe", "--nu-grid", "1,2"],
-         "gaussian-scale-probe does not read nu_grid, got (1.0, 2.0)"),
         (["non-undersmoothing", "--f0", "gauss_bump", "--d", "2", "--design", "uniform_grid",
           "--schedule", "16,32"], "the catalog function 'gauss_bump' is one-dimensional"),
         (["convergence", "--f0", "gauss_bump"], "convergence does not read f0, got 'gauss_bump'"),
@@ -1049,11 +927,6 @@ class TestCli:
         one, two = _written_at_blas_threads(tmp_path, ["-c", _NORMS])
         assert one == two and one.count(b"\n") == 25
 
-    def test_gaussian_probe_via_cli(self, capsys):
-        code = main(["gaussian-scale-probe", "--schedule", "8,16"])
-        assert code == 0
-        assert "exploratory" in capsys.readouterr().out
-
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "rows.csv"
@@ -1065,13 +938,18 @@ class TestCli:
         assert out.exists()
 
 
-def test_digest_comparison_names_the_notes_entries_that_moved():
-    # ``tools/cli_digests.py --against`` lists, for ``notes``, the keys of
-    # the entries whose values differ; a bare entry is its own key.
+def _digest_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
     spec = importlib.util.spec_from_file_location("cli_digests", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_digest_comparison_names_the_notes_entries_that_moved():
+    # ``tools/cli_digests.py --against`` lists, for ``notes``, the keys of
+    # the entries whose values differ; a bare entry is its own key.
+    tool = _digest_tool()
     old = (b"n,nu_hat_ml,notes\n16,1.5,ml_failures=33;ml_irregular=3;cv_failures=33\n"
            b'32,1.25,"ml_non_unimodal;cv_error=nu=2, n=32: pivot 3"\n')
     new = (b"n,nu_hat_ml,notes\n16,1.5,ml_failures=8;cv_failures=33\n"
@@ -1079,3 +957,51 @@ def test_digest_comparison_names_the_notes_entries_that_moved():
     assert tool.column_changes(old, new) == [
         "notes: 2 of 2 rows differ (ml_failures, ml_irregular, ml_non_unimodal)"]
     assert tool.column_changes(old, old) == ["identical"]
+
+
+def test_digest_comparison_reports_a_removed_configuration(tmp_path, monkeypatch, capsys):
+    # A name saved by an earlier ``--keep`` run that the list no longer
+    # holds prints one ``removed`` line and counts as a difference, whether
+    # its CSV or only its summary was saved.
+    tool = _digest_tool()
+    table, summary = b"n\n16\n", b"done\n"
+    monkeypatch.setattr(tool, "CONFIGURATIONS", (("kept", ["verify-identities"], None),))
+    monkeypatch.setattr(tool, "run", lambda *args: (0, table, summary, 0.0, 0.0))
+    for name in ("kept", "dropped"):
+        (tmp_path / f"{name}.csv").write_bytes(table)
+        (tmp_path / f"{name}.summary").write_bytes(summary)
+    (tmp_path / "failed.summary").write_bytes(summary)
+    assert tool.main(["--against", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines if "removed" in line] == [
+        ["dropped", "removed"], ["failed", "removed"]]
+    for name in ("dropped", "failed"):
+        (tmp_path / f"{name}.summary").unlink()
+    (tmp_path / "dropped.csv").unlink()
+    assert tool.main(["--against", str(tmp_path)]) == 0
+    assert "removed" not in capsys.readouterr().out
+
+
+_DIGEST_CONFIGURATIONS = _digest_tool().CONFIGURATIONS
+
+
+@pytest.mark.parametrize("name,argv,lines", _DIGEST_CONFIGURATIONS,
+                         ids=[name for name, *_ in _DIGEST_CONFIGURATIONS])
+def test_each_digest_configuration_is_a_valid_command_line(name, argv, lines, tmp_path,
+                                                           monkeypatch, capsys):
+    # Every configuration of ``tools/cli_digests.py`` names a command and
+    # settings that the CLI accepts, so that none digests a configuration
+    # error.  The runner is replaced: only the command line is checked.
+    seen = []
+
+    def runner(config):
+        seen.append(config)
+        return ExperimentResult(header=("n",), rows=[], summary="checked", ok=True)
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], runner)
+    if lines is not None:
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("\n".join(lines) + "\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert [config.experiment for config in seen] == [argv[0]]

@@ -11,10 +11,8 @@ from maternsmooth.errors import DegenerateDesignError, DomainError
 from maternsmooth.estimators import EstimatorConfig
 from maternsmooth.experiments import _jittered_grid
 from maternsmooth.kernels import (
-    GaussParams,
     MaternParams,
     _panel_ends,
-    gaussian_eval,
     kernel_matrix,
     kernel_panels,
     log_c_scaling,
@@ -82,8 +80,6 @@ def test_fields_compute_as_the_floats_of_their_values(kind):
             made = MaternParams(*given, d)(r)
             real = MaternParams(*map(float, given), d)(r)
             assert made.tobytes() == real.tobytes(), (nu, sigma, lambda_, d)
-        made = GaussParams(*given[1:])(r)
-        assert made.tobytes() == GaussParams(*map(float, given[1:]))(r).tobytes()
 
 
 class TestMaternEval:
@@ -154,11 +150,9 @@ class TestMaternEval:
     def test_domain_errors(self):
         p = MaternParams(1.0, 1.0, 1.0)
         for bad in (-1.0, math.inf, math.nan, [0.5, 0.0, -2.0]):
-            for kernel in (p, GaussParams()):
-                with pytest.raises(DomainError) as caught:
-                    kernel(bad)
-                assert str(caught.value) == (
-                    f"distances must be nonnegative and finite, got {bad!r}")
+            with pytest.raises(DomainError) as caught:
+                p(bad)
+            assert str(caught.value) == f"distances must be nonnegative and finite, got {bad!r}"
         with pytest.raises(DomainError):
             MaternParams(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -167,9 +161,9 @@ class TestMaternEval:
     @pytest.mark.parametrize("kernel,r", [
         (MaternParams(1.5), "0.5"), (MaternParams(1.5), True), (MaternParams(1.5), ["0.5", "1"]),
         (MaternParams(1.5), [True, False]), (MaternParams(1.5), np.array([0.5], dtype=object)),
-        (GaussParams(), "0.5"), (GaussParams(), np.True_),
+        (MaternParams(1.5), np.True_),
     ], ids=["matern-text", "matern-bool", "matern-text-list", "matern-bool-list",
-            "matern-object-array", "gauss-text", "gauss-numpy-bool"])
+            "matern-object-array", "matern-numpy-bool"])
     def test_distances_refuse_text_and_bools(self, kernel, r):
         # Distances are checked as Bessel arguments are: nothing converts
         # text or a bool into a number.
@@ -185,9 +179,8 @@ class TestMaternEval:
 
 @pytest.mark.parametrize("make", [
     lambda v: MaternParams(1.5, v, v),
-    lambda v: GaussParams(v, v),
     lambda v: EstimatorConfig(sigma=v, lambda_=v),
-], ids=["MaternParams", "GaussParams", "EstimatorConfig"])
+], ids=["MaternParams", "EstimatorConfig"])
 @pytest.mark.parametrize("value,accepted", [
     (np.int64(2), True), (np.float32(0.5), True), (np.float64(1.5), True),
     (True, False), (np.bool_(True), False), (np.float64(math.inf), False),
@@ -199,6 +192,26 @@ def test_positive_fields_take_numpy_reals_not_bools(make, value, accepted):
     else:
         with pytest.raises(DomainError, match="must be positive and finite"):
             make(value)
+
+
+@pytest.mark.parametrize("field", ["nu", "sigma", "lambda_"])
+@pytest.mark.parametrize("value,accepted", [
+    (np.int64(2), True), (np.float32(0.5), True), (True, False), (np.bool_(True), False),
+    (math.inf, False), (0.0, False), ("0.5", False),
+])
+def test_each_matern_field_is_checked_and_stored_as_a_float(field, value, accepted):
+    # The smoothness, magnitude and length-scale are checked one by one:
+    # the error names the field, and an accepted value is kept as the
+    # Python float of what was given.
+    given = dict(nu=1.5, sigma=1.0, lambda_=1.0)
+    given[field] = value
+    if accepted:
+        stored = getattr(MaternParams(**given), field)
+        assert type(stored) is float and stored == float(value)
+    else:
+        with pytest.raises(DomainError) as caught:
+            MaternParams(**given)
+        assert str(caught.value) == f"{field} must be positive and finite, got {value!r}"
 
 
 @pytest.mark.parametrize("args", [("1.5",), (True,), (1.5, "1"), (1.5, True),
@@ -214,8 +227,7 @@ def test_matern_fields_refuse_text_and_bools(args):
     (MaternParams(0.5, 1.3, 0.4), matern_eval),
     (MaternParams(2.5, 0.8, 0.2, d=2), matern_eval),
     (MaternParams(0.3, 1.1, 0.7, d=3), matern_eval),
-    (GaussParams(1.2, 0.4), gaussian_eval),
-], ids=["matern-0.5", "matern-2.5-d2", "matern-0.3-d3-clamped", "gauss"])
+], ids=["matern-0.5", "matern-2.5-d2", "matern-0.3-d3-clamped"])
 def test_record_call_is_its_evaluation(record, evaluate):
     # A record called on distances, scalar or array, gives its evaluation's
     # bits.
@@ -227,8 +239,7 @@ def test_record_call_is_its_evaluation(record, evaluate):
 
 @pytest.mark.parametrize("record,name", [
     (MaternParams(1.5, lambda_=0.3), "matern_eval"),
-    (GaussParams(1.2, 0.4), "gaussian_eval"),
-], ids=["matern", "gauss"])
+], ids=["matern"])
 def test_record_call_reads_the_module_binding(record, name, monkeypatch):
     # A call looks its evaluation up in the module when it is made, so a
     # wrapper bound there in its place (as the benchmark's tracer binds one)
@@ -242,20 +253,6 @@ def test_record_call_reads_the_module_binding(record, name, monkeypatch):
     monkeypatch.setattr(kernels, name, recorded)
     assert record(0.25) == evaluate(record, 0.25)
     assert seen == [(record, 0.25)]
-
-
-class TestGaussianEval:
-    def test_closed_form(self):
-        p = GaussParams(1.5, 0.7)
-        assert gaussian_eval(p, 0.0) == pytest.approx(2.25)
-        assert p(0.7) == pytest.approx(2.25 * math.exp(-0.5))
-
-    def test_is_the_limit_of_c10(self):
-        # sigma = 1, lambda = sqrt(2): C10's target exp(-r^2/4), to rounding,
-        # on its grid; the limit the Matern kernel approaches as nu grows.
-        r = np.linspace(0.0, 3.0, 601)
-        np.testing.assert_allclose(GaussParams(1.0, SQRT2)(r), np.exp(-(r**2) / 4.0),
-                                   rtol=1e-15, atol=0.0)
 
 
 def _random_design(rng, n, d):
@@ -307,12 +304,30 @@ class TestKernelMatrix:
 
     def test_duplicate_points_rejected(self):
         des = Design.__new__(Design)  # bypass the constructor duplicate check
-        pts = np.array([[0.2], [0.2], [0.8]])
+        pts = np.array([[0.2], [0.4], [0.8], [0.4]])
         pts.setflags(write=False)
         des.points = pts
         des.box = Box.unit(1)
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(DegenerateDesignError, match="^duplicate points at indices 1 and 3$"):
             kernel_matrix(MaternParams(1.5), des)
+
+    @pytest.mark.parametrize("points,first,second", [
+        ([[0.3], [0.3]], 0, 1),
+        ([[0.5], [0.1], [0.9], [0.7], [0.5]], 0, 4),
+        ([[0.1, 0.2], [0.4, 0.4], [0.1, 0.2], [0.4, 0.4]], 0, 2),
+        ([[0.9], [0.2], [0.6], [0.6], [0.2]], 2, 3),
+    ], ids=["two-points", "first-and-last", "two-pairs-d2", "first-row-wins"])
+    def test_duplicate_points_name_their_first_pair(self, points, first, second):
+        # The pairs (j, i), j < i, are read row by row: the first pair of
+        # equal points in that order is the one named.
+        des = Design.__new__(Design)
+        pts = np.array(points)
+        pts.setflags(write=False)
+        des.points = pts
+        des.box = Box.unit(pts.shape[1])
+        with pytest.raises(DegenerateDesignError) as caught:
+            kernel_matrix(MaternParams(1.5), des)
+        assert str(caught.value) == f"duplicate points at indices {first} and {second}"
 
 
 class _Counting:

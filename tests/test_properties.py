@@ -380,10 +380,10 @@ def _unique_table(pts):
     return table
 
 
-@PROPERTY
-@given(st.sampled_from(("lattice", "jittered")), st.sampled_from((1, 2)),
-       st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31 - 1))
-def test_distance_table_equals_the_unique_oracle(kind, d, n, seed):
+def _check_table(kind, d, n, seed):
+    """Check the distance table of a design of ``n`` points against
+    :func:`_unique_table`: its distances, counts, panel bounds and index,
+    and the new numbers of a few row ranges."""
     # A lattice repeats its distances (ties); jittered points in one
     # dimension have every distance distinct, a jittered 2-d grid nearly so.
     if kind == "jittered":
@@ -402,6 +402,25 @@ def test_distance_table_equals_the_unique_oracle(kind, d, n, seed):
     for a, b in zip(cuts, cuts[1:]):
         assert np.array_equal(np.arange(table.size(b))[table.new(a, b)],
                               np.arange(oracle.size(b))[oracle.new(a, b)]), (a, b)
+
+
+@PROPERTY
+@given(st.sampled_from(("lattice", "jittered")), st.sampled_from((1, 2)),
+       st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31 - 1))
+def test_distance_table_equals_the_unique_oracle(kind, d, n, seed):
+    _check_table(kind, d, n, seed)
+
+
+@pytest.mark.parametrize("kind,d,n", [
+    ("lattice", 1, 1), ("lattice", 1, 2), ("lattice", 1, 3), ("lattice", 1, 16),
+    ("lattice", 1, 17), ("lattice", 1, 512), ("jittered", 1, 2), ("jittered", 1, 33),
+    ("jittered", 1, 512), ("lattice", 2, 4), ("lattice", 2, 225), ("jittered", 2, 9),
+    ("jittered", 2, 512),
+])
+def test_distance_table_equals_the_unique_oracle_at_panel_sizes(kind, d, n):
+    # Sizes at and around panel ends, and 512 points of each kind, the
+    # size of the benchmark's designs.
+    _check_table(kind, d, n, seed=n)
 
 
 @PROPERTY
@@ -459,10 +478,8 @@ def test_prefix_cells_equal_each_prefix_conditioned_alone(case, columns, profile
     # The one-pass totals of a cell: bit for bit those of each prefix
     # conditioned alone at the exact sizes, and to rounding at others.
     kernel, design, y = _prefix_instance(*case, columns=columns)
-    nu = kernel.nu
-    scan = estimators._Scan("nu", lambda _: kernel, nu, nu, 8, profile)
     sizes = sorted({m for m in EXACT_SIZES if m <= design.n} | {min(other, design.n)})
-    for n, cell in zip(sizes, estimators._cells(design, y, scan, nu, sizes)):
+    for n, cell in zip(sizes, estimators._cells(design, y, kernel, profile, sizes)):
         post = condition(kernel, _alone(design, n), y[:n])
         assert sorted(cell) == (["cv", "ml"] if n >= 2 else ["ml"])
         for name, ell in (("ml", ell_ml_from), ("cv", ell_cv_from))[:len(cell)]:

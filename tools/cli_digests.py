@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CLI's outputs over twenty-eight fixed configurations.
+"""SHA-256 digests of the CLI's outputs over twenty-five fixed configurations.
 
     python tools/cli_digests.py [--keep DIR] [--against DIR]
 
@@ -22,15 +22,16 @@ of its numeric cells, or ``identical``, and then whether its summary
 differs.  For ``notes``, whose cells are ``;``-separated entries, it names
 the keys of the entries that changed instead, as in ``notes: 60 of 60
 rows differ (ml_failures, cv_failures)``: the key of ``key=value`` is the
-text before its first ``=``, and a bare entry is its own key.  The exit code is then 1 when any CSV or summary differs from
-the saved one or none was saved, so one command checks that a change
-leaves every output byte-identical.  When a change adds or removes
-columns, the columns both CSVs share are compared by name, and the
-others are listed as added or removed.  A change of the refinement is
-accepted on the absolute change of the ``nu_hat_*`` columns: each
-estimate may move by at most 1e-3, whatever its size.  The
-``lambda_hat_*`` columns of the Gaussian scale probes must stay
-identical: their search reads the same totals whatever the refinement.
+text before its first ``=``, and a bare entry is its own key.  After the
+configurations, each name that has a CSV or summary saved in ``DIR`` and
+that no configuration holds any more prints one ``removed`` line.  The
+exit code is then 1 when any CSV or summary differs from the saved one,
+none was saved, or a saved configuration was removed, so one command
+checks that a change leaves every output byte-identical.  When a change
+adds or removes columns, the columns both CSVs share are compared by
+name, and the others are listed as added or removed.  A change of the
+refinement is accepted on the absolute change of the ``nu_hat_*``
+columns: each estimate may move by at most 1e-3, whatever its size.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ CONFIGURATIONS = (
     ("variance-decay-d2", ["variance-decay", "--d", "2"], None),
     ("convergence", ["convergence"], None),
     ("convergence-threads-2", ["convergence", "--threads", "2"], None),
-    ("gaussian-scale-probe", ["gaussian-scale-probe"], None),
     ("verify-identities", ["verify-identities"], None),
     # Non-default magnitude and length-scale, from flags and from a file.
     ("sigma-lambda-sweep", ["non-undersmoothing", "--nu0", "1.5", "--sigma", "1.3",
@@ -87,11 +87,6 @@ CONFIGURATIONS = (
                             "--schedule", "16,32,64"], None),
     ("sigma-lambda-file-decay", ["variance-decay", "--schedule", "16,32,64,128"],
      ["lambda = 0.7", "sigma = 1.3"]),
-    ("sigma-gaussian-probe", ["gaussian-scale-probe", "--sigma", "2",
-                              "--schedule", "8,16,32"], None),
-    # A bracket of one length-scale.
-    ("gaussian-probe-degenerate-bracket", ["gaussian-scale-probe", "--schedule", "8,16"],
-     ["lambda_min = 0.8", "lambda_max = 0.8"]),
     ("sigma-lambda-logdet", ["logdet-growth", "--sigma", "1.3", "--lambda", "0.7",
                              "--schedule", "16,32,64"], None),
     ("sigma-lambda-convergence", ["convergence", "--sigma", "1.3", "--lambda", "0.7",
@@ -245,6 +240,12 @@ def main(argv=None):
             elif old_summary != summary:
                 print("    summary differs", flush=True)
             differs |= not saved.exists() or old != table or old_summary != summary
+    if args.against:
+        saved = {path.stem for pattern in ("*.csv", "*.summary")
+                 for path in Path(args.against).glob(pattern)}
+        for name in sorted(saved - {name for name, _, _ in CONFIGURATIONS}):
+            print(f"{name:34s} removed", flush=True)
+            differs = True
     return 1 if differs else 0
 
 

@@ -15,7 +15,7 @@ configuration exiting other than 0 among it.
 It imports the package from the ``src`` directory of the checkout it lives
 in, and only the standard library besides; run on the sources of an
 earlier commit (a copy of this file in that checkout's ``tools``), it
-lists what that commit kept that no command runs.  The 28 configurations
+lists what that commit kept that no command runs.  The 25 configurations
 take about 17 s on one core of a 2-core Intel Xeon.
 """
 
