@@ -34,7 +34,7 @@ from numpy.polynomial import chebyshev as cheb
 # tracer, which wraps them.
 from .designs import fill_distance, fill_distances  # noqa: F401
 from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
-                     require_positive)
+                     check_real, require_positive)
 from .gp import _as_data, _prefix_posteriors, condition  # noqa: F401
 from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
@@ -209,9 +209,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     node read, in the order the search asks for them.  A failing cell, or
     one whose value is not finite, is recorded in ``failures`` and
     unevaluable.  Raises :class:`EstimationError` when no cell can be
-    evaluated, and :class:`DomainError` unless ``0 < lo <= hi < inf`` and
-    ``n_coarse`` is an integer of at least 1.  The search reads in four
-    rounds:
+    evaluated, and :class:`DomainError` unless ``lo`` and ``hi`` are positive
+    and finite real numbers with ``lo <= hi`` and ``n_coarse`` is an integer
+    of at least 1.  The search reads in four rounds:
 
     1. every ``_STRIDE``-th cell and the top cell, or, when none of them can
        be evaluated, every cell;
@@ -243,8 +243,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     for bit.  A failing cell between two evaluable cells that the search
     does not read is not seen.
     """
-    if not 0 < lo <= hi < math.inf:
-        raise DomainError(f"need 0 < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
+    if lo > hi:
+        raise DomainError(f"need lo <= hi, got lo={lo!r}, hi={hi!r}")
     check_integer("n_coarse", n_coarse, 1)
     grid = [float(theta) for theta in np.geomspace(lo, hi, n_coarse)]
     known, failures = {}, []

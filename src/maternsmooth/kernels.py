@@ -58,7 +58,8 @@ class MaternParams:
     """The Matern kernel of smoothness ``nu``, magnitude ``sigma`` and
     length-scale ``lambda_`` in dimension ``d``, normalised by
     :func:`log_c_scaling`; called on distances, it gives their
-    covariances (:func:`matern_eval`)."""
+    covariances (:func:`matern_eval`).  ``nu``, ``sigma``, ``lambda_`` and
+    ``sigma**2`` must be positive and finite."""
 
     nu: float
     sigma: float = 1.0
@@ -67,6 +68,7 @@ class MaternParams:
 
     def __post_init__(self):
         require_positive(self, ("nu", "sigma", "lambda_"))
+        check_real("sigma**2", self.sigma * self.sigma)
         check_integer("dimension d", self.d, 1)
 
     def __call__(self, r):

@@ -27,13 +27,15 @@ that a value never depends on the array it came in or on its position.
   relative error is up to 2e-14 just below ``x = 1`` at small orders).
 * Where ``kve`` overflows, which happens for large order or tiny
   argument, the logarithm comes from a uniform large-order (Debye-type)
-  expansion for ``nu >= 50``, with polynomial coefficients through order
-  ``nu**-6``;
+  expansion for ``nu >= 50``, through order ``nu**-6``: the polynomials
+  U_1..U_6 are the rows of one coefficient table, and one Horner loop sums
+  each of them and the series in ``1/nu``;
 * or from the ascending small-argument series otherwise.  Overflow with
   ``nu < 50`` forces the argument to be so small that the series needs
   only a handful of terms and the discarded part of the standard two-sided
   series is smaller than the result by hundreds of orders of magnitude,
-  so the usual near-integer-order cancellation never arises.
+  so the usual near-integer-order cancellation never arises.  It stays
+  finite down to the least subnormal argument.
 * SciPy's ``kve`` returns NaN past ``x = 2**30 - 0.5``.  There the uniform
   expansion serves from order 50, and below it the first two terms of
   Hankel's large-argument expansion, exact to rounding at such ``x``.
@@ -220,81 +222,63 @@ def log_gamma(x):
     return out
 
 
-def _debye_u(p):
-    """Polynomials U_0..U_6 of the uniform large-order expansion.
+# The polynomials U_1..U_6 of the uniform expansion (DLMF 10.41.10), one row
+# per U_k: ``U_k(p) = p**k * sum(row[j] * q**j)`` with ``q = p**2``, lowest
+# power first.  Each entry is the float of an exact rational of the
+# recursion in :func:`_debye_u`.
+_DEBYE_U = (
+    (1 / 8, -5 / 24),
+    (9 / 128, -77 / 192, 385 / 1152),
+    (75 / 1024, -4563 / 5120, 17017 / 9216, -85085 / 82944),
+    (3675 / 32768, -96833 / 40960, 144001 / 16384, -7436429 / 663552, 37182145 / 7962624),
+    (59535 / 262144, -67608983 / 9175040, 250881631 / 5898240, -108313205 / 1179648,
+     5391411025 / 63700992, -5391411025 / 191102976),
+    (2401245 / 4194304, -388895895 / 14680064, 1441372804469 / 6606028800,
+     -33010308331 / 47185920, 4445922195 / 4194304, -1169936192425 / 1528823808,
+     5849680962125 / 27518828544),
+)
 
-    ``p`` may be a scalar or array.  Coefficients are the exact rationals
-    generated by the standard recursion
-    ``U_{k+1}(t) = t^2(1-t^2)/2 U_k'(t) + (1/8) int_0^t (1-5s^2) U_k ds``.
+
+def _horner(coefficients, x):
+    """``sum(c * x**j)`` over the ``coefficients`` ``c``, lowest power first,
+    by Horner's rule: ``c_0 + x * (c_1 + x * (... + x * c_last))``.
+
+    After the first product, an array value is updated in place, so a call
+    allocates one array."""
+    value = x * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        value += c
+        value *= x
+    value += coefficients[0]
+    return value
+
+
+def _debye_u(p):
+    """The polynomials U_1..U_6 of the uniform large-order expansion at
+    ``p``, a scalar or array, from the rows of ``_DEBYE_U``.
+
+    Their coefficients are the exact rationals generated by the standard
+    recursion
+    ``U_{k+1}(t) = t^2(1-t^2)/2 U_k'(t) + (1/8) int_0^t (1-5s^2) U_k ds``
+    from ``U_0 = 1``.  U_k is ``p`` (odd ``k``) or ``q = p**2`` (even ``k``),
+    times ``q`` another ``(k - 1) // 2`` times, times the row's polynomial
+    in ``q``.
     """
     q = p * p
-    u1 = p * (1.0 / 8.0 - 5.0 / 24.0 * q)
-    u2 = q * (9.0 / 128.0 + q * (-77.0 / 192.0 + q * (385.0 / 1152.0)))
-    u3 = p * q * (
-        75.0 / 1024.0
-        + q * (-4563.0 / 5120.0 + q * (17017.0 / 9216.0 + q * (-85085.0 / 82944.0)))
-    )
-    u4 = q * q * (
-        3675.0 / 32768.0
-        + q
-        * (
-            -96833.0 / 40960.0
-            + q
-            * (
-                144001.0 / 16384.0
-                + q * (-7436429.0 / 663552.0 + q * (37182145.0 / 7962624.0))
-            )
-        )
-    )
-    u5 = p * q * q * (
-        59535.0 / 262144.0
-        + q
-        * (
-            -67608983.0 / 9175040.0
-            + q
-            * (
-                250881631.0 / 5898240.0
-                + q
-                * (
-                    -108313205.0 / 1179648.0
-                    + q
-                    * (
-                        5391411025.0 / 63700992.0
-                        + q * (-5391411025.0 / 191102976.0)
-                    )
-                )
-            )
-        )
-    )
-    u6 = q * q * q * (
-        2401245.0 / 4194304.0
-        + q
-        * (
-            -388895895.0 / 14680064.0
-            + q
-            * (
-                1441372804469.0 / 6606028800.0
-                + q
-                * (
-                    -33010308331.0 / 47185920.0
-                    + q
-                    * (
-                        4445922195.0 / 4194304.0
-                        + q
-                        * (
-                            -1169936192425.0 / 1528823808.0
-                            + q * (5849680962125.0 / 27518828544.0)
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return u1, u2, u3, u4, u5, u6
+    out = []
+    for k, row in enumerate(_DEBYE_U, 1):
+        u = p if k % 2 else q
+        for _ in range((k - 1) // 2):
+            u = u * q
+        out.append(u * _horner(row, q))
+    return out
 
 
 def _log_k_uniform(nu, x):
-    """log K_nu(x) by the uniform large-order expansion (DLMF 10.41.4).
+    """log K_nu(x) by the uniform large-order expansion (DLMF 10.41.4),
+    ``K_nu(nu z) ~ sqrt(pi / (2 nu)) e**(-nu eta) / (1 + z**2)**(1/4)
+    * sum((-1)**k U_k(p) / nu**k)`` with ``p = 1 / sqrt(1 + z**2)``, the
+    series through ``k = 6`` summed by Horner's rule in ``1 / nu``.
 
     Vectorized over ``x``.  Relative accuracy is ~1e-11 or better for
     ``nu >= 50`` over all positive arguments.
@@ -302,36 +286,39 @@ def _log_k_uniform(nu, x):
     z = x / nu
     s = np.hypot(1.0, z)
     eta = s + np.log(z / (1.0 + s))
-    p = 1.0 / s
-    u1, u2, u3, u4, u5, u6 = _debye_u(p)
+    u1, u2, u3, u4, u5, u6 = _debye_u(1.0 / s)
     w = 1.0 / nu
-    series = 1.0 + w * (-u1 + w * (u2 + w * (-u3 + w * (u4 + w * (-u5 + w * u6)))))
+    series = 1.0 + w * _horner((-u1, u2, -u3, u4, -u5, u6), w)
     return 0.5 * np.log(np.pi / (2.0 * nu)) - 0.5 * np.log(s) - nu * eta + np.log(series)
 
 
 def _log_k_series(nu, x):
     """log K_nu(x) from the ascending series, small-argument regime.
 
-    Keeps only the dominant branch of the two-sided series; valid whenever
-    ``K_nu(x)`` is large enough to overflow double precision, which is the
-    only situation in which this routine is called.
+    Keeps only the dominant branch of the two-sided series, ``(x/2)**-nu / 2``
+    times the sum over ``k`` of ``Gamma(nu - k) (-x**2/4)**k / k!``, which at
+    an integer order ends at ``k = nu - 1``; valid whenever ``K_nu(x)`` is
+    large enough to overflow double precision, which is the only situation
+    in which this routine is called.  ``log(2/x)`` is taken as
+    ``log 2 - log x``, as ``2/x`` overflows below about 1e-308.
     """
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
-    converged = False
     for k in range(1, _SERIES_MAX_TERMS + 1):
+        if k == nu:  # at an integer order the branch ends at k = nu - 1
+            break
         term *= q / (k * (k - nu))
         total += term
         if abs(term) <= _SERIES_RTOL * abs(total):
-            converged = True
             break
-    if not converged:
+    else:
         raise AccuracyError(
             f"small-argument series for K_nu did not converge at nu={nu}, x={x}",
             achieved=abs(term / total),
         )
-    return math.log(0.5) + float(_special.gammaln(nu)) + nu * math.log(2.0 / x) + math.log(total)
+    return (math.log(0.5) + float(_special.gammaln(nu)) + nu * (math.log(2.0) - math.log(x))
+            + math.log(total))
 
 
 def _log_k_hankel(nu, x):

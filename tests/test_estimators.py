@@ -120,6 +120,26 @@ class TestConfig:
         assert str(caught.value) == message
 
 
+# Bounds and coarse counts that bracketed_minimize refuses, each with its
+# message.
+BRACKETS = [
+    (2.0, 1.0, 10, "need lo <= hi, got lo=2.0, hi=1.0"),
+    (1.0, math.inf, 10, "hi must be positive and finite, got inf"),
+    (1.0, math.nan, 10, "hi must be positive and finite, got nan"),
+    (math.nan, 4.0, 10, "lo must be positive and finite, got nan"),
+    (0.0, 4.0, 10, "lo must be positive and finite, got 0.0"),
+    (-1.0, 4.0, 10, "lo must be positive and finite, got -1.0"),
+    ("0.5", 3.0, 8, "lo must be positive and finite, got '0.5'"),
+    (0.5, "3", 8, "hi must be positive and finite, got '3'"),
+    (True, 3.0, 8, "lo must be positive and finite, got True"),
+    (0.5, np.True_, 8, "hi must be positive and finite, got np.True_"),
+    (1.0, 4.0, True, "n_coarse must be an integer >= 1, got True"),
+    (1.0, 4.0, 0, "n_coarse must be an integer >= 1, got 0"),
+    (1.0, 4.0, -3, "n_coarse must be an integer >= 1, got -3"),
+    (1.0, 4.0, 2.5, "n_coarse must be an integer >= 1, got 2.5"),
+    (1.0, 4.0, 10.0, "n_coarse must be an integer >= 1, got 10.0")]
+
+
 class TestBracketedMinimize:
     def test_quadratic_in_log_space(self):
         fn = lambda t: (math.log(t) - math.log(3.0)) ** 2
@@ -139,14 +159,15 @@ class TestBracketedMinimize:
         with pytest.raises(EstimationError):
             bracketed_minimize(fn, 0.1, 1.0, 10)
 
-    @pytest.mark.parametrize("lo, hi, n_coarse", [
-        (2.0, 1.0, 10), (1.0, math.inf, 10), (1.0, math.nan, 10), (math.nan, 4.0, 10),
-        (0.0, 4.0, 10), (-1.0, 4.0, 10), (1.0, 4.0, True), (1.0, 4.0, 0), (1.0, 4.0, -3),
-        (1.0, 4.0, 2.5), (1.0, 4.0, 10.0)])
-    def test_bracket_is_checked(self, lo, hi, n_coarse):
+    @pytest.mark.parametrize("lo, hi, n_coarse, message", BRACKETS,
+                             ids=["-".join(map(repr, case[:3])) for case in BRACKETS])
+    def test_bracket_is_checked(self, lo, hi, n_coarse, message):
+        # Each bound is one real value of errors.check_real, text and bools
+        # refused, before the two are compared.
         calls = []
-        with pytest.raises(DomainError, match="lo <= hi|n_coarse must be an integer >= 1"):
+        with pytest.raises(DomainError) as caught:
             bracketed_minimize(lambda t: calls.append(t) or t, lo, hi, n_coarse)
+        assert str(caught.value) == message
         assert not calls
 
     @pytest.mark.parametrize("fails", [False, True])

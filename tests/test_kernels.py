@@ -214,6 +214,16 @@ def test_each_matern_field_is_checked_and_stored_as_a_float(field, value, accept
         assert str(caught.value) == f"{field} must be positive and finite, got {value!r}"
 
 
+@pytest.mark.parametrize("sigma, shown", [(1e200, "inf"), (1e-200, "0.0"),
+                                          (np.float64(2e154), "inf")])
+def test_magnitude_whose_square_is_not_a_positive_double_is_refused(sigma, shown):
+    # sigma**2 scales every covariance: refused at construction, not left
+    # to overflow when the first matrix is assembled.
+    with pytest.raises(DomainError) as caught:
+        MaternParams(1.5, sigma=sigma)
+    assert str(caught.value) == f"sigma**2 must be positive and finite, got {shown}"
+
+
 @pytest.mark.parametrize("args", [("1.5",), (True,), (1.5, "1"), (1.5, True),
                                   (1.5, 1.0, "0.3")])
 def test_matern_fields_refuse_text_and_bools(args):

@@ -9,6 +9,7 @@ Examples are derandomized, so every run of the suite draws the same cases.
 
 import contextlib
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -666,6 +667,20 @@ def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
     xs = np.array([_near_kve_overflow(nu, w) for w in offsets])
     vectorized = log_bessel_k(nu, xs)
     assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.floats(min_value=0.05, max_value=50.0, exclude_max=True),
+       st.floats(min_value=5e-324, max_value=1e-300))
+def test_tiny_arguments_give_the_leading_term(nu, x):
+    # Below x = 1e-300 and order 50, K_nu(x) is Gamma(nu) 2**(nu-1) x**-nu
+    # to far below rounding, subnormal x included (order 0 is not covered:
+    # Gamma(0) is infinite).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = log_bessel_k(nu, x)
+    ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
+    assert math.isfinite(value) and abs(value - ref) <= 1e-12 * abs(ref)
 
 
 # Array sizes on both sides of LARGE, up to 3 * LARGE arguments.

@@ -10,6 +10,7 @@ import math
 import pathlib
 import threading
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,59 @@ class TestTrapezoidalRule:
         assert specfun._trapezoid_rule(0.3, 2)[0] is specfun._trapezoid_rule(0.5, 2)[0]
 
 
+def _debye_polynomials(count):
+    """U_1..U_count of the uniform expansion in exact rationals, each a list
+    of its coefficients by power of t, from U_0 = 1 by the recursion
+    U_{k+1}(t) = t^2 (1 - t^2) / 2 U_k'(t) + 1/8 int_0^t (1 - 5 s^2) U_k(s) ds."""
+    u, out = [Fraction(1)], []
+    for _ in range(count):
+        nxt = [Fraction(0)] * (len(u) + 3)
+        for j, c in enumerate(u):
+            if j:  # t^2 (1 - t^2) / 2 times j c t^(j-1)
+                nxt[j + 1] += j * c / 2
+                nxt[j + 3] -= j * c / 2
+            nxt[j + 1] += c / (8 * (j + 1))  # 1/8 int_0^t c s^j ds
+            nxt[j + 3] -= 5 * c / (8 * (j + 3))  # -5/8 int_0^t c s^(j+2) ds
+        u = nxt
+        out.append(u)
+    return out
+
+
+class TestUniformExpansion:
+    """The large-order expansion (DLMF 10.41.4) where ``kve`` overflows."""
+
+    def test_table_is_the_recursion(self):
+        # U_k = t^k times a polynomial of degree k in t^2: row k of the
+        # table holds its coefficients, each the float of the exact one.
+        exact = _debye_polynomials(len(specfun._DEBYE_U))
+        for k, (row, u) in enumerate(zip(specfun._DEBYE_U, exact), 1):
+            assert len(row) == k + 1
+            assert all(c == 0 for j, c in enumerate(u) if j < k or (j - k) % 2)
+            assert list(row) == [float(u[k + 2 * j]) for j in range(k + 1)], k
+
+    def test_polynomials_are_the_table_by_horner(self):
+        # Each U_k at p, against its exact value at the float p, within the
+        # rounding bound of Horner's rule: a few ulps of the sum of the
+        # terms' magnitudes, as the terms cancel near the roots.
+        p = np.linspace(0.0, 1.0, 17)[1:-1]
+        exact = _debye_polynomials(len(specfun._DEBYE_U))
+        for u, value in zip(exact, specfun._debye_u(p)):
+            for pi, vi in zip(p, value):
+                terms = [c * Fraction(pi) ** j for j, c in enumerate(u)]
+                assert abs(vi - float(sum(terms))) <= 1e-14 * float(sum(map(abs, terms)))
+
+    @pytest.mark.parametrize("nu, x, value", [
+        # Frozen bits, where kve(nu, x) overflows just below its edge (0.9689
+        # at order 150, 22.137 at 300) and further below it.
+        (150.0, 0.96, "0x1.62b47fe78e8e6p+9"), (150.0, 0.5, "0x1.93a149954ae28p+9"),
+        (150.0, 1e-3, "0x1.b2dce886d6d0bp+10"), (300.0, 22.0, "0x1.585e32f81cdffp+9"),
+        (300.0, 11.0, "0x1.c07dde0f35ef2p+9"), (300.0, 0.02, "0x1.5cc1eb5244956p+11")])
+    def test_values_keep_their_bits(self, nu, x, value):
+        assert special.kve(nu, x) == math.inf
+        assert log_bessel_k(nu, x) == float.fromhex(value)
+        assert log_bessel_k(nu, np.array([x]))[0] == float.fromhex(value)
+
+
 class TestBesselProperties:
     def test_recurrence(self):
         # K_{v+1}(x) = K_{v-1}(x) + (2 v / x) K_v(x)
@@ -203,6 +257,15 @@ class TestBesselProperties:
         interp = log_bessel_k(49.0, 2.8e-6)
         assert left > interp > right
         assert math.isfinite(interp)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-308, 1e-310, 5e-324])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 10.0, 40.0])
+    def test_tiny_arguments_stay_finite(self, nu, x):
+        # log K_nu(x) = log Gamma(nu) + (nu - 1) log 2 - nu log x to rounding
+        # here, though 2 / x overflows below about 1e-308; at order 1 the
+        # series has no term past its first.
+        ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
+        assert log_bessel_k(nu, x) == pytest.approx(ref, rel=2.2e-16)
 
     def test_bessel_k_is_inf_just_past_the_largest_double(self):
         # log K_120(x) = 709.9 here: above log(max double), below 710
