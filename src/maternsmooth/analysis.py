@@ -65,7 +65,8 @@ class QuadratureConfig:
     into unit-width panels carrying ``nodes`` Gauss-Legendre points each.
     The estimated relative tail contribution beyond the truncation must
     stay below ``tail_bound``.  Both are positive finite reals, kept as
-    floats (:func:`~maternsmooth.errors.require_positive`).
+    floats (:func:`~maternsmooth.errors.require_positive`), and a rule may
+    hold at most ``2**20`` nodes (:func:`_check_rule`).
     """
 
     truncation: float = None
@@ -76,21 +77,35 @@ class QuadratureConfig:
         given = ("truncation", "tail_bound") if self.truncation is not None else ("tail_bound",)
         require_positive(self, given)
         check_integer("nodes", self.nodes, 2)
+        if self.truncation is not None:
+            _check_rule(self.truncation, self.nodes)
+
+
+# The most nodes a composite rule may hold, 8 MB of nodes and as many of
+# weights.  The default truncations of the Matern and Sobolev norms grow with
+# the order or the exponent; every check of the suite needs at most 14,400.
+_MAX_NODES = 2**20
+
+
+def _check_rule(truncation, nodes):
+    """:class:`DomainError` naming the truncation ``T`` when the composite
+    rule on [-T, T] with ``nodes`` per panel would hold more than
+    ``_MAX_NODES`` nodes."""
+    count = 2.0 * nodes * np.ceil(truncation)
+    if not count <= _MAX_NODES:
+        raise DomainError(f"truncation {truncation:g} needs {count:g} quadrature nodes, "
+                          f"more than {_MAX_NODES}")
 
 
 def _panel_rule(truncation, nodes):
-    """Nodes and weights of a composite Gauss-Legendre rule on [-T, T]."""
+    """Nodes and weights of a composite Gauss-Legendre rule on [-T, T],
+    checked (:func:`_check_rule`) before any is computed."""
+    _check_rule(truncation, nodes)
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.arange(0.0, truncation, 1.0)
-    edges = np.append(edges, truncation)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        xs.append(mid + half * base_x)
-        ws.append(half * base_w)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    edges = np.append(np.arange(0.0, truncation, 1.0), truncation)
+    half = 0.5 * np.diff(edges)[:, None]  # a column: one row of nodes per panel
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    x, w = (mid + half * base_x).ravel(), (half * base_w).ravel()
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
@@ -212,6 +227,7 @@ def gaussian_rkhs_norm_sq(tf, lambda_, q=QuadratureConfig()):
     overflows, and reported via the ``diverged`` flag rather than a number.
     """
     lambda_ = check_real("length-scale lambda_", lambda_)
+    check_real(f"lambda_**2 (lambda_={lambda_!r})", lambda_ * lambda_)
     log_integrand = _log_integrand(tf, lambda xi: 0.5 * lambda_**2 * xi**2)
     truncation = q.truncation if q.truncation is not None else 60.0
 

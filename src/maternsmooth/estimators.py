@@ -38,6 +38,7 @@ from .errors import (ConditioningError, DomainError, EstimationError, check_inte
 from .gp import _as_data, _prefix_posteriors, condition  # noqa: F401
 from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
+from .specfun import check_order
 
 __all__ = [
     "EstimatorConfig",
@@ -85,7 +86,9 @@ class EstimatorConfig:
 
     ``sigma`` and ``lambda_`` are held fixed unless ``profile_sigma`` is
     set, in which case the closed-form magnitude estimate is substituted
-    per candidate smoothness.
+    per candidate smoothness.  As in :class:`~maternsmooth.kernels.MaternParams`,
+    ``sigma**2`` must be positive and finite, and ``nu_max`` at most
+    :data:`~maternsmooth.specfun.ORDER_MAX`.
     """
 
     nu_min: float = 0.05
@@ -97,6 +100,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         require_positive(self, ("nu_min", "nu_max", "sigma", "lambda_"))
+        check_order("nu_max", self.nu_max)
+        check_real("sigma**2", self.sigma * self.sigma)
         if not self.nu_min < self.nu_max:
             raise DomainError(f"need nu_min < nu_max, got nu_min={self.nu_min!r}, "
                               f"nu_max={self.nu_max!r}")
@@ -123,7 +128,9 @@ class NuEstimate:
 
     The search reads the coarse cells coarse to fine
     (:func:`bracketed_minimize`), and the counts cover the cells it read:
-    ``failures`` lists those that could not be evaluated,
+    ``failures`` lists those that could not be evaluated, as ``(nu,
+    message)`` pairs (in a sweep, a failed factorization's message is
+    ``nu=<nu>, n=<n>: `` and the factor's own, see :func:`_cells`),
     ``irregular_failures`` counts those above the run that could still be
     evaluated (the search ignores them), and ``evaluations`` counts every
     distinct cell read plus the interior nodes of the bracket when it was
@@ -341,9 +348,10 @@ def _cells(design, y, kernel, profile, sizes, workspace=None):
     ``sizes`` are prefix sizes of ``design``.  Per size, a dict
     mapping each objective defined on ``n`` points to its ``s`` totals,
     profiled when ``profile`` is set, or to the :class:`ConditioningError` that
-    prevents that objective alone.  When the factorization fails, both
-    objectives map to one ``nu=..., n=...:`` error, which names the first
-    failing size after it.
+    prevents that objective alone.  When the factorization fails, each size
+    past its failing pivot maps both objectives to one error of its own,
+    ``nu=<nu>, n=<n>: `` and the factor's message, with the factor's
+    ``pivot_index`` and ``pivot_value``.
 
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
@@ -356,16 +364,11 @@ def _cells(design, y, kernel, profile, sizes, workspace=None):
     # Looked up at each call, so that a wrapper put on these bindings (as
     # the benchmark tracer does) sees the calls.
     read = {"ml": ell_ml_from, "cv": ell_cv_from}
-    cells, first = [], None
+    cells = []
     for n, post in zip(sizes, posts):
         if isinstance(post, ConditioningError):
-            if first is None:
-                first, text = n, str(post)
-            else:
-                text = (f"failed on prefix n={first}: pivot {post.pivot_index} = "
-                        f"{post.pivot_value:.3e}")
             cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
-                f"nu={kernel.nu:g}, n={n}: {text}", pivot_index=post.pivot_index,
+                f"nu={kernel.nu:g}, n={n}: {post}", pivot_index=post.pivot_index,
                 pivot_value=post.pivot_value)))
             continue
         cell = {name: _outcome(read[name], post) for name in _objective_names(n)}
@@ -461,8 +464,9 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     prefix's own, so a record equals the sweep of its prefix alone; at
     other sizes they agree to rounding.  A cell whose factorization fails
     at some pivot fails on every prefix beyond it up to the one factored,
-    and the prefixes after the first one record the prefix size, pivot
-    index and pivot value of that first failure.
+    and each of those prefixes' searches lists it in ``failures`` with one
+    message, ``nu=<nu>, n=<n>: `` and the factor's own (:func:`_cells`);
+    the records count those failures in their notes.
     """
     schedule = design.check_schedule(n_schedule)
     y_full = _as_data(design, y_full, "y_full")
@@ -477,11 +481,10 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     top = design.prefix(schedule[-1])
     searches = _searches(top, columns[:top.n], schedule, config)
 
-    records = [[] for _ in seeds]
-    for n, by_column, fill in zip(schedule, searches, fill_distances(top, schedule)):
-        for column, found, label in zip(records, by_column, seeds):
-            column.append(_prefix_record(n, found, fill, experiment, label))
-    return [record for column in records for record in column]
+    fills = fill_distances(top, schedule)
+    return [_prefix_record(n, by_column[j], fill, experiment, label)
+            for j, label in enumerate(seeds)
+            for n, by_column, fill in zip(schedule, searches, fills)]
 
 
 def _searches(top, columns, schedule, config):
@@ -538,38 +541,31 @@ def _searches(top, columns, schedule, config):
     return found
 
 
+# The columns and notes of an objective whose search ended in an error or is
+# not defined: NaN estimates, minima and tops, no saturation and no failures.
+_NO_ESTIMATE = NuEstimate(math.nan, math.nan, False, 0, (), math.nan, 0)
+
+
 def _prefix_record(n, searches, fill, experiment, seed):
     """The record of one data column on the prefix of ``n`` points, from
-    its ``searches`` (see :func:`_searches`)."""
-    nan = math.nan
-    notes, estimates = [], {}
+    its ``searches`` (see :func:`_searches`): per objective, its notes and
+    its columns, ML's before CV's."""
+    notes, columns = [], {}
     for name in ("ml", "cv"):
         found = searches.get(name)
         if found is None:
             notes.append(f"{name}_undefined_n<2")
         elif isinstance(found, EstimationError):
             notes.append(f"{name}_error={found}")
-        else:
-            estimates[name] = found
-            if found.failures:
-                notes.append(f"{name}_failures={len(found.failures)}")
-            if found.irregular_failures:
-                notes.append(f"{name}_irregular={found.irregular_failures}")
-            if found.non_unimodal:
-                notes.append(f"{name}_non_unimodal")
-    est_ml, est_cv = estimates.get("ml"), estimates.get("cv")
-    return SweepRecord(
-        experiment=experiment,
-        seed=seed,
-        n=n,
-        fill=fill,
-        nu_hat_ml=est_ml.nu_hat if est_ml else nan,
-        nu_hat_cv=est_cv.nu_hat if est_cv else nan,
-        ell_ml_min=est_ml.objective_at_min if est_ml else nan,
-        ell_cv_min=est_cv.objective_at_min if est_cv else nan,
-        hit_upper_ml=bool(est_ml.hit_upper_bracket) if est_ml else False,
-        hit_upper_cv=bool(est_cv.hit_upper_bracket) if est_cv else False,
-        searchable_upper_ml=est_ml.searchable_upper if est_ml else nan,
-        searchable_upper_cv=est_cv.searchable_upper if est_cv else nan,
-        notes=";".join(notes),
-    )
+        found = found if isinstance(found, NuEstimate) else _NO_ESTIMATE
+        if found.failures:
+            notes.append(f"{name}_failures={len(found.failures)}")
+        if found.irregular_failures:
+            notes.append(f"{name}_irregular={found.irregular_failures}")
+        if found.non_unimodal:
+            notes.append(f"{name}_non_unimodal")
+        columns.update({f"nu_hat_{name}": found.nu_hat,
+                        f"ell_{name}_min": found.objective_at_min,
+                        f"hit_upper_{name}": found.hit_upper_bracket,
+                        f"searchable_upper_{name}": found.searchable_upper})
+    return SweepRecord(experiment, seed, n, fill, notes=";".join(notes), **columns)

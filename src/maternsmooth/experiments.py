@@ -30,6 +30,7 @@ from .gp import (
 from .kernels import MaternParams, kernel_matrix
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
+from .specfun import check_order
 
 __all__ = [
     "ExperimentConfig",
@@ -89,11 +90,11 @@ class ExperimentConfig:
             check_schedule(self.schedule)
         check_integer("d", self.d, 1, 2)
         if self.nu0 is not None:
-            check_real("nu0", self.nu0)
+            check_order("nu0", check_real("nu0", self.nu0))
         for name in ("nu_grid", "nu_model"):
             nus = getattr(self, name) or ()
             for nu in nus:
-                check_real(f"each entry of {name}", nu)
+                check_order(f"each entry of {name}", check_real(f"each entry of {name}", nu))
             if len(set(nus)) != len(nus):
                 raise DomainError(f"{name} repeats an entry: {nus!r}")
         _generator(self.design, self.d)

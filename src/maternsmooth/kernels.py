@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DegenerateDesignError, check_array, check_integer, check_real,
                      require_positive)
-from .specfun import log_bessel_k, log_gamma
+from .specfun import check_order, log_bessel_k, log_gamma
 
 __all__ = [
     "MaternParams",
@@ -58,8 +58,10 @@ class MaternParams:
     """The Matern kernel of smoothness ``nu``, magnitude ``sigma`` and
     length-scale ``lambda_`` in dimension ``d``, normalised by
     :func:`log_c_scaling`; called on distances, it gives their
-    covariances (:func:`matern_eval`).  ``nu``, ``sigma``, ``lambda_`` and
-    ``sigma**2`` must be positive and finite."""
+    covariances (:func:`matern_eval`).  ``nu``, ``sigma``, ``lambda_``,
+    ``sigma**2`` and the distance scale ``sqrt(2 nu) / lambda_`` must be
+    positive and finite, and ``nu`` at most the Bessel layer's
+    :data:`~maternsmooth.specfun.ORDER_MAX`."""
 
     nu: float
     sigma: float = 1.0
@@ -68,7 +70,10 @@ class MaternParams:
 
     def __post_init__(self):
         require_positive(self, ("nu", "sigma", "lambda_"))
+        check_order("nu", self.nu)
         check_real("sigma**2", self.sigma * self.sigma)
+        check_real(f"sqrt(2 nu) / lambda_ (nu={self.nu!r}, lambda_={self.lambda_!r})",
+                   math.sqrt(2.0 * self.nu) / self.lambda_)
         check_integer("dimension d", self.d, 1)
 
     def __call__(self, r):

@@ -62,13 +62,22 @@ import math
 import numpy as np
 from scipy import special as _special
 
-from .errors import AccuracyError, check_array, check_real
+from .errors import AccuracyError, DomainError, check_array, check_real
 
 __all__ = [
     "log_gamma",
     "bessel_k",
     "log_bessel_k",
 ]
+
+# The highest order accepted, by the Bessel functions and the kernel.  Up to
+# it, log_bessel_k agreed with mpmath to 1.1e-16 at orders 1e4, 1e5 and 1e6
+# and arguments from 1e-300 to 1e3, and is finite at every argument from
+# 1e-300 to 1e300.  Above it, at x = 1e-300, the uniform expansion's
+# ``x / nu`` stops being a normal double from order 4.5e7, and its
+# logarithm's argument underflows to zero from order 2e23; at x = 1 its
+# ``nu * eta`` overflows from order 3e305.
+ORDER_MAX = 1e6
 
 # Order threshold above which the uniform large-order expansion is used
 # when the scaled SciPy routine overflows.
@@ -347,10 +356,18 @@ def _log_k_fallback(nu, x):
     return out
 
 
+def check_order(name, nu):
+    """``nu``, a real number already checked: :class:`DomainError` naming
+    ``name`` when it is above ``ORDER_MAX``."""
+    if nu > ORDER_MAX:
+        raise DomainError(f"{name} must be at most {ORDER_MAX:g}, got {nu!r}")
+    return nu
+
+
 def _order_and_arguments(nu, x):
     """Validated order, arguments as an array of at least one dimension, and
     whether ``x`` is scalar."""
-    nu = check_real("order nu", nu, "nonnegative")
+    nu = check_order("order nu", check_real("order nu", nu, "nonnegative"))
     arr = check_array("x", x)
     scalar = np.isscalar(x) or arr.ndim == 0
     return nu, np.atleast_1d(arr), scalar
@@ -361,15 +378,15 @@ def log_bessel_k(nu, x):
 
     Agrees with ``log(bessel_k(nu, x))`` wherever the latter is
     representable and remains finite far beyond that, for orders up to
-    several hundred.  Where ``kve`` overflows, the small-argument series is
-    summed to a relative term size of 1e-13, and raises
-    :class:`~maternsmooth.errors.AccuracyError` if it has not got there
-    within 200 terms.
+    ``ORDER_MAX`` and arguments from 1e-300 to 1e300.  Where ``kve``
+    overflows, the small-argument series is summed to a relative term size
+    of 1e-13, and raises :class:`~maternsmooth.errors.AccuracyError` if it
+    has not got there within 200 terms.
 
     Parameters
     ----------
     nu : float
-        Order, ``nu >= 0``.
+        Order, ``0 <= nu <= ORDER_MAX``.
     x : float or ndarray
         Argument(s), strictly positive.
 

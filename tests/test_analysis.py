@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from maternsmooth import analysis
 from maternsmooth.analysis import (
     QuadratureConfig,
     builtin_test_functions,
@@ -117,6 +118,14 @@ class TestMaternNorm:
         value = matern_rkhs_norm_sq(tf, MaternParams(64.0, 1.0, SQRT2))
         assert value <= math.pi * 1.05
 
+    def test_order_past_the_largest_rule_is_refused(self):
+        # The default truncation 8 (nu + 1) + 80 needs 1.9e8 nodes at nu =
+        # 1e6, which held more memory than the machine had.
+        with pytest.raises(DomainError) as caught:
+            matern_rkhs_norm_sq(CATALOG["gauss_bump"], MaternParams(1e6))
+        assert str(caught.value) == ("truncation 8.00009e+06 needs 1.92002e+08 quadrature "
+                                     "nodes, more than 1048576")
+
     def test_monotone_in_smoothness_for_cauchy_like(self):
         tf = CATALOG["cauchy_like"]
         vals = [matern_rkhs_norm_sq(tf, MaternParams(nu, 1.0, SQRT2))
@@ -193,6 +202,14 @@ class TestGaussianNorm:
         with pytest.raises(DomainError):
             gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], 0.0)
 
+    @pytest.mark.parametrize("lam, square", [(1e-320, "0.0"), (1e200, "inf")])
+    def test_length_scale_whose_square_is_not_a_positive_double(self, lam, square):
+        # lambda**2 scales the weight and the prefactor: 0 divided by zero.
+        with pytest.raises(DomainError) as caught:
+            gaussian_rkhs_norm_sq(CATALOG["gauss_bump"], lam)
+        assert str(caught.value) == (f"lambda_**2 (lambda_={lam!r}) must be positive and "
+                                     f"finite, got {square}")
+
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan, True, "1"])
     def test_bad_length_scale_is_rejected(self, lam):
         with pytest.raises(DomainError, match="length-scale"):
@@ -224,6 +241,14 @@ class TestSobolevNorm:
         with pytest.raises(DomainError, match=f"^alpha must be finite, got {alpha!r}$"):
             sobolev_norm_sq(CATALOG["gauss_bump"], alpha)
 
+    def test_exponent_past_the_largest_rule_is_refused(self):
+        # The default truncation 8 (|alpha| + 1) + 80 overflows at alpha =
+        # 1e308: refused by name before a node is computed.
+        with pytest.raises(DomainError) as caught:
+            sobolev_norm_sq(CATALOG["gauss_bump"], 1e308)
+        assert str(caught.value) == ("truncation inf needs inf quadrature nodes, "
+                                     "more than 1048576")
+
     def test_tail_violation_raises(self):
         # The tail beyond 5 is about 931 of 2290.
         with pytest.raises(AccuracyError, match="Sobolev norm"):
@@ -240,6 +265,39 @@ class TestQuadratureConfig:
     def test_bad_field_is_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
             QuadratureConfig(**{field: value})
+
+    def test_truncation_past_the_largest_rule_is_refused(self):
+        # 2 * 1e300 * 12 nodes: refused by name with the settings.
+        with pytest.raises(DomainError) as caught:
+            QuadratureConfig(truncation=1e300)
+        assert str(caught.value) == ("truncation 1e+300 needs 2.4e+301 quadrature nodes, "
+                                     "more than 1048576")
+
+    @pytest.mark.parametrize("truncation, nodes", [(60.0, 12), (7.25, 5), (0.5, 2),
+                                                   (600.0, 24)])
+    def test_rule_is_the_panel_loop(self, truncation, nodes):
+        # The rule, built for all panels at once, is bit for bit the
+        # reference: each panel's Gauss-Legendre nodes mapped in turn, the
+        # positive half mirrored.
+        base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+        edges = np.append(np.arange(0.0, truncation, 1.0), truncation)
+        panels = list(zip(edges[:-1], edges[1:]))
+        x = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * base_x for a, b in panels])
+        w = np.concatenate([0.5 * (b - a) * base_w for a, b in panels])
+        got_x, got_w = analysis._panel_rule(truncation, nodes)
+        assert got_x.tobytes() == np.concatenate([-x[::-1], x]).tobytes()
+        assert got_w.tobytes() == np.concatenate([w[::-1], w]).tobytes()
+
+    def test_largest_rule_is_held(self):
+        # 2 * 43,690 panels of 12 nodes: the largest rule of at most 2**20
+        # nodes; half a panel more is refused, by the settings and the rule.
+        q = QuadratureConfig(truncation=43690.0)
+        x, w = analysis._panel_rule(q.truncation, q.nodes)
+        assert x.size == w.size == 2 * 43690 * 12
+        for refuse in (lambda: QuadratureConfig(truncation=43690.5),
+                       lambda: analysis._panel_rule(43690.5, 12)):
+            with pytest.raises(DomainError, match="^truncation 43690.5 needs 1.04858e"):
+                refuse()
 
     def test_numpy_values_are_accepted(self):
         q = QuadratureConfig(truncation=np.float64(20.0), nodes=np.int64(8), tail_bound=1e-6)

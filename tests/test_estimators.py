@@ -99,6 +99,7 @@ class TestConfig:
         dict(coarse_grid="60"),
         dict(sigma=True),
         dict(sigma=0.0), dict(sigma=math.inf), dict(lambda_=-1.0), dict(lambda_=math.nan),
+        dict(sigma=1e200), dict(sigma=1e-200), dict(nu_max=1e7),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -529,6 +530,16 @@ class TestSweeps:
         assert getattr(records[0], f"nu_hat_{objective}") == est.nu_hat
         assert getattr(records[0], f"ell_{objective}_min") == est.objective_at_min
 
+    def test_record_of_one_point(self, sample_instance):
+        # Cross-validation is undefined on one point: its columns are NaN
+        # and unsaturated, and the note says why.  ML saturates the bracket.
+        design, y = sample_instance
+        (record,) = sweep_prefixes(design, y, [1], EstimatorConfig(), experiment="x",
+                                   seed=202)
+        assert repr(record.as_row()) == (
+            "['x', 202, 1, 1.0, 15.0, nan, 0.5428874610640392, nan, True, False, 15.0, nan, "
+            "'cv_undefined_n<2']")
+
     def test_running_tail_minimum_is_monotone(self, sample_instance):
         # liminf proxy: the running minimum over the tail never decreases
         design, y = sample_instance
@@ -947,6 +958,13 @@ class TestSweeps:
             assert math.isnan(record.nu_hat_ml) and math.isnan(record.nu_hat_cv)
             assert math.isnan(record.searchable_upper_ml)
             assert math.isnan(record.searchable_upper_cv)
+        # Every column of a record whose searches ended in errors: NaN
+        # estimates, minima and tops, and no saturation.
+        notes = ("ml_error=sigma profiling is degenerate for zero data;"
+                 "cv_error=sigma profiling is degenerate for zero data")
+        assert [repr(record.as_row()) for record in together[2:]] == [
+            f"['', 0, {n}, {fill}, nan, nan, nan, nan, False, False, nan, nan, '{notes}']"
+            for n, fill in ((16, 0.0625), (64, 0.015625))]
 
     def test_degenerate_column_costs_the_others_nothing(self, sample_instance, monkeypatch):
         # The all-zero column fails its own totals only: the shared coarse
@@ -1022,7 +1040,8 @@ class TestPrefixRule:
         # Jittered van der Corput points on [0, 1], n = 64 and 128.  The
         # 128-point searches run first: a cell they read that fails before
         # pivot 64 fails on both prefixes from its one factorization, on 128
-        # points, and the 128-point prefix records the 64-point failure.
+        # points, and each prefix gets an error of its own that carries the
+        # factor's message and pivot.
         # The cell above the run of the 64-point searches is read by them
         # alone, so it is factored on 64 points alone.
         base = van_der_corput(UNIT, 128).points[:, 0]
@@ -1033,10 +1052,12 @@ class TestPrefixRule:
         y = builtin_test_functions()["gauss_bump"](points)
         cfg = EstimatorConfig(nu_max=300.0, lambda_=0.05)
         factored, cells, factor, compute = [], [], gp._factor, estimators._cells
+        factor_errors = {}
 
         def factoring(kernel, design, buffer=None):
             out = factor(kernel, design, buffer)
             factored.append((kernel.nu, design.n))
+            factor_errors[kernel.nu] = out[1]
             return out
 
         def recording(prefix, values, kernel, profile, sizes, workspace=None):
@@ -1051,13 +1072,13 @@ class TestPrefixRule:
         assert len(reached) == 3
         for nu, n, sizes, (small, large) in reached[:-1]:
             assert (n, sizes) == (128, (64, 128)) and [m for v, m in factored if v == nu] == [128]
-            err = small["ml"]
-            assert str(err).startswith(f"nu={nu:g}, n=64: ") and err.pivot_index < 64
-            assert str(large["ml"]) == (f"nu={nu:g}, n=128: failed on prefix n=64: pivot "
-                                        f"{err.pivot_index} = {err.pivot_value:.3e}")
-            assert (large["ml"].pivot_index, large["ml"].pivot_value) == (err.pivot_index,
-                                                                          err.pivot_value)
-            assert large["cv"] is large["ml"]
+            own = factor_errors[nu]
+            assert isinstance(own, ConditioningError) and own.pivot_index < 64
+            for err, m in ((small["ml"], 64), (large["ml"], 128)):
+                assert str(err) == f"nu={nu:g}, n={m}: {own}"
+                assert (err.pivot_index, err.pivot_value) == (own.pivot_index, own.pivot_value)
+            assert large["ml"] is not small["ml"]
+            assert large["cv"] is large["ml"] and small["cv"] is small["ml"]
         ((nu, n, sizes, (small,)),) = reached[-1:]
         assert (n, sizes) == (64, (64,)) and [m for v, m in factored if v == nu] == [64]
         assert first.hit_upper_ml and nu > first.searchable_upper_ml
@@ -1065,8 +1086,20 @@ class TestPrefixRule:
         # The record of the smaller prefix is that of its sweep alone.
         assert repr(first) == repr(sweep_prefixes(design.prefix(64), y[:64], [64], cfg)[0])
 
-    def test_inherited_failure_names_the_first_prefix(self, smooth_instance):
+    def test_inherited_failure_names_the_first_prefix(self, smooth_instance, monkeypatch):
+        # A cell that fails on 32 points fails on 64 from its one
+        # factorization, on 64 points: each size's failure is the factor's
+        # message headed by the order and that size, and the factor's pivot,
+        # below 32, names the first prefix that fails.
         design, y, cfg = smooth_instance
+        factor, factor_errors = gp._factor, {}
+
+        def factoring(kernel, design, buffer=None):
+            out = factor(kernel, design, buffer)
+            factor_errors[kernel.nu] = out[1]
+            return out
+
+        monkeypatch.setattr(gp, "_factor", factoring)
         searches = estimators._searches(design, y[:, None], self.SCHEDULE, cfg)
         # one ML and one CV search per prefix, in schedule order
         scans = [(n, found[name]) for n, (found,) in zip(self.SCHEDULE, searches)
@@ -1074,12 +1107,13 @@ class TestPrefixRule:
         assert all(isinstance(scan, estimators.NuEstimate) for _, scan in scans)
         at_32 = {nu: msg for n, scan in scans if n == 32 for nu, msg in scan.failures}
         inherited = [(nu, msg) for n, scan in scans if n == 64 for nu, msg in scan.failures
-                     if "failed on prefix" in msg]
+                     if nu in at_32]
         assert inherited
         for nu, msg in inherited:
-            assert msg.startswith(f"nu={nu:g}, n=64: failed on prefix n=32: pivot ")
-            pivot = msg.split("failed on prefix n=32: ")[1]
-            assert at_32[nu].startswith(f"nu={nu:g}, n=32: ") and pivot in at_32[nu]
+            own = factor_errors[nu]
+            assert isinstance(own, ConditioningError) and own.pivot_index < 32
+            assert at_32[nu] == f"nu={nu:g}, n=32: {own}"
+            assert msg == f"nu={nu:g}, n=64: {own}"
 
 
 def _search_alone(design, y, n, name, config):

@@ -654,6 +654,31 @@ class TestCli:
         assert "configuration error: seed must be an integer >= 0, got -1" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command,extra", [("variance-decay", []),
+                                               ("non-undersmoothing", ["--nu0", "1.5"])])
+    def test_sigma_whose_square_overflows_exit_two(self, command, extra, tmp_path, capsys):
+        # sigma = 1e200 is finite, but its square is not: the settings refuse
+        # it, before any work is done and before the CSV is written.
+        out = tmp_path / "out.csv"
+        assert main([command, "--sigma", "1e200", "--out", str(out)] + extra) == 2
+        assert not out.exists()
+        assert ("configuration error: sigma**2 must be positive and finite, got inf"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["variance-decay", "--nu-grid", "1,2e6"], "each entry of nu_grid"),
+        (["convergence", "--nu-model", "2e6"], "each entry of nu_model"),
+        (["non-undersmoothing", "--nu0", "2e6"], "nu0"),
+    ])
+    def test_order_above_the_bessel_ceiling_exit_two(self, argv, name, tmp_path, capsys):
+        # An order the kernel refuses is refused with the settings, before
+        # any work is done and before the CSV is written.
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"configuration error: {name} must be at most 1e+06, got 2000000.0"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("line", ["schedule = ,", "schedule =", "nu_grid = ,"])
     def test_empty_list_in_a_file_exit_two_without_csv(self, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -18,7 +18,7 @@ from maternsmooth.kernels import (
     log_c_scaling,
     matern_eval,
 )
-from maternsmooth.specfun import log_bessel_k
+from maternsmooth.specfun import ORDER_MAX, log_bessel_k
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,6 +222,25 @@ def test_magnitude_whose_square_is_not_a_positive_double_is_refused(sigma, shown
     with pytest.raises(DomainError) as caught:
         MaternParams(1.5, sigma=sigma)
     assert str(caught.value) == f"sigma**2 must be positive and finite, got {shown}"
+
+
+def test_order_above_the_bessel_ceiling_is_refused():
+    # Up to the ceiling the record is a kernel; above it the Bessel layer
+    # would return NaN, so the record refuses the order by name.
+    assert MaternParams(ORDER_MAX).nu == ORDER_MAX
+    with pytest.raises(DomainError) as caught:
+        MaternParams(1e308)
+    assert str(caught.value) == "nu must be at most 1e+06, got 1e+308"
+
+
+@pytest.mark.parametrize("nu, lam", [(1.5, 1e-310), (1.5, 5e-324), (ORDER_MAX, 1e-306)])
+def test_length_scale_whose_distance_scale_overflows_is_refused(nu, lam):
+    # sqrt(2 nu) / lambda_ scales every distance: an infinite scale is the
+    # record's fault, not that of the distances it is called on.
+    with pytest.raises(DomainError) as caught:
+        MaternParams(nu, lambda_=lam)
+    assert str(caught.value) == (f"sqrt(2 nu) / lambda_ (nu={nu!r}, lambda_={lam!r}) must be "
+                                 f"positive and finite, got inf")
 
 
 @pytest.mark.parametrize("args", [("1.5",), (True,), (1.5, "1"), (1.5, True),

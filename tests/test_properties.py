@@ -30,7 +30,7 @@ from maternsmooth import gp, kernels
 from maternsmooth.gp import condition, condition_prefixes, loo
 from maternsmooth.kernels import MaternParams, kernel_matrix, kernel_panels
 from maternsmooth.objectives import ell_cv_from, ell_ml_from
-from maternsmooth.specfun import bessel_k, log_bessel_k
+from maternsmooth.specfun import ORDER_MAX, bessel_k, log_bessel_k
 from test_designs import dense_closest, dense_fill
 
 PROPERTY = settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -681,6 +681,27 @@ def test_tiny_arguments_give_the_leading_term(nu, x):
         value = log_bessel_k(nu, x)
     ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
     assert math.isfinite(value) and abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def _log_uniform(low, high):
+    """Floats drawn uniformly in log scale on ``[low, high]``, both ends
+    included."""
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
+        lambda t: min(max(math.exp(t), low), high))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.one_of(_log_uniform(0.05, ORDER_MAX), st.sampled_from((0.05, ORDER_MAX))),
+       st.lists(st.one_of(_log_uniform(1e-300, 1e300), st.sampled_from((1e-300, 1e300))),
+                min_size=1, max_size=8))
+def test_log_bessel_k_is_finite_on_its_whole_domain(nu, xs):
+    # Every order up to the ceiling and every argument from 1e-300 to 1e300:
+    # finite values, each that of its argument alone, and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = log_bessel_k(nu, np.array(xs))
+        alone = [log_bessel_k(nu, x) for x in xs]
+    assert np.all(np.isfinite(values)) and values.tolist() == alone
 
 
 # Array sizes on both sides of LARGE, up to 3 * LARGE arguments.

@@ -21,6 +21,7 @@ from maternsmooth.designs import Box, Design, van_der_corput
 from maternsmooth.errors import AccuracyError, DomainError
 from maternsmooth.kernels import MaternParams, kernel_matrix
 from maternsmooth.specfun import (
+    ORDER_MAX,
     bessel_k,
     log_bessel_k,
     log_gamma,
@@ -309,6 +310,17 @@ class TestValidation:
             with pytest.raises(DomainError) as caught:
                 function(bad_nu, 1.0)
             assert str(caught.value) == f"order nu must be nonnegative and finite, got {bad_nu!r}"
+
+    def test_order_above_the_ceiling_is_refused(self):
+        # Up to the ceiling the value is finite; above it, at 1e308, the
+        # uniform expansion overflowed to NaN with three warnings.
+        assert math.isfinite(log_bessel_k(ORDER_MAX, 1.0))
+        for function in (bessel_k, log_bessel_k):
+            with pytest.raises(DomainError) as caught:
+                function(1e308, 1.0)
+            assert str(caught.value) == "order nu must be at most 1e+06, got 1e+308"
+            with pytest.raises(DomainError, match="at most"):
+                function(math.nextafter(ORDER_MAX, math.inf), 1.0)
 
     @pytest.mark.parametrize("function, args, twin", [
         # An order that is no real number, or a bool, and arguments whose

@@ -41,6 +41,7 @@ KEEP = {
     "analysis.sobolev_norm_sq": _NORM,
     "analysis._spectral_integral": _NORM,
     "analysis._panel_rule": _NORM,
+    "analysis._check_rule": _NORM,
     "analysis._require_fourier": _NORM,
     "analysis._log_integrand": _NORM,
     "analysis._log_integrand.<locals>.log_integrand": _NORM,
