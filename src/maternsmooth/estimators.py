@@ -36,7 +36,7 @@ from .designs import fill_distance, fill_distances  # noqa: F401
 from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
                      check_real, require_positive)
 from .gp import _as_data, _prefix_posteriors, condition  # noqa: F401
-from .kernels import MaternParams
+from .kernels import MaternParams, check_distance_scale
 from .objectives import ell_cv_from, ell_ml_from
 from .specfun import check_order
 
@@ -88,7 +88,9 @@ class EstimatorConfig:
     set, in which case the closed-form magnitude estimate is substituted
     per candidate smoothness.  As in :class:`~maternsmooth.kernels.MaternParams`,
     ``sigma**2`` must be positive and finite, and ``nu_max`` at most
-    :data:`~maternsmooth.specfun.ORDER_MAX`.
+    :data:`~maternsmooth.specfun.ORDER_MAX`.  The distance scale
+    ``sqrt(2 nu) / lambda_`` of the smoothness searched is checked where
+    a search starts (:func:`_searches`).
     """
 
     nu_min: float = 0.05
@@ -504,15 +506,25 @@ def _searches(top, columns, schedule, config):
     reaches every size beyond ``p`` up to that prefix.  A stored
     :class:`ConditioningError` is returned to the search, which records it;
     a column's stored profiling error is raised and ends its search.  Every
-    cell writes its factor and inverse into one pair of buffers of
-    ``top``'s size.
+    cell writes its factor into one buffer of ``top``'s size, and its
+    leave-one-out inverse over that factor
+    (:func:`~maternsmooth.gp._prefix_posteriors`).
+
+    Raises :class:`DomainError`, before any cell is factored, unless the
+    distance scale ``sqrt(2 nu) / lambda_`` is positive and finite at
+    ``nu_max`` and at ``nu_min``, and so at every smoothness searched.
     """
+    check_distance_scale(config.nu_max, config.lambda_)
+    check_distance_scale(config.nu_min, config.lambda_)
     cells = {}
-    # Reused, not fresh per cell: the outputs are the same either way, but a
-    # fresh array pays its page faults on first touch.  On a 2-core Intel
-    # Xeon, filling 16 MB took 3.9-13.2 ms the first time and 2.1-6.3 ms
-    # again, and fresh arrays per cell made the benchmark's sweep slower.
-    workspace = (np.empty(top.n * top.n), np.empty(top.n * top.n))
+    # One buffer, reused, not fresh per cell: the outputs are the same
+    # either way, but a fresh array pays its page faults on first touch.  On
+    # a 2-core Intel Xeon, filling 16 MB took 3.9-13.2 ms the first time and
+    # 2.1-6.3 ms again, and fresh arrays per cell made the benchmark's sweep
+    # slower.  The inverse overwrites the factor, so the sweep holds
+    # ``top.n**2`` doubles where a factor and an inverse apart would hold
+    # twice as many.
+    workspace = np.empty(top.n * top.n)
     sigma = 1.0 if config.profile_sigma else config.sigma
 
     def lookup(i, name, j, nu):

@@ -27,7 +27,7 @@ from .gp import (
     loo_variances,
     quadratic_form,
 )
-from .kernels import MaternParams, kernel_matrix
+from .kernels import MaternParams, check_distance_scale, kernel_matrix
 # ``ell_*_from`` stay bound here for the benchmark tracer, which wraps them.
 from .objectives import ell_cv_from, ell_ml_from  # noqa: F401
 from .specfun import check_order
@@ -134,7 +134,10 @@ def _check_command(command, config):
     A setting that the command does not read must be at its default, and
     the rules on values hold: the configured design generator takes ``d``
     (a one-point design of it is built, so van der Corput's own rule on the
-    dimension speaks), the catalog functions are one-dimensional, ``logdet-growth`` draws one path (a seed
+    dimension speaks), the distance scale ``sqrt(2 nu) / lambda_`` of every
+    smoothness the command uses (:func:`_orders`, and the estimator's
+    ``nu_min`` and ``nu_max`` where it searches) is positive and finite,
+    the catalog functions are one-dimensional, ``logdet-growth`` draws one path (a seed
     list given holds one seed), ``non-undersmoothing``
     takes exactly one of ``nu0`` and ``f0`` and reads no seeds with ``f0``,
     and ``convergence`` keeps its probes off the design points.
@@ -147,6 +150,12 @@ def _check_command(command, config):
             if f.name not in _READS[command] + _NOT_SETTINGS and value != f.default:
                 raise DomainError(f"{command} does not read {f.name}, got {value!r}")
     make_design(config.design, config.d, 1)  # the generator's own rules on d
+    nu0, nus = _orders(command, config)
+    orders = {nu0, *nus} - {None}
+    if "nu_max" in _READS[command]:
+        orders |= {config.estimator.nu_min, config.estimator.nu_max}
+    for nu in sorted(orders, reverse=True):  # a tiny lambda_ fails first at the largest
+        check_distance_scale(nu, config.estimator.lambda_)
     if config.f0 is not None and config.d != 1:
         raise DomainError(f"the catalog function {config.f0!r} is one-dimensional")
     if command == "logdet-growth" and config.seeds is not None and len(config.seeds) != 1:
@@ -165,6 +174,21 @@ def _check_command(command, config):
         n = max(config.schedule or _CONVERGENCE_SCHEDULE)
         if n > 513:
             raise DomainError(f"convergence needs at most 513 design points, got {n}")
+
+
+def _orders(command, config):
+    """The smoothness ``nu0`` that the experiment ``command`` draws its paths
+    at (None when it draws none) and those of the kernels it fits, the
+    command's defaults in place of the settings left unset."""
+    if command == "variance-decay":
+        return None, config.nu_grid or (0.5, 1.0, 2.0)
+    if command == "logdet-growth":
+        nu0 = config.nu0 if config.nu0 is not None else 1.0
+        return nu0, config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
+    if command == "convergence":
+        nu0 = config.nu0 if config.nu0 is not None else 1.5
+        return nu0, config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0)
+    return config.nu0, ()
 
 
 @dataclass(frozen=True)
@@ -371,7 +395,7 @@ def _prefix_cells(kernel, design, y, schedule, read):
 def run_variance_decay(config):
     """Decay rate of the worst leave-one-out variance along a schedule."""
     _check_command("variance-decay", config)
-    nus = config.nu_grid or (0.5, 1.0, 2.0)
+    _, nus = _orders("variance-decay", config)
     schedule = config.schedule or ((16, 32, 64, 128, 256, 512, 1024) if config.d == 1
                                    else (9, 25, 81, 289, 1089))
     design = make_design(config.design, config.d, max(schedule))
@@ -505,8 +529,7 @@ def run_logdet_growth(config):
     open conjecture).
     """
     _check_command("logdet-growth", config)
-    nu0 = config.nu0 if config.nu0 is not None else 1.0
-    nus = config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
+    nu0, nus = _orders("logdet-growth", config)
     schedule = config.schedule or (16, 32, 64, 128, 256, 512)
     design = make_design(config.design, config.d, max(schedule))
     (seed,) = config.seeds or DEFAULT_SEEDS[:1]
@@ -578,8 +601,7 @@ def run_convergence(config):
     model, then prefix size.
     """
     _check_command("convergence", config)
-    nu0 = config.nu0 if config.nu0 is not None else 1.5
-    models = config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0)
+    nu0, models = _orders("convergence", config)
     schedule = config.schedule or _CONVERGENCE_SCHEDULE
     design = make_design("van_der_corput", 1, max(schedule))
     probes = _convergence_probes(config.probe_count)

@@ -18,12 +18,19 @@ The factor is grown by row panels ending at 16, 32, 64, ... points, each
 finished by factoring its diagonal block, so that the factor of a design
 prefix is the leading block of the full one and one factorization serves
 every prefix of a nested design (:meth:`Posterior.prefix`).
-Leave-one-out quantities use the factor's inverse, grown by the same row
-panels (the inverse of each diagonal block, two ``dtrmm`` for the rows
-left of it), so the inverse of a prefix is the leading block of the full
-one too.  The factorization computes it once, on the first leave-one-out
-request, and so the forward solve ``L^{-1} y`` on the first quadratic
-form; every posterior it serves reads their leading parts.
+Leave-one-out quantities use the factor's inverse ``W = L^{-1}``, grown by
+the same row panels (the inverse of each diagonal block, two ``dtrmm`` for
+the rows left of it), so the inverse of a prefix is the leading block of
+the full one too.  The factorization computes it once, on the first
+leave-one-out request, and so the forward solve ``L^{-1} y`` on the first
+quadratic form; every posterior it serves reads their leading parts.  The
+inverse is written over a copy of the factor, or in a sweep's workspace
+(:func:`_prefix_posteriors`) over the factor itself: each row panel reads
+the factor's rows before it writes their inverse, so one buffer of
+``n * n`` doubles serves both, with the same values.  Before that
+overwrite the factorization computes the forward solve and the weights
+``K^{-1} y`` of every prefix it serves, and it keeps the factor's
+diagonal: all that the objectives read of the factor.
 
 A diagonal block wider than 64 rows is itself factored and inverted by
 sub-panels of 64 rows (:data:`_SUB`): LAPACK ``dpotrf`` (whose ``info``
@@ -203,42 +210,44 @@ def _factor_block(block, floor, offset):
     return None
 
 
-def _invert(chol, m, buffer=None):
+def _invert(chol, m, in_place=False):
     """Inverse ``W`` of the leading ``m`` by ``m`` block of a lower factor,
     grown by the row panels of :func:`_factor` (:func:`_invert_rows`).
 
     The inverse of a prefix of at most 16 or ``16 * 2**k`` points thus
     meets the same operations on the same data as in any larger factor: it
     is bit for bit the leading block of theirs.  Returns the
-    Fortran-ordered inverse, written into ``buffer`` when one is given (see
-    :func:`_square`).
+    Fortran-ordered inverse, written over a copy of that block, or with
+    ``in_place`` over the block of ``chol`` itself.
     """
-    W = _square(buffer, m)
-    _invert_rows(chol, W, _panel_ends(m))
+    W = chol[:m, :m] if in_place else np.array(chol[:m, :m], order="F")
+    _invert_rows(W, _panel_ends(m))
     return W
 
 
-def _invert_rows(L, W, ends, offset=0):
-    """Write the inverse of the lower triangular ``L`` into ``W``, zeros of
-    its shape, by the row blocks ending at ``ends``; raises the
+def _invert_rows(W, ends, offset=0):
+    """Overwrite the lower triangular ``W``, zeros above its diagonal, with
+    its inverse by the row blocks ending at ``ends``; raises the
     :class:`ConditioningError` naming the first zero diagonal entry, numbered
     from ``offset``, when ``dtrtri`` reports one.  No factor that
     :func:`_factor` accepts has one: each of its pivots is at least
     ``PIVOT_RTOL * K(0)``.
 
     Block ``a:b`` inverts its diagonal block and forms the rows left of it
-    as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``).  A diagonal block of at
-    most ``_SUB`` rows is one ``dtrtri`` call; a wider one is inverted the
-    same way by sub-panels of ``_SUB`` rows.  A first block of fewer than
-    16 rows is padded to 16 by :func:`_first_block`, as in :func:`_factor`.
+    as ``W21 = -W22 (L21 W11)`` (two ``dtrmm``): the rows ``L21`` of the
+    factor are read before their inverse is written over them, and ``W11``
+    from the rows already inverted.  A diagonal block of at most ``_SUB``
+    rows is one ``dtrtri`` call; a wider one is inverted the same way by
+    sub-panels of ``_SUB`` rows.  A first block of fewer than 16 rows is
+    padded to 16 by :func:`_first_block`, as in :func:`_factor`.
     """
     a = 0
     for b in ends:
         if b - a > _SUB:
             w = b - a
-            _invert_rows(L[a:b, a:b], W[a:b, a:b], [*range(_SUB, w, _SUB), w], offset + a)
+            _invert_rows(W[a:b, a:b], [*range(_SUB, w, _SUB), w], offset + a)
         else:
-            block = _first_block(L[:b, :b]) if b < _FIRST_PANEL else L[a:b, a:b]
+            block = _first_block(W[:b, :b]) if b < _FIRST_PANEL else W[a:b, a:b]
             inv, info = _lapack_call("dtrtri", block, lower=1)
             if info:
                 p = offset + a + info - 1
@@ -247,7 +256,7 @@ def _invert_rows(L, W, ends, offset=0):
                     pivot_index=p, pivot_value=float(block[info - 1, info - 1]))
             W[a:b, a:b] = inv[:b - a, :b - a]
         if a:
-            left = _blas.dtrmm(1.0, W[:a, :a], L[a:b, :a], side=1, lower=1)
+            left = _blas.dtrmm(1.0, W[:a, :a], W[a:b, :a], side=1, lower=1)
             W[a:b, :a] = _blas.dtrmm(-1.0, W[a:b, a:b], left, lower=1, overwrite_b=1)
         a = b
 
@@ -267,26 +276,52 @@ class _Factorization:
     ``chol`` is the factor of ``design``, up to its first failing pivot
     if it has one, and ``y`` a copy of the data, shape ``(n,)`` or
     ``(n, s)``.  ``top`` is the largest size a posterior is read at: the
-    inverse of the factor's first ``top`` rows (written into ``buffer`` if
-    one is given) and the forward solve ``L^{-1} y`` of their data are
-    each computed once, on the first request, and then read by every
-    posterior (:meth:`posterior`).
+    inverse of the factor's first ``top`` rows and the forward solve
+    ``L^{-1} y`` of their data are each computed once, on the first
+    request, and then read by every posterior (:meth:`posterior`), as is
+    ``pivots``, the factor's diagonal up to ``top``.  The weights
+    ``K^{-1} y`` of each size are solved once (:meth:`weights`).
+
+    With ``in_place`` the inverse is written over the factor
+    (:func:`_invert`), after the forward solve and the weights of every
+    size :meth:`posterior` has served: from then on :attr:`chol` raises
+    :class:`DomainError`, and so does every other read of a posterior
+    that needs the factor.  (A factor that :func:`_factor` accepts has no
+    zero pivot, so its inversion does not fail part way.)
     """
 
-    def __init__(self, kernel, design, y, chol, top, buffer=None):
-        self.kernel, self.design, self.y, self.chol, self.top = kernel, design, y, chol, top
-        self._buffer = buffer
+    def __init__(self, kernel, design, y, chol, top, in_place=False):
+        self.kernel, self.design, self.y, self.top = kernel, design, y, top
+        self.pivots = chol.diagonal()[:top].copy()
+        self._chol, self._in_place = chol, in_place
         self._inverse = self._forward = None
+        self._weights = {}
+
+    @property
+    def chol(self):
+        """The factor, unless its inverse was written over it."""
+        if self._chol is None:
+            raise DomainError("the factor of this posterior was overwritten by its inverse "
+                              "in the workspace it was written to")
+        return self._chol
 
     def posterior(self, n):
         """The :class:`Posterior` of the first ``n <= top`` points."""
+        self._weights.setdefault(n, None)
         return Posterior(self, n)
 
     def inverse(self, n):
         """The inverse of the first ``n <= top`` rows of the factor
         (:func:`_invert`)."""
         if self._inverse is None:
-            self._inverse = _invert(self.chol, self.top, self._buffer)
+            chol = self.chol
+            if self._in_place:
+                # The last reads of the factor before it is overwritten.
+                self.forward()
+                for size in self._weights:
+                    self.weights(size)
+                self._chol = None
+            self._inverse = _invert(chol, self.top, self._in_place)
         return self._inverse[:n, :n]
 
     def forward(self):
@@ -300,6 +335,13 @@ class _Factorization:
                              for col in np.atleast_2d(self.y[:self.top].T)]
         return self._forward
 
+    def weights(self, n):
+        """``K^{-1} y`` of the first ``n`` points (LAPACK ``dpotrs``)."""
+        if self._weights.get(n) is None:
+            self._weights[n] = (_lapack_call("dpotrs", self.chol[:n, :n], self.y[:n],
+                                             lower=1)[0] if n else self.y[:0].copy())
+        return self._weights[n]
+
 
 @dataclass(frozen=True)
 class Posterior:
@@ -308,9 +350,9 @@ class Posterior:
 
     ``chol`` is the leading block of the factor and ``weights`` solve it
     against the data ``y``, which has shape ``(n,)``, or ``(n, s)`` for
-    ``s`` data columns conditioned on the same factor; each is computed on
-    first use.  The inverse and the forward solve come from the
-    factorization, shared with the other posteriors it serves.
+    ``s`` data columns conditioned on the same factor.  The weights, the
+    inverse, the forward solve and the pivots come from the factorization,
+    shared with the other posteriors it serves.
     """
 
     factorization: _Factorization = field(repr=False)
@@ -328,19 +370,18 @@ class Posterior:
     def y(self):
         return self.factorization.y[:self.n]
 
-    @cached_property
+    @property
     def chol(self):
         """The leading block of the factor in Fortran order, the layout
-        :func:`condition` gives LAPACK, so that both sides compute alike."""
+        :func:`condition` gives LAPACK, so that both sides compute alike;
+        read from the factorization at each access, so that it is refused
+        once the factor was overwritten (see :class:`_Factorization`)."""
         return np.asfortranarray(self.factorization.chol[:self.n, :self.n])
 
-    @cached_property
+    @property
     def weights(self):
-        """``K^{-1} y`` (LAPACK ``dpotrs``)."""
-        if not self.n:
-            return self.y.copy()
-        return _lapack_call("dpotrs", self.factorization.chol[:self.n, :self.n], self.y,
-                            lower=1)[0]
+        """``K^{-1} y`` (:meth:`_Factorization.weights`), solved on first use."""
+        return self.factorization.weights(self.n)
 
     def prefix(self, n):
         """The posterior of the first ``n`` points, from the leading block of
@@ -399,17 +440,20 @@ def _prefix_posteriors(kernel, design, y, sizes, workspace=None):
     with ``y`` held as given, not copied: the path of a sweep, which checks
     its data once.
 
-    ``workspace``, a pair of flat float arrays of at least ``m * m``
-    elements for the largest size ``m``, takes the factor and the inverse
-    in place of fresh arrays, with the same values.  The posteriors then
-    read from it and hold only until it is next used.
+    ``workspace``, one flat float array of at least ``m * m`` elements for
+    the largest size ``m``, takes the factor in place of a fresh array, and
+    the first leave-one-out request writes the inverse over the factor's
+    leading block (see :class:`_Factorization`), with the values of fresh
+    arrays.  The posteriors then read from it and hold only until it is
+    next used, and from that request on they refuse to read the factor:
+    :attr:`Posterior.chol`, the posterior variance, and the weights of a
+    size not among ``sizes`` raise :class:`DomainError`.
     """
     design = design.prefix(max(sizes, default=0))
-    factor_buffer, inverse_buffer = workspace or (None, None)
-    L, err = _factor(kernel, design, factor_buffer)
+    L, err = _factor(kernel, design, workspace)
     served = design.n if err is None else err.pivot_index
     fact = _Factorization(kernel, design, y, L, max((n for n in sizes if n <= served), default=0),
-                          inverse_buffer)
+                          workspace is not None)
     return [fact.posterior(n) if n <= served else err for n in sizes]
 
 
@@ -498,7 +542,7 @@ def posterior_var(post, x):
 
 def log_det(post):
     """Log-determinant of the kernel matrix, from the Cholesky diagonal."""
-    return 2.0 * float(np.sum(np.log(np.diag(post.factorization.chol)[:post.n])))
+    return 2.0 * float(np.sum(np.log(post.factorization.pivots[:post.n])))
 
 
 def quadratic_form(post):
@@ -519,7 +563,7 @@ def incremental_variances(post):
     conditioned on the prefix ``x_1 .. x_{i-1}`` (the empty prefix gives
     the prior variance).  They are the squared Cholesky pivots.
     """
-    return np.diag(post.factorization.chol)[:post.n] ** 2
+    return post.factorization.pivots[:post.n] ** 2
 
 
 @dataclass(frozen=True)
@@ -546,7 +590,9 @@ def loo(post):
     leading block of the panel-grown inverse that every prefix of the
     posterior's factor shares (see :func:`condition_prefixes`), so a
     prefix's quantities are bit for bit those of the prefix conditioned
-    alone when its size is at most 16 or ``16 * 2**k``.  Verified against
+    alone when its size is at most 16 or ``16 * 2**k``.  ``K^{-1} y`` is
+    the posterior's :attr:`~Posterior.weights`, which a sweep's workspace
+    solves before it writes ``W`` over the factor.  Verified against
     per-point refits in the test suite.
     """
     diag = _inverse_diagonal(post)

@@ -53,6 +53,15 @@ def log_c_scaling(nu, d):
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)
 
 
+def check_distance_scale(nu, lambda_):
+    """The distance scale ``sqrt(2 nu) / lambda_`` of a Matern kernel of
+    positive ``nu`` and ``lambda_``: :class:`~maternsmooth.errors.DomainError`
+    unless it is positive and finite, which a tiny ``lambda_`` or a huge
+    one breaks."""
+    return check_real(f"sqrt(2 nu) / lambda_ (nu={nu!r}, lambda_={lambda_!r})",
+                      math.sqrt(2.0 * nu) / lambda_)
+
+
 @dataclass(frozen=True)
 class MaternParams:
     """The Matern kernel of smoothness ``nu``, magnitude ``sigma`` and
@@ -72,8 +81,7 @@ class MaternParams:
         require_positive(self, ("nu", "sigma", "lambda_"))
         check_order("nu", self.nu)
         check_real("sigma**2", self.sigma * self.sigma)
-        check_real(f"sqrt(2 nu) / lambda_ (nu={self.nu!r}, lambda_={self.lambda_!r})",
-                   math.sqrt(2.0 * self.nu) / self.lambda_)
+        check_distance_scale(self.nu, self.lambda_)
         check_integer("dimension d", self.d, 1)
 
     def __call__(self, r):

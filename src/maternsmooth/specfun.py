@@ -83,6 +83,11 @@ ORDER_MAX = 1e6
 # when the scaled SciPy routine overflows.
 _UNIFORM_ORDER_MIN = 50.0
 
+# The least normal double: the uniform expansion takes ``log(x / nu)`` as
+# ``log x - log nu`` where ``x / nu`` is below it, and so has lost bits or
+# is zero.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
 # The small-argument series stops at the first term below this fraction of
 # its running sum, and raises AccuracyError after this many terms.
 _SERIES_RTOL = 1e-13
@@ -290,11 +295,17 @@ def _log_k_uniform(nu, x):
     series through ``k = 6`` summed by Horner's rule in ``1 / nu``.
 
     Vectorized over ``x``.  Relative accuracy is ~1e-11 or better for
-    ``nu >= 50`` over all positive arguments.
+    ``nu >= 50`` over all positive arguments.  Where ``z = x / nu`` is not a
+    normal double, ``log z`` is taken as ``log x - log nu``; elsewhere
+    ``log(z / (1 + s))`` is taken as it stands.
     """
     z = x / nu
     s = np.hypot(1.0, z)
-    eta = s + np.log(z / (1.0 + s))
+    with np.errstate(divide="ignore"):
+        eta = s + np.log(z / (1.0 + s))
+    tiny = z < _NORMAL_MIN
+    if tiny.any():
+        eta[tiny] = s[tiny] + (np.log(x[tiny]) - math.log(nu) - np.log(1.0 + s[tiny]))
     u1, u2, u3, u4, u5, u6 = _debye_u(1.0 / s)
     w = 1.0 / nu
     series = 1.0 + w * _horner((-u1, u2, -u3, u4, -u5, u6), w)
@@ -310,7 +321,14 @@ def _log_k_series(nu, x):
     large enough to overflow double precision, which is the only situation
     in which this routine is called.  ``log(2/x)`` is taken as
     ``log 2 - log x``, as ``2/x`` overflows below about 1e-308.
+
+    At order 0 no branch dominates, and ``K_0(x) = log(2/x) - gamma`` to
+    rounding where this routine is called (SciPy's ``kve`` fails below
+    about 1e-305, where the next term, of order ``x**2 log x``, is far below
+    an ulp).
     """
+    if nu == 0.0:
+        return math.log(math.log(2.0) - math.log(x) - np.euler_gamma)
     q = 0.25 * x * x
     term = 1.0
     total = 1.0

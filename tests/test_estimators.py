@@ -120,6 +120,18 @@ class TestConfig:
             EstimatorConfig(**kwargs)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("lambda_, nu", [(2e-308, "15.0"), (1e-310, "15.0"),
+                                             (1e308, "1e-300")])
+    def test_search_refuses_a_distance_scale_out_of_range(self, lambda_, nu, monkeypatch):
+        # The configuration holds any positive lambda_, since a command that
+        # does not search reads neither bound; the search checks
+        # sqrt(2 nu) / lambda_ at both bounds before it factors a cell.
+        cfg = EstimatorConfig(nu_min=1e-300, lambda_=lambda_)
+        monkeypatch.setattr(estimators, "_cells", None)
+        design = van_der_corput(Box.unit(1), 8)
+        with pytest.raises(DomainError, match=rf"^sqrt\(2 nu\) / lambda_ \(nu={nu}, "):
+            estimate_nu(design, np.ones(8), cfg)
+
 
 # Bounds and coarse counts that bracketed_minimize refuses, each with its
 # message.
@@ -909,10 +921,11 @@ class TestSweeps:
         assert failures(record, "cv") > failures(intact, "cv")
 
     def test_shared_workspace_changes_no_cell(self, sample_instance, monkeypatch):
-        # Every cell of the searches writes its factor and inverse into one
-        # pair of buffers.  A cell factored on a smaller prefix after the
-        # top-size cells, and a failing cell after a conditioned one, read as
-        # cells on fresh arrays, and no cell views the buffers.
+        # Every cell of the searches writes its factor, and its inverse over
+        # it, into one buffer of n**2 doubles.  A cell factored on a smaller
+        # prefix after the top-size cells, and a failing cell after a
+        # conditioned one, read as cells on fresh arrays, and no cell views
+        # the buffer.
         design, y = sample_instance
         design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
         calls, compute = [], estimators._cells
@@ -929,7 +942,8 @@ class TestSweeps:
         monkeypatch.setattr(estimators, "_cells", recording)
         estimators._searches(design, columns, [16, 32, 64], cfg)
         workspace = calls[0][3]
-        assert len(workspace) == 2 and all(call[3] is workspace for call in calls)
+        assert workspace.shape == (design.n**2,) and workspace.dtype == np.float64
+        assert all(call[3] is workspace for call in calls)
         failed = [isinstance(call[4][-1]["ml"], ConditioningError) for call in calls]
         assert any(b and not a for a, b in zip(failed, failed[1:]))
         grid = set(np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid).tolist())
@@ -941,8 +955,32 @@ class TestSweeps:
         values = [v for *_, out in calls for cell in out for v in cell.values()]
         assert any(isinstance(v, ConditioningError) for v in values)
         for value in values:
-            assert not any(np.shares_memory(value, buffer) for buffer in workspace
-                           if isinstance(value, np.ndarray))
+            assert not (isinstance(value, np.ndarray) and np.shares_memory(value, workspace))
+
+    def test_each_inverse_is_written_over_its_factor(self, sample_instance, monkeypatch):
+        # Each cell's leave-one-out inverse is the leading block of the
+        # workspace, written over the factor, and the factor is gone.
+        design, y = sample_instance
+        design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
+        seen, conditioning = [], gp._prefix_posteriors
+
+        def recording(kernel, prefix, values, sizes, workspace=None):
+            posts = conditioning(kernel, prefix, values, sizes, workspace)
+            seen.append((posts, workspace))
+            return posts
+
+        monkeypatch.setattr(estimators, "_prefix_posteriors", recording)
+        estimators._searches(design, columns, [16, 32, 64], cfg)
+        workspace = seen[0][1]
+        assert all(w is workspace for _, w in seen)
+        # Every factorization that serves two points or more has a CV read.
+        inverted = {p.factorization for posts, _ in seen for p in posts
+                    if isinstance(p, gp.Posterior) and p.n >= 2}
+        assert inverted
+        for fact in inverted:
+            assert np.shares_memory(fact.inverse(fact.top), workspace)
+            with pytest.raises(DomainError, match="overwritten by its inverse"):
+                fact.chol
 
     def test_degenerate_column_stays_in_its_column(self, sample_instance):
         # Profiling is degenerate for all-zero data: that column's searches

@@ -679,6 +679,35 @@ class TestCli:
         assert (f"configuration error: {name} must be at most 1e+06, got 2000000.0"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, nu, lambda_", [
+        (["variance-decay", "--lambda", "1e-310"], "2.0", "1e-310"),
+        (["non-undersmoothing", "--nu0", "1.5", "--lambda", "1e-310"], "15.0", "1e-310"),
+        (["variance-decay", "--nu-grid", "0.5,1e5", "--lambda", "1e-306"], "100000.0", "1e-306"),
+        (["logdet-growth", "--nu0", "1e5", "--lambda", "1e-306"], "100000.0", "1e-306"),
+        (["convergence", "--nu0", "1e4", "--lambda", "1e-306"], "20000.0", "1e-306"),
+        (["non-undersmoothing", "--nu0", "1e5", "--lambda", "1e-306"], "100000.0", "1e-306"),
+    ])
+    def test_distance_scale_that_overflows_exit_two(self, argv, nu, lambda_, tmp_path, capsys):
+        # lambda_ is positive and finite, but sqrt(2 nu) / lambda_ is not at
+        # the largest smoothness the run would use: the command's own
+        # orders, defaults included (convergence fits 2 nu0 by default),
+        # or the estimator's nu_max where the command searches.  The
+        # settings refuse it, before any work is done and before the CSV is
+        # written.
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"configuration error: sqrt(2 nu) / lambda_ (nu={nu}, lambda_={lambda_}) "
+                "must be positive and finite, got inf\n" in capsys.readouterr().err)
+
+    def test_distance_scale_is_checked_at_the_orders_used(self):
+        # At lambda_ = 2e-308 the scale is finite up to nu = 2, the largest
+        # order of variance-decay's default grid, and infinite at nu_max =
+        # 15, which only the commands that search read.
+        _config("variance-decay", lambda_=2e-308)
+        with pytest.raises(DomainError, match=r"\(nu=15.0, lambda_=2e-308\)"):
+            _config("logdet-growth", lambda_=2e-308)
+
     @pytest.mark.parametrize("line", ["schedule = ,", "schedule =", "nu_grid = ,"])
     def test_empty_list_in_a_file_exit_two_without_csv(self, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -107,30 +107,94 @@ class TestCondition:
     @pytest.mark.parametrize("nu, lambda_", [(1.5, 0.15), (8.0, 1.0)])
     def test_workspace_holds_what_fresh_arrays_hold(self, nu, lambda_):
         # A workspace full of NaN, as a larger or a failed cell may leave it:
-        # the factor, its inverse and every posterior read from them equal
-        # those on fresh arrays bit for bit, upper triangle and rows past a
-        # failing pivot included.  (nu = 8 fails at pivot 14 of 64.)
+        # the factor, its inverse written over it and every posterior read
+        # from them equal those on fresh arrays bit for bit, upper triangle
+        # and rows past a failing pivot included.  (nu = 8 fails at pivot 14
+        # of 64.)
         design = van_der_corput(UNIT, 64)
         kernel = MaternParams(nu, lambda_=lambda_)
         y = np.random.Generator(np.random.Philox(5)).standard_normal((64, 2))
-        workspace = (np.full(80 * 80, np.nan), np.full(80 * 80, np.nan))
+        workspace = np.full(80 * 80, np.nan)
         sizes = [8, 16, 32, 64]
         fresh = condition_prefixes(kernel, design, y, sizes)
         reused = gp._prefix_posteriors(kernel, design, y, sizes, workspace)
         assert [str(p) for p in reused if isinstance(p, ConditioningError)] == [
             str(p) for p in fresh if isinstance(p, ConditioningError)]
-        for a, b in zip(fresh, reused):
-            if isinstance(a, Posterior):
-                assert a.chol.tobytes() == b.chol.tobytes()
-                assert a.weights.tobytes() == b.weights.tobytes()
-                assert loo(a).residuals.tobytes() == loo(b).residuals.tobytes()
-        L, err = gp._factor(kernel, design, workspace[0])
-        assert np.shares_memory(L, workspace[0])
+        served = [(a, b) for a, b in zip(fresh, reused) if isinstance(a, Posterior)]
+        # The factor is read before the first leave-one-out request overwrites it.
+        for a, b in served:
+            assert a.chol.tobytes() == b.chol.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
+        for a, b in served:
+            assert loo(a).residuals.tobytes() == loo(b).residuals.tobytes()
+            assert log_det(a) == log_det(b) and quadratic_form(a).tobytes() == (
+                quadratic_form(b).tobytes())
+        L, err = gp._factor(kernel, design, workspace)
+        assert np.shares_memory(L, workspace)
         assert L.tobytes() == gp._factor(kernel, design)[0].tobytes()
         # The inverse of the rows before the failing pivot, if there is one.
         m = 64 if err is None else err.pivot_index
-        W = gp._invert(L, m, workspace[1])
-        assert W.tobytes() == gp._invert(L.copy(order="F"), m).tobytes()
+        want = gp._invert(L.copy(order="F"), m)
+        W = gp._invert(L, m, True)
+        assert np.shares_memory(W, workspace) and W.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [300, 512])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 4.0])
+    def test_inverse_over_the_factor_is_the_fresh_inverse(self, n, nu):
+        # The C07 design (van der Corput, lambda = 1): the inverse written
+        # over the factor in place is the inverse into a fresh array, bit for
+        # bit, over every row the factor holds.
+        design = van_der_corput(UNIT, n)
+        L, err = gp._factor(MaternParams(nu, lambda_=1.0), design)
+        m = n if err is None else err.pivot_index
+        want = gp._invert(L, m)
+        assert gp._invert(L, m, True).tobytes() == want.tobytes()
+
+    def test_inverse_over_the_factor_on_a_jittered_design(self):
+        # The benchmark's scattered design: van der Corput's 512 points each
+        # moved by at most a quarter of the finest spacing, so that every
+        # distance is distinct.
+        base = van_der_corput(UNIT, 512).points[:, 0]
+        spacing = float(np.min(np.diff(np.sort(base))))
+        rng = np.random.Generator(np.random.Philox(0))
+        points = np.clip(base + (2.0 * rng.random(512) - 1.0) * 0.25 * spacing, 0.0, 1.0)
+        for nu in (1.5, 8.0, 60.0):
+            L, err = gp._factor(MaternParams(nu, lambda_=0.05), Design(points, UNIT))
+            m = 512 if err is None else err.pivot_index
+            want = gp._invert(L, m)
+            assert gp._invert(L, m, True).tobytes() == want.tobytes(), nu
+
+    def test_workspace_posterior_refuses_the_overwritten_factor(self):
+        # Once leave-one-out has written the inverse over the factor, no
+        # read of a workspace posterior that needs the factor returns its
+        # bits: each raises.  What the objectives read still serves, and
+        # so do the weights and the mean of each size served, solved before
+        # the overwrite, with the bits of a fresh factorization.
+        design = van_der_corput(UNIT, 64)
+        kernel = MaternParams(1.5, lambda_=0.15)
+        y = np.random.Generator(np.random.Philox(5)).standard_normal(64)
+        workspace = np.empty(64 * 64)
+        posts = gp._prefix_posteriors(kernel, design, y, [16, 64], workspace)
+        fresh = condition_prefixes(kernel, design, y, [16, 64])
+        res = loo(posts[1])
+        assert np.shares_memory(posts[1].factorization.inverse(64), workspace)
+        assert res.residuals.tobytes() == loo(fresh[1]).residuals.tobytes()
+        message = "^the factor of this posterior was overwritten by its inverse"
+        for read in (lambda p: p.chol, lambda p: p.prefix(32).weights,
+                     lambda p: posterior_mean(p.prefix(32), 0.3),
+                     lambda p: posterior_var(p, 0.3)):
+            with pytest.raises(DomainError, match=message):
+                read(posts[1])
+        for post, alone in zip(posts, fresh):
+            assert post.weights.tobytes() == alone.weights.tobytes()
+            assert posterior_mean(post, 0.3) == posterior_mean(alone, 0.3)
+            assert loo(post).residuals.tobytes() == loo(alone).residuals.tobytes()
+        post, fresh = posts[1], fresh[1]
+        assert (log_det(post), quadratic_form(post)) == (log_det(fresh), quadratic_form(fresh))
+        np.testing.assert_array_equal(incremental_variances(post),
+                                      incremental_variances(fresh))
+        np.testing.assert_array_equal(loo_variances(post.prefix(32)),
+                                      loo_variances(fresh.prefix(32)))
 
     def test_shape_mismatch(self, instance):
         kernel, design, _, _ = instance

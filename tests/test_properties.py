@@ -669,25 +669,28 @@ def test_large_order_log_bessel_k_vectorized_equals_scalar(nu, offsets):
     assert vectorized.tolist() == [log_bessel_k(nu, float(x)) for x in xs]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(st.floats(min_value=0.05, max_value=50.0, exclude_max=True),
-       st.floats(min_value=5e-324, max_value=1e-300))
-def test_tiny_arguments_give_the_leading_term(nu, x):
-    # Below x = 1e-300 and order 50, K_nu(x) is Gamma(nu) 2**(nu-1) x**-nu
-    # to far below rounding, subnormal x included (order 0 is not covered:
-    # Gamma(0) is infinite).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = log_bessel_k(nu, x)
-    ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
-    assert math.isfinite(value) and abs(value - ref) <= 1e-12 * abs(ref)
-
-
 def _log_uniform(low, high):
     """Floats drawn uniformly in log scale on ``[low, high]``, both ends
     included."""
     return st.floats(min_value=math.log(low), max_value=math.log(high)).map(
         lambda t: min(max(math.exp(t), low), high))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.floats(min_value=0.05, max_value=50.0, exclude_max=True),
+                 _log_uniform(50.0, ORDER_MAX)),
+       st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+                 st.sampled_from((5e-324, 1e-310))))
+def test_tiny_arguments_give_the_leading_term(nu, x):
+    # Below x = 1e-300, K_nu(x) is Gamma(nu) 2**(nu-1) x**-nu to far below
+    # rounding, subnormal x included (order 0 is not covered: Gamma(0) is
+    # infinite).  From order 50 the uniform expansion serves, whose x / nu
+    # is subnormal or zero at the smallest of these arguments.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = log_bessel_k(nu, x)
+    ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
+    assert math.isfinite(value) and abs(value - ref) <= 1e-12 * abs(ref)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

@@ -9,6 +9,7 @@ import json
 import math
 import pathlib
 import threading
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -267,6 +268,20 @@ class TestBesselProperties:
         # series has no term past its first.
         ref = math.lgamma(nu) + (nu - 1.0) * math.log(2.0) - nu * math.log(x)
         assert log_bessel_k(nu, x) == pytest.approx(ref, rel=2.2e-16)
+
+    @pytest.mark.parametrize("x, ref", [(1e-305, 6.5545092850104792863),
+                                        (1e-306, 6.5577820709777443478),
+                                        (1e-308, 6.5642956837500290678),
+                                        (5e-324, 6.6127880721788323524)])
+    def test_order_zero_at_arguments_past_kve(self, x, ref):
+        # SciPy's kve(0, x) is inf here, and Gamma(0) of the series is too:
+        # K_0(x) is log(2 / x) - gamma to rounding, ``ref`` its log by mpmath
+        # at 40 digits.  2 / x overflows at the least subnormal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = log_bessel_k(0.0, x)
+        form = math.log(math.log(2.0) - math.log(x) - np.euler_gamma)
+        assert abs(value - form) <= 1e-15 * form and abs(value - ref) <= 1e-15 * ref
 
     def test_bessel_k_is_inf_just_past_the_largest_double(self):
         # log K_120(x) = 709.9 here: above log(max double), below 710

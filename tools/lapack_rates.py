@@ -14,7 +14,8 @@ to 512 rows with the median time in microseconds and the rate in GFMA/s
 * ``gp._factor_block`` and ``gp._invert_rows``, which factor and invert
   the diagonal block of a row panel in ``maternsmooth.gp`` (the latter
   given the block as its one row block), with sub-panels of 32, 64 and
-  128 rows (``gp._SUB`` set for the measurement only).
+  128 rows (``gp._SUB`` set for the measurement only); the inverse is
+  written over a copy of the factor, as ``gp._invert`` writes it.
 
 ``gp._SUB`` should be the sub-panel size with the lowest times from 128
 rows up; rerun this on a new machine or BLAS to recheck it.  The inputs
@@ -105,9 +106,8 @@ def main(argv=None):
         ]
         timed += [_median_us(_with_sub(s, lambda k: gp._factor_block(k, 0.0, 0)), copy(K),
                              args.seconds) for s in SUB_PANELS]
-        timed += [_median_us(_with_sub(s, lambda r: gp._invert_rows(
-                      r, np.zeros((n, n), order="F"), [n])), lambda: R, args.seconds)
-                  for s in SUB_PANELS]
+        timed += [_median_us(_with_sub(s, lambda r: gp._invert_rows(r, [n])), copy(R),
+                             args.seconds) for s in SUB_PANELS]
         cells = [f"{us:9.1f} {fma * n**3 / us / 1e3:6.2f}"
                  for us, (_, fma) in zip(timed, columns)]
         print(f"{n:>5}" + "".join(f"{cell:>20}" for cell in cells))
