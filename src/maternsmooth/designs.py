@@ -266,38 +266,38 @@ def fill_distances(design, sizes, probe_resolution=None):
     ``sizes`` (ascending integers in ``[1, design.n]``), each value bit for
     bit that of the prefix probed on its own.
 
-    On a line, each probe reads its two neighbours in the sorted prefix
-    (:func:`_nearest_on_line`).  In higher dimensions one pass runs over the
-    schedule: at each size every probe queries a k-d tree of the points
-    added since the size before (:func:`_nearest`) and keeps the least
-    squared distance so far.  So each size costs one query of every probe
-    (``probe_resolution**d`` of them): long schedules in d = 3 at the
-    default 129**3 probes take minutes, a doubling one seconds.
+    One pass runs over the schedule: at each size every probe reads its
+    nearest point among those added since the size before and keeps the
+    least squared distance so far.  On a line the probe reads its two
+    neighbours among the sorted points (:func:`_nearest_on_line`); in
+    higher dimensions it queries a k-d tree of them (:func:`_nearest`).
+    So each size costs one query of every probe (``probe_resolution**d``
+    of them): long schedules in d = 3 at the default 129**3 probes take
+    minutes, a doubling one seconds.
     """
     sizes = design.check_schedule(sizes)
     if probe_resolution is None:
         probe_resolution = 4097 if design.d == 1 else 129
     probes = _probe_grid(design.box, check_integer("probe_resolution", probe_resolution, 64))
     pts = design.points
-    # The square root is monotone and correctly rounded, so each value is
-    # the largest of the probes' distances.
-    if design.d == 1:
-        return [float(np.sqrt(_nearest_on_line(probes[:, 0], pts[:n, 0]).max()))
-                for n in sizes]
+    nearest = _nearest_on_line if design.d == 1 else _nearest
     best = np.full(probes.shape[0], np.inf)
     fills = []
     for a, n in zip([0] + sizes[:-1], sizes):
-        np.minimum(best, _nearest(probes, pts[a:n]), out=best)
+        np.minimum(best, nearest(probes, pts[a:n]), out=best)
+        # The square root is monotone and correctly rounded, so each value
+        # is the largest of the probes' distances.
         fills.append(float(np.sqrt(best.max())))
     return fills
 
 
-def _nearest_on_line(probes, points):
-    """Per probe on a line, its least squared distance to ``points``, the
-    value :func:`_nearest`'s formula gives, from its two neighbours among
-    the sorted points.  The rounded ``p - x`` is monotone in ``x``, so no
+def _nearest_on_line(queries, points):
+    """Per row of the ``(m, 1)`` array ``queries`` on a line, its least
+    squared distance to the rows of ``points``, the value
+    :func:`_nearest`'s formula gives, from its two neighbours among the
+    sorted points.  The rounded ``p - x`` is monotone in ``x``, so no
     point beyond a neighbour comes nearer, to the last bit."""
-    line = np.sort(points)
+    probes, line = queries[:, 0], np.sort(points[:, 0])
     right = np.minimum(np.searchsorted(line, probes), line.size - 1)
     left = np.maximum(right - 1, 0)
     # A sum over one coordinate is its square alone.

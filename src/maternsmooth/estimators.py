@@ -36,7 +36,7 @@ from .designs import fill_distance, fill_distances  # noqa: F401
 from .errors import (ConditioningError, DomainError, EstimationError, check_integer,
                      check_real, require_positive)
 from .gp import _as_data, _prefix_posteriors, condition  # noqa: F401
-from .kernels import MaternParams, check_distance_scale
+from .kernels import MaternParams
 from .objectives import ell_cv_from, ell_ml_from
 from .specfun import check_order
 
@@ -511,11 +511,13 @@ def _searches(top, columns, schedule, config):
     (:func:`~maternsmooth.gp._prefix_posteriors`).
 
     Raises :class:`DomainError`, before any cell is factored, unless the
-    distance scale ``sqrt(2 nu) / lambda_`` is positive and finite at
-    ``nu_max`` and at ``nu_min``, and so at every smoothness searched.
+    kernels at ``nu_max`` and at ``nu_min`` can be built, their distance
+    scale ``sqrt(2 nu) / lambda_`` positive and finite, and so the kernel
+    of every smoothness searched.
     """
-    check_distance_scale(config.nu_max, config.lambda_)
-    check_distance_scale(config.nu_min, config.lambda_)
+    sigma = 1.0 if config.profile_sigma else config.sigma
+    for nu in (config.nu_max, config.nu_min):
+        MaternParams(nu, sigma, config.lambda_, top.d)
     cells = {}
     # One buffer, reused, not fresh per cell: the outputs are the same
     # either way, but a fresh array pays its page faults on first touch.  On
@@ -525,7 +527,6 @@ def _searches(top, columns, schedule, config):
     # ``top.n**2`` doubles where a factor and an inverse apart would hold
     # twice as many.
     workspace = np.empty(top.n * top.n)
-    sigma = 1.0 if config.profile_sigma else config.sigma
 
     def lookup(i, name, j, nu):
         if nu not in cells:

@@ -275,24 +275,26 @@ class _Factorization:
 
     ``chol`` is the factor of ``design``, up to its first failing pivot
     if it has one, and ``y`` a copy of the data, shape ``(n,)`` or
-    ``(n, s)``.  ``top`` is the largest size a posterior is read at: the
+    ``(n, s)``.  ``sizes`` are the prefix sizes it serves, and ``top``,
+    the largest of them, the largest size a posterior is read at: the
     inverse of the factor's first ``top`` rows and the forward solve
     ``L^{-1} y`` of their data are each computed once, on the first
-    request, and then read by every posterior (:meth:`posterior`), as is
-    ``pivots``, the factor's diagonal up to ``top``.  The weights
-    ``K^{-1} y`` of each size are solved once (:meth:`weights`).
+    request, and then read by every posterior, as is ``pivots``, the
+    factor's diagonal up to ``top``.  The weights ``K^{-1} y`` of each
+    size are solved once (:meth:`weights`).
 
     With ``in_place`` the inverse is written over the factor
     (:func:`_invert`), after the forward solve and the weights of every
-    size :meth:`posterior` has served: from then on :attr:`chol` raises
+    size in ``sizes``: from then on :attr:`chol` raises
     :class:`DomainError`, and so does every other read of a posterior
     that needs the factor.  (A factor that :func:`_factor` accepts has no
     zero pivot, so its inversion does not fail part way.)
     """
 
-    def __init__(self, kernel, design, y, chol, top, in_place=False):
-        self.kernel, self.design, self.y, self.top = kernel, design, y, top
-        self.pivots = chol.diagonal()[:top].copy()
+    def __init__(self, kernel, design, y, chol, sizes, in_place=False):
+        self.kernel, self.design, self.y, self.sizes = kernel, design, y, sizes
+        self.top = max(sizes, default=0)
+        self.pivots = chol.diagonal()[:self.top].copy()
         self._chol, self._in_place = chol, in_place
         self._inverse = self._forward = None
         self._weights = {}
@@ -305,11 +307,6 @@ class _Factorization:
                               "in the workspace it was written to")
         return self._chol
 
-    def posterior(self, n):
-        """The :class:`Posterior` of the first ``n <= top`` points."""
-        self._weights.setdefault(n, None)
-        return Posterior(self, n)
-
     def inverse(self, n):
         """The inverse of the first ``n <= top`` rows of the factor
         (:func:`_invert`)."""
@@ -318,7 +315,7 @@ class _Factorization:
             if self._in_place:
                 # The last reads of the factor before it is overwritten.
                 self.forward()
-                for size in self._weights:
+                for size in self.sizes:
                     self.weights(size)
                 self._chol = None
             self._inverse = _invert(chol, self.top, self._in_place)
@@ -337,7 +334,7 @@ class _Factorization:
 
     def weights(self, n):
         """``K^{-1} y`` of the first ``n`` points (LAPACK ``dpotrs``)."""
-        if self._weights.get(n) is None:
+        if n not in self._weights:
             self._weights[n] = (_lapack_call("dpotrs", self.chol[:n, :n], self.y[:n],
                                              lower=1)[0] if n else self.y[:0].copy())
         return self._weights[n]
@@ -452,9 +449,9 @@ def _prefix_posteriors(kernel, design, y, sizes, workspace=None):
     design = design.prefix(max(sizes, default=0))
     L, err = _factor(kernel, design, workspace)
     served = design.n if err is None else err.pivot_index
-    fact = _Factorization(kernel, design, y, L, max((n for n in sizes if n <= served), default=0),
+    fact = _Factorization(kernel, design, y, L, [n for n in sizes if n <= served],
                           workspace is not None)
-    return [fact.posterior(n) if n <= served else err for n in sizes]
+    return [Posterior(fact, n) if n <= served else err for n in sizes]
 
 
 def _cross_covariances(post, x):
@@ -491,10 +488,6 @@ def _moments(post, x, mean=True, var=True):
     ``x`` is one point.  See :func:`posterior_mean` and
     :func:`posterior_var`."""
     q, scalar = _as_query(post, x)
-    if post.n == 0:
-        mu = np.zeros((q.shape[0],) + post.y.shape[1:]) if mean else None
-        v = np.full(q.shape[0], post.kernel(0.0)) if var else None
-        return mu, v, scalar
     k = _cross_covariances(post, q)
     mu = v = None
     if mean:

@@ -53,15 +53,6 @@ def log_c_scaling(nu, d):
     return (1.0 - nu_eff) * math.log(2.0) - log_gamma(nu_eff)
 
 
-def check_distance_scale(nu, lambda_):
-    """The distance scale ``sqrt(2 nu) / lambda_`` of a Matern kernel of
-    positive ``nu`` and ``lambda_``: :class:`~maternsmooth.errors.DomainError`
-    unless it is positive and finite, which a tiny ``lambda_`` or a huge
-    one breaks."""
-    return check_real(f"sqrt(2 nu) / lambda_ (nu={nu!r}, lambda_={lambda_!r})",
-                      math.sqrt(2.0 * nu) / lambda_)
-
-
 @dataclass(frozen=True)
 class MaternParams:
     """The Matern kernel of smoothness ``nu``, magnitude ``sigma`` and
@@ -81,7 +72,8 @@ class MaternParams:
         require_positive(self, ("nu", "sigma", "lambda_"))
         check_order("nu", self.nu)
         check_real("sigma**2", self.sigma * self.sigma)
-        check_distance_scale(self.nu, self.lambda_)
+        check_real(f"sqrt(2 nu) / lambda_ (nu={self.nu!r}, lambda_={self.lambda_!r})",
+                   math.sqrt(2.0 * self.nu) / self.lambda_)
         check_integer("dimension d", self.d, 1)
 
     def __call__(self, r):
@@ -104,9 +96,12 @@ def matern_eval(params, r):
     of Matern evaluation, for a scalar or an array of any order, checked.
 
     The value at ``r = 0`` is the analytic limit
-    ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)`` (exactly ``sigma**2`` at
-    ``nu >= d/2``); evaluation near zero would otherwise hit the
-    singularity of ``K_nu``.
+    ``sigma**2 c(nu) 2**(nu-1) Gamma(nu)``; evaluation near zero would
+    otherwise hit the singularity of ``K_nu``.  At ``nu >= d/2`` that limit
+    is ``sigma**2``, but computed in log space it is not exact: over
+    ``nu`` from ``d/2`` to 300 in steps of 0.25, in d = 1 and 2, it misses
+    ``sigma**2`` at 222 of about 1,200 orders at ``sigma = 1`` and at
+    nearly all at ``sigma = 1.3``, by up to 2.8e-13 relative.
     """
     arr = check_array("distances", r, "nonnegative")
     scalar = np.isscalar(r) or arr.ndim == 0

@@ -315,11 +315,14 @@ def _log_k_uniform(nu, x):
 def _log_k_series(nu, x):
     """log K_nu(x) from the ascending series, small-argument regime.
 
-    Keeps only the dominant branch of the two-sided series, ``(x/2)**-nu / 2``
+    Sums the dominant branch of the two-sided series, ``(x/2)**-nu / 2``
     times the sum over ``k`` of ``Gamma(nu - k) (-x**2/4)**k / k!``, which at
     an integer order ends at ``k = nu - 1``; valid whenever ``K_nu(x)`` is
     large enough to overflow double precision, which is the only situation
-    in which this routine is called.  ``log(2/x)`` is taken as
+    in which this routine is called.  Below order 1/2, where ``kve`` fails
+    (below about ``x = 1e-305``), the other branch's leading term
+    ``Gamma(-nu) (x/2)**nu / 2`` is added: it cancels part of the first at
+    orders below about 0.025.  ``log(2/x)`` is taken as
     ``log 2 - log x``, as ``2/x`` overflows below about 1e-308.
 
     At order 0 no branch dominates, and ``K_0(x) = log(2/x) - gamma`` to
@@ -344,8 +347,28 @@ def _log_k_series(nu, x):
             f"small-argument series for K_nu did not converge at nu={nu}, x={x}",
             achieved=abs(term / total),
         )
-    return (math.log(0.5) + float(_special.gammaln(nu)) + nu * (math.log(2.0) - math.log(x))
-            + math.log(total))
+    log2x = math.log(2.0) - math.log(x)
+    log_k = math.log(0.5) + float(_special.gammaln(nu)) + nu * log2x + math.log(total)
+    if nu >= 0.5:  # the other branch is far below an ulp wherever kve fails
+        return log_k
+    # The second branch's leading term, Gamma(-nu) (x/2)**nu / 2, is
+    # -exp(nu c) of the first, c = g / nu - 2 log(2/x) with
+    # g = log(Gamma(1 - nu) / Gamma(1 + nu)) summed as 2 gamma nu plus
+    # 2 zeta(k) nu**k / k over odd k >= 3: gammaln(1 - nu) loses nu's
+    # digits once 1 - nu rounds.
+    c = 2.0 * (np.euler_gamma - log2x)
+    for k in range(3, 2 * _SERIES_MAX_TERMS, 2):
+        term = 2.0 * float(_special.zeta(k)) * nu ** (k - 1) / k
+        if c + term == c:
+            break
+        c += term
+    keep = -math.expm1(nu * c)
+    if keep >= 0.5:  # log(keep) is 0.0 where the second branch is below an ulp
+        return log_k + math.log(keep)
+    # Where the branches cancel, log Gamma(nu) and log(keep), both near
+    # -log nu, are regrouped as log Gamma(1 + nu) and log(keep / nu).
+    return (math.log(0.5) + float(_special.gammaln(1.0 + nu)) + nu * log2x
+            + math.log(-c * float(_special.exprel(nu * c))) + math.log(total))
 
 
 def _log_k_hankel(nu, x):

@@ -41,6 +41,12 @@ QUADRATURE_ARGS = sorted(
     | {float(x) for e in QUADRATURE_EDGES
        for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)) if 1.0 <= x <= 128.0})
 
+# Small orders past SciPy's kve (which fails below about x = 1e-305), where
+# the second branch of K_nu's series cancels part of the first.
+SMALL_ORDERS = sorted({float(nu) for nu in np.geomspace(1e-300, 0.05, 16)}
+                      | {1e-12, 1e-4, 0.01, 0.025})
+SMALL_ORDER_ARGS = [5e-324, 1e-320, 1e-310, 1e-308, 1e-306, 2.2e-305]
+
 LGAMMA_ARGS = [1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 7.5, 10.0, 100.0,
                1000.0, 1e4]
 
@@ -59,6 +65,9 @@ def main():
         for x in LARGE_ARGS:
             log_k.append([nu, x, fmt(mp.log(mp.besselk(nu, mp.mpf(x))))])
 
+    small_order = [[nu, x, fmt(mp.log(mp.besselk(nu, mp.mpf(x))))]
+                   for nu in SMALL_ORDERS for x in SMALL_ORDER_ARGS]
+
     lgamma = [[x, fmt(mp.log(mp.gamma(mp.mpf(x))))] for x in LGAMMA_ARGS]
 
     quadrature = [[nu, x, fmt(mp.besselk(nu, mp.mpf(x)))]
@@ -67,12 +76,14 @@ def main():
     table = {
         "_provenance": "mpmath 1.3, mp.dps=40; see generate_oracle_tables.py",
         "log_bessel_k": log_k,
+        "log_bessel_k_small_order": small_order,
         "log_gamma": lgamma,
         "bessel_k_quadrature": quadrature,
     }
     out = HERE / "specfun_oracle.json"
     out.write_text(json.dumps(table, indent=1))
-    print(f"wrote {out} ({len(log_k)} log Bessel entries, {len(lgamma)} log-gamma "
+    print(f"wrote {out} ({len(log_k)} log Bessel entries, {len(small_order)} at small "
+          f"orders, {len(lgamma)} log-gamma "
           f"entries, {len(quadrature)} Bessel entries of the trapezoidal rule)")
 
 

@@ -306,7 +306,7 @@ class TestCondition:
             for x in (probes, 0.3):
                 builds.clear()
                 mean, var, scalar = gp._moments(post, x)
-                assert len(builds) == (1 if post.n else 0) and scalar == np.isscalar(x)
+                assert len(builds) == 1 and scalar == np.isscalar(x)
                 want_mean, want_var = posterior_mean(post, x), posterior_var(post, x)
                 if scalar:
                     mean, var = (mean[0] if mean.ndim == 2 else float(mean[0])), float(var[0])
@@ -318,6 +318,18 @@ class TestCondition:
         post = condition(kernel, Design(np.zeros((0, 1)), UNIT), np.zeros((0, 3)))
         assert posterior_mean(post, [0.2, 0.4]).shape == (2, 3)
         assert posterior_mean(post, 0.2).shape == (3,)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_design_gives_the_prior_bit_for_bit(self, d, columns):
+        # No branch of its own: the empty cross-covariance gives mean 0 and
+        # variance k(0) exactly.
+        kernel = MaternParams(1.5, d=d)
+        shape = (0,) if columns is None else (0, columns)
+        post = condition(kernel, Design(np.zeros((0, d)), Box.unit(d)), np.zeros(shape))
+        x = np.random.Generator(np.random.Philox(5)).random((7, d))
+        assert posterior_mean(post, x).tobytes() == np.zeros((7,) + shape[1:]).tobytes()
+        assert posterior_var(post, x).tobytes() == np.full(7, kernel(0.0)).tobytes()
 
 
 class TestPosteriorQueries:
@@ -577,7 +589,7 @@ class TestFastIdentities:
         post = condition(kernel, design, np.ones(40))
         chol = post.chol.copy(order="F")
         chol[21, 21] = 0.0
-        broken = gp._Factorization(kernel, design, post.y, chol, 40).posterior(40)
+        broken = gp.Posterior(gp._Factorization(kernel, design, post.y, chol, [40]), 40)
         with pytest.raises(ConditioningError, match="diagonal entry 21") as exc:
             loo(broken)
         assert (exc.value.pivot_index, exc.value.pivot_value) == (21, 0.0)

@@ -173,21 +173,58 @@ def test_a_stale_export_is_caught():
     assert unresolved(module, ["kept", "deleted"]) == ["deleted"]
 
 
-def _unreached_tool():
-    """``tools/unreached.py`` as a module, loaded without running any
-    configuration."""
-    path = os.path.join(ROOT, "tools", "unreached.py")
-    spec = importlib.util.spec_from_file_location("unreached", path)
+def _tool(name):
+    """``tools/<name>.py`` as a module, loaded without running its
+    ``main``."""
+    path = os.path.join(ROOT, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
 def test_every_keep_entry_names_a_function():
-    assert _unreached_tool().missing() == []
+    assert _tool("unreached").missing() == []
 
 
 def test_a_stale_keep_entry_is_caught(monkeypatch):
-    tool = _unreached_tool()
+    tool = _tool("unreached")
     monkeypatch.setitem(tool.KEEP, "kernels.Deleted.method", "a deleted method")
     assert tool.missing() == ["kernels.Deleted.method"]
+
+
+_COUNTED = '''"""A module
+docstring."""
+
+import os  # a line with a trailing comment counts
+
+# a comment line
+class Record:
+    """A class docstring."""
+
+    def read(self):
+        """A function
+        docstring."""
+        text = """a string that is no docstring"""
+        return text
+
+
+async def fetch():
+    "A one-line docstring."
+    return os.sep
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    # import, class, def, the assigned string, return, async def, return
+    assert _tool("code_lines").code_lines(_COUNTED) == 7
+
+
+def test_code_lines_total_is_the_sum_of_its_modules(capsys):
+    assert _tool("code_lines").main() == 0
+    *modules, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in modules] == sorted(
+        name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert total[0] == "total"
+    assert int(total[1].replace(",", "")) == sum(int(count.replace(",", ""))
+                                                 for _, count in modules)

@@ -283,6 +283,14 @@ class TestBesselProperties:
         form = math.log(math.log(2.0) - math.log(x) - np.euler_gamma)
         assert abs(value - form) <= 1e-15 * form and abs(value - ref) <= 1e-15 * ref
 
+    def test_small_orders_at_arguments_past_kve(self):
+        # Below order 0.025 the series' second branch, Gamma(-nu) (x/2)**nu / 2,
+        # cancels part of the first here: alone, the first read 26.94 for
+        # log K at nu = 1e-12, x = 1e-306, where mpmath gives 6.558.
+        for nu, x, ref in ORACLE["log_bessel_k_small_order"]:
+            ref = float(ref)
+            assert abs(log_bessel_k(nu, x) - ref) <= 1e-14 * abs(ref), (nu, x)
+
     def test_bessel_k_is_inf_just_past_the_largest_double(self):
         # log K_120(x) = 709.9 here: above log(max double), below 710
         x = 0.2338078002315107
