@@ -295,7 +295,7 @@ def sample_gp_path(params, design, seed):
     across platforms and thread counts.  The first ``m`` values of an
     ``n``-point draw equal the ``m``-point draw for the same seed, bit for
     bit when ``m = 16 * 2**k`` and to rounding otherwise (prefixes of a
-    design see consistent data; see :meth:`~maternsmooth.gp.Posterior.prefix`).
+    design see consistent data; see :func:`~maternsmooth.gp.condition_prefixes`).
     """
     single = np.ndim(seed) == 0
     seeds = [check_integer("seed", s, 0) for s in ([seed] if single else seed)]

@@ -105,11 +105,6 @@ class ExperimentConfig:
         _check_command(self.experiment, self)
 
 
-# The schedule of ``convergence`` when none is given; its probes sit off
-# the lattice of the first 513 van der Corput points.
-_CONVERGENCE_SCHEDULE = (32, 64, 128, 256, 512)
-
-
 _ESTIMATOR = tuple(f.name for f in fields(EstimatorConfig))
 
 # The settings each command reads: fields of ExperimentConfig, and of
@@ -151,7 +146,7 @@ def _check_command(command, config):
             if f.name not in _READS[command] + _NOT_SETTINGS and value != f.default:
                 raise DomainError(f"{command} does not read {f.name}, got {value!r}")
     make_design(config.design, config.d, 1)  # the generator's own rules on d
-    nu0, nus = _orders(command, config)
+    nu0, nus, schedule = _orders(command, config)
     orders = {nu0, *nus} - {None}
     if "nu_max" in _READS[command]:
         orders |= {config.estimator.nu_min, config.estimator.nu_max}
@@ -172,24 +167,29 @@ def _check_command(command, config):
                               f"no seeds, got {config.seeds!r}")
     elif command == "convergence":
         check_integer("probe_count", config.probe_count, 1, 512)
-        n = max(config.schedule or _CONVERGENCE_SCHEDULE)
+        n = max(schedule)
         if n > 513:
             raise DomainError(f"convergence needs at most 513 design points, got {n}")
 
 
 def _orders(command, config):
     """The smoothness ``nu0`` that the experiment ``command`` draws its paths
-    at (None when it draws none) and those of the kernels it fits, the
-    command's defaults in place of the settings left unset."""
+    at (None when it draws none), those of the kernels it fits, and the
+    schedule of prefix sizes it runs: the one place of the command's
+    defaults, which take the place of the settings left unset.  The
+    default schedule of ``convergence`` keeps its probes off the lattice
+    of its 513 van der Corput points."""
+    nu0, nus, schedule = config.nu0, (), (16, 32, 64, 128, 256, 512)
     if command == "variance-decay":
-        return None, config.nu_grid or (0.5, 1.0, 2.0)
-    if command == "logdet-growth":
+        nus = config.nu_grid or (0.5, 1.0, 2.0)
+        schedule = (*schedule, 1024) if config.d == 1 else (9, 25, 81, 289, 1089)
+    elif command == "logdet-growth":
         nu0 = config.nu0 if config.nu0 is not None else 1.0
-        return nu0, config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
-    if command == "convergence":
+        nus = config.nu_grid or tuple(sorted({0.5, nu0, 2.0}))
+    elif command == "convergence":
         nu0 = config.nu0 if config.nu0 is not None else 1.5
-        return nu0, config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0)
-    return config.nu0, ()
+        nus, schedule = config.nu_model or (2.0 * nu0, nu0, 0.5 * nu0), (32, 64, 128, 256, 512)
+    return nu0, nus, config.schedule or schedule
 
 
 @dataclass(frozen=True)
@@ -392,9 +392,7 @@ def _prefix_cells(kernel, design, y, schedule, read):
 def run_variance_decay(config):
     """Decay rate of the worst leave-one-out variance along a schedule."""
     _check_command("variance-decay", config)
-    _, nus = _orders("variance-decay", config)
-    schedule = config.schedule or ((16, 32, 64, 128, 256, 512, 1024) if config.d == 1
-                                   else (9, 25, 81, 289, 1089))
+    _, nus, schedule = _orders("variance-decay", config)
     design = make_design(config.design, config.d, max(schedule))
 
     def read(post):
@@ -460,7 +458,7 @@ def run_non_undersmoothing(config):
     ``nu0``, and says nothing of a fixed function.
     """
     _check_command("non-undersmoothing", config)
-    schedule = config.schedule or (16, 32, 64, 128, 256, 512)
+    *_, schedule = _orders("non-undersmoothing", config)
     design = make_design(config.design, config.d, max(schedule))
     seeds, paths = _draw_or_evaluate(config, design)
     records = sweep_prefixes(
@@ -526,15 +524,17 @@ def run_logdet_growth(config):
     open conjecture).
     """
     _check_command("logdet-growth", config)
-    nu0, nus = _orders("logdet-growth", config)
-    schedule = config.schedule or (16, 32, 64, 128, 256, 512)
+    nu0, nus, schedule = _orders("logdet-growth", config)
     design = make_design(config.design, config.d, max(schedule))
     (seed,) = config.seeds or DEFAULT_SEEDS[:1]
     # One factorization of K(nu0) draws the path (that of sample_gp_path)
     # and gives the log-determinants at nu0.
-    post = condition(_matern(config, nu0, config.d), design, np.zeros(design.n))
-    (y,) = _draw(post.chol, [seed])
-    logdets0 = [log_det(post.prefix(n)) for n in schedule]
+    posts = condition_prefixes(_matern(config, nu0, config.d), design, np.zeros(design.n),
+                               schedule)
+    if isinstance(posts[-1], ConditioningError):
+        raise posts[-1]
+    (y,) = _draw(posts[-1].chol, [seed])
+    logdets0 = [log_det(post) for post in posts]
     records = sweep_prefixes(design, y, schedule, config.estimator,
                              experiment="logdet-growth", seed=seed)
     nu_hat = {r.n: r.nu_hat_ml for r in records}
@@ -598,8 +598,7 @@ def run_convergence(config):
     model, then prefix size.
     """
     _check_command("convergence", config)
-    nu0, models = _orders("convergence", config)
-    schedule = config.schedule or _CONVERGENCE_SCHEDULE
+    nu0, models, schedule = _orders("convergence", config)
     design = make_design("van_der_corput", 1, max(schedule))
     probes = _convergence_probes(config.probe_count)
     joint = Design(np.concatenate([design.points[:, 0], probes]), design.box)

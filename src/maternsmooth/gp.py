@@ -17,20 +17,19 @@ data-dependent quantities then come out per column.
 The factor is grown by row panels ending at 16, 32, 64, ... points, each
 finished by factoring its diagonal block, so that the factor of a design
 prefix is the leading block of the full one and one factorization serves
-every prefix of a nested design (:meth:`Posterior.prefix`).
+every prefix of a nested design (:func:`condition_prefixes`).
 Leave-one-out quantities use the factor's inverse ``W = L^{-1}``, grown by
 the same row panels (the inverse of each diagonal block, two ``dtrmm`` for
 the rows left of it), so the inverse of a prefix is the leading block of
-the full one too.  The factorization computes it once, on the first
-leave-one-out request, and so the forward solve ``L^{-1} y`` on the first
-quadratic form; every posterior it serves reads their leading parts.  The
-inverse is written over a copy of the factor, or in a sweep's workspace
+the full one too.  The factorization is made with what the objectives
+and the posterior mean read of the factor: its diagonal, the forward solve
+``L^{-1} y`` of the largest size served, whose leading parts the
+quadratic forms read, and the weights ``K^{-1} y`` of every size served.
+Only the inverse waits for the first leave-one-out request; it is written
+over a copy of the factor, or in a sweep's workspace
 (:func:`_prefix_posteriors`) over the factor itself: each row panel reads
 the factor's rows before it writes their inverse, so one buffer of
-``n * n`` doubles serves both, with the same values.  Before that
-overwrite the factorization computes the forward solve and the weights
-``K^{-1} y`` of every prefix it serves, and it keeps the factor's
-diagonal: all that the objectives read of the factor.
+``n * n`` doubles serves both, with the same values.
 
 A diagonal block wider than 64 rows is itself factored and inverted by
 sub-panels of 64 rows (:data:`_SUB`): LAPACK ``dpotrf`` (whose ``info``
@@ -271,33 +270,39 @@ def _solve_lower(chol, b):
 
 class _Factorization:
     """One factorization of a design's kernel matrix, and what the
-    posteriors of its prefixes share.
+    posteriors of its prefixes read.
 
     ``chol`` is the factor of ``design``, up to its first failing pivot
     if it has one, and ``y`` a copy of the data, shape ``(n,)`` or
     ``(n, s)``.  ``sizes`` are the prefix sizes it serves, and ``top``,
-    the largest of them, the largest size a posterior is read at: the
-    inverse of the factor's first ``top`` rows and the forward solve
-    ``L^{-1} y`` of their data are each computed once, on the first
-    request, and then read by every posterior, as is ``pivots``, the
-    factor's diagonal up to ``top``.  The weights ``K^{-1} y`` of each
-    size are solved once (:meth:`weights`).
+    the largest of them, the largest size a posterior is read at.  What
+    the objectives and the posterior mean read of the factor is computed
+    here, once, while the factor is certain to be there (the one read of
+    its pivots): ``pivots``, its diagonal up to ``top``; ``forward``, the
+    solve ``L^{-1} y`` of the first ``top`` points, one array per data
+    column, each solved on its own (a multi-column triangular solve rounds
+    differently in the last bits), whose leading part a prefix's
+    quadratic form reads; and ``weights``, the solve ``K^{-1} y`` (LAPACK
+    ``dpotrs``) of each size served, keyed by the size.  Only the inverse
+    of the factor's first ``top`` rows waits for its first request
+    (:meth:`inverse`).
 
     With ``in_place`` the inverse is written over the factor
-    (:func:`_invert`), after the forward solve and the weights of every
-    size in ``sizes``: from then on :attr:`chol` raises
-    :class:`DomainError`, and so does every other read of a posterior
-    that needs the factor.  (A factor that :func:`_factor` accepts has no
+    (:func:`_invert`): from then on :attr:`chol` raises
+    :class:`DomainError`, and so does every read of a posterior that
+    needs the factor.  (A factor that :func:`_factor` accepts has no
     zero pivot, so its inversion does not fail part way.)
     """
 
     def __init__(self, kernel, design, y, chol, sizes, in_place=False):
-        self.kernel, self.design, self.y, self.sizes = kernel, design, y, sizes
+        self.kernel, self.design, self.y = kernel, design, y
         self.top = max(sizes, default=0)
         self.pivots = chol.diagonal()[:self.top].copy()
-        self._chol, self._in_place = chol, in_place
-        self._inverse = self._forward = None
-        self._weights = {}
+        lead = np.asfortranarray(chol[:self.top, :self.top])
+        self.forward = [_solve_lower(lead, col) for col in np.atleast_2d(y[:self.top].T)]
+        self.weights = {n: _lapack_call("dpotrs", chol[:n, :n], y[:n], lower=1)[0]
+                        if n else y[:0].copy() for n in set(sizes)}
+        self._chol, self._in_place, self._inverse = chol, in_place, None
 
     @property
     def chol(self):
@@ -309,35 +314,13 @@ class _Factorization:
 
     def inverse(self, n):
         """The inverse of the first ``n <= top`` rows of the factor
-        (:func:`_invert`)."""
+        (:func:`_invert`), computed on the first request."""
         if self._inverse is None:
             chol = self.chol
             if self._in_place:
-                # The last reads of the factor before it is overwritten.
-                self.forward()
-                for size in self.sizes:
-                    self.weights(size)
                 self._chol = None
             self._inverse = _invert(chol, self.top, self._in_place)
         return self._inverse[:n, :n]
-
-    def forward(self):
-        """``L^{-1} y`` of the first ``top`` points, one array per data
-        column, each solved on its own (a multi-column triangular solve
-        rounds differently in the last bits); a prefix's quadratic form
-        reads its leading part."""
-        if self._forward is None:
-            chol = np.asfortranarray(self.chol[:self.top, :self.top])
-            self._forward = [_solve_lower(chol, col)
-                             for col in np.atleast_2d(self.y[:self.top].T)]
-        return self._forward
-
-    def weights(self, n):
-        """``K^{-1} y`` of the first ``n`` points (LAPACK ``dpotrs``)."""
-        if n not in self._weights:
-            self._weights[n] = (_lapack_call("dpotrs", self.chol[:n, :n], self.y[:n],
-                                             lower=1)[0] if n else self.y[:0].copy())
-        return self._weights[n]
 
 
 @dataclass(frozen=True)
@@ -348,8 +331,8 @@ class Posterior:
     ``chol`` is the leading block of the factor and ``weights`` solve it
     against the data ``y``, which has shape ``(n,)``, or ``(n, s)`` for
     ``s`` data columns conditioned on the same factor.  The weights, the
-    inverse, the forward solve and the pivots come from the factorization,
-    shared with the other posteriors it serves.
+    forward solve and the pivots were computed with the factorization,
+    and the inverse is computed once for all the posteriors it serves.
     """
 
     factorization: _Factorization = field(repr=False)
@@ -377,14 +360,8 @@ class Posterior:
 
     @property
     def weights(self):
-        """``K^{-1} y`` (:meth:`_Factorization.weights`), solved on first use."""
-        return self.factorization.weights(self.n)
-
-    def prefix(self, n):
-        """The posterior of the first ``n`` points, from the leading block of
-        this factor (and of its inverse): bit for bit what :func:`condition`
-        gives on that prefix when ``n`` is at most 16 or ``16 * 2**k``."""
-        return Posterior(self.factorization, self.design.check_prefix_size(n))
+        """``K^{-1} y``, solved when the factorization was made."""
+        return self.factorization.weights[self.n]
 
 
 def _as_data(design, y, name="y", columns=True):
@@ -421,12 +398,15 @@ def condition_prefixes(kernel, design, y, sizes):
     """:func:`condition` on the first ``n`` points for each ``n`` in ``sizes``.
 
     One :class:`_Factorization`, of the largest prefix, serves all: each
-    posterior is a view of its first ``n`` points (:meth:`Posterior.prefix`),
-    and the inverse and forward solve are computed when first asked for and
-    only up to the largest size served; a size beyond a failing pivot gets
-    that pivot's :class:`ConditioningError` in place of its posterior.
-    The data are checked (:func:`_as_data`) and the sizes are prefix sizes
-    of the design; :func:`_prefix_posteriors` does the rest.
+    posterior is a view of its first ``n`` points, bit for bit the
+    posterior :func:`condition` gives on that prefix when ``n`` is at most
+    16 or ``16 * 2**k``.  The forward solve and the weights of every size
+    are solved when the factorization is made, and its inverse on the
+    first leave-one-out request, only up to the largest size served; a
+    size beyond a failing pivot gets that pivot's
+    :class:`ConditioningError` in place of its posterior.  The data are
+    checked (:func:`_as_data`) and the sizes are prefix sizes of the
+    design; :func:`_prefix_posteriors` does the rest.
     """
     return _prefix_posteriors(kernel, design, _as_data(design, y),
                               [design.check_prefix_size(n) for n in sizes])
@@ -435,23 +415,24 @@ def condition_prefixes(kernel, design, y, sizes):
 def _prefix_posteriors(kernel, design, y, sizes, workspace=None):
     """:func:`condition_prefixes` on data ``y`` and ``sizes`` already checked,
     with ``y`` held as given, not copied: the path of a sweep, which checks
-    its data once.
+    its data once.  When no size is served, nothing is solved.
 
     ``workspace``, one flat float array of at least ``m * m`` elements for
     the largest size ``m``, takes the factor in place of a fresh array, and
     the first leave-one-out request writes the inverse over the factor's
     leading block (see :class:`_Factorization`), with the values of fresh
     arrays.  The posteriors then read from it and hold only until it is
-    next used, and from that request on they refuse to read the factor:
-    :attr:`Posterior.chol`, the posterior variance, and the weights of a
-    size not among ``sizes`` raise :class:`DomainError`.
+    next used, and from that request on :attr:`Posterior.chol` and the
+    posterior variance, which read the factor, raise :class:`DomainError`;
+    the weights, the mean and the objectives still serve.
     """
     design = design.prefix(max(sizes, default=0))
     L, err = _factor(kernel, design, workspace)
-    served = design.n if err is None else err.pivot_index
-    fact = _Factorization(kernel, design, y, L, [n for n in sizes if n <= served],
-                          workspace is not None)
-    return [Posterior(fact, n) if n <= served else err for n in sizes]
+    limit = design.n if err is None else err.pivot_index
+    served = [n for n in sizes if n <= limit]
+    if served:
+        fact = _Factorization(kernel, design, y, L, served, workspace is not None)
+    return [Posterior(fact, n) if n <= limit else err for n in sizes]
 
 
 def _cross_covariances(post, x):
@@ -545,7 +526,7 @@ def quadratic_form(post):
     each from the leading part of the factorization's forward solve.
     """
     n = post.n
-    terms = [float(np.dot(e[:n], e[:n])) for e in post.factorization.forward()]
+    terms = [float(np.dot(e[:n], e[:n])) for e in post.factorization.forward]
     return terms[0] if post.y.ndim == 1 else np.array(terms)
 
 
@@ -584,9 +565,9 @@ def loo(post):
     posterior's factor shares (see :func:`condition_prefixes`), so a
     prefix's quantities are bit for bit those of the prefix conditioned
     alone when its size is at most 16 or ``16 * 2**k``.  ``K^{-1} y`` is
-    the posterior's :attr:`~Posterior.weights`, which a sweep's workspace
-    solves before it writes ``W`` over the factor.  Verified against
-    per-point refits in the test suite.
+    the posterior's :attr:`~Posterior.weights`, solved when the
+    factorization was made, so that a sweep's workspace may write ``W``
+    over the factor.  Verified against per-point refits in the test suite.
     """
     diag = _inverse_diagonal(post)
     weights = post.weights

@@ -167,34 +167,33 @@ class TestCondition:
     def test_workspace_posterior_refuses_the_overwritten_factor(self):
         # Once leave-one-out has written the inverse over the factor, no
         # read of a workspace posterior that needs the factor returns its
-        # bits: each raises.  What the objectives read still serves, and
-        # so do the weights and the mean of each size served, solved before
-        # the overwrite, with the bits of a fresh factorization.
+        # bits: each raises, at every size served.  What the objectives
+        # read still serves, and so do the weights and the mean of each
+        # size served, solved with the factorization, with the bits of a
+        # fresh factorization.
         design = van_der_corput(UNIT, 64)
         kernel = MaternParams(1.5, lambda_=0.15)
         y = np.random.Generator(np.random.Philox(5)).standard_normal(64)
         workspace = np.empty(64 * 64)
-        posts = gp._prefix_posteriors(kernel, design, y, [16, 64], workspace)
-        fresh = condition_prefixes(kernel, design, y, [16, 64])
-        res = loo(posts[1])
-        assert np.shares_memory(posts[1].factorization.inverse(64), workspace)
-        assert res.residuals.tobytes() == loo(fresh[1]).residuals.tobytes()
+        posts = gp._prefix_posteriors(kernel, design, y, [16, 32, 64], workspace)
+        fresh = condition_prefixes(kernel, design, y, [16, 32, 64])
+        res = loo(posts[2])
+        assert np.shares_memory(posts[2].factorization.inverse(64), workspace)
+        assert res.residuals.tobytes() == loo(fresh[2]).residuals.tobytes()
         message = "^the factor of this posterior was overwritten by its inverse"
-        for read in (lambda p: p.chol, lambda p: p.prefix(32).weights,
-                     lambda p: posterior_mean(p.prefix(32), 0.3),
-                     lambda p: posterior_var(p, 0.3)):
-            with pytest.raises(DomainError, match=message):
-                read(posts[1])
+        for post in posts:
+            for read in (lambda p: p.chol, lambda p: posterior_var(p, 0.3)):
+                with pytest.raises(DomainError, match=message):
+                    read(post)
         for post, alone in zip(posts, fresh):
             assert post.weights.tobytes() == alone.weights.tobytes()
             assert posterior_mean(post, 0.3) == posterior_mean(alone, 0.3)
             assert loo(post).residuals.tobytes() == loo(alone).residuals.tobytes()
-        post, fresh = posts[1], fresh[1]
-        assert (log_det(post), quadratic_form(post)) == (log_det(fresh), quadratic_form(fresh))
+        post, alone = posts[2], fresh[2]
+        assert (log_det(post), quadratic_form(post)) == (log_det(alone), quadratic_form(alone))
         np.testing.assert_array_equal(incremental_variances(post),
-                                      incremental_variances(fresh))
-        np.testing.assert_array_equal(loo_variances(post.prefix(32)),
-                                      loo_variances(fresh.prefix(32)))
+                                      incremental_variances(alone))
+        np.testing.assert_array_equal(loo_variances(posts[1]), loo_variances(fresh[1]))
 
     def test_shape_mismatch(self, instance):
         kernel, design, _, _ = instance
@@ -222,9 +221,7 @@ class TestCondition:
 
     @pytest.mark.parametrize("size", [2.5, True])
     def test_prefix_size_must_be_an_integer(self, instance, size):
-        kernel, design, y, post = instance
-        with pytest.raises(DomainError, match="integer"):
-            post.prefix(size)
+        kernel, design, y, _ = instance
         with pytest.raises(DomainError, match="integer"):
             condition_prefixes(kernel, design, y, [size])
         # Also when a larger size comes first, or lies past a failing pivot.
@@ -235,8 +232,10 @@ class TestCondition:
             condition_prefixes(kernel, near, np.ones(3), [3, size])
 
     def test_numpy_integer_prefix_sizes(self, instance):
-        kernel, design, y, post = instance
-        np.testing.assert_array_equal(post.prefix(np.int64(5)).chol, post.prefix(5).chol)
+        kernel, design, y, _ = instance
+        wide, plain, _ = condition_prefixes(kernel, design, y, [np.int64(5), 5, 16])
+        assert type(wide.n) is int
+        np.testing.assert_array_equal(wide.chol, plain.chol)
         (got,) = condition_prefixes(kernel, design, y, [np.int32(5)])
         assert got.n == 5 and got.design is design.prefix(5)
 
@@ -596,8 +595,9 @@ class TestFastIdentities:
 
     def test_shared_loo_inverts_the_factor_once(self, instance, monkeypatch):
         # The posteriors of one factorization share its inverse and forward
-        # solve: each is computed once, on the first request, and every
-        # posterior reads the bits it would read alone.
+        # solve: the forward solve is made with the factorization, the
+        # inverse on the first request, each once, and every posterior
+        # reads the bits it would read alone.
         kernel, _, _, _ = instance
         design = van_der_corput(UNIT, 64)
         y = np.random.Generator(np.random.Philox(3)).standard_normal(64)
@@ -627,13 +627,66 @@ class TestFastIdentities:
             assert qa == qb and (ma.data_term, ma.complexity_term) == (
                 mb.data_term, mb.complexity_term)
 
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_factorization_solves_what_its_posteriors_read(self, columns, monkeypatch):
+        # While the factorization is made, and only then: one forward solve
+        # per data column and one dpotrs per size served (a repeated size
+        # once), none past a failing pivot (nu = 8 fails at pivot 14 of
+        # 64).  The quadratic form, leave-one-out and the mean, read twice,
+        # solve nothing more.
+        design = van_der_corput(UNIT, 64)
+        shape = (64,) if columns is None else (64, columns)
+        y = np.random.Generator(np.random.Philox(3)).standard_normal(shape)
+        calls, inside = [], []
+        solve, lapack_call, prefix_posteriors = (gp._solve_lower, gp._lapack_call,
+                                                 gp._prefix_posteriors)
+
+        def counted_solve(chol, data):
+            calls.append((bool(inside), "forward", chol.shape[0]))
+            return solve(chol, data)
+
+        def counted_lapack(name, *args, **kwargs):
+            if name == "dpotrs":
+                calls.append((bool(inside), name, args[0].shape[0]))
+            return lapack_call(name, *args, **kwargs)
+
+        def marked(*args, **kwargs):
+            inside.append(True)
+            try:
+                return prefix_posteriors(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(gp, "_solve_lower", counted_solve)
+        monkeypatch.setattr(gp, "_lapack_call", counted_lapack)
+        monkeypatch.setattr(gp, "_prefix_posteriors", marked)
+        posts = condition_prefixes(MaternParams(1.5, lambda_=0.15), design, y,
+                                   [8, 16, 32, 16, 64])
+        assert sorted(calls) == ([(True, "dpotrs", n) for n in (8, 16, 32, 64)]
+                                 + [(True, "forward", 64)] * (columns or 1))
+        calls.clear()
+        for _ in range(2):
+            for post in posts:
+                quadratic_form(post), loo(post), posterior_mean(post, 0.3)
+        assert calls == []
+        failing = MaternParams(8.0, lambda_=1.0)
+        partial = condition_prefixes(failing, design, y, [8, 16, 64])
+        assert isinstance(partial[1], ConditioningError)
+        assert sorted(calls) == ([(True, "dpotrs", 8)]
+                                 + [(True, "forward", 8)] * (columns or 1))
+        calls.clear()
+        assert all(isinstance(post, ConditioningError)
+                   for post in condition_prefixes(failing, design, y, [16, 64]))
+        assert calls == []
+
     def test_variance_only_loo_matches_loo(self, instance):
         _, _, _, post = instance
         np.testing.assert_array_equal(loo_variances(post), loo(post).variances)
 
     def test_loo_variances_do_not_solve_for_the_weights(self, instance, monkeypatch):
-        # The variances are read off the inverse diagonal alone: no solve
-        # against the data, and the same bits as loo's.
+        # The variances are read off the inverse diagonal alone: they never
+        # read the weights (solved with the factorization), and they have
+        # the same bits as loo's.
         kernel, design, y, _ = instance
         want = [loo(post).variances for post in condition_prefixes(kernel, design, y, [2, 9, 16])]
 

@@ -440,10 +440,11 @@ def test_panels_are_the_rows_of_the_prefix_matrix(case, cuts):
 @given(prefix_cases, st.integers(min_value=1, max_value=3),
        st.integers(min_value=17, max_value=160))
 def test_prefix_posterior_equals_conditioning_the_prefix(case, columns, other):
+    # The posteriors of the full design's factorization, at the exact sizes
+    # and at one other.
     kernel, design, y = _prefix_instance(*case, columns=columns)
-    full = condition(kernel, design, y)
-    for n in [m for m in EXACT_SIZES if m <= design.n] + [min(other, design.n)]:
-        got = full.prefix(n)
+    sizes = [m for m in EXACT_SIZES if m <= design.n] + [min(other, design.n)]
+    for n, got in zip(sizes, condition_prefixes(kernel, design, y, [*sizes, design.n])):
         want = condition(kernel, _alone(design, n), y[:n])
         pairs = [(got.chol, want.chol), (got.weights, want.weights),
                  (ell_ml_from(got).total, ell_ml_from(want).total)]
@@ -463,13 +464,14 @@ def test_prefix_posterior_equals_conditioning_the_prefix(case, columns, other):
 @given(prefix_cases)
 def test_inverse_of_a_prefix_is_the_leading_block(case):
     kernel, design, y = _prefix_instance(*case)
-    full = condition(kernel, design, y)
+    sizes = [m for m in EXACT_SIZES if m <= design.n]
+    *posts, full = condition_prefixes(kernel, design, y, [*sizes, design.n])
     inverse = gp._invert(full.chol, design.n)
-    for n in [m for m in EXACT_SIZES if m <= design.n]:
+    for n, post in zip(sizes, posts):
         own = gp._invert(condition(kernel, _alone(design, n), y[:n]).chol, n)
         assert own.shape == (n, n)
         assert np.array_equal(inverse[:n, :n], own), n
-        assert np.array_equal(full.prefix(n).factorization.inverse(n), own), n
+        assert np.array_equal(post.factorization.inverse(n), own), n
 
 
 @PROPERTY
@@ -492,6 +494,41 @@ def test_prefix_cells_equal_each_prefix_conditioned_alone(case, columns, profile
                 assert got.tobytes() == want.tobytes(), (name, n)
             else:
                 assert np.max(np.abs(got - want)) <= PREFIX_RTOL * np.max(np.abs(want)), n
+
+
+@PROPERTY
+@given(st.sampled_from(("c07", "jittered")), st.floats(min_value=0.5, max_value=4.0),
+       st.integers(min_value=17, max_value=512), st.integers(min_value=0, max_value=2**31 - 1))
+def test_read_order_leaves_the_objectives_and_the_mean_unchanged(kind, nu, n, seed):
+    # A factorization solves what its posteriors read when it is made, so
+    # the order of the reads leaves their bits alone: ML before CV, CV
+    # before ML, or the leave-one-out variances first, on fresh arrays and
+    # in a sweep's workspace (full of NaN, as a failed cell may leave it).
+    # The C07 design fails on the pivot floor at the larger nu.
+    if kind == "c07":
+        design, kernel = van_der_corput(Box.unit(1), n), MaternParams(nu, 1.0, 1.0, d=1)
+    else:
+        design = _jittered_grid(1, n, seed)
+        kernel = MaternParams(nu, 1.2, 0.5 * math.sqrt(2.0 * nu) / n, d=1)
+    y = np.random.Generator(np.random.Philox(seed + 7)).standard_normal((n, 2))
+    sizes = [m for m in (16, 32, 64, 128, 256) if m < n] + [n]
+    probes = (2 * np.arange(50) + 1) / 100.0
+    reads = {"ml": ell_ml_from, "cv": ell_cv_from, "loo": gp.loo_variances,
+             "mean": lambda post: gp.posterior_mean(post, probes)}
+    seen = set()
+    for order in (("ml", "cv", "mean"), ("cv", "ml", "mean"), ("loo", "mean", "cv", "ml")):
+        for workspace in (None, np.full(n * n, np.nan)):
+            bits = []
+            for post in gp._prefix_posteriors(kernel, design, y, sizes, workspace):
+                if isinstance(post, ConditioningError):
+                    bits.append(str(post))
+                    continue
+                got = {name: reads[name](post) for name in order}
+                bits += [np.asarray(got["ml"].total).tobytes(),
+                         np.asarray(got["ml"].data_term).tobytes(),
+                         np.asarray(got["cv"].total).tobytes(), got["mean"].tobytes()]
+            seen.add(tuple(bits))
+    assert len(seen) == 1
 
 
 # Sizes on either side of the edges of the 64-row sub-panels that factor and
