@@ -301,7 +301,7 @@ def sample_gp_path(params, design, seed):
     seeds = [check_integer("seed", s, 0) for s in ([seed] if single else seed)]
     if not seeds:
         raise DomainError("need at least one seed")
-    paths = _draw(condition(params, design, np.zeros(design.n)).chol, seeds)
+    paths = _draw(condition(params, design, np.empty((design.n, 0))).chol, seeds)
     return paths[0] if single else np.stack(paths, axis=1)
 
 

@@ -2,12 +2,13 @@
 
 Estimation runs on a lattice of log-spaced coarse cells over a bracket
 ``[nu_min, nu_max]``, coarse to fine (:func:`bracketed_minimize`): every
-eighth cell first, then bisection of the gaps that hold the ends of the
-searchable bracket, then a walk from the coarse minimum to the cells next
-to the minimum.  Cells whose kernel matrix fails to factorize are
-recorded and skipped; the searchable bracket is the contiguous run of
-cells that factor, from the lowest one, and an estimate that saturates
-its top is flagged via ``hit_upper_bracket``.  A minimum inside the run is
+twelfth cell first, then bisection of the gaps that hold the ends of the
+searchable bracket and a read of the left neighbour of its top, then a walk
+from the coarse minimum to the cells next to the minimum.  Cells whose
+kernel matrix fails to factorize are recorded and skipped; the searchable
+bracket is the contiguous run of cells that factor, from the lowest one,
+and an estimate that saturates its top is flagged via
+``hit_upper_bracket``.  A minimum inside the run is
 refined on its bracketing triple by Chebyshev-Lobatto nodes in log nu:
 the objectives are analytic in log nu there, so the minimum of the
 polynomial through nine nodes stands in for a one-dimensional search.
@@ -16,9 +17,9 @@ A prefix sweep runs its sizes from the largest to the smallest, and each
 search of a size, objective and data column is one
 :func:`bracketed_minimize` call.  A cell that a search asks for and the
 sweep's table lacks is factored on that size's prefix, and every prefix up
-to that one reads both objectives from that factor.  Every larger size has
-finished by then, so each cell is factored once, on the largest prefix
-that asks for it, for every column and objective.
+to that one reads the objectives the sweep runs from that factor.  Every
+larger size has finished by then, so each cell is factored once, on the
+largest prefix that asks for it, for every column and objective.
 """
 
 from __future__ import annotations
@@ -68,16 +69,21 @@ _TO_CHEBYSHEV = np.array([
 _SCAN = np.linspace(-1.0, 1.0, 2049)
 _NEWTON_STEPS = 3
 # The coarse scan reads every _STRIDE-th cell of the lattice first (see
-# :func:`bracketed_minimize`).  Measured with bisection and the walk: the
-# C07 sweep (ten seeds, n <= 512) makes 55, 53, 51 and 47 search-cell
-# factorizations at strides 4, 6, 8 and 12, and the benchmark's
-# saturation-scattered sweep 24, 21, 20 and 18.  Which cells are read
-# decides what a failing cell between evaluable ones does: at n = 16, C07's
-# cell 51 fails between the evaluable cells 50 and 52.  Strides 6 and 12
-# read it and end the run at 50, as the scan of every cell does; strides 4
-# and 8 do not, and keep the run's top at 52, as the plan of stride 4
-# before bisection did.
-_STRIDE = 8
+# :func:`bracketed_minimize`).  Measured with bisection, the read of the
+# top's left neighbour and the walk, at strides 8, 12 and 16: the C07 sweep
+# (ten seeds, n <= 512) factors 54, 48 and 49 search cells, the benchmark's
+# saturation-scattered sweep 20, 18 and 18, and the 16 configurations of
+# tools/cli_digests.py that search do 2,900, 2,468 and 2,619 units of
+# factor-plus-inverse work (tools/search_work.py; 3,024 to 3,563 at strides
+# 13 to 15).  The work is bumpy in the stride; 12 does the least, and
+# stride 16 would cost the forty seeds at nu0 = 0.5 44.0 units against
+# 30.1.  The stride decides which failing cells inside the run go unseen;
+# the left-neighbour read sees one right below the run's top: at n = 16,
+# C07's cell 51 fails between the evaluable cells 50 and 52, and with
+# sigma = 1.3, lambda = 0.7 cells 54-56 and 58 fail around the evaluable
+# 57 and 59, and both runs end where the scan of every cell ends them
+# (cells 50 and 53).
+_STRIDE = 12
 
 
 @dataclass(frozen=True)
@@ -227,7 +233,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     2. bisection: of the unread cells between the lowest evaluable cell and
        the read cell below it, and of those between the run's highest read
        cell and the first read failure above it, the middle one, and again
-       until neither gap is left, which fixes ``first``, ``top`` and
+       until neither gap is left; then the left neighbour of the run's top
+       when it is unread, and bisection again if it fails, until the top's
+       left neighbour has been read.  That fixes ``first``, ``top`` and
        ``searchable_upper`` (see :class:`NuEstimate`);
     3. a walk: the unread neighbours of the run's minimum inside the run,
        and again until both have been read.  Coarse ties are broken toward
@@ -250,7 +258,8 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
     minimum, the last cell of the least value, so the search finds the
     bracketing triple and nodes of that scan and returns its estimate bit
     for bit.  A failing cell between two evaluable cells that the search
-    does not read is not seen.
+    does not read is not seen; the read of the top's left neighbour sees
+    one right below the run's top.
     """
     lo, hi = check_real("lo", lo), check_real("hi", hi)
     if lo > hi:
@@ -289,6 +298,9 @@ def bracketed_minimize(fn, lo, hi, n_coarse):
         gaps = [(a, b) for a, b in ((below, first), (top + 1, end)) if a < b]
         if gaps:
             read([grid[(a + b - 1) // 2] for a, b in gaps])
+            continue
+        if top > first and values[top - 1] is None:
+            read([grid[top - 1]])
             continue
         best = first  # ties broken toward the larger argument
         for i in range(first, top + 1):
@@ -340,20 +352,23 @@ def _profiled(data_term, complexity_term, n):
     return float(n) + (n * math.log(s2) + complexity_term)
 
 
-def _cells(design, y, kernel, profile, sizes, workspace=None):
+def _cells(design, y, kernel, profile, sizes, workspace=None, objectives=("ml", "cv")):
     """Objective totals of the Matern ``kernel`` on the first ``n`` points of
-    ``design``, for each ``n`` in ``sizes``: :func:`ell_ml_from`,
-    and :func:`ell_cv_from` from two points, on the posteriors of one
-    factorization (:func:`~maternsmooth.gp._prefix_posteriors`).
+    ``design``, for each ``n`` in ``sizes``: those of ``objectives`` among
+    :func:`ell_ml_from`, and :func:`ell_cv_from` from two points, on the
+    posteriors of one factorization
+    (:func:`~maternsmooth.gp._prefix_posteriors`).  Only CV inverts the
+    factor, so an ML-only caller inverts nothing.
 
     ``y`` holds ``s`` data columns, shape ``(n, s)``, already checked, and
     ``sizes`` are prefix sizes of ``design``.  Per size, a dict
-    mapping each objective defined on ``n`` points to its ``s`` totals,
-    profiled when ``profile`` is set, or to the :class:`ConditioningError` that
-    prevents that objective alone.  When the factorization fails, each size
-    past its failing pivot maps both objectives to one error of its own,
-    ``nu=<nu>, n=<n>: `` and the factor's message, with the factor's
-    ``pivot_index`` and ``pivot_value``.
+    mapping each objective asked for and defined on ``n`` points to its
+    ``s`` totals, profiled when ``profile`` is set, or to the
+    :class:`ConditioningError` that prevents that objective alone.  When the
+    factorization fails, each size past its failing pivot maps the
+    objectives asked for to one error of its own, ``nu=<nu>, n=<n>: `` and
+    the factor's message, with the factor's ``pivot_index`` and
+    ``pivot_value``.
 
     Each total is bit for bit that of its column alone, and a column whose
     profiling is degenerate gets its :class:`EstimationError` in place of
@@ -369,11 +384,11 @@ def _cells(design, y, kernel, profile, sizes, workspace=None):
     cells = []
     for n, post in zip(sizes, posts):
         if isinstance(post, ConditioningError):
-            cells.append(dict.fromkeys(("ml", "cv"), ConditioningError(
+            cells.append(dict.fromkeys(objectives, ConditioningError(
                 f"nu={kernel.nu:g}, n={n}: {post}", pivot_index=post.pivot_index,
                 pivot_value=post.pivot_value)))
             continue
-        cell = {name: _outcome(read[name], post) for name in _objective_names(n)}
+        cell = {name: _outcome(read[name], post) for name in _objective_names(n, objectives)}
         for name, value in cell.items():
             if not isinstance(value, ConditioningError):
                 cell[name] = ([_profiled(data, value.complexity_term, n)
@@ -383,9 +398,10 @@ def _cells(design, y, kernel, profile, sizes, workspace=None):
     return cells
 
 
-def _objective_names(n):
-    """The objectives defined on ``n`` points: cross-validation needs two."""
-    return ("ml", "cv") if n >= 2 else ("ml",)
+def _objective_names(n, objectives=("ml", "cv")):
+    """The objectives of ``objectives`` defined on ``n`` points:
+    cross-validation needs two."""
+    return tuple(name for name in objectives if name == "ml" or n >= 2)
 
 
 def estimate_nu(design, y, config=EstimatorConfig()):
@@ -437,13 +453,16 @@ SweepRecord.FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experiment="",
-                   seed=None):
+                   seed=None, objectives=("ml", "cv")):
     """Estimate the smoothness on growing prefixes of a design.
 
-    Runs both the maximum-likelihood and the cross-validation estimate on
-    each prefix, from one factorization per candidate smoothness; nothing
-    else is factored.  Per-prefix failures are recorded in the ``notes``
-    field and do not abort the sweep.  Data must be finite.
+    Runs the maximum-likelihood and the cross-validation estimate, or
+    those of them that ``objectives`` names (``"ml"``, ``"cv"``), on each
+    prefix, from one factorization per candidate smoothness; nothing else
+    is factored, and only cross-validation inverts a factor.  An objective
+    not run gets NaN columns and no notes.  Per-prefix failures are
+    recorded in the ``notes`` field and do not abort the sweep.  Data must
+    be finite.
 
     ``y_full`` is one data vector ``(n,)`` labelled ``seed``, or ``s``
     columns ``(n, s)`` (say, the paths of ``s`` seeds) labelled by the
@@ -452,7 +471,7 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     sizes other than those named below).  The fill distances of every
     prefix (:func:`~maternsmooth.designs.fill_distances`) are computed
     once for all columns.
-    The searches of all columns, both objectives and every prefix run
+    The searches of all columns, the objectives run and every prefix run
     once (:func:`_searches`), the sizes from the largest to the smallest.
     Each cell that a search reads is factored once, for every column and
     objective, on the largest prefix that asks for it, and every prefix up
@@ -461,16 +480,19 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     The schedule holds sizes of at least 1 in strictly ascending order.
 
     A record's ``searchable_upper_*`` is the top of its search's searchable
-    bracket, NaN where the search ended in an error or is not defined.  At
-    sizes of at most 16 or ``16 * 2**k`` points those are bit for bit the
-    prefix's own, so a record equals the sweep of its prefix alone; at
-    other sizes they agree to rounding.  A cell whose factorization fails
+    bracket, NaN where the search ended in an error, is not defined or was
+    not run.  At sizes of at most 16 or ``16 * 2**k`` points those are bit
+    for bit the prefix's own, so a record equals the sweep of its prefix
+    alone; at other sizes they agree to rounding.  A cell whose factorization fails
     at some pivot fails on every prefix beyond it up to the one factored,
     and each of those prefixes' searches lists it in ``failures`` with one
     message, ``nu=<nu>, n=<n>: `` and the factor's own (:func:`_cells`);
     the records count those failures in their notes.
     """
     schedule = design.check_schedule(n_schedule)
+    if isinstance(objectives, str) or not objectives or set(objectives) - {"ml", "cv"}:
+        raise DomainError(f"objectives must name 'ml', 'cv' or both, got {objectives!r}")
+    objectives = tuple(name for name in ("ml", "cv") if name in objectives)
     y_full = _as_data(design, y_full, "y_full")
     if y_full.ndim == 2 and (np.ndim(seed) != 1 or len(seed) != y_full.shape[1]):
         raise DomainError(f"{y_full.shape[1]} data columns need a sequence of as many "
@@ -481,18 +503,18 @@ def sweep_prefixes(design, y_full, n_schedule, config=EstimatorConfig(), experim
     if not schedule:
         return []
     top = design.prefix(schedule[-1])
-    searches = _searches(top, columns[:top.n], schedule, config)
+    searches = _searches(top, columns[:top.n], schedule, config, objectives)
 
     fills = fill_distances(top, schedule)
-    return [_prefix_record(n, by_column[j], fill, experiment, label)
+    return [_prefix_record(n, by_column[j], fill, experiment, label, objectives)
             for j, label in enumerate(seeds)
             for n, by_column, fill in zip(schedule, searches, fills)]
 
 
-def _searches(top, columns, schedule, config):
+def _searches(top, columns, schedule, config, objectives=("ml", "cv")):
     """Per size of the schedule and data column, a dict mapping each
-    objective defined on that prefix of ``top`` to the :class:`NuEstimate`
-    its search of the smoothness ends with, or to the
+    objective of ``objectives`` defined on that prefix of ``top`` to the
+    :class:`NuEstimate` its search of the smoothness ends with, or to the
     :class:`EstimationError` that ends it.  The searches and the kernels
     follow the :class:`EstimatorConfig` ``config``, with ``sigma`` 1 when it
     profiles the magnitude.
@@ -506,8 +528,8 @@ def _searches(top, columns, schedule, config):
     reaches every size beyond ``p`` up to that prefix.  A stored
     :class:`ConditioningError` is returned to the search, which records it;
     a column's stored profiling error is raised and ends its search.  Every
-    cell writes its factor into one buffer of ``top``'s size, and its
-    leave-one-out inverse over that factor
+    cell writes its factor into one buffer of ``top``'s size, and, when CV
+    is run, its leave-one-out inverse over that factor
     (:func:`~maternsmooth.gp._prefix_posteriors`).
 
     Raises :class:`DomainError`, before any cell is factored, unless the
@@ -533,7 +555,7 @@ def _searches(top, columns, schedule, config):
             prefix = top.prefix(schedule[i])
             kernel = MaternParams(nu, sigma, config.lambda_, top.d)
             cells[nu] = _cells(prefix, columns[:prefix.n], kernel, config.profile_sigma,
-                               schedule[:i + 1], workspace)
+                               schedule[:i + 1], workspace, objectives)
         value = cells[nu][i][name]
         if isinstance(value, ConditioningError):
             return value
@@ -543,7 +565,7 @@ def _searches(top, columns, schedule, config):
 
     found = [[{} for _ in range(columns.shape[1])] for _ in schedule]
     for i in reversed(range(len(schedule))):
-        for name in _objective_names(schedule[i]):
+        for name in _objective_names(schedule[i], objectives):
             for j in range(columns.shape[1]):
                 try:
                     found[i][j][name] = bracketed_minimize(
@@ -554,19 +576,20 @@ def _searches(top, columns, schedule, config):
     return found
 
 
-# The columns and notes of an objective whose search ended in an error or is
-# not defined: NaN estimates, minima and tops, no saturation and no failures.
+# The columns and notes of an objective whose search ended in an error, is
+# not defined or was not run: NaN estimates, minima and tops, no saturation
+# and no failures.
 _NO_ESTIMATE = NuEstimate(math.nan, math.nan, False, 0, (), math.nan, 0)
 
 
-def _prefix_record(n, searches, fill, experiment, seed):
+def _prefix_record(n, searches, fill, experiment, seed, objectives):
     """The record of one data column on the prefix of ``n`` points, from
-    its ``searches`` (see :func:`_searches`): per objective, its notes and
-    its columns, ML's before CV's."""
+    its ``searches`` of ``objectives`` (see :func:`_searches`): per
+    objective, its notes and its columns, ML's before CV's."""
     notes, columns = [], {}
     for name in ("ml", "cv"):
         found = searches.get(name)
-        if found is None:
+        if found is None and name in objectives:
             notes.append(f"{name}_undefined_n<2")
         elif isinstance(found, EstimationError):
             notes.append(f"{name}_error={found}")

@@ -403,7 +403,8 @@ def run_variance_decay(config):
     for nu in nus:
         kernel = _matern(config, nu, config.d)
         cells = [(math.nan, math.nan, cell) if isinstance(cell, str) else cell
-                 for cell in _prefix_cells(kernel, design, np.zeros(design.n), schedule, read)]
+                 for cell in _prefix_cells(kernel, design, np.empty((design.n, 0)), schedule,
+                                           read)]
         fit = [(n, v) for n, (v, _, _) in zip(schedule, cells) if math.isfinite(v)]
         slopes[nu] = fit_rate(*zip(*fit)) if len(fit) >= 3 else math.nan
         rows += [[config.d, nu, n, v, last, slopes[nu], note]
@@ -528,15 +529,15 @@ def run_logdet_growth(config):
     design = make_design(config.design, config.d, max(schedule))
     (seed,) = config.seeds or DEFAULT_SEEDS[:1]
     # One factorization of K(nu0) draws the path (that of sample_gp_path)
-    # and gives the log-determinants at nu0.
-    posts = condition_prefixes(_matern(config, nu0, config.d), design, np.zeros(design.n),
-                               schedule)
+    # and gives the log-determinants at nu0; it conditions on no data.
+    posts = condition_prefixes(_matern(config, nu0, config.d), design,
+                               np.empty((design.n, 0)), schedule)
     if isinstance(posts[-1], ConditioningError):
         raise posts[-1]
     (y,) = _draw(posts[-1].chol, [seed])
     logdets0 = [log_det(post) for post in posts]
     records = sweep_prefixes(design, y, schedule, config.estimator,
-                             experiment="logdet-growth", seed=seed)
+                             experiment="logdet-growth", seed=seed, objectives=("ml",))
     nu_hat = {r.n: r.nu_hat_ml for r in records}
 
     rows = []

@@ -283,7 +283,8 @@ class _Factorization:
     column, each solved on its own (a multi-column triangular solve rounds
     differently in the last bits), whose leading part a prefix's
     quadratic form reads; and ``weights``, the solve ``K^{-1} y`` (LAPACK
-    ``dpotrs``) of each size served, keyed by the size.  Only the inverse
+    ``dpotrs``) of each size served, keyed by the size.  Data of no
+    columns, shape ``(n, 0)``, are solved by nothing.  Only the inverse
     of the factor's first ``top`` rows waits for its first request
     (:meth:`inverse`).
 
@@ -301,7 +302,7 @@ class _Factorization:
         lead = np.asfortranarray(chol[:self.top, :self.top])
         self.forward = [_solve_lower(lead, col) for col in np.atleast_2d(y[:self.top].T)]
         self.weights = {n: _lapack_call("dpotrs", chol[:n, :n], y[:n], lower=1)[0]
-                        if n else y[:0].copy() for n in set(sizes)}
+                        if y[:n].size else y[:n].copy() for n in set(sizes)}
         self._chol, self._in_place, self._inverse = chol, in_place, None
 
     @property
@@ -382,11 +383,12 @@ def condition(kernel, design, y):
     """Factorize the kernel matrix of a design and solve for the weights.
 
     ``y`` is one data vector of shape ``(n,)`` or ``s`` data columns of
-    shape ``(n, s)`` sharing the factorization; non-finite data raises
-    :class:`DomainError`.  Raises :class:`ConditioningError` carrying the
-    index and magnitude of the first offending pivot when the matrix is
-    numerically singular.  An empty design is allowed and produces the
-    unconditioned process.
+    shape ``(n, s)`` sharing the factorization; a reader of the factor,
+    the pivots or the inverse alone passes no columns, ``(n, 0)``, and no
+    solve runs.  Non-finite data raises :class:`DomainError`.  Raises
+    :class:`ConditioningError` carrying the index and magnitude of the
+    first offending pivot when the matrix is numerically singular.  An
+    empty design is allowed and produces the unconditioned process.
     """
     (post,) = condition_prefixes(kernel, design, y, [design.n])
     if isinstance(post, ConditioningError):

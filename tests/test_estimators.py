@@ -458,16 +458,16 @@ class TestEstimateNu:
                 pattern += "x"
         assert pattern == "." * 24 + "x" * 12 + "." + "x" * 3 + "." + "x" * 16 + "." + "x" * 2
         for est in estimate_nu(design, y, cfg).values():
-            # The search reads every eighth cell and the top one, then
-            # bisects the gap above the run's top (cells 20, 22 and 23): its
-            # failures are the failing cells among them, and cell 40, which
-            # evaluates again, is its irregular one.
+            # The search reads every twelfth cell and the top one, then
+            # bisects the gap above the run's top (cells 18, 21, 22 and 23):
+            # its failures are the failing cells among them, and cell 36,
+            # which evaluates again, is its irregular one.
             failed = sorted(list(grid).index(nu) for nu, _ in est.failures)
-            assert failed == [24, 32, 48, 56, 59]
+            assert failed == [24, 48, 59]
             assert est.searchable_upper == grid[23] and est.irregular_failures == 1
             assert est.nu_hat <= est.searchable_upper and est.hit_upper_bracket
         (record,) = sweep_prefixes(design, y, [4], cfg)
-        assert record.notes == "ml_failures=5;ml_irregular=1;cv_failures=5;cv_irregular=1"
+        assert record.notes == "ml_failures=3;ml_irregular=1;cv_failures=3;cv_irregular=1"
         assert record.searchable_upper_ml == record.searchable_upper_cv == grid[23]
         assert record.nu_hat_ml == record.searchable_upper_ml
 
@@ -552,6 +552,31 @@ class TestSweeps:
             "['x', 202, 1, 1.0, 15.0, nan, 0.5428874610640392, nan, True, False, 15.0, nan, "
             "'cv_undefined_n<2']")
 
+    def test_ml_only_sweep_inverts_nothing(self, sample_instance, monkeypatch):
+        # A sweep that runs ML alone gives the ML columns and notes of the
+        # sweep of both, bit for bit, and NaN CV columns with no CV notes
+        # (not even the one-point note); without CV no factor is inverted.
+        design, y = sample_instance
+        cfg, schedule = EstimatorConfig(lambda_=1.0), [1, 16, 64]
+        both = sweep_prefixes(design, y, schedule, cfg, seed=202)
+        inverted, invert = [], gp._invert
+        monkeypatch.setattr(gp, "_invert", lambda *args: inverted.append(args) or invert(*args))
+        alone = sweep_prefixes(design, y, schedule, cfg, seed=202, objectives=("ml",))
+        assert not inverted
+        for a, b in zip(alone, both):
+            assert repr([a.nu_hat_ml, a.ell_ml_min, a.hit_upper_ml, a.searchable_upper_ml]) == (
+                repr([b.nu_hat_ml, b.ell_ml_min, b.hit_upper_ml, b.searchable_upper_ml]))
+            assert a.notes == ";".join(e for e in b.notes.split(";") if e.startswith("ml_"))
+            assert math.isnan(a.nu_hat_cv) and math.isnan(a.ell_cv_min)
+            assert math.isnan(a.searchable_upper_cv) and not a.hit_upper_cv
+        assert "cv_undefined_n<2" in both[0].notes
+
+    @pytest.mark.parametrize("chosen", [(), ("ml", "loo"), "ml"])
+    def test_objectives_must_name_ml_cv_or_both(self, sample_instance, chosen):
+        design, y = sample_instance
+        with pytest.raises(DomainError, match="objectives must name 'ml', 'cv' or both"):
+            sweep_prefixes(design, y, [16], EstimatorConfig(), objectives=chosen)
+
     def test_running_tail_minimum_is_monotone(self, sample_instance):
         # liminf proxy: the running minimum over the tail never decreases
         design, y = sample_instance
@@ -575,7 +600,7 @@ class TestSweeps:
 
     def test_ten_seed_sweep_factor_budget(self, monkeypatch):
         # The C07 configuration: ten seeds, n up to 512.  The coarse-to-fine
-        # plan and shared nodes keep it to 52 factorizations: 51 search
+        # plan and shared nodes keep it to 49 factorizations: 48 search
         # cells and the path draw (84 search cells when the search read
         # every coarse cell).
         factor, calls = gp._factor, [0]
@@ -586,7 +611,7 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5))
-        assert len(result.rows) == 60 and calls[0] == 52
+        assert len(result.rows) == 60 and calls[0] == 49
 
     def test_ten_seed_sweep_factors_the_generating_kernel_once(self, monkeypatch):
         # The C07 configuration factors K(nu0) for the path draw alone, on
@@ -603,7 +628,7 @@ class TestSweeps:
 
     def test_two_seed_sweep_factor_budget(self, monkeypatch):
         # The benchmark's sweep-1d configuration: seeds 101 and 102, n up to
-        # 512.  39 factorizations, the path draw and 38 search cells, 18 of
+        # 512.  35 factorizations, the path draw and 34 search cells, 16 of
         # them of all 512 points that succeed.
         factor, calls = gp._factor, []
 
@@ -614,34 +639,35 @@ class TestSweeps:
 
         monkeypatch.setattr(gp, "_factor", counting)
         result = run_non_undersmoothing(ExperimentConfig(nu0=1.5, seeds=(101, 102)))
-        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (39, 18)
+        assert len(result.rows) == 12 and (len(calls), sum(calls)) == (35, 16)
 
     def test_two_dimensional_sweep_factors_no_cell_twice(self, monkeypatch):
-        # Two seeds on the 2-d uniform grid, n = 16, 32 and 64: 49 cells, no
+        # Two seeds on the 2-d uniform grid, n = 16, 32 and 64: 47 cells, no
         # smoothness factored twice (54 when the searches of all sizes ran
         # in rounds, and five cells the 32-point searches read first were
         # factored again on 64 points).
         factored, compute = [], estimators._cells
 
-        def recording(prefix, values, kernel, profile, sizes, workspace=None):
+        def recording(prefix, values, kernel, profile, sizes, *rest):
             factored.append(kernel.nu)
-            return compute(prefix, values, kernel, profile, sizes, workspace)
+            return compute(prefix, values, kernel, profile, sizes, *rest)
 
         monkeypatch.setattr(estimators, "_cells", recording)
         result = run_non_undersmoothing(ExperimentConfig(
             nu0=1.5, d=2, design="uniform_grid", seeds=(101, 102), schedule=(16, 32, 64)))
         assert len(result.rows) == 6
-        assert len(factored) == len(set(factored)) == 49
+        assert len(factored) == len(set(factored)) == 47
 
     def test_saturated_sweep_factor_budget(self, monkeypatch):
         # The benchmark's saturation-scattered configuration: the smooth bump
         # on 512 jittered van der Corput points, nu_max = 300, lambda = 0.05,
         # n from 64 to 512.  Every estimate saturates a run that ends where
         # the factorization first fails, so bisection finds each run's top:
-        # 20 factorizations (28 when the gaps of every fourth cell were read
-        # whole).  Each is made on the largest prefix whose searches ask for
-        # it, so the cells only smaller prefixes read are factored on them,
-        # where 5 more succeed than on all 512 points.
+        # 18 factorizations (20 from every eighth cell, 28 when the gaps of
+        # every fourth cell were read whole).  Each is made on the largest
+        # prefix whose searches ask for it, so the cells only smaller
+        # prefixes read are factored on them, where 4 more succeed than on
+        # all 512 points.
         base = van_der_corput(UNIT, 512).points[:, 0]
         spacing = float(np.min(np.diff(np.sort(base))))
         rng = np.random.Generator(np.random.Philox(0))
@@ -658,8 +684,8 @@ class TestSweeps:
         records = sweep_prefixes(Design(points, UNIT), y, (64, 128, 256, 512),
                                  EstimatorConfig(nu_max=300.0, lambda_=0.05))
         assert all(r.hit_upper_ml and r.hit_upper_cv for r in records)
-        assert collections.Counter(n for n, _ in calls) == {512: 12, 256: 3, 128: 2, 64: 3}
-        assert sum(ok for _, ok in calls) == 12  # 7 of them on 512 points
+        assert collections.Counter(n for n, _ in calls) == {512: 10, 256: 1, 128: 4, 64: 3}
+        assert sum(ok for _, ok in calls) == 9  # 5 of them on 512 points
 
     def test_smooth_function_saturates_bracket(self):
         design = van_der_corput(UNIT, 64)
@@ -785,7 +811,7 @@ class TestSweeps:
         assert all(shape == (n, columns) for _, n, _, shape in factored)
         # Factorizations per prefix size, of the coarse cells and of all.
         coarse = [f for f in factored if f[0] in grid]
-        prefixes = {64: 17, 32: 4, 16: 2} if columns == 1 else {64: 23, 32: 5, 16: 2}
+        prefixes = {64: 13, 32: 4, 16: 2} if columns == 1 else {64: 19, 32: 5, 16: 3}
         assert largest_prefix_rule(coarse, sizes) == prefixes
         largest_prefix_rule(factored, sizes)
         cells = {nu for nu, *_ in coarse}
@@ -829,9 +855,9 @@ class TestSweeps:
             inverted.append(m)
             return invert(chol, m, buffer)
 
-        def counting(prefix, values, kernel, profile, schedule, workspace=None):
+        def counting(prefix, values, kernel, profile, schedule, *rest):
             nu, before = kernel.nu, len(inverted)
-            out = compute(prefix, values, kernel, profile, schedule, workspace)
+            out = compute(prefix, values, kernel, profile, schedule, *rest)
             served = [n for n, cell in zip(schedule, out)
                       if not isinstance(cell["ml"], ConditioningError)]
             cells.append((nu, prefix.n, tuple(schedule), served, inverted[before:], out))
@@ -846,7 +872,7 @@ class TestSweeps:
         # Each cell is handed every size up to its prefix, and a failure at
         # some size reaches the larger ones.
         assert largest_prefix_rule(coarse, sizes) == (
-            {64: 17, 16: 3} if len(sizes) == 2 else {128: 17, 96: 2, 48: 1, 32: 4, 16: 2})
+            {64: 13, 16: 5} if len(sizes) == 2 else {128: 13, 64: 1, 48: 1, 32: 3, 16: 2})
         for _, n, handed, served, inversions, out in cells:
             assert handed[-1] == n and len(out) == len(handed)
             assert served == list(handed[:len(served)])
@@ -871,8 +897,8 @@ class TestSweeps:
                 return ell(post)
             return wrapped
 
-        def counting(prefix, values, kernel, profile, sizes, workspace=None):
-            nu, out = kernel.nu, compute(prefix, values, kernel, profile, sizes, workspace)
+        def counting(prefix, values, kernel, profile, sizes, *rest):
+            nu, out = kernel.nu, compute(prefix, values, kernel, profile, sizes, *rest)
             for n, cell in zip(sizes, out):
                 if not isinstance(cell["ml"], ConditioningError):
                     served["ml"].append((nu, n))
@@ -930,8 +956,8 @@ class TestSweeps:
         design, columns, cfg = design.prefix(64), y[:64, None], EstimatorConfig(lambda_=1.0)
         calls, compute = [], estimators._cells
 
-        def recording(prefix, values, kernel, profile, sizes, workspace=None):
-            out = compute(prefix, values, kernel, profile, sizes, workspace)
+        def recording(prefix, values, kernel, profile, sizes, workspace=None, *rest):
+            out = compute(prefix, values, kernel, profile, sizes, workspace, *rest)
             calls.append((prefix.n, kernel, sizes, workspace, out))
             return out
 
@@ -1052,8 +1078,8 @@ class TestPrefixRule:
     def test_failed_coarse_cells_are_not_conditioned_again(self, smooth_instance,
                                                            monkeypatch):
         # Every coarse cell that a search reads is factored once, on the
-        # largest prefix whose searches ask for it, failed or not: 13 on all
-        # 64 points, 6 that only the smaller prefixes read on 32 and one on
+        # largest prefix whose searches ask for it, failed or not: 10 on all
+        # 64 points, 4 that only the smaller prefixes read on 32 and one on
         # 16.  A failure reaches the larger prefixes, which never factor the
         # cell again.
         design, y, cfg = smooth_instance
@@ -1069,7 +1095,7 @@ class TestPrefixRule:
         sweep_prefixes(design, y, self.SCHEDULE, cfg)
         grid = [float(nu) for nu in np.geomspace(cfg.nu_min, cfg.nu_max, cfg.coarse_grid)]
         coarse = [f for f in factored if f[0] in grid]
-        assert largest_prefix_rule(coarse, self.SCHEDULE) == {64: 13, 32: 6, 16: 1}
+        assert largest_prefix_rule(coarse, self.SCHEDULE) == {64: 10, 32: 4, 16: 1}
         assert len({nu for nu, *_ in coarse}) == len(coarse) < len(grid)
         assert [False, True, True] in [failed for *_, failed in coarse]
         assert [False, True] in [failed for *_, failed in coarse]  # fails on 32, not 64
@@ -1098,8 +1124,8 @@ class TestPrefixRule:
             factor_errors[kernel.nu] = out[1]
             return out
 
-        def recording(prefix, values, kernel, profile, sizes, workspace=None):
-            out = compute(prefix, values, kernel, profile, sizes, workspace)
+        def recording(prefix, values, kernel, profile, sizes, *rest):
+            out = compute(prefix, values, kernel, profile, sizes, *rest)
             cells.append((kernel.nu, prefix.n, tuple(sizes), out))
             return out
 

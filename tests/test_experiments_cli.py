@@ -28,6 +28,7 @@ from maternsmooth.experiments import (
     run_non_undersmoothing,
     run_variance_decay,
 )
+from maternsmooth.kernels import MaternParams
 
 TEN_SEEDS = ",".join(str(seed) for seed in range(101, 111))
 
@@ -196,16 +197,38 @@ class TestEngines:
         # One factorization of K(nu0) on the 512 points draws the path and
         # gives the nu = nu0 log-determinants of every prefix; the sweep's
         # cells and the two other smoothnesses of the grid make the rest.
-        factored, factor = [], gp._factor
+        # The command reads the ML estimates alone, so its sweep runs no CV
+        # search and nothing is inverted.
+        factored, inverted, factor, invert = [], [], gp._factor, gp._invert
 
         def counting(kernel, design, buffer=None):
             factored.append((kernel.nu, design.n))
             return factor(kernel, design, buffer)
 
         monkeypatch.setattr(gp, "_factor", counting)
+        monkeypatch.setattr(gp, "_invert", lambda *args: inverted.append(args) or invert(*args))
         run_logdet_growth(ExperimentConfig(experiment="logdet-growth", nu0=1.0))
-        assert len(factored) == 38
+        assert len(factored) == 44 and not inverted
         assert factored.count((1.0, 512)) == 1 and factored[0] == (1.0, 512)
+
+    def test_readers_of_the_factor_alone_solve_nothing(self, monkeypatch):
+        # A path draw and variance-decay read the factor, the pivots and the
+        # inverse, never a data term: they condition on no data columns, so
+        # neither a forward solve nor a dpotrs runs.
+        solved, solve, lapack_call = [], gp._solve_lower, gp._lapack_call
+
+        def counted_lapack(name, *args, **kwargs):
+            if name == "dpotrs":
+                solved.append(name)
+            return lapack_call(name, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_solve_lower", lambda *args: solved.append(args) or solve(*args))
+        monkeypatch.setattr(gp, "_lapack_call", counted_lapack)
+        path = analysis.sample_gp_path(MaternParams(1.5), van_der_corput(Box.unit(1), 64), 3)
+        assert path.shape == (64,)
+        result = run_variance_decay(ExperimentConfig(experiment="variance-decay",
+                                                     schedule=(16, 32, 64)))
+        assert result.rows and solved == []
 
     def test_failed_tail_estimate_counts_below_threshold(self, monkeypatch):
         # Python's min skips a NaN that is not first, so a failed estimate

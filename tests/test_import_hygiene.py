@@ -228,3 +228,21 @@ def test_code_lines_total_is_the_sum_of_its_modules(capsys):
     assert total[0] == "total"
     assert int(total[1].replace(",", "")) == sum(int(count.replace(",", ""))
                                                  for _, count in modules)
+
+
+def test_search_work_counts_one_configuration(capsys):
+    # sigma-lambda-logdet runs ML searches alone on up to 64 points: its
+    # factorizations are listed by size, it inverts nothing, and its work
+    # is the total.
+    assert _tool("search_work").main(["sigma-lambda-logdet"]) == 0
+    line, total = capsys.readouterr().out.splitlines()
+    assert line.split()[0] == "sigma-lambda-logdet" and "  invert 0  " in line
+    factored = ast.literal_eval(line.split("factor ", 1)[1].split("  ")[0])
+    assert list(factored) == sorted(factored, reverse=True) and max(factored) == 64
+    assert total == f"total work {float(line.rsplit('work ', 1)[1]):,.2f}"
+
+
+def test_search_work_refuses_a_configuration_that_does_not_search(capsys):
+    assert _tool("search_work").main(["variance-decay-d1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "variance-decay-d1 is not a configuration that searches nu", "total work 0.00"]

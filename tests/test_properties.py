@@ -291,6 +291,39 @@ def test_plan_misses_a_failing_cell_hidden_inside_the_run():
     assert found.hit_upper_bracket and not found.failures
 
 
+@pytest.mark.parametrize("sigma,lam,pattern,top", [
+    (1.0, 1.0, "." * 11 + "x" + "." + "x" * 7, 50),
+    (1.3, 0.7, "." * 14 + "xxx.x.", 53),
+])
+def test_plan_reads_the_left_neighbour_of_the_runs_top(sigma, lam, pattern, top):
+    # The first 16 points of the C07 design, whose cells 40-59 factor as
+    # ``pattern`` shows ('x' fails): a failing cell sits between evaluable
+    # ones right above the scan's run.  The plan reads the left neighbour of
+    # its run's top before accepting it, so its run ends where the scan of
+    # every cell ends its own (6.284 and 8.398), and so does the sweep's.
+    full = make_design("van_der_corput", 1, 512)
+    design = full.prefix(16)
+    y = sample_gp_path(MaternParams(1.5, sigma, lam, d=1), full, 101)[:16]
+    grid = np.geomspace(0.05, 15.0, 60)
+
+    def fn(nu):
+        return ell_ml_from(condition(MaternParams(nu, sigma, lam, d=1), design, y)).total
+
+    read = ""
+    for nu in grid[40:]:
+        try:
+            fn(float(nu))
+            read += "."
+        except ConditioningError:
+            read += "x"
+    assert read == pattern
+    found, expected = _plan_and_scan(fn, 0.05, 15.0, 60)
+    assert found.searchable_upper == expected.searchable_upper == grid[top]
+    (record,) = estimators.sweep_prefixes(design, y, [16],
+                                          EstimatorConfig(sigma=sigma, lambda_=lam))
+    assert record.searchable_upper_ml == record.searchable_upper_cv == grid[top]
+
+
 @PROPERTY
 @given(cases)
 def test_triangular_inverse_loo_matches_refits_and_full_inverse(case):
